@@ -8,106 +8,41 @@ bounds.
 """
 
 from .errors import DensitometerError
-from .interval1d import AtomDecomposition, DisjointIntervalSet, Interval, Location, atoms, normalize
-from .dilation import (
-    DilationResult1D,
-    RectUnion,
-    Rectangle,
-    contains,
-    dilate_1d,
-    dilate_2d,
-    ratio_bound_witness,
-)
-from .weights import WeightSequence, analyze, default_probes, index_a, index_e_bm, index_e_bt, tail_sum
+from .interval1d import Interval
+from .dilation import Rectangle, dilate_1d, dilate_2d
+from .weights import WeightSequence, analyze
 from .auxfn import (
-    Branch,
-    LittleOReport,
     RateFunction,
     Schedule,
-    SeriesReport,
-    SubsequenceSelection,
     build_rate_function,
     choose_subsequence,
     little_o_check,
-    log_block_scale,
     series_diagnostics,
 )
-from .setmodel import (
-    BlockDilation,
-    CompactSetModel,
-    DensityResult,
-    ExceptionalCover,
-    ExceptionalVerdict,
-    build_cover,
-    build_packing,
-    cover_measure_bound,
-    density_ratio,
-    is_exceptional,
-)
-from .scan import (
-    EnvelopeReport,
-    ScanConfig,
-    ScanReport,
-    SeparationReport,
-    sample_points,
-    scan_deficit_envelope,
-    scan_density_bound,
-    separation_check,
-    thread_count,
-)
+from .setmodel import CompactSetModel, build_cover, build_packing
+from .scan import ScanConfig, scan_deficit_envelope, scan_density_bound, separation_check
 
 __all__ = [
     "DensitometerError",
     "Interval",
-    "DisjointIntervalSet",
-    "AtomDecomposition",
-    "Location",
-    "atoms",
-    "normalize",
     "Rectangle",
-    "RectUnion",
-    "DilationResult1D",
     "dilate_1d",
     "dilate_2d",
-    "contains",
-    "ratio_bound_witness",
     "WeightSequence",
-    "tail_sum",
-    "index_a",
-    "index_e_bt",
-    "index_e_bm",
     "analyze",
-    "default_probes",
     "Schedule",
-    "SubsequenceSelection",
-    "Branch",
     "RateFunction",
-    "SeriesReport",
-    "LittleOReport",
-    "log_block_scale",
     "choose_subsequence",
     "build_rate_function",
     "series_diagnostics",
     "little_o_check",
     "CompactSetModel",
-    "DensityResult",
-    "BlockDilation",
-    "ExceptionalCover",
-    "ExceptionalVerdict",
     "build_packing",
-    "density_ratio",
     "build_cover",
-    "cover_measure_bound",
-    "is_exceptional",
     "ScanConfig",
-    "ScanReport",
-    "SeparationReport",
-    "EnvelopeReport",
-    "sample_points",
     "scan_density_bound",
     "separation_check",
     "scan_deficit_envelope",
-    "thread_count",
 ]
 
 __version__ = "0.1.0"

@@ -202,11 +202,6 @@ class RateFunction:
         """Log t above which the floor is -1."""
         return self.branches[-1].t_lo_log
 
-    @property
-    def min_deficit(self) -> float:
-        """Deficit of the lowest constructed branch; shrinks as the selection grows."""
-        return self.branches[0].deficit
-
     def branch_at_log(self, log_t: float) -> Branch:
         if math.isnan(log_t):
             raise OutOfRange("log t must not be NaN")
@@ -228,12 +223,6 @@ class RateFunction:
 
     def deficit_at(self, t: float) -> float:
         return self.branch_at(t).deficit
-
-    def floor_at_log(self, log_t: float) -> float:
-        return self.branch_at_log(log_t).floor
-
-    def deficit_at_log(self, log_t: float) -> float:
-        return self.branch_at_log(log_t).deficit
 
     def to_rows(self) -> tuple[tuple[float, float, float, float], ...]:
         """Rows (t_lo_log, t_hi_log, floor, deficit), top branch first."""

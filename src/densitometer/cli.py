@@ -32,6 +32,7 @@ from .errors import DensitometerError, Divergent, NeverHolds
 from .interval1d import Interval
 from .scan import (
     ScanConfig,
+    _csv,
     scan_deficit_envelope,
     scan_density_bound,
     separation_check,
@@ -104,10 +105,7 @@ RATE_HEADER = "t_lo_log,t_hi_log,floor,deficit"
 
 
 def rate_to_csv(ratefn: RateFunction) -> str:
-    lines = [RATE_HEADER]
-    for t_lo, t_hi, floor, deficit in ratefn.to_rows():
-        lines.append(f"{t_lo!r},{t_hi!r},{floor!r},{deficit!r}")
-    return "\n".join(lines) + "\n"
+    return _csv(RATE_HEADER, ratefn.to_rows())
 
 
 def rate_from_csv(text: str) -> RateFunction:
@@ -117,6 +115,27 @@ def rate_from_csv(text: str) -> RateFunction:
         raise ValueError(f"unexpected rate CSV header: {header}")
     rows = [tuple(float(v) for v in row) for row in reader if row]
     return RateFunction.from_rows(rows)
+
+
+def _series_csv(reports) -> str:
+    return _csv(
+        "series,s,term_lo_log,term_hi_log,ratio_to_prev",
+        (
+            (rep.label, i + 1, term.lo, term.hi, None if i == 0 else rep.ratio_trace[i - 1])
+            for rep in reports
+            for i, term in enumerate(rep.terms)
+        ),
+    )
+
+
+def _littleo_csv(selection, report) -> str:
+    return _csv(
+        "ell,s_next,breakpoint_log,product",
+        (
+            (ell, selection.members[ell], selection.log_scales[ell], product)
+            for ell, product in enumerate(report.products, start=1)
+        ),
+    )
 
 
 # -- commands --------------------------------------------------------------------
@@ -213,12 +232,7 @@ def cmd_diag(args) -> int:
     seq = parse_seq(args.seq)
     if args.which == "series":
         reports = series_diagnostics(seq, Schedule(args.s_max), tol=args.tol)
-        lines = ["series,s,term_lo_log,term_hi_log,ratio_to_prev"]
-        for rep in reports:
-            for i, term in enumerate(rep.terms):
-                ratio = "" if i == 0 else repr(rep.ratio_trace[i - 1])
-                lines.append(f"{rep.label},{i + 1},{term.lo!r},{term.hi!r},{ratio}")
-        text = "\n".join(lines) + "\n"
+        text = _series_csv(reports)
         for rep in reports:
             stop = rep.stop_s if rep.stop_s is not None else "not reached"
             print(
@@ -228,12 +242,7 @@ def cmd_diag(args) -> int:
     else:
         selection = choose_subsequence(seq, Schedule(args.s_max), args.ell_max)
         report = little_o_check(selection)
-        lines = ["ell,s_next,breakpoint_log,product"]
-        for ell, product in enumerate(report.products, start=1):
-            lines.append(
-                f"{ell},{selection.members[ell]},{selection.log_scales[ell]!r},{product!r}"
-            )
-        text = "\n".join(lines) + "\n"
+        text = _littleo_csv(selection, report)
         print(f"verdict: {report.verdict}")
     out = _out_path(args, args.out)
     if out:
@@ -401,17 +410,13 @@ def cmd_verify_all(args) -> int:
         )
     )
 
-    ratefn = _build_ratefn(seq, args.ell_max, args.s_max)
+    selection = choose_subsequence(seq, Schedule(args.s_max), args.ell_max)
+    ratefn = build_rate_function(selection)
     (out_dir / "rate.csv").write_text(rate_to_csv(ratefn))
     steps.append(("auxfn", True, f"{len(ratefn.branches)} branches"))
 
     series = series_diagnostics(seq, Schedule(args.s_max))
-    lines = ["series,s,term_lo_log,term_hi_log,ratio_to_prev"]
-    for rep in series:
-        for i, term in enumerate(rep.terms):
-            ratio = "" if i == 0 else repr(rep.ratio_trace[i - 1])
-            lines.append(f"{rep.label},{i + 1},{term.lo!r},{term.hi!r},{ratio}")
-    (out_dir / "series.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "series.csv").write_text(_series_csv(series))
     series_ok = all(rep.converged_within_horizon for rep in series)
     steps.append(
         (
@@ -421,14 +426,8 @@ def cmd_verify_all(args) -> int:
         )
     )
 
-    selection = choose_subsequence(seq, Schedule(args.s_max), args.ell_max)
     littleo = little_o_check(selection)
-    lines = ["ell,s_next,breakpoint_log,product"]
-    for ell, product in enumerate(littleo.products, start=1):
-        lines.append(
-            f"{ell},{selection.members[ell]},{selection.log_scales[ell]!r},{product!r}"
-        )
-    (out_dir / "littleo.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "littleo.csv").write_text(_littleo_csv(selection, littleo))
     steps.append(("diag-littleo", True, f"verdict={littleo.verdict}"))
 
     trunc = (args.level + 1) ** (args.level + 1) - 1
@@ -471,10 +470,12 @@ def cmd_verify_all(args) -> int:
     )
     steps.append(("envelope", envelope.passed, f"within_envelope={envelope.passed}"))
 
-    lines = ["step,status,detail"]
-    for name, ok, detail in steps:
-        lines.append(f"{name},{'pass' if ok else 'fail'},{detail}")
-    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "summary.csv").write_text(
+        _csv(
+            "step,status,detail",
+            ((name, "pass" if ok else "fail", detail) for name, ok, detail in steps),
+        )
+    )
 
     all_ok = all(ok for _, ok, _ in steps)
     for name, ok, detail in steps:

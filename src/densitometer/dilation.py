@@ -280,13 +280,6 @@ class RectUnion:
                 return Location.BOUNDARY
         return Location.OUTSIDE
 
-    def bounding_box(self) -> Rectangle | None:
-        if self.is_empty:
-            return None
-        y_lo = min(ys.items[0].lo for _, ys in self.columns)
-        y_hi = max(ys.items[-1].hi for _, ys in self.columns)
-        return Rectangle(Interval(self._los[0], self._his[-1]), Interval(y_lo, y_hi))
-
 
 def _check_cubes_disjoint(cubes: Sequence[Rectangle]) -> None:
     order = sorted(range(len(cubes)), key=lambda i: cubes[i].x.lo)

@@ -68,10 +68,6 @@ class DisjointIntervalSet:
         object.__setattr__(self, "_los", tuple(i.lo for i in items))
         object.__setattr__(self, "_his", tuple(i.hi for i in items))
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "DisjointIntervalSet":
-        return cls(Interval(lo, hi) for lo, hi in pairs)
-
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.items)
 
@@ -145,8 +141,7 @@ class AtomDecomposition:
 
     Each cell is a maximal open interval on which the covering index set is
     constant and nonempty; cells with equal labels form the atom class of
-    that label.  Shared endpoints are dropped (a null set): label queries at
-    an endpoint answer None rather than picking a side.
+    that label.  Shared endpoints are dropped (a null set).
     """
 
     cells: tuple[AtomCell, ...]
@@ -155,23 +150,6 @@ class AtomDecomposition:
     @property
     def measure(self) -> float:
         return math.fsum(c.cell.length for c in self.cells)
-
-    def label_at(self, x: float) -> frozenset[int] | None:
-        """Covering index set at x; None exactly on a cell/input endpoint."""
-        for c in self.cells:
-            loc = c.cell.locate(x)
-            if loc is Location.INSIDE:
-                return c.label
-            if loc is Location.BOUNDARY:
-                return None
-        return frozenset()
-
-    def classes(self) -> dict[frozenset[int], DisjointIntervalSet]:
-        """Atom classes: label -> union of its cells (possibly disconnected)."""
-        grouped: dict[frozenset[int], list[Interval]] = {}
-        for c in self.cells:
-            grouped.setdefault(c.label, []).append(c.cell)
-        return {label: DisjointIntervalSet(cells) for label, cells in grouped.items()}
 
 
 def atoms(intervals: Sequence[Interval]) -> AtomDecomposition:

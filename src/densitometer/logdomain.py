@@ -100,18 +100,8 @@ class LogBracket:
     def linear_hi(self) -> float:
         return math.exp(self.hi)
 
-    @property
-    def log_width(self) -> float:
-        """hi - lo; for tight brackets this approximates the relative width."""
-        if self.is_zero:
-            return 0.0
-        return self.hi - self.lo
-
     def certainly_lt(self, log_x: float) -> bool:
         return self.hi < log_x
-
-    def certainly_gt(self, log_x: float) -> bool:
-        return self.lo > log_x
 
     def certainly_ge(self, log_x: float) -> bool:
         return self.lo >= log_x

@@ -27,15 +27,21 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import astuple, dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .auxfn import RateFunction
 from .errors import AcceptanceTooLow
 from .interval1d import Location
-from .setmodel import CompactSetModel, ExceptionalCover, is_exceptional
+from .setmodel import (
+    CompactSetModel,
+    ExceptionalCover,
+    closed_hits,
+    is_exceptional,
+    overlap_areas,
+)
 
 __all__ = [
     "ScanConfig",
@@ -56,6 +62,19 @@ __all__ = [
 
 _ASPECT_FLOOR = 0.05
 _ASPECT_CEIL = 20.0
+
+
+def _csv(header: str, rows: Iterable[Sequence]) -> str:
+    """CSV text with "\n" line ends and no quoting: floats by repr (shortest
+    round trip), None as an empty cell, everything else by str."""
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else str(value)
+
+    lines = [header, *(",".join(map(cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def thread_count() -> int:
@@ -138,15 +157,7 @@ def sample_points(
             (outer.x.lo, outer.y.lo), (outer.x.hi, outer.y.hi), size=(batch, 2)
         )
         px, py = pts[:, 0], pts[:, 1]
-        in_cube = np.zeros(batch, dtype=bool)
-        xs, ys, ws = model.xs, model.ys, model.sides
-        # closed-cube hit, vectorized over cubes x batch
-        in_cube = (
-            (xs[None, :] <= px[:, None])
-            & (px[:, None] <= (xs + ws)[None, :])
-            & (ys[None, :] <= py[:, None])
-            & (py[:, None] <= (ys + ws)[None, :])
-        ).any(axis=1)
+        in_cube = _in_cubes(model, pts)
         strict_inner = (
             (outer.x.lo < px) & (px < outer.x.hi) & (outer.y.lo < py) & (py < outer.y.hi)
         )
@@ -205,31 +216,47 @@ def _draw_rects(
     )
 
 
+def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
+    """Which of the (n, 2) points lie in or on a cube.
+
+    The points go in sqrt(n) runs sorted by x, and each run is tested only
+    against the cubes that meet its bounding box: a closed cube holding a
+    point meets the box of every run that holds the point.  That costs about
+    2 sqrt(n) * N overlap widths for N cubes instead of n * N.
+    """
+    hit = np.empty(len(pts), dtype=bool)
+    for run in np.array_split(np.argsort(pts[:, 0]), math.isqrt(len(pts))):
+        p = pts[run]
+        (x0, y0), (x1, y1) = p.min(axis=0), p.max(axis=0)
+        near = np.flatnonzero(model.overlaps([[x0, x1, y0, y1]], closed_hits)[0])
+        hit[run] = model.overlaps(
+            p[:, [0, 0, 1, 1]], lambda wx, wy: closed_hits(wx, wy).any(axis=1), near
+        )
+    return hit
+
+
 def _candidate_cubes(model: CompactSetModel, point: tuple[float, float], t: float) -> np.ndarray:
+    """Cubes whose closure meets the box point +- t."""
     px, py = point
-    xs, ys, ws = model.xs, model.ys, model.sides
-    mask = (
-        (xs <= px + t)
-        & (xs + ws >= px - t)
-        & (ys <= py + t)
-        & (ys + ws >= py - t)
-    )
-    return np.flatnonzero(mask)
+    return np.flatnonzero(model.overlaps([[px - t, px + t, py - t, py + t]], closed_hits)[0])
 
 
 def _rect_ratios(model: CompactSetModel, rects: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Truncated-set density of each rectangle; exact overlap arithmetic."""
-    x0, x1, y0, y1 = rects[:, 0], rects[:, 1], rects[:, 2], rects[:, 3]
-    area = (x1 - x0) * (y1 - y0)
     if candidates.size == 0:
         return np.ones(len(rects))
-    cx0 = model.xs[candidates]
-    cy0 = model.ys[candidates]
-    cw = model.sides[candidates]
-    wx = np.minimum(x1[:, None], (cx0 + cw)[None, :]) - np.maximum(x0[:, None], cx0[None, :])
-    wy = np.minimum(y1[:, None], (cy0 + cw)[None, :]) - np.maximum(y0[:, None], cy0[None, :])
-    overlap = (np.maximum(wx, 0.0) * np.maximum(wy, 0.0)).sum(axis=1)
-    return np.clip(1.0 - overlap / area, 0.0, 1.0)
+    x0, x1, y0, y1 = rects.T
+    overlap = model.overlaps(
+        rects, lambda wx, wy: overlap_areas(wx, wy).sum(axis=1), candidates
+    )
+    return np.clip(1.0 - overlap / ((x1 - x0) * (y1 - y0)), 0.0, 1.0)
+
+
+def _separation_hits(model: CompactSetModel, rects: np.ndarray, prefix: int) -> np.ndarray:
+    """Which rectangles meet the interior of one of cubes 1..prefix."""
+    return model.overlaps(
+        rects, lambda wx, wy: ((wx > 0.0) & (wy > 0.0)).any(axis=1), slice(prefix)
+    )
 
 
 def _separation_prefix(branch, trunc: int) -> int | None:
@@ -243,6 +270,28 @@ def _separation_prefix(branch, trunc: int) -> int | None:
     if prefix > trunc:
         return -1  # sentinel: gate required but unverifiable at this truncation
     return prefix
+
+
+def _scan_plan(
+    model: CompactSetModel,
+    cover: ExceptionalCover,
+    ratefn: RateFunction,
+    config: ScanConfig,
+    points: Sequence[tuple[float, float]] | None,
+) -> tuple[tuple[float, ...], tuple, tuple, tuple, list[bool], PointSample | None]:
+    """Set-up shared by the scan and the separation check: the ascending t
+    grid, its branches and separation prefixes, the points, their scannable
+    flags, and the point sample (None for explicit points, which are
+    classified instead of rejected)."""
+    t_sorted = tuple(sorted(config.t_grid))
+    branches = tuple(ratefn.branch_at(t) for t in t_sorted)
+    prefixes = tuple(_separation_prefix(b, model.trunc) for b in branches)
+    if points is None:
+        sample = sample_points(model, cover, config)
+        return t_sorted, branches, prefixes, sample.points, [True] * len(sample.points), sample
+    pts = tuple((float(x), float(y)) for x, y in points)
+    flags = [is_exceptional(model, cover, p).is_scannable for p in pts]
+    return t_sorted, branches, prefixes, pts, flags, None
 
 
 @dataclass(frozen=True)
@@ -292,13 +341,9 @@ class ScanReport:
         return self.violations_applicable == 0
 
     def to_csv(self) -> str:
-        lines = ["t,point_id,x,y,min_ratio,floor,margin,violations,regime"]
-        for r in self.rows:
-            lines.append(
-                f"{r.t!r},{r.point_id},{r.x!r},{r.y!r},{r.min_ratio!r},"
-                f"{r.floor!r},{r.margin!r},{r.violations},{r.regime}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(
+            "t,point_id,x,y,min_ratio,floor,margin,violations,regime", map(astuple, self.rows)
+        )
 
 
 def _scan_one_point(
@@ -352,26 +397,10 @@ def scan_density_bound(
     tally).  Per point, rectangle families are nested across the ascending
     t grid, so the reported minima are non-increasing in t.
     """
-    import time
-
     start = time.perf_counter()
-    order = sorted(range(len(config.t_grid)), key=lambda i: config.t_grid[i])
-    t_sorted = tuple(config.t_grid[i] for i in order)
-    branches = tuple(ratefn.branch_at(t) for t in t_sorted)
-    prefixes = tuple(_separation_prefix(b, model.trunc) for b in branches)
-
-    acceptance: float | None = None
-    draws: int | None = None
-    if points is None:
-        sample = sample_points(model, cover, config)
-        pts = sample.points
-        flags = [True] * len(pts)
-        acceptance = sample.acceptance_rate
-        draws = sample.draws
-    else:
-        pts = tuple((float(x), float(y)) for x, y in points)
-        flags = [is_exceptional(model, cover, p).is_scannable for p in pts]
-
+    t_sorted, branches, prefixes, pts, flags, sample = _scan_plan(
+        model, cover, ratefn, config, points
+    )
     seeds = _substreams(config, 1, len(pts))
     worker: Callable[[int], list[tuple[float, int, str]]] = lambda i: _scan_one_point(
         model, config, t_sorted, branches, prefixes, seeds[i], pts[i], flags[i]
@@ -426,8 +455,8 @@ def scan_density_bound(
         config=config,
         rows=tuple(rows),
         summaries=tuple(summaries),
-        acceptance_rate=acceptance,
-        draws=draws,
+        acceptance_rate=None if sample is None else sample.acceptance_rate,
+        draws=None if sample is None else sample.draws,
         runtime_seconds=time.perf_counter() - start,
     )
 
@@ -462,17 +491,11 @@ class SeparationReport:
         return all(r.violations == 0 for r in self.rows)
 
     def to_csv(self) -> str:
-        lines = [
+        return _csv(
             "t,s_next,prefix,checked_points,checked_rects,violations,"
-            "deferred_points,exceptional_points"
-        ]
-        for r in self.rows:
-            s_next = "" if r.s_next is None else str(r.s_next)
-            lines.append(
-                f"{r.t!r},{s_next},{r.prefix},{r.checked_points},{r.checked_rects},"
-                f"{r.violations},{r.deferred_points},{r.exceptional_points}"
-            )
-        return "\n".join(lines) + "\n"
+            "deferred_points,exceptional_points",
+            map(astuple, self.rows),
+        )
 
 
 def separation_check(
@@ -485,18 +508,7 @@ def separation_check(
 ) -> SeparationReport:
     """Count rectangle overlaps against the cubes a branch requires missed."""
     start = time.perf_counter()
-    order = sorted(range(len(config.t_grid)), key=lambda i: config.t_grid[i])
-    t_sorted = tuple(config.t_grid[i] for i in order)
-    branches = tuple(ratefn.branch_at(t) for t in t_sorted)
-    prefixes = tuple(_separation_prefix(b, model.trunc) for b in branches)
-
-    if points is None:
-        pts = sample_points(model, cover, config).points
-        flags = [True] * len(pts)
-    else:
-        pts = tuple((float(x), float(y)) for x, y in points)
-        flags = [is_exceptional(model, cover, p).is_scannable for p in pts]
-
+    t_sorted, branches, prefixes, pts, flags, _ = _scan_plan(model, cover, ratefn, config, points)
     seeds = _substreams(config, 2, len(pts))
     rect_seeds = [s.spawn(len(t_sorted)) for s in seeds]
     rows = []
@@ -527,17 +539,7 @@ def separation_check(
                 continue
             rng = np.random.Generator(np.random.PCG64(rect_seeds[i][k]))
             rects = _draw_rects(rng, point, t, config, model)
-            cx0 = model.xs[:prefix]
-            cy0 = model.ys[:prefix]
-            cw = model.sides[:prefix]
-            x0, x1, y0, y1 = rects[:, 0], rects[:, 1], rects[:, 2], rects[:, 3]
-            wx = np.minimum(x1[:, None], (cx0 + cw)[None, :]) - np.maximum(
-                x0[:, None], cx0[None, :]
-            )
-            wy = np.minimum(y1[:, None], (cy0 + cw)[None, :]) - np.maximum(
-                y0[:, None], cy0[None, :]
-            )
-            hit = ((wx > 0.0) & (wy > 0.0)).any(axis=1)
+            hit = _separation_hits(model, rects, prefix)
             checked += 1
             rect_count += len(rects)
             violations += int(np.count_nonzero(hit))
@@ -580,15 +582,10 @@ class EnvelopeReport:
         return all(r.passed is not False for r in self.rows)
 
     def to_csv(self) -> str:
-        lines = ["t,worst_deficit,envelope,passed,deficit_product,envelope_product"]
-        for r in self.rows:
-            wd = "" if r.worst_deficit is None else repr(r.worst_deficit)
-            dp = "" if r.deficit_product is None else repr(r.deficit_product)
-            ps = "" if r.passed is None else str(r.passed)
-            lines.append(
-                f"{r.t!r},{wd},{r.envelope!r},{ps},{dp},{r.envelope_product!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(
+            "t,worst_deficit,envelope,passed,deficit_product,envelope_product",
+            map(astuple, self.rows),
+        )
 
 
 def scan_deficit_envelope(report: ScanReport, ratefn: RateFunction) -> EnvelopeReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +40,19 @@ __all__ = [
     "build_cover",
     "is_exceptional",
 ]
+
+# Rectangles x cubes per overlap-kernel block; bounds the kernel's temporaries.
+_BLOCK_CELLS = 1 << 16
+
+
+def closed_hits(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Overlap reduction: True where a closed cube meets the closed rectangle."""
+    return (wx >= 0.0) & (wy >= 0.0)
+
+
+def overlap_areas(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Overlap reduction: area of each rectangle-cube intersection."""
+    return np.maximum(wx, 0.0) * np.maximum(wy, 0.0)
 
 
 class CompactSetModel:
@@ -108,23 +121,47 @@ class CompactSetModel:
             n_hi = self.trunc
         return tuple(self.cube(n) for n in range(n_lo, n_hi + 1))
 
+    def overlaps(
+        self,
+        rects: np.ndarray,
+        reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        cubes: np.ndarray | slice = slice(None),
+    ) -> np.ndarray:
+        """Reduce the signed overlap widths of rectangles against cubes.
+
+        ``rects`` is a nonempty (n, 4) array of [x0, x1, y0, y1]; a point is
+        the rectangle [x, x, y, y].  ``cubes`` selects cubes by index array or
+        slice.  Per block of rectangle rows, ``wx = min(x1, cx + w) - max(x0,
+        cx)`` and ``wy`` (the same in y) are (rows, cubes) arrays, negative
+        by the gap when the two are apart; ``reduce(wx, wy)`` maps them to an
+        array whose first axis is the rows, and the blocks are concatenated.
+        A block holds at most _BLOCK_CELLS widths, or one row when a row alone
+        holds more; the cube axis is never split, so row-wise sums are the
+        same as over one unblocked array.
+        """
+        rects = np.asarray(rects, dtype=np.float64)
+        cx0, cy0, w = self.xs[cubes], self.ys[cubes], self.sides[cubes]
+        cx1, cy1 = cx0 + w, cy0 + w
+        rows = max(1, _BLOCK_CELLS // max(1, cx0.size))
+        out = []
+        for i in range(0, len(rects), rows):
+            x0, x1, y0, y1 = rects[i : i + rows].T[:, :, None]
+            wx = np.minimum(x1, cx1) - np.maximum(x0, cx0)
+            wy = np.minimum(y1, cy1) - np.maximum(y0, cy0)
+            out.append(reduce(wx, wy))
+        return np.concatenate(out)
+
     def locate_in_cubes(self, point: tuple[float, float]) -> tuple[Location, int | None]:
         """(INSIDE, n) strictly inside cube n, (BOUNDARY, n) on a cube edge,
         (OUTSIDE, None) otherwise."""
         x, y = point
-        hit = (
-            (self.xs <= x)
-            & (x <= self.xs + self.sides)
-            & (self.ys <= y)
-            & (y <= self.ys + self.sides)
-        )
-        for i in np.flatnonzero(hit):
+        idx = np.flatnonzero(self.overlaps([[x, x, y, y]], closed_hits)[0])
+        for i in idx:
             if (
                 self.xs[i] < x < self.xs[i] + self.sides[i]
                 and self.ys[i] < y < self.ys[i] + self.sides[i]
             ):
                 return Location.INSIDE, int(i) + 1
-        idx = np.flatnonzero(hit)
         if idx.size:
             return Location.BOUNDARY, int(idx[0]) + 1
         return Location.OUTSIDE, None
@@ -137,10 +174,12 @@ class CompactSetModel:
         if not 1 <= upto <= self.trunc:
             raise OutOfRange(f"prefix length must be in 1..{self.trunc}, got {upto}")
         x, y = point
-        xs, ys, ws = self.xs[:upto], self.ys[:upto], self.sides[:upto]
-        dx = np.maximum(np.maximum(xs - x, x - (xs + ws)), 0.0)
-        dy = np.maximum(np.maximum(ys - y, y - (ys + ws)), 0.0)
-        return float(np.sqrt(np.min(dx * dx + dy * dy)))
+
+        def nearest(wx, wy):
+            dx, dy = np.maximum(-wx, 0.0), np.maximum(-wy, 0.0)
+            return (dx * dx + dy * dy).min(axis=1)
+
+        return float(np.sqrt(self.overlaps([[x, x, y, y]], nearest, slice(upto))[0]))
 
     def to_json(self) -> dict:
         return {
@@ -256,9 +295,7 @@ def density_ratio(model: CompactSetModel, rect: Rectangle) -> DensityResult:
         raise EmptyRect(f"rectangle {rect.bounds} has no interior inside the outer box")
     clipped = (x_lo, x_hi, y_lo, y_hi) != rect.bounds
     area = (x_hi - x_lo) * (y_hi - y_lo)
-    wx = np.minimum(x_hi, model.xs + model.sides) - np.maximum(x_lo, model.xs)
-    wy = np.minimum(y_hi, model.ys + model.sides) - np.maximum(y_lo, model.ys)
-    pieces = np.maximum(wx, 0.0) * np.maximum(wy, 0.0)
+    pieces = model.overlaps([[x_lo, x_hi, y_lo, y_hi]], overlap_areas)[0]
     overlap = math.fsum(pieces[pieces > 0.0].tolist())
     ratio_n = min(1.0, max(0.0, 1.0 - overlap / area))
     tail_hi = model.residual_tail.linear_hi
@@ -321,14 +358,6 @@ class ExceptionalCover:
         if any(v is Location.BOUNDARY for v in verdicts):
             return Location.BOUNDARY
         return Location.OUTSIDE
-
-    def materialized_measure_prefix(self) -> tuple[float, ...]:
-        """Running sums of per-block exact measures (an over-count of the union)."""
-        out, acc = [], 0.0
-        for b in self.blocks:
-            acc += b.exact_measure
-            out.append(acc)
-        return tuple(out)
 
 
 def cover_measure_bound(

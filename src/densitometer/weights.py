@@ -337,9 +337,11 @@ def index_e_bm(
 
     Membership is monotone decrease of g_n = (a-1) log w_n^2 + log r_n along
     the probes; the scan reports the decay drop per exponent as a diagnostic
-    rather than folding a fixed decay quota into membership (a quota of the
-    kind "final < 1e-3 * initial" would misplace the transition for slowly
-    decaying power tails; see the project decisions ledger).
+    rather than folding a fixed decay quota into membership.  For a power
+    tail w_n^2 = c n^-p, g_n changes like (1 - a p) log n, so just above the
+    true index a = 1/p the drop over the probes is arbitrarily small, and a
+    quota of the kind "final < 1e-3 * initial" would place the transition
+    above 1/p.
     """
     grid = _closed_form_probes(seq, probes)
     if a_grid is None:

@@ -58,7 +58,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         ("passed", "PASS"),
         ("failed", "FAIL"),
         ("error", "ERROR"),
-        ("xfailed", "XFAIL (expected failure, see decision ledger)"),
+        ("xfailed", "XFAIL (expected failure, see the test docstring)"),
         ("xpassed", "XPASS (unexpected pass)"),
         ("skipped", "SKIPPED"),
     ):

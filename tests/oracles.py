@@ -2,9 +2,13 @@
 
 The 1D dilation oracle re-runs the sweep construction in exact rational
 arithmetic; the 2D oracle brackets a rectangle-union area by counting grid
-cells.  Both avoid the library's float sweep and column bookkeeping.
+cells.  Both avoid the library's float sweep and column bookkeeping.  The
+cube-query oracles are the unblocked per-query overlap arithmetic that the
+set model's one blocked kernel replaced; the kernel must agree with them
+exactly.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -96,3 +100,89 @@ def raster_area_bracket(rects, cells=2048):
             inner[ii0:ii1, ij0:ij1] = True
     cell = hx * hy
     return float(inner.sum()) * cell, float(outer.sum()) * cell
+
+
+# -- cube queries: one dense (rectangles x cubes) array per query ------------------
+
+def density_overlap_ref(model, x_lo, x_hi, y_lo, y_hi):
+    """Exact total overlap of one rectangle with all cubes."""
+    wx = np.minimum(x_hi, model.xs + model.sides) - np.maximum(x_lo, model.xs)
+    wy = np.minimum(y_hi, model.ys + model.sides) - np.maximum(y_lo, model.ys)
+    pieces = np.maximum(wx, 0.0) * np.maximum(wy, 0.0)
+    return math.fsum(pieces[pieces > 0.0].tolist())
+
+
+def rect_ratios_ref(model, rects, candidates):
+    """Density of each (x0, x1, y0, y1) row against the candidate cubes."""
+    x0, x1, y0, y1 = rects[:, 0], rects[:, 1], rects[:, 2], rects[:, 3]
+    area = (x1 - x0) * (y1 - y0)
+    if candidates.size == 0:
+        return np.ones(len(rects))
+    cx0 = model.xs[candidates]
+    cy0 = model.ys[candidates]
+    cw = model.sides[candidates]
+    wx = np.minimum(x1[:, None], (cx0 + cw)[None, :]) - np.maximum(x0[:, None], cx0[None, :])
+    wy = np.minimum(y1[:, None], (cy0 + cw)[None, :]) - np.maximum(y0[:, None], cy0[None, :])
+    overlap = (np.maximum(wx, 0.0) * np.maximum(wy, 0.0)).sum(axis=1)
+    return np.clip(1.0 - overlap / area, 0.0, 1.0)
+
+
+def separation_hits_ref(model, rects, prefix):
+    """Rows whose interior meets the interior of one of cubes 1..prefix."""
+    cx0 = model.xs[:prefix]
+    cy0 = model.ys[:prefix]
+    cw = model.sides[:prefix]
+    x0, x1, y0, y1 = rects[:, 0], rects[:, 1], rects[:, 2], rects[:, 3]
+    wx = np.minimum(x1[:, None], (cx0 + cw)[None, :]) - np.maximum(x0[:, None], cx0[None, :])
+    wy = np.minimum(y1[:, None], (cy0 + cw)[None, :]) - np.maximum(y0[:, None], cy0[None, :])
+    return ((wx > 0.0) & (wy > 0.0)).any(axis=1)
+
+
+def in_cubes_ref(model, pts):
+    """Points of an (n, 2) array in or on some cube."""
+    px, py = pts[:, 0], pts[:, 1]
+    xs, ys, ws = model.xs, model.ys, model.sides
+    return (
+        (xs[None, :] <= px[:, None])
+        & (px[:, None] <= (xs + ws)[None, :])
+        & (ys[None, :] <= py[:, None])
+        & (py[:, None] <= (ys + ws)[None, :])
+    ).any(axis=1)
+
+
+def candidate_cubes_ref(model, point, t):
+    """Indexes of cubes whose closure meets the box point +- t."""
+    px, py = point
+    xs, ys, ws = model.xs, model.ys, model.sides
+    mask = (xs <= px + t) & (xs + ws >= px - t) & (ys <= py + t) & (ys + ws >= py - t)
+    return np.flatnonzero(mask)
+
+
+def locate_in_cubes_ref(model, point):
+    """('inside' | 'boundary', 1-based cube) or ('outside', None)."""
+    x, y = point
+    hit = (
+        (model.xs <= x)
+        & (x <= model.xs + model.sides)
+        & (model.ys <= y)
+        & (y <= model.ys + model.sides)
+    )
+    for i in np.flatnonzero(hit):
+        if (
+            model.xs[i] < x < model.xs[i] + model.sides[i]
+            and model.ys[i] < y < model.ys[i] + model.sides[i]
+        ):
+            return "inside", int(i) + 1
+    idx = np.flatnonzero(hit)
+    if idx.size:
+        return "boundary", int(idx[0]) + 1
+    return "outside", None
+
+
+def distance_to_cubes_ref(model, point, upto):
+    """Euclidean distance from the point to the union of cubes 1..upto."""
+    x, y = point
+    xs, ys, ws = model.xs[:upto], model.ys[:upto], model.sides[:upto]
+    dx = np.maximum(np.maximum(xs - x, x - (xs + ws)), 0.0)
+    dy = np.maximum(np.maximum(ys - y, y - (ys + ws)), 0.0)
+    return float(np.sqrt(np.min(dx * dx + dy * dy)))

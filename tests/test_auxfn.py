@@ -119,7 +119,8 @@ def test_rate_function_floor_plus_deficit_is_one(canonical_ratefn):
     hi = rf.top_log + 2.0
     for k in range(1000):
         log_t = lo + (hi - lo) * (k + 0.5) / 1000.0
-        assert rf.floor_at_log(log_t) + rf.deficit_at_log(log_t) == 1.0
+        branch = rf.branch_at_log(log_t)
+        assert branch.floor + branch.deficit == 1.0
 
 
 def test_rate_function_below_horizon(canonical_ratefn):

@@ -69,13 +69,11 @@ def test_atoms_partition_and_labels():
     ivs = [Interval(0.0, 2.0), Interval(1.0, 3.0)]
     dec = atoms(ivs)
     assert dec.measure == pytest.approx(3.0)
-    assert dec.label_at(0.5) == frozenset({0})
-    assert dec.label_at(1.5) == frozenset({0, 1})
-    assert dec.label_at(2.5) == frozenset({1})
-    assert dec.label_at(3.5) == frozenset()
-    assert dec.label_at(1.0) is None  # shared endpoint answers no side
-    classes = dec.classes()
-    assert classes[frozenset({0, 1})].pairs() == ((1.0, 2.0),)
+    assert [(c.cell.as_pair(), c.label) for c in dec.cells] == [
+        ((0.0, 1.0), frozenset({0})),
+        ((1.0, 2.0), frozenset({0, 1})),
+        ((2.0, 3.0), frozenset({1})),
+    ]
 
 
 def test_atoms_measure_is_input_union():
