@@ -5,12 +5,19 @@ left-to-right order, by exactly ``gamma`` times its own length of previously
 unoccupied measure on each side, so the union of the enlarged family has
 measure exactly (2*gamma + 1) times the input measure.
 
-The 2-D operation factors a disjoint square family through the membership
-atoms of its axis projections: per atom class of the vertical projection the
-horizontal sections are dilated, the resulting arrangement is cut into
-columns, and each column receives the dilation of the vertical sections it
-sees.  The output is a finite disjoint rectangle union; index families are
-realized only as arrangement-cell labels, never enumerated as a power set.
+The 2-D operation sweeps the squares' y-endpoints and keeps the merged
+union of the active horizontal sections as one sorted list of x-boundaries:
+a square entering or leaving the sweep toggles its two x-endpoints (inserts
+a value that is absent, deletes one that is present).  The squares must be
+pairwise disjoint, so the sections active on one y-cell are pairwise
+disjoint and every value ends at most two of them; it is a boundary of
+their merged union exactly when it ends one.  The list therefore is that
+union, and each distinct union is dilated once.  A second sweep over the
+dilated unions' x-endpoints toggles the y-bounds of the cells that enter or
+leave a column in the same way, and each distinct vertical union is dilated
+once.  The output is a finite disjoint rectangle union.  For N squares the
+cost is O(N log N) comparisons plus the total size of the distinct merged
+unions; no per-cell index set is ever built.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidGamma, OverlappingCubes, OverlappingInputs, PointNotOutside
-from .interval1d import DisjointIntervalSet, Interval, Location, atoms
+from .interval1d import DisjointIntervalSet, Interval, Location
+from .interval1d import atoms  # noqa: F401  # bench/tracing.py wraps dilation.atoms
 
 __all__ = [
     "DilationPiece",
@@ -101,6 +109,33 @@ class _OccupiedSet:
         return DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(self.los, self.his))
 
 
+def _grow(
+    los: Sequence[float], his: Sequence[float], gamma: float
+) -> tuple[_OccupiedSet, list[float], list[float]]:
+    """Grow sorted, pairwise disjoint members (lo, hi) left to right.
+
+    Returns the occupied set, which ends as the dilated union, and the left
+    and right hull ends of every member.
+    """
+    occupied = _OccupiedSet()
+    for lo, hi in zip(los, his):
+        if occupied.his and lo == occupied.his[-1]:
+            occupied.his[-1] = hi
+        else:
+            occupied.los.append(lo)
+            occupied.his.append(hi)
+    lefts: list[float] = []
+    rights: list[float] = []
+    for lo, hi in zip(los, his):
+        need = gamma * (hi - lo)
+        left = occupied.sweep_left(lo, need)
+        right = occupied.sweep_right(hi, need)
+        occupied.insert(left, right)
+        lefts.append(left)
+        rights.append(right)
+    return occupied, lefts, rights
+
+
 @dataclass(frozen=True)
 class DilationPiece:
     """Per-input record: left arm, right arm and their hull."""
@@ -150,27 +185,20 @@ def dilate_1d(
     for a, b in zip(members, members[1:]):
         if not a.hi <= b.lo:
             raise OverlappingInputs(f"inputs overlap: {a} and {b}")
-    occupied = _OccupiedSet()
-    for m in members:
-        occupied.insert(m.lo, m.hi)
-    pieces = []
-    for m in members:
-        need = gamma * m.length
-        left_end = occupied.sweep_left(m.lo, need)
-        right_end = occupied.sweep_right(m.hi, need)
-        pieces.append(
-            DilationPiece(
-                source=m,
-                left_arm=Interval(left_end, m.hi),
-                right_arm=Interval(m.lo, right_end),
-                hull=Interval(left_end, right_end),
-            )
+    occupied, lefts, rights = _grow([m.lo for m in members], [m.hi for m in members], gamma)
+    pieces = tuple(
+        DilationPiece(
+            source=m,
+            left_arm=Interval(left, m.hi),
+            right_arm=Interval(m.lo, right),
+            hull=Interval(left, right),
         )
-        occupied.insert(left_end, right_end)
+        for m, left, right in zip(members, lefts, rights)
+    )
     input_measure = math.fsum(m.length for m in members)
     return DilationResult1D(
         gamma=gamma,
-        pieces=tuple(pieces),
+        pieces=pieces,
         union=occupied.intervals(),
         input_measure=input_measure,
     )
@@ -281,18 +309,51 @@ class RectUnion:
         return Location.OUTSIDE
 
 
-def _check_cubes_disjoint(cubes: Sequence[Rectangle]) -> None:
-    order = sorted(range(len(cubes)), key=lambda i: cubes[i].x.lo)
-    active: list[int] = []
-    for i in order:
-        cube = cubes[i]
-        still = []
-        for j in active:
-            if cubes[j].x.hi > cube.x.lo:
-                still.append(j)
-                if cube.x.overlaps(cubes[j].x) and cube.y.overlaps(cubes[j].y):
-                    raise OverlappingCubes(f"cubes {j} and {i} overlap")
-        active = still + [i]
+def find_overlap(
+    x_lo: Sequence[float], x_hi: Sequence[float], y_lo: Sequence[float], y_hi: Sequence[float]
+) -> tuple[int, int] | None:
+    """First index pair of open rectangles whose interiors meet, else None.
+
+    Sweeps the x-endpoints, leaving before entering at equal x so that
+    rectangles touching along an edge stay disjoint, and keeps the active
+    y-intervals sorted.  While those are pairwise disjoint, an entering
+    interval meets one of them exactly when it meets its neighbour below or
+    above, so the check takes O(N log N) comparisons.
+    """
+    n = len(x_lo)
+    ends = np.concatenate((np.asarray(x_hi, dtype=np.float64), np.asarray(x_lo, dtype=np.float64)))
+    entering = np.arange(2 * n) >= n
+    order = np.lexsort((entering, ends)).tolist()
+    y_lo = np.asarray(y_lo, dtype=np.float64).tolist()
+    y_hi = np.asarray(y_hi, dtype=np.float64).tolist()
+    act_lo: list[float] = []
+    act_hi: list[float] = []
+    act_id: list[int] = []
+    for e in order:
+        if e < n:
+            k = bisect_left(act_lo, y_lo[e])
+            del act_lo[k], act_hi[k], act_id[k]
+            continue
+        i = e - n
+        k = bisect_right(act_lo, y_lo[i])
+        if k > 0 and act_hi[k - 1] > y_lo[i]:
+            return act_id[k - 1], i
+        if k < len(act_lo) and act_lo[k] < y_hi[i]:
+            return act_id[k], i
+        act_lo.insert(k, y_lo[i])
+        act_hi.insert(k, y_hi[i])
+        act_id.insert(k, i)
+    return None
+
+
+def _toggle(bounds: list[float], values: Iterable[float]) -> None:
+    """Insert each value absent from the sorted list, delete each one present."""
+    for v in values:
+        i = bisect_left(bounds, v)
+        if i < len(bounds) and bounds[i] == v:
+            del bounds[i]
+        else:
+            bounds.insert(i, v)
 
 
 def dilate_2d(
@@ -304,102 +365,71 @@ def dilate_2d(
 ) -> RectUnion:
     """Simultaneously dilate a pairwise disjoint family of open squares.
 
-    Steps: (1) cut the vertical projections into membership atoms; (2) for
-    each realized atom label, dilate the union of the horizontal sections of
-    the member squares (labels with identical section unions share one
-    dilation); (3) sweep the arrangement of those dilations into maximal
-    x-columns; (4) per column, dilate the union of the vertical atom cells
-    whose labels are active there (cached by the cell union, not the label
-    set); (5) emit column x vertical-section rectangles.
+    Steps: (1) reject overlapping inputs, the precondition of both toggle
+    sweeps; (2) sweep the y-endpoints, toggling the x-endpoints of each
+    square that enters or leaves, so the sorted boundary list is the merged
+    union of the x-sections on every y-cell, and group the cells by that
+    union; (3) dilate each distinct x-union once; (4) sweep the x-endpoints
+    of those dilations, toggling the y-bounds of each group's cells where
+    the group's dilation starts or ends, so the boundary list is the merged
+    vertical union of every column; (5) dilate each distinct vertical union
+    once and emit column x vertical-section rectangles.
 
     The result is deterministic, pairwise disjoint, and its measure equals
     (2*gamma + 1)**2 times the total input area up to float rounding.
     Rectangular (non-square) inputs are accepted; the identity holds for
-    squares.
+    squares.  For N squares the cost is O(N log N) comparisons plus the
+    total size of the distinct merged unions.
     """
     gamma = _check_gamma(gamma, allow_gamma_one)
     cubes = list(cubes)
     if not cubes:
         return RectUnion.empty()
-    _check_cubes_disjoint(cubes)
+    hit = find_overlap(*zip(*(c.x.as_pair() + c.y.as_pair() for c in cubes)))
+    if hit is not None:
+        raise OverlappingCubes(f"cubes {hit[0]} and {hit[1]} overlap")
 
-    # 1. vertical membership atoms, grouped into classes
-    y_atoms = atoms([c.y for c in cubes])
-    y_cells = y_atoms.cells
-    cell_lo = np.array([c.cell.lo for c in y_cells])
-    cell_hi = np.array([c.cell.hi for c in y_cells])
-    label_ids: dict[frozenset[int], int] = {}
-    label_cells: list[list[int]] = []
-    label_members: list[frozenset[int]] = []
-    for idx, c in enumerate(y_cells):
-        beta = label_ids.get(c.label)
-        if beta is None:
-            beta = len(label_cells)
-            label_ids[c.label] = beta
-            label_cells.append([])
-            label_members.append(c.label)
-        label_cells[beta].append(idx)
-
-    # 2. horizontal dilation per class, deduplicated by the section union
-    xs_sorted = sorted(range(len(cubes)), key=lambda i: cubes[i].x.lo)
-    rank = {i: r for r, i in enumerate(xs_sorted)}
-    dilation_cache: dict[tuple[float, ...], DisjointIntervalSet] = {}
-    label_dilation: list[DisjointIntervalSet] = []
-    for beta, members in enumerate(label_members):
-        ranks = sorted(rank[i] for i in members)
-        merged: list[list[float]] = []
-        for r in ranks:
-            seg = cubes[xs_sorted[r]].x
-            if merged and seg.lo <= merged[-1][1]:
-                if seg.hi > merged[-1][1]:
-                    merged[-1][1] = seg.hi
-            else:
-                merged.append([seg.lo, seg.hi])
-        key = tuple(v for pair in merged for v in pair)
-        hit = dilation_cache.get(key)
-        if hit is None:
-            base = [Interval(lo, hi) for lo, hi in merged]
-            hit = dilate_1d(base, gamma, allow_gamma_one=allow_gamma_one).union
-            dilation_cache[key] = hit
-        label_dilation.append(hit)
-
-    # 3. sweep the arrangement of the horizontal dilations
-    starts: dict[float, list[int]] = {}
-    ends: dict[float, list[int]] = {}
-    coords: set[float] = set()
-    for beta, dil in enumerate(label_dilation):
-        for seg in dil:
-            starts.setdefault(seg.lo, []).append(beta)
-            ends.setdefault(seg.hi, []).append(beta)
-            coords.add(seg.lo)
-            coords.add(seg.hi)
-    ordered = sorted(coords)
-    active_cells = np.zeros(len(y_cells), dtype=bool)
-    cell_arrays = [np.array(cells, dtype=np.intp) for cells in label_cells]
-
-    # 4+5. per column: merge active vertical cells, dilate, emit
-    section_cache: dict[bytes, DisjointIntervalSet] = {}
-    columns: list[tuple[Interval, DisjointIntervalSet]] = []
-    for c1, c2 in zip(ordered, ordered[1:]):
-        for beta in ends.get(c1, ()):
-            active_cells[cell_arrays[beta]] = False
-        for beta in starts.get(c1, ()):
-            active_cells[cell_arrays[beta]] = True
-        ids = np.flatnonzero(active_cells)
-        if ids.size == 0:
+    # 2. y-sweep; each x-union maps to the y-bounds of its cells, touching cells merged
+    y_events: dict[float, list[float]] = {}
+    for c in cubes:
+        y_events.setdefault(c.y.lo, []).extend((c.x.lo, c.x.hi))
+        y_events.setdefault(c.y.hi, []).extend((c.x.lo, c.x.hi))
+    x_bounds: list[float] = []
+    groups: dict[tuple[float, ...], list[float]] = {}
+    ys = sorted(y_events)
+    for y1, y2 in zip(ys, ys[1:]):
+        _toggle(x_bounds, y_events[y1])
+        if not x_bounds:
             continue
-        los = cell_lo[ids]
-        his = cell_hi[ids]
-        breaks = np.flatnonzero(los[1:] != his[:-1]) + 1
-        seg_lo = los[np.concatenate(([0], breaks))]
-        seg_hi = his[np.concatenate((breaks - 1, [ids.size - 1]))]
-        key = seg_lo.tobytes() + seg_hi.tobytes()
-        section = section_cache.get(key)
+        runs = groups.setdefault(tuple(x_bounds), [])
+        if runs and runs[-1] == y1:
+            runs[-1] = y2
+        else:
+            runs += (y1, y2)
+
+    # 3. horizontal dilation per distinct x-union
+    x_events: dict[float, list[list[float]]] = {}
+    for key, runs in groups.items():
+        dilated = _grow(key[0::2], key[1::2], gamma)[0]
+        for lo, hi in zip(dilated.los, dilated.his):
+            x_events.setdefault(lo, []).append(runs)
+            x_events.setdefault(hi, []).append(runs)
+
+    # 4+5. column sweep; one dilation per distinct vertical union
+    y_bounds: list[float] = []
+    sections: dict[tuple[float, ...], DisjointIntervalSet] = {}
+    columns: list[tuple[Interval, DisjointIntervalSet]] = []
+    xs = sorted(x_events)
+    for x1, x2 in zip(xs, xs[1:]):
+        for runs in x_events[x1]:
+            _toggle(y_bounds, runs)
+        if not y_bounds:
+            continue
+        key = tuple(y_bounds)
+        section = sections.get(key)
         if section is None:
-            base = [Interval(float(lo), float(hi)) for lo, hi in zip(seg_lo, seg_hi)]
-            section = dilate_1d(base, gamma, allow_gamma_one=allow_gamma_one).union
-            section_cache[key] = section
-        columns.append((Interval(c1, c2), section))
+            section = sections[key] = _grow(key[0::2], key[1::2], gamma)[0].intervals()
+        columns.append((Interval(x1, x2), section))
     return RectUnion(columns, gamma=gamma, block=block)
 
 

@@ -405,7 +405,7 @@ def scan_density_bound(
     worker: Callable[[int], list[tuple[float, int, str]]] = lambda i: _scan_one_point(
         model, config, t_sorted, branches, prefixes, seeds[i], pts[i], flags[i]
     )
-    workers = thread_count()
+    workers = min(thread_count(), len(pts), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_point = list(pool.map(worker, range(len(pts))))

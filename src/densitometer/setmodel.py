@@ -16,11 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dilation import Rectangle, RectUnion, dilate_2d
+from .dilation import Rectangle, RectUnion, dilate_2d, find_overlap
 from .errors import (
     EmptyRect,
     HorizonExhausted,
     OutOfRange,
+    OverlappingCubes,
     PackingInfeasible,
     TruncationTooSmall,
 )
@@ -193,12 +194,13 @@ class CompactSetModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CompactSetModel":
+        """Model from a set.json object; OverlappingCubes when two cubes' interiors meet."""
         x0, x1, y0, y1 = obj["outer"]
         cubes = obj["cubes"]
         xs = np.array([c[0] for c in cubes], dtype=np.float64)
         ys = np.array([c[1] for c in cubes], dtype=np.float64)
         sides = np.array([c[2] for c in cubes], dtype=np.float64)
-        return cls(
+        model = cls(
             Rectangle.from_bounds(x0, x1, y0, y1),
             WeightSequence.from_json(obj["seq"]),
             int(obj["trunc"]),
@@ -206,6 +208,10 @@ class CompactSetModel:
             ys,
             sides,
         )
+        hit = find_overlap(model.xs, model.xs + model.sides, model.ys, model.ys + model.sides)
+        if hit is not None:
+            raise OverlappingCubes(f"cubes {hit[0] + 1} and {hit[1] + 1} overlap")
+        return model
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompactSetModel):

@@ -5,13 +5,19 @@ arithmetic; the 2D oracle brackets a rectangle-union area by counting grid
 cells.  Both avoid the library's float sweep and column bookkeeping.  The
 cube-query oracles are the unblocked per-query overlap arithmetic that the
 set model's one blocked kernel replaced; the kernel must agree with them
-exactly.
+exactly.  ``dilate_2d_labels`` is the label-based square dilation that the
+toggle sweeps of ``dilate_2d`` replaced; their columns must be equal.
 """
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
+
+from densitometer.dilation import Rectangle, RectUnion, _check_gamma, dilate_1d
+from densitometer.errors import OverlappingCubes
+from densitometer.interval1d import DisjointIntervalSet, Interval, atoms
 
 
 def _merge(segments):
@@ -186,3 +192,129 @@ def distance_to_cubes_ref(model, point, upto):
     dx = np.maximum(np.maximum(xs - x, x - (xs + ws)), 0.0)
     dy = np.maximum(np.maximum(ys - y, y - (ys + ws)), 0.0)
     return float(np.sqrt(np.min(dx * dx + dy * dy)))
+
+
+# -- square dilation: one full index set per vertical atom cell -------------------
+
+def _check_cubes_disjoint(cubes: Sequence[Rectangle]) -> None:
+    order = sorted(range(len(cubes)), key=lambda i: cubes[i].x.lo)
+    active: list[int] = []
+    for i in order:
+        cube = cubes[i]
+        still = []
+        for j in active:
+            if cubes[j].x.hi > cube.x.lo:
+                still.append(j)
+                if cube.x.overlaps(cubes[j].x) and cube.y.overlaps(cubes[j].y):
+                    raise OverlappingCubes(f"cubes {j} and {i} overlap")
+        active = still + [i]
+
+
+def dilate_2d_labels(
+    cubes: Sequence[Rectangle],
+    gamma: float,
+    *,
+    allow_gamma_one: bool = False,
+    block: tuple[int, int, int] | None = None,
+) -> RectUnion:
+    """Label-based simultaneous square dilation, the differential oracle for
+    ``dilate_2d``: every atom cell of the vertical projection carries its full
+    covering index set, which costs O(sum of label sizes).
+
+    Steps: (1) cut the vertical projections into membership atoms; (2) for
+    each realized atom label, dilate the union of the horizontal sections of
+    the member squares (labels with identical section unions share one
+    dilation); (3) sweep the arrangement of those dilations into maximal
+    x-columns; (4) per column, dilate the union of the vertical atom cells
+    whose labels are active there (cached by the cell union, not the label
+    set); (5) emit column x vertical-section rectangles.
+
+    The result is deterministic, pairwise disjoint, and its measure equals
+    (2*gamma + 1)**2 times the total input area up to float rounding.
+    Rectangular (non-square) inputs are accepted; the identity holds for
+    squares.
+    """
+    gamma = _check_gamma(gamma, allow_gamma_one)
+    cubes = list(cubes)
+    if not cubes:
+        return RectUnion.empty()
+    _check_cubes_disjoint(cubes)
+
+    # 1. vertical membership atoms, grouped into classes
+    y_atoms = atoms([c.y for c in cubes])
+    y_cells = y_atoms.cells
+    cell_lo = np.array([c.cell.lo for c in y_cells])
+    cell_hi = np.array([c.cell.hi for c in y_cells])
+    label_ids: dict[frozenset[int], int] = {}
+    label_cells: list[list[int]] = []
+    label_members: list[frozenset[int]] = []
+    for idx, c in enumerate(y_cells):
+        beta = label_ids.get(c.label)
+        if beta is None:
+            beta = len(label_cells)
+            label_ids[c.label] = beta
+            label_cells.append([])
+            label_members.append(c.label)
+        label_cells[beta].append(idx)
+
+    # 2. horizontal dilation per class, deduplicated by the section union
+    xs_sorted = sorted(range(len(cubes)), key=lambda i: cubes[i].x.lo)
+    rank = {i: r for r, i in enumerate(xs_sorted)}
+    dilation_cache: dict[tuple[float, ...], DisjointIntervalSet] = {}
+    label_dilation: list[DisjointIntervalSet] = []
+    for beta, members in enumerate(label_members):
+        ranks = sorted(rank[i] for i in members)
+        merged: list[list[float]] = []
+        for r in ranks:
+            seg = cubes[xs_sorted[r]].x
+            if merged and seg.lo <= merged[-1][1]:
+                if seg.hi > merged[-1][1]:
+                    merged[-1][1] = seg.hi
+            else:
+                merged.append([seg.lo, seg.hi])
+        key = tuple(v for pair in merged for v in pair)
+        hit = dilation_cache.get(key)
+        if hit is None:
+            base = [Interval(lo, hi) for lo, hi in merged]
+            hit = dilate_1d(base, gamma, allow_gamma_one=allow_gamma_one).union
+            dilation_cache[key] = hit
+        label_dilation.append(hit)
+
+    # 3. sweep the arrangement of the horizontal dilations
+    starts: dict[float, list[int]] = {}
+    ends: dict[float, list[int]] = {}
+    coords: set[float] = set()
+    for beta, dil in enumerate(label_dilation):
+        for seg in dil:
+            starts.setdefault(seg.lo, []).append(beta)
+            ends.setdefault(seg.hi, []).append(beta)
+            coords.add(seg.lo)
+            coords.add(seg.hi)
+    ordered = sorted(coords)
+    active_cells = np.zeros(len(y_cells), dtype=bool)
+    cell_arrays = [np.array(cells, dtype=np.intp) for cells in label_cells]
+
+    # 4+5. per column: merge active vertical cells, dilate, emit
+    section_cache: dict[bytes, DisjointIntervalSet] = {}
+    columns: list[tuple[Interval, DisjointIntervalSet]] = []
+    for c1, c2 in zip(ordered, ordered[1:]):
+        for beta in ends.get(c1, ()):
+            active_cells[cell_arrays[beta]] = False
+        for beta in starts.get(c1, ()):
+            active_cells[cell_arrays[beta]] = True
+        ids = np.flatnonzero(active_cells)
+        if ids.size == 0:
+            continue
+        los = cell_lo[ids]
+        his = cell_hi[ids]
+        breaks = np.flatnonzero(los[1:] != his[:-1]) + 1
+        seg_lo = los[np.concatenate(([0], breaks))]
+        seg_hi = his[np.concatenate((breaks - 1, [ids.size - 1]))]
+        key = seg_lo.tobytes() + seg_hi.tobytes()
+        section = section_cache.get(key)
+        if section is None:
+            base = [Interval(float(lo), float(hi)) for lo, hi in zip(seg_lo, seg_hi)]
+            section = dilate_1d(base, gamma, allow_gamma_one=allow_gamma_one).union
+            section_cache[key] = section
+        columns.append((Interval(c1, c2), section))
+    return RectUnion(columns, gamma=gamma, block=block)

@@ -38,6 +38,18 @@ def test_bad_flags_exit_two():
     assert run(["indices"]) == 2  # --seq required
 
 
+def test_overlapping_set_is_exit_two(tmp_path):
+    out = ["--out-dir", str(tmp_path)]
+    seq = "power:c=0.25,p=2"
+    assert run(out + ["build-set", "--seq", seq, "--n", "30", "--out", "set.json"]) == 0
+    path = tmp_path / "set.json"
+    payload = json.loads(path.read_text())
+    payload["cubes"][1][:2] = payload["cubes"][0][:2]  # cube 2 placed on cube 1
+    path.write_text(json.dumps(payload))
+    # block 2 (cubes 4..26) is disjoint: only the load can see the overlap
+    assert run(out + ["cover", "--set", str(path), "--m", "2", "--s-hi", "2", "--out", "c.json"]) == 2
+
+
 def test_finding_is_exit_one():
     # terms of the quadrupling series rise for many blocks when p is barely > 1
     assert run(["diag", "series", "--seq", "power:c=1,p=1.05"]) == 1

@@ -2,14 +2,19 @@
 
 Random 1D families are replayed through an exact-rational reference sweep
 (tests/oracles.py) so the float implementation is checked against a second
-arithmetic route, not against itself.
+arithmetic route, not against itself.  The 2D toggle sweeps are checked
+column for column against the label-based construction they replaced.
 """
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densitometer.dilation import (
     Rectangle,
@@ -21,8 +26,9 @@ from densitometer.dilation import (
 )
 from densitometer.errors import InvalidGamma, OverlappingCubes, OverlappingInputs, PointNotOutside
 from densitometer.interval1d import Interval, Location
+from densitometer.setmodel import CompactSetModel
 
-from oracles import dilate_1d_exact, measure_exact, raster_area_bracket
+from oracles import dilate_1d_exact, dilate_2d_labels, measure_exact, raster_area_bracket
 
 
 # -- validation ----------------------------------------------------------------
@@ -202,3 +208,103 @@ def test_witness_rejects_inside_point():
     rect = Rectangle.from_bounds(-5, 5, -5, 5)
     with pytest.raises(PointNotOutside):
         ratio_bound_witness(cubes, 4.0, (0.5, 0.5), rect)
+
+
+# -- toggle sweeps against the label-based oracle ---------------------------------
+
+def _block(model, s):
+    return model.cubes(s**s, (s + 1) ** (s + 1) - 1)
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_canonical_blocks_match_label_oracle(canonical_model, s):
+    cubes = _block(canonical_model, s)
+    assert dilate_2d(cubes, 2.0**s).columns == dilate_2d_labels(cubes, 2.0**s).columns
+
+
+def _deposition_model(canonical_seq, seed=0, trunc=3124):
+    """Random sequential deposition: in index order each cube gets a uniform
+    x and falls until it rests on the floor or on a cube below it."""
+    rng = np.random.default_rng(seed)
+    xs, ys, ws = np.empty(trunc), np.empty(trunc), np.empty(trunc)
+    for i in range(trunc):
+        w = canonical_seq.w(i + 1)
+        for _ in range(10_000):
+            x = float(rng.uniform(0.0, 1.0 - w))
+            below = (x < xs[:i] + ws[:i]) & (xs[:i] < x + w)
+            y = float(np.max(ys[:i][below] + ws[:i][below])) if below.any() else 0.0
+            if y + w <= 1.0:
+                break
+        else:
+            raise RuntimeError(f"cube {i + 1} found no resting place")
+        xs[i], ys[i], ws[i] = x, y, w
+    return CompactSetModel(Rectangle.from_bounds(0, 1, 0, 1), canonical_seq, trunc, xs, ys, ws)
+
+
+def test_deposition_block4_matches_label_oracle(canonical_seq):
+    cubes = _block(_deposition_model(canonical_seq), 4)
+    assert dilate_2d(cubes, 16.0).columns == dilate_2d_labels(cubes, 16.0).columns
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        # touching along an edge, side by side and stacked
+        [(0, 1, 0, 1), (1, 2, 0, 1)],
+        [(0, 1, 0, 1), (0, 1, 1, 2)],
+        # sharing only a corner
+        [(0, 1, 0, 1), (1, 2, 1, 2)],
+        # one cube's top equal to another's bottom, x-ranges offset
+        [(0, 2, 0, 2), (1, 2, 2, 3), (3, 4, 1, 2)],
+        # two sections on one y-cell sharing an x-endpoint, beside a third
+        [(0, 1, 0, 1), (1, 3, -1, 1), (4, 5, 0.5, 1.5)],
+    ],
+)
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 8.0])
+def test_hand_cases_match_label_oracle(bounds, gamma):
+    cubes = [Rectangle.from_bounds(*b) for b in bounds]
+    got = dilate_2d(cubes, gamma, allow_gamma_one=True)
+    want = dilate_2d_labels(cubes, gamma, allow_gamma_one=True)
+    assert got.columns == want.columns
+
+
+squares = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 4)), min_size=1, max_size=14
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(squares, st.sampled_from([1.5, 2.0, 4.0, 8.0]))
+def test_random_square_families_match_label_oracle(drawn, gamma):
+    """Integer corners make touching edges, corners and shared endpoints common."""
+    cubes = [Rectangle.from_bounds(x, x + w, y, y + w) for x, y, w in drawn]
+    try:
+        dilate_2d_labels(cubes, gamma)
+    except OverlappingCubes:
+        with pytest.raises(OverlappingCubes):
+            dilate_2d(cubes, gamma)
+    disjoint = []
+    for c in cubes:
+        if all(c.overlap_area(d) == 0.0 for d in disjoint):
+            disjoint.append(c)
+    assert dilate_2d(disjoint, gamma).columns == dilate_2d_labels(disjoint, gamma).columns
+
+
+def test_overlapping_sections_raise_before_the_sweep():
+    # toggling (0, 2) and (1, 3) on one y-cell would give (0, 1) u (2, 3)
+    cubes = [Rectangle.from_bounds(0, 2, 0, 2), Rectangle.from_bounds(1, 3, 0, 2)]
+    with pytest.raises(OverlappingCubes):
+        dilate_2d(cubes, 2.0)
+
+
+def test_block4_dilation_memory(canonical_model):
+    """The label-based construction peaks at about 107 MB on this block; the
+    sweeps hold only merged unions (about 5 MB)."""
+    cubes = _block(canonical_model, 4)
+    tracemalloc.start()
+    try:
+        dilate_2d(cubes, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from densitometer import scan
 from densitometer.scan import (
     ScanConfig,
     sample_points,
@@ -57,6 +58,45 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() == 4
     monkeypatch.setenv("DENSITOMETER_THREADS", "garbage")
     assert thread_count() == 1
+
+
+def test_thread_count_capped_by_points_and_cpus(
+    canonical_model, canonical_cover, canonical_ratefn, small_report, monkeypatch
+):
+    """The scan asks for at most min(DENSITOMETER_THREADS, points, cpu count)
+    workers; a recording stand-in for the pool starts no thread."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scan, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setenv("DENSITOMETER_THREADS", "100000")
+
+    def run(**overrides):
+        return scan_density_bound(
+            canonical_model, canonical_cover, canonical_ratefn, small_config(**overrides)
+        )
+
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 3)
+    assert run().rows == small_report.rows
+    assert requested == [3]
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 64)
+    run(points=2)
+    assert requested == [3, 2]
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: None)
+    run(points=2)
+    assert requested == [3, 2]
 
 
 # -- sampling ---------------------------------------------------------------------

@@ -7,7 +7,13 @@ from itertools import accumulate
 import pytest
 
 from densitometer.dilation import Rectangle
-from densitometer.errors import EmptyRect, OutOfRange, PackingInfeasible, TruncationTooSmall
+from densitometer.errors import (
+    EmptyRect,
+    OutOfRange,
+    OverlappingCubes,
+    PackingInfeasible,
+    TruncationTooSmall,
+)
 from densitometer.interval1d import Location
 from densitometer.setmodel import (
     CompactSetModel,
@@ -73,6 +79,14 @@ def test_model_json_round_trip(canonical_seq):
     assert len(payload["cubes"]) == 50
     clone = CompactSetModel.from_json(json.loads(json.dumps(payload)))
     assert clone == model
+
+
+@pytest.mark.parametrize("moved, onto", [(2, 1), (50, 3)])
+def test_model_json_rejects_overlapping_cubes(canonical_seq, moved, onto):
+    payload = build_packing(canonical_seq, 50, UNIT).to_json()
+    payload["cubes"][moved - 1][:2] = payload["cubes"][onto - 1][:2]
+    with pytest.raises(OverlappingCubes, match=f"cubes {min(moved, onto)} and {max(moved, onto)}"):
+        CompactSetModel.from_json(payload)
 
 
 def test_locate_in_cubes(canonical_model):
