@@ -251,7 +251,7 @@ class RectUnion:
     dilates (block index s, factor, 1-based cube index range).
     """
 
-    __slots__ = ("columns", "gamma", "block", "_los", "_his")
+    __slots__ = ("columns", "gamma", "block", "_los", "_his", "_arrays")
 
     def __init__(
         self,
@@ -268,6 +268,7 @@ class RectUnion:
         self.block = block
         self._los = tuple(c[0].lo for c in cols)
         self._his = tuple(c[0].hi for c in cols)
+        self._arrays: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def empty(cls) -> "RectUnion":
@@ -291,6 +292,39 @@ class RectUnion:
     @property
     def measure(self) -> float:
         return math.fsum(x_int.length * ys.measure for x_int, ys in self.columns)
+
+    def meets(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Which points (x[i], y[i]) lie in the closed union, that is, where
+        ``locate`` is not OUTSIDE.
+
+        Bisecting the column x-starts gives the last column starting at or
+        left of x; it holds the point when x is at most its right end, and
+        the column before it when x is that column's right end.  Each of the
+        k section intervals gets the key column * (k + 1) + 1 + the number of
+        lower ends below its own.  That key is at most column * (k + 1) + the
+        number of lower ends at or below y exactly when its own lower end is
+        at or below y, so one bisection of the sorted keys finds the last
+        interval of the column that starts at or below y.
+        """
+        hit = np.zeros(len(x), dtype=bool)
+        if not self.columns:
+            return hit
+        if self._arrays is None:
+            col = np.repeat(np.arange(len(self.columns)), [len(ys) for _, ys in self.columns])
+            lo = np.array([i.lo for _, ys in self.columns for i in ys])
+            hi = np.array([i.hi for _, ys in self.columns for i in ys])
+            starts = np.sort(lo)
+            key = col * (starts.size + 1) + np.searchsorted(starts, lo) + 1
+            self._arrays = (np.array(self._los), np.array(self._his), starts, key, col, hi)
+        x_lo, x_hi, starts, key, col, hi = self._arrays
+        j = np.searchsorted(x_lo, x, "right") - 1
+        rank = np.searchsorted(starts, y, "right")
+        for c in (j, j - 1):
+            c0 = np.maximum(c, 0)
+            i = np.searchsorted(key, c0 * (starts.size + 1) + rank, "right") - 1
+            i0 = np.maximum(i, 0)
+            hit |= (c >= 0) & (x <= x_hi[c0]) & (i >= 0) & (col[i0] == c0) & (y <= hi[i0])
+        return hit
 
     def locate(self, point: tuple[float, float]) -> Location:
         x, y = point

@@ -34,13 +34,12 @@ import numpy as np
 
 from .auxfn import RateFunction
 from .errors import AcceptanceTooLow
-from .interval1d import Location
 from .setmodel import (
     CompactSetModel,
     ExceptionalCover,
     closed_hits,
     is_exceptional,
-    overlap_areas,
+    overlap_totals,
 )
 
 __all__ = [
@@ -161,15 +160,12 @@ def sample_points(
         strict_inner = (
             (outer.x.lo < px) & (px < outer.x.hi) & (outer.y.lo < py) & (py < outer.y.hi)
         )
-        for i in np.flatnonzero(~in_cube & strict_inner):
-            draws_here = draws + int(i) + 1
-            point = (float(px[i]), float(py[i]))
-            if cover.locate(point) is Location.OUTSIDE:
-                accepted.append(point)
-                if len(accepted) == config.points:
-                    return PointSample(
-                        tuple(accepted), len(accepted) / draws_here, draws_here
-                    )
+        fresh = np.flatnonzero(~in_cube & strict_inner)
+        fresh = fresh[~cover.meets(px[fresh], py[fresh])][: config.points - len(accepted)]
+        accepted += zip(px[fresh].tolist(), py[fresh].tolist())
+        if len(accepted) == config.points:
+            draws_here = draws + int(fresh[-1]) + 1
+            return PointSample(tuple(accepted), len(accepted) / draws_here, draws_here)
         draws += batch
         if draws >= 10**6 and len(accepted) / draws < 0.01:
             raise AcceptanceTooLow(
@@ -235,21 +231,56 @@ def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _candidate_cubes(model: CompactSetModel, point: tuple[float, float], t: float) -> np.ndarray:
-    """Cubes whose closure meets the box point +- t."""
-    px, py = point
-    return np.flatnonzero(model.overlaps([[px - t, px + t, py - t, py + t]], closed_hits)[0])
+def _near_cubes(
+    model: CompactSetModel, point: tuple[float, float], reach: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cubes within Chebyshev distance ``reach`` of the point, nearest first,
+    and those distances (their gaps).
+
+    A gap is max(-wx, -wy, 0) of the point as a rectangle, which is
+    fl(cx - px) for a cube starting right of the point, and so on.  A
+    rectangle holding the point whose largest extent from it is r overlaps
+    only cubes with gap <= r: cx < x1 implies fl(cx - px) <= fl(x1 - px),
+    because rounding is monotone.  Its cubes are therefore the prefix
+    ``near[:searchsorted(gap, r, "right")]``, exactly.
+    """
+    x, y = point
+    gap = model.overlaps(
+        [[x, x, y, y]], lambda wx, wy: np.maximum(np.maximum(-wx, -wy), 0.0)
+    )[0]
+    near = np.flatnonzero(gap <= reach)
+    near = near[np.argsort(gap[near], kind="stable")]
+    return near, gap[near]
 
 
-def _rect_ratios(model: CompactSetModel, rects: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Truncated-set density of each rectangle; exact overlap arithmetic."""
-    if candidates.size == 0:
-        return np.ones(len(rects))
+def _rect_ratios(
+    model: CompactSetModel, rects: np.ndarray, near: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Truncated-set density of each rectangle, where row i overlaps no cube
+    outside ``near[:counts[i]]``.
+
+    Rows are grouped by the bit length of their count, and each group makes
+    one kernel call on ``near[:its largest count]``, under twice what any of
+    its rows needs.  Overlap totals are exactly rounded, so a row's ratio
+    does not depend on its group.
+    """
     x0, x1, y0, y1 = rects.T
-    overlap = model.overlaps(
-        rects, lambda wx, wy: overlap_areas(wx, wy).sum(axis=1), candidates
-    )
+    overlap = np.zeros(len(rects))
+    bits = np.frexp(counts)[1]
+    for b in sorted(set(bits.tolist()) - {0}):
+        rows = np.flatnonzero(bits == b)
+        overlap[rows] = model.overlaps(rects[rows], overlap_totals, near[: counts[rows].max()])
     return np.clip(1.0 - overlap / ((x1 - x0) * (y1 - y0)), 0.0, 1.0)
+
+
+def _point_ratios(
+    model: CompactSetModel, point: tuple[float, float], rects: np.ndarray
+) -> np.ndarray:
+    """Ratios of rectangles that hold the point, each against the prefix of
+    the point's near cubes that its largest extent from the point reaches."""
+    reach = np.abs(rects - np.repeat(point, 2)).max(axis=1)
+    near, gap = _near_cubes(model, point, float(reach.max()))
+    return _rect_ratios(model, rects, near, np.searchsorted(gap, reach, "right"))
 
 
 def _separation_hits(model: CompactSetModel, rects: np.ndarray, prefix: int) -> np.ndarray:
@@ -356,15 +387,15 @@ def _scan_one_point(
     point: tuple[float, float],
     scannable: bool,
 ) -> list[tuple[float, int, str]]:
-    """Per point: (min_ratio, violations, regime) for each t, cumulatively."""
+    """Per point: (min_ratio, violations, regime) for each t, cumulatively.
+
+    The rectangles of every t are drawn first and measured in one pass."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
+    rects = np.concatenate([_draw_rects(rng, point, t, config, model) for t in t_sorted])
+    ratios = _point_ratios(model, point, rects)
     out = []
-    pools: list[np.ndarray] = []
     for k, t in enumerate(t_sorted):
-        rects = _draw_rects(rng, point, t, config, model)
-        ratios = _rect_ratios(model, rects, _candidate_cubes(model, point, t))
-        pools.append(ratios)
-        family = np.concatenate(pools)
+        family = ratios[: (k + 1) * config.rects_per_point]
         min_ratio = float(family.min())
         floor = branches[k].floor
         violations = int(np.count_nonzero(family < floor))

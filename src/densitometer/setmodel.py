@@ -56,6 +56,22 @@ def overlap_areas(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     return np.maximum(wx, 0.0) * np.maximum(wy, 0.0)
 
 
+def overlap_totals(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Overlap reduction: each rectangle's total overlap area, exactly rounded.
+
+    The total depends only on the positive areas, not on which other cubes a
+    row holds or their order.  Adding a zero is exact, so a row with at most
+    two positive areas rounds once and numpy's sum is already exact there;
+    the other rows go through math.fsum.
+    """
+    pieces = overlap_areas(wx, wy)
+    positive = pieces > 0.0
+    totals = pieces.sum(axis=1)
+    for i in np.flatnonzero(np.count_nonzero(positive, axis=1) > 2):
+        totals[i] = math.fsum(pieces[i, positive[i]].tolist())
+    return totals
+
+
 class CompactSetModel:
     """Open outer box minus open squares 1..N with sides from a weight sequence.
 
@@ -301,8 +317,7 @@ def density_ratio(model: CompactSetModel, rect: Rectangle) -> DensityResult:
         raise EmptyRect(f"rectangle {rect.bounds} has no interior inside the outer box")
     clipped = (x_lo, x_hi, y_lo, y_hi) != rect.bounds
     area = (x_hi - x_lo) * (y_hi - y_lo)
-    pieces = model.overlaps([[x_lo, x_hi, y_lo, y_hi]], overlap_areas)[0]
-    overlap = math.fsum(pieces[pieces > 0.0].tolist())
+    overlap = float(model.overlaps([[x_lo, x_hi, y_lo, y_hi]], overlap_totals)[0])
     ratio_n = min(1.0, max(0.0, 1.0 - overlap / area))
     tail_hi = model.residual_tail.linear_hi
     return DensityResult(
@@ -356,6 +371,14 @@ class ExceptionalCover:
 
     def per_block_locate(self, point: tuple[float, float]) -> tuple[tuple[int, Location], ...]:
         return tuple((b.s, b.union.locate(point)) for b in self.blocks)
+
+    def meets(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Which points (x[i], y[i]) the closed cover reaches: the batch form
+        of ``locate(point) is not Location.OUTSIDE``."""
+        hit = np.zeros(len(x), dtype=bool)
+        for b in self.blocks:
+            hit |= b.union.meets(x, y)
+        return hit
 
     def locate(self, point: tuple[float, float]) -> Location:
         verdicts = [loc for _, loc in self.per_block_locate(point)]

@@ -1,8 +1,10 @@
 import re
 
+import numpy as np
 import pytest
 
 from densitometer import (
+    CompactSetModel,
     Rectangle,
     Schedule,
     WeightSequence,
@@ -45,6 +47,28 @@ def canonical_model(canonical_seq):
 @pytest.fixture(scope="session")
 def canonical_cover(canonical_model):
     return build_cover(canonical_model, 3, 4)
+
+
+@pytest.fixture(scope="session")
+def deposition_model(canonical_seq):
+    """Random sequential deposition of cubes 1..3124 (seed 0): in index order
+    each cube gets a uniform x and falls until it rests on the floor or on a
+    cube below it."""
+    trunc = 3124
+    rng = np.random.default_rng(0)
+    xs, ys, ws = np.empty(trunc), np.empty(trunc), np.empty(trunc)
+    for i in range(trunc):
+        w = canonical_seq.w(i + 1)
+        for _ in range(10_000):
+            x = float(rng.uniform(0.0, 1.0 - w))
+            below = (x < xs[:i] + ws[:i]) & (xs[:i] < x + w)
+            y = float(np.max(ys[:i][below] + ws[:i][below])) if below.any() else 0.0
+            if y + w <= 1.0:
+                break
+        else:
+            raise RuntimeError(f"cube {i + 1} found no resting place")
+        xs[i], ys[i], ws[i] = x, y, w
+    return CompactSetModel(UNIT_BOX, canonical_seq, trunc, xs, ys, ws)
 
 
 # One outcome line per acceptance criterion at the end of the run.

@@ -5,8 +5,12 @@ arithmetic; the 2D oracle brackets a rectangle-union area by counting grid
 cells.  Both avoid the library's float sweep and column bookkeeping.  The
 cube-query oracles are the unblocked per-query overlap arithmetic that the
 set model's one blocked kernel replaced; the kernel must agree with them
-exactly.  ``dilate_2d_labels`` is the label-based square dilation that the
-toggle sweeps of ``dilate_2d`` replaced; their columns must be equal.
+exactly, except the scan's ratio kernel, whose exactly rounded overlap sums
+may differ from the dense pairwise sum by that sum's rounding error.
+``dilate_2d_labels`` is the label-based square dilation that the toggle
+sweeps of ``dilate_2d`` replaced; their columns must be equal.
+``sample_points_ref`` is the sampler with one ``cover.locate`` call per
+drawn point, which the batch cover test replaced.
 """
 
 import math
@@ -17,7 +21,8 @@ import numpy as np
 
 from densitometer.dilation import Rectangle, RectUnion, _check_gamma, dilate_1d
 from densitometer.errors import OverlappingCubes
-from densitometer.interval1d import DisjointIntervalSet, Interval, atoms
+from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
+from densitometer.scan import PointSample, _in_cubes, _substreams
 
 
 def _merge(segments):
@@ -119,7 +124,9 @@ def density_overlap_ref(model, x_lo, x_hi, y_lo, y_hi):
 
 
 def rect_ratios_ref(model, rects, candidates):
-    """Density of each (x0, x1, y0, y1) row against the candidate cubes."""
+    """Density of each (x0, x1, y0, y1) row against the candidate cubes, with
+    numpy's pairwise row sum: the scan's ratio kernel before its sums were
+    exactly rounded."""
     x0, x1, y0, y1 = rects[:, 0], rects[:, 1], rects[:, 2], rects[:, 3]
     area = (x1 - x0) * (y1 - y0)
     if candidates.size == 0:
@@ -154,6 +161,13 @@ def in_cubes_ref(model, pts):
         & (ys[None, :] <= py[:, None])
         & (py[:, None] <= (ys + ws)[None, :])
     ).any(axis=1)
+
+
+def overlapping_cubes_ref(model, rect):
+    """Indexes of cubes whose interior meets the interior of the rectangle."""
+    x0, x1, y0, y1 = rect
+    xs, ys, ws = model.xs, model.ys, model.sides
+    return np.flatnonzero((xs < x1) & (x0 < xs + ws) & (ys < y1) & (y0 < ys + ws))
 
 
 def candidate_cubes_ref(model, point, t):
@@ -192,6 +206,28 @@ def distance_to_cubes_ref(model, point, upto):
     dx = np.maximum(np.maximum(xs - x, x - (xs + ws)), 0.0)
     dy = np.maximum(np.maximum(ys - y, y - (ys + ws)), 0.0)
     return float(np.sqrt(np.min(dx * dx + dy * dy)))
+
+
+def sample_points_ref(model, cover, config):
+    """Scannable points as ``sample_points`` draws them, one cover.locate per point."""
+    rng = np.random.Generator(np.random.PCG64(_substreams(config, 0, 1)[0]))
+    outer = model.outer
+    accepted = []
+    draws = 0
+    batch = max(1024, 4 * config.points)
+    while True:
+        pts = rng.uniform((outer.x.lo, outer.y.lo), (outer.x.hi, outer.y.hi), size=(batch, 2))
+        px, py = pts[:, 0], pts[:, 1]
+        in_cube = _in_cubes(model, pts)
+        strict_inner = (outer.x.lo < px) & (px < outer.x.hi) & (outer.y.lo < py) & (py < outer.y.hi)
+        for i in np.flatnonzero(~in_cube & strict_inner):
+            point = (float(px[i]), float(py[i]))
+            if cover.locate(point) is Location.OUTSIDE:
+                accepted.append(point)
+                if len(accepted) == config.points:
+                    draws_here = draws + int(i) + 1
+                    return PointSample(tuple(accepted), len(accepted) / draws_here, draws_here)
+        draws += batch
 
 
 # -- square dilation: one full index set per vertical atom cell -------------------

@@ -26,7 +26,6 @@ from densitometer.dilation import (
 )
 from densitometer.errors import InvalidGamma, OverlappingCubes, OverlappingInputs, PointNotOutside
 from densitometer.interval1d import Interval, Location
-from densitometer.setmodel import CompactSetModel
 
 from oracles import dilate_1d_exact, dilate_2d_labels, measure_exact, raster_area_bracket
 
@@ -222,27 +221,8 @@ def test_canonical_blocks_match_label_oracle(canonical_model, s):
     assert dilate_2d(cubes, 2.0**s).columns == dilate_2d_labels(cubes, 2.0**s).columns
 
 
-def _deposition_model(canonical_seq, seed=0, trunc=3124):
-    """Random sequential deposition: in index order each cube gets a uniform
-    x and falls until it rests on the floor or on a cube below it."""
-    rng = np.random.default_rng(seed)
-    xs, ys, ws = np.empty(trunc), np.empty(trunc), np.empty(trunc)
-    for i in range(trunc):
-        w = canonical_seq.w(i + 1)
-        for _ in range(10_000):
-            x = float(rng.uniform(0.0, 1.0 - w))
-            below = (x < xs[:i] + ws[:i]) & (xs[:i] < x + w)
-            y = float(np.max(ys[:i][below] + ws[:i][below])) if below.any() else 0.0
-            if y + w <= 1.0:
-                break
-        else:
-            raise RuntimeError(f"cube {i + 1} found no resting place")
-        xs[i], ys[i], ws[i] = x, y, w
-    return CompactSetModel(Rectangle.from_bounds(0, 1, 0, 1), canonical_seq, trunc, xs, ys, ws)
-
-
-def test_deposition_block4_matches_label_oracle(canonical_seq):
-    cubes = _block(_deposition_model(canonical_seq), 4)
+def test_deposition_block4_matches_label_oracle(deposition_model):
+    cubes = _block(deposition_model, 4)
     assert dilate_2d(cubes, 16.0).columns == dilate_2d_labels(cubes, 16.0).columns
 
 

@@ -1,11 +1,15 @@
 """The set model's blocked overlap kernel against the arithmetic it replaced.
 
-Every cube query (density ratio, separation hit, closed hit, candidate cubes,
+Every cube query (density ratio, separation hit, closed hit, near cubes,
 point location, distance) is a reduction of one kernel; each must equal the
 unblocked per-query oracle exactly, on seeded rectangles and on rectangles
-and points placed on cube edges and corners.
+and points placed on cube edges and corners.  The scan's ratio kernel sums
+only a prefix of the cubes nearest the point, with exactly rounded totals:
+it must equal ``density_ratio`` exactly and the dense pairwise-sum oracle
+within that sum's rounding error.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,8 +17,16 @@ import pytest
 
 from densitometer import setmodel
 from densitometer.dilation import Rectangle
-from densitometer.scan import _candidate_cubes, _in_cubes, _rect_ratios, _separation_hits
-from densitometer.setmodel import density_ratio
+from densitometer.scan import (
+    ScanConfig,
+    _draw_rects,
+    _in_cubes,
+    _near_cubes,
+    _point_ratios,
+    _rect_ratios,
+    _separation_hits,
+)
+from densitometer.setmodel import CompactSetModel, density_ratio
 
 import oracles
 
@@ -79,15 +91,137 @@ def rect_sets(canonical_model):
     }
 
 
+def _ulp_rects(model, cubes):
+    """Rectangles reaching one ulp into each chosen cube across an edge or a
+    corner, from half a side away, and into cubes that start a shelf row from
+    x = 0.99; clipped to the box, those with zero float area dropped."""
+    out = []
+    for i in cubes:
+        x0, y0, w = model.xs[i], model.ys[i], model.sides[i]
+        x1, y1 = x0 + w, y0 + w
+        d = w / 2
+        xa, ya = np.nextafter(x0, 2.0), np.nextafter(y0, 2.0)
+        xb, yb = np.nextafter(x1, -1.0), np.nextafter(y1, -1.0)
+        out += [
+            [x0 - d, xa, y0 + d / 2, y1 - d / 2],  # from the left
+            [xb, x1 + d, y0 + d / 2, y1 - d / 2],  # from the right
+            [x0 + d / 2, x1 - d / 2, y0 - d, ya],  # from below
+            [x0 + d / 2, x1 - d / 2, yb, y1 + d],  # from above
+            [x0 - d, xa, y0 - d, ya],  # across the lower-left corner
+            [xb, x1 + d, yb, y1 + d],  # across the upper-right corner
+        ]
+    for i in np.flatnonzero(model.xs == 0.0)[1:8]:
+        # from x = 0.99: fl(0.99 - x1) == fl(0.99 - (x1 - ulp)), so the cube's
+        # gap equals the rectangle's reach
+        x1, y0, w = model.sides[i], model.ys[i], model.sides[i]
+        out.append([np.nextafter(x1, -1.0), 0.99, y0 + w / 4, y0 + w / 2])
+    rects = np.clip(np.array(out), 0.0, 1.0)
+    return rects[(rects[:, 1] - rects[:, 0]) * (rects[:, 3] - rects[:, 2]) > 0.0]
+
+
+def _anchors(rect):
+    """Points of the closed rectangle a scan could stand at: corners and center."""
+    x0, x1, y0, y1 = (float(v) for v in rect)
+    return [(x0, y0), (x1, y1), (x0, y1), (x1, y0), ((x0 + x1) / 2, (y0 + y1) / 2)]
+
+
+@pytest.mark.parametrize("kind", ["seeded", "edges"])
+def test_ratio_matches_density_ratio(canonical_model, rect_sets, kind):
+    """The pruned, exactly rounded kernel is density_ratio bit for bit, seen
+    from every corner and the center of each rectangle."""
+    for rect in rect_sets[kind]:
+        want = density_ratio(canonical_model, Rectangle.from_bounds(*rect)).ratio_n
+        for point in _anchors(rect):
+            assert _point_ratios(canonical_model, point, rect[None, :])[0] == want
+
+
+def test_scan_rects_match_density_ratio(canonical_model):
+    """Rectangles drawn by the scan through one point share a kernel call per
+    bit length of their prefix; each row is still density_ratio exactly."""
+    config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=1, rects_per_point=200, seed=0)
+    rng = np.random.default_rng(9)
+    points = _edge_points(canonical_model, CUBES)[::3] + [(0.5, 0.95), (0.123, 0.987)]
+    groups = set()
+    for point in points:
+        rects = np.concatenate(
+            [_draw_rects(rng, point, t, config, canonical_model) for t in config.t_grid]
+        )
+        got = _point_ratios(canonical_model, point, rects)
+        want = [density_ratio(canonical_model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
+        assert got.tolist() == want
+        reach = np.abs(rects - np.repeat(point, 2)).max(axis=1)
+        _, gap = _near_cubes(canonical_model, point, reach.max())
+        groups.add(np.unique(np.frexp(np.searchsorted(gap, reach, "right"))[1]).size)
+    assert max(groups) > 3
+
+
+_U = 2.0**-53  # unit roundoff of float64
+
+
 @pytest.mark.parametrize("kind", ["seeded", "edges"])
 def test_ratio_matches_oracle(canonical_model, rect_sets, kind):
+    """Against the dense kernel it replaced, which sums all cubes pairwise.
+
+    Bound: a row with m positive areas of exact total S and area A.  Zeros
+    add exactly, so any summation order rounds at most m - 1 times on the
+    way from a piece to the total, and the dense total is within
+    gamma_(m-1) S = (m - 1) u S / (1 - (m - 1) u) of S; the exactly rounded
+    total is within u S.  Dividing by A rounds each quotient by at most
+    u S / A (to first order), and 1 - q rounds each side by at most u.  So
+    |new - dense| <= (m + 3) u S / A + 2 u, the extra u S / A covering the
+    gamma denominator and second-order terms for any m below 10**6.  Rows with
+    m <= 2 are exact on both sides and must be equal.
+    """
     rects = rect_sets[kind]
     every = np.arange(canonical_model.trunc)
-    some = np.array([0, 2, 26, 255, 3123])
-    for candidates in (every, some, np.array([], dtype=np.int64)):
-        got = _rect_ratios(canonical_model, rects, candidates)
-        want = oracles.rect_ratios_ref(canonical_model, rects, candidates)
-        assert np.array_equal(got, want)
+    dense = oracles.rect_ratios_ref(canonical_model, rects, every)
+    many = 0
+    for rect, want in zip(rects, dense):
+        x0, x1, y0, y1 = rect
+        got = _point_ratios(canonical_model, ((x0 + x1) / 2, (y0 + y1) / 2), rect[None, :])[0]
+        hits = oracles.overlapping_cubes_ref(canonical_model, rect)
+        m = hits.size
+        if m <= 2:
+            assert got == want
+            continue
+        many += 1
+        total = oracles.density_overlap_ref(canonical_model, *rect)
+        area = (x1 - x0) * (y1 - y0)
+        assert abs(got - want) <= (m + 3) * _U * total / area + 2 * _U
+    assert many > 0
+
+
+def test_near_prefix_holds_every_overlap(canonical_model, rect_sets, monkeypatch):
+    """Seen from a corner or the center of a rectangle, every cube whose
+    interior meets it is among the cubes the ratio kernel is given, including
+    rectangles that reach one ulp into a cube across an edge or a corner and
+    cubes whose gap equals the rectangle's reach."""
+    kernel = CompactSetModel.overlaps
+    given = []
+
+    def recording(self, rects, reduce, cubes=slice(None)):
+        if sys._getframe(1).f_code.co_name == "_rect_ratios":
+            given.append(np.asarray(cubes))
+        return kernel(self, rects, reduce, cubes)
+
+    monkeypatch.setattr(CompactSetModel, "overlaps", recording)
+    rects = np.concatenate(
+        [rect_sets["seeded"], rect_sets["edges"], _ulp_rects(canonical_model, CUBES)]
+    )
+    last_needed = ties = 0
+    for rect in rects:
+        hits = oracles.overlapping_cubes_ref(canonical_model, rect)
+        for point in _anchors(rect):
+            given.clear()
+            _point_ratios(canonical_model, point, rect[None, :])
+            seen = np.concatenate([np.empty(0, dtype=np.intp), *given])
+            assert np.isin(hits, seen).all(), (rect, point)
+            if hits.size:
+                last_needed += seen[-1] in hits
+                reach = float(np.abs(rect - np.repeat(point, 2)).max())
+                near, gap = _near_cubes(canonical_model, point, reach)
+                ties += bool(np.isin(near[gap == reach], hits).any())
+    assert last_needed > 0 and ties > 0
 
 
 @pytest.mark.parametrize("kind", ["seeded", "edges"])
@@ -113,14 +247,6 @@ def test_closed_hits_match_oracle(canonical_model):
     want = oracles.in_cubes_ref(canonical_model, pts)
     assert np.array_equal(got, want)
     assert got[: len(_edge_points(canonical_model, CUBES))].all()
-
-
-def test_candidates_match_oracle(canonical_model):
-    pts = _edge_points(canonical_model, CUBES) + [(0.5, 0.95), (0.123, 0.987)]
-    for point in pts:
-        for t in (0.25, 0.05, 0.01, 1e-9):
-            got = _candidate_cubes(canonical_model, point, t)
-            assert np.array_equal(got, oracles.candidate_cubes_ref(canonical_model, point, t))
 
 
 def test_locate_matches_oracle(canonical_model):
@@ -149,10 +275,11 @@ _PEAK_BOUND = 8 * 8 * setmodel._BLOCK_CELLS + (1 << 20)
 def test_kernel_memory_is_bounded_by_block(canonical_model, query):
     rects = _seeded_rects(4000, 3)
     every = np.arange(canonical_model.trunc)
+    counts = np.full(len(rects), every.size)
     assert _PEAK_BOUND < rects.shape[0] * every.size * 8 / 10
     pts = np.ascontiguousarray(rects[:, [0, 2]])
     run = {
-        "ratio": lambda: _rect_ratios(canonical_model, rects, every),
+        "ratio": lambda: _rect_ratios(canonical_model, rects, every, counts),
         "separation": lambda: _separation_hits(canonical_model, rects, canonical_model.trunc),
         "closed": lambda: _in_cubes(canonical_model, pts),
     }[query]

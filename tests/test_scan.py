@@ -1,10 +1,15 @@
 """Seeded density scans: determinism, regime bookkeeping, nested refinement."""
 
 import math
+import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from densitometer import scan
+from densitometer.dilation import Rectangle
+from densitometer.interval1d import Location
 from densitometer.scan import (
     ScanConfig,
     sample_points,
@@ -13,7 +18,16 @@ from densitometer.scan import (
     separation_check,
     thread_count,
 )
-from densitometer.setmodel import is_exceptional
+from densitometer.setmodel import (
+    CompactSetModel,
+    ExceptionalCover,
+    build_cover,
+    density_ratio,
+    is_exceptional,
+)
+from densitometer.weights import WeightSequence
+
+import oracles
 
 
 def small_config(**overrides):
@@ -122,6 +136,51 @@ def test_sample_points_seed_changes_stream(canonical_model, canonical_cover):
     assert a.points != b.points
 
 
+@pytest.fixture(scope="module")
+def deposition_cover(deposition_model):
+    return build_cover(deposition_model, 3, 4)
+
+
+@pytest.mark.parametrize("layout, seed", [("shelf", 1), ("shelf", 2), ("deposition", 1)])
+def test_sample_points_match_per_point_sampler(
+    canonical_model, canonical_cover, deposition_model, deposition_cover, layout, seed
+):
+    """The batch cover test accepts the same points after the same draws as
+    one cover.locate per drawn point."""
+    model, cover = {
+        "shelf": (canonical_model, canonical_cover),
+        "deposition": (deposition_model, deposition_cover),
+    }[layout]
+    config = small_config(points=100, seed=seed)
+    assert sample_points(model, cover, config) == oracles.sample_points_ref(model, cover, config)
+
+
+def _cover_probes(cover, every=4):
+    """Corners, edge midpoints and centers of the cover's rectangles, corners
+    nudged one ulp outwards, and seeded points."""
+    pts = []
+    for block in cover.blocks:
+        for rect in block.union.rects[::every]:
+            x0, x1, y0, y1 = rect.bounds
+            xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
+            pts += [(x0, y0), (x1, y1), (x0, y1), (x1, y0), (xm, y0), (xm, y1), (x0, ym)]
+            pts += [(x1, ym), (xm, ym), (np.nextafter(x0, -2.0), y0), (x1, np.nextafter(y1, 2.0))]
+            pts += [(np.nextafter(x1, 2.0), np.nextafter(y0, -2.0))]
+    rng = np.random.default_rng(4)
+    return np.concatenate([np.array(pts), rng.uniform(0.0, 1.0, (2000, 2))])
+
+
+@pytest.mark.parametrize("layout", ["shelf", "deposition"])
+def test_cover_meets_matches_locate(canonical_cover, deposition_cover, layout):
+    cover = {"shelf": canonical_cover, "deposition": deposition_cover}[layout]
+    pts = _cover_probes(cover)
+    got = cover.meets(pts[:, 0], pts[:, 1])
+    want = [cover.locate((float(x), float(y))) is not Location.OUTSIDE for x, y in pts]
+    assert got.tolist() == want
+    assert 0 < got.sum() < len(pts)
+    assert not ExceptionalCover.empty().meets(pts[:, 0], pts[:, 1]).any()
+
+
 # -- density scan -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -203,6 +262,108 @@ def test_scan_threaded_matches_sequential(
         canonical_model, canonical_cover, canonical_ratefn, small_config()
     )
     assert threaded.rows == small_report.rows
+
+
+def test_scan_two_threads_csv_byte_identical(
+    canonical_model, canonical_cover, canonical_ratefn, monkeypatch
+):
+    config = small_config(points=30, rects_per_point=200)
+    monkeypatch.delenv("DENSITOMETER_THREADS", raising=False)
+    one = scan_density_bound(canonical_model, canonical_cover, canonical_ratefn, config)
+    monkeypatch.setenv("DENSITOMETER_THREADS", "2")
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
+    two = scan_density_bound(canonical_model, canonical_cover, canonical_ratefn, config)
+    assert two.to_csv() == one.to_csv()
+
+
+def test_ratio_kernel_work_bound(canonical_model, canonical_cover, canonical_ratefn, monkeypatch):
+    """On a level-4 scan of 100 points the ratio kernel evaluates at most a
+    tenth of the cells (rectangles x cubes) of the dense product of each
+    rectangle with every cube whose closure meets the box point +- t."""
+    config = small_config(points=100, rects_per_point=100)
+    kernel = CompactSetModel.overlaps
+    cells = []
+
+    def recording(self, rects, reduce, cubes=slice(None)):
+        if sys._getframe(1).f_code.co_name == "_rect_ratios":
+            cells.append(len(rects) * self.xs[cubes].size)
+        return kernel(self, rects, reduce, cubes)
+
+    monkeypatch.setattr(CompactSetModel, "overlaps", recording)
+    report = scan_density_bound(canonical_model, canonical_cover, canonical_ratefn, config)
+    dense = sum(
+        config.rects_per_point * oracles.candidate_cubes_ref(canonical_model, (r.x, r.y), r.t).size
+        for r in report.rows
+    )
+    assert cells
+    assert sum(cells) <= dense / 10, (sum(cells), dense)
+
+
+# -- negative controls: the pruned kernel must still see the cube that decides ---------
+
+_TINY = WeightSequence.power(1e-4, 2.0)  # sides 0.01 and 0.005
+_POINT = (0.3, 0.3)
+
+
+class _FlatFloor:
+    """Stand-in rate function: one floor at every t, no separation prefix,
+    so every scanned pair is applicable."""
+
+    def __init__(self, floor):
+        self.floor = floor
+
+    def branch_at(self, t):
+        return SimpleNamespace(floor=self.floor, is_top=False, s_next=None)
+
+
+def _planted_model(config):
+    """Two cubes: cube 1 far from the point, cube 2 planted beyond the point
+    at a gap of 0.999 times the largest extent any scanned rectangle has from
+    it, on that rectangle's side.  The widest rectangle then meets cube 2, and
+    cube 2 is the last cube of its near prefix.  Returns the model and the
+    scanned rectangles."""
+    outer = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
+    w1, w2 = _TINY.w(1), _TINY.w(2)
+    probe = CompactSetModel(outer, _TINY, 2, [0.9, 0.5], [0.9, 0.5], [w1, w2])
+    rng = np.random.Generator(np.random.PCG64(scan._substreams(config, 1, 1)[0]))
+    rects = np.concatenate(
+        [scan._draw_rects(rng, _POINT, t, config, probe) for t in sorted(config.t_grid)]
+    )
+    extent = np.abs(rects - np.repeat(_POINT, 2))
+    row, side = np.unravel_index(np.argmax(extent), extent.shape)
+    gap = 0.999 * extent[row, side]
+    px, py = _POINT
+    x, y = {
+        0: (px - gap - w2, py - w2 / 2),
+        1: (px + gap, py - w2 / 2),
+        2: (px - w2 / 2, py - gap - w2),
+        3: (px - w2 / 2, py + gap),
+    }[int(side)]
+    return CompactSetModel(outer, _TINY, 2, [0.9, x], [0.9, y], [w1, w2]), rects
+
+
+def test_planted_cube_inside_reach_lowers_min_ratio():
+    config = small_config(t_grid=(0.05, 0.01), points=1, rects_per_point=50)
+    model, rects = _planted_model(config)
+    want = min(density_ratio(model, Rectangle.from_bounds(*r)).ratio_n for r in rects)
+    assert want < 1.0
+    report = scan_density_bound(
+        model, ExceptionalCover.empty(), _FlatFloor(0.0), config, points=[_POINT]
+    )
+    assert [r.regime for r in report.rows] == ["applicable", "applicable"]
+    assert report.rows[-1].min_ratio == want
+
+
+def test_floor_above_observed_ratio_counts_violations():
+    config = small_config(t_grid=(0.05, 0.01), points=1, rects_per_point=50)
+    model, rects = _planted_model(config)
+    ratios = [density_ratio(model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
+    floor = (min(ratios) + 1.0) / 2
+    report = scan_density_bound(
+        model, ExceptionalCover.empty(), _FlatFloor(floor), config, points=[_POINT]
+    )
+    assert not report.passed
+    assert report.rows[-1].violations == sum(r < floor for r in ratios) > 0
 
 
 def test_scan_csv_shape(small_report):
