@@ -137,9 +137,11 @@ def sample_points(
 ) -> PointSample:
     """Uniform points of the outer box that are scannable at the horizon.
 
-    Rejects points inside or on any materialized cube and points the cover
-    reaches; reports the acceptance rate.  Raises AcceptanceTooLow when the
-    rate sits under 1% after a million draws.
+    Rejects points the cover reaches and points inside or on any
+    materialized cube; reports the acceptance rate.  Raises AcceptanceTooLow
+    when the rate sits under 1% after a million draws.  The batch cover test
+    runs first and the cube test only on the draws it keeps: both are pure
+    predicates, so the order changes the work, not the sample.
     """
     if cover.m != config.m or cover.s_hi != config.s_hi:
         raise ValueError(
@@ -156,12 +158,12 @@ def sample_points(
             (outer.x.lo, outer.y.lo), (outer.x.hi, outer.y.hi), size=(batch, 2)
         )
         px, py = pts[:, 0], pts[:, 1]
-        in_cube = _in_cubes(model, pts)
         strict_inner = (
             (outer.x.lo < px) & (px < outer.x.hi) & (outer.y.lo < py) & (py < outer.y.hi)
         )
-        fresh = np.flatnonzero(~in_cube & strict_inner)
-        fresh = fresh[~cover.meets(px[fresh], py[fresh])][: config.points - len(accepted)]
+        fresh = np.flatnonzero(strict_inner)
+        fresh = fresh[~cover.meets(px[fresh], py[fresh])]
+        fresh = fresh[~_in_cubes(model, pts[fresh])][: config.points - len(accepted)]
         accepted += zip(px[fresh].tolist(), py[fresh].tolist())
         if len(accepted) == config.points:
             draws_here = draws + int(fresh[-1]) + 1
@@ -221,6 +223,8 @@ def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
     2 sqrt(n) * N overlap widths for N cubes instead of n * N.
     """
     hit = np.empty(len(pts), dtype=bool)
+    if not len(pts):
+        return hit
     for run in np.array_split(np.argsort(pts[:, 0]), math.isqrt(len(pts))):
         p = pts[run]
         (x0, y0), (x1, y1) = p.min(axis=0), p.max(axis=0)
@@ -253,6 +257,21 @@ def _near_cubes(
     return near, gap[near]
 
 
+def _point_gaps(model: CompactSetModel, point: tuple[float, float], upto: int) -> np.ndarray:
+    """Chebyshev gaps (as in _near_cubes) and squared Euclidean distances
+    from the point to cubes 1..upto, as rows of a (2, upto) array, from one
+    kernel pass.  The distances are the ones ``distance_to_cubes`` takes the
+    least of, so ``sqrt(min(d2[:p]))`` equals ``distance_to_cubes(point, p)``
+    exactly for every p <= upto."""
+    x, y = point
+
+    def gaps(wx, wy):
+        dx, dy = np.maximum(-wx, 0.0), np.maximum(-wy, 0.0)
+        return np.stack([np.maximum(dx, dy), dx * dx + dy * dy], axis=1)
+
+    return model.overlaps([[x, x, y, y]], gaps, slice(upto))[0]
+
+
 def _rect_ratios(
     model: CompactSetModel, rects: np.ndarray, near: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
@@ -283,24 +302,30 @@ def _point_ratios(
     return _rect_ratios(model, rects, near, np.searchsorted(gap, reach, "right"))
 
 
-def _separation_hits(model: CompactSetModel, rects: np.ndarray, prefix: int) -> np.ndarray:
-    """Which rectangles meet the interior of one of cubes 1..prefix."""
-    return model.overlaps(
-        rects, lambda wx, wy: ((wx > 0.0) & (wy > 0.0)).any(axis=1), slice(prefix)
-    )
+def _separation_hits(
+    model: CompactSetModel, point: tuple[float, float], rects: np.ndarray, gap: np.ndarray
+) -> np.ndarray:
+    """Which rectangles meet the interior of one of cubes 1..len(gap), where
+    ``gap`` holds those cubes' Chebyshev gaps from the point.
+
+    A rectangle meets only cubes whose gap is at most its largest extent
+    from the point (see _near_cubes), so only the cubes within the largest
+    extent of all the rectangles go to the kernel, and none when no cube is
+    that close."""
+    reach = np.abs(rects - np.repeat(point, 2)).max()
+    near = np.flatnonzero(gap <= reach)
+    if not near.size:
+        return np.zeros(len(rects), dtype=bool)
+    return model.overlaps(rects, lambda wx, wy: ((wx > 0.0) & (wy > 0.0)).any(axis=1), near)
 
 
-def _separation_prefix(branch, trunc: int) -> int | None:
-    """Cube prefix a positive-floor branch needs rectangles to miss.
-
-    None when the floor is vacuous (<= 0) or the prefix exceeds the
-    truncation (the pair can then only be deferred)."""
+def _separation_prefix(branch) -> int | None:
+    """Cube prefix a positive-floor branch needs rectangles to miss, or None
+    when the floor is vacuous (<= 0).  A prefix beyond the model's
+    truncation cannot be checked, so its pairs can only be deferred."""
     if branch.is_top or branch.floor <= 0.0 or branch.s_next is None:
         return None
-    prefix = branch.s_next**branch.s_next - 1
-    if prefix > trunc:
-        return -1  # sentinel: gate required but unverifiable at this truncation
-    return prefix
+    return branch.s_next**branch.s_next - 1
 
 
 def _scan_plan(
@@ -316,7 +341,7 @@ def _scan_plan(
     classified instead of rejected)."""
     t_sorted = tuple(sorted(config.t_grid))
     branches = tuple(ratefn.branch_at(t) for t in t_sorted)
-    prefixes = tuple(_separation_prefix(b, model.trunc) for b in branches)
+    prefixes = tuple(_separation_prefix(b) for b in branches)
     if points is None:
         sample = sample_points(model, cover, config)
         return t_sorted, branches, prefixes, sample.points, [True] * len(sample.points), sample
@@ -403,7 +428,7 @@ def _scan_one_point(
             regime = "exceptional"
         elif prefixes[k] is None:
             regime = "applicable"
-        elif prefixes[k] == -1:
+        elif prefixes[k] > model.trunc:
             regime = "deferred"
         else:
             delta = model.distance_to_cubes(point, prefixes[k])
@@ -537,53 +562,48 @@ def separation_check(
     *,
     points: Sequence[tuple[float, float]] | None = None,
 ) -> SeparationReport:
-    """Count rectangle overlaps against the cubes a branch requires missed."""
+    """Count rectangle overlaps against the cubes a branch requires missed.
+
+    Per scannable point, one kernel pass over the largest checkable prefix
+    gives every t's deferral distance and the cubes' gaps; each applicable
+    t's rectangles then go to the kernel with only the cubes of its prefix
+    that they can reach."""
     start = time.perf_counter()
     t_sorted, branches, prefixes, pts, flags, _ = _scan_plan(model, cover, ratefn, config, points)
     seeds = _substreams(config, 2, len(pts))
     rect_seeds = [s.spawn(len(t_sorted)) for s in seeds]
-    rows = []
-    for k, t in enumerate(t_sorted):
-        prefix = prefixes[k]
-        if prefix is None or prefix == -1:
-            rows.append(
-                SeparationRow(
-                    t=t,
-                    s_next=branches[k].s_next,
-                    prefix=0 if prefix is None else -1,
-                    checked_points=0,
-                    checked_rects=0,
-                    violations=0,
-                    deferred_points=len(pts),
-                    exceptional_points=sum(1 for f in flags if not f),
-                )
-            )
+    gated = [k for k, p in enumerate(prefixes) if p is not None and p <= model.trunc]
+    upto = max((prefixes[k] for k in gated), default=0)
+    # per checkable t: checked points, checked rectangles, violations, deferred points
+    tallies = {k: [0, 0, 0, 0] for k in gated}
+    for i, point in enumerate(pts):
+        if not (flags[i] and gated):
             continue
-        checked = rect_count = violations = deferred = exceptional = 0
-        for i, point in enumerate(pts):
-            if not flags[i]:
-                exceptional += 1
-                continue
-            delta = model.distance_to_cubes(point, prefix)
-            if t > delta:
-                deferred += 1
+        gap, d2 = _point_gaps(model, point, upto)
+        for k in gated:
+            prefix, tally = prefixes[k], tallies[k]
+            if t_sorted[k] > float(np.sqrt(d2[:prefix].min())):
+                tally[3] += 1
                 continue
             rng = np.random.Generator(np.random.PCG64(rect_seeds[i][k]))
-            rects = _draw_rects(rng, point, t, config, model)
-            hit = _separation_hits(model, rects, prefix)
-            checked += 1
-            rect_count += len(rects)
-            violations += int(np.count_nonzero(hit))
+            rects = _draw_rects(rng, point, t_sorted[k], config, model)
+            hit = _separation_hits(model, point, rects, gap[:prefix])
+            tally[0] += 1
+            tally[1] += len(rects)
+            tally[2] += int(np.count_nonzero(hit))
+    rows = []
+    for k, t in enumerate(t_sorted):
+        checked, rect_count, violations, deferred = tallies.get(k, (0, 0, 0, len(pts)))
         rows.append(
             SeparationRow(
                 t=t,
                 s_next=branches[k].s_next,
-                prefix=prefix,
+                prefix=0 if prefixes[k] is None else prefixes[k],
                 checked_points=checked,
                 checked_rects=rect_count,
                 violations=violations,
                 deferred_points=deferred,
-                exceptional_points=exceptional,
+                exceptional_points=flags.count(False),
             )
         )
     return SeparationReport(

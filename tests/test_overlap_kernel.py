@@ -6,7 +6,9 @@ unblocked per-query oracle exactly, on seeded rectangles and on rectangles
 and points placed on cube edges and corners.  The scan's ratio kernel sums
 only a prefix of the cubes nearest the point, with exactly rounded totals:
 it must equal ``density_ratio`` exactly and the dense pairwise-sum oracle
-within that sum's rounding error.
+within that sum's rounding error.  The separation test is given only the
+prefix cubes within a rectangle's reach, and must find exactly the dense
+oracle's hits.
 """
 
 import sys
@@ -22,9 +24,11 @@ from densitometer.scan import (
     _draw_rects,
     _in_cubes,
     _near_cubes,
+    _point_gaps,
     _point_ratios,
     _rect_ratios,
     _separation_hits,
+    sample_points,
 )
 from densitometer.setmodel import CompactSetModel, density_ratio
 
@@ -88,6 +92,7 @@ def rect_sets(canonical_model):
     return {
         "seeded": _seeded_rects(300, 5),
         "edges": _edge_rects(canonical_model, CUBES),
+        "ulp": _ulp_rects(canonical_model, CUBES),
     }
 
 
@@ -205,9 +210,7 @@ def test_near_prefix_holds_every_overlap(canonical_model, rect_sets, monkeypatch
         return kernel(self, rects, reduce, cubes)
 
     monkeypatch.setattr(CompactSetModel, "overlaps", recording)
-    rects = np.concatenate(
-        [rect_sets["seeded"], rect_sets["edges"], _ulp_rects(canonical_model, CUBES)]
-    )
+    rects = np.concatenate([rect_sets["seeded"], rect_sets["edges"], rect_sets["ulp"]])
     last_needed = ties = 0
     for rect in rects:
         hits = oracles.overlapping_cubes_ref(canonical_model, rect)
@@ -231,12 +234,34 @@ def test_density_ratio_matches_oracle(canonical_model, rect_sets, kind):
         assert got.overlap_total == oracles.density_overlap_ref(canonical_model, x0, x1, y0, y1)
 
 
-@pytest.mark.parametrize("kind", ["seeded", "edges"])
+@pytest.mark.parametrize("kind", ["seeded", "edges", "ulp"])
 def test_separation_hits_match_oracle(canonical_model, rect_sets, kind):
-    rects = rect_sets[kind]
-    for prefix in (1, 26, 255, canonical_model.trunc):
-        got = _separation_hits(canonical_model, rects, prefix)
-        assert np.array_equal(got, oracles.separation_hits_ref(canonical_model, rects, prefix))
+    """The separation test, given only the cubes of the prefix within the
+    rectangle's reach from a corner or the center, finds exactly the
+    oracle's hits.  Besides fixed prefixes, each rectangle is tested against
+    the prefix that ends at the first cube it meets, which that cube alone
+    then decides, and against the prefix just before it; the ulp set reaches
+    one ulp into cubes across an edge or a corner, and from x = 0.99 its
+    reach equals a cube's gap."""
+    model = canonical_model
+    decided = ties = 0
+    for rect in rect_sets[kind]:
+        hits = oracles.overlapping_cubes_ref(model, rect)
+        first = hits[:1].tolist()
+        prefixes = {1, 26, 255, model.trunc, *(i + 1 for i in first), *(i for i in first if i)}
+        want = {p: oracles.separation_hits_ref(model, rect[None, :], p)[0] for p in prefixes}
+        for point in _anchors(rect):
+            gap = _point_gaps(model, point, model.trunc)[0]
+            for prefix in prefixes:
+                got = _separation_hits(model, point, rect[None, :], gap[:prefix])[0]
+                assert got == want[prefix], (rect, point, prefix)
+            if first:
+                decided += 1
+                reach = np.abs(rect - np.repeat(point, 2)).max()
+                ties += bool(gap[first[0]] == reach)
+    assert decided > 0
+    if kind == "ulp":
+        assert ties > 0
 
 
 def test_closed_hits_match_oracle(canonical_model):
@@ -278,9 +303,11 @@ def test_kernel_memory_is_bounded_by_block(canonical_model, query):
     counts = np.full(len(rects), every.size)
     assert _PEAK_BOUND < rects.shape[0] * every.size * 8 / 10
     pts = np.ascontiguousarray(rects[:, [0, 2]])
+    center = (0.5, 0.5)
+    gap = _point_gaps(canonical_model, center, canonical_model.trunc)[0]
     run = {
         "ratio": lambda: _rect_ratios(canonical_model, rects, every, counts),
-        "separation": lambda: _separation_hits(canonical_model, rects, canonical_model.trunc),
+        "separation": lambda: _separation_hits(canonical_model, center, rects, gap),
         "closed": lambda: _in_cubes(canonical_model, pts),
     }[query]
     tracemalloc.start()
@@ -289,4 +316,20 @@ def test_kernel_memory_is_bounded_by_block(canonical_model, query):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < _PEAK_BOUND, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_sample_points_memory_is_bounded_by_block(canonical_model, canonical_cover):
+    """Sampling 1,000 points draws batches of 4,000; one (batch x cubes)
+    boolean array would alone be 12.5 MB on the canonical cubes."""
+    config = ScanConfig(t_grid=(0.01,), points=1000, rects_per_point=1, seed=42)
+    dense = 4 * config.points * canonical_model.trunc  # one boolean per (draw, cube)
+    assert _PEAK_BOUND < dense / 2
+    tracemalloc.start()
+    try:
+        sample = sample_points(canonical_model, canonical_cover, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sample.points) == config.points
     assert peak < _PEAK_BOUND, f"peak {peak / 2**20:.1f} MB"

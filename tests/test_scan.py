@@ -12,6 +12,7 @@ from densitometer.dilation import Rectangle
 from densitometer.interval1d import Location
 from densitometer.scan import (
     ScanConfig,
+    SeparationRow,
     sample_points,
     scan_deficit_envelope,
     scan_density_bound,
@@ -22,6 +23,7 @@ from densitometer.setmodel import (
     CompactSetModel,
     ExceptionalCover,
     build_cover,
+    build_packing,
     density_ratio,
     is_exceptional,
 )
@@ -391,6 +393,54 @@ def test_separation_deterministic(canonical_model, canonical_cover, canonical_ra
     a = separation_check(canonical_model, canonical_cover, canonical_ratefn, small_config())
     b = separation_check(canonical_model, canonical_cover, canonical_ratefn, small_config())
     assert a.rows == b.rows
+
+
+def test_separation_kernel_work_bound(
+    canonical_model, canonical_cover, canonical_ratefn, monkeypatch
+):
+    """On the canonical level-4 check (100 points x 500 rectangles) the kernel
+    evaluates at most 1/20 of the cells (rectangles x cubes) of testing each
+    checked rectangle against its whole prefix, counting every kernel call the
+    check makes."""
+    config = small_config(points=100, rects_per_point=500)
+    kernel = CompactSetModel.overlaps
+    cells = []
+
+    def recording(self, rects, reduce, cubes=slice(None)):
+        cells.append(len(rects) * self.xs[cubes].size)
+        return kernel(self, rects, reduce, cubes)
+
+    monkeypatch.setattr(CompactSetModel, "overlaps", recording)
+    report = separation_check(canonical_model, canonical_cover, canonical_ratefn, config)
+    dense = sum(r.checked_rects * r.prefix for r in report.rows)
+    assert sum(r.checked_rects for r in report.rows) > 0
+    assert sum(cells) <= dense / 20, (sum(cells), dense)
+
+
+def test_prefix_beyond_truncation_defers_every_point(canonical_seq, canonical_ratefn):
+    """At t = 0.01 the branch needs rectangles to miss cubes 1..255; a model
+    of 100 cubes cannot check that, so the row names the prefix, checks no
+    point and defers every one, and the scan defers every pair at that t.
+    At t = 0.05 the 26-cube prefix is still checked."""
+    model = build_packing(canonical_seq, 100, Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0))
+    points = [(0.9, 0.9), (0.95, 0.95), (0.5, 0.99), (0.7, 0.97)]
+    config = small_config(points=len(points))
+    args = (model, ExceptionalCover.empty(), canonical_ratefn, config)
+    separation = separation_check(*args, points=points)
+    assert separation.rows[0] == SeparationRow(
+        t=0.01,
+        s_next=4,
+        prefix=255,
+        checked_points=0,
+        checked_rects=0,
+        violations=0,
+        deferred_points=4,
+        exceptional_points=0,
+    )
+    assert separation.to_csv().split("\n")[1] == "0.01,4,255,0,0,0,4,0"
+    assert (separation.rows[1].prefix, separation.rows[1].checked_points) == (26, 4)
+    report = scan_density_bound(*args, points=points)
+    assert {r.regime for r in report.rows if r.t == 0.01} == {"deferred"}
 
 
 # -- envelope -----------------------------------------------------------------------
