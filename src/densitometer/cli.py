@@ -27,7 +27,7 @@ from .auxfn import (
     little_o_check,
     series_diagnostics,
 )
-from .dilation import Rectangle, dilate_1d, dilate_2d
+from .dilation import Rectangle, cube_rows, dilate_1d, dilate_2d
 from .errors import DensitometerError, Divergent, NeverHolds
 from .interval1d import Interval
 from .scan import (
@@ -188,10 +188,11 @@ def cmd_dilate1d(args) -> int:
 
 
 def cmd_dilate2d(args) -> int:
-    quads = json.loads(args.cubes)
-    cubes = [Rectangle.from_bounds(*[float(v) for v in quad]) for quad in quads]
+    cubes = json.loads(args.cubes)
     result = dilate_2d(cubes, args.gamma, allow_gamma_one=args.allow_gamma_one)
-    identity = (2.0 * args.gamma + 1.0) ** 2 * math.fsum(c.area for c in cubes)
+    rows = cube_rows(cubes)
+    areas = (rows[:, 1] - rows[:, 0]) * (rows[:, 3] - rows[:, 2])
+    identity = (2.0 * args.gamma + 1.0) ** 2 * math.fsum(areas.tolist())
     print(f"rectangles: {len(result)} in {len(result.columns)} columns")
     print(f"measure: {result.measure!r} (identity rhs {identity!r})")
     out = _out_path(args, args.out)
@@ -200,7 +201,7 @@ def cmd_dilate2d(args) -> int:
             out,
             {
                 "gamma": float(args.gamma),
-                "input": [list(c.bounds) for c in cubes],
+                "input": rows.tolist(),
                 "rects": [list(r.bounds) for r in result.rects],
                 "measure": result.measure,
                 "identity_rhs": identity,

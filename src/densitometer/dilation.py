@@ -18,6 +18,13 @@ leave a column in the same way, and each distinct vertical union is dilated
 once.  The output is a finite disjoint rectangle union.  For N squares the
 cost is O(N log N) comparisons plus the total size of the distinct merged
 unions; no per-cell index set is ever built.
+
+Both sweeps run on floats and arrays, not on per-interval objects.  The
+squares come in as an (n, 4) array of rows [x0, x1, y0, y1]; every union is
+dilated by one growth loop over plain float lists, which walks its blocks
+by index; and the result keeps flat arrays: column x-bounds, a section
+index per column, and a pool of the distinct vertical sections with their
+exact measures (see ``RectUnion``).
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ __all__ = [
     "RectUnion",
     "WitnessResult",
     "dilate_1d",
+    "cube_rows",
     "dilate_2d",
     "contains",
     "ratio_bound_witness",
@@ -55,85 +63,83 @@ def _check_gamma(gamma: float, allow_gamma_one: bool) -> float:
     return gamma
 
 
-class _OccupiedSet:
-    """Mutable sorted union of closed blocks [lo, hi] merged across touching."""
-
-    __slots__ = ("los", "his")
-
-    def __init__(self) -> None:
-        self.los: list[float] = []
-        self.his: list[float] = []
-
-    def insert(self, lo: float, hi: float) -> None:
-        i = bisect_left(self.his, lo)
-        j = bisect_right(self.los, hi)
-        if i < j:
-            lo = min(lo, self.los[i])
-            hi = max(hi, self.his[j - 1])
-        self.los[i:j] = [lo]
-        self.his[i:j] = [hi]
-
-    def sweep_left(self, x: float, need: float) -> float:
-        """Endpoint left of x past exactly ``need`` of unoccupied measure."""
-        j = bisect_right(self.los, x) - 1
-        cur = x
-        if j >= 0 and x <= self.his[j]:
-            cur = self.los[j]
-            j -= 1
-        while need > 0.0:
-            gap_lo = self.his[j] if j >= 0 else -math.inf
-            if cur - gap_lo >= need:
-                return cur - need
-            need -= cur - gap_lo
-            cur = self.los[j]
-            j -= 1
-        return cur
-
-    def sweep_right(self, x: float, need: float) -> float:
-        """Endpoint right of x past exactly ``need`` of unoccupied measure."""
-        j = bisect_right(self.los, x) - 1
-        cur = x
-        if j >= 0 and x < self.his[j]:
-            cur = self.his[j]
-        j += 1
-        while need > 0.0:
-            gap_hi = self.los[j] if j < len(self.los) else math.inf
-            if gap_hi - cur >= need:
-                return cur + need
-            need -= gap_hi - cur
-            cur = self.his[j]
-            j += 1
-        return cur
-
-    def intervals(self) -> DisjointIntervalSet:
-        return DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(self.los, self.his))
-
-
 def _grow(
     los: Sequence[float], his: Sequence[float], gamma: float
-) -> tuple[_OccupiedSet, list[float], list[float]]:
+) -> tuple[list[float], list[float], list[float], list[float]]:
     """Grow sorted, pairwise disjoint members (lo, hi) left to right.
 
-    Returns the occupied set, which ends as the dilated union, and the left
-    and right hull ends of every member.
+    Returns the dilated union as its sorted lower and upper ends, and the
+    left and right hull ends of every member.
+
+    The occupied set is two sorted runs of closed blocks, each merged across
+    touching ends: the grown blocks ``glo``/``ghi`` (a stack whose top
+    ``top`` holds the last hull) and the waiting blocks ``wlo``/``whi`` from
+    index ``w`` on, the members not yet reached.  A member lies in the top
+    grown block or in the first waiting one, so no search is needed.  Its
+    left arm sweeps down the grown blocks and its right arm up the waiting
+    ones, each past exactly gamma times its length of unoccupied measure;
+    the hull then replaces every block it meets.  Sentinels at -inf below
+    the grown blocks and at +inf above the waiting ones end both sweeps.
     """
-    occupied = _OccupiedSet()
+    wlo: list[float] = []
+    whi: list[float] = []
     for lo, hi in zip(los, his):
-        if occupied.his and lo == occupied.his[-1]:
-            occupied.his[-1] = hi
+        if whi and lo == whi[-1]:
+            whi[-1] = hi
         else:
-            occupied.los.append(lo)
-            occupied.his.append(hi)
+            wlo.append(lo)
+            whi.append(hi)
+    n = len(wlo)
+    wlo.append(math.inf)
+    glo = [-math.inf]
+    ghi = [-math.inf]
+    top = w = 0
     lefts: list[float] = []
     rights: list[float] = []
     for lo, hi in zip(los, his):
         need = gamma * (hi - lo)
-        left = occupied.sweep_left(lo, need)
-        right = occupied.sweep_right(hi, need)
-        occupied.insert(left, right)
+        if lo <= ghi[top]:
+            j, cur, right_from, k = top - 1, glo[top], ghi[top], w
+        else:
+            j, cur, right_from, k = top, wlo[w], whi[w], w + 1
+        rest = need
+        while rest > 0.0:
+            if cur - ghi[j] >= rest:
+                cur -= rest
+                break
+            rest -= cur - ghi[j]
+            cur = glo[j]
+            j -= 1
+        left = cur
+        cur, rest = right_from, need
+        while rest > 0.0:
+            if wlo[k] - cur >= rest:
+                cur += rest
+                break
+            rest -= wlo[k] - cur
+            cur = whi[k]
+            k += 1
+        right = cur
+        # the closed hull [left, right] absorbs grown blocks i..top and waiting ones up to k
+        i = j + 1
+        while i > 1 and ghi[i - 1] >= left:
+            i -= 1
+        while k < n and wlo[k] <= right:
+            k += 1
+        first_lo = glo[i] if i <= top else wlo[w]
+        last_hi = whi[k - 1] if k > w else ghi[top]
+        left_end = first_lo if first_lo < left else left
+        right_end = last_hi if last_hi > right else right
+        if i <= top:
+            del glo[i + 1 :], ghi[i + 1 :]
+            glo[i], ghi[i] = left_end, right_end
+        else:
+            glo.append(left_end)
+            ghi.append(right_end)
+        top, w = i, k
         lefts.append(left)
         rights.append(right)
-    return occupied, lefts, rights
+    return glo[1:] + wlo[w:n], ghi[1:] + whi[w:], lefts, rights
 
 
 @dataclass(frozen=True)
@@ -185,7 +191,7 @@ def dilate_1d(
     for a, b in zip(members, members[1:]):
         if not a.hi <= b.lo:
             raise OverlappingInputs(f"inputs overlap: {a} and {b}")
-    occupied, lefts, rights = _grow([m.lo for m in members], [m.hi for m in members], gamma)
+    los, his, lefts, rights = _grow([m.lo for m in members], [m.hi for m in members], gamma)
     pieces = tuple(
         DilationPiece(
             source=m,
@@ -199,7 +205,7 @@ def dilate_1d(
     return DilationResult1D(
         gamma=gamma,
         pieces=pieces,
-        union=occupied.intervals(),
+        union=DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(los, his)),
         input_measure=input_measure,
     )
 
@@ -243,55 +249,93 @@ class Rectangle:
 
 
 class RectUnion:
-    """Disjoint rectangle union organized as x-disjoint columns.
+    """Disjoint rectangle union organized as x-disjoint columns, in flat arrays.
 
-    ``columns`` is a sorted tuple of (x-interval, vertical section) pairs with
-    pairwise disjoint x-intervals; the rectangles of a column share its
-    x-interval.  ``block`` optionally records which cube block the union
-    dilates (block index s, factor, 1-based cube index range).
+    Column c is the open x-interval (``x_lo[c]``, ``x_hi[c]``); the columns
+    are sorted and pairwise disjoint.  Its vertical section is entry
+    ``col_sec[c]`` of a pool of distinct sections, which columns with equal
+    vertical unions share: section s is the sorted, pairwise separated open
+    y-intervals (``y_lo[i]``, ``y_hi[i]``) for ``sec_off[s] <= i <
+    sec_off[s + 1]``, and ``sec_measure[s]`` is their exact ``fsum``
+    measure.  ``measure``, ``meets``, ``locate`` and ``len`` read these
+    arrays; ``columns`` builds interval objects on first use, one
+    DisjointIntervalSet per section, and ``rects`` derives from it.
+    ``block`` optionally records which cube block the union dilates (block
+    index s, factor, 1-based cube index range).
     """
 
-    __slots__ = ("columns", "gamma", "block", "_los", "_his", "_arrays")
+    __slots__ = (
+        "x_lo",
+        "x_hi",
+        "col_sec",
+        "sec_off",
+        "y_lo",
+        "y_hi",
+        "sec_measure",
+        "gamma",
+        "block",
+        "_keys",
+        "_columns",
+    )
 
     def __init__(
         self,
-        columns: Iterable[tuple[Interval, DisjointIntervalSet]],
+        x_lo: np.ndarray,
+        x_hi: np.ndarray,
+        col_sec: np.ndarray,
+        sec_off: np.ndarray,
+        y_lo: np.ndarray,
+        y_hi: np.ndarray,
+        sec_measure: np.ndarray,
         gamma: float | None = None,
         block: tuple[int, int, int] | None = None,
     ):
-        cols = tuple(columns)
-        for (a, _), (b, _) in zip(cols, cols[1:]):
-            if not a.hi <= b.lo:
-                raise ValueError("columns must be sorted and x-disjoint")
-        self.columns = cols
+        self.x_lo = np.asarray(x_lo, dtype=np.float64)
+        self.x_hi = np.asarray(x_hi, dtype=np.float64)
+        self.y_lo = np.asarray(y_lo, dtype=np.float64)
+        self.y_hi = np.asarray(y_hi, dtype=np.float64)
+        if not all(np.isfinite(a).all() for a in (self.x_lo, self.x_hi, self.y_lo, self.y_hi)):
+            raise ValueError("rectangle union bounds must be finite")
+        if np.any(self.x_hi[:-1] > self.x_lo[1:]):
+            raise ValueError("columns must be sorted and x-disjoint")
+        self.col_sec = np.asarray(col_sec, dtype=np.intp)
+        self.sec_off = np.asarray(sec_off, dtype=np.intp)
+        self.sec_measure = np.asarray(sec_measure, dtype=np.float64)
         self.gamma = gamma
         self.block = block
-        self._los = tuple(c[0].lo for c in cols)
-        self._his = tuple(c[0].hi for c in cols)
-        self._arrays: tuple[np.ndarray, ...] | None = None
+        self._keys: tuple[np.ndarray, ...] | None = None
+        self._columns: tuple[tuple[Interval, DisjointIntervalSet], ...] | None = None
 
     @classmethod
     def empty(cls) -> "RectUnion":
-        return cls(())
+        return cls((), (), (), (0,), (), (), ())
 
     def __len__(self) -> int:
-        return sum(len(ys) for _, ys in self.columns)
+        return int(np.diff(self.sec_off)[self.col_sec].sum())
 
     @property
-    def is_empty(self) -> bool:
-        return not self.columns
+    def columns(self) -> tuple[tuple[Interval, DisjointIntervalSet], ...]:
+        if self._columns is None:
+            off = self.sec_off.tolist()
+            y_lo, y_hi = self.y_lo.tolist(), self.y_hi.tolist()
+            sections = [
+                DisjointIntervalSet(Interval(y_lo[i], y_hi[i]) for i in range(a, b))
+                for a, b in zip(off, off[1:])
+            ]
+            self._columns = tuple(
+                (Interval(x0, x1), sections[s])
+                for x0, x1, s in zip(self.x_lo.tolist(), self.x_hi.tolist(), self.col_sec.tolist())
+            )
+        return self._columns
 
     @property
     def rects(self) -> tuple[Rectangle, ...]:
-        out = []
-        for x_int, ys in self.columns:
-            for y_int in ys:
-                out.append(Rectangle(x_int, y_int))
-        return tuple(out)
+        return tuple(Rectangle(x_int, y_int) for x_int, ys in self.columns for y_int in ys)
 
     @property
     def measure(self) -> float:
-        return math.fsum(x_int.length * ys.measure for x_int, ys in self.columns)
+        widths = self.x_hi - self.x_lo
+        return math.fsum((widths * self.sec_measure[self.col_sec]).tolist())
 
     def meets(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Which points (x[i], y[i]) lie in the closed union, that is, where
@@ -300,45 +344,57 @@ class RectUnion:
         Bisecting the column x-starts gives the last column starting at or
         left of x; it holds the point when x is at most its right end, and
         the column before it when x is that column's right end.  Each of the
-        k section intervals gets the key column * (k + 1) + 1 + the number of
-        lower ends below its own.  That key is at most column * (k + 1) + the
-        number of lower ends at or below y exactly when its own lower end is
-        at or below y, so one bisection of the sorted keys finds the last
-        interval of the column that starts at or below y.
+        k pooled section intervals gets the key section * (k + 1) + 1 + the
+        number of pooled lower ends below its own.  That key is at most
+        section * (k + 1) + the number of pooled lower ends at or below y
+        exactly when its own lower end is at or below y, so one bisection of
+        the sorted keys finds the last interval of the column's section that
+        starts at or below y.
         """
         hit = np.zeros(len(x), dtype=bool)
-        if not self.columns:
+        if not self.x_lo.size:
             return hit
-        if self._arrays is None:
-            col = np.repeat(np.arange(len(self.columns)), [len(ys) for _, ys in self.columns])
-            lo = np.array([i.lo for _, ys in self.columns for i in ys])
-            hi = np.array([i.hi for _, ys in self.columns for i in ys])
-            starts = np.sort(lo)
-            key = col * (starts.size + 1) + np.searchsorted(starts, lo) + 1
-            self._arrays = (np.array(self._los), np.array(self._his), starts, key, col, hi)
-        x_lo, x_hi, starts, key, col, hi = self._arrays
-        j = np.searchsorted(x_lo, x, "right") - 1
+        if self._keys is None:
+            sec = np.repeat(np.arange(self.sec_off.size - 1), np.diff(self.sec_off))
+            starts = np.sort(self.y_lo)
+            key = sec * (starts.size + 1) + np.searchsorted(starts, self.y_lo) + 1
+            self._keys = (starts, key, sec)
+        starts, key, sec = self._keys
+        j = np.searchsorted(self.x_lo, x, "right") - 1
         rank = np.searchsorted(starts, y, "right")
         for c in (j, j - 1):
             c0 = np.maximum(c, 0)
-            i = np.searchsorted(key, c0 * (starts.size + 1) + rank, "right") - 1
+            s = self.col_sec[c0]
+            i = np.searchsorted(key, s * (starts.size + 1) + rank, "right") - 1
             i0 = np.maximum(i, 0)
-            hit |= (c >= 0) & (x <= x_hi[c0]) & (i >= 0) & (col[i0] == c0) & (y <= hi[i0])
+            in_column = (c >= 0) & (x <= self.x_hi[c0])
+            hit |= in_column & (i >= 0) & (sec[i0] == s) & (y <= self.y_hi[i0])
         return hit
+
+    def _section_locate(self, c: int, y: float) -> Location:
+        """DisjointIntervalSet.locate of column c's section."""
+        s = self.col_sec[c]
+        a, b = self.sec_off[s], self.sec_off[s + 1]
+        i = a + int(np.searchsorted(self.y_lo[a:b], y, "right")) - 1
+        if i < a:
+            return Location.OUTSIDE
+        if y == self.y_lo[i] or y == self.y_hi[i]:
+            return Location.BOUNDARY
+        if y < self.y_hi[i]:
+            return Location.INSIDE
+        return Location.OUTSIDE
 
     def locate(self, point: tuple[float, float]) -> Location:
         x, y = point
-        j = bisect_right(self._los, x) - 1
+        j = int(np.searchsorted(self.x_lo, x, "right")) - 1
         if j >= 0:
-            x_int, ys = self.columns[j]
-            lx = x_int.locate(x)
-            if lx is Location.INSIDE:
-                return ys.locate(y)
-            if lx is Location.BOUNDARY and ys.locate(y) is not Location.OUTSIDE:
+            lo, hi = self.x_lo[j], self.x_hi[j]
+            if lo < x < hi:
+                return self._section_locate(j, y)
+            if (x == lo or x == hi) and self._section_locate(j, y) is not Location.OUTSIDE:
                 return Location.BOUNDARY
-        if j - 1 >= 0:
-            x_int, ys = self.columns[j - 1]
-            if x == x_int.hi and ys.locate(y) is not Location.OUTSIDE:
+        if j >= 1 and x == self.x_hi[j - 1]:
+            if self._section_locate(j - 1, y) is not Location.OUTSIDE:
                 return Location.BOUNDARY
         return Location.OUTSIDE
 
@@ -390,8 +446,24 @@ def _toggle(bounds: list[float], values: Iterable[float]) -> None:
             bounds.insert(i, v)
 
 
+def cube_rows(cubes) -> np.ndarray:
+    """The (n, 4) float array of open rectangles [x0, x1, y0, y1] that
+    ``dilate_2d`` takes; ValueError unless every row is finite with x0 < x1
+    and y0 < y1."""
+    rows = np.asarray(cubes, dtype=np.float64)
+    if not rows.size:
+        return rows.reshape(0, 4)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"cubes must be rows [x0, x1, y0, y1], got shape {rows.shape}")
+    x0, x1, y0, y1 = rows.T
+    bad = np.flatnonzero(~(np.isfinite(rows).all(axis=1) & (x0 < x1) & (y0 < y1)))
+    if bad.size:
+        raise ValueError(f"cube {bad[0]} is not a bounded open rectangle: {rows[bad[0]].tolist()}")
+    return rows
+
+
 def dilate_2d(
-    cubes: Sequence[Rectangle],
+    cubes: np.ndarray | Sequence[Sequence[float]],
     gamma: float,
     *,
     allow_gamma_one: bool = False,
@@ -399,15 +471,17 @@ def dilate_2d(
 ) -> RectUnion:
     """Simultaneously dilate a pairwise disjoint family of open squares.
 
-    Steps: (1) reject overlapping inputs, the precondition of both toggle
-    sweeps; (2) sweep the y-endpoints, toggling the x-endpoints of each
-    square that enters or leaves, so the sorted boundary list is the merged
-    union of the x-sections on every y-cell, and group the cells by that
-    union; (3) dilate each distinct x-union once; (4) sweep the x-endpoints
-    of those dilations, toggling the y-bounds of each group's cells where
-    the group's dilation starts or ends, so the boundary list is the merged
-    vertical union of every column; (5) dilate each distinct vertical union
-    once and emit column x vertical-section rectangles.
+    ``cubes`` is an (n, 4) array-like of rows [x0, x1, y0, y1], the row
+    layout of ``CompactSetModel.overlaps`` (see ``cube_rows``).  Steps:
+    (1) reject overlapping inputs, the precondition of both toggle sweeps;
+    (2) sweep the y-endpoints, toggling the x-endpoints of each square that
+    enters or leaves, so the sorted boundary list is the merged union of the
+    x-sections on every y-cell, and group the cells by that union; (3)
+    dilate each distinct x-union once; (4) sweep the x-endpoints of those
+    dilations, toggling the y-bounds of each group's cells where the group's
+    dilation starts or ends, so the boundary list is the merged vertical
+    union of every column; (5) dilate each distinct vertical union once into
+    the section pool and record each column's x-bounds and section index.
 
     The result is deterministic, pairwise disjoint, and its measure equals
     (2*gamma + 1)**2 times the total input area up to float rounding.
@@ -416,18 +490,18 @@ def dilate_2d(
     total size of the distinct merged unions.
     """
     gamma = _check_gamma(gamma, allow_gamma_one)
-    cubes = list(cubes)
-    if not cubes:
+    rows = cube_rows(cubes)
+    if not len(rows):
         return RectUnion.empty()
-    hit = find_overlap(*zip(*(c.x.as_pair() + c.y.as_pair() for c in cubes)))
+    hit = find_overlap(*rows.T)
     if hit is not None:
         raise OverlappingCubes(f"cubes {hit[0]} and {hit[1]} overlap")
 
     # 2. y-sweep; each x-union maps to the y-bounds of its cells, touching cells merged
     y_events: dict[float, list[float]] = {}
-    for c in cubes:
-        y_events.setdefault(c.y.lo, []).extend((c.x.lo, c.x.hi))
-        y_events.setdefault(c.y.hi, []).extend((c.x.lo, c.x.hi))
+    for x0, x1, y0, y1 in rows.tolist():
+        y_events.setdefault(y0, []).extend((x0, x1))
+        y_events.setdefault(y1, []).extend((x0, x1))
     x_bounds: list[float] = []
     groups: dict[tuple[float, ...], list[float]] = {}
     ys = sorted(y_events)
@@ -444,15 +518,16 @@ def dilate_2d(
     # 3. horizontal dilation per distinct x-union
     x_events: dict[float, list[list[float]]] = {}
     for key, runs in groups.items():
-        dilated = _grow(key[0::2], key[1::2], gamma)[0]
-        for lo, hi in zip(dilated.los, dilated.his):
+        los, his, _, _ = _grow(key[0::2], key[1::2], gamma)
+        for lo, hi in zip(los, his):
             x_events.setdefault(lo, []).append(runs)
             x_events.setdefault(hi, []).append(runs)
 
     # 4+5. column sweep; one dilation per distinct vertical union
     y_bounds: list[float] = []
-    sections: dict[tuple[float, ...], DisjointIntervalSet] = {}
-    columns: list[tuple[Interval, DisjointIntervalSet]] = []
+    sections: dict[tuple[float, ...], int] = {}
+    sec_off, y_lo, y_hi, sec_measure = [0], [], [], []
+    x_lo, x_hi, col_sec = [], [], []
     xs = sorted(x_events)
     for x1, x2 in zip(xs, xs[1:]):
         for runs in x_events[x1]:
@@ -460,11 +535,20 @@ def dilate_2d(
         if not y_bounds:
             continue
         key = tuple(y_bounds)
-        section = sections.get(key)
-        if section is None:
-            section = sections[key] = _grow(key[0::2], key[1::2], gamma)[0].intervals()
-        columns.append((Interval(x1, x2), section))
-    return RectUnion(columns, gamma=gamma, block=block)
+        s = sections.get(key)
+        if s is None:
+            s = sections[key] = len(sec_measure)
+            los, his, _, _ = _grow(key[0::2], key[1::2], gamma)
+            y_lo += los
+            y_hi += his
+            sec_off.append(len(y_lo))
+            sec_measure.append(math.fsum(hi - lo for lo, hi in zip(los, his)))
+        x_lo.append(x1)
+        x_hi.append(x2)
+        col_sec.append(s)
+    return RectUnion(
+        x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure, gamma=gamma, block=block
+    )
 
 
 def contains(
@@ -503,7 +587,7 @@ def ratio_bound_witness(
     as a sum over the disjoint cubes.
     """
     if dilation is None:
-        dilation = dilate_2d(cubes, gamma)
+        dilation = dilate_2d([c.bounds for c in cubes], gamma)
     if dilation.locate(point) is not Location.OUTSIDE:
         raise PointNotOutside(f"point {point} is not strictly outside the dilation")
     if rect.locate(point) is not Location.INSIDE:

@@ -319,13 +319,24 @@ def _separation_hits(
     return model.overlaps(rects, lambda wx, wy: ((wx > 0.0) & (wy > 0.0)).any(axis=1), near)
 
 
-def _separation_prefix(branch) -> int | None:
-    """Cube prefix a positive-floor branch needs rectangles to miss, or None
-    when the floor is vacuous (<= 0).  A prefix beyond the model's
-    truncation cannot be checked, so its pairs can only be deferred."""
+def _separation_prefix(branch, m: int) -> int | None:
+    """Cube prefix a positive-floor branch needs rectangles to miss, for a
+    cover that starts at block m; None when the floor is vacuous (<= 0).
+
+    The floor 1 - 4/2^s_next sums the per-block lemma (see
+    ``dilation.ratio_bound_witness``): a rectangle R through a point outside
+    D_s, the 2^s-dilation of block s, has |R n block s| / |R| < 2/2^s, and
+    the sum over s >= s_next is 4/2^s_next.  Block s holds cubes s^s ..
+    (s+1)^(s+1) - 1.  Rectangles must miss blocks below s_next, cubes
+    1..s_next^s_next - 1, for the sum to start at s_next.  A scanned point
+    lies outside D_s only for the cover's blocks s >= m, so when s_next < m
+    the lemma says nothing about blocks s_next..m-1, and rectangles must
+    miss those too: cubes 1..m^m - 1.  The prefix is therefore
+    max(s_next^s_next, m^m) - 1.  A prefix beyond the model's truncation
+    cannot be checked, so its pairs can only be deferred."""
     if branch.is_top or branch.floor <= 0.0 or branch.s_next is None:
         return None
-    return branch.s_next**branch.s_next - 1
+    return max(branch.s_next**branch.s_next, m**m) - 1
 
 
 def _scan_plan(
@@ -341,7 +352,7 @@ def _scan_plan(
     classified instead of rejected)."""
     t_sorted = tuple(sorted(config.t_grid))
     branches = tuple(ratefn.branch_at(t) for t in t_sorted)
-    prefixes = tuple(_separation_prefix(b) for b in branches)
+    prefixes = tuple(_separation_prefix(b, config.m) for b in branches)
     if points is None:
         sample = sample_points(model, cover, config)
         return t_sorted, branches, prefixes, sample.points, [True] * len(sample.points), sample
@@ -591,9 +602,11 @@ def separation_check(
             tally[0] += 1
             tally[1] += len(rects)
             tally[2] += int(np.count_nonzero(hit))
+    # a t without a checkable prefix defers every scannable point
+    unchecked = (0, 0, 0, flags.count(True))
     rows = []
     for k, t in enumerate(t_sorted):
-        checked, rect_count, violations, deferred = tallies.get(k, (0, 0, 0, len(pts)))
+        checked, rect_count, violations, deferred = tallies.get(k, unchecked)
         rows.append(
             SeparationRow(
                 t=t,

@@ -437,7 +437,9 @@ def build_cover(model: CompactSetModel, m: int, s_hi: int) -> ExceptionalCover:
     for s in range(m, s_hi + 1):
         n_lo, n_hi = s**s, (s + 1) ** (s + 1) - 1
         gamma = float(2**s)
-        union = dilate_2d(model.cubes(n_lo, n_hi), gamma, block=(s, n_lo, n_hi))
+        x, y, w = model.xs[n_lo - 1 : n_hi], model.ys[n_lo - 1 : n_hi], model.sides[n_lo - 1 : n_hi]
+        rows = np.column_stack((x, x + w, y, y + w))
+        union = dilate_2d(rows, gamma, block=(s, n_lo, n_hi))
         block_area = math.fsum(model.seq.w2(n) for n in range(n_lo, n_hi + 1))
         blocks.append(
             BlockDilation(

@@ -8,18 +8,23 @@ set model's one blocked kernel replaced; the kernel must agree with them
 exactly, except the scan's ratio kernel, whose exactly rounded overlap sums
 may differ from the dense pairwise sum by that sum's rounding error.
 ``dilate_2d_labels`` is the label-based square dilation that the toggle
-sweeps of ``dilate_2d`` replaced; their columns must be equal.
+sweeps of ``dilate_2d`` replaced, and ``dilate_2d_objects`` the toggle
+sweeps over ``Rectangle`` inputs and per-interval objects that the array
+layout replaced; ``grow_ref`` is their growth loop, a sorted occupied set
+searched by bisection for every arm.  Columns, rectangle counts and
+measures must be equal, and ``grow_ref``'s output equal bit for bit.
 ``sample_points_ref`` is the sampler with one ``cover.locate`` call per
 drawn point, which the batch cover test replaced.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from densitometer.dilation import Rectangle, RectUnion, _check_gamma, dilate_1d
+from densitometer.dilation import Rectangle, _check_gamma, _toggle, dilate_1d, find_overlap
 from densitometer.errors import OverlappingCubes
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
 from densitometer.scan import PointSample, _in_cubes, _substreams
@@ -230,6 +235,174 @@ def sample_points_ref(model, cover, config):
         draws += batch
 
 
+# -- square dilation: per-interval objects ----------------------------------------
+
+class ColumnUnion:
+    """The object-based rectangle union that ``RectUnion``'s flat arrays
+    replaced: a sorted tuple of (x-interval, vertical section) columns."""
+
+    def __init__(self, columns: Iterable[tuple[Interval, DisjointIntervalSet]]):
+        self.columns = tuple(columns)
+        self._los = tuple(x_int.lo for x_int, _ in self.columns)
+
+    def __len__(self) -> int:
+        return sum(len(ys) for _, ys in self.columns)
+
+    @property
+    def measure(self) -> float:
+        return math.fsum(x_int.length * ys.measure for x_int, ys in self.columns)
+
+    def locate(self, point: tuple[float, float]) -> Location:
+        x, y = point
+        j = bisect_right(self._los, x) - 1
+        if j >= 0:
+            x_int, ys = self.columns[j]
+            lx = x_int.locate(x)
+            if lx is Location.INSIDE:
+                return ys.locate(y)
+            if lx is Location.BOUNDARY and ys.locate(y) is not Location.OUTSIDE:
+                return Location.BOUNDARY
+        if j - 1 >= 0:
+            x_int, ys = self.columns[j - 1]
+            if x == x_int.hi and ys.locate(y) is not Location.OUTSIDE:
+                return Location.BOUNDARY
+        return Location.OUTSIDE
+
+
+class _OccupiedSet:
+    """Mutable sorted union of closed blocks [lo, hi] merged across touching."""
+
+    __slots__ = ("los", "his")
+
+    def __init__(self) -> None:
+        self.los: list[float] = []
+        self.his: list[float] = []
+
+    def insert(self, lo: float, hi: float) -> None:
+        i = bisect_left(self.his, lo)
+        j = bisect_right(self.los, hi)
+        if i < j:
+            lo = min(lo, self.los[i])
+            hi = max(hi, self.his[j - 1])
+        self.los[i:j] = [lo]
+        self.his[i:j] = [hi]
+
+    def sweep_left(self, x: float, need: float) -> float:
+        """Endpoint left of x past exactly ``need`` of unoccupied measure."""
+        j = bisect_right(self.los, x) - 1
+        cur = x
+        if j >= 0 and x <= self.his[j]:
+            cur = self.los[j]
+            j -= 1
+        while need > 0.0:
+            gap_lo = self.his[j] if j >= 0 else -math.inf
+            if cur - gap_lo >= need:
+                return cur - need
+            need -= cur - gap_lo
+            cur = self.los[j]
+            j -= 1
+        return cur
+
+    def sweep_right(self, x: float, need: float) -> float:
+        """Endpoint right of x past exactly ``need`` of unoccupied measure."""
+        j = bisect_right(self.los, x) - 1
+        cur = x
+        if j >= 0 and x < self.his[j]:
+            cur = self.his[j]
+        j += 1
+        while need > 0.0:
+            gap_hi = self.los[j] if j < len(self.los) else math.inf
+            if gap_hi - cur >= need:
+                return cur + need
+            need -= gap_hi - cur
+            cur = self.his[j]
+            j += 1
+        return cur
+
+    def intervals(self) -> DisjointIntervalSet:
+        return DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(self.los, self.his))
+
+
+def grow_ref(los, his, gamma):
+    """The growth loop that ``dilation._grow`` replaced: every arm bisects
+    the occupied set afresh.  Returns the dilated union's lower and upper
+    ends and each member's left and right hull ends, as ``_grow`` does."""
+    occupied = _OccupiedSet()
+    for lo, hi in zip(los, his):
+        if occupied.his and lo == occupied.his[-1]:
+            occupied.his[-1] = hi
+        else:
+            occupied.los.append(lo)
+            occupied.his.append(hi)
+    lefts: list[float] = []
+    rights: list[float] = []
+    for lo, hi in zip(los, his):
+        need = gamma * (hi - lo)
+        left = occupied.sweep_left(lo, need)
+        right = occupied.sweep_right(hi, need)
+        occupied.insert(left, right)
+        lefts.append(left)
+        rights.append(right)
+    return occupied.los, occupied.his, lefts, rights
+
+
+def dilate_2d_objects(
+    cubes: Sequence[Rectangle], gamma: float, *, allow_gamma_one: bool = False
+) -> ColumnUnion:
+    """The toggle sweeps of ``dilate_2d`` over ``Rectangle`` inputs, with
+    ``grow_ref`` and one Interval and DisjointIntervalSet per column."""
+    gamma = _check_gamma(gamma, allow_gamma_one)
+    cubes = list(cubes)
+    if not cubes:
+        return ColumnUnion(())
+    hit = find_overlap(*zip(*(c.x.as_pair() + c.y.as_pair() for c in cubes)))
+    if hit is not None:
+        raise OverlappingCubes(f"cubes {hit[0]} and {hit[1]} overlap")
+
+    y_events: dict[float, list[float]] = {}
+    for c in cubes:
+        y_events.setdefault(c.y.lo, []).extend((c.x.lo, c.x.hi))
+        y_events.setdefault(c.y.hi, []).extend((c.x.lo, c.x.hi))
+    x_bounds: list[float] = []
+    groups: dict[tuple[float, ...], list[float]] = {}
+    ys = sorted(y_events)
+    for y1, y2 in zip(ys, ys[1:]):
+        _toggle(x_bounds, y_events[y1])
+        if not x_bounds:
+            continue
+        runs = groups.setdefault(tuple(x_bounds), [])
+        if runs and runs[-1] == y1:
+            runs[-1] = y2
+        else:
+            runs += (y1, y2)
+
+    x_events: dict[float, list[list[float]]] = {}
+    for key, runs in groups.items():
+        los, his, _, _ = grow_ref(key[0::2], key[1::2], gamma)
+        for lo, hi in zip(los, his):
+            x_events.setdefault(lo, []).append(runs)
+            x_events.setdefault(hi, []).append(runs)
+
+    y_bounds: list[float] = []
+    sections: dict[tuple[float, ...], DisjointIntervalSet] = {}
+    columns: list[tuple[Interval, DisjointIntervalSet]] = []
+    xs = sorted(x_events)
+    for x1, x2 in zip(xs, xs[1:]):
+        for runs in x_events[x1]:
+            _toggle(y_bounds, runs)
+        if not y_bounds:
+            continue
+        key = tuple(y_bounds)
+        section = sections.get(key)
+        if section is None:
+            los, his, _, _ = grow_ref(key[0::2], key[1::2], gamma)
+            section = sections[key] = DisjointIntervalSet(
+                Interval(lo, hi) for lo, hi in zip(los, his)
+            )
+        columns.append((Interval(x1, x2), section))
+    return ColumnUnion(columns)
+
+
 # -- square dilation: one full index set per vertical atom cell -------------------
 
 def _check_cubes_disjoint(cubes: Sequence[Rectangle]) -> None:
@@ -252,7 +425,7 @@ def dilate_2d_labels(
     *,
     allow_gamma_one: bool = False,
     block: tuple[int, int, int] | None = None,
-) -> RectUnion:
+) -> "ColumnUnion":
     """Label-based simultaneous square dilation, the differential oracle for
     ``dilate_2d``: every atom cell of the vertical projection carries its full
     covering index set, which costs O(sum of label sizes).
@@ -273,7 +446,7 @@ def dilate_2d_labels(
     gamma = _check_gamma(gamma, allow_gamma_one)
     cubes = list(cubes)
     if not cubes:
-        return RectUnion.empty()
+        return ColumnUnion(())
     _check_cubes_disjoint(cubes)
 
     # 1. vertical membership atoms, grouped into classes
@@ -353,4 +526,4 @@ def dilate_2d_labels(
             section = dilate_1d(base, gamma, allow_gamma_one=allow_gamma_one).union
             section_cache[key] = section
         columns.append((Interval(c1, c2), section))
-    return RectUnion(columns, gamma=gamma, block=block)
+    return ColumnUnion(columns)

@@ -79,7 +79,7 @@ def test_criterion_02_dilation_identity_2d_with_raster():
     for trial in range(200):
         cubes = _random_cube_family(rng, 40)
         gamma = gammas[trial % 3]
-        result = dilate_2d(cubes, gamma)
+        result = dilate_2d([c.bounds for c in cubes], gamma)
         want = (2.0 * gamma + 1.0) ** 2 * math.fsum(c.area for c in cubes)
         assert abs(result.measure - want) <= 1e-9 * want
         lo, hi = raster_area_bracket([r.bounds for r in result.rects], cells=2048)
@@ -92,14 +92,10 @@ def test_criterion_03_hand_instances_exact():
     assert one.union.pairs() == ((-2.0, 3.0),)
     two = dilate_1d([Interval(0.0, 1.0), Interval(2.0, 3.0)], 1.0, allow_gamma_one=True)
     assert two.union.measure == 6.0
-    cube = dilate_2d([Rectangle.from_bounds(0, 1, 0, 1)], 1.0, allow_gamma_one=True)
+    cube = dilate_2d([(0, 1, 0, 1)], 1.0, allow_gamma_one=True)
     assert [r.bounds for r in cube.rects] == [(-1.0, 2.0, -1.0, 2.0)]
     assert cube.measure == 9.0
-    stacked = dilate_2d(
-        [Rectangle.from_bounds(0, 1, 0, 1), Rectangle.from_bounds(0, 1, 2, 3)],
-        1.0,
-        allow_gamma_one=True,
-    )
+    stacked = dilate_2d([(0, 1, 0, 1), (0, 1, 2, 3)], 1.0, allow_gamma_one=True)
     assert stacked.measure == 18.0
 
 

@@ -443,6 +443,48 @@ def test_prefix_beyond_truncation_defers_every_point(canonical_seq, canonical_ra
     assert {r.regime for r in report.rows if r.t == 0.01} == {"deferred"}
 
 
+def test_rows_without_prefix_defer_only_scannable_points(canonical_seq, canonical_ratefn):
+    """(0.99, 0.5) lies on a cube edge, so it is exceptional; a row whose t
+    has no checkable prefix (t = 0.25: vacuous floor; t = 0.01: prefix 255
+    beyond 100 cubes) defers only the scannable point, so deferred plus
+    exceptional never exceeds the number of points."""
+    model = build_packing(canonical_seq, 100, Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0))
+    points = [(0.9, 0.9), (0.99, 0.5)]
+    report = separation_check(
+        model, ExceptionalCover.empty(), canonical_ratefn, small_config(points=2), points=points
+    )
+    assert [r.t for r in report.rows] == [0.01, 0.05, 0.25]
+    for row in report.rows:
+        assert row.exceptional_points == 1
+        assert row.checked_points + row.deferred_points == 1
+    assert [r.deferred_points for r in report.rows if r.t != 0.05] == [1, 1]
+
+
+def test_point_near_uncovered_block_is_deferred(canonical_model, canonical_ratefn):
+    """Negative control for the regime rule.  With the cover starting at
+    block m = 4, the t = 0.05 branch (s_next = 3) needs rectangles to miss
+    cubes 1..255, not only 1..26: the point lies outside the cubes and
+    outside D_4, more than 0.05 from cubes 1..26 but within 0.05 of a
+    block-3 cube, which no cover block accounts for.  The pair must be
+    deferred; the rule max(s_next^s_next, m^m) - 1 does that, where
+    s_next^s_next - 1 alone made it applicable."""
+    cover = build_cover(canonical_model, 4, 4)
+    point = (0.77, 0.601)
+    assert canonical_model.locate_in_cubes(point)[0] is Location.OUTSIDE
+    assert cover.locate(point) is Location.OUTSIDE
+    assert canonical_model.distance_to_cubes(point, 26) > 0.05
+    assert canonical_model.distance_to_cubes(point, 255) < 0.05
+    config = small_config(points=1, m=4)
+    args = (canonical_model, cover, canonical_ratefn, config)
+    report = scan_density_bound(*args, points=[point])
+    regimes = {r.t: r.regime for r in report.rows}
+    assert regimes[0.05] == "deferred"
+    assert canonical_ratefn.branch_at(0.05).s_next == 3
+    separation = separation_check(*args, points=[point])
+    row = [r for r in separation.rows if r.t == 0.05][0]
+    assert (row.prefix, row.checked_points, row.deferred_points) == (255, 0, 1)
+
+
 # -- envelope -----------------------------------------------------------------------
 
 def test_envelope_rows(small_report, canonical_ratefn):
