@@ -338,10 +338,26 @@ def _scan_summary_payload(report, separation, envelope) -> dict:
     }
 
 
+def _scan_config(args, s_hi: int) -> ScanConfig:
+    return ScanConfig(
+        t_grid=_parse_floats(args.t),
+        points=args.points,
+        rects_per_point=args.rects,
+        seed=args.seed,
+        aspect_range=_parse_floats(args.aspect, 2),
+        m=args.m,
+        s_hi=s_hi,
+    )
+
+
 def _run_scan(model, cover, ratefn, config, points=None):
+    """Scan, separation check and envelope on one set of points, timed on stderr."""
+    start = time.perf_counter()
     report = scan_density_bound(model, cover, ratefn, config, points=points)
-    separation = separation_check(model, cover, ratefn, config, points=points)
+    sample = report.sample if points is None else points
+    separation = separation_check(model, cover, ratefn, config, points=sample)
     envelope = scan_deficit_envelope(report, ratefn)
+    print(f"scan runtime {time.perf_counter() - start:.2f} s", file=sys.stderr)
     return report, separation, envelope
 
 
@@ -352,19 +368,9 @@ def cmd_scan(args) -> int:
         ratefn = rate_from_csv(Path(args.auxfn).read_text())
     else:
         ratefn = _build_ratefn(model.seq, args.ell_max, args.s_max)
-    config = ScanConfig(
-        t_grid=_parse_floats(args.t),
-        points=args.points,
-        rects_per_point=args.rects,
-        seed=args.seed,
-        aspect_range=_parse_floats(args.aspect, 2),
-        m=args.m,
-        s_hi=args.s_hi,
-    )
+    config = _scan_config(args, args.s_hi)
     points = _parse_points(args.points_at) if args.points_at else None
-    start = time.perf_counter()
     report, separation, envelope = _run_scan(model, cover, ratefn, config, points)
-    print(f"scan runtime {time.perf_counter() - start:.2f} s", file=sys.stderr)
 
     for s in report.summaries:
         print(
@@ -441,18 +447,8 @@ def cmd_verify_all(args) -> int:
     _write_json(out_dir / "cover.json", _cover_payload(cover))
     steps.append(("cover", True, f"bound={cover.measure_bound!r}"))
 
-    config = ScanConfig(
-        t_grid=_parse_floats(args.t),
-        points=args.points,
-        rects_per_point=args.rects,
-        seed=args.seed,
-        aspect_range=_parse_floats(args.aspect, 2),
-        m=args.m,
-        s_hi=args.level,
-    )
-    start = time.perf_counter()
+    config = _scan_config(args, args.level)
     scan_report, separation, envelope = _run_scan(model, cover, ratefn, config)
-    print(f"scan runtime {time.perf_counter() - start:.2f} s", file=sys.stderr)
     (out_dir / "scan.csv").write_text(scan_report.to_csv())
     (out_dir / "separation.csv").write_text(separation.to_csv())
     (out_dir / "envelope.csv").write_text(envelope.to_csv())

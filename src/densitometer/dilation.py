@@ -49,7 +49,6 @@ __all__ = [
     "dilate_1d",
     "cube_rows",
     "dilate_2d",
-    "contains",
     "ratio_bound_witness",
 ]
 
@@ -163,9 +162,6 @@ class DilationResult1D:
     def identity_rhs(self) -> float:
         """(2*gamma + 1) times the input measure; equals the union measure."""
         return (2.0 * self.gamma + 1.0) * self.input_measure
-
-    def locate(self, x: float) -> Location:
-        return self.union.locate(x)
 
 
 def dilate_1d(
@@ -549,16 +545,6 @@ def dilate_2d(
     return RectUnion(
         x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure, gamma=gamma, block=block
     )
-
-
-def contains(
-    result: DilationResult1D | RectUnion | DisjointIntervalSet,
-    point,
-) -> Location:
-    """Three-verdict membership for dilation results."""
-    if isinstance(result, (DilationResult1D, DisjointIntervalSet)):
-        return result.locate(float(point))
-    return result.locate((float(point[0]), float(point[1])))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -260,9 +261,8 @@ def _near_cubes(
 def _point_gaps(model: CompactSetModel, point: tuple[float, float], upto: int) -> np.ndarray:
     """Chebyshev gaps (as in _near_cubes) and squared Euclidean distances
     from the point to cubes 1..upto, as rows of a (2, upto) array, from one
-    kernel pass.  The distances are the ones ``distance_to_cubes`` takes the
-    least of, so ``sqrt(min(d2[:p]))`` equals ``distance_to_cubes(point, p)``
-    exactly for every p <= upto."""
+    kernel pass.  ``sqrt(min(d2[:p]))`` is the point's distance to the union
+    of cubes 1..p for every p <= upto."""
     x, y = point
 
     def gaps(wx, wy):
@@ -339,26 +339,67 @@ def _separation_prefix(branch, m: int) -> int | None:
     return max(branch.s_next**branch.s_next, m**m) - 1
 
 
+@dataclass(frozen=True)
+class _ScanPlan:
+    """Set-up shared by the scan and the separation check: the ascending t
+    grid with its branches and prefixes, which prefixes are checkable and the
+    largest of them (0 if none), the points, their flags and their sample."""
+
+    t_sorted: tuple[float, ...]
+    branches: tuple
+    prefixes: tuple[int | None, ...]
+    checkable: tuple[int, ...]
+    upto: int
+    points: tuple[tuple[float, float], ...]
+    scannable: tuple[bool, ...]
+    sample: PointSample | None
+
+
 def _scan_plan(
     model: CompactSetModel,
     cover: ExceptionalCover,
     ratefn: RateFunction,
     config: ScanConfig,
-    points: Sequence[tuple[float, float]] | None,
-) -> tuple[tuple[float, ...], tuple, tuple, tuple, list[bool], PointSample | None]:
-    """Set-up shared by the scan and the separation check: the ascending t
-    grid, its branches and separation prefixes, the points, their scannable
-    flags, and the point sample (None for explicit points, which are
-    classified instead of rejected)."""
+    points: Sequence[tuple[float, float]] | PointSample | None,
+) -> _ScanPlan:
+    """The plan for ``points`` in any of the forms scan_density_bound takes."""
     t_sorted = tuple(sorted(config.t_grid))
     branches = tuple(ratefn.branch_at(t) for t in t_sorted)
     prefixes = tuple(_separation_prefix(b, config.m) for b in branches)
-    if points is None:
-        sample = sample_points(model, cover, config)
-        return t_sorted, branches, prefixes, sample.points, [True] * len(sample.points), sample
-    pts = tuple((float(x), float(y)) for x, y in points)
-    flags = [is_exceptional(model, cover, p).is_scannable for p in pts]
-    return t_sorted, branches, prefixes, pts, flags, None
+    checkable = tuple(k for k, p in enumerate(prefixes) if p is not None and p <= model.trunc)
+    upto = max((prefixes[k] for k in checkable), default=0)
+    sample = sample_points(model, cover, config) if points is None else points
+    if isinstance(sample, PointSample):
+        pts, scannable = sample.points, (True,) * len(sample.points)
+    else:
+        pts, sample = tuple((float(x), float(y)) for x, y in points), None
+        scannable = tuple(is_exceptional(model, cover, p).is_scannable for p in pts)
+    return _ScanPlan(t_sorted, branches, prefixes, checkable, upto, pts, scannable, sample)
+
+
+def _regimes(
+    t_sorted: tuple[float, ...],
+    prefixes: tuple[int | None, ...],
+    trunc: int,
+    scannable: bool,
+    d2: np.ndarray | None,
+) -> list[str]:
+    """A point's regime at each t: exceptional unless it is scannable,
+    applicable when the floor needs no prefix missed, deferred when the
+    prefix lies beyond the truncation, and otherwise applicable exactly when
+    t <= sqrt(min(d2[:prefix])), its distance to the prefix (``d2`` holds its
+    squared distances to cubes 1..upto, from one ``_point_gaps`` pass)."""
+    out = []
+    for t, prefix in zip(t_sorted, prefixes):
+        if not scannable:
+            out.append("exceptional")
+        elif prefix is None:
+            out.append("applicable")
+        elif prefix > trunc:
+            out.append("deferred")
+        else:
+            out.append("applicable" if t <= float(np.sqrt(d2[:prefix].min())) else "deferred")
+    return out
 
 
 @dataclass(frozen=True)
@@ -394,9 +435,16 @@ class ScanReport:
     config: ScanConfig
     rows: tuple[ScanRow, ...]
     summaries: tuple[TSummary, ...]
-    acceptance_rate: float | None
-    draws: int | None
+    sample: PointSample | None
     runtime_seconds: float
+
+    @property
+    def acceptance_rate(self) -> float | None:
+        return None if self.sample is None else self.sample.acceptance_rate
+
+    @property
+    def draws(self) -> int | None:
+        return None if self.sample is None else self.sample.draws
 
     @property
     def violations_applicable(self) -> int:
@@ -416,35 +464,24 @@ class ScanReport:
 def _scan_one_point(
     model: CompactSetModel,
     config: ScanConfig,
-    t_sorted: tuple[float, ...],
-    branches,
-    prefixes,
-    seed_seq: np.random.SeedSequence,
-    point: tuple[float, float],
-    scannable: bool,
+    plan: _ScanPlan,
+    seeds: list[np.random.SeedSequence],
+    i: int,
 ) -> list[tuple[float, int, str]]:
-    """Per point: (min_ratio, violations, regime) for each t, cumulatively.
+    """Point i: (min_ratio, violations, regime) for each t, cumulatively.
 
     The rectangles of every t are drawn first and measured in one pass."""
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    rects = np.concatenate([_draw_rects(rng, point, t, config, model) for t in t_sorted])
+    point, scannable = plan.points[i], plan.scannable[i]
+    rng = np.random.Generator(np.random.PCG64(seeds[i]))
+    rects = np.concatenate([_draw_rects(rng, point, t, config, model) for t in plan.t_sorted])
     ratios = _point_ratios(model, point, rects)
+    d2 = _point_gaps(model, point, plan.upto)[1] if scannable and plan.upto else None
+    regimes = _regimes(plan.t_sorted, plan.prefixes, model.trunc, scannable, d2)
     out = []
-    for k, t in enumerate(t_sorted):
+    for k, branch in enumerate(plan.branches):
         family = ratios[: (k + 1) * config.rects_per_point]
-        min_ratio = float(family.min())
-        floor = branches[k].floor
-        violations = int(np.count_nonzero(family < floor))
-        if not scannable:
-            regime = "exceptional"
-        elif prefixes[k] is None:
-            regime = "applicable"
-        elif prefixes[k] > model.trunc:
-            regime = "deferred"
-        else:
-            delta = model.distance_to_cubes(point, prefixes[k])
-            regime = "applicable" if t <= delta else "deferred"
-        out.append((min_ratio, violations, regime))
+        violations = int(np.count_nonzero(family < branch.floor))
+        out.append((float(family.min()), violations, regimes[k]))
     return out
 
 
@@ -454,38 +491,34 @@ def scan_density_bound(
     ratefn: RateFunction,
     config: ScanConfig,
     *,
-    points: Sequence[tuple[float, float]] | None = None,
+    points: Sequence[tuple[float, float]] | PointSample | None = None,
 ) -> ScanReport:
     """Certify sampled density ratios against the floor at every grid t.
 
-    Points come from :func:`sample_points` unless supplied explicitly, in
-    which case each one is classified first and exceptional ones are
-    flagged rather than rejected (their violations land in a separate
-    tally).  Per point, rectangle families are nested across the ascending
-    t grid, so the reported minima are non-increasing in t.
+    ``points`` is None (sample them), a PointSample (already sampled, so
+    every point is scannable), or explicit points, which are classified,
+    exceptional ones flagged rather than rejected.
+    Per point, rectangle families are nested across the ascending t grid,
+    so the reported minima are non-increasing in t.
     """
     start = time.perf_counter()
-    t_sorted, branches, prefixes, pts, flags, sample = _scan_plan(
-        model, cover, ratefn, config, points
-    )
-    seeds = _substreams(config, 1, len(pts))
-    worker: Callable[[int], list[tuple[float, int, str]]] = lambda i: _scan_one_point(
-        model, config, t_sorted, branches, prefixes, seeds[i], pts[i], flags[i]
-    )
-    workers = min(thread_count(), len(pts), os.cpu_count() or 1)
+    plan = _scan_plan(model, cover, ratefn, config, points)
+    seeds = _substreams(config, 1, len(plan.points))
+    worker = partial(_scan_one_point, model, config, plan, seeds)
+    workers = min(thread_count(), len(plan.points), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(worker, range(len(pts))))
+            per_point = list(pool.map(worker, range(len(plan.points))))
     else:
-        per_point = [worker(i) for i in range(len(pts))]
+        per_point = [worker(i) for i in range(len(plan.points))]
 
     rows: list[ScanRow] = []
     summaries: list[TSummary] = []
-    for k, t in enumerate(t_sorted):
-        floor = branches[k].floor
+    for k, t in enumerate(plan.t_sorted):
+        floor = plan.branches[k].floor
         tallies = {"applicable": [0, 0], "deferred": [0, 0], "exceptional": [0, 0]}
         margins: list[float] = []
-        for i, point in enumerate(pts):
+        for i, point in enumerate(plan.points):
             min_ratio, violations, regime = per_point[i][k]
             margin = min_ratio - floor
             tallies[regime][0] += 1
@@ -522,8 +555,7 @@ def scan_density_bound(
         config=config,
         rows=tuple(rows),
         summaries=tuple(summaries),
-        acceptance_rate=None if sample is None else sample.acceptance_rate,
-        draws=None if sample is None else sample.draws,
+        sample=plan.sample,
         runtime_seconds=time.perf_counter() - start,
     )
 
@@ -571,52 +603,51 @@ def separation_check(
     ratefn: RateFunction,
     config: ScanConfig,
     *,
-    points: Sequence[tuple[float, float]] | None = None,
+    points: Sequence[tuple[float, float]] | PointSample | None = None,
 ) -> SeparationReport:
     """Count rectangle overlaps against the cubes a branch requires missed.
 
-    Per scannable point, one kernel pass over the largest checkable prefix
-    gives every t's deferral distance and the cubes' gaps; each applicable
-    t's rectangles then go to the kernel with only the cubes of its prefix
-    that they can reach."""
+    ``points`` is read as in :func:`scan_density_bound`, and each scannable
+    point's regimes come from the same cube pass and rule as there.  Each
+    applicable t's rectangles then go to the kernel with only the cubes of
+    its prefix that they can reach."""
     start = time.perf_counter()
-    t_sorted, branches, prefixes, pts, flags, _ = _scan_plan(model, cover, ratefn, config, points)
-    seeds = _substreams(config, 2, len(pts))
-    rect_seeds = [s.spawn(len(t_sorted)) for s in seeds]
-    gated = [k for k, p in enumerate(prefixes) if p is not None and p <= model.trunc]
-    upto = max((prefixes[k] for k in gated), default=0)
+    plan = _scan_plan(model, cover, ratefn, config, points)
+    seeds = _substreams(config, 2, len(plan.points))
+    rect_seeds = [s.spawn(len(plan.t_sorted)) for s in seeds]
     # per checkable t: checked points, checked rectangles, violations, deferred points
-    tallies = {k: [0, 0, 0, 0] for k in gated}
-    for i, point in enumerate(pts):
-        if not (flags[i] and gated):
+    tallies = {k: [0, 0, 0, 0] for k in plan.checkable}
+    for i, point in enumerate(plan.points):
+        if not (plan.scannable[i] and plan.upto):
             continue
-        gap, d2 = _point_gaps(model, point, upto)
-        for k in gated:
-            prefix, tally = prefixes[k], tallies[k]
-            if t_sorted[k] > float(np.sqrt(d2[:prefix].min())):
+        gap, d2 = _point_gaps(model, point, plan.upto)
+        regimes = _regimes(plan.t_sorted, plan.prefixes, model.trunc, True, d2)
+        for k in plan.checkable:
+            prefix, tally = plan.prefixes[k], tallies[k]
+            if regimes[k] == "deferred":
                 tally[3] += 1
                 continue
             rng = np.random.Generator(np.random.PCG64(rect_seeds[i][k]))
-            rects = _draw_rects(rng, point, t_sorted[k], config, model)
+            rects = _draw_rects(rng, point, plan.t_sorted[k], config, model)
             hit = _separation_hits(model, point, rects, gap[:prefix])
             tally[0] += 1
             tally[1] += len(rects)
             tally[2] += int(np.count_nonzero(hit))
     # a t without a checkable prefix defers every scannable point
-    unchecked = (0, 0, 0, flags.count(True))
+    unchecked = (0, 0, 0, plan.scannable.count(True))
     rows = []
-    for k, t in enumerate(t_sorted):
+    for k, t in enumerate(plan.t_sorted):
         checked, rect_count, violations, deferred = tallies.get(k, unchecked)
         rows.append(
             SeparationRow(
                 t=t,
-                s_next=branches[k].s_next,
-                prefix=0 if prefixes[k] is None else prefixes[k],
+                s_next=plan.branches[k].s_next,
+                prefix=0 if plan.prefixes[k] is None else plan.prefixes[k],
                 checked_points=checked,
                 checked_rects=rect_count,
                 violations=violations,
                 deferred_points=deferred,
-                exceptional_points=flags.count(False),
+                exceptional_points=plan.scannable.count(False),
             )
         )
     return SeparationReport(

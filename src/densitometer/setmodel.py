@@ -183,21 +183,6 @@ class CompactSetModel:
             return Location.BOUNDARY, int(idx[0]) + 1
         return Location.OUTSIDE, None
 
-    def distance_to_cubes(self, point: tuple[float, float], upto: int) -> float:
-        """Euclidean distance from the point to the union of cubes 1..upto.
-
-        Zero when the point touches or enters one of them.
-        """
-        if not 1 <= upto <= self.trunc:
-            raise OutOfRange(f"prefix length must be in 1..{self.trunc}, got {upto}")
-        x, y = point
-
-        def nearest(wx, wy):
-            dx, dy = np.maximum(-wx, 0.0), np.maximum(-wy, 0.0)
-            return (dx * dx + dy * dy).min(axis=1)
-
-        return float(np.sqrt(self.overlaps([[x, x, y, y]], nearest, slice(upto))[0]))
-
     def to_json(self) -> dict:
         return {
             "outer": [self.outer.x.lo, self.outer.x.hi, self.outer.y.lo, self.outer.y.hi],

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from densitometer import cli
+from densitometer import cli, scan
+from densitometer.scan import sample_points
 from densitometer.weights import WeightSequence
 
 
@@ -200,6 +201,21 @@ def test_verify_all_small(tmp_path):
     steps = (tmp_path / "a" / "summary.csv").read_text().strip().splitlines()
     assert steps[0] == "step,status,detail"
     assert all(line.split(",")[1] == "pass" for line in steps[1:])
+
+
+def test_verify_all_samples_once(tmp_path, monkeypatch):
+    """The scan's sample is handed to the separation check, so a verify-all
+    run draws its points once."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return sample_points(*args, **kwargs)
+
+    monkeypatch.setattr(scan, "sample_points", recording)
+    args = ["verify-all", "--seq", "power:c=0.25,p=2", "--level", "4", "--seed", "42"]
+    assert run(args, "--points", "10", "--rects", "40", "--out-dir", str(tmp_path)) == 0
+    assert len(calls) == 1
 
 
 def test_rate_csv_top_row_infinity(canonical_ratefn):

@@ -23,7 +23,6 @@ from densitometer.dilation import (
     Rectangle,
     WitnessResult,
     _grow,
-    contains,
     dilate_1d,
     dilate_2d,
     ratio_bound_witness,
@@ -108,18 +107,18 @@ def test_pieces_cover_sources():
     result = dilate_1d(intervals, 3.0)
     for piece in result.pieces:
         assert piece.hull.lo <= piece.source.lo < piece.source.hi <= piece.hull.hi
-        assert contains(result, (piece.source.lo + piece.source.hi) / 2) is Location.INSIDE
+        assert result.union.locate((piece.source.lo + piece.source.hi) / 2) is Location.INSIDE
 
 
 def test_contains_three_verdicts():
     result = dilate_1d([Interval(0.0, 1.0)], 2.0)
-    assert contains(result, 0.5) is Location.INSIDE
-    assert contains(result, -2.0) is Location.BOUNDARY
-    assert contains(result, 4.0) is Location.OUTSIDE
+    assert result.union.locate(0.5) is Location.INSIDE
+    assert result.union.locate(-2.0) is Location.BOUNDARY
+    assert result.union.locate(4.0) is Location.OUTSIDE
     union2 = dilate_2d([(0, 1, 0, 1)], 2.0)
-    assert contains(union2, (0.5, 0.5)) is Location.INSIDE
-    assert contains(union2, (-2.0, 0.5)) is Location.BOUNDARY
-    assert contains(union2, (9.0, 9.0)) is Location.OUTSIDE
+    assert union2.locate((0.5, 0.5)) is Location.INSIDE
+    assert union2.locate((-2.0, 0.5)) is Location.BOUNDARY
+    assert union2.locate((9.0, 9.0)) is Location.OUTSIDE
 
 
 def _random_rational_family(rng, n_max=12):

@@ -472,8 +472,8 @@ def test_point_near_uncovered_block_is_deferred(canonical_model, canonical_ratef
     point = (0.77, 0.601)
     assert canonical_model.locate_in_cubes(point)[0] is Location.OUTSIDE
     assert cover.locate(point) is Location.OUTSIDE
-    assert canonical_model.distance_to_cubes(point, 26) > 0.05
-    assert canonical_model.distance_to_cubes(point, 255) < 0.05
+    assert oracles.distance_to_cubes_ref(canonical_model, point, 26) > 0.05
+    assert oracles.distance_to_cubes_ref(canonical_model, point, 255) < 0.05
     config = small_config(points=1, m=4)
     args = (canonical_model, cover, canonical_ratefn, config)
     report = scan_density_bound(*args, points=[point])
@@ -483,6 +483,89 @@ def test_point_near_uncovered_block_is_deferred(canonical_model, canonical_ratef
     separation = separation_check(*args, points=[point])
     row = [r for r in separation.rows if r.t == 0.05][0]
     assert (row.prefix, row.checked_points, row.deferred_points) == (255, 0, 1)
+
+
+# The t = 0.05 findings of verify-all --level 5 --m 5 before the prefix rule
+# max(s_next^s_next, m^m) - 1: (seed, point id) -> point, from each run's scan.csv.
+_OLD_LEVEL5_FINDINGS = {
+    (42, 56): (0.641279102285076, 0.6221375451147881),
+    (7, 35): (0.3516065144627787, 0.6362687369749939),
+    (123, 90): (0.40590609565064106, 0.634661326991168),
+    (123, 36): (0.17480410983012884, 0.6561195743307139),
+}
+
+
+def test_old_level5_findings_are_deferred(canonical_model, canonical_ratefn):
+    """Each old level-5 finding lies more than 0.05 from cubes 1..26, the
+    prefix the t = 0.05 branch (s_next = 3) alone asks for, but within 0.05
+    of a block-3 or block-4 cube, which a cover starting at m = 5 leaves
+    out.  On the 3,124-cube model with no cover, the rule asks for cubes
+    1..3124 missed, so every one of these pairs is deferred and their
+    sub-floor ratios stay out of the applicable tally."""
+    points = list(_OLD_LEVEL5_FINDINGS.values())
+    for point in points:
+        assert oracles.distance_to_cubes_ref(canonical_model, point, 26) > 0.05
+        assert oracles.distance_to_cubes_ref(canonical_model, point, 3124) < 0.05
+    config = small_config(points=len(points), m=5, s_hi=5)
+    report = scan_density_bound(
+        canonical_model, ExceptionalCover.empty(), canonical_ratefn, config, points=points
+    )
+    assert [r.regime for r in report.rows if r.t == 0.05] == ["deferred"] * len(points)
+    summary = [s for s in report.summaries if s.t == 0.05][0]
+    assert summary.violations_deferred > 0
+    assert report.passed
+
+
+def _assert_reports_agree(model, report, separation):
+    """At every t with a checkable prefix, the separation check tallies the
+    scan's applicable pairs as checked and its deferred pairs as deferred."""
+    checkable = [
+        (s, r) for s, r in zip(report.summaries, separation.rows) if 0 < r.prefix <= model.trunc
+    ]
+    assert checkable
+    for summary, row in checkable:
+        assert summary.t == row.t
+        assert (row.checked_points, row.deferred_points, row.exceptional_points) == (
+            summary.applicable,
+            summary.deferred,
+            summary.exceptional,
+        )
+
+
+def test_scan_and_separation_agree_on_sample(canonical_model, canonical_cover, canonical_ratefn):
+    """The canonical level-4 scan (100 points x 500 rectangles, seed 42) and
+    the separation check given its sample agree on every pair's regime, and
+    the sample stands for resampling: scanning it again, or checking
+    without it, gives the same reports."""
+    config = small_config(points=100, rects_per_point=500)
+    args = (canonical_model, canonical_cover, canonical_ratefn, config)
+    report = scan_density_bound(*args)
+    assert report.sample == sample_points(canonical_model, canonical_cover, config)
+    assert (report.acceptance_rate, report.draws) == (
+        report.sample.acceptance_rate,
+        report.sample.draws,
+    )
+    separation = separation_check(*args, points=report.sample)
+    _assert_reports_agree(canonical_model, report, separation)
+    assert sum(s.deferred for s in report.summaries if s.floor > 0.0) > 0
+    assert separation.rows == separation_check(*args).rows
+    again = scan_density_bound(*args, points=report.sample)
+    assert (again.rows, again.sample) == (report.rows, report.sample)
+
+
+def test_scan_and_separation_agree_on_explicit_points(canonical_model, canonical_ratefn):
+    """With the cover starting at m = 4: (0.9, 0.9) is applicable,
+    (0.77, 0.601) is deferred at t = 0.05 and (0.5, 0.25), on cube 1's edge,
+    is exceptional."""
+    cover = build_cover(canonical_model, 4, 4)
+    points = [(0.9, 0.9), (0.77, 0.601), (0.5, 0.25)]
+    args = (canonical_model, cover, canonical_ratefn, small_config(points=3, m=4))
+    report = scan_density_bound(*args, points=points)
+    assert report.sample is None and report.draws is None
+    separation = separation_check(*args, points=points)
+    _assert_reports_agree(canonical_model, report, separation)
+    summary = [s for s in report.summaries if s.t == 0.05][0]
+    assert (summary.applicable, summary.deferred, summary.exceptional) == (1, 1, 1)
 
 
 # -- envelope -----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from densitometer.dilation import Rectangle
@@ -15,6 +16,7 @@ from densitometer.errors import (
     TruncationTooSmall,
 )
 from densitometer.interval1d import Location
+from densitometer.scan import _point_gaps
 from densitometer.setmodel import (
     CompactSetModel,
     build_cover,
@@ -24,6 +26,8 @@ from densitometer.setmodel import (
     is_exceptional,
 )
 from densitometer.weights import WeightSequence
+
+import oracles
 
 UNIT = Rectangle.from_bounds(0, 1, 0, 1)
 
@@ -100,12 +104,20 @@ def test_locate_in_cubes(canonical_model):
     assert canonical_model.locate_in_cubes((0.99, 0.99)) == (Location.OUTSIDE, None)
 
 
+def _distance_to_cubes(model, point, upto):
+    """Distance from the point to cubes 1..upto as the scan reads it from
+    its cube pass; it must equal the oracle's."""
+    d = float(np.sqrt(_point_gaps(model, point, upto)[1].min()))
+    assert d == oracles.distance_to_cubes_ref(model, point, upto)
+    return d
+
+
 def test_distance_to_cubes(canonical_model):
     c1 = canonical_model.cube(1)  # (0, 0.5)^2
-    assert canonical_model.distance_to_cubes((0.75, 0.25), upto=1) == pytest.approx(0.25)
-    assert canonical_model.distance_to_cubes((0.25, 0.25), upto=1) == 0.0
+    assert _distance_to_cubes(canonical_model, (0.75, 0.25), 1) == pytest.approx(0.25)
+    assert _distance_to_cubes(canonical_model, (0.25, 0.25), 1) == 0.0
     # diagonal corner distance
-    d = canonical_model.distance_to_cubes((c1.x.hi + 0.3, c1.y.hi + 0.4), upto=1)
+    d = _distance_to_cubes(canonical_model, (c1.x.hi + 0.3, c1.y.hi + 0.4), 1)
     assert d == pytest.approx(0.5, rel=1e-12)
 
 
