@@ -510,14 +510,17 @@ def dilate_2d(
             runs[-1] = y2
         else:
             runs += (y1, y2)
+    del y_events, ys, x_bounds
 
-    # 3. horizontal dilation per distinct x-union
+    # 3. horizontal dilation per distinct x-union; the column sweep reads
+    # only the runs, so the x-union keys are released before it
     x_events: dict[float, list[list[float]]] = {}
     for key, runs in groups.items():
         los, his, _, _ = _grow(key[0::2], key[1::2], gamma)
         for lo, hi in zip(los, his):
             x_events.setdefault(lo, []).append(runs)
             x_events.setdefault(hi, []).append(runs)
+    del groups
 
     # 4+5. column sweep; one dilation per distinct vertical union
     y_bounds: list[float] = []

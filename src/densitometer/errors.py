@@ -11,10 +11,6 @@ class OutOfRange(DensitometerError):
     """An index n is outside the range the sequence can serve."""
 
 
-class ZeroTail(DensitometerError):
-    """A tail sum is exactly zero but the caller requires its logarithm."""
-
-
 class NotClosedForm(DensitometerError):
     """The operation needs a closed-form sequence (power or geometric)."""
 

@@ -195,16 +195,35 @@ class CompactSetModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CompactSetModel":
-        """Model from a set.json object; OverlappingCubes when two cubes' interiors meet."""
-        x0, x1, y0, y1 = obj["outer"]
-        cubes = obj["cubes"]
-        xs = np.array([c[0] for c in cubes], dtype=np.float64)
-        ys = np.array([c[1] for c in cubes], dtype=np.float64)
-        sides = np.array([c[2] for c in cubes], dtype=np.float64)
+        """Model from a set.json object.
+
+        ValueError names the field when the object does not have the shape
+        that :meth:`to_json` writes; OverlappingCubes when two cubes'
+        interiors meet.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError(f"set.json must hold an object, got {type(obj).__name__}")
+        outer, trunc = obj["outer"], obj["trunc"]
+        if not (
+            isinstance(outer, list)
+            and len(outer) == 4
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in outer)
+        ):
+            raise ValueError(f"set.json field 'outer' must be [x0, x1, y0, y1], got {outer!r}")
+        if isinstance(trunc, bool) or not isinstance(trunc, int):
+            raise ValueError(f"set.json field 'trunc' must be an integer, got {trunc!r}")
+        rows_error = "set.json field 'cubes' must be a list of [x, y, side] rows"
+        try:
+            cubes = np.array(obj["cubes"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{rows_error}: {exc}") from exc
+        if cubes.ndim != 2 or cubes.shape[1] != 3:
+            raise ValueError(f"{rows_error}, got shape {cubes.shape}")
+        xs, ys, sides = cubes.T.copy()
         model = cls(
-            Rectangle.from_bounds(x0, x1, y0, y1),
+            Rectangle.from_bounds(*outer),
             WeightSequence.from_json(obj["seq"]),
-            int(obj["trunc"]),
+            trunc,
             xs,
             ys,
             sides,

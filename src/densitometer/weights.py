@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateIndex,
@@ -34,9 +34,8 @@ from .errors import (
     NeverHolds,
     NotClosedForm,
     OutOfRange,
-    ZeroTail,
 )
-from .logdomain import LogBracket, log_add, log_sub, log_sum
+from .logdomain import LogBracket, log_add, log_sub
 
 __all__ = [
     "WeightSequence",
@@ -47,7 +46,6 @@ __all__ = [
     "IndexReport",
     "default_probes",
     "tail_sum",
-    "log_tail_sum",
     "index_a",
     "index_e_bt",
     "index_e_bm",
@@ -174,51 +172,114 @@ class WeightSequence:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "WeightSequence":
+        """Sequence from a descriptor object; ValueError when it is malformed."""
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"sequence descriptor must be an object, got {obj!r}")
         kind = obj.get("kind")
-        if kind == "power":
-            return cls.power(obj["c"], obj["p"])
-        if kind == "geometric":
-            return cls.geometric(obj["c"], obj["rho"])
-        if kind == "explicit":
-            return cls.explicit(obj["w2"])
+        try:
+            if kind == "power":
+                return cls.power(obj["c"], obj["p"])
+            if kind == "geometric":
+                return cls.geometric(obj["c"], obj["rho"])
+            if kind == "explicit":
+                return cls.explicit(obj["w2"])
+        except TypeError as exc:
+            raise ValueError(f"malformed {kind} sequence descriptor: {exc}") from exc
         raise ValueError(f"unknown sequence descriptor kind: {kind!r}")
 
 
 # -- tail sums -----------------------------------------------------------------
 
-def _power_tail_bracket(c: float, p: float, n: int) -> LogBracket:
-    """Certified bracket for sum_{m >= n} c * m**(-p).
+def _power_terms(p: float, start: int, stop: int) -> list[float]:
+    """The log terms -p * log m of the partial sum, for start <= m < stop."""
+    return [-p * math.log(m) for m in range(start, stop)]
 
-    Explicit partial sum up to a cutoff M, then an Euler-Maclaurin closure
-    at M whose remainder after the B_2 term is bounded in modulus by the
-    first omitted term p(p+1)(p+2)/720 * M**(-p-3); the bracket is the
-    midpoint estimate plus/minus that certified remainder.
+
+def _log_mid(n: int, start: int, peak: float, weights: list[float]) -> float:
+    """log of the partial sum from n plus the closure, at one cutoff.
+
+    ``weights`` holds exp(x - peak) for the log terms of indexes start,
+    start + 1, ... below the cutoff, followed by the three closure terms, and
+    ``peak`` is the largest log term from n on.
+    """
+    return peak + math.log(math.fsum(weights[n - start :]))
+
+
+def _power_tail_brackets(c: float, p: float, ns: Iterable[int]) -> dict[int, LogBracket]:
+    """Certified brackets for r_n = sum_{m >= n} c * m**(-p), for every n in ``ns``.
+
+    Each bracket is an explicit partial sum up to a cutoff M = max(n, 1500 p),
+    then an Euler-Maclaurin closure at M whose remainder after the B_2 term
+    is bounded in modulus by the first omitted term p(p+1)(p+2)/720 * M**(-p-3);
+    the bracket is the midpoint estimate plus/minus that certified remainder.
+    The estimate exceeds its integral term M**(1-p) / (p-1), so the relative
+    remainder is at most (p-1)p(p+1)(p+2) / (720 M^4).  For M >= 1500 p that
+    is below 1.52 / (720 * 1500^4) < 4.2e-16 at every p > 1, because
+    (p-1)(p+1)(p+2) <= 1.52 p^3, so one cutoff always meets the 5e-16
+    tolerance.
+
+    The indexes are served together.  The log terms -p log m are computed
+    once per cutoff, from the smallest index below it, and the weights
+    exp(x - peak) once per (cutoff, peak), where the peak is the largest
+    log term of a sum; each index is then one ``math.fsum`` over a slice.
+    Sharing is exact: the same float gives the same log and exp, and fsum is
+    correctly rounded whatever the order of its terms, so each bracket equals
+    the one computed for its index alone, bit for bit.
     """
     log_c = math.log(c)
-    # Cutoff chosen so the certified remainder is ~1e-16 relative.
-    target = max(n, int(math.ceil(1500.0 * max(p, 1.0))))
-    for _ in range(8):
-        m_cut = target
-        log_terms = [-p * math.log(m) for m in range(n, m_cut)]
-        log_integral = (1.0 - p) * math.log(m_cut) - math.log(p - 1.0)
-        log_half = -p * math.log(m_cut) - math.log(2.0)
-        log_b2 = math.log(p / 12.0) - (p + 1.0) * math.log(m_cut)
-        log_mid = log_sum(log_terms + [log_integral, log_half, log_b2])
-        log_rem = math.log(p * (p + 1.0) * (p + 2.0) / 720.0) - (p + 3.0) * math.log(m_cut)
-        if log_rem <= log_mid + math.log(5e-16):
-            return LogBracket(log_sub(log_mid, log_rem) + log_c, log_add(log_mid, log_rem) + log_c)
-        target *= 4
-    return LogBracket(log_sub(log_mid, log_rem) + log_c, log_add(log_mid, log_rem) + log_c)
+    base = math.ceil(1500.0 * p)
+    groups: dict[int, list[int]] = {}
+    for n in sorted(set(ns)):
+        groups.setdefault(max(n, base), []).append(n)
+    out: dict[int, LogBracket] = {}
+    for m_cut, group in groups.items():
+        log_m = math.log(m_cut)
+        closure = [
+            (1.0 - p) * log_m - math.log(p - 1.0),   # integral from M
+            -p * log_m - math.log(2.0),              # half the term at M
+            math.log(p / 12.0) - (p + 1.0) * log_m,  # B_2 correction
+        ]
+        log_rem = math.log(p * (p + 1.0) * (p + 2.0) / 720.0) - (p + 3.0) * log_m
+        lo = group[0]
+        terms = _power_terms(p, lo, m_cut) if lo < m_cut else []
+        # peaks[i]: the largest log term of group[i]'s sum, from the maxima
+        # of the stretches between consecutive indexes.
+        bounds = [n - lo for n in group] + [len(terms)]
+        peaks = []
+        peak = max(closure)
+        for i in range(len(group) - 1, -1, -1):
+            stretch = terms[bounds[i] : bounds[i + 1]]
+            if stretch:
+                peak = max(peak, max(stretch))
+            peaks.append(peak)
+        peaks.reverse()
+        for i, n in enumerate(group):
+            if i == 0 or peaks[i] != peaks[i - 1]:
+                start = n
+                weights = [math.exp(x - peaks[i]) for x in terms[n - lo :] + closure]
+            log_mid = _log_mid(n, start, peaks[i], weights)
+            out[n] = LogBracket(log_sub(log_mid, log_rem) + log_c, log_add(log_mid, log_rem) + log_c)
+    return out
+
+
+def _tail_table(seq: WeightSequence, ns: Iterable[int]) -> dict[int, LogBracket]:
+    """Certified brackets r_n for every n in ``ns``, each computed once."""
+    if seq.kind == "power":
+        return _power_tail_brackets(seq.c, seq.p, ns)
+    return {n: tail_sum(seq, n) for n in ns}
 
 
 def tail_sum(seq: WeightSequence, n: int) -> LogBracket:
     """Certified log-domain bracket for r_n = sum_{m >= n} w_m^2.
 
     Closed forms are served at any index inside the float log-domain horizon;
-    an explicit list has r_n = 0 exactly for every n past its end.
+    an explicit list has r_n = 0 exactly for every n past its end.  A power
+    tail goes through the same table code as :func:`analyze`, for one index.
     """
     if n < 1:
         raise OutOfRange(f"tail sums start at n = 1, got {n}")
+    if seq.kind == "power":
+        return _power_tail_brackets(seq.c, seq.p, (n,))[n]
     if seq.kind == "geometric":
         log_r = math.log(seq.c) - math.log1p(-seq.rho)
         try:
@@ -226,17 +287,7 @@ def tail_sum(seq: WeightSequence, n: int) -> LogBracket:
         except OverflowError as exc:
             raise OutOfRange(f"index {n} exceeds the float log-domain horizon") from exc
         return LogBracket.exact(log_r)
-    if seq.kind == "power":
-        return _power_tail_bracket(seq.c, seq.p, n)
     return LogBracket.from_linear(math.fsum(seq.w2_values[n - 1 :]))
-
-
-def log_tail_sum(seq: WeightSequence, n: int) -> LogBracket:
-    """Like :func:`tail_sum` but refuses an exactly-zero tail."""
-    bracket = tail_sum(seq, n)
-    if bracket.is_zero:
-        raise ZeroTail(f"r_{n} = 0 exactly; its logarithm is undefined")
-    return bracket
 
 
 # -- index estimators ----------------------------------------------------------
@@ -270,18 +321,27 @@ class IndexEstimate:
     converged: bool
 
 
-def index_a(seq: WeightSequence, probes: Sequence[int] | None = None) -> IndexEstimate:
+def index_a(
+    seq: WeightSequence,
+    probes: Sequence[int] | None = None,
+    *,
+    tails: Mapping[int, LogBracket] | None = None,
+) -> IndexEstimate:
     """liminf proxy for the solutions a_n of n * (r_n / n)**a_n = 1.
 
     Solving the defining equation in logs gives
     a_n = log n / (log n - log r_n); the estimate is the minimum over the
-    tail of the probe grid.
+    tail of the probe grid.  ``tails`` holds r_n at every probe when the
+    caller shares one table between estimators (see :func:`analyze`);
+    otherwise it is built here for this grid.
     """
     grid = _closed_form_probes(seq, probes)
+    if tails is None:
+        tails = _tail_table(seq, grid)
     values = []
     for n in grid:
         log_n = math.log(n)
-        log_r = log_tail_sum(seq, n).mid
+        log_r = tails[n].mid
         if log_r >= log_n:
             raise DegenerateIndex(f"r_{n} >= n; the defining equation has no root in (0, 1]")
         values.append((n, log_n / (log_n - log_r)))
@@ -332,6 +392,8 @@ def index_e_bm(
     seq: WeightSequence,
     a_grid: Sequence[float] | None = None,
     probes: Sequence[int] | None = None,
+    *,
+    tails: Mapping[int, LogBracket] | None = None,
 ) -> ExponentScan:
     """Smallest grid exponent a with (w_n^2)**(a-1) * r_n decreasing over the probe tail.
 
@@ -341,9 +403,11 @@ def index_e_bm(
     tail w_n^2 = c n^-p, g_n changes like (1 - a p) log n, so just above the
     true index a = 1/p the drop over the probes is arbitrarily small, and a
     quota of the kind "final < 1e-3 * initial" would place the transition
-    above 1/p.
+    above 1/p.  ``tails`` is shared as in :func:`index_a`.
     """
     grid = _closed_form_probes(seq, probes)
+    if tails is None:
+        tails = _tail_table(seq, grid)
     if a_grid is None:
         a_grid = [round(0.01 * k, 10) for k in range(1, 100)]
     a_values = list(a_grid)
@@ -352,7 +416,7 @@ def index_e_bm(
     if any(not 0 < a < 1 for a in a_values):
         raise GridTooCoarse("exponents must lie strictly inside (0, 1)")
     log_w2 = [seq.log_w2(n) for n in grid]
-    log_r = [log_tail_sum(seq, n).mid for n in grid]
+    log_r = [tails[n].mid for n in grid]
     passing: list[float] = []
     decay: dict[float, float] = {}
     for a in a_values:
@@ -397,6 +461,8 @@ def verify_finally_inequalities(
     theta: float,
     delta: float,
     probes: Sequence[int] | None = None,
+    *,
+    tails: Mapping[int, LogBracket] | None = None,
 ) -> OnsetReport:
     """Find probe onsets past which the three tail inequalities hold.
 
@@ -405,6 +471,7 @@ def verify_finally_inequalities(
     The onset is the smallest probe from which an inequality holds at every
     later probe up to the horizon.  Comparisons against tail sums use the
     certified upper end of the bracket, so "holds" is bracketing-robust.
+    ``tails`` is shared as in :func:`index_a`.
     """
     grid = _closed_form_probes(seq, probes, start=1)
     e_bt = index_e_bt(seq, [n for n in grid if n >= 2]).estimate
@@ -414,6 +481,8 @@ def verify_finally_inequalities(
                 f"{name} = {value} outside the admissible window ({e_bt:.6g}, 1)"
             )
     epsilon = (1.0 / theta) * (1.0 - delta)
+    if tails is None:
+        tails = _tail_table(seq, grid)
 
     def onset(pred) -> int:
         flags = [pred(n) for n in grid]
@@ -428,10 +497,10 @@ def verify_finally_inequalities(
 
     onset_area = onset(lambda n: seq.log_w2(n) < -(1.0 / theta) * math.log(n))
     onset_tail_area = onset(
-        lambda n: tail_sum(seq, n).certainly_lt((1.0 - delta) * seq.log_w2(n))
+        lambda n: tails[n].certainly_lt((1.0 - delta) * seq.log_w2(n))
     )
     onset_tail_power = onset(
-        lambda n: tail_sum(seq, n).certainly_lt(-epsilon * math.log(n))
+        lambda n: tails[n].certainly_lt(-epsilon * math.log(n))
     )
     return OnsetReport(
         theta=theta,
@@ -486,20 +555,24 @@ def tail_lower_exponent(
     seq: WeightSequence,
     probes: Sequence[int] | None = None,
     margin: float = 0.1,
+    *,
+    tails: Mapping[int, LogBracket] | None = None,
 ) -> float | None:
     """Exponent mu with r_n >= n**(-mu) at every probe >= 2, if one exists.
 
     For a power sequence mu = p - 1 + margin is returned once verified against
     the certified lower bracket end; None when verification fails (geometric
-    tails sink below every power).
+    tails sink below every power).  ``tails`` is shared as in :func:`index_a`.
     """
     grid = _closed_form_probes(seq, probes)
+    if tails is None:
+        tails = _tail_table(seq, grid)
     if seq.kind == "power":
         mu = seq.p - 1.0 + margin
     else:
         # No power lower envelope is expected; still try the margin itself.
         mu = margin
-    ok = all(tail_sum(seq, n).certainly_ge(-mu * math.log(n)) for n in grid)
+    ok = all(tails[n].certainly_ge(-mu * math.log(n)) for n in grid)
     return mu if ok else None
 
 
@@ -557,14 +630,21 @@ def analyze(
     delta: float | None = None,
     probes: Sequence[int] | None = None,
 ) -> IndexReport:
-    """Estimate all indexes; include onsets when (theta, delta) are supplied."""
-    a = index_a(seq, probes)
+    """Estimate all indexes; include onsets when (theta, delta) are supplied.
+
+    The tail sums r_n are computed once, in one table over the probe grid
+    (from n = 1 when the onsets need it, else from n = 2), and that table is
+    handed to every estimator that reads them.  It lives for this call only.
+    """
+    with_onsets = theta is not None and delta is not None
+    tails = _tail_table(seq, _closed_form_probes(seq, probes, start=1 if with_onsets else 2))
+    a = index_a(seq, probes, tails=tails)
     e_bt = index_e_bt(seq, probes)
-    e_bm = index_e_bm(seq, probes=probes)
+    e_bm = index_e_bm(seq, probes=probes, tails=tails)
     onsets = None
     epsilon = None
-    if theta is not None and delta is not None:
-        onsets = verify_finally_inequalities(seq, theta, delta, probes)
+    if with_onsets:
+        onsets = verify_finally_inequalities(seq, theta, delta, probes, tails=tails)
         epsilon = onsets.epsilon
     return IndexReport(
         seq=seq,
@@ -576,7 +656,7 @@ def analyze(
         theta=theta,
         delta=delta,
         epsilon=epsilon,
-        mu=tail_lower_exponent(seq, probes),
+        mu=tail_lower_exponent(seq, probes, tails=tails),
         onsets=onsets,
         comparability=log_comparability(seq, probes),
     )

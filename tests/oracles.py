@@ -14,7 +14,9 @@ layout replaced; ``grow_ref`` is their growth loop, a sorted occupied set
 searched by bisection for every arm.  Columns, rectangle counts and
 measures must be equal, and ``grow_ref``'s output equal bit for bit.
 ``sample_points_ref`` is the sampler with one ``cover.locate`` call per
-drawn point, which the batch cover test replaced.
+drawn point, which the batch cover test replaced.  ``power_tail_bracket_ref``
+is the per-index power-tail bracket that the shared tail table replaced; the
+table must equal it bit for bit.
 """
 
 import math
@@ -27,7 +29,33 @@ import numpy as np
 from densitometer.dilation import Rectangle, _check_gamma, _toggle, dilate_1d, find_overlap
 from densitometer.errors import OverlappingCubes
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
+from densitometer.logdomain import LogBracket, log_add, log_sub, log_sum
 from densitometer.scan import PointSample, _in_cubes, _substreams
+
+
+def power_tail_bracket_ref(c: float, p: float, n: int) -> LogBracket:
+    """Certified bracket for sum_{m >= n} c * m**(-p), computed for n alone.
+
+    Explicit partial sum up to a cutoff M, then an Euler-Maclaurin closure
+    at M whose remainder after the B_2 term is bounded in modulus by the
+    first omitted term p(p+1)(p+2)/720 * M**(-p-3); the bracket is the
+    midpoint estimate plus/minus that certified remainder.
+    """
+    log_c = math.log(c)
+    # Cutoff chosen so the certified remainder is ~1e-16 relative.
+    target = max(n, int(math.ceil(1500.0 * max(p, 1.0))))
+    for _ in range(8):
+        m_cut = target
+        log_terms = [-p * math.log(m) for m in range(n, m_cut)]
+        log_integral = (1.0 - p) * math.log(m_cut) - math.log(p - 1.0)
+        log_half = -p * math.log(m_cut) - math.log(2.0)
+        log_b2 = math.log(p / 12.0) - (p + 1.0) * math.log(m_cut)
+        log_mid = log_sum(log_terms + [log_integral, log_half, log_b2])
+        log_rem = math.log(p * (p + 1.0) * (p + 2.0) / 720.0) - (p + 3.0) * math.log(m_cut)
+        if log_rem <= log_mid + math.log(5e-16):
+            return LogBracket(log_sub(log_mid, log_rem) + log_c, log_add(log_mid, log_rem) + log_c)
+        target *= 4
+    return LogBracket(log_sub(log_mid, log_rem) + log_c, log_add(log_mid, log_rem) + log_c)
 
 
 def _merge(segments):

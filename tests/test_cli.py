@@ -51,6 +51,50 @@ def test_overlapping_set_is_exit_two(tmp_path):
     assert run(out + ["cover", "--set", str(path), "--m", "2", "--s-hi", "2", "--out", "c.json"]) == 2
 
 
+def _short_row(payload):
+    payload["cubes"][0] = [0.0, 0.0]
+    return payload
+
+
+def _long_row(payload):
+    payload["cubes"][0] = payload["cubes"][0] + [0.0]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "malform,named",
+    [
+        (_short_row, "'cubes'"),
+        (_long_row, "'cubes'"),
+        (lambda payload: {**payload, "cubes": 5}, "'cubes'"),
+        (lambda payload: {**payload, "seq": "power"}, "sequence descriptor"),
+        (lambda payload: {**payload, "seq": {"kind": "power", "c": None, "p": 2}}, "sequence descriptor"),
+        (lambda payload: {**payload, "outer": 5}, "'outer'"),
+        (lambda payload: {**payload, "trunc": None}, "'trunc'"),
+        (lambda payload: [payload], "must hold an object"),
+    ],
+    ids=[
+        "short-cube-row",
+        "long-cube-row",
+        "cubes-not-list",
+        "seq-not-object",
+        "seq-field-null",
+        "outer-not-list",
+        "trunc-not-integer",
+        "top-level-list",
+    ],
+)
+def test_malformed_set_is_exit_two(tmp_path, capsys, malform, named):
+    out = ["--out-dir", str(tmp_path)]
+    assert run(out + ["build-set", "--seq", "power:c=0.25,p=2", "--n", "30", "--out", "set.json"]) == 0
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(malform(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert run(out + ["cover", "--set", str(path), "--m", "2", "--s-hi", "2", "--out", "c.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_finding_is_exit_one():
     # terms of the quadrupling series rise for many blocks when p is barely > 1
     assert run(["diag", "series", "--seq", "power:c=1,p=1.05"]) == 1

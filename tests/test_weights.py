@@ -1,15 +1,24 @@
 """Weight sequences, certified tails and convergence-index estimators.
 
 Tail brackets for the power form are checked against mpmath's Hurwitz zeta,
-which is an independent route to r_n = c * zeta(p, n).
+which is an independent route to r_n = c * zeta(p, n), and the shared tail
+table against the per-index bracket it replaced (``oracles``), bit for bit.
 """
 
 import math
 
 import mpmath
 import pytest
+from oracles import power_tail_bracket_ref
 
-from densitometer.errors import DegenerateIndex, GridTooCoarse, NotClosedForm, OutOfRange
+from densitometer import weights
+from densitometer.errors import (
+    DegenerateIndex,
+    DensitometerError,
+    GridTooCoarse,
+    NotClosedForm,
+    OutOfRange,
+)
 from densitometer.weights import (
     WeightSequence,
     analyze,
@@ -103,6 +112,94 @@ def test_explicit_tail_fsum_and_zero_past_end():
     assert tail_sum(seq, 4).is_zero
     # the block schedule jumps far past short lists; the tail stays zero
     assert tail_sum(seq, 10**6).is_zero
+
+
+# -- the shared tail table ---------------------------------------------------------
+
+SHARED_CASES = [(0.25, 2.0), (1.0, 1.5), (3.0, 4.0), (1.0, 1.01)]
+
+
+@pytest.mark.parametrize("c,p", SHARED_CASES)
+def test_tail_table_matches_reference_bit_for_bit(c, p):
+    seq = WeightSequence.power(c, p)
+    m_cut = math.ceil(1500.0 * p)
+    ns = sorted(set(default_probes()) | {1, m_cut - 1, m_cut, m_cut + 1, 4 * m_cut, 20**20})
+    table = weights._tail_table(seq, ns)
+    assert sorted(table) == ns
+    for n in ns:
+        ref = power_tail_bracket_ref(c, p, n)
+        assert (table[n].lo, table[n].hi) == (ref.lo, ref.hi), n
+        single = tail_sum(seq, n)
+        assert (single.lo, single.hi) == (ref.lo, ref.hi), n
+
+
+def _estimator_outcomes(seq, theta):
+    calls = {
+        "index_a": lambda: index_a(seq),
+        "index_e_bm": lambda: index_e_bm(seq),
+        "onsets": lambda: verify_finally_inequalities(seq, theta, theta),
+        "mu": lambda: weights.tail_lower_exponent(seq),
+        "analyze": lambda: analyze(seq, theta, theta).to_json(),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = repr(call())  # repr round-trips floats, so equal means bit-equal
+        except DensitometerError as exc:
+            out[name] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+@pytest.mark.parametrize("c,p", SHARED_CASES)
+def test_estimators_match_per_index_reference(c, p, monkeypatch):
+    seq = WeightSequence.power(c, p)
+    theta = 0.5 * (1.0 / p + 1.0)  # inside the admissible window (1/p, 1)
+    shared = _estimator_outcomes(seq, theta)
+    monkeypatch.setattr(
+        weights,
+        "_power_tail_brackets",
+        lambda c, p, ns: {n: power_tail_bracket_ref(c, p, n) for n in ns},
+    )
+    assert _estimator_outcomes(seq, theta) == shared
+
+
+def test_first_cutoff_meets_the_tolerance():
+    # The table uses one cutoff M = ceil(1500 p): the remainder bound is
+    # below 5e-16 of the integral term, a lower bound of the estimate.
+    for p in [1.0 + 10.0**k for k in range(-9, 7)] + [2.0 + 0.01 * i for i in range(100)]:
+        log_m = math.log(math.ceil(1500.0 * p))
+        log_integral = (1.0 - p) * log_m - math.log(p - 1.0)
+        log_rem = math.log(p * (p + 1.0) * (p + 2.0) / 720.0) - (p + 3.0) * log_m
+        assert log_rem <= log_integral + math.log(5e-16), p
+
+
+def test_analysis_computes_each_index_once(monkeypatch, canonical_seq):
+    calls = []
+    core = weights._log_mid
+
+    def recording(n, *rest):
+        calls.append(n)
+        return core(n, *rest)
+
+    monkeypatch.setattr(weights, "_log_mid", recording)
+    expected = [n for n in default_probes() if n >= 2]
+    assert len(expected) == 46
+    analyze(canonical_seq)
+    assert sorted(calls) == expected
+    calls.clear()
+    analyze(canonical_seq)  # a second analysis redoes the work: no state survives a call
+    assert sorted(calls) == expected
+
+    calls.clear()
+    term_lists = []
+    terms = weights._power_terms
+    monkeypatch.setattr(
+        weights, "_power_terms", lambda p, start, stop: term_lists.append((start, stop)) or terms(p, start, stop)
+    )
+    tail_sum(canonical_seq, 10**6)  # past the cutoff: closure terms only
+    assert calls == [10**6] and term_lists == []
+    tail_sum(canonical_seq, 27)
+    assert term_lists == [(27, 3000)]
 
 
 # -- indexes -------------------------------------------------------------------
