@@ -221,9 +221,6 @@ class RateFunction:
     def floor_at(self, t: float) -> float:
         return self.branch_at(t).floor
 
-    def deficit_at(self, t: float) -> float:
-        return self.branch_at(t).deficit
-
     def to_rows(self) -> tuple[tuple[float, float, float, float], ...]:
         """Rows (t_lo_log, t_hi_log, floor, deficit), top branch first."""
         return tuple((b.t_lo_log, b.t_hi_log, b.floor, b.deficit) for b in reversed(self.branches))

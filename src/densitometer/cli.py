@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -110,7 +111,7 @@ def rate_to_csv(ratefn: RateFunction) -> str:
 
 def rate_from_csv(text: str) -> RateFunction:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
     if header != RATE_HEADER.split(","):
         raise ValueError(f"unexpected rate CSV header: {header}")
     rows = [tuple(float(v) for v in row) for row in reader if row]
@@ -164,8 +165,10 @@ def cmd_indices(args) -> int:
 
 
 def cmd_dilate1d(args) -> int:
-    pairs = json.loads(args.intervals)
-    intervals = [Interval(float(a), float(b)) for a, b in pairs]
+    try:
+        intervals = [Interval(float(a), float(b)) for a, b in json.loads(args.intervals)]
+    except TypeError as exc:
+        raise ValueError(f"--in must be a JSON list of [lo, hi] pairs: {exc}") from exc
     result = dilate_1d(intervals, args.gamma, allow_gamma_one=args.allow_gamma_one)
     union = [[iv.lo, iv.hi] for iv in result.union]
     print(f"union: {union}")
@@ -188,9 +191,8 @@ def cmd_dilate1d(args) -> int:
 
 
 def cmd_dilate2d(args) -> int:
-    cubes = json.loads(args.cubes)
-    result = dilate_2d(cubes, args.gamma, allow_gamma_one=args.allow_gamma_one)
-    rows = cube_rows(cubes)
+    rows = cube_rows(json.loads(args.cubes))
+    result = dilate_2d(rows, args.gamma, allow_gamma_one=args.allow_gamma_one)
     areas = (rows[:, 1] - rows[:, 0]) * (rows[:, 3] - rows[:, 2])
     identity = (2.0 * args.gamma + 1.0) ** 2 * math.fsum(areas.tolist())
     print(f"rectangles: {len(result)} in {len(result.columns)} columns")
@@ -309,30 +311,11 @@ def cmd_cover(args) -> int:
 
 def _scan_summary_payload(report, separation, envelope) -> dict:
     return {
-        "t_grid": list(report.config.t_grid),
-        "points": report.config.points,
-        "rects_per_point": report.config.rects_per_point,
-        "seed": report.config.seed,
-        "aspect_range": list(report.config.aspect_range),
-        "m": report.config.m,
-        "s_hi": report.config.s_hi,
+        **dataclasses.asdict(report.config),
         "acceptance_rate": report.acceptance_rate,
         "draws": report.draws,
         "passed": report.passed and separation.passed and envelope.passed,
-        "per_t": [
-            {
-                "t": s.t,
-                "floor": s.floor,
-                "applicable": s.applicable,
-                "deferred": s.deferred,
-                "exceptional": s.exceptional,
-                "min_margin_applicable": s.min_margin_applicable,
-                "violations_applicable": s.violations_applicable,
-                "violations_deferred": s.violations_deferred,
-                "violations_exceptional": s.violations_exceptional,
-            }
-            for s in report.summaries
-        ],
+        "per_t": [dataclasses.asdict(s) for s in report.summaries],
         "separation_passed": separation.passed,
         "envelope_passed": envelope.passed,
     }

@@ -41,7 +41,6 @@ from .interval1d import DisjointIntervalSet, Interval, Location
 from .interval1d import atoms  # noqa: F401  # bench/tracing.py wraps dilation.atoms
 
 __all__ = [
-    "DilationPiece",
     "DilationResult1D",
     "Rectangle",
     "RectUnion",
@@ -142,19 +141,8 @@ def _grow(
 
 
 @dataclass(frozen=True)
-class DilationPiece:
-    """Per-input record: left arm, right arm and their hull."""
-
-    source: Interval
-    left_arm: Interval
-    right_arm: Interval
-    hull: Interval
-
-
-@dataclass(frozen=True)
 class DilationResult1D:
     gamma: float
-    pieces: tuple[DilationPiece, ...]
     union: DisjointIntervalSet
     input_measure: float
 
@@ -187,22 +175,11 @@ def dilate_1d(
     for a, b in zip(members, members[1:]):
         if not a.hi <= b.lo:
             raise OverlappingInputs(f"inputs overlap: {a} and {b}")
-    los, his, lefts, rights = _grow([m.lo for m in members], [m.hi for m in members], gamma)
-    pieces = tuple(
-        DilationPiece(
-            source=m,
-            left_arm=Interval(left, m.hi),
-            right_arm=Interval(m.lo, right),
-            hull=Interval(left, right),
-        )
-        for m, left, right in zip(members, lefts, rights)
-    )
-    input_measure = math.fsum(m.length for m in members)
+    los, his, _, _ = _grow([m.lo for m in members], [m.hi for m in members], gamma)
     return DilationResult1D(
         gamma=gamma,
-        pieces=pieces,
         union=DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(los, his)),
-        input_measure=input_measure,
+        input_measure=math.fsum(m.length for m in members),
     )
 
 
@@ -446,7 +423,10 @@ def cube_rows(cubes) -> np.ndarray:
     """The (n, 4) float array of open rectangles [x0, x1, y0, y1] that
     ``dilate_2d`` takes; ValueError unless every row is finite with x0 < x1
     and y0 < y1."""
-    rows = np.asarray(cubes, dtype=np.float64)
+    try:
+        rows = np.asarray(cubes, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"cubes must be rows [x0, x1, y0, y1]: {exc}") from exc
     if not rows.size:
         return rows.reshape(0, 4)
     if rows.ndim != 2 or rows.shape[1] != 4:

@@ -84,18 +84,8 @@ class DisjointIntervalSet:
         return f"DisjointIntervalSet({list(self.pairs())})"
 
     @property
-    def is_empty(self) -> bool:
-        return not self.items
-
-    @property
     def measure(self) -> float:
         return math.fsum(i.length for i in self.items)
-
-    @property
-    def hull(self) -> Interval | None:
-        if not self.items:
-            return None
-        return Interval(self.items[0].lo, self.items[-1].hi)
 
     def pairs(self) -> tuple[tuple[float, float], ...]:
         return tuple(i.as_pair() for i in self.items)
@@ -109,24 +99,6 @@ class DisjointIntervalSet:
         if x < self._his[j]:
             return Location.INSIDE
         return Location.OUTSIDE
-
-
-def normalize(intervals: Iterable[Interval]) -> DisjointIntervalSet:
-    """Merge overlapping and touching intervals into maximal open intervals.
-
-    Merging across a shared endpoint changes the union only by a null set
-    and keeps the total measure; the result is the canonical representation
-    used everywhere downstream.  Idempotent.
-    """
-    items = sorted(intervals, key=lambda i: (i.lo, i.hi))
-    merged: list[list[float]] = []
-    for it in items:
-        if merged and it.lo <= merged[-1][1]:
-            if it.hi > merged[-1][1]:
-                merged[-1][1] = it.hi
-        else:
-            merged.append([it.lo, it.hi])
-    return DisjointIntervalSet(Interval(lo, hi) for lo, hi in merged)
 
 
 @dataclass(frozen=True)
@@ -179,7 +151,3 @@ def atoms(intervals: Sequence[Interval]) -> AtomDecomposition:
             cells.append(AtomCell(Interval(c1, c2), frozenset(active)))
     return AtomDecomposition(cells=tuple(cells), n_inputs=len(intervals))
 
-
-def measure(intervals: Iterable[Interval]) -> float:
-    """Measure of the union of an arbitrary interval family."""
-    return normalize(intervals).measure

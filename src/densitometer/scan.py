@@ -34,14 +34,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .auxfn import RateFunction
-from .errors import AcceptanceTooLow
-from .setmodel import (
-    CompactSetModel,
-    ExceptionalCover,
-    closed_hits,
-    is_exceptional,
-    overlap_totals,
-)
+from .errors import AcceptanceTooLow, OutOfRange
+from .setmodel import CompactSetModel, ExceptionalCover, closed_hits, overlap_totals
 
 __all__ = [
     "ScanConfig",
@@ -133,16 +127,33 @@ def _substreams(config: ScanConfig, lane: int, count: int) -> list[np.random.See
     return lanes[lane].spawn(count) if count else [lanes[lane]]
 
 
+def _strictly_inside(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
+    """Which of the (n, 2) points lie strictly inside the outer box (NaN
+    coordinates do not)."""
+    outer = model.outer
+    px, py = pts[:, 0], pts[:, 1]
+    return (outer.x.lo < px) & (px < outer.x.hi) & (outer.y.lo < py) & (py < outer.y.hi)
+
+
+def _scannable_rows(
+    model: CompactSetModel, cover: ExceptionalCover, pts: np.ndarray
+) -> np.ndarray:
+    """Ascending indexes of the (n, 2) points that are scannable at the
+    horizon: strictly inside the box, outside the closed cover and outside
+    every closed cube.  The batch cover test runs first and the cube test
+    only on the points it keeps: both are pure predicates, so the order
+    changes the work, not the answer."""
+    rows = np.flatnonzero(_strictly_inside(model, pts))
+    rows = rows[~cover.meets(pts[rows, 0], pts[rows, 1])]
+    return rows[~_in_cubes(model, pts[rows])]
+
+
 def sample_points(
     model: CompactSetModel, cover: ExceptionalCover, config: ScanConfig
 ) -> PointSample:
-    """Uniform points of the outer box that are scannable at the horizon.
-
-    Rejects points the cover reaches and points inside or on any
-    materialized cube; reports the acceptance rate.  Raises AcceptanceTooLow
-    when the rate sits under 1% after a million draws.  The batch cover test
-    runs first and the cube test only on the draws it keeps: both are pure
-    predicates, so the order changes the work, not the sample.
+    """Uniform points of the outer box that are scannable at the horizon
+    (see _scannable_rows); reports the acceptance rate.  Raises
+    AcceptanceTooLow when the rate sits under 1% after a million draws.
     """
     if cover.m != config.m or cover.s_hi != config.s_hi:
         raise ValueError(
@@ -158,14 +169,8 @@ def sample_points(
         pts = rng.uniform(
             (outer.x.lo, outer.y.lo), (outer.x.hi, outer.y.hi), size=(batch, 2)
         )
-        px, py = pts[:, 0], pts[:, 1]
-        strict_inner = (
-            (outer.x.lo < px) & (px < outer.x.hi) & (outer.y.lo < py) & (py < outer.y.hi)
-        )
-        fresh = np.flatnonzero(strict_inner)
-        fresh = fresh[~cover.meets(px[fresh], py[fresh])]
-        fresh = fresh[~_in_cubes(model, pts[fresh])][: config.points - len(accepted)]
-        accepted += zip(px[fresh].tolist(), py[fresh].tolist())
+        fresh = _scannable_rows(model, cover, pts)[: config.points - len(accepted)]
+        accepted += map(tuple, pts[fresh].tolist())
         if len(accepted) == config.points:
             draws_here = draws + int(fresh[-1]) + 1
             return PointSample(tuple(accepted), len(accepted) / draws_here, draws_here)
@@ -373,7 +378,13 @@ def _scan_plan(
         pts, scannable = sample.points, (True,) * len(sample.points)
     else:
         pts, sample = tuple((float(x), float(y)) for x, y in points), None
-        scannable = tuple(is_exceptional(model, cover, p).is_scannable for p in pts)
+        arr = np.array(pts, dtype=np.float64).reshape(-1, 2)
+        outside = np.flatnonzero(~_strictly_inside(model, arr))
+        if outside.size:
+            raise OutOfRange(f"point {pts[outside[0]]} is not strictly inside the outer box")
+        keep = np.zeros(len(pts), dtype=bool)
+        keep[_scannable_rows(model, cover, arr)] = True
+        scannable = tuple(keep.tolist())
     return _ScanPlan(t_sorted, branches, prefixes, checkable, upto, pts, scannable, sample)
 
 

@@ -34,12 +34,10 @@ __all__ = [
     "DensityResult",
     "BlockDilation",
     "ExceptionalCover",
-    "ExceptionalVerdict",
     "build_packing",
     "density_ratio",
     "cover_measure_bound",
     "build_cover",
-    "is_exceptional",
 ]
 
 # Rectangles x cubes per overlap-kernel block; bounds the kernel's temporaries.
@@ -167,21 +165,6 @@ class CompactSetModel:
             wy = np.minimum(y1, cy1) - np.maximum(y0, cy0)
             out.append(reduce(wx, wy))
         return np.concatenate(out)
-
-    def locate_in_cubes(self, point: tuple[float, float]) -> tuple[Location, int | None]:
-        """(INSIDE, n) strictly inside cube n, (BOUNDARY, n) on a cube edge,
-        (OUTSIDE, None) otherwise."""
-        x, y = point
-        idx = np.flatnonzero(self.overlaps([[x, x, y, y]], closed_hits)[0])
-        for i in idx:
-            if (
-                self.xs[i] < x < self.xs[i] + self.sides[i]
-                and self.ys[i] < y < self.ys[i] + self.sides[i]
-            ):
-                return Location.INSIDE, int(i) + 1
-        if idx.size:
-            return Location.BOUNDARY, int(idx[0]) + 1
-        return Location.OUTSIDE, None
 
     def to_json(self) -> dict:
         return {
@@ -373,9 +356,6 @@ class ExceptionalCover:
         """Certified upper bound for the full cover measure, all blocks s >= m."""
         return self.measure_bound_bracket.linear_hi
 
-    def per_block_locate(self, point: tuple[float, float]) -> tuple[tuple[int, Location], ...]:
-        return tuple((b.s, b.union.locate(point)) for b in self.blocks)
-
     def meets(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Which points (x[i], y[i]) the closed cover reaches: the batch form
         of ``locate(point) is not Location.OUTSIDE``."""
@@ -385,7 +365,7 @@ class ExceptionalCover:
         return hit
 
     def locate(self, point: tuple[float, float]) -> Location:
-        verdicts = [loc for _, loc in self.per_block_locate(point)]
+        verdicts = [b.union.locate(point) for b in self.blocks]
         if any(v is Location.INSIDE for v in verdicts):
             return Location.INSIDE
         if any(v is Location.BOUNDARY for v in verdicts):
@@ -455,50 +435,4 @@ def build_cover(model: CompactSetModel, m: int, s_hi: int) -> ExceptionalCover:
         s_hi=s_hi,
         blocks=tuple(blocks),
         measure_bound_bracket=cover_measure_bound(model.seq, m),
-    )
-
-
-@dataclass(frozen=True)
-class ExceptionalVerdict:
-    """Point classification against the cubes and the cover, at horizon."""
-
-    point: tuple[float, float]
-    cube_location: Location
-    cube_index: int | None
-    per_block: tuple[tuple[int, Location], ...]
-    overall: str
-
-    @property
-    def is_scannable(self) -> bool:
-        return self.overall == "outside-cover-up-to-horizon"
-
-
-def is_exceptional(
-    model: CompactSetModel, cover: ExceptionalCover, point: tuple[float, float]
-) -> ExceptionalVerdict:
-    """Classify a point: cube boundary, in-cover, inside an uncovered cube,
-    or outside the cover up to its horizon.
-
-    Cube-boundary hits win (they are excluded from every claim); covered
-    points are next, including interiors of the cover's own cubes; a point
-    inside an uncovered cube is not part of the remaining set at all.
-    """
-    if model.outer.locate(point) is not Location.INSIDE:
-        raise OutOfRange(f"point {point} is not strictly inside the outer box")
-    cube_loc, cube_idx = model.locate_in_cubes(point)
-    per_block = cover.per_block_locate(point)
-    if cube_loc is Location.BOUNDARY:
-        overall = "on-cube-boundary"
-    elif any(loc is not Location.OUTSIDE for _, loc in per_block):
-        overall = "in-cover"
-    elif cube_loc is Location.INSIDE:
-        overall = "in-cube"
-    else:
-        overall = "outside-cover-up-to-horizon"
-    return ExceptionalVerdict(
-        point=(float(point[0]), float(point[1])),
-        cube_location=cube_loc,
-        cube_index=cube_idx,
-        per_block=per_block,
-        overall=overall,
     )

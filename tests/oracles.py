@@ -14,20 +14,23 @@ layout replaced; ``grow_ref`` is their growth loop, a sorted occupied set
 searched by bisection for every arm.  Columns, rectangle counts and
 measures must be equal, and ``grow_ref``'s output equal bit for bit.
 ``sample_points_ref`` is the sampler with one ``cover.locate`` call per
-drawn point, which the batch cover test replaced.  ``power_tail_bracket_ref``
+drawn point, which the batch cover test replaced, and ``is_exceptional_ref``
+the per-point classifier that explicit scan points went through before they
+shared the sampler's batch test.  ``power_tail_bracket_ref``
 is the per-index power-tail bracket that the shared tail table replaced; the
 table must equal it bit for bit.
 """
 
 import math
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from densitometer.dilation import Rectangle, _check_gamma, _toggle, dilate_1d, find_overlap
-from densitometer.errors import OverlappingCubes
+from densitometer.errors import OutOfRange, OverlappingCubes
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
 from densitometer.logdomain import LogBracket, log_add, log_sub, log_sum
 from densitometer.scan import PointSample, _in_cubes, _substreams
@@ -230,6 +233,51 @@ def locate_in_cubes_ref(model, point):
     if idx.size:
         return "boundary", int(idx[0]) + 1
     return "outside", None
+
+
+@dataclass(frozen=True)
+class ExceptionalVerdict:
+    """Point classification against the cubes and the cover, at horizon."""
+
+    point: tuple[float, float]
+    cube_location: Location
+    cube_index: int | None
+    per_block: tuple[tuple[int, Location], ...]
+    overall: str
+
+    @property
+    def is_scannable(self) -> bool:
+        return self.overall == "outside-cover-up-to-horizon"
+
+
+def is_exceptional_ref(model, cover, point):
+    """Classify a point: cube boundary, in-cover, inside an uncovered cube,
+    or outside the cover up to its horizon.
+
+    Cube-boundary hits win (they are excluded from every claim); covered
+    points are next, including interiors of the cover's own cubes; a point
+    inside an uncovered cube is not part of the remaining set at all.
+    """
+    if model.outer.locate(point) is not Location.INSIDE:
+        raise OutOfRange(f"point {point} is not strictly inside the outer box")
+    cube_loc, cube_idx = locate_in_cubes_ref(model, point)
+    cube_loc = Location(cube_loc)
+    per_block = tuple((b.s, b.union.locate(point)) for b in cover.blocks)
+    if cube_loc is Location.BOUNDARY:
+        overall = "on-cube-boundary"
+    elif any(loc is not Location.OUTSIDE for _, loc in per_block):
+        overall = "in-cover"
+    elif cube_loc is Location.INSIDE:
+        overall = "in-cube"
+    else:
+        overall = "outside-cover-up-to-horizon"
+    return ExceptionalVerdict(
+        point=(float(point[0]), float(point[1])),
+        cube_location=cube_loc,
+        cube_index=cube_idx,
+        per_block=per_block,
+        overall=overall,
+    )
 
 
 def distance_to_cubes_ref(model, point, upto):

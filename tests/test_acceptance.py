@@ -27,10 +27,10 @@ from densitometer import (
     series_diagnostics,
 )
 from densitometer import cli
-from densitometer.setmodel import cover_measure_bound, is_exceptional
+from densitometer.setmodel import cover_measure_bound
 from densitometer.weights import index_a, index_e_bm, index_e_bt
 
-from oracles import raster_area_bracket
+from oracles import is_exceptional_ref, raster_area_bracket
 
 
 def _random_interval_family(rng, n_max):
@@ -187,7 +187,7 @@ def test_criterion_08_density_scan(canonical_model, canonical_cover, canonical_r
     # produces genuine sub-floor ratios that stay out of the applicable tally
     c300 = canonical_model.cube(300)
     center = ((c300.x.lo + c300.x.hi) / 2, (c300.y.lo + c300.y.hi) / 2)
-    verdict = is_exceptional(canonical_model, canonical_cover, center)
+    verdict = is_exceptional_ref(canonical_model, canonical_cover, center)
     assert verdict.overall == "in-cover"
     adv = scan_density_bound(
         canonical_model,

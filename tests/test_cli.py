@@ -95,6 +95,40 @@ def test_malformed_set_is_exit_two(tmp_path, capsys, malform, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dilate1d", "--in", "5", "--gamma", "2"],
+        ["dilate1d", "--in", "[5]", "--gamma", "2"],
+        ["dilate1d", "--in", "[[null, 1]]", "--gamma", "2"],
+        ["dilate2d", "--in", '{"a": 1}', "--gamma", "2"],
+        ["scan", "--set", "set.json", "--auxfn", "empty.csv", "--m", "2", "--s-hi", "2"],
+        *(
+            ["scan", "--set", "set.json", "--m", "2", "--s-hi", "2", "--points-at", f"0.5,0.95;{p}"]
+            for p in ("1.5,0.5", "nan,0.5", "0,0.5")
+        ),
+    ],
+    ids=[
+        "dilate1d-number",
+        "dilate1d-flat-list",
+        "dilate1d-null",
+        "dilate2d-object",
+        "scan-empty-auxfn",
+        "point-outside-box",
+        "point-nan",
+        "point-on-box-edge",
+    ],
+)
+def test_malformed_input_is_exit_two(tmp_path, capsys, command):
+    out = ["--out-dir", str(tmp_path)]
+    assert run(out + ["build-set", "--seq", "power:c=0.25,p=2", "--n", "30", "--out", "set.json"]) == 0
+    (tmp_path / "empty.csv").write_text("")
+    command = [str(tmp_path / a) if a in ("set.json", "empty.csv") else a for a in command]
+    capsys.readouterr()
+    assert run(out + command) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_finding_is_exit_one():
     # terms of the quadrupling series rise for many blocks when p is barely > 1
     assert run(["diag", "series", "--seq", "power:c=1,p=1.05"]) == 1

@@ -96,8 +96,8 @@ def test_crowding_pushes_arms_outward():
     # the middle interval's arms must skip both neighbours entirely
     result = dilate_1d([Interval(0, 1), Interval(1.5, 2.5), Interval(3, 4)], 2.0)
     assert result.union.measure == pytest.approx(15.0, rel=1e-12)
-    piece = result.pieces[1]
-    assert piece.hull.lo < 0.0 or piece.hull.hi > 4.0
+    _, _, lefts, rights = _grow([0.0, 1.5, 3.0], [1.0, 2.5, 4.0], 2.0)
+    assert lefts[1] < 0.0 or rights[1] > 4.0
 
 
 # -- structure -------------------------------------------------------------------
@@ -105,9 +105,10 @@ def test_crowding_pushes_arms_outward():
 def test_pieces_cover_sources():
     intervals = [Interval(0, 1), Interval(4, 4.5), Interval(10, 12)]
     result = dilate_1d(intervals, 3.0)
-    for piece in result.pieces:
-        assert piece.hull.lo <= piece.source.lo < piece.source.hi <= piece.hull.hi
-        assert result.union.locate((piece.source.lo + piece.source.hi) / 2) is Location.INSIDE
+    _, _, lefts, rights = _grow([iv.lo for iv in intervals], [iv.hi for iv in intervals], 3.0)
+    for source, left, right in zip(intervals, lefts, rights):
+        assert left <= source.lo < source.hi <= right
+        assert result.union.locate((source.lo + source.hi) / 2) is Location.INSIDE
 
 
 def test_contains_three_verdicts():

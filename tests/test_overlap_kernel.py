@@ -274,12 +274,6 @@ def test_closed_hits_match_oracle(canonical_model):
     assert got[: len(_edge_points(canonical_model, CUBES))].all()
 
 
-def test_locate_matches_oracle(canonical_model):
-    for point in _edge_points(canonical_model, CUBES) + [(0.5, 0.95), (0.999, 0.999)]:
-        loc, idx = canonical_model.locate_in_cubes(point)
-        assert (loc.name.lower(), idx) == oracles.locate_in_cubes_ref(canonical_model, point)
-
-
 def test_distance_matches_oracle(canonical_model):
     """One cube pass gives the distance to every prefix of the cubes it covers."""
     for point in _edge_points(canonical_model, CUBES) + [(0.5, 0.95), (0.999, 0.001)]:

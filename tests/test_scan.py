@@ -9,6 +9,7 @@ import pytest
 
 from densitometer import scan
 from densitometer.dilation import Rectangle
+from densitometer.errors import OutOfRange
 from densitometer.interval1d import Location
 from densitometer.scan import (
     ScanConfig,
@@ -25,7 +26,6 @@ from densitometer.setmodel import (
     build_cover,
     build_packing,
     density_ratio,
-    is_exceptional,
 )
 from densitometer.weights import WeightSequence
 
@@ -129,7 +129,7 @@ def test_sample_points_deterministic(canonical_model, canonical_cover):
 def test_sample_points_all_scannable(canonical_model, canonical_cover):
     sample = sample_points(canonical_model, canonical_cover, small_config(points=40))
     for p in sample.points:
-        assert is_exceptional(canonical_model, canonical_cover, p).is_scannable
+        assert oracles.is_exceptional_ref(canonical_model, canonical_cover, p).is_scannable
 
 
 def test_sample_points_seed_changes_stream(canonical_model, canonical_cover):
@@ -252,8 +252,61 @@ def test_scan_explicit_adversarial_point(canonical_model, canonical_cover, canon
     assert small_t[0].violations > 0
     assert report.passed
     assert report.summaries[0].violations_exceptional > 0
-    verdict = is_exceptional(canonical_model, canonical_cover, center)
+    verdict = oracles.is_exceptional_ref(canonical_model, canonical_cover, center)
     assert verdict.overall == "in-cover"
+
+
+def _cube_probes(model, cubes):
+    """Corners, edge midpoints and centers of the chosen cubes, and points
+    one ulp outside each edge and each corner."""
+    pts = []
+    for i in cubes:
+        x0, y0, w = model.xs[i], model.ys[i], model.sides[i]
+        x1, y1 = x0 + w, y0 + w
+        xm, ym = x0 + w / 2, y0 + w / 2
+        xa, xb = np.nextafter(x0, -2.0), np.nextafter(x1, 2.0)
+        ya, yb = np.nextafter(y0, -2.0), np.nextafter(y1, 2.0)
+        pts += [(x0, y0), (x1, y1), (x0, y1), (x1, y0), (x0, ym), (x1, ym), (xm, y0), (xm, y1)]
+        pts += [(xm, ym), (xa, ym), (xb, ym), (xm, ya), (xm, yb), (xa, ya), (xb, yb)]
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_explicit_points_match_per_point_classifier(
+    canonical_model, canonical_cover, canonical_ratefn, m
+):
+    """Explicit points go through the sampler's batch test; a point is
+    flagged exceptional exactly where the per-point classifier it replaced
+    calls it not scannable, on cube corners, edges and one-ulp offsets,
+    cover column corners and seeded points."""
+    cover = canonical_cover if m == 3 else build_cover(canonical_model, m, 4)
+    cubes = sorted(set(range(40)) | set(range(0, canonical_model.trunc, 29)))
+    pts = np.concatenate([_cube_probes(canonical_model, cubes), _cover_probes(cover, every=64)])
+    pts = [(float(x), float(y)) for x, y in pts if 0.0 < x < 1.0 and 0.0 < y < 1.0]
+    config = small_config(t_grid=(0.01,), points=1, rects_per_point=1, m=m)
+    report = scan_density_bound(canonical_model, cover, canonical_ratefn, config, points=pts)
+    got = [r.regime == "exceptional" for r in report.rows]
+    verdicts = [oracles.is_exceptional_ref(canonical_model, cover, p) for p in pts]
+    assert got == [not v.is_scannable for v in verdicts]
+    assert {v.overall for v in verdicts} == {
+        "on-cube-boundary",
+        "in-cover",
+        "in-cube",
+        "outside-cover-up-to-horizon",
+    }
+
+
+@pytest.mark.parametrize("point", [(1.5, 0.5), (math.nan, 0.5), (0.0, 0.5)])
+def test_explicit_point_outside_box_raises(
+    canonical_model, canonical_cover, canonical_ratefn, point
+):
+    """A point not strictly inside the box (NaN and box-edge points
+    included) is rejected, wherever it stands in the list."""
+    config = small_config(points=1)
+    with pytest.raises(OutOfRange, match=r"point \(.*\) is not strictly inside the outer box"):
+        scan_density_bound(
+            canonical_model, canonical_cover, canonical_ratefn, config, points=[(0.5, 0.95), point]
+        )
 
 
 def test_scan_threaded_matches_sequential(
@@ -470,7 +523,7 @@ def test_point_near_uncovered_block_is_deferred(canonical_model, canonical_ratef
     s_next^s_next - 1 alone made it applicable."""
     cover = build_cover(canonical_model, 4, 4)
     point = (0.77, 0.601)
-    assert canonical_model.locate_in_cubes(point)[0] is Location.OUTSIDE
+    assert oracles.locate_in_cubes_ref(canonical_model, point)[0] == "outside"
     assert cover.locate(point) is Location.OUTSIDE
     assert oracles.distance_to_cubes_ref(canonical_model, point, 26) > 0.05
     assert oracles.distance_to_cubes_ref(canonical_model, point, 255) < 0.05

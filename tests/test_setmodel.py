@@ -23,7 +23,6 @@ from densitometer.setmodel import (
     build_packing,
     cover_measure_bound,
     density_ratio,
-    is_exceptional,
 )
 from densitometer.weights import WeightSequence
 
@@ -94,14 +93,16 @@ def test_model_json_rejects_overlapping_cubes(canonical_seq, moved, onto):
 
 
 def test_locate_in_cubes(canonical_model):
+    """Hand-placed points against the cube oracle that is_exceptional_ref
+    classifies with."""
     c3 = canonical_model.cube(3)
     cx = (c3.x.lo + c3.x.hi) / 2
     cy = (c3.y.lo + c3.y.hi) / 2
-    assert canonical_model.locate_in_cubes((cx, cy)) == (Location.INSIDE, 3)
-    loc, idx = canonical_model.locate_in_cubes((c3.x.lo, cy))
-    assert loc is Location.BOUNDARY
+    assert oracles.locate_in_cubes_ref(canonical_model, (cx, cy)) == ("inside", 3)
+    loc, idx = oracles.locate_in_cubes_ref(canonical_model, (c3.x.lo, cy))
+    assert loc == "boundary"
     assert idx is not None
-    assert canonical_model.locate_in_cubes((0.99, 0.99)) == (Location.OUTSIDE, None)
+    assert oracles.locate_in_cubes_ref(canonical_model, (0.99, 0.99)) == ("outside", None)
 
 
 def _distance_to_cubes(model, point, upto):
@@ -206,27 +207,29 @@ def test_cover_locate_and_prefix(canonical_model, canonical_cover):
     assert canonical_cover.measure_bound >= prefix[-1] - 1e-12
 
 
-# -- point triage --------------------------------------------------------------------
+# -- point triage (the per-point oracle) ---------------------------------------------
 
 def test_is_exceptional_requires_interior_point(canonical_model, canonical_cover):
     with pytest.raises(OutOfRange):
-        is_exceptional(canonical_model, canonical_cover, (1.5, 0.5))
+        oracles.is_exceptional_ref(canonical_model, canonical_cover, (1.5, 0.5))
 
 
 def test_is_exceptional_classes(canonical_model, canonical_cover):
     # center of a big (uncovered) cube: removed from the set but not covered
     c1 = canonical_model.cube(1)
-    v1 = is_exceptional(canonical_model, canonical_cover, (0.25, 0.25))
+    v1 = oracles.is_exceptional_ref(canonical_model, canonical_cover, (0.25, 0.25))
     assert v1.overall == "in-cube"
     assert v1.cube_index == 1
     assert not v1.is_scannable
     # cube boundary wins over everything
-    vb = is_exceptional(canonical_model, canonical_cover, (c1.x.hi, 0.25))
+    vb = oracles.is_exceptional_ref(canonical_model, canonical_cover, (c1.x.hi, 0.25))
     assert vb.overall == "on-cube-boundary"
     # center of a covered-block cube sits inside the cover
     c300 = canonical_model.cube(300)
-    vc = is_exceptional(
-        canonical_model, canonical_cover, ((c300.x.lo + c300.x.hi) / 2, (c300.y.lo + c300.y.hi) / 2)
+    vc = oracles.is_exceptional_ref(
+        canonical_model,
+        canonical_cover,
+        ((c300.x.lo + c300.x.hi) / 2, (c300.y.lo + c300.y.hi) / 2),
     )
     assert vc.overall == "in-cover"
     assert not vc.is_scannable
@@ -234,6 +237,6 @@ def test_is_exceptional_classes(canonical_model, canonical_cover):
 
 def test_is_exceptional_scannable_point(canonical_model, canonical_cover):
     # the packing leaves the top band cube-free; high points clear the cover too
-    v = is_exceptional(canonical_model, canonical_cover, (0.5, 0.95))
+    v = oracles.is_exceptional_ref(canonical_model, canonical_cover, (0.5, 0.95))
     assert v.is_scannable
     assert v.cube_location is Location.OUTSIDE
