@@ -61,10 +61,13 @@ def parse_seq(text: str) -> WeightSequence:
         if part:
             key, _, value = part.partition("=")
             params[key.strip()] = value.strip()
-    if kind == "power":
-        return WeightSequence.power(float(params["c"]), float(params["p"]))
-    if kind == "geometric":
-        return WeightSequence.geometric(float(params["c"]), float(params["rho"]))
+    try:
+        if kind == "power":
+            return WeightSequence.power(float(params["c"]), float(params["p"]))
+        if kind == "geometric":
+            return WeightSequence.geometric(float(params["c"]), float(params["rho"]))
+    except KeyError as exc:
+        raise ValueError(f"compact sequence form {text!r} lacks parameter {exc.args[0]!r}") from exc
     raise ValueError(
         f"unknown compact sequence form {text!r}; use power:c=..,p=.. or geometric:c=..,rho=.. "
         "or a JSON descriptor"
@@ -321,10 +324,12 @@ def _scan_summary_payload(report, separation, envelope) -> dict:
     }
 
 
-def _scan_config(args, s_hi: int) -> ScanConfig:
+def _scan_config(args, s_hi: int, points=None) -> ScanConfig:
+    """The scan plan of the command line; ``points`` counts explicit points,
+    which replace the sampled ``--points``."""
     return ScanConfig(
         t_grid=_parse_floats(args.t),
-        points=args.points,
+        points=args.points if points is None else len(points),
         rects_per_point=args.rects,
         seed=args.seed,
         aspect_range=_parse_floats(args.aspect, 2),
@@ -351,8 +356,8 @@ def cmd_scan(args) -> int:
         ratefn = rate_from_csv(Path(args.auxfn).read_text())
     else:
         ratefn = _build_ratefn(model.seq, args.ell_max, args.s_max)
-    config = _scan_config(args, args.s_hi)
     points = _parse_points(args.points_at) if args.points_at else None
+    config = _scan_config(args, args.s_hi, points)
     report, separation, envelope = _run_scan(model, cover, ratefn, config, points)
 
     for s in report.summaries:
@@ -475,6 +480,18 @@ def _add_out_dir(parser) -> None:
     parser.add_argument("--out-dir", dest="out_dir", default=argparse.SUPPRESS)
 
 
+def _add_scan_args(parser) -> None:
+    """The sampling and rate-function flags that scan and verify-all share."""
+    parser.add_argument("--m", type=int, default=3)
+    parser.add_argument("--t", default="0.25,0.05,0.01")
+    parser.add_argument("--points", type=int, default=100)
+    parser.add_argument("--rects", type=int, default=500)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--aspect", default="0.2,5")
+    parser.add_argument("--ell-max", type=int, default=9)
+    parser.add_argument("--s-max", type=int, default=40)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="densitometer",
@@ -544,15 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="density-bound scan of a set model")
     p.add_argument("--set", required=True)
     p.add_argument("--auxfn", default=None, help="rate CSV path (rebuilt from seq when absent)")
-    p.add_argument("--t", default="0.25,0.05,0.01")
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--rects", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--aspect", default="0.2,5")
-    p.add_argument("--m", type=int, default=3)
+    _add_scan_args(p)
     p.add_argument("--s-hi", type=int, default=4)
-    p.add_argument("--ell-max", type=int, default=9)
-    p.add_argument("--s-max", type=int, default=40)
     p.add_argument("--points-at", default=None, help='explicit points "x,y;x,y" (flagged, not sampled)')
     p.add_argument("--out", default=None)
     p.add_argument("--separation-out", default=None)
@@ -564,14 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="chained end-to-end verification")
     _add_seq(p)
     p.add_argument("--level", type=int, default=4, help="cover horizon; trunc = (level+1)^(level+1)-1")
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--t", default="0.25,0.05,0.01")
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--rects", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--aspect", default="0.2,5")
-    p.add_argument("--ell-max", type=int, default=9)
-    p.add_argument("--s-max", type=int, default=40)
+    _add_scan_args(p)
     p.add_argument("--outer", default="0,1,0,1")
     _add_out_dir(p)
     p.set_defaults(func=cmd_verify_all)

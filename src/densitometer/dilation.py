@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidGamma, OverlappingCubes, OverlappingInputs, PointNotOutside
+from .errors import InvalidGamma, OverlappingCubes, OverlappingInputs
 from .interval1d import DisjointIntervalSet, Interval, Location
 from .interval1d import atoms  # noqa: F401  # bench/tracing.py wraps dilation.atoms
 
@@ -44,12 +44,13 @@ __all__ = [
     "DilationResult1D",
     "Rectangle",
     "RectUnion",
-    "WitnessResult",
     "dilate_1d",
     "cube_rows",
     "dilate_2d",
-    "ratio_bound_witness",
 ]
+
+# the Location of each RectUnion.classify code
+LOCATIONS = (Location.OUTSIDE, Location.BOUNDARY, Location.INSIDE)
 
 
 def _check_gamma(gamma: float, allow_gamma_one: bool) -> float:
@@ -204,22 +205,6 @@ class Rectangle:
     def bounds(self) -> tuple[float, float, float, float]:
         return (self.x.lo, self.x.hi, self.y.lo, self.y.hi)
 
-    def locate(self, point: tuple[float, float]) -> Location:
-        lx = self.x.locate(point[0])
-        ly = self.y.locate(point[1])
-        if lx is Location.OUTSIDE or ly is Location.OUTSIDE:
-            return Location.OUTSIDE
-        if lx is Location.INSIDE and ly is Location.INSIDE:
-            return Location.INSIDE
-        return Location.BOUNDARY
-
-    def overlap_area(self, other: "Rectangle") -> float:
-        wx = min(self.x.hi, other.x.hi) - max(self.x.lo, other.x.lo)
-        wy = min(self.y.hi, other.y.hi) - max(self.y.lo, other.y.lo)
-        if wx <= 0.0 or wy <= 0.0:
-            return 0.0
-        return wx * wy
-
 
 class RectUnion:
     """Disjoint rectangle union organized as x-disjoint columns, in flat arrays.
@@ -230,7 +215,7 @@ class RectUnion:
     vertical unions share: section s is the sorted, pairwise separated open
     y-intervals (``y_lo[i]``, ``y_hi[i]``) for ``sec_off[s] <= i <
     sec_off[s + 1]``, and ``sec_measure[s]`` is their exact ``fsum``
-    measure.  ``measure``, ``meets``, ``locate`` and ``len`` read these
+    measure.  ``measure``, ``classify``, ``locate`` and ``len`` read these
     arrays; ``columns`` builds interval objects on first use, one
     DisjointIntervalSet per section, and ``rects`` derives from it.
     ``block`` optionally records which cube block the union dilates (block
@@ -310,66 +295,71 @@ class RectUnion:
         widths = self.x_hi - self.x_lo
         return math.fsum((widths * self.sec_measure[self.col_sec]).tolist())
 
-    def meets(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Which points (x[i], y[i]) lie in the closed union, that is, where
-        ``locate`` is not OUTSIDE.
-
-        Bisecting the column x-starts gives the last column starting at or
-        left of x; it holds the point when x is at most its right end, and
-        the column before it when x is that column's right end.  Each of the
-        k pooled section intervals gets the key section * (k + 1) + 1 + the
-        number of pooled lower ends below its own.  That key is at most
-        section * (k + 1) + the number of pooled lower ends at or below y
-        exactly when its own lower end is at or below y, so one bisection of
-        the sorted keys finds the last interval of the column's section that
-        starts at or below y.
-        """
-        hit = np.zeros(len(x), dtype=bool)
-        if not self.x_lo.size:
-            return hit
+    def _section_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted pooled lower ends, and the sort key and section of every
+        pooled interval (see ``_interval``), built on first use."""
         if self._keys is None:
             sec = np.repeat(np.arange(self.sec_off.size - 1), np.diff(self.sec_off))
             starts = np.sort(self.y_lo)
             key = sec * (starts.size + 1) + np.searchsorted(starts, self.y_lo) + 1
             self._keys = (starts, key, sec)
-        starts, key, sec = self._keys
-        j = np.searchsorted(self.x_lo, x, "right") - 1
-        rank = np.searchsorted(starts, y, "right")
-        for c in (j, j - 1):
-            c0 = np.maximum(c, 0)
-            s = self.col_sec[c0]
-            i = np.searchsorted(key, s * (starts.size + 1) + rank, "right") - 1
-            i0 = np.maximum(i, 0)
-            in_column = (c >= 0) & (x <= self.x_hi[c0])
-            hit |= in_column & (i >= 0) & (sec[i0] == s) & (y <= self.y_hi[i0])
-        return hit
+        return self._keys
 
-    def _section_locate(self, c: int, y: float) -> Location:
-        """DisjointIntervalSet.locate of column c's section."""
+    def _interval(
+        self, c: np.ndarray, rank: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lower and upper ends of the last interval of column c's section
+        that starts at or below y, where ``rank`` is the number of pooled
+        lower ends at or below y, and whether the interval found belongs to
+        c's section.
+
+        Each of the k pooled section intervals gets the key section * (k + 1)
+        + 1 + the number of pooled lower ends below its own.  That key is at
+        most section * (k + 1) + rank exactly when its own lower end is at or
+        below y, so one bisection of the sorted keys finds the interval.  When
+        none qualifies, the bisection lands on an interval of an earlier
+        section, or before index 0, which is clipped to interval 0, and that
+        interval starts above y: callers test both the section and the lower
+        end.
+        """
+        starts, key, sec = self._section_keys()
         s = self.col_sec[c]
-        a, b = self.sec_off[s], self.sec_off[s + 1]
-        i = a + int(np.searchsorted(self.y_lo[a:b], y, "right")) - 1
-        if i < a:
-            return Location.OUTSIDE
-        if y == self.y_lo[i] or y == self.y_hi[i]:
-            return Location.BOUNDARY
-        if y < self.y_hi[i]:
-            return Location.INSIDE
-        return Location.OUTSIDE
+        i = np.maximum(np.searchsorted(key, s * (starts.size + 1) + rank, "right") - 1, 0)
+        return self.y_lo[i], self.y_hi[i], sec[i] == s
+
+    def classify(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Location code of each point (x[i], y[i]): 0 outside the closed
+        union, 1 on the boundary, 2 inside; the int8 form of ``locate``.
+
+        A point is inside only strictly inside one column rectangle: a
+        shared column edge or section end counts as boundary.  Bisecting the
+        column x-starts gives the last column c starting at or left of x,
+        and ``_interval`` the candidate y-interval of c's section; the point
+        is in that closed rectangle when it lies within both bounds, inside
+        when strictly so.  The column before c also holds it when x is both
+        c's start and that column's end.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        code = np.zeros(x.shape, dtype=np.int8)
+        if not self.x_lo.size:
+            return code
+        rank = np.searchsorted(self._section_keys()[0], y, "right")
+        c = np.maximum(np.searchsorted(self.x_lo, x, "right") - 1, 0)
+        xl, xh = self.x_lo[c], self.x_hi[c]
+        yl, yh, same = self._interval(c, rank)
+        closed = same & (xl <= x) & (x <= xh) & (yl <= y) & (y <= yh)
+        code += closed
+        code += closed & (xl < x) & (x < xh) & (yl < y) & (y < yh)
+        edge = np.flatnonzero((x == xl) & (c > 0))
+        if edge.size:
+            p, ye = c[edge] - 1, y[edge]
+            yl, yh, same = self._interval(p, rank[edge])
+            code[edge] |= same & (self.x_hi[p] == x[edge]) & (yl <= ye) & (ye <= yh)
+        return code
 
     def locate(self, point: tuple[float, float]) -> Location:
-        x, y = point
-        j = int(np.searchsorted(self.x_lo, x, "right")) - 1
-        if j >= 0:
-            lo, hi = self.x_lo[j], self.x_hi[j]
-            if lo < x < hi:
-                return self._section_locate(j, y)
-            if (x == lo or x == hi) and self._section_locate(j, y) is not Location.OUTSIDE:
-                return Location.BOUNDARY
-        if j >= 1 and x == self.x_hi[j - 1]:
-            if self._section_locate(j - 1, y) is not Location.OUTSIDE:
-                return Location.BOUNDARY
-        return Location.OUTSIDE
+        return LOCATIONS[self.classify([point[0]], [point[1]])[0]]
 
 
 def find_overlap(
@@ -527,43 +517,4 @@ def dilate_2d(
         col_sec.append(s)
     return RectUnion(
         x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure, gamma=gamma, block=block
-    )
-
-
-@dataclass(frozen=True)
-class WitnessResult:
-    """Observed overlap fraction of a rectangle against the cubes, with its bound."""
-
-    lhs: float
-    bound: float
-    passed: bool
-    rect_area: float
-    overlap: float
-
-
-def ratio_bound_witness(
-    cubes: Sequence[Rectangle],
-    gamma: float,
-    point: tuple[float, float],
-    rect: Rectangle,
-    *,
-    dilation: RectUnion | None = None,
-) -> WitnessResult:
-    """Check |rect intersect cubes| / |rect| < 2/gamma for an outside point.
-
-    The point must lie strictly outside the simultaneous dilation of the
-    cubes and strictly inside the rectangle; the overlap is computed exactly
-    as a sum over the disjoint cubes.
-    """
-    if dilation is None:
-        dilation = dilate_2d([c.bounds for c in cubes], gamma)
-    if dilation.locate(point) is not Location.OUTSIDE:
-        raise PointNotOutside(f"point {point} is not strictly outside the dilation")
-    if rect.locate(point) is not Location.INSIDE:
-        raise PointNotOutside(f"point {point} is not strictly inside the rectangle")
-    overlap = math.fsum(rect.overlap_area(c) for c in cubes)
-    lhs = overlap / rect.area
-    bound = 2.0 / float(gamma)
-    return WitnessResult(
-        lhs=lhs, bound=bound, passed=lhs < bound, rect_area=rect.area, overlap=overlap
     )

@@ -45,10 +45,6 @@ class OverlappingCubes(DensitometerError):
     """2-D dilation inputs must be pairwise disjoint open squares."""
 
 
-class PointNotOutside(DensitometerError):
-    """The witness point must lie strictly outside the dilation."""
-
-
 # -- step-rate function -------------------------------------------------------
 
 class HorizonExhausted(DensitometerError):

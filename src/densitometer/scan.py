@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from functools import partial
@@ -144,7 +143,7 @@ def _scannable_rows(
     only on the points it keeps: both are pure predicates, so the order
     changes the work, not the answer."""
     rows = np.flatnonzero(_strictly_inside(model, pts))
-    rows = rows[~cover.meets(pts[rows, 0], pts[rows, 1])]
+    rows = rows[cover.classify(pts[rows, 0], pts[rows, 1]) == 0]
     return rows[~_in_cubes(model, pts[rows])]
 
 
@@ -328,8 +327,9 @@ def _separation_prefix(branch, m: int) -> int | None:
     """Cube prefix a positive-floor branch needs rectangles to miss, for a
     cover that starts at block m; None when the floor is vacuous (<= 0).
 
-    The floor 1 - 4/2^s_next sums the per-block lemma (see
-    ``dilation.ratio_bound_witness``): a rectangle R through a point outside
+    The floor 1 - 4/2^s_next sums the per-block lemma (checked on seeded
+    rectangles by ``test_witness_bound_holds_outside`` in
+    tests/test_dilation.py): a rectangle R through a point outside
     D_s, the 2^s-dilation of block s, has |R n block s| / |R| < 2/2^s, and
     the sum over s >= s_next is 4/2^s_next.  Block s holds cubes s^s ..
     (s+1)^(s+1) - 1.  Rectangles must miss blocks below s_next, cubes
@@ -447,7 +447,6 @@ class ScanReport:
     rows: tuple[ScanRow, ...]
     summaries: tuple[TSummary, ...]
     sample: PointSample | None
-    runtime_seconds: float
 
     @property
     def acceptance_rate(self) -> float | None:
@@ -512,7 +511,6 @@ def scan_density_bound(
     Per point, rectangle families are nested across the ascending t grid,
     so the reported minima are non-increasing in t.
     """
-    start = time.perf_counter()
     plan = _scan_plan(model, cover, ratefn, config, points)
     seeds = _substreams(config, 1, len(plan.points))
     worker = partial(_scan_one_point, model, config, plan, seeds)
@@ -563,11 +561,7 @@ def scan_density_bound(
             )
         )
     return ScanReport(
-        config=config,
-        rows=tuple(rows),
-        summaries=tuple(summaries),
-        sample=plan.sample,
-        runtime_seconds=time.perf_counter() - start,
+        config=config, rows=tuple(rows), summaries=tuple(summaries), sample=plan.sample
     )
 
 
@@ -594,7 +588,6 @@ class SeparationReport:
 
     config: ScanConfig
     rows: tuple[SeparationRow, ...]
-    runtime_seconds: float
 
     @property
     def passed(self) -> bool:
@@ -622,7 +615,6 @@ def separation_check(
     point's regimes come from the same cube pass and rule as there.  Each
     applicable t's rectangles then go to the kernel with only the cubes of
     its prefix that they can reach."""
-    start = time.perf_counter()
     plan = _scan_plan(model, cover, ratefn, config, points)
     seeds = _substreams(config, 2, len(plan.points))
     rect_seeds = [s.spawn(len(plan.t_sorted)) for s in seeds]
@@ -661,9 +653,7 @@ def separation_check(
                 exceptional_points=plan.scannable.count(False),
             )
         )
-    return SeparationReport(
-        config=config, rows=tuple(rows), runtime_seconds=time.perf_counter() - start
-    )
+    return SeparationReport(config=config, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

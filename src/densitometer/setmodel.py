@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dilation import Rectangle, RectUnion, dilate_2d, find_overlap
+from .dilation import LOCATIONS, Rectangle, RectUnion, dilate_2d, find_overlap
 from .errors import (
     EmptyRect,
     HorizonExhausted,
@@ -186,6 +186,9 @@ class CompactSetModel:
         """
         if not isinstance(obj, dict):
             raise ValueError(f"set.json must hold an object, got {type(obj).__name__}")
+        missing = [k for k in ("outer", "cubes", "trunc", "seq") if k not in obj]
+        if missing:
+            raise ValueError(f"set.json lacks field {missing[0]!r}")
         outer, trunc = obj["outer"], obj["trunc"]
         if not (
             isinstance(outer, list)
@@ -356,21 +359,18 @@ class ExceptionalCover:
         """Certified upper bound for the full cover measure, all blocks s >= m."""
         return self.measure_bound_bracket.linear_hi
 
-    def meets(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Which points (x[i], y[i]) the closed cover reaches: the batch form
-        of ``locate(point) is not Location.OUTSIDE``."""
-        hit = np.zeros(len(x), dtype=bool)
+    def classify(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Location code of each point (x[i], y[i]) in the closed cover: the
+        largest of the blocks' ``RectUnion.classify`` codes, so 2 where a
+        block holds the point inside, else 1 where one has it on its
+        boundary, else 0."""
+        code = np.zeros(len(x), dtype=np.int8)
         for b in self.blocks:
-            hit |= b.union.meets(x, y)
-        return hit
+            np.maximum(code, b.union.classify(x, y), out=code)
+        return code
 
     def locate(self, point: tuple[float, float]) -> Location:
-        verdicts = [b.union.locate(point) for b in self.blocks]
-        if any(v is Location.INSIDE for v in verdicts):
-            return Location.INSIDE
-        if any(v is Location.BOUNDARY for v in verdicts):
-            return Location.BOUNDARY
-        return Location.OUTSIDE
+        return LOCATIONS[self.classify([point[0]], [point[1]])[0]]
 
 
 def cover_measure_bound(

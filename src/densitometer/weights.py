@@ -185,6 +185,8 @@ class WeightSequence:
                 return cls.explicit(obj["w2"])
         except TypeError as exc:
             raise ValueError(f"malformed {kind} sequence descriptor: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(f"{kind} sequence descriptor lacks field {exc.args[0]!r}") from exc
         raise ValueError(f"unknown sequence descriptor kind: {kind!r}")
 
 

@@ -13,14 +13,19 @@ sweeps over ``Rectangle`` inputs and per-interval objects that the array
 layout replaced; ``grow_ref`` is their growth loop, a sorted occupied set
 searched by bisection for every arm.  Columns, rectangle counts and
 measures must be equal, and ``grow_ref``'s output equal bit for bit.
-``sample_points_ref`` is the sampler with one ``cover.locate`` call per
-drawn point, which the batch cover test replaced, and ``is_exceptional_ref``
-the per-point classifier that explicit scan points went through before they
-shared the sampler's batch test.  ``power_tail_bracket_ref``
+``sample_points_ref`` is the sampler with one cover lookup per drawn point,
+which the batch cover test replaced, and ``is_exceptional_ref`` the
+per-point classifier that explicit scan points went through before they
+shared the sampler's batch test; both look points up in ``ColumnUnion``, the
+object-based union that ``RectUnion.classify`` must agree with, and test the
+box themselves, so neither runs the location code it checks.
+``overlap_area_ref`` is the pairwise rectangle overlap that the lemma test
+and the disjoint random cube families use.  ``power_tail_bracket_ref``
 is the per-index power-tail bracket that the shared tail table replaced; the
 table must equal it bit for bit.
 """
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -29,7 +34,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from densitometer.dilation import Rectangle, _check_gamma, _toggle, dilate_1d, find_overlap
+from densitometer.dilation import (
+    Rectangle,
+    RectUnion,
+    _check_gamma,
+    _toggle,
+    dilate_1d,
+    find_overlap,
+)
 from densitometer.errors import OutOfRange, OverlappingCubes
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
 from densitometer.logdomain import LogBracket, log_add, log_sub, log_sum
@@ -258,11 +270,12 @@ def is_exceptional_ref(model, cover, point):
     points are next, including interiors of the cover's own cubes; a point
     inside an uncovered cube is not part of the remaining set at all.
     """
-    if model.outer.locate(point) is not Location.INSIDE:
+    ox, oy = model.outer.x, model.outer.y
+    if not (ox.lo < point[0] < ox.hi and oy.lo < point[1] < oy.hi):
         raise OutOfRange(f"point {point} is not strictly inside the outer box")
     cube_loc, cube_idx = locate_in_cubes_ref(model, point)
     cube_loc = Location(cube_loc)
-    per_block = tuple((b.s, b.union.locate(point)) for b in cover.blocks)
+    per_block = tuple((b.s, column_union(b.union).locate(point)) for b in cover.blocks)
     if cube_loc is Location.BOUNDARY:
         overall = "on-cube-boundary"
     elif any(loc is not Location.OUTSIDE for _, loc in per_block):
@@ -290,7 +303,9 @@ def distance_to_cubes_ref(model, point, upto):
 
 
 def sample_points_ref(model, cover, config):
-    """Scannable points as ``sample_points`` draws them, one cover.locate per point."""
+    """Scannable points as ``sample_points`` draws them, each point looked up
+    in every block's ``ColumnUnion``."""
+    blocks = [column_union(b.union) for b in cover.blocks]
     rng = np.random.Generator(np.random.PCG64(_substreams(config, 0, 1)[0]))
     outer = model.outer
     accepted = []
@@ -303,7 +318,7 @@ def sample_points_ref(model, cover, config):
         strict_inner = (outer.x.lo < px) & (px < outer.x.hi) & (outer.y.lo < py) & (py < outer.y.hi)
         for i in np.flatnonzero(~in_cube & strict_inner):
             point = (float(px[i]), float(py[i]))
-            if cover.locate(point) is Location.OUTSIDE:
+            if all(ref.locate(point) is Location.OUTSIDE for ref in blocks):
                 accepted.append(point)
                 if len(accepted) == config.points:
                     draws_here = draws + int(i) + 1
@@ -343,6 +358,19 @@ class ColumnUnion:
             if x == x_int.hi and ys.locate(y) is not Location.OUTSIDE:
                 return Location.BOUNDARY
         return Location.OUTSIDE
+
+
+@functools.cache
+def column_union(union: RectUnion) -> ColumnUnion:
+    """The ColumnUnion over a RectUnion's columns, built once per union."""
+    return ColumnUnion(union.columns)
+
+
+def overlap_area_ref(a: Rectangle, b: Rectangle) -> float:
+    """Area of the intersection of two open rectangles."""
+    wx = min(a.x.hi, b.x.hi) - max(a.x.lo, b.x.lo)
+    wy = min(a.y.hi, b.y.hi) - max(a.y.lo, b.y.lo)
+    return wx * wy if wx > 0.0 and wy > 0.0 else 0.0
 
 
 class _OccupiedSet:

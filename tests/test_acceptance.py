@@ -30,7 +30,7 @@ from densitometer import cli
 from densitometer.setmodel import cover_measure_bound
 from densitometer.weights import index_a, index_e_bm, index_e_bt
 
-from oracles import is_exceptional_ref, raster_area_bracket
+from oracles import is_exceptional_ref, overlap_area_ref, raster_area_bracket
 
 
 def _random_interval_family(rng, n_max):
@@ -54,7 +54,7 @@ def _random_cube_family(rng, n_max):
         x = rng.uniform(0.0, 5.0)
         y = rng.uniform(0.0, 5.0)
         cand = Rectangle.from_bounds(x, x + w, y, y + w)
-        if all(cand.overlap_area(c) == 0.0 for c in cubes):
+        if all(overlap_area_ref(cand, c) == 0.0 for c in cubes):
             cubes.append(cand)
     return cubes
 

@@ -72,6 +72,8 @@ def _long_row(payload):
         (lambda payload: {**payload, "outer": 5}, "'outer'"),
         (lambda payload: {**payload, "trunc": None}, "'trunc'"),
         (lambda payload: [payload], "must hold an object"),
+        (lambda payload: {k: v for k, v in payload.items() if k != "trunc"}, "lacks field 'trunc'"),
+        (lambda payload: {**payload, "seq": {"kind": "power", "p": 2}}, "lacks field 'c'"),
     ],
     ids=[
         "short-cube-row",
@@ -82,6 +84,8 @@ def _long_row(payload):
         "outer-not-list",
         "trunc-not-integer",
         "top-level-list",
+        "trunc-missing",
+        "seq-lacks-c",
     ],
 )
 def test_malformed_set_is_exit_two(tmp_path, capsys, malform, named):
@@ -91,6 +95,21 @@ def test_malformed_set_is_exit_two(tmp_path, capsys, malform, named):
     path.write_text(json.dumps(malform(json.loads(path.read_text()))))
     capsys.readouterr()
     assert run(out + ["cover", "--set", str(path), "--m", "2", "--s-hi", "2", "--out", "c.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "seq,named",
+    [
+        ('{"kind":"power","p":2}', "lacks field 'c'"),
+        ("power:p=2", "lacks parameter 'c'"),
+        ("geometric:c=1", "lacks parameter 'rho'"),
+    ],
+    ids=["json-power-lacks-c", "compact-power-lacks-c", "compact-geometric-lacks-rho"],
+)
+def test_missing_seq_field_is_named(capsys, seq, named):
+    assert run(["indices", "--seq", seq]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
 
@@ -246,6 +265,28 @@ def test_scan_adversarial_point_flagged(tmp_path):
     assert code == 0
     row = (tmp_path / "scan.csv").read_text().strip().splitlines()[1]
     assert row.endswith("exceptional")
+
+
+def test_scan_summary_counts_explicit_points(tmp_path):
+    """With --points-at the summary's points field counts those points, not
+    the unused --points default."""
+    base = ["--out-dir", str(tmp_path)]
+    assert run(base, "build-set", "--seq", "power:c=0.25,p=2", "--n", "255", "--out", "set.json") == 0
+    code = run(
+        base,
+        "scan",
+        "--set", str(tmp_path / "set.json"),
+        "--t", "0.05",
+        "--rects", "20",
+        "--m", "2",
+        "--s-hi", "3",
+        "--points-at", "0.5,0.95;0.25,0.25",
+        "--summary-out", "summary.json",
+    )
+    assert code == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["points"] == 2
+    assert sum(summary["per_t"][0][k] for k in ("applicable", "deferred", "exceptional")) == 2
 
 
 def test_verify_all_small(tmp_path):

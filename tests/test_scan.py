@@ -148,7 +148,7 @@ def test_sample_points_match_per_point_sampler(
     canonical_model, canonical_cover, deposition_model, deposition_cover, layout, seed
 ):
     """The batch cover test accepts the same points after the same draws as
-    one cover.locate per drawn point."""
+    one lookup per drawn point in the blocks' ColumnUnion oracles."""
     model, cover = {
         "shelf": (canonical_model, canonical_cover),
         "deposition": (deposition_model, deposition_cover),
@@ -174,13 +174,18 @@ def _cover_probes(cover, every=4):
 
 @pytest.mark.parametrize("layout", ["shelf", "deposition"])
 def test_cover_meets_matches_locate(canonical_cover, deposition_cover, layout):
+    """Where the closed cover meets a point, and how, matches locate: the
+    cover's code is the largest of the blocks' verdicts, each taken from the
+    object-based ColumnUnion oracle."""
     cover = {"shelf": canonical_cover, "deposition": deposition_cover}[layout]
     pts = _cover_probes(cover)
-    got = cover.meets(pts[:, 0], pts[:, 1])
-    want = [cover.locate((float(x), float(y))) is not Location.OUTSIDE for x, y in pts]
+    rank = {Location.OUTSIDE: 0, Location.BOUNDARY: 1, Location.INSIDE: 2}
+    refs = [oracles.column_union(b.union) for b in cover.blocks]
+    want = [max(rank[ref.locate((float(x), float(y)))] for ref in refs) for x, y in pts]
+    got = cover.classify(pts[:, 0], pts[:, 1])
     assert got.tolist() == want
-    assert 0 < got.sum() < len(pts)
-    assert not ExceptionalCover.empty().meets(pts[:, 0], pts[:, 1]).any()
+    assert set(want) == {0, 1, 2}
+    assert not ExceptionalCover.empty().classify(pts[:, 0], pts[:, 1]).any()
 
 
 # -- density scan -------------------------------------------------------------------
