@@ -40,29 +40,13 @@ _LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class Schedule:
-    """Block schedule n(s) = s^s, exact in integers and in log-domain."""
+    """Block schedule n(s) = s^s for s = 1..s_max."""
 
     s_max: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.s_max, int) or self.s_max < 1:
             raise ValueError(f"schedule horizon must be an integer >= 1, got {self.s_max}")
-
-    def value(self, s: int) -> int:
-        """Exact n(s) = s^s as an arbitrary-precision integer."""
-        if s < 1:
-            raise OutOfRange(f"schedule index must be >= 1, got {s}")
-        return s**s
-
-    def log_value(self, s: int) -> float:
-        """Natural log of n(s), computed as s*log(s)."""
-        if s < 1:
-            raise OutOfRange(f"schedule index must be >= 1, got {s}")
-        return s * math.log(s)
-
-    def index_range(self, s: int) -> tuple[int, int]:
-        """1-based cube index range of block s: n(s) .. n(s+1) - 1."""
-        return self.value(s), self.value(s + 1) - 1
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(1, self.s_max + 1))
@@ -196,11 +180,6 @@ class RateFunction:
     def horizon_log(self) -> float:
         """Smallest covered log t; queries below raise BelowHorizon."""
         return self.branches[0].t_lo_log
-
-    @property
-    def top_log(self) -> float:
-        """Log t above which the floor is -1."""
-        return self.branches[-1].t_lo_log
 
     def branch_at_log(self, log_t: float) -> Branch:
         if math.isnan(log_t):

@@ -423,7 +423,7 @@ def cmd_verify_all(args) -> int:
 
     littleo = little_o_check(selection)
     (out_dir / "littleo.csv").write_text(_littleo_csv(selection, littleo))
-    steps.append(("diag-littleo", True, f"verdict={littleo.verdict}"))
+    steps.append(("diag-littleo", littleo.is_decaying, f"verdict={littleo.verdict}"))
 
     trunc = (args.level + 1) ** (args.level + 1) - 1
     outer = Rectangle.from_bounds(*_parse_floats(args.outer, 4))

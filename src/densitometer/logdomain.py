@@ -106,9 +106,6 @@ class LogBracket:
     def certainly_ge(self, log_x: float) -> bool:
         return self.lo >= log_x
 
-    def contains_log(self, log_x: float) -> bool:
-        return self.lo <= log_x <= self.hi
-
     def scaled(self, log_factor: float) -> "LogBracket":
         """Multiply by a positive constant given in log form."""
         if self.is_zero:

@@ -24,10 +24,7 @@ shortest-round-trip float formatting so artifact bytes are reproducible.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +43,6 @@ __all__ = [
     "SeparationReport",
     "EnvelopeRow",
     "EnvelopeReport",
-    "thread_count",
     "sample_points",
     "scan_density_bound",
     "separation_check",
@@ -68,16 +64,6 @@ def _csv(header: str, rows: Iterable[Sequence]) -> str:
 
     lines = [header, *(",".join(map(cell, row)) for row in rows)]
     return "\n".join(lines) + "\n"
-
-
-def thread_count() -> int:
-    """Worker cap from DENSITOMETER_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("DENSITOMETER_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -475,14 +461,14 @@ def _scan_one_point(
     model: CompactSetModel,
     config: ScanConfig,
     plan: _ScanPlan,
-    seeds: list[np.random.SeedSequence],
-    i: int,
+    point: tuple[float, float],
+    scannable: bool,
+    seed: np.random.SeedSequence,
 ) -> list[tuple[float, int, str]]:
-    """Point i: (min_ratio, violations, regime) for each t, cumulatively.
+    """(min_ratio, violations, regime) of one point for each t, cumulatively.
 
     The rectangles of every t are drawn first and measured in one pass."""
-    point, scannable = plan.points[i], plan.scannable[i]
-    rng = np.random.Generator(np.random.PCG64(seeds[i]))
+    rng = np.random.Generator(np.random.PCG64(seed))
     rects = np.concatenate([_draw_rects(rng, point, t, config, model) for t in plan.t_sorted])
     ratios = _point_ratios(model, point, rects)
     d2 = _point_gaps(model, point, plan.upto)[1] if scannable and plan.upto else None
@@ -513,13 +499,10 @@ def scan_density_bound(
     """
     plan = _scan_plan(model, cover, ratefn, config, points)
     seeds = _substreams(config, 1, len(plan.points))
-    worker = partial(_scan_one_point, model, config, plan, seeds)
-    workers = min(thread_count(), len(plan.points), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(worker, range(len(plan.points))))
-    else:
-        per_point = [worker(i) for i in range(len(plan.points))]
+    per_point = [
+        _scan_one_point(model, config, plan, point, scannable, seed)
+        for point, scannable, seed in zip(plan.points, plan.scannable, seeds)
+    ]
 
     rows: list[ScanRow] = []
     summaries: list[TSummary] = []

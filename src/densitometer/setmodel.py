@@ -42,6 +42,9 @@ __all__ = [
 
 # Rectangles x cubes per overlap-kernel block; bounds the kernel's temporaries.
 _BLOCK_CELLS = 1 << 16
+# Stopping rule of cover_measure_bound.
+_COVER_REL_TOL = 1e-15
+_COVER_S_CAP = 400
 
 
 def closed_hits(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
@@ -123,18 +126,6 @@ class CompactSetModel:
     @property
     def measure_remaining(self) -> float:
         return self.outer.area - self.removed_area
-
-    def cube(self, n: int) -> Rectangle:
-        """Open cube n (1-based)."""
-        if not 1 <= n <= self.trunc:
-            raise OutOfRange(f"cube index must be in 1..{self.trunc}, got {n}")
-        x, y, w = float(self.xs[n - 1]), float(self.ys[n - 1]), float(self.sides[n - 1])
-        return Rectangle.from_bounds(x, x + w, y, y + w)
-
-    def cubes(self, n_lo: int = 1, n_hi: int | None = None) -> tuple[Rectangle, ...]:
-        if n_hi is None:
-            n_hi = self.trunc
-        return tuple(self.cube(n) for n in range(n_lo, n_hi + 1))
 
     def overlaps(
         self,
@@ -373,21 +364,19 @@ class ExceptionalCover:
         return LOCATIONS[self.classify([point[0]], [point[1]])[0]]
 
 
-def cover_measure_bound(
-    seq: WeightSequence, m: int, *, rel_tol: float = 1e-15, s_cap: int = 400
-) -> LogBracket:
+def cover_measure_bound(seq: WeightSequence, m: int) -> LogBracket:
     """Bracket for the analytic bound sum_{s >= m} (2*2^s + 1)^2 * r(n(s)).
 
-    Terms accumulate until one is certainly below rel_tol of the running
-    total; HorizonExhausted if that never happens within s_cap blocks (the
-    sum still converges for any admissible sequence, but certifying it would
-    need a deeper scan).
+    Terms accumulate until one is certainly below _COVER_REL_TOL of the
+    running total; HorizonExhausted if that never happens within
+    _COVER_S_CAP blocks (the sum still converges for any admissible
+    sequence, but certifying it would need a deeper scan).
     """
     if m < 1:
         raise OutOfRange(f"cover start index must be >= 1, got {m}")
     los: list[float] = []
     his: list[float] = []
-    for s in range(m, s_cap + 1):
+    for s in range(m, _COVER_S_CAP + 1):
         factor = 2.0 * math.log(2 ** (s + 1) + 1)
         tail = tail_sum(seq, s**s)
         term = tail.scaled(factor)
@@ -395,11 +384,11 @@ def cover_measure_bound(
         his.append(term.hi)
         if term.is_zero:
             break
-        if term.hi <= log_sum(his) + math.log(rel_tol):
+        if term.hi <= log_sum(his) + math.log(_COVER_REL_TOL):
             break
     else:
         raise HorizonExhausted(
-            f"cover bound did not stabilize within {s_cap} blocks from m = {m}"
+            f"cover bound did not stabilize within {_COVER_S_CAP} blocks from m = {m}"
         )
     return LogBracket(log_sum(los), log_sum(his))
 

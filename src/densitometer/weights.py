@@ -17,8 +17,9 @@ asymptotic indexes of the area sequence:
 For a power sequence all three equal 1/p; for a geometric sequence all are 0.
 Magnitudes are carried in natural-log form (see :mod:`densitometer.logdomain`)
 so that probes such as n = 20**20 stay representable.  liminf/limsup are
-estimated as tail minima/maxima over a caller-supplied probe grid; estimates
-carry a convergence diagnostic instead of pretending to be exact limits.
+estimated as tail minima/maxima over the probe grid of default_probes;
+estimates carry a convergence diagnostic instead of pretending to be exact
+limits.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ __all__ = [
     "tail_lower_exponent",
     "analyze",
 ]
+
+# tail_lower_exponent tries mu = p - 1 + _MU_MARGIN for a power sequence.
+_MU_MARGIN = 0.1
 
 
 def default_probes(limit: int = 10**6) -> tuple[int, ...]:
@@ -300,7 +304,9 @@ def _tail_slice(values: Sequence, minimum: int = 4) -> Sequence:
     return values[len(values) - count :]
 
 
-def _closed_form_probes(seq: WeightSequence, probes: Sequence[int] | None, *, start: int = 2) -> list[int]:
+def _closed_form_probes(
+    seq: WeightSequence, probes: Sequence[int] | None = None, *, start: int = 2
+) -> list[int]:
     if not seq.is_closed_form:
         raise NotClosedForm(f"operation needs a closed-form sequence, got {seq.kind!r}")
     grid = list(probes) if probes is not None else list(default_probes())
@@ -358,9 +364,9 @@ def index_a(
     )
 
 
-def index_e_bt(seq: WeightSequence, probes: Sequence[int] | None = None) -> IndexEstimate:
+def index_e_bt(seq: WeightSequence) -> IndexEstimate:
     """limsup proxy for log n / |log w_n^2| (convergence exponent of the areas)."""
-    grid = _closed_form_probes(seq, probes)
+    grid = _closed_form_probes(seq)
     values = []
     for n in grid:
         log_w2 = seq.log_w2(n)
@@ -393,7 +399,6 @@ class ExponentScan:
 def index_e_bm(
     seq: WeightSequence,
     a_grid: Sequence[float] | None = None,
-    probes: Sequence[int] | None = None,
     *,
     tails: Mapping[int, LogBracket] | None = None,
 ) -> ExponentScan:
@@ -407,7 +412,7 @@ def index_e_bm(
     quota of the kind "final < 1e-3 * initial" would place the transition
     above 1/p.  ``tails`` is shared as in :func:`index_a`.
     """
-    grid = _closed_form_probes(seq, probes)
+    grid = _closed_form_probes(seq)
     if tails is None:
         tails = _tail_table(seq, grid)
     if a_grid is None:
@@ -462,7 +467,6 @@ def verify_finally_inequalities(
     seq: WeightSequence,
     theta: float,
     delta: float,
-    probes: Sequence[int] | None = None,
     *,
     tails: Mapping[int, LogBracket] | None = None,
 ) -> OnsetReport:
@@ -475,8 +479,8 @@ def verify_finally_inequalities(
     certified upper end of the bracket, so "holds" is bracketing-robust.
     ``tails`` is shared as in :func:`index_a`.
     """
-    grid = _closed_form_probes(seq, probes, start=1)
-    e_bt = index_e_bt(seq, [n for n in grid if n >= 2]).estimate
+    grid = _closed_form_probes(seq, start=1)
+    e_bt = index_e_bt(seq).estimate
     for name, value in (("theta", theta), ("delta", delta)):
         if not e_bt < value < 1:
             raise InadmissibleParameter(
@@ -527,16 +531,14 @@ class ComparabilityReport:
     values: tuple[tuple[int, float], ...]
 
 
-def log_comparability(
-    seq: WeightSequence, probes: Sequence[int] | None = None
-) -> ComparabilityReport:
+def log_comparability(seq: WeightSequence) -> ComparabilityReport:
     """Check whether log n and |log w_n| agree up to bounded constants.
 
     The verdict is "comparable" when the tail minimum of the ratio exceeds
     0.01 and the tail maximum stays below 100.  Geometric sequences fail the
     lower bound: the ratio collapses like log n / n.
     """
-    grid = _closed_form_probes(seq, probes)
+    grid = _closed_form_probes(seq)
     values = []
     for n in grid:
         log_w = seq.log_w(n)
@@ -554,26 +556,23 @@ def log_comparability(
 
 
 def tail_lower_exponent(
-    seq: WeightSequence,
-    probes: Sequence[int] | None = None,
-    margin: float = 0.1,
-    *,
-    tails: Mapping[int, LogBracket] | None = None,
+    seq: WeightSequence, *, tails: Mapping[int, LogBracket] | None = None
 ) -> float | None:
     """Exponent mu with r_n >= n**(-mu) at every probe >= 2, if one exists.
 
-    For a power sequence mu = p - 1 + margin is returned once verified against
-    the certified lower bracket end; None when verification fails (geometric
-    tails sink below every power).  ``tails`` is shared as in :func:`index_a`.
+    For a power sequence mu = p - 1 + _MU_MARGIN is returned once verified
+    against the certified lower bracket end; None when verification fails
+    (geometric tails sink below every power).  ``tails`` is shared as in
+    :func:`index_a`.
     """
-    grid = _closed_form_probes(seq, probes)
+    grid = _closed_form_probes(seq)
     if tails is None:
         tails = _tail_table(seq, grid)
     if seq.kind == "power":
-        mu = seq.p - 1.0 + margin
+        mu = seq.p - 1.0 + _MU_MARGIN
     else:
         # No power lower envelope is expected; still try the margin itself.
-        mu = margin
+        mu = _MU_MARGIN
     ok = all(tails[n].certainly_ge(-mu * math.log(n)) for n in grid)
     return mu if ok else None
 
@@ -630,7 +629,6 @@ def analyze(
     seq: WeightSequence,
     theta: float | None = None,
     delta: float | None = None,
-    probes: Sequence[int] | None = None,
 ) -> IndexReport:
     """Estimate all indexes; include onsets when (theta, delta) are supplied.
 
@@ -639,14 +637,14 @@ def analyze(
     handed to every estimator that reads them.  It lives for this call only.
     """
     with_onsets = theta is not None and delta is not None
-    tails = _tail_table(seq, _closed_form_probes(seq, probes, start=1 if with_onsets else 2))
-    a = index_a(seq, probes, tails=tails)
-    e_bt = index_e_bt(seq, probes)
-    e_bm = index_e_bm(seq, probes=probes, tails=tails)
+    tails = _tail_table(seq, _closed_form_probes(seq, start=1 if with_onsets else 2))
+    a = index_a(seq, tails=tails)
+    e_bt = index_e_bt(seq)
+    e_bm = index_e_bm(seq, tails=tails)
     onsets = None
     epsilon = None
     if with_onsets:
-        onsets = verify_finally_inequalities(seq, theta, delta, probes, tails=tails)
+        onsets = verify_finally_inequalities(seq, theta, delta, tails=tails)
         epsilon = onsets.epsilon
     return IndexReport(
         seq=seq,
@@ -658,7 +656,7 @@ def analyze(
         theta=theta,
         delta=delta,
         epsilon=epsilon,
-        mu=tail_lower_exponent(seq, probes, tails=tails),
+        mu=tail_lower_exponent(seq, tails=tails),
         onsets=onsets,
-        comparability=log_comparability(seq, probes),
+        comparability=log_comparability(seq),
     )

@@ -20,7 +20,8 @@ shared the sampler's batch test; both look points up in ``ColumnUnion``, the
 object-based union that ``RectUnion.classify`` must agree with, and test the
 box themselves, so neither runs the location code it checks.
 ``overlap_area_ref`` is the pairwise rectangle overlap that the lemma test
-and the disjoint random cube families use.  ``power_tail_bracket_ref``
+and the disjoint random cube families use, and ``cube``/``cubes`` give a
+model's cubes as ``Rectangle`` objects.  ``power_tail_bracket_ref``
 is the per-index power-tail bracket that the shared tail table replaced; the
 table must equal it bit for bit.
 """
@@ -371,6 +372,21 @@ def overlap_area_ref(a: Rectangle, b: Rectangle) -> float:
     wx = min(a.x.hi, b.x.hi) - max(a.x.lo, b.x.lo)
     wy = min(a.y.hi, b.y.hi) - max(a.y.lo, b.y.lo)
     return wx * wy if wx > 0.0 and wy > 0.0 else 0.0
+
+
+def cube(model, n: int) -> Rectangle:
+    """Open cube n (1-based) of the model."""
+    if not 1 <= n <= model.trunc:
+        raise OutOfRange(f"cube index must be in 1..{model.trunc}, got {n}")
+    x, y, w = float(model.xs[n - 1]), float(model.ys[n - 1]), float(model.sides[n - 1])
+    return Rectangle.from_bounds(x, x + w, y, y + w)
+
+
+def cubes(model, n_lo: int = 1, n_hi: int | None = None) -> tuple[Rectangle, ...]:
+    """Open cubes n_lo..n_hi (through the truncation by default)."""
+    if n_hi is None:
+        n_hi = model.trunc
+    return tuple(cube(model, n) for n in range(n_lo, n_hi + 1))
 
 
 class _OccupiedSet:

@@ -30,7 +30,7 @@ from densitometer import cli
 from densitometer.setmodel import cover_measure_bound
 from densitometer.weights import index_a, index_e_bm, index_e_bt
 
-from oracles import is_exceptional_ref, overlap_area_ref, raster_area_bracket
+from oracles import cube, is_exceptional_ref, overlap_area_ref, raster_area_bracket
 
 
 def _random_interval_family(rng, n_max):
@@ -185,7 +185,7 @@ def test_criterion_08_density_scan(canonical_model, canonical_cover, canonical_r
         assert summary.violations_applicable == 0
     # adversarial: the center of a covered-block cube must be flagged, and it
     # produces genuine sub-floor ratios that stay out of the applicable tally
-    c300 = canonical_model.cube(300)
+    c300 = cube(canonical_model, 300)
     center = ((c300.x.lo + c300.x.hi) / 2, (c300.y.lo + c300.y.hi) / 2)
     verdict = is_exceptional_ref(canonical_model, canonical_cover, center)
     assert verdict.overall == "in-cover"

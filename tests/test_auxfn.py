@@ -20,28 +20,9 @@ from densitometer.weights import WeightSequence
 
 # -- schedule ---------------------------------------------------------------------
 
-def test_schedule_values():
-    sched = Schedule(6)
-    assert [sched.value(s) for s in sched] == [1, 4, 27, 256, 3125, 46656]
-    assert sched.value(5) == 5**5
-
-
-def test_schedule_index_range():
-    sched = Schedule(4)
-    assert sched.index_range(1) == (1, 3)
-    assert sched.index_range(2) == (4, 26)
-    assert sched.index_range(3) == (27, 255)
-
-
 def test_schedule_rejects_small_horizon():
     with pytest.raises(ValueError):
         Schedule(0)
-
-
-def test_log_value_matches_log_of_value():
-    sched = Schedule(12)
-    for s in sched:
-        assert sched.log_value(s) == pytest.approx(math.log(sched.value(s)), rel=1e-15)
 
 
 # -- block scales and selection -----------------------------------------------------
@@ -116,7 +97,7 @@ def test_rate_function_exact_dyadic_floors(canonical_ratefn):
 def test_rate_function_floor_plus_deficit_is_one(canonical_ratefn):
     rf = canonical_ratefn
     lo = rf.horizon_log
-    hi = rf.top_log + 2.0
+    hi = rf.branches[-1].t_lo_log + 2.0
     for k in range(1000):
         log_t = lo + (hi - lo) * (k + 0.5) / 1000.0
         branch = rf.branch_at_log(log_t)

@@ -61,7 +61,7 @@ def test_worker_point_check(worker, canonical_model, canonical_cover):
     sample = np.array(sample_points(canonical_model, canonical_cover, config).points)
     assert worker._outside_cubes_and_cover(canonical_model, canonical_cover, sample)
 
-    c1 = canonical_model.cube(1)
+    c1 = oracles.cube(canonical_model, 1)
     edge = np.array([[c1.x.hi, (c1.y.lo + c1.y.hi) / 2]])
     assert not worker._outside_cubes_and_cover(canonical_model, canonical_cover, edge)
 

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from densitometer import cli, scan
+from densitometer.auxfn import LittleOReport, little_o_check
 from densitometer.scan import sample_points
 from densitometer.weights import WeightSequence
 
@@ -320,6 +321,19 @@ def test_verify_all_small(tmp_path):
     steps = (tmp_path / "a" / "summary.csv").read_text().strip().splitlines()
     assert steps[0] == "step,status,detail"
     assert all(line.split(",")[1] == "pass" for line in steps[1:])
+
+
+def test_verify_all_fails_on_diverging_littleo(tmp_path, monkeypatch):
+    """A diverging little-o trace fails its verify-all step and the run."""
+
+    def diverging(selection):
+        return LittleOReport(little_o_check(selection).products, "diverging")
+
+    monkeypatch.setattr(cli, "little_o_check", diverging)
+    args = ["verify-all", "--seq", "power:c=0.25,p=2", "--level", "3", "--m", "2"]
+    assert run(args, "--points", "10", "--rects", "40", "--out-dir", str(tmp_path)) == 1
+    steps = (tmp_path / "summary.csv").read_text().splitlines()
+    assert "diag-littleo,fail,verdict=diverging" in steps
 
 
 def test_verify_all_samples_once(tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from densitometer.setmodel import build_cover
 
 from oracles import (
     ColumnUnion,
+    cubes,
     dilate_1d_exact,
     dilate_2d_labels,
     dilate_2d_objects,
@@ -278,7 +279,7 @@ def _assert_matches_oracles(cubes, gamma, allow_gamma_one=False):
 
 
 def _block(model, s):
-    return model.cubes(s**s, (s + 1) ** (s + 1) - 1)
+    return cubes(model, s**s, (s + 1) ** (s + 1) - 1)
 
 
 @pytest.mark.parametrize("s", [3, 4])

@@ -69,7 +69,6 @@ def test_bracket_comparisons():
     assert not b.certainly_lt(math.log(2.5))
     assert b.certainly_ge(math.log(2.0))
     assert not b.certainly_ge(math.log(2.5))
-    assert b.contains_log(math.log(2.5))
 
 
 def test_bracket_scaled_and_sqrt():

@@ -18,7 +18,6 @@ from densitometer.scan import (
     scan_deficit_envelope,
     scan_density_bound,
     separation_check,
-    thread_count,
 )
 from densitometer.setmodel import (
     CompactSetModel,
@@ -65,54 +64,6 @@ def small_config(**overrides):
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
         small_config(**overrides)
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("DENSITOMETER_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("DENSITOMETER_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("DENSITOMETER_THREADS", "garbage")
-    assert thread_count() == 1
-
-
-def test_thread_count_capped_by_points_and_cpus(
-    canonical_model, canonical_cover, canonical_ratefn, small_report, monkeypatch
-):
-    """The scan asks for at most min(DENSITOMETER_THREADS, points, cpu count)
-    workers; a recording stand-in for the pool starts no thread."""
-    requested = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(scan, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setenv("DENSITOMETER_THREADS", "100000")
-
-    def run(**overrides):
-        return scan_density_bound(
-            canonical_model, canonical_cover, canonical_ratefn, small_config(**overrides)
-        )
-
-    monkeypatch.setattr(scan.os, "cpu_count", lambda: 3)
-    assert run().rows == small_report.rows
-    assert requested == [3]
-    monkeypatch.setattr(scan.os, "cpu_count", lambda: 64)
-    run(points=2)
-    assert requested == [3, 2]
-    monkeypatch.setattr(scan.os, "cpu_count", lambda: None)
-    run(points=2)
-    assert requested == [3, 2]
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -241,7 +192,7 @@ def test_scan_margin_definition(small_report):
 
 
 def test_scan_explicit_adversarial_point(canonical_model, canonical_cover, canonical_ratefn):
-    c300 = canonical_model.cube(300)
+    c300 = oracles.cube(canonical_model, 300)
     center = ((c300.x.lo + c300.x.hi) / 2, (c300.y.lo + c300.y.hi) / 2)
     report = scan_density_bound(
         canonical_model,
@@ -312,28 +263,6 @@ def test_explicit_point_outside_box_raises(
         scan_density_bound(
             canonical_model, canonical_cover, canonical_ratefn, config, points=[(0.5, 0.95), point]
         )
-
-
-def test_scan_threaded_matches_sequential(
-    canonical_model, canonical_cover, canonical_ratefn, small_report, monkeypatch
-):
-    monkeypatch.setenv("DENSITOMETER_THREADS", "3")
-    threaded = scan_density_bound(
-        canonical_model, canonical_cover, canonical_ratefn, small_config()
-    )
-    assert threaded.rows == small_report.rows
-
-
-def test_scan_two_threads_csv_byte_identical(
-    canonical_model, canonical_cover, canonical_ratefn, monkeypatch
-):
-    config = small_config(points=30, rects_per_point=200)
-    monkeypatch.delenv("DENSITOMETER_THREADS", raising=False)
-    one = scan_density_bound(canonical_model, canonical_cover, canonical_ratefn, config)
-    monkeypatch.setenv("DENSITOMETER_THREADS", "2")
-    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
-    two = scan_density_bound(canonical_model, canonical_cover, canonical_ratefn, config)
-    assert two.to_csv() == one.to_csv()
 
 
 def test_ratio_kernel_work_bound(canonical_model, canonical_cover, canonical_ratefn, monkeypatch):

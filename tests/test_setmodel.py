@@ -37,10 +37,10 @@ def test_packing_four_cubes(canonical_seq):
     model = build_packing(canonical_seq, 4, UNIT)
     # first three cubes fill the first row (widths 1/2 + 1/4 + 1/6 < 1),
     # the fourth starts the second row at x = 0
-    assert model.cube(1).bounds == (0.0, 0.5, 0.0, 0.5)
-    assert model.cube(2).x.lo == 0.5
-    assert model.cube(4).x.lo == 0.0
-    assert model.cube(4).y.lo == 0.5
+    assert oracles.cube(model, 1).bounds == (0.0, 0.5, 0.0, 0.5)
+    assert oracles.cube(model, 2).x.lo == 0.5
+    assert oracles.cube(model, 4).x.lo == 0.0
+    assert oracles.cube(model, 4).y.lo == 0.5
     removed = 0.25 * (1 + 1 / 4 + 1 / 9 + 1 / 16)
     assert model.measure_remaining == pytest.approx(1.0 - removed, rel=1e-12)
 
@@ -48,7 +48,7 @@ def test_packing_four_cubes(canonical_seq):
 def test_packing_invariants_random():
     seq = WeightSequence.power(0.25, 2.0)
     model = build_packing(seq, 200, UNIT)
-    cubes = model.cubes()
+    cubes = oracles.cubes(model)
     for c in cubes:
         assert 0.0 <= c.x.lo <= c.x.hi <= 1.0
         assert 0.0 <= c.y.lo <= c.y.hi <= 1.0
@@ -71,7 +71,7 @@ def test_packing_respects_trunc_bounds(canonical_seq):
     model = build_packing(canonical_seq, 10, UNIT)
     assert model.trunc == 10
     with pytest.raises(OutOfRange):
-        model.cube(11)
+        oracles.cube(model, 11)
 
 
 def test_model_json_round_trip(canonical_seq):
@@ -95,7 +95,7 @@ def test_model_json_rejects_overlapping_cubes(canonical_seq, moved, onto):
 def test_locate_in_cubes(canonical_model):
     """Hand-placed points against the cube oracle that is_exceptional_ref
     classifies with."""
-    c3 = canonical_model.cube(3)
+    c3 = oracles.cube(canonical_model, 3)
     cx = (c3.x.lo + c3.x.hi) / 2
     cy = (c3.y.lo + c3.y.hi) / 2
     assert oracles.locate_in_cubes_ref(canonical_model, (cx, cy)) == ("inside", 3)
@@ -114,7 +114,7 @@ def _distance_to_cubes(model, point, upto):
 
 
 def test_distance_to_cubes(canonical_model):
-    c1 = canonical_model.cube(1)  # (0, 0.5)^2
+    c1 = oracles.cube(canonical_model, 1)  # (0, 0.5)^2
     assert _distance_to_cubes(canonical_model, (0.75, 0.25), 1) == pytest.approx(0.25)
     assert _distance_to_cubes(canonical_model, (0.25, 0.25), 1) == 0.0
     # diagonal corner distance
@@ -135,7 +135,7 @@ def test_density_ratio_whole_box(canonical_model):
 
 
 def test_density_ratio_inside_cube_is_zero(canonical_model):
-    c1 = canonical_model.cube(1)
+    c1 = oracles.cube(canonical_model, 1)
     rect = Rectangle.from_bounds(0.1, 0.4, 0.1, 0.4)
     assert oracles.overlap_area_ref(c1, rect) == rect.area
     assert density_ratio(canonical_model, rect).ratio_n == 0.0
@@ -156,7 +156,7 @@ def test_density_ratio_empty_rect(canonical_model):
 def test_density_hand_rectangle(canonical_seq):
     # two cubes, handmade rectangle covering exactly half of cube 2
     model = build_packing(canonical_seq, 2, UNIT)
-    c2 = model.cube(2)
+    c2 = oracles.cube(model, 2)
     rect = Rectangle.from_bounds(c2.x.lo, c2.x.hi, c2.y.lo, (c2.y.lo + c2.y.hi) / 2)
     res = density_ratio(model, rect)
     assert res.ratio_n == pytest.approx(0.0, abs=1e-12)
@@ -195,7 +195,7 @@ def test_cover_requires_enough_cubes(canonical_seq):
 
 
 def test_cover_locate_and_prefix(canonical_model, canonical_cover):
-    c300 = canonical_model.cube(300)
+    c300 = oracles.cube(canonical_model, 300)
     center = ((c300.x.lo + c300.x.hi) / 2, (c300.y.lo + c300.y.hi) / 2)
     assert canonical_cover.locate(center) is Location.INSIDE
     prefix = list(accumulate(b.exact_measure for b in canonical_cover.blocks))
@@ -216,7 +216,7 @@ def test_is_exceptional_requires_interior_point(canonical_model, canonical_cover
 
 def test_is_exceptional_classes(canonical_model, canonical_cover):
     # center of a big (uncovered) cube: removed from the set but not covered
-    c1 = canonical_model.cube(1)
+    c1 = oracles.cube(canonical_model, 1)
     v1 = oracles.is_exceptional_ref(canonical_model, canonical_cover, (0.25, 0.25))
     assert v1.overall == "in-cube"
     assert v1.cube_index == 1
@@ -225,7 +225,7 @@ def test_is_exceptional_classes(canonical_model, canonical_cover):
     vb = oracles.is_exceptional_ref(canonical_model, canonical_cover, (c1.x.hi, 0.25))
     assert vb.overall == "on-cube-boundary"
     # center of a covered-block cube sits inside the cover
-    c300 = canonical_model.cube(300)
+    c300 = oracles.cube(canonical_model, 300)
     vc = oracles.is_exceptional_ref(
         canonical_model,
         canonical_cover,
