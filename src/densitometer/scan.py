@@ -178,40 +178,34 @@ def _draw_rects(
     point with Euclidean diagonal < t, log-uniform aspect, clipped to the box."""
     n = config.rects_per_point
     px, py = point
-    u = rng.uniform(0.0, 1.0, n)
+    # uniform(lo, hi) is lo + (hi - lo) * d, so one draw serves all four rows
+    u, aspect, vx, vy = rng.random((4, n))
     u = np.where(u > 0.0, u, 0.5)
     d = t * u
-    lo, hi = config.aspect_range
-    aspect = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    lo, hi = map(math.log, config.aspect_range)
+    aspect = np.exp(lo + (hi - lo) * aspect)
     height = d / np.sqrt(1.0 + aspect * aspect)
     width = aspect * height
-    vx = rng.uniform(0.0, 1.0, n)
     vx = np.where(vx > 0.0, vx, 0.5)
-    vy = rng.uniform(0.0, 1.0, n)
     vy = np.where(vy > 0.0, vy, 0.5)
     x0 = px - width * vx
     y0 = py - height * vy
-    x1 = x0 + width
-    y1 = y0 + height
     outer = model.outer
-    return np.stack(
-        [
-            np.maximum(x0, outer.x.lo),
-            np.minimum(x1, outer.x.hi),
-            np.maximum(y0, outer.y.lo),
-            np.minimum(y1, outer.y.hi),
-        ],
-        axis=1,
-    )
+    rects = np.empty((n, 4))
+    np.maximum(x0, outer.x.lo, out=rects[:, 0])
+    np.minimum(x0 + width, outer.x.hi, out=rects[:, 1])
+    np.maximum(y0, outer.y.lo, out=rects[:, 2])
+    np.minimum(y0 + height, outer.y.hi, out=rects[:, 3])
+    return rects
 
 
 def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
     """Which of the (n, 2) points lie in or on a cube.
 
-    The points go in sqrt(n) runs sorted by x, and each run is tested only
-    against the cubes that meet its bounding box: a closed cube holding a
-    point meets the box of every run that holds the point.  That costs about
-    2 sqrt(n) * N overlap widths for N cubes instead of n * N.
+    The points go in sqrt(n) runs sorted by x.  Each run asks the model's
+    cube index for its bounding box, keeps the candidates that meet the box,
+    and tests its points only against those: a closed cube holding a point
+    meets the box of every run that holds the point.
     """
     hit = np.empty(len(pts), dtype=bool)
     if not len(pts):
@@ -219,7 +213,8 @@ def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
     for run in np.array_split(np.argsort(pts[:, 0]), math.isqrt(len(pts))):
         p = pts[run]
         (x0, y0), (x1, y1) = p.min(axis=0), p.max(axis=0)
-        near = np.flatnonzero(model.overlaps([[x0, x1, y0, y1]], closed_hits)[0])
+        cand = model.index.query(x0, x1, y0, y1)
+        near = cand[model.overlaps([[x0, x1, y0, y1]], closed_hits, cand)[0]]
         hit[run] = model.overlaps(
             p[:, [0, 0, 1, 1]], lambda wx, wy: closed_hits(wx, wy).any(axis=1), near
         )
@@ -237,15 +232,18 @@ def _near_cubes(
     rectangle holding the point whose largest extent from it is r overlaps
     only cubes with gap <= r: cx < x1 implies fl(cx - px) <= fl(x1 - px),
     because rounding is monotone.  Its cubes are therefore the prefix
-    ``near[:searchsorted(gap, r, "right")]``, exactly.
+    ``near[:searchsorted(gap, r, "right")]``, exactly.  Only the cube
+    index's candidates for the box point +- reach are measured; they are
+    ascending and the sort is stable, so ties keep index order.
     """
     x, y = point
+    cand = model.index.query(x - reach, x + reach, y - reach, y + reach)
     gap = model.overlaps(
-        [[x, x, y, y]], lambda wx, wy: np.maximum(np.maximum(-wx, -wy), 0.0)
+        [[x, x, y, y]], lambda wx, wy: np.maximum(np.maximum(-wx, -wy), 0.0), cand
     )[0]
-    near = np.flatnonzero(gap <= reach)
-    near = near[np.argsort(gap[near], kind="stable")]
-    return near, gap[near]
+    keep = np.flatnonzero(gap <= reach)
+    keep = keep[np.argsort(gap[keep], kind="stable")]
+    return cand[keep], gap[keep]
 
 
 def _point_gaps(model: CompactSetModel, point: tuple[float, float], upto: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from .weights import WeightSequence, tail_sum
 
 __all__ = [
     "CompactSetModel",
+    "CubeIndex",
     "DensityResult",
     "BlockDilation",
     "ExceptionalCover",
@@ -40,8 +41,8 @@ __all__ = [
     "build_cover",
 ]
 
-# Rectangles x cubes per overlap-kernel block; bounds the kernel's temporaries.
-_BLOCK_CELLS = 1 << 16
+# Rectangles x cubes per overlap-kernel block: 128 KiB per float64 temporary.
+_BLOCK_CELLS = 1 << 14
 # Stopping rule of cover_measure_bound.
 _COVER_REL_TOL = 1e-15
 _COVER_S_CAP = 400
@@ -52,25 +53,74 @@ def closed_hits(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     return (wx >= 0.0) & (wy >= 0.0)
 
 
-def overlap_areas(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """Overlap reduction: area of each rectangle-cube intersection."""
-    return np.maximum(wx, 0.0) * np.maximum(wy, 0.0)
-
-
 def overlap_totals(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """Overlap reduction: each rectangle's total overlap area, exactly rounded.
 
+    The areas ``max(wx, 0) * max(wy, 0)`` are formed in place in ``wx``.
     The total depends only on the positive areas, not on which other cubes a
     row holds or their order.  Adding a zero is exact, so a row with at most
     two positive areas rounds once and numpy's sum is already exact there;
     the other rows go through math.fsum.
     """
-    pieces = overlap_areas(wx, wy)
+    pieces = np.maximum(wx, 0.0, out=wx)
+    pieces *= np.maximum(wy, 0.0, out=wy)
     positive = pieces > 0.0
     totals = pieces.sum(axis=1)
     for i in np.flatnonzero(np.count_nonzero(positive, axis=1) > 2):
         totals[i] = math.fsum(pieces[i, positive[i]].tolist())
     return totals
+
+
+class CubeIndex:
+    """Uniform-grid index of a model's cubes for box queries.
+
+    The outer box is cut into g x g cells with g = isqrt(N // 4) (at least
+    1), about four cubes to a cell.  A cube no larger than a cell is listed
+    once, in the cell of its lower-left corner: ``ids`` holds those cube
+    indexes sorted by cell (x-major) and then by index, and cell c's cubes
+    are ``ids[starts[c]:starts[c + 1]]``.  The few cubes larger than a cell
+    are the list ``big``, which every query returns (Bentley and Friedman,
+    "Data structures for range searching", ACM Computing Surveys 1979).
+    """
+
+    __slots__ = ("g", "origin", "cell", "ids", "starts", "big")
+
+    def __init__(
+        self, outer: Rectangle, xs: np.ndarray, ys: np.ndarray, sides: np.ndarray
+    ) -> None:
+        g = max(1, math.isqrt(len(xs) // 4))
+        self.g = g
+        self.origin = (outer.x.lo, outer.y.lo)
+        self.cell = (outer.x.length / g, outer.y.length / g)
+        small = sides <= min(self.cell)
+        self.big = np.flatnonzero(~small).astype(np.int32)
+        ids = np.flatnonzero(small).astype(np.int32)
+        ix, iy = (
+            np.clip(np.floor((v[ids] - o) / h), 0, g - 1).astype(np.intp)
+            for v, o, h in zip((xs, ys), self.origin, self.cell)
+        )
+        cells = ix * g + iy
+        order = np.argsort(cells, kind="stable")
+        self.ids = ids[order]
+        self.starts = np.zeros(g * g + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cells, minlength=g * g), out=self.starts[1:])
+
+    def _span(self, lo: float, hi: float, axis: int) -> range:
+        """Cells along one axis that can hold the corner of a cube meeting
+        [lo, hi]: a corner lies at most one cell side below lo, and one more
+        cell on each side absorbs the rounding of the cell arithmetic."""
+        o, h = self.origin[axis], self.cell[axis]
+        first = math.floor((lo - o - h) / h) - 1
+        last = math.floor((hi - o) / h) + 1
+        return range(max(first, 0), min(last, self.g - 1) + 1)
+
+    def query(self, x0: float, x1: float, y0: float, y1: float) -> np.ndarray:
+        """Ascending indexes of a superset of the cubes whose closed square
+        meets the closed box [x0, x1] x [y0, y1] (finite bounds)."""
+        cols, rows = self._span(x0, x1, 0), self._span(y0, y1, 1)
+        g, s, ids = self.g, self.starts, self.ids
+        parts = [ids[s[i * g + rows.start] : s[i * g + rows.stop]] for i in cols] if rows else []
+        return np.sort(np.concatenate([self.big, *parts]))
 
 
 class CompactSetModel:
@@ -82,10 +132,12 @@ class CompactSetModel:
     areas, so the measure bookkeeping identity
     ``measure_remaining + removed_area == outer.area`` is exact up to float
     rounding, and ``residual_tail`` brackets the area that cubes beyond the
-    truncation would still remove.
+    truncation would still remove.  ``index`` answers box queries for cubes.
     """
 
-    __slots__ = ("outer", "seq", "trunc", "xs", "ys", "sides", "removed_area", "residual_tail")
+    __slots__ = (
+        "outer", "seq", "trunc", "xs", "ys", "sides", "removed_area", "residual_tail", "index"
+    )
 
     def __init__(
         self,
@@ -122,6 +174,7 @@ class CompactSetModel:
             raise ValueError("every cube must lie inside the outer box")
         self.removed_area = math.fsum(seq.w2(n) for n in range(1, trunc + 1))
         self.residual_tail = tail_sum(seq, trunc + 1)
+        self.index = CubeIndex(outer, self.xs, self.ys, self.sides)
 
     @property
     def measure_remaining(self) -> float:
@@ -131,7 +184,7 @@ class CompactSetModel:
         self,
         rects: np.ndarray,
         reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        cubes: np.ndarray | slice = slice(None),
+        cubes: np.ndarray | slice,
     ) -> np.ndarray:
         """Reduce the signed overlap widths of rectangles against cubes.
 
@@ -140,7 +193,8 @@ class CompactSetModel:
         slice.  Per block of rectangle rows, ``wx = min(x1, cx + w) - max(x0,
         cx)`` and ``wy`` (the same in y) are (rows, cubes) arrays, negative
         by the gap when the two are apart; ``reduce(wx, wy)`` maps them to an
-        array whose first axis is the rows, and the blocks are concatenated.
+        array whose first axis is the rows (it may overwrite ``wx`` and
+        ``wy``), and the blocks are concatenated.
         A block holds at most _BLOCK_CELLS widths, or one row when a row alone
         holds more; the cube axis is never split, so row-wise sums are the
         same as over one unblocked array.
@@ -152,8 +206,10 @@ class CompactSetModel:
         out = []
         for i in range(0, len(rects), rows):
             x0, x1, y0, y1 = rects[i : i + rows].T[:, :, None]
-            wx = np.minimum(x1, cx1) - np.maximum(x0, cx0)
-            wy = np.minimum(y1, cy1) - np.maximum(y0, cy0)
+            wx = np.minimum(x1, cx1)
+            wx -= np.maximum(x0, cx0)
+            wy = np.minimum(y1, cy1)
+            wy -= np.maximum(y0, cy0)
             out.append(reduce(wx, wy))
         return np.concatenate(out)
 
@@ -298,7 +354,8 @@ def density_ratio(model: CompactSetModel, rect: Rectangle) -> DensityResult:
         raise EmptyRect(f"rectangle {rect.bounds} has no interior inside the outer box")
     clipped = (x_lo, x_hi, y_lo, y_hi) != rect.bounds
     area = (x_hi - x_lo) * (y_hi - y_lo)
-    overlap = float(model.overlaps([[x_lo, x_hi, y_lo, y_hi]], overlap_totals)[0])
+    cubes = model.index.query(x_lo, x_hi, y_lo, y_hi)
+    overlap = float(model.overlaps([[x_lo, x_hi, y_lo, y_hi]], overlap_totals, cubes)[0])
     ratio_n = min(1.0, max(0.0, 1.0 - overlap / area))
     tail_hi = model.residual_tail.linear_hi
     return DensityResult(

@@ -14,7 +14,8 @@ layout replaced; ``grow_ref`` is their growth loop, a sorted occupied set
 searched by bisection for every arm.  Columns, rectangle counts and
 measures must be equal, and ``grow_ref``'s output equal bit for bit.
 ``sample_points_ref`` is the sampler with one cover lookup per drawn point,
-which the batch cover test replaced, and ``is_exceptional_ref`` the
+which the batch cover test replaced, and the dense ``in_cubes_ref`` in place
+of the indexed cube test, and ``is_exceptional_ref`` the
 per-point classifier that explicit scan points went through before they
 shared the sampler's batch test; both look points up in ``ColumnUnion``, the
 object-based union that ``RectUnion.classify`` must agree with, and test the
@@ -46,7 +47,7 @@ from densitometer.dilation import (
 from densitometer.errors import OutOfRange, OverlappingCubes
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
 from densitometer.logdomain import LogBracket, log_add, log_sub, log_sum
-from densitometer.scan import PointSample, _in_cubes, _substreams
+from densitometer.scan import PointSample, _substreams
 
 
 def power_tail_bracket_ref(c: float, p: float, n: int) -> LogBracket:
@@ -219,12 +220,17 @@ def overlapping_cubes_ref(model, rect):
     return np.flatnonzero((xs < x1) & (x0 < xs + ws) & (ys < y1) & (y0 < ys + ws))
 
 
+def closed_meet_ref(model, box):
+    """Indexes of cubes whose closed square meets the closed box (x0, x1, y0, y1)."""
+    x0, x1, y0, y1 = box
+    xs, ys, ws = model.xs, model.ys, model.sides
+    return np.flatnonzero((xs <= x1) & (x0 <= xs + ws) & (ys <= y1) & (y0 <= ys + ws))
+
+
 def candidate_cubes_ref(model, point, t):
     """Indexes of cubes whose closure meets the box point +- t."""
     px, py = point
-    xs, ys, ws = model.xs, model.ys, model.sides
-    mask = (xs <= px + t) & (xs + ws >= px - t) & (ys <= py + t) & (ys + ws >= py - t)
-    return np.flatnonzero(mask)
+    return closed_meet_ref(model, (px - t, px + t, py - t, py + t))
 
 
 def locate_in_cubes_ref(model, point):
@@ -305,7 +311,7 @@ def distance_to_cubes_ref(model, point, upto):
 
 def sample_points_ref(model, cover, config):
     """Scannable points as ``sample_points`` draws them, each point looked up
-    in every block's ``ColumnUnion``."""
+    in every block's ``ColumnUnion`` and tested against every cube."""
     blocks = [column_union(b.union) for b in cover.blocks]
     rng = np.random.Generator(np.random.PCG64(_substreams(config, 0, 1)[0]))
     outer = model.outer
@@ -315,7 +321,7 @@ def sample_points_ref(model, cover, config):
     while True:
         pts = rng.uniform((outer.x.lo, outer.y.lo), (outer.x.hi, outer.y.hi), size=(batch, 2))
         px, py = pts[:, 0], pts[:, 1]
-        in_cube = _in_cubes(model, pts)
+        in_cube = in_cubes_ref(model, pts)
         strict_inner = (outer.x.lo < px) & (px < outer.x.hi) & (outer.y.lo < py) & (py < outer.y.hi)
         for i in np.flatnonzero(~in_cube & strict_inner):
             point = (float(px[i]), float(py[i]))

@@ -1,4 +1,5 @@
-"""The set model's blocked overlap kernel against the arithmetic it replaced.
+"""The set model's blocked overlap kernel and cube index against the
+arithmetic they replaced.
 
 Every cube query (density ratio, separation hit, closed hit, near cubes,
 point location, distance) is a reduction of one kernel; each must equal the
@@ -8,9 +9,11 @@ only a prefix of the cubes nearest the point, with exactly rounded totals:
 it must equal ``density_ratio`` exactly and the dense pairwise-sum oracle
 within that sum's rounding error.  The separation test is given only the
 prefix cubes within a rectangle's reach, and must find exactly the dense
-oracle's hits.
+oracle's hits.  The cube index must return every cube whose closed square
+meets a query box, on the canonical model and on 46,655 shelf-packed cubes.
 """
 
+import math
 import sys
 import tracemalloc
 
@@ -30,7 +33,7 @@ from densitometer.scan import (
     _separation_hits,
     sample_points,
 )
-from densitometer.setmodel import CompactSetModel, density_ratio
+from densitometer.setmodel import CompactSetModel, CubeIndex, build_packing, density_ratio
 
 import oracles
 
@@ -283,10 +286,126 @@ def test_distance_matches_oracle(canonical_model):
             assert got == oracles.distance_to_cubes_ref(canonical_model, point, upto)
 
 
+# -- the cube index: a superset of the closed-meet set, and the work it saves ------------
+
+SHELF_CUBES = CUBES + (20_000, 46_654)
+
+
+@pytest.fixture(scope="module")
+def shelf_46k(canonical_seq):
+    """Blocks through s = 5 on the shelf: trunc = 6^6 - 1."""
+    return build_packing(canonical_seq, 46_655, Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0))
+
+
+def _index_boxes(model, cubes):
+    """Closed query boxes: seeded boxes over four decades, the edge and ulp
+    rectangles of the chosen cubes, seeded boxes reaching outside the outer
+    box (and one around it, one beside it), and point boxes at cube corners,
+    edge midpoints and centers, at grid-cell corners and at seeded points."""
+    rng = np.random.default_rng(17)
+    cx, cy = rng.uniform(-0.2, 1.2, (2, 300))
+    w, h = 10.0 ** rng.uniform(-4.0, 0.0, (2, 300))
+    outside = np.stack([cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2], axis=1)
+    outside = np.concatenate([outside, [[-10.0, 10.0, -10.0, 10.0], [1.5, 2.0, 0.2, 0.3]]])
+    hx, hy = model.index.cell
+    k = np.arange(1, model.index.g)
+    grid = [(float(a), float(b)) for a, b in zip(k * hx, k[::-1] * hy)]
+    points = _edge_points(model, cubes) + grid + list(map(tuple, rng.uniform(0.0, 1.0, (300, 2))))
+    return np.concatenate(
+        [
+            _seeded_rects(300, 5),
+            _edge_rects(model, cubes),
+            _ulp_rects(model, cubes),
+            outside,
+            np.array(points)[:, [0, 0, 1, 1]],
+        ]
+    )
+
+
+def _missed(model, cubes):
+    """(box, cube) of the first closed-meet cube a query leaves out, or None.
+
+    Every query must also be ascending int32 indexes, each of a cube larger
+    than a cell or of one that meets the box grown by four cells: a listed
+    corner lies at most three cells out, and the fourth absorbs rounding."""
+    hx, hy = model.index.cell
+    for box in _index_boxes(model, cubes):
+        got = model.index.query(*box)
+        assert got.dtype == np.int32 and bool(np.all(np.diff(got) > 0))
+        x0, x1, y0, y1 = box
+        grown = oracles.closed_meet_ref(model, (x0 - 4 * hx, x1 + 4 * hx, y0 - 4 * hy, y1 + 4 * hy))
+        assert np.isin(got, np.union1d(grown, model.index.big)).all(), box
+        lost = np.setdiff1d(oracles.closed_meet_ref(model, box), got)
+        if lost.size:
+            return box, int(lost[0])
+    return None
+
+
+@pytest.mark.parametrize(
+    "fixture, cubes, big", [("canonical_model", CUBES, 13), ("shelf_46k", SHELF_CUBES, 53)]
+)
+def test_index_query_holds_closed_meet_set(request, fixture, cubes, big):
+    """Every cube whose closed square meets the box is among the candidates,
+    including boxes that touch a cube at an edge or a corner, reach one ulp
+    into it, lie partly or wholly outside the outer box, or are points.  The
+    cubes larger than a cell are cubes 1..big."""
+    model = request.getfixturevalue(fixture)
+    assert model.index.big.tolist() == list(range(big))
+    assert _missed(model, cubes) is None
+
+
+def test_index_query_needs_low_side_reach(canonical_model, monkeypatch):
+    """Negative control: a query that does not reach below the box's own
+    cells loses cubes whose corner lies in the cell to the left or below."""
+
+    def span(self, lo, hi, axis):
+        o, h = self.origin[axis], self.cell[axis]
+        first = math.floor((lo - o) / h)
+        last = math.floor((hi - o) / h) + 1
+        return range(max(first, 0), min(last, self.g - 1) + 1)
+
+    monkeypatch.setattr(CubeIndex, "_span", span)
+    assert _missed(canonical_model, CUBES) is not None
+
+
+def test_near_cubes_measures_only_nearby_cubes(shelf_46k, monkeypatch):
+    """On 46,655 cubes, _near_cubes with reach 0.01 returns the dense gap
+    pass's cubes in the same order, and its own gap pass is given under 1%
+    of the cubes: at each point the scan samples, and on average over seeded
+    points anywhere in the box (before the index it was given all of them).
+    Near the crowded top shelf rows a single query can still get more."""
+    kernel = CompactSetModel.overlaps
+    given = []
+
+    def recording(self, rects, reduce, cubes):
+        if sys._getframe(1).f_code.co_name == "_near_cubes":
+            given.append(self.xs[cubes].size)
+        return kernel(self, rects, reduce, cubes)
+
+    cover = setmodel.build_cover(shelf_46k, 3, 4)
+    config = ScanConfig(t_grid=(0.01,), points=50, rects_per_point=1, seed=42)
+    sampled = sample_points(shelf_46k, cover, config).points
+    seeded = tuple(map(tuple, np.random.default_rng(3).uniform(0.0, 1.0, (300, 2)).tolist()))
+    monkeypatch.setattr(CompactSetModel, "overlaps", recording)
+    every = np.arange(shelf_46k.trunc)
+    for point in sampled + seeded:
+        near, gap = _near_cubes(shelf_46k, point, 0.01)
+        x, y = point
+        dense = kernel(
+            shelf_46k, [[x, x, y, y]], lambda wx, wy: np.maximum(np.maximum(-wx, -wy), 0.0), every
+        )[0]
+        want = np.flatnonzero(dense <= 0.01)
+        want = want[np.argsort(dense[want], kind="stable")]
+        assert near.tolist() == want.tolist() and gap.tolist() == dense[want].tolist()
+    one_percent = shelf_46k.trunc / 100
+    assert max(given[: len(sampled)]) < one_percent
+    assert sum(given[len(sampled) :]) < len(seeded) * one_percent
+
+
 # -- memory: the kernel never holds a (rectangles x cubes) array ------------------------
 
 # A block holds _BLOCK_CELLS widths; a reduction keeps a handful of block-sized
-# float64 temporaries alive at once (wx, wy, their clipped copies, the product).
+# float64 temporaries alive at once (wx, wy, the maximum each subtracts, masks).
 # Eight of them, plus 1 MB for per-rectangle inputs and outputs, bounds the peak;
 # one dense (4000 x 3124) float64 temporary alone is about 100 MB.
 _PEAK_BOUND = 8 * 8 * setmodel._BLOCK_CELLS + (1 << 20)
