@@ -24,7 +24,8 @@ shortest-round-trip float formatting so artifact bytes are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,6 +65,12 @@ def _csv(header: str, rows: Iterable[Sequence]) -> str:
 
     lines = [header, *(",".join(map(cell, row)) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def _values(cls: type) -> attrgetter:
+    """Map a row of the dataclass ``cls`` to the tuple of its field values;
+    unlike dataclasses.astuple it copies nothing."""
+    return attrgetter(*(f.name for f in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -170,16 +177,19 @@ def sample_points(
 def _draw_rects(
     rng: np.random.Generator,
     point: tuple[float, float],
-    t: float,
+    t: float | Sequence[float],
     config: ScanConfig,
     model: CompactSetModel,
 ) -> np.ndarray:
-    """(n, 4) array of [x0, x1, y0, y1]: rectangles strictly containing the
-    point with Euclidean diagonal < t, log-uniform aspect, clipped to the box."""
+    """(k n, 4) array of [x0, x1, y0, y1]: for each of the k values of ``t``
+    in turn, n rectangles strictly containing the point with Euclidean
+    diagonal < t, log-uniform aspect, clipped to the box."""
     n = config.rects_per_point
     px, py = point
-    # uniform(lo, hi) is lo + (hi - lo) * d, so one draw serves all four rows
-    u, aspect, vx, vy = rng.random((4, n))
+    t = np.reshape(np.asarray(t, dtype=np.float64), (-1, 1))
+    # uniform(lo, hi) is lo + (hi - lo) * d, so one draw serves all four rows;
+    # a (k, 4, n) draw gives the same doubles as k draws of (4, n)
+    u, aspect, vx, vy = rng.random((len(t), 4, n)).swapaxes(0, 1)
     u = np.where(u > 0.0, u, 0.5)
     d = t * u
     lo, hi = map(math.log, config.aspect_range)
@@ -191,12 +201,12 @@ def _draw_rects(
     x0 = px - width * vx
     y0 = py - height * vy
     outer = model.outer
-    rects = np.empty((n, 4))
-    np.maximum(x0, outer.x.lo, out=rects[:, 0])
-    np.minimum(x0 + width, outer.x.hi, out=rects[:, 1])
-    np.maximum(y0, outer.y.lo, out=rects[:, 2])
-    np.minimum(y0 + height, outer.y.hi, out=rects[:, 3])
-    return rects
+    rects = np.empty((len(t), n, 4))
+    np.maximum(x0, outer.x.lo, out=rects[..., 0])
+    np.minimum(x0 + width, outer.x.hi, out=rects[..., 1])
+    np.maximum(y0, outer.y.lo, out=rects[..., 2])
+    np.minimum(y0 + height, outer.y.hi, out=rects[..., 3])
+    return rects.reshape(-1, 4)
 
 
 def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
@@ -223,27 +233,28 @@ def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
 
 def _near_cubes(
     model: CompactSetModel, point: tuple[float, float], reach: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cubes within Chebyshev distance ``reach`` of the point, nearest first,
-    and those distances (their gaps).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending indexes of the cubes within Chebyshev distance ``reach`` of
+    the point, with their x-gaps and y-gaps from it.
 
-    A gap is max(-wx, -wy, 0) of the point as a rectangle, which is
-    fl(cx - px) for a cube starting right of the point, and so on.  A
-    rectangle holding the point whose largest extent from it is r overlaps
-    only cubes with gap <= r: cx < x1 implies fl(cx - px) <= fl(x1 - px),
-    because rounding is monotone.  Its cubes are therefore the prefix
-    ``near[:searchsorted(gap, r, "right")]``, exactly.  Only the cube
-    index's candidates for the box point +- reach are measured; they are
-    ascending and the sort is stable, so ties keep index order.
+    The x-gap is max(-wx, 0) of the point as a rectangle, which is
+    fl(cx - px) for a cube starting at cx right of the point, fl(px - cx1)
+    for one ending at cx1 left of it and 0 for one spanning it; the y-gap
+    likewise.  A rectangle holding the point whose x-extent from it (its
+    larger distance to an x edge) is ex overlaps only cubes with x-gap
+    <= ex: cx < x1 implies fl(cx - px) <= fl(x1 - px), because rounding is
+    monotone.  The same holds in y, so the cubes a rectangle meets are among
+    the near cubes with x-gap <= ex, and among those with y-gap <= ey, ties
+    included.  Only the cube index's candidates for the box point +- reach
+    are measured, in one kernel pass.
     """
     x, y = point
     cand = model.index.query(x - reach, x + reach, y - reach, y + reach)
-    gap = model.overlaps(
-        [[x, x, y, y]], lambda wx, wy: np.maximum(np.maximum(-wx, -wy), 0.0), cand
+    gx, gy = model.overlaps(
+        [[x, x, y, y]], lambda wx, wy: np.maximum(np.stack([-wx, -wy], axis=1), 0.0), cand
     )[0]
-    keep = np.flatnonzero(gap <= reach)
-    keep = keep[np.argsort(gap[keep], kind="stable")]
-    return cand[keep], gap[keep]
+    keep = np.flatnonzero(np.maximum(gx, gy) <= reach)
+    return cand[keep], gx[keep], gy[keep]
 
 
 def _point_gaps(model: CompactSetModel, point: tuple[float, float], upto: int) -> np.ndarray:
@@ -261,33 +272,44 @@ def _point_gaps(model: CompactSetModel, point: tuple[float, float], upto: int) -
 
 
 def _rect_ratios(
-    model: CompactSetModel, rects: np.ndarray, near: np.ndarray, counts: np.ndarray
+    model: CompactSetModel,
+    rects: np.ndarray,
+    near: np.ndarray,
+    gaps: np.ndarray,
+    extents: np.ndarray,
 ) -> np.ndarray:
-    """Truncated-set density of each rectangle, where row i overlaps no cube
-    outside ``near[:counts[i]]``.
+    """Truncated-set density of each rectangle, where ``gaps`` holds the
+    x-gaps and y-gaps of the cubes ``near`` as a (2, len(near)) array,
+    ``extents`` the rectangles' x-extents and y-extents as a (2, n) array,
+    and row i overlaps no cube outside ``near[gaps[a] <= extents[a, i]]``
+    for either axis a.
 
-    Rows are grouped by the bit length of their count, and each group makes
-    one kernel call on ``near[:its largest count]``, under twice what any of
-    its rows needs.  Overlap totals are exactly rounded, so a row's ratio
-    does not depend on its group.
+    Each row takes the axis whose set is smaller.  Rows are grouped by that
+    axis and the bit length of that count, and each group makes one kernel
+    call on the cubes within the group's largest extent on its axis, under
+    twice what any of its rows needs.  Overlap totals are exactly rounded,
+    so a row's ratio does not depend on its group.
     """
     x0, x1, y0, y1 = rects.T
+    counts = np.stack([np.searchsorted(np.sort(g), e, "right") for g, e in zip(gaps, extents)])
+    groups = 2 * np.frexp(counts.min(axis=0))[1] + (counts[1] < counts[0])
     overlap = np.zeros(len(rects))
-    bits = np.frexp(counts)[1]
-    for b in sorted(set(bits.tolist()) - {0}):
-        rows = np.flatnonzero(bits == b)
-        overlap[rows] = model.overlaps(rects[rows], overlap_totals, near[: counts[rows].max()])
+    for key in sorted(set(groups.tolist()) - {0, 1}):
+        a, rows = key % 2, np.flatnonzero(groups == key)
+        cubes = near[gaps[a] <= extents[a, rows].max()]
+        overlap[rows] = model.overlaps(rects[rows], overlap_totals, cubes)
     return np.clip(1.0 - overlap / ((x1 - x0) * (y1 - y0)), 0.0, 1.0)
 
 
 def _point_ratios(
     model: CompactSetModel, point: tuple[float, float], rects: np.ndarray
 ) -> np.ndarray:
-    """Ratios of rectangles that hold the point, each against the prefix of
-    the point's near cubes that its largest extent from the point reaches."""
-    reach = np.abs(rects - np.repeat(point, 2)).max(axis=1)
-    near, gap = _near_cubes(model, point, float(reach.max()))
-    return _rect_ratios(model, rects, near, np.searchsorted(gap, reach, "right"))
+    """Ratios of rectangles that hold the point, each against the point's
+    near cubes within its x-extent or its y-extent from the point."""
+    d = np.abs(rects - np.repeat(point, 2))
+    extents = np.stack([np.maximum(d[:, 0], d[:, 1]), np.maximum(d[:, 2], d[:, 3])])
+    near, gx, gy = _near_cubes(model, point, float(extents.max()))
+    return _rect_ratios(model, rects, near, np.stack([gx, gy]), extents)
 
 
 def _separation_hits(
@@ -451,7 +473,8 @@ class ScanReport:
 
     def to_csv(self) -> str:
         return _csv(
-            "t,point_id,x,y,min_ratio,floor,margin,violations,regime", map(astuple, self.rows)
+            "t,point_id,x,y,min_ratio,floor,margin,violations,regime",
+            map(_values(ScanRow), self.rows),
         )
 
 
@@ -465,9 +488,9 @@ def _scan_one_point(
 ) -> list[tuple[float, int, str]]:
     """(min_ratio, violations, regime) of one point for each t, cumulatively.
 
-    The rectangles of every t are drawn first and measured in one pass."""
+    The rectangles of every t are drawn in one draw and measured in one pass."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    rects = np.concatenate([_draw_rects(rng, point, t, config, model) for t in plan.t_sorted])
+    rects = _draw_rects(rng, point, plan.t_sorted, config, model)
     ratios = _point_ratios(model, point, rects)
     d2 = _point_gaps(model, point, plan.upto)[1] if scannable and plan.upto else None
     regimes = _regimes(plan.t_sorted, plan.prefixes, model.trunc, scannable, d2)
@@ -578,7 +601,7 @@ class SeparationReport:
         return _csv(
             "t,s_next,prefix,checked_points,checked_rects,violations,"
             "deferred_points,exceptional_points",
-            map(astuple, self.rows),
+            map(_values(SeparationRow), self.rows),
         )
 
 
@@ -661,7 +684,7 @@ class EnvelopeReport:
     def to_csv(self) -> str:
         return _csv(
             "t,worst_deficit,envelope,passed,deficit_product,envelope_product",
-            map(astuple, self.rows),
+            map(_values(EnvelopeRow), self.rows),
         )
 
 

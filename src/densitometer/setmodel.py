@@ -59,15 +59,20 @@ def overlap_totals(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     The areas ``max(wx, 0) * max(wy, 0)`` are formed in place in ``wx``.
     The total depends only on the positive areas, not on which other cubes a
     row holds or their order.  Adding a zero is exact, so a row with at most
-    two positive areas rounds once and numpy's sum is already exact there;
-    the other rows go through math.fsum.
+    two positive areas rounds once and numpy's sum is already exact there.
+    The positive areas of the other rows are gathered row by row into one
+    list, and each row's slice of it goes through math.fsum.
     """
     pieces = np.maximum(wx, 0.0, out=wx)
     pieces *= np.maximum(wy, 0.0, out=wy)
     positive = pieces > 0.0
     totals = pieces.sum(axis=1)
-    for i in np.flatnonzero(np.count_nonzero(positive, axis=1) > 2):
-        totals[i] = math.fsum(pieces[i, positive[i]].tolist())
+    counts = np.count_nonzero(positive, axis=1)
+    many = np.flatnonzero(counts > 2)
+    if many.size:
+        flat = pieces[many][positive[many]].tolist()
+        ends = np.cumsum(counts[many]).tolist()
+        totals[many] = [math.fsum(flat[a:b]) for a, b in zip([0, *ends], ends)]
     return totals
 
 
@@ -160,7 +165,7 @@ class CompactSetModel:
         self.sides = np.asarray(sides, dtype=np.float64)
         for n in range(1, trunc + 1):
             w = seq.w(n)
-            if abs(self.sides[n - 1] - w) > 1e-12 * w:
+            if not abs(self.sides[n - 1] - w) <= 1e-12 * w:  # NaN fails too
                 raise ValueError(f"cube {n} side {self.sides[n - 1]} differs from weight {w}")
         if np.any(self.sides[1:] > self.sides[:-1]):
             raise ValueError("cube sides must be non-increasing")

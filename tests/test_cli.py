@@ -62,6 +62,11 @@ def _long_row(payload):
     return payload
 
 
+def _nan_side(payload):
+    payload["cubes"][0][2] = math.nan
+    return payload
+
+
 @pytest.mark.parametrize(
     "malform,named",
     [
@@ -75,6 +80,7 @@ def _long_row(payload):
         (lambda payload: [payload], "must hold an object"),
         (lambda payload: {k: v for k, v in payload.items() if k != "trunc"}, "lacks field 'trunc'"),
         (lambda payload: {**payload, "seq": {"kind": "power", "p": 2}}, "lacks field 'c'"),
+        (_nan_side, "cube 1 side nan differs from weight"),
     ],
     ids=[
         "short-cube-row",
@@ -87,6 +93,7 @@ def _long_row(payload):
         "top-level-list",
         "trunc-missing",
         "seq-lacks-c",
+        "nan-side",
     ],
 )
 def test_malformed_set_is_exit_two(tmp_path, capsys, malform, named):

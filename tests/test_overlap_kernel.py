@@ -5,22 +5,24 @@ Every cube query (density ratio, separation hit, closed hit, near cubes,
 point location, distance) is a reduction of one kernel; each must equal the
 unblocked per-query oracle exactly, on seeded rectangles and on rectangles
 and points placed on cube edges and corners.  The scan's ratio kernel sums
-only a prefix of the cubes nearest the point, with exactly rounded totals:
-it must equal ``density_ratio`` exactly and the dense pairwise-sum oracle
-within that sum's rounding error.  The separation test is given only the
-prefix cubes within a rectangle's reach, and must find exactly the dense
-oracle's hits.  The cube index must return every cube whose closed square
-meets a query box, on the canonical model and on 46,655 shelf-packed cubes.
+only the cubes near the point within a rectangle's extent on one axis, with
+exactly rounded totals: it must equal ``density_ratio`` exactly and the
+dense pairwise-sum oracle within that sum's rounding error.  The separation
+test is given only the prefix cubes within a rectangle's reach, and must
+find exactly the dense oracle's hits.  The cube index must return every
+cube whose closed square meets a query box, on the canonical model and on
+46,655 shelf-packed cubes.
 """
 
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from densitometer import setmodel
+from densitometer import scan, setmodel
 from densitometer.dilation import Rectangle
 from densitometer.scan import (
     ScanConfig,
@@ -34,8 +36,12 @@ from densitometer.scan import (
     sample_points,
 )
 from densitometer.setmodel import CompactSetModel, CubeIndex, build_packing, density_ratio
+from densitometer.weights import WeightSequence
 
 import oracles
+
+
+_TINY = WeightSequence.power(1e-4, 2.0)  # sides 0.01 and 0.005
 
 
 def _seeded_rects(n, seed):
@@ -143,24 +149,38 @@ def test_ratio_matches_density_ratio(canonical_model, rect_sets, kind):
             assert _point_ratios(canonical_model, point, rect[None, :])[0] == want
 
 
+def _axis_counts(model, point, rects):
+    """Per rectangle, how many of the point's near cubes lie within its
+    x-extent on the x axis and within its y-extent on the y axis: a (2, n)
+    array, counted densely."""
+    d = np.abs(rects - np.repeat(point, 2))
+    extents = np.stack([d[:, :2].max(axis=1), d[:, 2:].max(axis=1)])
+    _, gx, gy = _near_cubes(model, point, extents.max())
+    return np.stack(
+        [np.count_nonzero(g[None, :] <= e[:, None], axis=1) for g, e in zip((gx, gy), extents)]
+    )
+
+
 def test_scan_rects_match_density_ratio(canonical_model):
     """Rectangles drawn by the scan through one point share a kernel call per
-    bit length of their prefix; each row is still density_ratio exactly."""
+    axis and bit length of the smaller of their two axis counts; each row is
+    still density_ratio exactly, and both axes are chosen somewhere."""
     config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=1, rects_per_point=200, seed=0)
     rng = np.random.default_rng(9)
     points = _edge_points(canonical_model, CUBES)[::3] + [(0.5, 0.95), (0.123, 0.987)]
-    groups = set()
+    groups, axes = set(), set()
     for point in points:
-        rects = np.concatenate(
-            [_draw_rects(rng, point, t, config, canonical_model) for t in config.t_grid]
-        )
+        rects = _draw_rects(rng, point, config.t_grid, config, canonical_model)
         got = _point_ratios(canonical_model, point, rects)
         want = [density_ratio(canonical_model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
         assert got.tolist() == want
-        reach = np.abs(rects - np.repeat(point, 2)).max(axis=1)
-        _, gap = _near_cubes(canonical_model, point, reach.max())
-        groups.add(np.unique(np.frexp(np.searchsorted(gap, reach, "right"))[1]).size)
+        counts = _axis_counts(canonical_model, point, rects)
+        axis, count = counts[1] < counts[0], counts.min(axis=0)
+        keys = {(a, b) for a, b, c in zip(axis.tolist(), np.frexp(count)[1].tolist(), count) if c}
+        groups.add(len(keys))
+        axes.update(a for a, _ in keys)
     assert max(groups) > 3
+    assert axes == {False, True}
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -203,7 +223,7 @@ def test_near_prefix_holds_every_overlap(canonical_model, rect_sets, monkeypatch
     """Seen from a corner or the center of a rectangle, every cube whose
     interior meets it is among the cubes the ratio kernel is given, including
     rectangles that reach one ulp into a cube across an edge or a corner and
-    cubes whose gap equals the rectangle's reach."""
+    cubes whose gap on an axis equals the rectangle's extent on that axis."""
     kernel = CompactSetModel.overlaps
     given = []
 
@@ -224,9 +244,10 @@ def test_near_prefix_holds_every_overlap(canonical_model, rect_sets, monkeypatch
             assert np.isin(hits, seen).all(), (rect, point)
             if hits.size:
                 last_needed += seen[-1] in hits
-                reach = float(np.abs(rect - np.repeat(point, 2)).max())
-                near, gap = _near_cubes(canonical_model, point, reach)
-                ties += bool(np.isin(near[gap == reach], hits).any())
+                d = np.abs(rect - np.repeat(point, 2))
+                ex, ey = d[:2].max(), d[2:].max()
+                near, gx, gy = _near_cubes(canonical_model, point, max(ex, ey))
+                ties += bool(np.isin(near[(gx == ex) | (gy == ey)], hits).any())
     assert last_needed > 0 and ties > 0
 
 
@@ -284,6 +305,45 @@ def test_distance_matches_oracle(canonical_model):
         for upto in (1, 3, 26, 3124):
             got = float(np.sqrt(d2[:upto].min()))
             assert got == oracles.distance_to_cubes_ref(canonical_model, point, upto)
+
+
+def _tie_edges(p, e, u):
+    """Floats lo < hi below p with fl(p - lo) == fl(p - hi) == e, where u is
+    the spacing of floats at e: p - lo and p - hi are e + 0.45 u and
+    e - 0.45 u, to within the far finer spacing at lo."""
+    lo = float(Fraction(p) - Fraction(e) - Fraction(u) * Fraction(9, 20))
+    hi = float(Fraction(p) - Fraction(e) + Fraction(u) * Fraction(9, 20))
+    return lo, hi
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_axis_prefixes_hold_planted_cubes(axis):
+    """Negative control for the per-axis prefixes, in the box [-1, 1]^2 and
+    seen from the point (0.75, 0.75); the y case is the x case transposed.
+    A narrow rectangle reaches left to x = lo, and cube 1 ends at x = hi,
+    just past lo, across the rectangle's y range: its x-gap equals the
+    rectangle's x-extent, and the overlap, under an ulp of that extent wide,
+    moves the ratio to 1 - 2^-53.  Cube 2 lies in the same y band beyond
+    x-gap 1.2, within reach of a long rectangle, so the narrow rectangle's
+    x set (cube 1) is smaller than its y set (both) and is the one measured.
+    Comparing an x-gap with the y-extent, or a gap with an extent by <,
+    leaves cube 1 out and reads 1.0."""
+    p, e, u, h = 0.75, 0.749, 2.0**-53, 0.002
+    lo, hi = _tie_edges(p, e, u)
+    assert p - lo == p - hi == e and lo < hi
+    w1, w2 = _TINY.w(1), _TINY.w(2)
+    xs, ys = [hi - w1, -0.5 - w2], [p - w1 / 2, p - w2 / 2]
+    rects = np.array([[lo, p, p - h, p + h], [-0.95, p, p - h / 2, p + h / 2]])
+    if axis == "y":
+        xs, ys, rects = ys, xs, rects[:, [2, 3, 0, 1]]
+    outer = Rectangle.from_bounds(-1.0, 1.0, -1.0, 1.0)
+    model = CompactSetModel(outer, _TINY, 2, xs, ys, [w1, w2])
+    near, *gaps = _near_cubes(model, (p, p), 1.7)
+    tied = gaps[0] if axis == "x" else gaps[1]
+    assert near.tolist() == [0, 1] and tied[0] == e
+    want = [density_ratio(model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
+    assert want[0] == 1.0 - u
+    assert _point_ratios(model, (p, p), rects).tolist() == want
 
 
 # -- the cube index: a superset of the closed-meet set, and the work it saves ------------
@@ -369,11 +429,12 @@ def test_index_query_needs_low_side_reach(canonical_model, monkeypatch):
 
 
 def test_near_cubes_measures_only_nearby_cubes(shelf_46k, monkeypatch):
-    """On 46,655 cubes, _near_cubes with reach 0.01 returns the dense gap
-    pass's cubes in the same order, and its own gap pass is given under 1%
-    of the cubes: at each point the scan samples, and on average over seeded
-    points anywhere in the box (before the index it was given all of them).
-    Near the crowded top shelf rows a single query can still get more."""
+    """On 46,655 cubes, _near_cubes with reach 0.01 returns exactly the cubes
+    whose dense per-axis gaps are both within the reach, ascending, with
+    those gaps, and its own gap pass is given under 1% of the cubes: at each
+    point the scan samples, and on average over seeded points anywhere in
+    the box (before the index it was given all of them).  Near the crowded
+    top shelf rows a single query can still get more."""
     kernel = CompactSetModel.overlaps
     given = []
 
@@ -387,19 +448,47 @@ def test_near_cubes_measures_only_nearby_cubes(shelf_46k, monkeypatch):
     sampled = sample_points(shelf_46k, cover, config).points
     seeded = tuple(map(tuple, np.random.default_rng(3).uniform(0.0, 1.0, (300, 2)).tolist()))
     monkeypatch.setattr(CompactSetModel, "overlaps", recording)
-    every = np.arange(shelf_46k.trunc)
+    xs, ys, sides = shelf_46k.xs, shelf_46k.ys, shelf_46k.sides
     for point in sampled + seeded:
-        near, gap = _near_cubes(shelf_46k, point, 0.01)
+        near, gx, gy = _near_cubes(shelf_46k, point, 0.01)
         x, y = point
-        dense = kernel(
-            shelf_46k, [[x, x, y, y]], lambda wx, wy: np.maximum(np.maximum(-wx, -wy), 0.0), every
-        )[0]
-        want = np.flatnonzero(dense <= 0.01)
-        want = want[np.argsort(dense[want], kind="stable")]
-        assert near.tolist() == want.tolist() and gap.tolist() == dense[want].tolist()
+        dense_x = np.maximum(np.maximum(xs - x, x - (xs + sides)), 0.0)
+        dense_y = np.maximum(np.maximum(ys - y, y - (ys + sides)), 0.0)
+        want = np.flatnonzero(np.maximum(dense_x, dense_y) <= 0.01)
+        assert near.tolist() == want.tolist()
+        assert gx.tolist() == dense_x[want].tolist() and gy.tolist() == dense_y[want].tolist()
     one_percent = shelf_46k.trunc / 100
     assert max(given[: len(sampled)]) < one_percent
     assert sum(given[len(sampled) :]) < len(seeded) * one_percent
+
+
+def test_axis_prefixes_cut_ratio_kernel_work(shelf_46k, canonical_ratefn, monkeypatch):
+    """On a scan of 46,655 cubes (100 points x 500 rectangles on the bench's
+    t grid) the ratio kernel evaluates at most a third of the cells of
+    measuring each rectangle against its Chebyshev prefix: the cubes whose
+    larger axis gap from the point is within the rectangle's largest extent."""
+    config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=100, rects_per_point=500, seed=42)
+    cover = setmodel.build_cover(shelf_46k, config.m, config.s_hi)
+    kernel, point_ratios = CompactSetModel.overlaps, scan._point_ratios
+    cells, chebyshev = [], []
+
+    def recording(self, rects, reduce, cubes):
+        if sys._getframe(1).f_code.co_name == "_rect_ratios":
+            cells.append(len(rects) * self.xs[cubes].size)
+        return kernel(self, rects, reduce, cubes)
+
+    def prefixes(model, point, rects):
+        (x, y), xs, ys, sides = point, model.xs, model.ys, model.sides
+        gap = np.maximum.reduce([xs - x, x - (xs + sides), ys - y, y - (ys + sides)])
+        reach = np.abs(rects - np.repeat(point, 2)).max(axis=1)
+        chebyshev.append(int(np.searchsorted(np.sort(gap), reach, "right").sum()))
+        return point_ratios(model, point, rects)
+
+    monkeypatch.setattr(CompactSetModel, "overlaps", recording)
+    monkeypatch.setattr(scan, "_point_ratios", prefixes)
+    scan.scan_density_bound(shelf_46k, cover, canonical_ratefn, config)
+    assert len(chebyshev) == config.points and sum(chebyshev) > 10**6
+    assert sum(cells) <= sum(chebyshev) / 3, (sum(cells), sum(chebyshev))
 
 
 # -- memory: the kernel never holds a (rectangles x cubes) array ------------------------
@@ -415,13 +504,14 @@ _PEAK_BOUND = 8 * 8 * setmodel._BLOCK_CELLS + (1 << 20)
 def test_kernel_memory_is_bounded_by_block(canonical_model, query):
     rects = _seeded_rects(4000, 3)
     every = np.arange(canonical_model.trunc)
-    counts = np.full(len(rects), every.size)
+    # zero gaps and unit extents: every rectangle against every cube
+    gaps, extents = np.zeros((2, every.size)), np.ones((2, len(rects)))
     assert _PEAK_BOUND < rects.shape[0] * every.size * 8 / 10
     pts = np.ascontiguousarray(rects[:, [0, 2]])
     center = (0.5, 0.5)
     gap = _point_gaps(canonical_model, center, canonical_model.trunc)[0]
     run = {
-        "ratio": lambda: _rect_ratios(canonical_model, rects, every, counts),
+        "ratio": lambda: _rect_ratios(canonical_model, rects, every, gaps, extents),
         "separation": lambda: _separation_hits(canonical_model, center, rects, gap),
         "closed": lambda: _in_cubes(canonical_model, pts),
     }[query]
