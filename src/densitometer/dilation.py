@@ -20,18 +20,23 @@ cost is O(N log N) comparisons plus the total size of the distinct merged
 unions; no per-cell index set is ever built.
 
 Both sweeps run on floats and arrays, not on per-interval objects.  The
-squares come in as an (n, 4) array of rows [x0, x1, y0, y1]; every union is
-dilated by one growth loop over plain float lists, which walks its blocks
-by index; and the result keeps flat arrays: column x-bounds, a section
-index per column, and a pool of the distinct vertical sections with their
-exact measures (see ``RectUnion``).
+squares come in as an (n, 4) array of rows [x0, x1, y0, y1].  Each sweep
+first collects its distinct unions and then dilates them together, in
+batches of at most ``_BATCH_MEMBERS`` members: ``_grow_batch`` grows member
+s of every union of a batch in one numpy step, with the float operations of
+the one-union loop in the same order, so every union comes out the same bit
+for bit.  ``dilate_1d`` is a batch of one union.  The result keeps flat
+arrays: column x-bounds, a section index per column, and a pool of the
+distinct vertical sections with their exact measures (see ``RectUnion``).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,83 +67,150 @@ def _check_gamma(gamma: float, allow_gamma_one: bool) -> float:
     return gamma
 
 
-def _grow(
-    los: Sequence[float], his: Sequence[float], gamma: float
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """Grow sorted, pairwise disjoint members (lo, hi) left to right.
+# Members per ``_grow_batch`` call in ``dilate_2d``'s sweeps.  Every lockstep
+# step costs the same few dozen numpy calls however many unions it advances,
+# so a batch must be large to amortise them, and small to keep its working
+# arrays (about six floats per member) well below the sweep's own keys.  A
+# union longer than this forms a batch of its own.
+_BATCH_MEMBERS = 16384
 
-    Returns the dilated union as its sorted lower and upper ends, and the
-    left and right hull ends of every member.
 
-    The occupied set is two sorted runs of closed blocks, each merged across
-    touching ends: the grown blocks ``glo``/``ghi`` (a stack whose top
-    ``top`` holds the last hull) and the waiting blocks ``wlo``/``whi`` from
-    index ``w`` on, the members not yet reached.  A member lies in the top
-    grown block or in the first waiting one, so no search is needed.  Its
-    left arm sweeps down the grown blocks and its right arm up the waiting
-    ones, each past exactly gamma times its length of unoccupied measure;
-    the hull then replaces every block it meets.  Sentinels at -inf below
-    the grown blocks and at +inf above the waiting ones end both sweeps.
+@np.errstate(over="ignore")  # an overflowing arm raises ValueError below
+def _grow_batch(
+    counts: Sequence[int] | np.ndarray, los: np.ndarray, his: np.ndarray, gamma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Grow a batch of unions at once, each left to right.
+
+    Union u is the next ``counts[u]`` members (``los[i]``, ``his[i]``),
+    sorted and pairwise disjoint.  Returns the number of blocks of every
+    dilated union and their lower and upper ends, concatenated in union
+    order, and the left and right hull ends of every member.  An arm that
+    leaves the float range raises ValueError, as the non-finite interval it
+    would end does.
+
+    Each union's occupied set is two sorted runs of closed blocks, each
+    merged across touching ends: the grown blocks (a stack whose top holds
+    the last hull) and the waiting blocks, the members not yet reached.  A
+    member lies in the top grown block or in the first waiting one, so no
+    search is needed.  Its left arm sweeps down the grown blocks and its
+    right arm up the waiting ones, each past exactly gamma times its length
+    of unoccupied measure; the hull then replaces every block it meets.
+    Sentinels at -inf below every union's grown blocks and at +inf above
+    its waiting ones end both sweeps.
+
+    Step s grows member s of every union at once.  The unions are ranked
+    longest first, so the ones with a member s are a prefix of the ranks
+    and every per-union state array is read and written as one prefix
+    slice.  The arm walks and the absorbing of met blocks run as masked
+    loops over the unions still walking.  Every union sees the float
+    operations of the one-union loop (``tests/oracles.py``'s ``_grow``) in
+    the same order, so the result is the same bit for bit.
     """
-    wlo: list[float] = []
-    whi: list[float] = []
-    for lo, hi in zip(los, his):
-        if whi and lo == whi[-1]:
-            whi[-1] = hi
-        else:
-            wlo.append(lo)
-            whi.append(hi)
-    n = len(wlo)
-    wlo.append(math.inf)
-    glo = [-math.inf]
-    ghi = [-math.inf]
-    top = w = 0
-    lefts: list[float] = []
-    rights: list[float] = []
-    for lo, hi in zip(los, his):
+    counts = np.asarray(counts, dtype=np.intp)
+    los = np.asarray(los, dtype=np.float64)
+    his = np.asarray(his, dtype=np.float64)
+    n_u, total = counts.size, int(counts.sum())
+    start = np.cumsum(counts) - counts
+    # grown blocks: room for one per member above a -inf slot
+    glo = np.empty(total + n_u)
+    ghi = np.empty(total + n_u)
+    g_base = np.cumsum(counts + 1) - counts
+    glo[g_base - 1] = ghi[g_base - 1] = -math.inf
+    # waiting blocks, union after union, each union's followed by a +inf slot
+    head = np.ones(total, dtype=bool)  # the first member of a waiting block
+    head[1:] = los[1:] != his[:-1]
+    head[start[counts > 0]] = True
+    owner = np.repeat(np.arange(n_u), counts)[head]
+    n_blocks = np.bincount(owner, minlength=n_u)
+    w_end = np.cumsum(n_blocks + 1) - 1
+    slot = np.arange(owner.size) + owner
+    del owner
+    wlo = np.full(total + n_u, math.inf)
+    whi = np.full(total + n_u, math.inf)
+    wlo[slot] = los[head]
+    head[:-1] = head[1:]  # now the last member of a waiting block
+    head[-1:] = True
+    whi[slot] = his[head]
+    del head, slot
+
+    rank = np.argsort(-counts, kind="stable")
+    active = np.bincount(counts, minlength=1)[::-1].cumsum()[::-1][1:]  # unions with > s members
+    start, base, end = start[rank], g_base[rank], w_end[rank]
+    top = base - 1
+    w = end - n_blocks[rank]
+    lefts = np.empty(total)
+    rights = np.empty(total)
+
+    for s, a in enumerate(active.tolist()):
+        member = start[:a] + s
+        lo, hi = los[member], his[member]
+        t, wt = top[:a], w[:a]
         need = gamma * (hi - lo)
-        if lo <= ghi[top]:
-            j, cur, right_from, k = top - 1, glo[top], ghi[top], w
-        else:
-            j, cur, right_from, k = top, wlo[w], whi[w], w + 1
-        rest = need
-        while rest > 0.0:
-            if cur - ghi[j] >= rest:
-                cur -= rest
-                break
-            rest -= cur - ghi[j]
-            cur = glo[j]
-            j -= 1
-        left = cur
-        cur, rest = right_from, need
-        while rest > 0.0:
-            if wlo[k] - cur >= rest:
-                cur += rest
-                break
-            rest -= wlo[k] - cur
-            cur = whi[k]
-            k += 1
-        right = cur
+        top_hi = ghi[t]
+        inside = lo <= top_hi
+        j = t - inside
+        k = wt + ~inside
+        cur = np.where(inside, glo[t], wlo[wt])
+        gap = cur - ghi[j]
+        left = cur - need
+        walk = np.flatnonzero(gap < need)
+        rest, jw, gap = need[walk], j[walk], gap[walk]
+        while walk.size:
+            rest = rest - gap
+            cur = glo[jw]
+            jw = jw - 1
+            gap = cur - ghi[jw]
+            done = gap >= rest
+            left[walk[done]] = cur[done] - rest[done]
+            j[walk[done]] = jw[done]
+            more = ~done
+            walk, rest, jw, gap = walk[more], rest[more], jw[more], gap[more]
+        cur = np.where(inside, top_hi, whi[wt])
+        gap = wlo[k] - cur
+        right = cur + need
+        walk = np.flatnonzero(gap < need)
+        rest, kw, gap = need[walk], k[walk], gap[walk]
+        while walk.size:
+            rest = rest - gap
+            cur = whi[kw]
+            kw = kw + 1
+            gap = wlo[kw] - cur
+            done = gap >= rest
+            right[walk[done]] = cur[done] + rest[done]
+            k[walk[done]] = kw[done]
+            more = ~done
+            walk, rest, kw, gap = walk[more], rest[more], kw[more], gap[more]
+        if not (left.min() > -math.inf and right.max() < math.inf):
+            raise ValueError("a dilation arm overflows the float range")
         # the closed hull [left, right] absorbs grown blocks i..top and waiting ones up to k
         i = j + 1
-        while i > 1 and ghi[i - 1] >= left:
-            i -= 1
-        while k < n and wlo[k] <= right:
-            k += 1
-        first_lo = glo[i] if i <= top else wlo[w]
-        last_hi = whi[k - 1] if k > w else ghi[top]
-        left_end = first_lo if first_lo < left else left
-        right_end = last_hi if last_hi > right else right
-        if i <= top:
-            del glo[i + 1 :], ghi[i + 1 :]
-            glo[i], ghi[i] = left_end, right_end
-        else:
-            glo.append(left_end)
-            ghi.append(right_end)
-        top, w = i, k
-        lefts.append(left)
-        rights.append(right)
-    return glo[1:] + wlo[w:n], ghi[1:] + whi[w:], lefts, rights
+        meets = (i > base[:a]) & (ghi[j] >= left)
+        while meets.any():
+            i -= meets
+            meets &= (i > base[:a]) & (ghi[i - 1] >= left)
+        meets = (k < end[:a]) & (wlo[k] <= right)
+        while meets.any():
+            k += meets
+            meets &= (k < end[:a]) & (wlo[k] <= right)
+        first_lo = np.where(i <= t, glo[i], wlo[wt])
+        last_hi = np.where(k > wt, whi[k - 1], top_hi)
+        glo[i] = np.where(first_lo < left, first_lo, left)
+        ghi[i] = np.where(last_hi > right, last_hi, right)
+        top[:a], w[:a] = i, k
+        lefts[member], rights[member] = left, right
+
+    # every waiting block has been reached: each union's result is its grown
+    # blocks, the slots from its base to its top
+    del wlo, whi
+    kept = np.zeros(total + n_u + 1, dtype=np.int8)
+    kept[base] = 1
+    kept[top + 1] -= 1
+    kept = np.cumsum(kept[:-1], dtype=np.int8).view(bool)
+    n_out = np.empty_like(counts)
+    n_out[rank] = top - base + 1
+    out_lo = glo[kept]
+    del glo
+    return n_out, out_lo, ghi[kept], lefts, rights
 
 
 @dataclass(frozen=True)
@@ -176,10 +248,11 @@ def dilate_1d(
     for a, b in zip(members, members[1:]):
         if not a.hi <= b.lo:
             raise OverlappingInputs(f"inputs overlap: {a} and {b}")
-    los, his, _, _ = _grow([m.lo for m in members], [m.hi for m in members], gamma)
+    los, his = [m.lo for m in members], [m.hi for m in members]
+    _, los, his, _, _ = _grow_batch([len(members)], los, his, gamma)
     return DilationResult1D(
         gamma=gamma,
-        union=DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(los, his)),
+        union=DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(los.tolist(), his.tolist())),
         input_measure=math.fsum(m.length for m in members),
     )
 
@@ -409,6 +482,43 @@ def _toggle(bounds: list[float], values: Iterable[float]) -> None:
             bounds.insert(i, v)
 
 
+def _grow_sweep(keys: list[tuple[float, ...]], gamma: float) -> tuple[np.ndarray, ...]:
+    """Dilate every union of a sweep, each given as its boundary tuple (lo,
+    hi, lo, hi, ...), in batches of consecutive unions holding at most
+    ``_BATCH_MEMBERS`` members.  Returns ``_grow_batch``'s block counts and
+    ends, in key order.  Each batch's keys are released from ``keys`` as
+    soon as they are flattened."""
+    counts = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys)) // 2
+    ends = np.cumsum(counts)
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
+    a = 0
+    while a < len(keys):
+        lo = int(ends[a] - counts[a])
+        b = max(int(np.searchsorted(ends, lo + _BATCH_MEMBERS, "right")), a + 1)
+        size = 2 * (int(ends[b - 1]) - lo)
+        flat = np.fromiter(chain.from_iterable(keys[a:b]), dtype=np.float64, count=size)
+        keys[a:b] = [None] * (b - a)
+        parts.append(_grow_batch(counts[a:b], flat[0::2], flat[1::2], gamma)[:3])
+        a = b
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _section_measures(sec_off: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ``fsum`` of each section's block lengths.  A sum of one or two
+    terms rounds once, so numpy's gives the same bits; longer sections go
+    through ``math.fsum``."""
+    start, count = sec_off[:-1], np.diff(sec_off)
+    measure = lengths[start]
+    two = np.flatnonzero(count == 2)
+    measure[two] += lengths[start[two] + 1]
+    many = np.flatnonzero(count > 2).tolist()
+    if many:
+        pieces = lengths.tolist()
+        off = sec_off.tolist()
+        measure[many] = [math.fsum(pieces[off[s] : off[s + 1]]) for s in many]
+    return measure
+
+
 def cube_rows(cubes) -> np.ndarray:
     """The (n, 4) float array of open rectangles [x0, x1, y0, y1] that
     ``dilate_2d`` takes; ValueError unless every row is finite with x0 < x1
@@ -446,8 +556,9 @@ def dilate_2d(
     dilate each distinct x-union once; (4) sweep the x-endpoints of those
     dilations, toggling the y-bounds of each group's cells where the group's
     dilation starts or ends, so the boundary list is the merged vertical
-    union of every column; (5) dilate each distinct vertical union once into
-    the section pool and record each column's x-bounds and section index.
+    union of every column, and number the distinct ones as they appear;
+    (5) dilate the distinct vertical unions into the section pool.  Steps 3
+    and 5 each hand all their unions to ``_grow_sweep`` at once.
 
     The result is deterministic, pairwise disjoint, and its measure equals
     (2*gamma + 1)**2 times the total input area up to float rounding.
@@ -482,39 +593,46 @@ def dilate_2d(
             runs += (y1, y2)
     del y_events, ys, x_bounds
 
-    # 3. horizontal dilation per distinct x-union; the column sweep reads
-    # only the runs, so the x-union keys are released before it
-    x_events: dict[float, list[list[float]]] = {}
-    for key, runs in groups.items():
-        los, his, _, _ = _grow(key[0::2], key[1::2], gamma)
-        for lo, hi in zip(los, his):
-            x_events.setdefault(lo, []).append(runs)
-            x_events.setdefault(hi, []).append(runs)
+    # 3. horizontal dilation of the distinct x-unions.  The column sweep
+    # reads only their runs, at the distinct ends xs of their dilations:
+    # owner[a:b], between consecutive cuts a and b, lists the unions whose
+    # dilation starts or ends at one of them
+    keys, runs_of = list(groups), list(groups.values())
     del groups
+    counts, los, his = _grow_sweep(keys, gamma)
+    owner = np.repeat(np.arange(len(runs_of)), counts)
+    ends = np.concatenate((los, his))
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    owner = np.concatenate((owner, owner))[order].tolist()
+    cut = np.flatnonzero(np.diff(ends)) + 1
+    xs = ends[np.concatenate(([0], cut))]
+    cut = cut.tolist()
+    del los, his, order, ends
 
-    # 4+5. column sweep; one dilation per distinct vertical union
+    # 4. column sweep over the cells between consecutive ends, numbering the
+    # distinct vertical unions; a cell whose union is empty is no column
     y_bounds: list[float] = []
     sections: dict[tuple[float, ...], int] = {}
-    sec_off, y_lo, y_hi, sec_measure = [0], [], [], []
-    x_lo, x_hi, col_sec = [], [], []
-    xs = sorted(x_events)
-    for x1, x2 in zip(xs, xs[1:]):
-        for runs in x_events[x1]:
-            _toggle(y_bounds, runs)
-        if not y_bounds:
-            continue
-        key = tuple(y_bounds)
-        s = sections.get(key)
-        if s is None:
-            s = sections[key] = len(sec_measure)
-            los, his, _, _ = _grow(key[0::2], key[1::2], gamma)
-            y_lo += los
-            y_hi += his
-            sec_off.append(len(y_lo))
-            sec_measure.append(math.fsum(hi - lo for lo, hi in zip(los, his)))
-        x_lo.append(x1)
-        x_hi.append(x2)
-        col_sec.append(s)
+    is_col = bytearray(len(cut))
+    col_sec = array("q")
+    for c, (a, b) in enumerate(zip([0] + cut, cut)):
+        for u in owner[a:b]:
+            _toggle(y_bounds, runs_of[u])
+        if y_bounds:
+            is_col[c] = 1
+            col_sec.append(sections.setdefault(tuple(y_bounds), len(sections)))
+    del runs_of, owner, cut
+    is_col = np.frombuffer(is_col, dtype=bool)
+    x_lo, x_hi = xs[:-1][is_col], xs[1:][is_col]
+    col_sec = np.frombuffer(col_sec, dtype=np.int64).astype(np.intp)
+
+    # 5. vertical dilation of the distinct sections, in numbering order
+    keys = list(sections)
+    del sections
+    counts, y_lo, y_hi = _grow_sweep(keys, gamma)
+    sec_off = np.concatenate(([0], np.cumsum(counts)))
+    sec_measure = _section_measures(sec_off, y_hi - y_lo)
     return RectUnion(
         x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure, gamma=gamma, block=block
     )

@@ -11,8 +11,9 @@ may differ from the dense pairwise sum by that sum's rounding error.
 sweeps of ``dilate_2d`` replaced, and ``dilate_2d_objects`` the toggle
 sweeps over ``Rectangle`` inputs and per-interval objects that the array
 layout replaced; ``grow_ref`` is their growth loop, a sorted occupied set
-searched by bisection for every arm.  Columns, rectangle counts and
-measures must be equal, and ``grow_ref``'s output equal bit for bit.
+searched by bisection for every arm, and ``_grow`` the one-union loop that
+followed it, before the batched lockstep grower.  Columns, rectangle counts
+and measures must be equal, and both growth loops' output equal bit for bit.
 ``sample_points_ref`` is the sampler with one cover lookup per drawn point,
 which the batch cover test replaced, and the dense ``in_cubes_ref`` in place
 of the indexed cube test, and ``is_exceptional_ref`` the
@@ -41,7 +42,6 @@ from densitometer.dilation import (
     RectUnion,
     _check_gamma,
     _toggle,
-    dilate_1d,
     find_overlap,
 )
 from densitometer.errors import OutOfRange, OverlappingCubes
@@ -449,8 +449,89 @@ class _OccupiedSet:
         return DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(self.los, self.his))
 
 
+def _grow(
+    los: Sequence[float], his: Sequence[float], gamma: float
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The one-union growth loop that ``dilation._grow_batch`` replaced,
+    which runs it for many unions in lockstep: grow sorted, pairwise
+    disjoint members (lo, hi) left to right.
+
+    Returns the dilated union as its sorted lower and upper ends, and the
+    left and right hull ends of every member.
+
+    The occupied set is two sorted runs of closed blocks, each merged across
+    touching ends: the grown blocks ``glo``/``ghi`` (a stack whose top
+    ``top`` holds the last hull) and the waiting blocks ``wlo``/``whi`` from
+    index ``w`` on, the members not yet reached.  A member lies in the top
+    grown block or in the first waiting one, so no search is needed.  Its
+    left arm sweeps down the grown blocks and its right arm up the waiting
+    ones, each past exactly gamma times its length of unoccupied measure;
+    the hull then replaces every block it meets.  Sentinels at -inf below
+    the grown blocks and at +inf above the waiting ones end both sweeps.
+    """
+    wlo: list[float] = []
+    whi: list[float] = []
+    for lo, hi in zip(los, his):
+        if whi and lo == whi[-1]:
+            whi[-1] = hi
+        else:
+            wlo.append(lo)
+            whi.append(hi)
+    n = len(wlo)
+    wlo.append(math.inf)
+    glo = [-math.inf]
+    ghi = [-math.inf]
+    top = w = 0
+    lefts: list[float] = []
+    rights: list[float] = []
+    for lo, hi in zip(los, his):
+        need = gamma * (hi - lo)
+        if lo <= ghi[top]:
+            j, cur, right_from, k = top - 1, glo[top], ghi[top], w
+        else:
+            j, cur, right_from, k = top, wlo[w], whi[w], w + 1
+        rest = need
+        while rest > 0.0:
+            if cur - ghi[j] >= rest:
+                cur -= rest
+                break
+            rest -= cur - ghi[j]
+            cur = glo[j]
+            j -= 1
+        left = cur
+        cur, rest = right_from, need
+        while rest > 0.0:
+            if wlo[k] - cur >= rest:
+                cur += rest
+                break
+            rest -= wlo[k] - cur
+            cur = whi[k]
+            k += 1
+        right = cur
+        # the closed hull [left, right] absorbs grown blocks i..top and waiting ones up to k
+        i = j + 1
+        while i > 1 and ghi[i - 1] >= left:
+            i -= 1
+        while k < n and wlo[k] <= right:
+            k += 1
+        first_lo = glo[i] if i <= top else wlo[w]
+        last_hi = whi[k - 1] if k > w else ghi[top]
+        left_end = first_lo if first_lo < left else left
+        right_end = last_hi if last_hi > right else right
+        if i <= top:
+            del glo[i + 1 :], ghi[i + 1 :]
+            glo[i], ghi[i] = left_end, right_end
+        else:
+            glo.append(left_end)
+            ghi.append(right_end)
+        top, w = i, k
+        lefts.append(left)
+        rights.append(right)
+    return glo[1:] + wlo[w:n], ghi[1:] + whi[w:], lefts, rights
+
+
 def grow_ref(los, his, gamma):
-    """The growth loop that ``dilation._grow`` replaced: every arm bisects
+    """The growth loop that ``_grow`` replaced: every arm bisects
     the occupied set afresh.  Returns the dilated union's lower and upper
     ends and each member's left and right hull ends, as ``_grow`` does."""
     occupied = _OccupiedSet()
@@ -470,6 +551,13 @@ def grow_ref(los, his, gamma):
         lefts.append(left)
         rights.append(right)
     return occupied.los, occupied.his, lefts, rights
+
+
+def _grown_set(los, his, gamma) -> DisjointIntervalSet:
+    """``grow_ref``'s dilation of sorted, separated members, as the
+    interval set that ``dilate_1d`` would return."""
+    los, his, _, _ = grow_ref(los, his, gamma)
+    return DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(los, his))
 
 
 def dilate_2d_objects(
@@ -610,8 +698,7 @@ def dilate_2d_labels(
         key = tuple(v for pair in merged for v in pair)
         hit = dilation_cache.get(key)
         if hit is None:
-            base = [Interval(lo, hi) for lo, hi in merged]
-            hit = dilate_1d(base, gamma, allow_gamma_one=allow_gamma_one).union
+            hit = _grown_set([lo for lo, _ in merged], [hi for _, hi in merged], gamma)
             dilation_cache[key] = hit
         label_dilation.append(hit)
 
@@ -648,8 +735,7 @@ def dilate_2d_labels(
         key = seg_lo.tobytes() + seg_hi.tobytes()
         section = section_cache.get(key)
         if section is None:
-            base = [Interval(float(lo), float(hi)) for lo, hi in zip(seg_lo, seg_hi)]
-            section = dilate_1d(base, gamma, allow_gamma_one=allow_gamma_one).union
+            section = _grown_set(seg_lo.tolist(), seg_hi.tolist(), gamma)
             section_cache[key] = section
         columns.append((Interval(c1, c2), section))
     return ColumnUnion(columns)

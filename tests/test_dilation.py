@@ -2,12 +2,14 @@
 
 Random 1D families are replayed through an exact-rational reference sweep
 (tests/oracles.py) so the float implementation is checked against a second
-arithmetic route, not against itself.  The growth loop is checked bit for
-bit against the bisecting loop it replaced, and the 2D toggle sweeps over
-flat arrays column for column against the object-based sweeps and the
-label-based construction they replaced.
+arithmetic route, not against itself.  The batched lockstep grower is
+checked bit for bit against the one-union loop it replaced and the
+bisecting loop before that, and the 2D toggle sweeps over flat arrays
+column for column against the object-based sweeps and the label-based
+construction they replaced.
 """
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -18,14 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitometer import dilation
-from densitometer.dilation import LOCATIONS, Rectangle, RectUnion, _grow, dilate_1d, dilate_2d
+from densitometer import cli, dilation
+from densitometer.dilation import LOCATIONS, Rectangle, RectUnion, dilate_1d, dilate_2d
 from densitometer.errors import InvalidGamma, OverlappingCubes, OverlappingInputs
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location
 from densitometer.setmodel import build_cover
 
 from oracles import (
     ColumnUnion,
+    _grow,
     cubes,
     dilate_1d_exact,
     dilate_2d_labels,
@@ -91,7 +94,7 @@ def test_crowding_pushes_arms_outward():
     # the middle interval's arms must skip both neighbours entirely
     result = dilate_1d([Interval(0, 1), Interval(1.5, 2.5), Interval(3, 4)], 2.0)
     assert result.union.measure == pytest.approx(15.0, rel=1e-12)
-    _, _, lefts, rights = _grow([0.0, 1.5, 3.0], [1.0, 2.5, 4.0], 2.0)
+    _, _, _, lefts, rights = dilation._grow_batch([3], [0.0, 1.5, 3.0], [1.0, 2.5, 4.0], 2.0)
     assert lefts[1] < 0.0 or rights[1] > 4.0
 
 
@@ -100,7 +103,8 @@ def test_crowding_pushes_arms_outward():
 def test_pieces_cover_sources():
     intervals = [Interval(0, 1), Interval(4, 4.5), Interval(10, 12)]
     result = dilate_1d(intervals, 3.0)
-    _, _, lefts, rights = _grow([iv.lo for iv in intervals], [iv.hi for iv in intervals], 3.0)
+    los, his = [iv.lo for iv in intervals], [iv.hi for iv in intervals]
+    _, _, _, lefts, rights = dilation._grow_batch([len(intervals)], los, his, 3.0)
     for source, left, right in zip(intervals, lefts, rights):
         assert left <= source.lo < source.hi <= right
         assert result.union.locate((source.lo + source.hi) / 2) is Location.INSIDE
@@ -204,35 +208,43 @@ def test_witness_bound_holds_outside():
         checked += 1
 
 
-# -- growth loop against the bisecting loop it replaced ------------------------------
+# -- batched grower against the growth loops it replaced -----------------------------
 
 def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-def _assert_grow_matches_reference(los, his, gamma):
-    got = _grow(los, his, gamma)
-    want = grow_ref(los, his, gamma)
-    for name, a, b in zip(("union lo", "union hi", "lefts", "rights"), got, want):
-        assert _bits(a) == _bits(b), name
+def _flat(unions):
+    """Member counts and flat member ends of (los, his) unions."""
+    counts = [len(los) for los, _ in unions]
+    los = [lo for union_los, _ in unions for lo in union_los]
+    his = [hi for _, union_his in unions for hi in union_his]
+    return counts, los, his
 
 
-members = st.lists(
-    st.tuples(st.integers(0, 6), st.integers(1, 3), st.booleans()), min_size=1, max_size=24
-)
+def _split(counts, values):
+    ends = np.cumsum(counts).tolist()
+    return [values[a:b] for a, b in zip([0] + ends, ends)]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    members,
-    st.sampled_from([1.0, 0.1, 1.0 / 3.0, 2.0**-30]),
-    st.sampled_from([1.0, 1.5, 8.0, 16.0]),
-)
-def test_grow_matches_reference_bit_for_bit(drawn, scale, gamma):
+def _assert_unions_match_references(unions, gamma, n_out, out_lo, out_hi, lefts=None, rights=None):
+    """Each union's dilation, and its members' hull ends when given, equal
+    bit for bit those of both one-union growth loops."""
+    counts = [len(los) for los, _ in unions]
+    got = [_split(n_out, out_lo), _split(n_out, out_hi)]
+    if lefts is not None:
+        got += [_split(counts, lefts), _split(counts, rights)]
+    for u, (los, his) in enumerate(unions):
+        for reference in (grow_ref, _grow):
+            want = reference(los, his, gamma)
+            for name, a, b in zip(("union lo", "union hi", "lefts", "rights"), got, want):
+                assert _bits(a[u]) == _bits(b), (reference.__name__, u, name)
+
+
+def _drawn_union(drawn, scale, gamma):
     """Gaps of zero make touching members, and gaps counted in units of
     gamma make arms that end exactly on a neighbouring block's end; scales
-    other than 1 make the arm arithmetic round.  gamma = 1 is the boundary
-    factor that ``allow_gamma_one`` admits."""
+    other than 1 make the arm arithmetic round."""
     los, his = [], []
     cursor = -2.0 * scale
     for gap, length, in_gamma_units in drawn:
@@ -240,30 +252,204 @@ def test_grow_matches_reference_bit_for_bit(drawn, scale, gamma):
         los.append(cursor)
         cursor += length * scale
         his.append(cursor)
-    _assert_grow_matches_reference(los, his, gamma)
+    return los, his
+
+
+members = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(1, 3), st.booleans()), min_size=1, max_size=24
+)
+union_lists = st.lists(members, min_size=1, max_size=40)
+scales = st.sampled_from([1.0, 0.1, 1.0 / 3.0, 2.0**-30])
+gammas = st.sampled_from([1.0, 1.5, 8.0, 16.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(union_lists, scales, gammas)
+def test_grow_matches_reference_bit_for_bit(drawn, scale, gamma):
+    """One batch of 1-40 unions of 1-24 members, grown in lockstep, against
+    the one-union loop and the bisecting loop, union by union.  gamma = 1
+    is the boundary factor that ``allow_gamma_one`` admits."""
+    unions = [_drawn_union(d, scale, gamma) for d in drawn]
+    out = dilation._grow_batch(*_flat(unions), gamma)
+    _assert_unions_match_references(unions, gamma, *out)
     if gamma == 1.0:
+        los, his = unions[0]
         union = dilate_1d([Interval(a, b) for a, b in zip(los, his)], 1.0, allow_gamma_one=True)
         ref_lo, ref_hi, _, _ = grow_ref(los, his, 1.0)
         assert union.union.pairs() == tuple(zip(ref_lo, ref_hi))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(union_lists, scales, gammas, st.sampled_from([1, 3, 7]))
+def test_grow_sweep_batches_match_reference(drawn, scale, gamma, limit):
+    """Batch limits of 1, 3 and 7 members split a sweep between unions,
+    and a union longer than the limit forms a batch of its own; every
+    union's dilation is still the one-union loop's."""
+    unions = [_drawn_union(d, scale, gamma) for d in drawn]
+    counts, los, his = _flat(unions)
+    batches = []
+    grow_batch = dilation._grow_batch
+
+    def recording(counts, los, his, gamma):
+        batches.append(list(counts))
+        return grow_batch(counts, los, his, gamma)
+
+    keys = [tuple(np.column_stack(union).ravel().tolist()) for union in unions]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dilation, "_BATCH_MEMBERS", limit)
+        patch.setattr(dilation, "_grow_batch", recording)
+        out = dilation._grow_sweep(keys, gamma)
+    assert keys == [None] * len(unions)
+    _assert_unions_match_references(unions, gamma, *out)
+    assert [c for batch in batches for c in batch] == counts
+    for batch in batches:
+        assert len(batch) == 1 or sum(batch) <= limit
+    for batch, after in zip(batches, batches[1:]):
+        assert sum(batch) + after[0] > limit
+
+
+def test_empty_unions():
+    """An empty family dilates to nothing, and an empty union in a batch
+    leaves its neighbours as the one-union loop grows them."""
+    result = dilate_1d([], 2.0)
+    assert result.union.pairs() == () and result.input_measure == 0.0
+    unions = [([0.0, 2.0], [1.0, 3.0]), ([], []), ([2.5], [4.0]), ([], [])]
+    out = dilation._grow_batch(*_flat(unions), 2.0)
+    assert out[0].tolist() == [1, 0, 1, 0]
+    _assert_unions_match_references(unions, 2.0, *out)
+    n_out, out_lo, out_hi = dilation._grow_sweep([(), (0.0, 1.0, 2.0, 3.0), ()], 2.0)
+    assert n_out.tolist() == [0, 1, 0] and (out_lo.tolist(), out_hi.tolist()) == ([-4.0], [6.0])
+    assert [a.size for a in dilation._grow_sweep([], 2.0)] == [0, 0, 0]
+
+
+def test_grow_near_the_float_range():
+    """Arms that stay finite grow as the one-union loop grows them; an arm
+    that overflows raises ValueError, as the interval it would end does."""
+    got = dilate_1d([Interval(0.0, 1e306)], 16.0).union.pairs()
+    ref_lo, ref_hi, _, _ = grow_ref([0.0], [1e306], 16.0)
+    assert got == tuple(zip(ref_lo, ref_hi)) and math.isfinite(ref_hi[0] * 5.0)
+    with pytest.raises(ValueError, match="float range"):
+        dilate_1d([Interval(0.0, 1e306), Interval(1e307, 1e308)], 16.0)
+    with pytest.raises(ValueError, match="float range"):
+        dilate_2d([(0.0, 1e308, 0.0, 1.0)], 16.0)
+
+
+def test_section_measures_are_fsums():
+    """Sums of one or two lengths round once, as ``fsum`` does; longer
+    ones must be ``fsum``: 1 + 2**-53 + 2**-53 is 1 from left to right but
+    1 + 2**-52 exactly."""
+    lengths = np.array([0.1, 1.0, 2.0**-53, 1.0, 2.0**-53, 2.0**-53, 0.3, 0.7])
+    sec_off = np.array([0, 1, 3, 6, 8])
+    want = [math.fsum(lengths[a:b].tolist()) for a, b in zip(sec_off, sec_off[1:])]
+    assert want[2] != (1.0 + 2.0**-53) + 2.0**-53
+    assert _bits(dilation._section_measures(sec_off, lengths)) == _bits(want)
+
+
+def _recording_batches(monkeypatch):
+    """Record, per sweep, its members, its unions and the union count of each
+    batch it grows."""
+    sweeps = []
+    grow_sweep, grow_batch = dilation._grow_sweep, dilation._grow_batch
+
+    def sweep(keys, gamma):
+        sweeps.append((sum(map(len, keys)) // 2, len(keys), []))
+        return grow_sweep(keys, gamma)
+
+    def batch(counts, los, his, gamma):
+        sweeps[-1][2].append(len(counts))
+        return grow_batch(counts, los, his, gamma)
+
+    monkeypatch.setattr(dilation, "_grow_sweep", sweep)
+    monkeypatch.setattr(dilation, "_grow_batch", batch)
+    return sweeps
 
 
 @pytest.mark.parametrize("layout", ["canonical", "deposition"])
 def test_grow_matches_reference_on_cover_calls(
     canonical_model, deposition_model, layout, monkeypatch
 ):
-    """Every growth call made while building blocks 3-4 of either layout."""
+    """Every union the batch grower receives while building blocks 3-4 of
+    either layout."""
     model = {"canonical": canonical_model, "deposition": deposition_model}[layout]
     calls = []
+    grow_batch = dilation._grow_batch
 
-    def recording(los, his, gamma):
-        calls.append((list(los), list(his), gamma))
-        return _grow(los, his, gamma)
+    def recording(counts, los, his, gamma):
+        out = grow_batch(counts, los, his, gamma)
+        calls.append((gamma, list(zip(_split(counts, list(los)), _split(counts, list(his))))) + out)
+        return out
 
-    monkeypatch.setattr(dilation, "_grow", recording)
+    monkeypatch.setattr(dilation, "_grow_batch", recording)
     build_cover(model, 3, 4)
-    assert len(calls) > 5000
-    for los, his, gamma in calls:
-        _assert_grow_matches_reference(los, his, gamma)
+    assert sum(len(unions) for _, unions, *_ in calls) > 5000
+    for gamma, unions, *out in calls:
+        _assert_unions_match_references(unions, gamma, *out)
+
+
+def test_cover_grows_in_few_batches(deposition_model, monkeypatch):
+    """Each sweep of blocks 3-4 grows its unions in at most
+    ceil(members / limit) batch calls, not one call per union."""
+    sweeps = _recording_batches(monkeypatch)
+    build_cover(deposition_model, 3, 4)
+    assert len(sweeps) == 4  # the x-unions and the sections of each block
+    for members, unions, batches in sweeps:
+        assert len(batches) <= -(-members // dilation._BATCH_MEMBERS)
+        assert sum(batches) == unions
+    assert sum(unions for _, unions, _ in sweeps) > 100 * sum(len(b) for *_, b in sweeps)
+
+
+# Working memory of one batch: a dozen arrays of one float per member
+_GROW_PEAK_BOUND = 12 * 8 * dilation._BATCH_MEMBERS + (1 << 20)
+
+
+def test_grow_sweep_memory_is_bounded_by_batch():
+    """A family eight times the batch limit, whose unions each dilate into
+    one block, peaks under a bound set by the limit, below the four block
+    arrays that growing the whole family in one batch would hold (it peaks
+    at about 10 MB)."""
+    members, per_union = 8 * dilation._BATCH_MEMBERS, 16
+    gaps = np.random.default_rng(4).integers(0, 2, members)
+    los = np.cumsum(gaps + 1.0) - 1.0
+    flat = np.column_stack((los, los + 1.0)).ravel().tolist()
+    keys = [tuple(flat[i : i + 2 * per_union]) for i in range(0, len(flat), 2 * per_union)]
+    del flat
+    assert _GROW_PEAK_BOUND < members * 8 * 4
+    tracemalloc.start()
+    try:
+        n_out, _, _ = dilation._grow_sweep(keys, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (n_out == 1).all()
+    assert peak < _GROW_PEAK_BOUND, f"peak {peak / 2**20:.2f} MB"
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        kind = "<i8" if np.asarray(arr).dtype.kind in "iu" else "<f8"
+        h.update(np.asarray(arr, dtype=kind).tobytes())
+    return h.hexdigest()
+
+
+def test_cover_bytes_are_pinned(deposition_model, tmp_path):
+    """Golden digests of the cover: ``cover.json`` of ``verify-all --level 4
+    --seed 42`` and the deposition layout's block-3/4 union arrays.  The
+    block arrays use only IEEE +, -, *, comparisons and ``fsum``, so their
+    bytes do not depend on the platform; the bound in ``cover.json`` also
+    goes through ``math.log`` and ``math.exp``."""
+    args = ["verify-all", "--seq", "power:c=0.25,p=2", "--level", "4", "--seed", "42"]
+    assert cli.main(args + ["--points", "10", "--rects", "40", "--out-dir", str(tmp_path)]) == 0
+    cover_json = hashlib.sha256((tmp_path / "cover.json").read_bytes()).hexdigest()
+    assert cover_json == "8dfb5b0cbe93222d66f46ee493ed3d56edb2b466872e48d18cb559ef0e1e5365"
+    cover = build_cover(deposition_model, 3, 4)
+    arrays = [
+        a
+        for b in cover.blocks
+        for a in (b.union.x_lo, b.union.x_hi, b.union.col_sec, b.union.sec_off)
+        + (b.union.y_lo, b.union.y_hi, b.union.sec_measure)
+    ]
+    assert _digest(arrays) == "029d1635b11d9975beb6df6a5ee8dcf02a63f8d8c9802d3ba7239f29f1127db0"
 
 
 # -- toggle sweeps against the object-based and label-based oracles ---------------
