@@ -335,9 +335,8 @@ def test_grow_near_the_float_range():
 
 
 def test_section_measures_are_fsums():
-    """Sums of one or two lengths round once, as ``fsum`` does; longer
-    ones must be ``fsum``: 1 + 2**-53 + 2**-53 is 1 from left to right but
-    1 + 2**-52 exactly."""
+    """Each section's measure is the ``fsum`` of its lengths:
+    1 + 2**-53 + 2**-53 is 1 from left to right but 1 + 2**-52 exactly."""
     lengths = np.array([0.1, 1.0, 2.0**-53, 1.0, 2.0**-53, 2.0**-53, 0.3, 0.7])
     sec_off = np.array([0, 1, 3, 6, 8])
     want = [math.fsum(lengths[a:b].tolist()) for a, b in zip(sec_off, sec_off[1:])]
@@ -435,21 +434,48 @@ def _digest(arrays):
 def test_cover_bytes_are_pinned(deposition_model, tmp_path):
     """Golden digests of the cover: ``cover.json`` of ``verify-all --level 4
     --seed 42`` and the deposition layout's block-3/4 union arrays.  The
-    block arrays use only IEEE +, -, *, comparisons and ``fsum``, so their
-    bytes do not depend on the platform; the bound in ``cover.json`` also
-    goes through ``math.log`` and ``math.exp``."""
+    cube sides, and the bound in ``cover.json``, go through ``math.log`` and
+    ``math.exp``, so these digests are those of the libm they were recorded
+    with (glibc on x86-64); ``test_dyadic_dilation_bytes_are_pinned`` pins
+    the dilation's own bytes on every platform."""
     args = ["verify-all", "--seq", "power:c=0.25,p=2", "--level", "4", "--seed", "42"]
     assert cli.main(args + ["--points", "10", "--rects", "40", "--out-dir", str(tmp_path)]) == 0
     cover_json = hashlib.sha256((tmp_path / "cover.json").read_bytes()).hexdigest()
     assert cover_json == "8dfb5b0cbe93222d66f46ee493ed3d56edb2b466872e48d18cb559ef0e1e5365"
     cover = build_cover(deposition_model, 3, 4)
-    arrays = [
-        a
-        for b in cover.blocks
-        for a in (b.union.x_lo, b.union.x_hi, b.union.col_sec, b.union.sec_off)
-        + (b.union.y_lo, b.union.y_hi, b.union.sec_measure)
-    ]
+    arrays = [a for b in cover.blocks for a in _union_arrays(b.union)]
     assert _digest(arrays) == "029d1635b11d9975beb6df6a5ee8dcf02a63f8d8c9802d3ba7239f29f1127db0"
+
+
+def _union_arrays(u):
+    return (u.x_lo, u.x_hi, u.col_sec, u.sec_off, u.y_lo, u.y_hi, u.sec_measure)
+
+
+def _dyadic_deposition(trunc, seed):
+    """Random sequential deposition, as in the deposition fixture, of
+    squares whose sides are powers of two from 2**-7 down to 2**-12, so
+    every coordinate comes from the generator's doubles through IEEE +, -,
+    * and comparisons; returns ``dilate_2d``'s rows."""
+    rng = np.random.default_rng(seed)
+    ws = np.ldexp(1.0, -(7 + 6 * np.arange(trunc) // trunc))
+    xs, ys = np.empty(trunc), np.empty(trunc)
+    for i, w in enumerate(ws.tolist()):
+        x = float(rng.uniform(0.0, 1.0 - w))
+        below = (x < xs[:i] + ws[:i]) & (xs[:i] < x + w)
+        ys[i] = float(np.max(ys[:i][below] + ws[:i][below])) if below.any() else 0.0
+        xs[i] = x
+    return np.column_stack((xs, xs + ws, ys, ys + ws))
+
+
+def test_dyadic_dilation_bytes_are_pinned():
+    """Golden digest of ``dilate_2d`` at gamma 8 and 16 on a layout built
+    without ``log`` or ``exp``: the dilation uses only IEEE +, -, *,
+    comparisons and ``fsum``, so these bytes hold on every platform."""
+    rows = _dyadic_deposition(3000, 0)
+    unions = [dilate_2d(rows, gamma) for gamma in (8.0, 16.0)]
+    assert [len(u) for u in unions] == [824, 821]
+    arrays = [a for u in unions for a in _union_arrays(u)]
+    assert _digest(arrays) == "1e9bd8277dcb2ffbd9394f2607ce22b9b0d91da8a7bc0419e343ad0a11cad0bc"
 
 
 # -- toggle sweeps against the object-based and label-based oracles ---------------
