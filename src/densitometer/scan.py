@@ -19,6 +19,9 @@ necessity of the exclusion rather than contradict the bound.
 Everything is deterministic given the seed: points and per-point rectangle
 streams derive from disjoint substreams of one root seed, and reports use
 shortest-round-trip float formatting so artifact bytes are reproducible.
+The rectangles of a run of points are measured together, in one descent of
+the model's cube tree; each ratio is exactly rounded, so it does not depend
+on the run it was measured in.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .auxfn import RateFunction
 from .errors import AcceptanceTooLow, OutOfRange
-from .setmodel import CompactSetModel, ExceptionalCover, closed_hits, overlap_totals
+from .setmodel import _CHUNK_RECTS, CompactSetModel, ExceptionalCover
 
 __all__ = [
     "ScanConfig",
@@ -210,58 +213,20 @@ def _draw_rects(
 
 
 def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
-    """Which of the (n, 2) points lie in or on a cube.
-
-    The points go in sqrt(n) runs sorted by x.  Each run asks the model's
-    cube index for its bounding box, keeps the candidates that meet the box,
-    and tests its points only against those: a closed cube holding a point
-    meets the box of every run that holds the point.
-    """
-    hit = np.empty(len(pts), dtype=bool)
-    if not len(pts):
-        return hit
-    for run in np.array_split(np.argsort(pts[:, 0]), math.isqrt(len(pts))):
-        p = pts[run]
-        (x0, y0), (x1, y1) = p.min(axis=0), p.max(axis=0)
-        cand = model.index.query(x0, x1, y0, y1)
-        near = cand[model.overlaps([[x0, x1, y0, y1]], closed_hits, cand)[0]]
-        hit[run] = model.overlaps(
-            p[:, [0, 0, 1, 1]], lambda wx, wy: closed_hits(wx, wy).any(axis=1), near
-        )
+    """Which of the (n, 2) points lie in or on a cube, from the closed
+    meets of the cube tree."""
+    hit = np.zeros(len(pts), dtype=bool)
+    hit[model.meets(pts[:, [0, 0, 1, 1]])[0]] = True
     return hit
 
 
-def _near_cubes(
-    model: CompactSetModel, point: tuple[float, float], reach: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending indexes of the cubes within Chebyshev distance ``reach`` of
-    the point, with their x-gaps and y-gaps from it.
-
-    The x-gap is max(-wx, 0) of the point as a rectangle, which is
-    fl(cx - px) for a cube starting at cx right of the point, fl(px - cx1)
-    for one ending at cx1 left of it and 0 for one spanning it; the y-gap
-    likewise.  A rectangle holding the point whose x-extent from it (its
-    larger distance to an x edge) is ex overlaps only cubes with x-gap
-    <= ex: cx < x1 implies fl(cx - px) <= fl(x1 - px), because rounding is
-    monotone.  The same holds in y, so the cubes a rectangle meets are among
-    the near cubes with x-gap <= ex, and among those with y-gap <= ey, ties
-    included.  Only the cube index's candidates for the box point +- reach
-    are measured, in one kernel pass.
-    """
-    x, y = point
-    cand = model.index.query(x - reach, x + reach, y - reach, y + reach)
-    gx, gy = model.overlaps(
-        [[x, x, y, y]], lambda wx, wy: np.maximum(np.stack([-wx, -wy], axis=1), 0.0), cand
-    )[0]
-    keep = np.flatnonzero(np.maximum(gx, gy) <= reach)
-    return cand[keep], gx[keep], gy[keep]
-
-
 def _point_gaps(model: CompactSetModel, point: tuple[float, float], upto: int) -> np.ndarray:
-    """Chebyshev gaps (as in _near_cubes) and squared Euclidean distances
-    from the point to cubes 1..upto, as rows of a (2, upto) array, from one
-    kernel pass.  ``sqrt(min(d2[:p]))`` is the point's distance to the union
-    of cubes 1..p for every p <= upto."""
+    """Chebyshev gaps and squared Euclidean distances from the point to
+    cubes 1..upto, as rows of a (2, upto) array, from one kernel pass.  A
+    cube's x-gap is max(-wx, 0) of the point as a rectangle, its y-gap
+    likewise, and its Chebyshev gap the larger of the two.
+    ``sqrt(min(d2[:p]))`` is the point's distance to the union of cubes
+    1..p for every p <= upto."""
     x, y = point
 
     def gaps(wx, wy):
@@ -271,45 +236,11 @@ def _point_gaps(model: CompactSetModel, point: tuple[float, float], upto: int) -
     return model.overlaps([[x, x, y, y]], gaps, slice(upto))[0]
 
 
-def _rect_ratios(
-    model: CompactSetModel,
-    rects: np.ndarray,
-    near: np.ndarray,
-    gaps: np.ndarray,
-    extents: np.ndarray,
-) -> np.ndarray:
-    """Truncated-set density of each rectangle, where ``gaps`` holds the
-    x-gaps and y-gaps of the cubes ``near`` as a (2, len(near)) array,
-    ``extents`` the rectangles' x-extents and y-extents as a (2, n) array,
-    and row i overlaps no cube outside ``near[gaps[a] <= extents[a, i]]``
-    for either axis a.
-
-    Each row takes the axis whose set is smaller.  Rows are grouped by that
-    axis and the bit length of that count, and each group makes one kernel
-    call on the cubes within the group's largest extent on its axis, under
-    twice what any of its rows needs.  Overlap totals are exactly rounded,
-    so a row's ratio does not depend on its group.
-    """
+def _ratios(model: CompactSetModel, rects: np.ndarray) -> np.ndarray:
+    """Truncated-set density of each rectangle, from its exactly rounded
+    overlap total."""
     x0, x1, y0, y1 = rects.T
-    counts = np.stack([np.searchsorted(np.sort(g), e, "right") for g, e in zip(gaps, extents)])
-    groups = 2 * np.frexp(counts.min(axis=0))[1] + (counts[1] < counts[0])
-    overlap = np.zeros(len(rects))
-    for key in sorted(set(groups.tolist()) - {0, 1}):
-        a, rows = key % 2, np.flatnonzero(groups == key)
-        cubes = near[gaps[a] <= extents[a, rows].max()]
-        overlap[rows] = model.overlaps(rects[rows], overlap_totals, cubes)
-    return np.clip(1.0 - overlap / ((x1 - x0) * (y1 - y0)), 0.0, 1.0)
-
-
-def _point_ratios(
-    model: CompactSetModel, point: tuple[float, float], rects: np.ndarray
-) -> np.ndarray:
-    """Ratios of rectangles that hold the point, each against the point's
-    near cubes within its x-extent or its y-extent from the point."""
-    d = np.abs(rects - np.repeat(point, 2))
-    extents = np.stack([np.maximum(d[:, 0], d[:, 1]), np.maximum(d[:, 2], d[:, 3])])
-    near, gx, gy = _near_cubes(model, point, float(extents.max()))
-    return _rect_ratios(model, rects, near, np.stack([gx, gy]), extents)
+    return np.clip(1.0 - model.total_overlaps(rects) / ((x1 - x0) * (y1 - y0)), 0.0, 1.0)
 
 
 def _separation_hits(
@@ -318,10 +249,12 @@ def _separation_hits(
     """Which rectangles meet the interior of one of cubes 1..len(gap), where
     ``gap`` holds those cubes' Chebyshev gaps from the point.
 
-    A rectangle meets only cubes whose gap is at most its largest extent
-    from the point (see _near_cubes), so only the cubes within the largest
-    extent of all the rectangles go to the kernel, and none when no cube is
-    that close."""
+    A rectangle holding the point whose edges are at most e from it meets
+    only cubes with gap <= e: a cube starting at cx right of the point has
+    x-gap fl(cx - px), and cx < x1 implies fl(cx - px) <= fl(x1 - px),
+    because rounding is monotone; the other sides are alike.  So only the
+    cubes within the largest extent of all the rectangles go to the kernel,
+    and none when no cube is that close."""
     reach = np.abs(rects - np.repeat(point, 2)).max()
     near = np.flatnonzero(gap <= reach)
     if not near.size:
@@ -478,27 +411,46 @@ class ScanReport:
         )
 
 
-def _scan_one_point(
-    model: CompactSetModel,
-    config: ScanConfig,
-    plan: _ScanPlan,
-    point: tuple[float, float],
-    scannable: bool,
-    seed: np.random.SeedSequence,
-) -> list[tuple[float, int, str]]:
-    """(min_ratio, violations, regime) of one point for each t, cumulatively.
+def _scan_points(
+    model: CompactSetModel, config: ScanConfig, plan: _ScanPlan
+) -> list[list[tuple[float, int, str]]]:
+    """(min_ratio, violations, regime) of each point for each t, cumulatively.
 
-    The rectangles of every t are drawn in one draw and measured in one pass."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rects = _draw_rects(rng, point, plan.t_sorted, config, model)
-    ratios = _point_ratios(model, point, rects)
-    d2 = _point_gaps(model, point, plan.upto)[1] if scannable and plan.upto else None
-    regimes = _regimes(plan.t_sorted, plan.prefixes, model.trunc, scannable, d2)
+    A point's rectangles of every t come from one draw of its own stream.
+    Points go in runs whose rectangles fill at most one tree descent
+    (_CHUNK_RECTS, or one point when a point alone has more), and each run's
+    rectangles are measured in one pass."""
+    seeds = _substreams(config, 1, len(plan.points))
+    per_point = len(plan.t_sorted) * config.rects_per_point
+    run = max(1, _CHUNK_RECTS // per_point)
     out = []
-    for k, branch in enumerate(plan.branches):
-        family = ratios[: (k + 1) * config.rects_per_point]
-        violations = int(np.count_nonzero(family < branch.floor))
-        out.append((float(family.min()), violations, regimes[k]))
+    for start in range(0, len(plan.points), run):
+        ids = range(start, min(start + run, len(plan.points)))
+        rects = np.concatenate(
+            [
+                _draw_rects(
+                    np.random.Generator(np.random.PCG64(seeds[i])),
+                    plan.points[i],
+                    plan.t_sorted,
+                    config,
+                    model,
+                )
+                for i in ids
+            ]
+        )
+        ratios = _ratios(model, rects).reshape(len(ids), per_point)
+        for i, point_ratios in zip(ids, ratios):
+            scannable = plan.scannable[i]
+            d2 = None
+            if scannable and plan.upto:
+                d2 = _point_gaps(model, plan.points[i], plan.upto)[1]
+            regimes = _regimes(plan.t_sorted, plan.prefixes, model.trunc, scannable, d2)
+            rows = []
+            for k, branch in enumerate(plan.branches):
+                family = point_ratios[: (k + 1) * config.rects_per_point]
+                violations = int(np.count_nonzero(family < branch.floor))
+                rows.append((float(family.min()), violations, regimes[k]))
+            out.append(rows)
     return out
 
 
@@ -519,11 +471,7 @@ def scan_density_bound(
     so the reported minima are non-increasing in t.
     """
     plan = _scan_plan(model, cover, ratefn, config, points)
-    seeds = _substreams(config, 1, len(plan.points))
-    per_point = [
-        _scan_one_point(model, config, plan, point, scannable, seed)
-        for point, scannable, seed in zip(plan.points, plan.scannable, seeds)
-    ]
+    per_point = _scan_points(model, config, plan)
 
     rows: list[ScanRow] = []
     summaries: list[TSummary] = []

@@ -3,16 +3,19 @@
 A model materializes cubes 1..N of a weight sequence inside an open outer
 box by deterministic shelf packing.  Density ratios against axis-aligned
 rectangles are exact on the truncated set and carry a certified lower bound
-for the untruncated one.  The exceptional cover unites, for blocks
-s = m..s_hi of the schedule, the 2^s-dilation of the block's cubes; its
-total measure is bounded analytically across all blocks s >= m.
+for the untruncated one.  Rectangle queries descend the model's cube tree,
+whose nodes carry their cubes' exact whole-cube area totals as integer
+limbs, so only the cubes on a rectangle's boundary reach the overlap
+kernel.  The exceptional cover unites, for blocks s = m..s_hi of the
+schedule, the 2^s-dilation of the block's cubes; its total measure is
+bounded analytically across all blocks s >= m.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .weights import WeightSequence, tail_sum
 
 __all__ = [
     "CompactSetModel",
-    "CubeIndex",
+    "CubeTree",
     "DensityResult",
     "BlockDilation",
     "ExceptionalCover",
@@ -43,6 +46,11 @@ __all__ = [
 
 # Rectangles x cubes per overlap-kernel block: 128 KiB per float64 temporary.
 _BLOCK_CELLS = 1 << 14
+# Cubes per leaf of the cube tree.
+_LEAF = 8
+# Rectangles per descent of the cube tree: its (rectangle, node) pairs and
+# boundary cells are the largest temporaries of a ratio pass.
+_CHUNK_RECTS = 1 << 13
 # Stopping rule of cover_measure_bound.
 _COVER_REL_TOL = 1e-15
 _COVER_S_CAP = 400
@@ -53,79 +61,247 @@ def closed_hits(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     return (wx >= 0.0) & (wy >= 0.0)
 
 
-def overlap_totals(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """Overlap reduction: each rectangle's total overlap area, exactly rounded.
-
-    The areas ``max(wx, 0) * max(wy, 0)`` are formed in place in ``wx``.
-    The total depends only on the positive areas, not on which other cubes a
-    row holds or their order.  Adding a zero is exact, so a row with at most
-    two positive areas rounds once and numpy's sum is already exact there.
-    The positive areas of the other rows are gathered row by row into one
-    list, and each row's slice of it goes through math.fsum.
-    """
+def _pieces(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Overlap reduction: the areas ``max(wx, 0) * max(wy, 0)``, formed in
+    place in ``wx``."""
     pieces = np.maximum(wx, 0.0, out=wx)
     pieces *= np.maximum(wy, 0.0, out=wy)
-    positive = pieces > 0.0
-    totals = pieces.sum(axis=1)
-    counts = np.count_nonzero(positive, axis=1)
-    many = np.flatnonzero(counts > 2)
-    if many.size:
-        flat = pieces[many][positive[many]].tolist()
-        ends = np.cumsum(counts[many]).tolist()
-        totals[many] = [math.fsum(flat[a:b]) for a, b in zip([0, *ends], ends)]
-    return totals
+    return pieces
 
 
-class CubeIndex:
-    """Uniform-grid index of a model's cubes for box queries.
+def _node_meets(
+    boxes: tuple, nodes: np.ndarray, rect: tuple, rows: np.ndarray, closed: bool
+) -> np.ndarray:
+    """Which (node, rectangle) pairs can hold a cube meeting the rectangle:
+    its interior, or its closed set when ``closed``.  ``boxes`` and ``rect``
+    hold node boxes and rectangles as arrays (x0, x1, y0, y1), and pair i is
+    node nodes[i] with rectangle rows[i].  A node whose box lies on or
+    beyond an edge of the rectangle holds no cube with a positive overlap,
+    because float subtraction keeps the order of its operands.  One
+    coordinate is gathered at a time, so a level's pairs cost one boolean
+    each beyond their indexes."""
+    (bx0, bx1, by0, by1), (x0, x1, y0, y1) = boxes, rect
+    if closed:
+        keep = bx0[nodes] <= x1[rows]
+        keep &= bx1[nodes] >= x0[rows]
+        keep &= by0[nodes] <= y1[rows]
+        keep &= by1[nodes] >= y0[rows]
+    else:
+        keep = bx0[nodes] < x1[rows]
+        keep &= bx1[nodes] > x0[rows]
+        keep &= by0[nodes] < y1[rows]
+        keep &= by1[nodes] > y0[rows]
+    return keep
 
-    The outer box is cut into g x g cells with g = isqrt(N // 4) (at least
-    1), about four cubes to a cell.  A cube no larger than a cell is listed
-    once, in the cell of its lower-left corner: ``ids`` holds those cube
-    indexes sorted by cell (x-major) and then by index, and cell c's cubes
-    are ``ids[starts[c]:starts[c + 1]]``.  The few cubes larger than a cell
-    are the list ``big``, which every query returns (Bentley and Friedman,
-    "Data structures for range searching", ACM Computing Surveys 1979).
+
+def _node_inside(boxes: tuple, nodes: np.ndarray, rect: tuple, rows: np.ndarray) -> np.ndarray:
+    """Which node boxes lie in the closed rectangles (pairs as in
+    _node_meets): every cube of such a node overlaps its rectangle by its
+    whole-cube area."""
+    (bx0, bx1, by0, by1), (x0, x1, y0, y1) = boxes, rect
+    inside = bx0[nodes] >= x0[rows]
+    inside &= bx1[nodes] <= x1[rows]
+    inside &= by0[nodes] >= y0[rows]
+    inside &= by1[nodes] <= y1[rows]
+    return inside
+
+
+def _limb_values(limbs: np.ndarray, shift: int, bits: int) -> np.ndarray:
+    """Floats whose exact sum is the area held in integer limbs: limb k of a
+    (K, n) array counts units of 2^(bits k - shift).  Each limb is an integer
+    below 2^53, so scaling it by a power of two is exact."""
+    scale = bits * np.arange(len(limbs)) - shift
+    return np.ldexp(limbs, scale[:, None])
+
+
+def _limbs(rest: np.ndarray, count: int, bits: int, shift: int) -> Iterator:
+    """(k, limb k) of the areas ``rest`` for k = count - 1 down to 0, limb k
+    counting units of 2^(bits k - shift); ``rest`` is consumed.  Taking the
+    limbs top-down keeps every scaling step from overflowing: with q =
+    floor(r 2^-u) for the limb unit 2^u, r - q 2^u keeps the low bits of r,
+    which is exact."""
+    for k in reversed(range(count)):
+        unit = bits * k - shift
+        limb = np.floor(np.ldexp(rest, -unit))
+        rest -= np.ldexp(limb, unit)
+        yield k, limb
+
+
+def _whole_areas(xs: np.ndarray, ys: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Whole-cube areas fl(fl(cx1 - cx0) * fl(cy1 - cy0)), cx1 = fl(cx0 + w)."""
+    width = xs + sides
+    width -= xs
+    height = ys + sides
+    height -= ys
+    width *= height
+    return width
+
+
+_FOLDS = (np.minimum, np.maximum) * 2
+_CHILDREN = np.array([1, 2])
+# Morton cells per axis.
+_MORTON_SCALE = 2.0**30
+
+
+class _PackedTree:
+    """One packed bounding-box tree over some of a model's cubes.
+
+    The cubes, sorted by the Morton code of their centres, are cut into
+    leaves of ``leaf`` consecutive cubes (Kamel and Faloutsos, "On packing
+    R-trees", CIKM 1993).  The tree is an implicit complete binary tree in
+    heap layout: node i has children 2i + 1 and 2i + 2, and the 2^depth
+    leaves are the last nodes.  ``boxes`` holds the nodes' closed bounding
+    boxes as arrays (x0, x1, y0, y1), padded nodes the empty box (+inf,
+    -inf, +inf, -inf), and ``limbs`` the exact total of each node's
+    whole-cube areas as (K, nodes) integer limbs.  ``ids`` lists each
+    leaf's cubes; the last leaf holding cubes holds ``fill`` of them, and
+    its other slots repeat its last cube.
     """
 
-    __slots__ = ("g", "origin", "cell", "ids", "starts", "big")
+    __slots__ = ("depth", "ids", "boxes", "limbs", "last", "fill")
+
+    def __init__(self, ids: np.ndarray, leaf: int, cubes: tuple, limb_format: tuple) -> None:
+        n = len(ids)
+        leaves = -(-n // leaf)
+        self.depth = (leaves - 1).bit_length()
+        size = 1 << self.depth
+        self.last, self.fill = leaves - 1, n - leaf * (leaves - 1)
+        slots = np.full(size * leaf, ids[-1], dtype=np.int32)
+        slots[:n] = ids
+        self.ids = slots.reshape(size, leaf)
+        starts = np.arange(0, n, leaf)
+        xs, ys, sides = (v[ids] for v in cubes)
+        areas = _whole_areas(xs, ys, sides)
+        self.boxes = tuple(np.empty(2 * size - 1) for _ in range(4))
+        pads = (np.inf, -np.inf) * 2
+        for box, corner, fold, pad in zip(self.boxes, (xs, xs, ys, ys), _FOLDS, pads):
+            # an upper bound x0 + w is formed only while its fold runs
+            bound = corner if fold is np.minimum else corner + sides
+            box[size - 1 :] = pad
+            box[size - 1 : size - 1 + leaves] = fold.reduceat(bound, starts)
+        del xs, ys, sides
+        self.limbs = np.zeros((limb_format[0], 2 * size - 1))
+        for k, limb in _limbs(areas, *limb_format):
+            self.limbs[k, size - 1 : size - 1 + leaves] = np.add.reduceat(limb, starts)
+        for d in reversed(range(self.depth)):
+            lo, hi = (1 << d) - 1, (2 << d) - 1
+            for box, fold in zip(self.boxes, _FOLDS):
+                fold(box[hi : 2 * hi + 1 : 2], box[hi + 1 : 2 * hi + 1 : 2], out=box[lo:hi])
+            np.add(
+                self.limbs[:, hi : 2 * hi + 1 : 2],
+                self.limbs[:, hi + 1 : 2 * hi + 1 : 2],
+                out=self.limbs[:, lo:hi],
+            )
+
+    def walk(
+        self, rect: tuple, closed: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Level-by-level descent of rectangles given as arrays (x0, x1, y0,
+        y1).  A (rectangle, node) pair is dropped when the node cannot meet
+        the rectangle (see _node_meets), kept whole when the node lies inside
+        it (unless ``closed``), and otherwise split into its children.
+        Returns the rectangle rows and leaf indexes of the pairs that reach a
+        leaf, and the rows and nodes of the whole pairs; rows ascend in
+        both."""
+        rows = np.arange(len(rect[0]))
+        nodes = np.zeros(len(rows), dtype=np.intp)
+        whole_rows, whole_nodes = [], []
+        for d in range(self.depth + 1):
+            if d:
+                rows = np.repeat(rows, 2)
+                nodes = (2 * nodes[:, None] + _CHILDREN).ravel()
+            keep = _node_meets(self.boxes, nodes, rect, rows, closed)
+            rows, nodes = rows[keep], nodes[keep]
+            if not closed:
+                inside = _node_inside(self.boxes, nodes, rect, rows)
+                whole_rows.append(rows[inside])
+                whole_nodes.append(nodes[inside])
+                rows, nodes = rows[~inside], nodes[~inside]
+        return (
+            rows,
+            nodes - ((1 << self.depth) - 1),
+            np.concatenate(whole_rows or [rows[:0]]),
+            np.concatenate(whole_nodes or [nodes[:0]]),
+        )
+
+    def drop_padding(self, cells: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+        """Zero the cells of a (pairs, leaf) kernel result that repeat the
+        last leaf's last cube."""
+        if self.fill < self.ids.shape[1]:
+            cells[leaves == self.last, self.fill :] = 0
+        return cells
+
+
+def _morton(xs: np.ndarray, ys: np.ndarray, sides: np.ndarray, outer: Rectangle) -> np.ndarray:
+    """Z-order codes of the cubes' centres on a 2^30 x 2^30 grid over the
+    outer box, computed in place, one axis at a time."""
+    code = np.zeros(len(xs), dtype=np.uint64)
+    spread = np.empty_like(code)
+    for v, span, offset in ((xs, outer.x, 0), (ys, outer.y, 1)):
+        cell = sides / 2
+        cell += v
+        cell -= span.lo
+        cell *= _MORTON_SCALE / span.length
+        bits = np.minimum(cell, _MORTON_SCALE - 1, out=cell).astype(np.uint64)
+        del cell
+        for shift, mask in (
+            (16, 0x0000FFFF0000FFFF),
+            (8, 0x00FF00FF00FF00FF),
+            (4, 0x0F0F0F0F0F0F0F0F),
+            (2, 0x3333333333333333),
+            (1, 0x5555555555555555),
+        ):
+            bits |= np.left_shift(bits, np.uint64(shift), out=spread)
+            bits &= np.uint64(mask)
+        code |= np.left_shift(bits, np.uint64(offset), out=spread)
+    return code
+
+
+class CubeTree:
+    """The model's cube index: packed bounding-box trees with exact subtree
+    areas.
+
+    The cubes larger than the cell of a g x g grid over the outer box, g =
+    isqrt(N // 4), get a leaf each in a small tree of their own; the others
+    go eight to a leaf (_LEAF).  Kept apart, the few large cubes do not
+    stretch the leaf boxes of the many small ones over the voids between
+    them.
+
+    Each node stores the exact total of its cubes' whole-cube areas
+    fl(fl(cx1 - cx0) * fl(cy1 - cy0)), with cx1 = fl(cx0 + w) as in
+    ``CompactSetModel.overlaps``.  Every such area is an integer times
+    2^-shift, cut into limbs of ``bits`` = 53 - bit_length(N) bits, so a
+    limb sums over any set of cubes to an integer below 2^53, which float64
+    adds exactly in any order (the long accumulator of Neal, "Fast exact
+    summation using small and large superaccumulators", arXiv:1505.05571).
+    """
+
+    __slots__ = ("shift", "bits", "trees")
 
     def __init__(
         self, outer: Rectangle, xs: np.ndarray, ys: np.ndarray, sides: np.ndarray
     ) -> None:
+        self.bits = 53 - len(xs).bit_length()
+        areas = _whole_areas(xs, ys, sides)
+        # frexp's exponent is monotone, so the least positive area and the
+        # largest give the range (both 0 when every area rounds to 0)
+        lo = int(np.frexp(np.min(areas, where=areas > 0.0, initial=np.inf))[1])
+        hi = int(np.frexp(areas.max())[1])
+        del areas
+        self.shift = min(53 - lo, 1074)
+        count = max(1, -(-(hi + self.shift) // self.bits))
+        code = _morton(xs, ys, sides, outer)
         g = max(1, math.isqrt(len(xs) // 4))
-        self.g = g
-        self.origin = (outer.x.lo, outer.y.lo)
-        self.cell = (outer.x.length / g, outer.y.length / g)
-        small = sides <= min(self.cell)
-        self.big = np.flatnonzero(~small).astype(np.int32)
-        ids = np.flatnonzero(small).astype(np.int32)
-        ix, iy = (
-            np.clip(np.floor((v[ids] - o) / h), 0, g - 1).astype(np.intp)
-            for v, o, h in zip((xs, ys), self.origin, self.cell)
+        big = sides > min(outer.x.length, outer.y.length) / g
+        groups = []
+        for ids, leaf in ((np.flatnonzero(~big), _LEAF), (np.flatnonzero(big), 1)):
+            if ids.size:
+                groups.append((ids[np.argsort(code[ids], kind="stable")].astype(np.int32), leaf))
+        del code, big
+        self.trees = tuple(
+            _PackedTree(ids, leaf, (xs, ys, sides), (count, self.bits, self.shift))
+            for ids, leaf in groups
         )
-        cells = ix * g + iy
-        order = np.argsort(cells, kind="stable")
-        self.ids = ids[order]
-        self.starts = np.zeros(g * g + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cells, minlength=g * g), out=self.starts[1:])
-
-    def _span(self, lo: float, hi: float, axis: int) -> range:
-        """Cells along one axis that can hold the corner of a cube meeting
-        [lo, hi]: a corner lies at most one cell side below lo, and one more
-        cell on each side absorbs the rounding of the cell arithmetic."""
-        o, h = self.origin[axis], self.cell[axis]
-        first = math.floor((lo - o - h) / h) - 1
-        last = math.floor((hi - o) / h) + 1
-        return range(max(first, 0), min(last, self.g - 1) + 1)
-
-    def query(self, x0: float, x1: float, y0: float, y1: float) -> np.ndarray:
-        """Ascending indexes of a superset of the cubes whose closed square
-        meets the closed box [x0, x1] x [y0, y1] (finite bounds)."""
-        cols, rows = self._span(x0, x1, 0), self._span(y0, y1, 1)
-        g, s, ids = self.g, self.starts, self.ids
-        parts = [ids[s[i * g + rows.start] : s[i * g + rows.stop]] for i in cols] if rows else []
-        return np.sort(np.concatenate([self.big, *parts]))
 
 
 class CompactSetModel:
@@ -137,11 +313,12 @@ class CompactSetModel:
     areas, so the measure bookkeeping identity
     ``measure_remaining + removed_area == outer.area`` is exact up to float
     rounding, and ``residual_tail`` brackets the area that cubes beyond the
-    truncation would still remove.  ``index`` answers box queries for cubes.
+    truncation would still remove; ``w2`` holds the sequence areas of cubes
+    1..N.  ``index`` is the cube tree that the rectangle queries descend.
     """
 
     __slots__ = (
-        "outer", "seq", "trunc", "xs", "ys", "sides", "removed_area", "residual_tail", "index"
+        "outer", "seq", "trunc", "xs", "ys", "sides", "w2", "removed_area", "residual_tail", "index"
     )
 
     def __init__(
@@ -177,9 +354,10 @@ class CompactSetModel:
         )
         if not bool(np.all(inside)):
             raise ValueError("every cube must lie inside the outer box")
-        self.removed_area = math.fsum(seq.w2(n) for n in range(1, trunc + 1))
+        self.w2 = np.fromiter((seq.w2(n) for n in range(1, trunc + 1)), np.float64, trunc)
+        self.removed_area = math.fsum(self.w2)
         self.residual_tail = tail_sum(seq, trunc + 1)
-        self.index = CubeIndex(outer, self.xs, self.ys, self.sides)
+        self.index = CubeTree(outer, self.xs, self.ys, self.sides)
 
     @property
     def measure_remaining(self) -> float:
@@ -194,8 +372,9 @@ class CompactSetModel:
         """Reduce the signed overlap widths of rectangles against cubes.
 
         ``rects`` is a nonempty (n, 4) array of [x0, x1, y0, y1]; a point is
-        the rectangle [x, x, y, y].  ``cubes`` selects cubes by index array or
-        slice.  Per block of rectangle rows, ``wx = min(x1, cx + w) - max(x0,
+        the rectangle [x, x, y, y].  ``cubes`` selects the cubes of every row
+        by index array or slice, or each row's own cubes as an (n, k) index
+        array.  Per block of rectangle rows, ``wx = min(x1, cx + w) - max(x0,
         cx)`` and ``wy`` (the same in y) are (rows, cubes) arrays, negative
         by the gap when the two are apart; ``reduce(wx, wy)`` maps them to an
         array whose first axis is the rows (it may overwrite ``wx`` and
@@ -205,18 +384,100 @@ class CompactSetModel:
         same as over one unblocked array.
         """
         rects = np.asarray(rects, dtype=np.float64)
-        cx0, cy0, w = self.xs[cubes], self.ys[cubes], self.sides[cubes]
-        cx1, cy1 = cx0 + w, cy0 + w
-        rows = max(1, _BLOCK_CELLS // max(1, cx0.size))
+        paired = np.ndim(cubes) == 2
+        shared = None if paired else self._cube_bounds(cubes)
+        rows = max(1, _BLOCK_CELLS // max(1, shared[0].size if shared else np.shape(cubes)[1]))
         out = []
         for i in range(0, len(rects), rows):
             x0, x1, y0, y1 = rects[i : i + rows].T[:, :, None]
+            cx0, cx1, cy0, cy1 = self._cube_bounds(cubes[i : i + rows]) if paired else shared
             wx = np.minimum(x1, cx1)
             wx -= np.maximum(x0, cx0)
             wy = np.minimum(y1, cy1)
             wy -= np.maximum(y0, cy0)
             out.append(reduce(wx, wy))
         return np.concatenate(out)
+
+    def _cube_bounds(self, cubes: np.ndarray | slice) -> tuple:
+        """(cx0, cx0 + w, cy0, cy0 + w) of the selected cubes."""
+        cx0, cy0, w = self.xs[cubes], self.ys[cubes], self.sides[cubes]
+        return cx0, cx0 + w, cy0, cy0 + w
+
+    def total_overlaps(self, rects: np.ndarray) -> np.ndarray:
+        """Each rectangle's total overlap area with the cubes, exactly
+        rounded: the correctly rounded sum of its positive pieces
+        ``max(wx, 0) * max(wy, 0)`` (see :meth:`overlaps`).
+
+        ``rects`` is an (n, 4) array of [x0, x1, y0, y1] with x0 < x1 and
+        y0 < y1.  It descends the cube tree _CHUNK_RECTS rows at a time.
+        A node inside a rectangle adds the exact limb total of its cubes,
+        whose pieces are their whole-cube areas; the cubes of the leaves on
+        a rectangle's boundary go to the kernel.  A row with no whole node
+        and at most two positive pieces is their float sum, rounded once;
+        every other row is one math.fsum of its limb values and pieces.
+        """
+        rects = np.asarray(rects, dtype=np.float64)
+        out = np.empty(len(rects))
+        for i in range(0, len(rects), _CHUNK_RECTS):
+            out[i : i + _CHUNK_RECTS] = self._chunk_totals(rects[i : i + _CHUNK_RECTS])
+        return out
+
+    def _chunk_totals(self, rects: np.ndarray) -> np.ndarray:
+        n, index = len(rects), self.index
+        cols = tuple(np.ascontiguousarray(rects.T))
+        limbs = np.zeros((len(index.trees[0].limbs), n))
+        piece_rows, piece_values = [], []
+        for tree in index.trees:
+            rows, leaves, whole_rows, whole_nodes = tree.walk(cols, closed=False)
+            for total, limb in zip(limbs, tree.limbs):
+                total += np.bincount(whole_rows, limb[whole_nodes], n)
+            if rows.size:
+                pieces = self.overlaps(rects[rows], _pieces, tree.ids[leaves])
+                positive = tree.drop_padding(pieces, leaves) > 0.0
+                piece_rows.append(np.repeat(rows, np.count_nonzero(positive, axis=1)))
+                piece_values.append(pieces[positive])
+        prow = np.concatenate(piece_rows or [np.empty(0, dtype=np.intp)])
+        pval = np.concatenate(piece_values or [np.empty(0)])
+        # bincount adds each row's pieces in order; with no pieces it counts in integers
+        totals = np.bincount(prow, pval, n).astype(np.float64, copy=False)
+        counts = np.bincount(prow, minlength=n)
+        exact = (counts > 2) | limbs.any(axis=0)
+        rows = np.flatnonzero(exact)
+        if not rows.size:
+            return totals
+        terms = _limb_values(limbs[:, rows], index.shift, index.bits)
+        chosen = exact[prow]
+        keys = np.concatenate([np.tile(rows, len(terms)), prow[chosen]])
+        flat = np.concatenate([terms.ravel(), pval[chosen]])[np.argsort(keys, kind="stable")]
+        ends = np.cumsum(counts[rows] + len(terms)).tolist()
+        flat = flat.tolist()
+        totals[rows] = [math.fsum(flat[a:b]) for a, b in zip([0, *ends], ends)]
+        return totals
+
+    def meets(self, rects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (row, cube) of rectangles and cubes whose closed sets meet,
+        as rows and int32 cube indexes, sorted by row and then by cube.
+
+        ``rects`` is an (n, 4) array of [x0, x1, y0, y1], points as [x, x,
+        y, y]; it descends the cube tree _CHUNK_RECTS rows at a time.
+        """
+        rects = np.asarray(rects, dtype=np.float64)
+        rows_out, cubes_out = [], []
+        for i in range(0, len(rects), _CHUNK_RECTS):
+            chunk = rects[i : i + _CHUNK_RECTS]
+            cols = tuple(np.ascontiguousarray(chunk.T))
+            for tree in self.index.trees:
+                rows, leaves, _, _ = tree.walk(cols, closed=True)
+                if rows.size:
+                    hit = self.overlaps(chunk[rows], closed_hits, tree.ids[leaves])
+                    tree.drop_padding(hit, leaves)
+                    r, k = np.nonzero(hit)
+                    rows_out.append(rows[r] + i)
+                    cubes_out.append(tree.ids[leaves[r], k])
+        rows = np.concatenate(rows_out or [np.empty(0, dtype=np.intp)])
+        cubes = np.concatenate(cubes_out or [np.empty(0, dtype=np.int32)])
+        order = np.lexsort((cubes, rows))
+        return rows[order], cubes[order]
 
     def to_json(self) -> dict:
         return {
@@ -359,8 +620,7 @@ def density_ratio(model: CompactSetModel, rect: Rectangle) -> DensityResult:
         raise EmptyRect(f"rectangle {rect.bounds} has no interior inside the outer box")
     clipped = (x_lo, x_hi, y_lo, y_hi) != rect.bounds
     area = (x_hi - x_lo) * (y_hi - y_lo)
-    cubes = model.index.query(x_lo, x_hi, y_lo, y_hi)
-    overlap = float(model.overlaps([[x_lo, x_hi, y_lo, y_hi]], overlap_totals, cubes)[0])
+    overlap = float(model.total_overlaps(np.array([[x_lo, x_hi, y_lo, y_hi]]))[0])
     ratio_n = min(1.0, max(0.0, 1.0 - overlap / area))
     tail_hi = model.residual_tail.linear_hi
     return DensityResult(
@@ -475,7 +735,7 @@ def build_cover(model: CompactSetModel, m: int, s_hi: int) -> ExceptionalCover:
         x, y, w = model.xs[n_lo - 1 : n_hi], model.ys[n_lo - 1 : n_hi], model.sides[n_lo - 1 : n_hi]
         rows = np.column_stack((x, x + w, y, y + w))
         union = dilate_2d(rows, gamma, block=(s, n_lo, n_hi))
-        block_area = math.fsum(model.seq.w2(n) for n in range(n_lo, n_hi + 1))
+        block_area = math.fsum(model.w2[n_lo - 1 : n_hi])
         blocks.append(
             BlockDilation(
                 s=s, gamma=gamma, n_lo=n_lo, n_hi=n_hi, union=union, block_area=block_area

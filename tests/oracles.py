@@ -7,6 +7,10 @@ cube-query oracles are the unblocked per-query overlap arithmetic that the
 set model's one blocked kernel replaced; the kernel must agree with them
 exactly, except the scan's ratio kernel, whose exactly rounded overlap sums
 may differ from the dense pairwise sum by that sum's rounding error.
+``point_ratios`` is that kernel as it was before the cube tree, with its
+per-point candidate pass ``near_cubes``, its per-axis groups
+``rect_ratios`` and its reduction ``overlap_totals``; the tree's totals
+must equal it bit for bit.
 ``dilate_2d_labels`` is the label-based square dilation that the toggle
 sweeps of ``dilate_2d`` replaced, and ``dilate_2d_objects`` the toggle
 sweeps over ``Rectangle`` inputs and per-interval objects that the array
@@ -225,6 +229,84 @@ def closed_meet_ref(model, box):
     x0, x1, y0, y1 = box
     xs, ys, ws = model.xs, model.ys, model.sides
     return np.flatnonzero((xs <= x1) & (x0 <= xs + ws) & (ys <= y1) & (y0 <= ys + ws))
+
+
+def overlap_totals(wx, wy):
+    """Overlap reduction of ``CompactSetModel.overlaps``: each rectangle's
+    total overlap area, exactly rounded, as the scan's ratio kernel summed
+    its rows before the cube tree.
+
+    The areas ``max(wx, 0) * max(wy, 0)`` are formed in place in ``wx``.
+    A row with at most two positive areas rounds once, so numpy's sum is
+    already exact there; the positive areas of the other rows go row by row
+    through math.fsum.
+    """
+    pieces = np.maximum(wx, 0.0, out=wx)
+    pieces *= np.maximum(wy, 0.0, out=wy)
+    positive = pieces > 0.0
+    totals = pieces.sum(axis=1)
+    counts = np.count_nonzero(positive, axis=1)
+    many = np.flatnonzero(counts > 2)
+    if many.size:
+        flat = pieces[many][positive[many]].tolist()
+        ends = np.cumsum(counts[many]).tolist()
+        totals[many] = [math.fsum(flat[a:b]) for a, b in zip([0, *ends], ends)]
+    return totals
+
+
+def near_cubes(model, point, reach):
+    """Ascending indexes of the cubes within Chebyshev distance ``reach`` of
+    the point, with their x-gaps and y-gaps from it: the scan's per-point
+    candidate pass before the cube tree.
+
+    The x-gap is max(-wx, 0) of the point as a rectangle; the y-gap
+    likewise.  A rectangle holding the point whose x-extent from it is ex
+    overlaps only cubes with x-gap <= ex, because rounding is monotone, and
+    the same holds in y.
+    """
+    x, y = point
+    cand = closed_meet_ref(model, (x - reach, x + reach, y - reach, y + reach))
+    if not cand.size:
+        return cand, np.empty(0), np.empty(0)
+    gx, gy = model.overlaps(
+        [[x, x, y, y]], lambda wx, wy: np.maximum(np.stack([-wx, -wy], axis=1), 0.0), cand
+    )[0]
+    keep = np.flatnonzero(np.maximum(gx, gy) <= reach)
+    return cand[keep], gx[keep], gy[keep]
+
+
+def rect_ratios(model, rects, near, gaps, extents):
+    """The scan's ratio kernel before the cube tree: the density of each
+    rectangle, where ``gaps`` holds the x-gaps and y-gaps of the cubes
+    ``near`` as a (2, len(near)) array, ``extents`` the rectangles'
+    x-extents and y-extents as a (2, n) array, and row i overlaps no cube
+    outside ``near[gaps[a] <= extents[a, i]]`` for either axis a.
+
+    Each row takes the axis whose set is smaller; rows are grouped by that
+    axis and the bit length of that count, and each group makes one kernel
+    call on the cubes within the group's largest extent on its axis.
+    Overlap totals are exactly rounded, so a row's ratio does not depend on
+    its group.
+    """
+    x0, x1, y0, y1 = rects.T
+    counts = np.stack([np.searchsorted(np.sort(g), e, "right") for g, e in zip(gaps, extents)])
+    groups = 2 * np.frexp(counts.min(axis=0))[1] + (counts[1] < counts[0])
+    overlap = np.zeros(len(rects))
+    for key in sorted(set(groups.tolist()) - {0, 1}):
+        a, rows = key % 2, np.flatnonzero(groups == key)
+        cubes = near[gaps[a] <= extents[a, rows].max()]
+        overlap[rows] = model.overlaps(rects[rows], overlap_totals, cubes)
+    return np.clip(1.0 - overlap / ((x1 - x0) * (y1 - y0)), 0.0, 1.0)
+
+
+def point_ratios(model, point, rects):
+    """Ratios of rectangles that hold the point, each against the point's
+    near cubes within its x-extent or its y-extent from the point: the scan's
+    per-point ratio pass before the cube tree."""
+    d = np.abs(rects - np.repeat(point, 2))
+    extents = np.stack([np.maximum(d[:, 0], d[:, 1]), np.maximum(d[:, 2], d[:, 3])])
+    near, gx, gy = near_cubes(model, point, float(extents.max()))
+    return rect_ratios(model, rects, near, np.stack([gx, gy]), extents)
 
 
 def candidate_cubes_ref(model, point, t):

@@ -1,41 +1,40 @@
-"""The set model's blocked overlap kernel and cube index against the
+"""The set model's blocked overlap kernel and cube tree against the
 arithmetic they replaced.
 
-Every cube query (density ratio, separation hit, closed hit, near cubes,
-point location, distance) is a reduction of one kernel; each must equal the
+Every cube query (density ratio, separation hit, closed hit, point
+location, distance) is a reduction of one kernel; each must equal the
 unblocked per-query oracle exactly, on seeded rectangles and on rectangles
-and points placed on cube edges and corners.  The scan's ratio kernel sums
-only the cubes near the point within a rectangle's extent on one axis, with
-exactly rounded totals: it must equal ``density_ratio`` exactly and the
-dense pairwise-sum oracle within that sum's rounding error.  The separation
-test is given only the prefix cubes within a rectangle's reach, and must
-find exactly the dense oracle's hits.  The cube index must return every
-cube whose closed square meets a query box, on the canonical model and on
-46,655 shelf-packed cubes.
+and points placed on cube edges and corners.  The ratio pass descends the
+cube tree: nodes inside a rectangle add exact integer-limb totals and only
+the cubes of boundary leaves go to the kernel.  Its exactly rounded totals
+must equal ``density_ratio``, the dense fsum and the per-point kernel it
+replaced (``oracles.point_ratios``) bit for bit, also on rectangles equal
+to node boxes and on a model whose areas need many limbs, and the dense
+pairwise-sum oracle within that sum's rounding error.  Variants that admit
+a node one ulp too wide, drop a node overlapping by one ulp, or add node
+totals as rounded floats must each fail.  The tree's box query must return
+exactly the cubes whose closed square meets the box.
 """
 
 import math
-import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from densitometer import scan, setmodel
+from densitometer import setmodel
 from densitometer.dilation import Rectangle
 from densitometer.scan import (
     ScanConfig,
     _draw_rects,
     _in_cubes,
-    _near_cubes,
     _point_gaps,
-    _point_ratios,
-    _rect_ratios,
+    _ratios,
     _separation_hits,
     sample_points,
 )
-from densitometer.setmodel import CompactSetModel, CubeIndex, build_packing, density_ratio
+from densitometer.setmodel import CompactSetModel, build_packing, density_ratio
 from densitometer.weights import WeightSequence
 
 import oracles
@@ -102,6 +101,7 @@ def rect_sets(canonical_model):
         "seeded": _seeded_rects(300, 5),
         "edges": _edge_rects(canonical_model, CUBES),
         "ulp": _ulp_rects(canonical_model, CUBES),
+        "nodes": _node_rects(canonical_model),
     }
 
 
@@ -133,54 +133,112 @@ def _ulp_rects(model, cubes):
     return rects[(rects[:, 1] - rects[:, 0]) * (rects[:, 3] - rects[:, 2]) > 0.0]
 
 
+def _node_boxes(model, sample=200):
+    """Closed boxes (x0, x1, y0, y1) of cube-tree nodes with positive area:
+    every node of the top six levels of each tree and a seeded sample of the
+    others."""
+    rng = np.random.default_rng(0)
+    out = []
+    for tree in model.index.trees:
+        x0, x1, y0, y1 = tree.boxes
+        nodes = np.flatnonzero((x0 < x1) & (y0 < y1))
+        if nodes.size > sample:
+            nodes = np.union1d(nodes[nodes < 63], rng.choice(nodes, sample, replace=False))
+        out.append(np.stack([x0[nodes], x1[nodes], y0[nodes], y1[nodes]], axis=1))
+    return np.concatenate(out)
+
+
+def _node_rects(model):
+    """Rectangles on node boxes: the box itself, the box with its right edge
+    one ulp in (the node is one ulp wider than the rectangle), a rectangle
+    right of the box reaching one ulp into it, and one straddling it;
+    clipped to the unit box, those with zero float area dropped."""
+    x0, x1, y0, y1 = _node_boxes(model).T
+    inward, w, h = np.nextafter(x1, -np.inf), x1 - x0, (y1 - y0) / 4
+    rects = np.concatenate(
+        [
+            np.stack([x0, x1, y0, y1], axis=1),
+            np.stack([x0, inward, y0, y1], axis=1),
+            np.stack([inward, x1 + w, y0, y1], axis=1),
+            np.stack([x0 - w / 2, x1 + w / 2, y0 + h, y1 - h], axis=1),
+        ]
+    )
+    rects = np.clip(rects, 0.0, 1.0)
+    return rects[(rects[:, 1] - rects[:, 0]) * (rects[:, 3] - rects[:, 2]) > 0.0]
+
+
 def _anchors(rect):
     """Points of the closed rectangle a scan could stand at: corners and center."""
     x0, x1, y0, y1 = (float(v) for v in rect)
     return [(x0, y0), (x1, y1), (x0, y1), (x1, y0), ((x0 + x1) / 2, (y0 + y1) / 2)]
 
 
-@pytest.mark.parametrize("kind", ["seeded", "edges"])
+def _first_mismatch(model, rects):
+    """The first rectangle whose tree total differs from the dense fsum of
+    its positive pieces, or None."""
+    for rect, total in zip(rects, model.total_overlaps(rects)):
+        if total != oracles.density_overlap_ref(model, *rect):
+            return rect
+    return None
+
+
+@pytest.mark.parametrize("kind", ["seeded", "edges", "ulp", "nodes"])
 def test_ratio_matches_density_ratio(canonical_model, rect_sets, kind):
-    """The pruned, exactly rounded kernel is density_ratio bit for bit, seen
-    from every corner and the center of each rectangle."""
-    for rect in rect_sets[kind]:
-        want = density_ratio(canonical_model, Rectangle.from_bounds(*rect)).ratio_n
+    """The tree's totals are the dense fsum bit for bit, and its ratios are
+    density_ratio and the per-point kernel it replaced, seen from every
+    corner and the center of each rectangle."""
+    model, rects = canonical_model, rect_sets[kind]
+    assert _first_mismatch(model, rects) is None
+    for rect, got in zip(rects, _ratios(model, rects)):
+        assert got == density_ratio(model, Rectangle.from_bounds(*rect)).ratio_n
         for point in _anchors(rect):
-            assert _point_ratios(canonical_model, point, rect[None, :])[0] == want
+            assert oracles.point_ratios(model, point, rect[None, :])[0] == got
 
 
-def _axis_counts(model, point, rects):
-    """Per rectangle, how many of the point's near cubes lie within its
-    x-extent on the x axis and within its y-extent on the y axis: a (2, n)
-    array, counted densely."""
-    d = np.abs(rects - np.repeat(point, 2))
-    extents = np.stack([d[:, :2].max(axis=1), d[:, 2:].max(axis=1)])
-    _, gx, gy = _near_cubes(model, point, extents.max())
-    return np.stack(
-        [np.count_nonzero(g[None, :] <= e[:, None], axis=1) for g, e in zip((gx, gy), extents)]
-    )
+def _descent(model, rects):
+    """Per rectangle of the tree's ratio descent: the cubes of its whole
+    nodes and the cubes of its boundary leaves, as two lists of index
+    arrays."""
+    cols = tuple(np.ascontiguousarray(rects.T))
+    whole = [[] for _ in rects]
+    boundary = [[] for _ in rects]
+    for tree in model.index.trees:
+        rows, leaves, whole_rows, whole_nodes = tree.walk(cols, closed=False)
+        slots = tree.ids.ravel()
+        real = tree.ids.shape[1] * tree.last + tree.fill
+        level = np.frexp(whole_nodes + 1)[1] - 1
+        span = tree.ids.shape[1] << (tree.depth - level)
+        first = (whole_nodes + 1 - (1 << level)) * span
+        for r, a, n in zip(whole_rows, first, span):
+            whole[r].append(slots[a : min(a + n, real)])
+        for r, leaf in zip(rows, leaves):
+            cells = np.arange(leaf * tree.ids.shape[1], (leaf + 1) * tree.ids.shape[1])
+            boundary[r].append(slots[cells[cells < real]])
+    join = lambda parts: np.concatenate([np.empty(0, dtype=np.int32), *parts])  # noqa: E731
+    return [join(p) for p in whole], [join(p) for p in boundary]
 
 
 def test_scan_rects_match_density_ratio(canonical_model):
-    """Rectangles drawn by the scan through one point share a kernel call per
-    axis and bit length of the smaller of their two axis counts; each row is
-    still density_ratio exactly, and both axes are chosen somewhere."""
+    """Rectangles drawn by the scan through points on cube edges and
+    corners share one tree descent; each row is still density_ratio and the
+    per-point kernel it replaced exactly.  Rows with whole nodes and boundary
+    pieces, with more than two pieces and no whole node (one fsum), and with
+    one or two pieces (a plain sum) all occur."""
     config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=1, rects_per_point=200, seed=0)
     rng = np.random.default_rng(9)
     points = _edge_points(canonical_model, CUBES)[::3] + [(0.5, 0.95), (0.123, 0.987)]
-    groups, axes = set(), set()
+    kinds = set()
     for point in points:
         rects = _draw_rects(rng, point, config.t_grid, config, canonical_model)
-        got = _point_ratios(canonical_model, point, rects)
+        got = _ratios(canonical_model, rects)
         want = [density_ratio(canonical_model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
         assert got.tolist() == want
-        counts = _axis_counts(canonical_model, point, rects)
-        axis, count = counts[1] < counts[0], counts.min(axis=0)
-        keys = {(a, b) for a, b, c in zip(axis.tolist(), np.frexp(count)[1].tolist(), count) if c}
-        groups.add(len(keys))
-        axes.update(a for a, _ in keys)
-    assert max(groups) > 3
-    assert axes == {False, True}
+        assert oracles.point_ratios(canonical_model, point, rects).tolist() == want
+        for rect, whole, boundary in zip(rects, *_descent(canonical_model, rects)):
+            hits = oracles.overlapping_cubes_ref(canonical_model, rect)
+            pieces = np.count_nonzero(np.isin(boundary, hits))
+            kinds.add((whole.size > 0, "none" if not pieces else "few" if pieces <= 2 else "many"))
+    assert {(True, "many"), (False, "many"), (False, "few")} <= kinds
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -204,9 +262,8 @@ def test_ratio_matches_oracle(canonical_model, rect_sets, kind):
     every = np.arange(canonical_model.trunc)
     dense = oracles.rect_ratios_ref(canonical_model, rects, every)
     many = 0
-    for rect, want in zip(rects, dense):
+    for rect, got, want in zip(rects, _ratios(canonical_model, rects), dense):
         x0, x1, y0, y1 = rect
-        got = _point_ratios(canonical_model, ((x0 + x1) / 2, (y0 + y1) / 2), rect[None, :])[0]
         hits = oracles.overlapping_cubes_ref(canonical_model, rect)
         m = hits.size
         if m <= 2:
@@ -219,36 +276,28 @@ def test_ratio_matches_oracle(canonical_model, rect_sets, kind):
     assert many > 0
 
 
-def test_near_prefix_holds_every_overlap(canonical_model, rect_sets, monkeypatch):
-    """Seen from a corner or the center of a rectangle, every cube whose
-    interior meets it is among the cubes the ratio kernel is given, including
-    rectangles that reach one ulp into a cube across an edge or a corner and
-    cubes whose gap on an axis equals the rectangle's extent on that axis."""
-    kernel = CompactSetModel.overlaps
-    given = []
-
-    def recording(self, rects, reduce, cubes=slice(None)):
-        if sys._getframe(1).f_code.co_name == "_rect_ratios":
-            given.append(np.asarray(cubes))
-        return kernel(self, rects, reduce, cubes)
-
-    monkeypatch.setattr(CompactSetModel, "overlaps", recording)
-    rects = np.concatenate([rect_sets["seeded"], rect_sets["edges"], rect_sets["ulp"]])
-    last_needed = ties = 0
-    for rect in rects:
-        hits = oracles.overlapping_cubes_ref(canonical_model, rect)
-        for point in _anchors(rect):
-            given.clear()
-            _point_ratios(canonical_model, point, rect[None, :])
-            seen = np.concatenate([np.empty(0, dtype=np.intp), *given])
-            assert np.isin(hits, seen).all(), (rect, point)
-            if hits.size:
-                last_needed += seen[-1] in hits
-                d = np.abs(rect - np.repeat(point, 2))
-                ex, ey = d[:2].max(), d[2:].max()
-                near, gx, gy = _near_cubes(canonical_model, point, max(ex, ey))
-                ties += bool(np.isin(near[(gx == ex) | (gy == ey)], hits).any())
-    assert last_needed > 0 and ties > 0
+def test_descent_holds_every_overlap(canonical_model, rect_sets):
+    """Every cube whose interior meets a rectangle is in one of its whole
+    nodes or boundary leaves, and every cube of a whole node lies in the
+    closed rectangle, including rectangles that reach one ulp into a cube
+    across an edge or a corner, share an edge with a node box, or are one
+    ulp narrower than one.  Some rectangles take whole nodes alone, with no
+    boundary piece."""
+    rects = np.concatenate([rect_sets[k] for k in ("seeded", "edges", "ulp", "nodes")])
+    model = canonical_model
+    x1s, y1s = model.xs + model.sides, model.ys + model.sides
+    wholes = flush = alone = 0
+    for rect, whole, boundary in zip(rects, *_descent(model, rects)):
+        x0, x1, y0, y1 = rect
+        hits = oracles.overlapping_cubes_ref(model, rect)
+        assert np.isin(hits, np.concatenate([whole, boundary])).all(), rect
+        assert not np.intersect1d(whole, boundary).size
+        assert np.all((model.xs[whole] >= x0) & (x1s[whole] <= x1)), rect
+        assert np.all((model.ys[whole] >= y0) & (y1s[whole] <= y1)), rect
+        wholes += whole.size > 0
+        alone += whole.size > 0 and not np.isin(boundary, hits).any()
+        flush += bool(np.any((x1s[whole] == x1) | (model.xs[whole] == x0)))
+    assert wholes > alone > 0 and flush > 0
 
 
 @pytest.mark.parametrize("kind", ["seeded", "edges"])
@@ -317,17 +366,15 @@ def _tie_edges(p, e, u):
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
-def test_axis_prefixes_hold_planted_cubes(axis):
-    """Negative control for the per-axis prefixes, in the box [-1, 1]^2 and
-    seen from the point (0.75, 0.75); the y case is the x case transposed.
-    A narrow rectangle reaches left to x = lo, and cube 1 ends at x = hi,
-    just past lo, across the rectangle's y range: its x-gap equals the
-    rectangle's x-extent, and the overlap, under an ulp of that extent wide,
-    moves the ratio to 1 - 2^-53.  Cube 2 lies in the same y band beyond
-    x-gap 1.2, within reach of a long rectangle, so the narrow rectangle's
-    x set (cube 1) is smaller than its y set (both) and is the one measured.
-    Comparing an x-gap with the y-extent, or a gap with an extent by <,
-    leaves cube 1 out and reads 1.0."""
+def test_planted_tie_cubes_are_measured(axis):
+    """A cube overlapping a rectangle by under an ulp of the rectangle's
+    extent from a point, in the box [-1, 1]^2 seen from (0.75, 0.75); the y
+    case is the x case transposed.  A narrow rectangle reaches left to
+    x = lo, and cube 1 ends at x = hi, just past lo, across the rectangle's y
+    range, so fl(p - lo) == fl(p - hi): the overlap moves the ratio to
+    1 - 2^-53.  Cube 2 lies in the same y band within reach of a long
+    rectangle.  The tree's ratios are density_ratio, the per-point kernel it
+    replaced and the exact value."""
     p, e, u, h = 0.75, 0.749, 2.0**-53, 0.002
     lo, hi = _tie_edges(p, e, u)
     assert p - lo == p - hi == e and lo < hi
@@ -338,15 +385,13 @@ def test_axis_prefixes_hold_planted_cubes(axis):
         xs, ys, rects = ys, xs, rects[:, [2, 3, 0, 1]]
     outer = Rectangle.from_bounds(-1.0, 1.0, -1.0, 1.0)
     model = CompactSetModel(outer, _TINY, 2, xs, ys, [w1, w2])
-    near, *gaps = _near_cubes(model, (p, p), 1.7)
-    tied = gaps[0] if axis == "x" else gaps[1]
-    assert near.tolist() == [0, 1] and tied[0] == e
     want = [density_ratio(model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
     assert want[0] == 1.0 - u
-    assert _point_ratios(model, (p, p), rects).tolist() == want
+    assert _ratios(model, rects).tolist() == want
+    assert oracles.point_ratios(model, (p, p), rects).tolist() == want
 
 
-# -- the cube index: a superset of the closed-meet set, and the work it saves ------------
+# -- the tree on 46,655 cubes, and on areas that need many limbs ---------------------------
 
 SHELF_CUBES = CUBES + (20_000, 46_654)
 
@@ -357,27 +402,181 @@ def shelf_46k(canonical_seq):
     return build_packing(canonical_seq, 46_655, Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0))
 
 
+def test_shelf_totals_match_oracles(shelf_46k):
+    """On 46,655 cubes the tree's totals are the dense fsum bit for bit on
+    seeded, edge, ulp and node-box rectangles, and its ratios the per-point
+    kernel it replaced."""
+    model = shelf_46k
+    rects = np.concatenate(
+        [
+            _seeded_rects(300, 5),
+            _edge_rects(model, SHELF_CUBES),
+            _ulp_rects(model, SHELF_CUBES),
+            _node_rects(model),
+        ]
+    )
+    assert _first_mismatch(model, rects) is None
+    for rect, got in zip(rects, _ratios(model, rects)):
+        x0, x1, y0, y1 = rect
+        center = ((x0 + x1) / 2, (y0 + y1) / 2)
+        assert oracles.point_ratios(model, center, rect[None, :])[0] == got
+
+
+def _diagonal_model(trunc=400):
+    """Cubes of sides 2^-(n+1) strung along the diagonal towards the origin,
+    cube n at x = y = w (1.5 + u / 2) for seeded u in [0, 1): the areas fall
+    from 2^-4 to 2^-802, and cx + w rounds, so whole-cube areas carry full
+    mantissas."""
+    seq = WeightSequence.geometric(2.0**-4, 0.25)
+    sides = np.array([seq.w(n) for n in range(1, trunc + 1)])
+    corner = sides * (1.5 + np.random.default_rng(4).uniform(0.0, 1.0, trunc) / 2)
+    outer = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
+    return CompactSetModel(outer, seq, trunc, corner, corner, sides)
+
+
+def test_many_limbs_match_oracles():
+    """Areas spanning about 800 binary orders need 20 limbs; the tree's
+    totals still equal the dense fsum and the exact rational sum of the
+    pieces, rounded once, on rectangles around the diagonal at every scale
+    and on node-box rectangles."""
+    model = _diagonal_model()
+    assert len(model.index.trees[0].limbs) >= 15
+    rng = np.random.default_rng(6)
+    scale = 2.0 ** -rng.uniform(1.0, 390.0, 400)
+    center = scale * rng.uniform(1.0, 3.0, 400)
+    half = scale * rng.uniform(0.5, 4.0, (2, 400))
+    rects = np.stack([center - half[0], center + half[0], center - half[1], center + half[1]], 1)
+    rects = np.concatenate([np.clip(rects, 0.0, 1.0), _node_rects(model)])
+    assert _first_mismatch(model, rects) is None
+    xs, x1s, ys, y1s = model.xs, model.xs + model.sides, model.ys, model.ys + model.sides
+    for rect, got in zip(rects[::10], model.total_overlaps(rects[::10])):
+        x0, x1, y0, y1 = rect
+        wx = np.minimum(x1, x1s) - np.maximum(x0, xs)
+        wy = np.minimum(y1, y1s) - np.maximum(y0, ys)
+        pieces = np.maximum(wx, 0.0) * np.maximum(wy, 0.0)
+        assert got == float(sum(map(Fraction, pieces[pieces > 0.0].tolist()), Fraction(0)))
+
+
+# -- negative controls: each mis-stepped descent fails a check above ------------------
+
+
+def _loose_inside(boxes, nodes, rect, rows):
+    """Counts a node one ulp wider than the rectangle as inside it."""
+    (bx0, bx1, by0, by1), (x0, x1, y0, y1) = boxes, rect
+    return (
+        (bx0[nodes] >= np.nextafter(x0[rows], -np.inf))
+        & (bx1[nodes] <= np.nextafter(x1[rows], np.inf))
+        & (by0[nodes] >= np.nextafter(y0[rows], -np.inf))
+        & (by1[nodes] <= np.nextafter(y1[rows], np.inf))
+    )
+
+
+def _ulp_blind_meets(boxes, nodes, rect, rows, closed):
+    """Drops a node that overlaps the rectangle by one ulp."""
+    (bx0, bx1, by0, by1), (x0, x1, y0, y1) = boxes, rect
+    return (
+        (np.nextafter(bx0[nodes], np.inf) < x1[rows])
+        & (np.nextafter(bx1[nodes], -np.inf) > x0[rows])
+        & (np.nextafter(by0[nodes], np.inf) < y1[rows])
+        & (np.nextafter(by1[nodes], -np.inf) > y0[rows])
+    )
+
+
+_VARIANTS = {
+    "loose_inside": ("_node_inside", _loose_inside),
+    "ulp_blind_meets": ("_node_meets", _ulp_blind_meets),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_node_tests_need_exact_comparisons(canonical_model, rect_sets, monkeypatch, variant):
+    """A descent that counts a node one ulp wider than the rectangle as
+    inside, or drops a node overlapping it by one ulp, gives some node-box
+    rectangle a total other than the dense fsum."""
+    monkeypatch.setattr(setmodel, *_VARIANTS[variant])
+    assert _first_mismatch(canonical_model, rect_sets["nodes"]) is not None
+
+
+def _planted_rounding_model():
+    """Sixteen cubes in the unit box: leaf 1 holds cube 1 (side 2^-2, at
+    the origin) and seven cubes of side 2^-30 in the lower-left quadrant,
+    leaf 2 eight cubes of side 2^-30 in the upper-right quadrant, two of
+    which straddle x = 0.75 by three quarters of their width.  All
+    coordinates are dyadic, so every piece is exact.  The rectangle [0,
+    0.75] x [0, 0.8125] holds leaf 1 whole: A = 2^-4 + 7 2^-60, which rounds
+    to 2^-4, and two boundary pieces B = 1.5 2^-60; A + B rounds to 2^-4 +
+    2^-56, but the rounded A plus B rounds back to 2^-4."""
+    tiny = 2.0**-30
+    seq = WeightSequence.explicit([2.0**-4] + [tiny * tiny] * 15)
+    xs = [0.0] + [0.3125 + i / 1024 for i in range(7)]
+    ys = [0.0] + [0.125] * 7
+    xs += [0.75 - 0.75 * tiny] * 2 + [0.625 + i / 1024 for i in range(6)]
+    ys += [0.5625, 0.5625 + 1 / 1024] + [0.875] * 6
+    sides = [0.25] + [tiny] * 15
+    model = CompactSetModel(Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0), seq, 16, xs, ys, sides)
+    return model, np.array([[0.0, 0.75, 0.0, 0.8125]])
+
+
+def _planted_total_is_exact(model, rect):
+    """Whether the tree's total of the rectangle is the exact rational sum
+    of its pieces, rounded once."""
+    x0, x1, y0, y1 = rect[0]
+    wx = np.minimum(x1, model.xs + model.sides) - np.maximum(x0, model.xs)
+    wy = np.minimum(y1, model.ys + model.sides) - np.maximum(y0, model.ys)
+    pieces = (np.maximum(wx, 0.0) * np.maximum(wy, 0.0)).tolist()
+    return model.total_overlaps(rect)[0] == float(sum(map(Fraction, pieces), Fraction(0)))
+
+
+def test_planted_whole_node_adds_as_limbs():
+    """The planted rectangle takes leaf 1 whole and two boundary pieces, and
+    its total is the exact sum rounded once: 2^-4 + 2^-56."""
+    model, rect = _planted_rounding_model()
+    whole, boundary = (v[0] for v in _descent(model, rect))
+    assert sorted(whole.tolist()) == list(range(8)) and boundary.size == 8
+    assert _planted_total_is_exact(model, rect)
+    assert model.total_overlaps(rect)[0] == 2.0**-4 + 2.0**-56
+
+
+def test_node_totals_as_rounded_floats_fail(monkeypatch):
+    """Negative control: adding each row's whole-node total as one rounded
+    float instead of its limbs rounds the planted total twice."""
+    limb_values = setmodel._limb_values
+
+    def rounded(limbs, shift, bits):
+        return np.array([[math.fsum(col) for col in limb_values(limbs, shift, bits).T]])
+
+    model, rect = _planted_rounding_model()
+    monkeypatch.setattr(setmodel, "_limb_values", rounded)
+    assert not _planted_total_is_exact(model, rect)
+
+
+# -- the box query: exactly the closed-meet set ------------------------------------------
+
+
 def _index_boxes(model, cubes):
     """Closed query boxes: seeded boxes over four decades, the edge and ulp
-    rectangles of the chosen cubes, seeded boxes reaching outside the outer
-    box (and one around it, one beside it), and point boxes at cube corners,
-    edge midpoints and centers, at grid-cell corners and at seeded points."""
+    rectangles of the chosen cubes, node boxes, seeded boxes reaching
+    outside the outer box (and one around it, one beside it), and point
+    boxes at cube corners, edge midpoints and centers, at node-box corners
+    and at seeded points."""
     rng = np.random.default_rng(17)
     cx, cy = rng.uniform(-0.2, 1.2, (2, 300))
     w, h = 10.0 ** rng.uniform(-4.0, 0.0, (2, 300))
     outside = np.stack([cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2], axis=1)
     outside = np.concatenate([outside, [[-10.0, 10.0, -10.0, 10.0], [1.5, 2.0, 0.2, 0.3]]])
-    hx, hy = model.index.cell
-    k = np.arange(1, model.index.g)
-    grid = [(float(a), float(b)) for a, b in zip(k * hx, k[::-1] * hy)]
-    points = _edge_points(model, cubes) + grid + list(map(tuple, rng.uniform(0.0, 1.0, (300, 2))))
+    nodes = _node_boxes(model)
+    corners = np.concatenate([nodes[:, [0, 2]], nodes[:, [1, 3]], nodes[:, [0, 3]]])
+    points = np.concatenate(
+        [np.array(_edge_points(model, cubes)), corners, rng.uniform(0.0, 1.0, (300, 2))]
+    )
     return np.concatenate(
         [
             _seeded_rects(300, 5),
             _edge_rects(model, cubes),
             _ulp_rects(model, cubes),
+            nodes,
             outside,
-            np.array(points)[:, [0, 0, 1, 1]],
+            points[:, [0, 0, 1, 1]],
         ]
     )
 
@@ -385,17 +584,17 @@ def _index_boxes(model, cubes):
 def _missed(model, cubes):
     """(box, cube) of the first closed-meet cube a query leaves out, or None.
 
-    Every query must also be ascending int32 indexes, each of a cube larger
-    than a cell or of one that meets the box grown by four cells: a listed
-    corner lies at most three cells out, and the fourth absorbs rounding."""
-    hx, hy = model.index.cell
-    for box in _index_boxes(model, cubes):
-        got = model.index.query(*box)
-        assert got.dtype == np.int32 and bool(np.all(np.diff(got) > 0))
-        x0, x1, y0, y1 = box
-        grown = oracles.closed_meet_ref(model, (x0 - 4 * hx, x1 + 4 * hx, y0 - 4 * hy, y1 + 4 * hy))
-        assert np.isin(got, np.union1d(grown, model.index.big)).all(), box
-        lost = np.setdiff1d(oracles.closed_meet_ref(model, box), got)
+    Every query must return ascending int32 indexes, each of a cube that
+    meets the box."""
+    boxes = _index_boxes(model, cubes)
+    rows, got = model.meets(boxes)
+    assert got.dtype == np.int32
+    starts = np.searchsorted(rows, np.arange(len(boxes) + 1))
+    for box, a, b in zip(boxes, starts, starts[1:]):
+        want = oracles.closed_meet_ref(model, box)
+        assert bool(np.all(np.diff(got[a:b]) > 0))
+        assert np.isin(got[a:b], want).all(), box
+        lost = np.setdiff1d(want, got[a:b])
         if lost.size:
             return box, int(lost[0])
     return None
@@ -405,42 +604,50 @@ def _missed(model, cubes):
     "fixture, cubes, big", [("canonical_model", CUBES, 13), ("shelf_46k", SHELF_CUBES, 53)]
 )
 def test_index_query_holds_closed_meet_set(request, fixture, cubes, big):
-    """Every cube whose closed square meets the box is among the candidates,
-    including boxes that touch a cube at an edge or a corner, reach one ulp
-    into it, lie partly or wholly outside the outer box, or are points.  The
-    cubes larger than a cell are cubes 1..big."""
+    """The tree's box query returns exactly the cubes whose closed square
+    meets the box, including boxes that touch a cube at an edge or a
+    corner, reach one ulp into it, equal a node box, lie partly or wholly
+    outside the outer box, or are points.  The cubes larger than the cell of
+    an isqrt(N / 4) grid, cubes 1..big, have a leaf each in the second
+    tree."""
     model = request.getfixturevalue(fixture)
-    assert model.index.big.tolist() == list(range(big))
+    small, large = model.index.trees
+    assert sorted(large.ids[: large.last + 1, 0].tolist()) == list(range(big))
+    assert not np.isin(small.ids, np.arange(big)).any()
     assert _missed(model, cubes) is None
 
 
 def test_index_query_needs_low_side_reach(canonical_model, monkeypatch):
-    """Negative control: a query that does not reach below the box's own
-    cells loses cubes whose corner lies in the cell to the left or below."""
+    """Negative control: a query whose node test is strict on the box's low
+    sides loses the cubes that touch the box from the left or below."""
+    meets = setmodel._node_meets
 
-    def span(self, lo, hi, axis):
-        o, h = self.origin[axis], self.cell[axis]
-        first = math.floor((lo - o) / h)
-        last = math.floor((hi - o) / h) + 1
-        return range(max(first, 0), min(last, self.g - 1) + 1)
+    def strict(boxes, nodes, rect, rows, closed):
+        if not closed:
+            return meets(boxes, nodes, rect, rows, closed)
+        (bx0, bx1, by0, by1), (x0, x1, y0, y1) = boxes, rect
+        return (
+            (bx0[nodes] <= x1[rows])
+            & (bx1[nodes] > x0[rows])
+            & (by0[nodes] <= y1[rows])
+            & (by1[nodes] > y0[rows])
+        )
 
-    monkeypatch.setattr(CubeIndex, "_span", span)
+    monkeypatch.setattr(setmodel, "_node_meets", strict)
     assert _missed(canonical_model, CUBES) is not None
 
 
 def test_near_cubes_measures_only_nearby_cubes(shelf_46k, monkeypatch):
-    """On 46,655 cubes, _near_cubes with reach 0.01 returns exactly the cubes
-    whose dense per-axis gaps are both within the reach, ascending, with
-    those gaps, and its own gap pass is given under 1% of the cubes: at each
-    point the scan samples, and on average over seeded points anywhere in
-    the box (before the index it was given all of them).  Near the crowded
-    top shelf rows a single query can still get more."""
+    """On 46,655 cubes, the box query of a point +- 0.01 returns exactly the
+    cubes whose dense per-axis gaps are both within 0.01, and hands the
+    kernel under 1% of the cubes: at each point the scan samples, and on
+    average over seeded points anywhere in the box, also near the crowded
+    top shelf rows (a uniform grid gave single queries there up to 12%)."""
     kernel = CompactSetModel.overlaps
     given = []
 
     def recording(self, rects, reduce, cubes):
-        if sys._getframe(1).f_code.co_name == "_near_cubes":
-            given.append(self.xs[cubes].size)
+        given.append(self.xs[cubes].size)
         return kernel(self, rects, reduce, cubes)
 
     cover = setmodel.build_cover(shelf_46k, 3, 4)
@@ -449,46 +656,62 @@ def test_near_cubes_measures_only_nearby_cubes(shelf_46k, monkeypatch):
     seeded = tuple(map(tuple, np.random.default_rng(3).uniform(0.0, 1.0, (300, 2)).tolist()))
     monkeypatch.setattr(CompactSetModel, "overlaps", recording)
     xs, ys, sides = shelf_46k.xs, shelf_46k.ys, shelf_46k.sides
-    for point in sampled + seeded:
-        near, gx, gy = _near_cubes(shelf_46k, point, 0.01)
-        x, y = point
+    cells = []
+    for x, y in sampled + seeded:
+        given.clear()
+        got = shelf_46k.meets(np.array([[x - 0.01, x + 0.01, y - 0.01, y + 0.01]]))[1]
+        cells.append(sum(given))
         dense_x = np.maximum(np.maximum(xs - x, x - (xs + sides)), 0.0)
         dense_y = np.maximum(np.maximum(ys - y, y - (ys + sides)), 0.0)
-        want = np.flatnonzero(np.maximum(dense_x, dense_y) <= 0.01)
-        assert near.tolist() == want.tolist()
-        assert gx.tolist() == dense_x[want].tolist() and gy.tolist() == dense_y[want].tolist()
+        assert got.tolist() == np.flatnonzero(np.maximum(dense_x, dense_y) <= 0.01).tolist()
     one_percent = shelf_46k.trunc / 100
-    assert max(given[: len(sampled)]) < one_percent
-    assert sum(given[len(sampled) :]) < len(seeded) * one_percent
+    assert max(cells[: len(sampled)]) < one_percent
+    assert sum(cells[len(sampled) :]) < len(seeded) * one_percent
 
 
-def test_axis_prefixes_cut_ratio_kernel_work(shelf_46k, canonical_ratefn, monkeypatch):
-    """On a scan of 46,655 cubes (100 points x 500 rectangles on the bench's
-    t grid) the ratio kernel evaluates at most a third of the cells of
-    measuring each rectangle against its Chebyshev prefix: the cubes whose
-    larger axis gap from the point is within the rectangle's largest extent."""
-    config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=100, rects_per_point=500, seed=42)
-    cover = setmodel.build_cover(shelf_46k, config.m, config.s_hi)
-    kernel, point_ratios = CompactSetModel.overlaps, scan._point_ratios
-    cells, chebyshev = [], []
+def test_kernel_cells_follow_the_perimeter(shelf_46k, monkeypatch):
+    """Work bound: rectangles scaled by k = 1, 2 and 4 send the kernel cells
+    that grow at most about linearly in k, like their perimeter, while the
+    whole-cube pieces the tree adds without the kernel grow faster: their
+    share per kernel cell at least doubles.
+
+    On the canonical 46,655-cube shelf, over its crowded top rows, each row
+    is one cube tall, so whole-cube pieces grow with the rectangles' width
+    and the rows they cross, a little faster than k.  On a shelf of 46,655
+    equal cubes, which fills [0, 1] x [0, 0.25] in 108 rows of 432, they
+    grow about as k^2."""
+    kernel = CompactSetModel.overlaps
+    given = []
 
     def recording(self, rects, reduce, cubes):
-        if sys._getframe(1).f_code.co_name == "_rect_ratios":
-            cells.append(len(rects) * self.xs[cubes].size)
+        given.append(self.xs[cubes].size)
         return kernel(self, rects, reduce, cubes)
 
-    def prefixes(model, point, rects):
-        (x, y), xs, ys, sides = point, model.xs, model.ys, model.sides
-        gap = np.maximum.reduce([xs - x, x - (xs + sides), ys - y, y - (ys + sides)])
-        reach = np.abs(rects - np.repeat(point, 2)).max(axis=1)
-        chebyshev.append(int(np.searchsorted(np.sort(gap), reach, "right").sum()))
-        return point_ratios(model, point, rects)
-
+    equal = WeightSequence.explicit([(1 / 432) ** 2] * 46_655)
+    grid = build_packing(equal, 46_655, Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0))
+    rng = np.random.default_rng(1)
     monkeypatch.setattr(CompactSetModel, "overlaps", recording)
-    monkeypatch.setattr(scan, "_point_ratios", prefixes)
-    scan.scan_density_bound(shelf_46k, cover, canonical_ratefn, config)
-    assert len(chebyshev) == config.points and sum(chebyshev) > 10**6
-    assert sum(cells) <= sum(chebyshev) / 3, (sum(cells), sum(chebyshev))
+    for model, (y_lo, y_hi), (w, h), growth in (
+        (shelf_46k, (0.64707, 0.64707), (0.003, 0.0004), 4.0),
+        (grid, (0.05, 0.2), (0.01, 0.01), 12.0),
+    ):
+        cx, cy = rng.uniform(0.1, 0.9, 50), rng.uniform(y_lo, y_hi, 50)
+        x1s, y1s = model.xs + model.sides, model.ys + model.sides
+        cells, whole = [], []
+        for k in (1, 2, 4):
+            rects = np.stack([cx - k * w / 2, cx + k * w / 2, cy - k * h / 2, cy + k * h / 2], 1)
+            given.clear()
+            model.total_overlaps(rects)
+            cells.append(sum(given))
+            inside = [
+                (model.xs >= a) & (x1s <= b) & (model.ys >= c) & (y1s <= d)
+                for a, b, c, d in rects
+            ]
+            whole.append(int(np.count_nonzero(inside)))
+        assert cells[1] <= 2.5 * cells[0] and cells[2] <= 2.5 * cells[1], cells
+        assert whole[2] >= growth * whole[0], whole
+        # whole-cube pieces per kernel cell at least double from k = 1 to 4
+        assert whole[2] * cells[0] >= 2 * whole[0] * cells[2], (whole, cells)
 
 
 # -- memory: the kernel never holds a (rectangles x cubes) array ------------------------
@@ -500,18 +723,14 @@ def test_axis_prefixes_cut_ratio_kernel_work(shelf_46k, canonical_ratefn, monkey
 _PEAK_BOUND = 8 * 8 * setmodel._BLOCK_CELLS + (1 << 20)
 
 
-@pytest.mark.parametrize("query", ["ratio", "separation", "closed"])
+@pytest.mark.parametrize("query", ["separation", "closed"])
 def test_kernel_memory_is_bounded_by_block(canonical_model, query):
     rects = _seeded_rects(4000, 3)
-    every = np.arange(canonical_model.trunc)
-    # zero gaps and unit extents: every rectangle against every cube
-    gaps, extents = np.zeros((2, every.size)), np.ones((2, len(rects)))
-    assert _PEAK_BOUND < rects.shape[0] * every.size * 8 / 10
+    assert _PEAK_BOUND < rects.shape[0] * canonical_model.trunc * 8 / 10
     pts = np.ascontiguousarray(rects[:, [0, 2]])
     center = (0.5, 0.5)
     gap = _point_gaps(canonical_model, center, canonical_model.trunc)[0]
     run = {
-        "ratio": lambda: _rect_ratios(canonical_model, rects, every, gaps, extents),
         "separation": lambda: _separation_hits(canonical_model, center, rects, gap),
         "closed": lambda: _in_cubes(canonical_model, pts),
     }[query]
@@ -522,6 +741,29 @@ def test_kernel_memory_is_bounded_by_block(canonical_model, query):
     finally:
         tracemalloc.stop()
     assert peak < _PEAK_BOUND, f"peak {peak / 2**20:.1f} MB"
+
+
+# A ratio pass descends the cube tree _CHUNK_RECTS rectangles at a time.  Per
+# rectangle of a chunk it holds its coordinates, a few 8-byte values for each
+# of its (rectangle, node) pairs alive at one level, and some more for each
+# of its boundary cells; seeded rectangles spanning four decades take about
+# 400 bytes per rectangle of a chunk on the canonical cubes.  1 KiB per
+# rectangle of a chunk bounds the peak.
+_CHUNK_PEAK = 1024 * setmodel._CHUNK_RECTS
+
+
+def test_ratio_memory_is_bounded_by_chunk(canonical_model):
+    """Three chunks of seeded rectangles cost one chunk's memory; measuring
+    them against every cube at once would take over 70 times the bound."""
+    rects = _seeded_rects(3 * setmodel._CHUNK_RECTS, 3)
+    assert _CHUNK_PEAK < rects.shape[0] * canonical_model.trunc * 8 / 70
+    tracemalloc.start()
+    try:
+        _ratios(canonical_model, rects)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _CHUNK_PEAK, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_sample_points_memory_is_bounded_by_block(canonical_model, canonical_cover):

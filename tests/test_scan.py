@@ -268,14 +268,16 @@ def test_explicit_point_outside_box_raises(
 def test_ratio_kernel_work_bound(canonical_model, canonical_cover, canonical_ratefn, monkeypatch):
     """On a level-4 scan of 100 points the ratio kernel evaluates at most a
     tenth of the cells (rectangles x cubes) of the dense product of each
-    rectangle with every cube whose closure meets the box point +- t."""
+    rectangle with every cube whose closure meets the box point +- t: it
+    gets only the cubes of the boundary leaves of each rectangle's cube-tree
+    descent, one cell per (rectangle, cube)."""
     config = small_config(points=100, rects_per_point=100)
     kernel = CompactSetModel.overlaps
     cells = []
 
-    def recording(self, rects, reduce, cubes=slice(None)):
-        if sys._getframe(1).f_code.co_name == "_rect_ratios":
-            cells.append(len(rects) * self.xs[cubes].size)
+    def recording(self, rects, reduce, cubes):
+        if sys._getframe(1).f_code.co_name == "_chunk_totals":
+            cells.append(self.xs[cubes].size)
         return kernel(self, rects, reduce, cubes)
 
     monkeypatch.setattr(CompactSetModel, "overlaps", recording)
