@@ -269,7 +269,8 @@ def cmd_build_set(args) -> int:
     )
     out = _out_path(args, args.out)
     if out:
-        _write_json(out, model.to_json())
+        with out.open("w") as fh:
+            model.write_json(fh)
         print(f"wrote {out}")
     return 0
 
@@ -428,7 +429,8 @@ def cmd_verify_all(args) -> int:
     trunc = (args.level + 1) ** (args.level + 1) - 1
     outer = Rectangle.from_bounds(*_parse_floats(args.outer, 4))
     model = build_packing(seq, trunc, outer)
-    _write_json(out_dir / "set.json", model.to_json())
+    with (out_dir / "set.json").open("w") as fh:
+        model.write_json(fh)
     steps.append(("build-set", True, f"trunc={trunc} remaining={model.measure_remaining!r}"))
 
     cover = build_cover(model, args.m, args.level)

@@ -13,9 +13,10 @@ bounded analytically across all blocks s >= m.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -329,7 +330,11 @@ class CompactSetModel:
         xs: np.ndarray,
         ys: np.ndarray,
         sides: np.ndarray,
+        *,
+        _areas: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
+        # _areas: seq.areas(trunc) when the caller has computed it already
+        # (build_packing), so that one set-up makes one pass over the sequence
         if trunc < 1:
             raise ValueError(f"truncation must keep at least one cube, got {trunc}")
         if not (len(xs) == len(ys) == len(sides) == trunc):
@@ -340,10 +345,11 @@ class CompactSetModel:
         self.xs = np.asarray(xs, dtype=np.float64)
         self.ys = np.asarray(ys, dtype=np.float64)
         self.sides = np.asarray(sides, dtype=np.float64)
-        for n in range(1, trunc + 1):
-            w = seq.w(n)
-            if not abs(self.sides[n - 1] - w) <= 1e-12 * w:  # NaN fails too
-                raise ValueError(f"cube {n} side {self.sides[n - 1]} differs from weight {w}")
+        self.w2, w = seq.areas(trunc) if _areas is None else _areas
+        bad = np.flatnonzero(~(np.abs(self.sides - w) <= 1e-12 * w))  # NaN fails too
+        if bad.size:
+            n = bad[0] + 1
+            raise ValueError(f"cube {n} side {self.sides[n - 1]} differs from weight {float(w[n - 1])}")
         if np.any(self.sides[1:] > self.sides[:-1]):
             raise ValueError("cube sides must be non-increasing")
         inside = (
@@ -354,7 +360,15 @@ class CompactSetModel:
         )
         if not bool(np.all(inside)):
             raise ValueError("every cube must lie inside the outer box")
-        self.w2 = np.fromiter((seq.w2(n) for n in range(1, trunc + 1)), np.float64, trunc)
+        # a square that float64 cannot tell from a line (side 0 included)
+        # has no interior to remove, dilate or measure
+        flat = np.flatnonzero((self.xs + self.sides == self.xs) | (self.ys + self.sides == self.ys))
+        if flat.size:
+            i = flat[0]
+            raise ValueError(
+                f"cube {i + 1} is degenerate in float64: side {float(self.sides[i])!r} vanishes "
+                f"against its corner ({float(self.xs[i])!r}, {float(self.ys[i])!r})"
+            )
         self.removed_area = math.fsum(self.w2)
         self.residual_tail = tail_sum(seq, trunc + 1)
         self.index = CubeTree(outer, self.xs, self.ys, self.sides)
@@ -479,15 +493,32 @@ class CompactSetModel:
         order = np.lexsort((cubes, rows))
         return rows[order], cubes[order]
 
-    def to_json(self) -> dict:
+    def _header(self) -> dict:
+        """The set.json fields other than "cubes"."""
         return {
             "outer": [self.outer.x.lo, self.outer.x.hi, self.outer.y.lo, self.outer.y.hi],
-            "cubes": [
-                [float(x), float(y), float(w)] for x, y, w in zip(self.xs, self.ys, self.sides)
-            ],
             "trunc": self.trunc,
             "seq": self.seq.to_json(),
         }
+
+    def to_json(self) -> dict:
+        cubes = zip(self.xs.tolist(), self.ys.tolist(), self.sides.tolist())
+        return {**self._header(), "cubes": [list(c) for c in cubes]}
+
+    def write_json(self, out: TextIO) -> None:
+        """Write :meth:`to_json` to a text file, byte for byte as
+        ``json.dumps(self.to_json(), indent=2, sort_keys=True) + "\\n"``,
+        without building either.  "cubes" sorts first; its rows go out 2^14
+        at a time, each float formatted by ``repr`` as ``json`` formats a
+        finite float (the box check keeps every coordinate finite)."""
+        row = "\n    [\n      %r,\n      %r,\n      %r\n    ]"
+        out.write('{\n  "cubes": [')
+        step = 1 << 14
+        for i in range(0, self.trunc, step):
+            rows = zip(*(v[i : i + step].tolist() for v in (self.xs, self.ys, self.sides)))
+            out.write(("," if i else "") + ",".join(row % r for r in rows))
+        rest = json.dumps(self._header(), indent=2, sort_keys=True)
+        out.write("\n  ],\n" + rest[2:] + "\n")
 
     @classmethod
     def from_json(cls, obj: dict) -> "CompactSetModel":
@@ -552,44 +583,61 @@ def build_packing(seq: WeightSequence, trunc: int, outer: Rectangle) -> CompactS
     cube, rows stack bottom-up with no separation margin (open cubes touching
     along edges are still disjoint).  Feasibility precondition: total removed
     area at most half the box and the first side at most the shorter box
-    side; with non-increasing sides this guarantees the shelves fit.
+    side.  These do not make the rows fit: in a box much wider than tall
+    they can still overflow it, which raises PackingInfeasible at the first
+    cube of the row that does not fit.
     """
     if trunc < 1:
         raise ValueError(f"truncation must keep at least one cube, got {trunc}")
     if seq.n_max is not None and trunc > seq.n_max:
         raise OutOfRange(f"sequence defines {seq.n_max} areas, cannot materialize {trunc}")
-    total = math.fsum(seq.w2(n) for n in range(1, trunc + 1))
-    w1 = seq.w(1)
+    w2, sides = seq.areas(trunc)
+    total = math.fsum(w2)
+    w1 = float(sides[0])
     min_side = min(outer.x.length, outer.y.length)
     if total > 0.5 * outer.area or w1 > min_side:
         raise PackingInfeasible(
             f"total area {total:.6g} (limit {0.5 * outer.area:.6g}) with first side "
             f"{w1:.6g} (limit {min_side:.6g})"
         )
-    xs = np.empty(trunc)
-    ys = np.empty(trunc)
-    sides = np.empty(trunc)
-    x_cursor = outer.x.lo
+    xs, ys = _shelves(sides, outer)
+    return CompactSetModel(outer, seq, trunc, xs, ys, sides, _areas=(w2, sides))
+
+
+def _shelves(sides: np.ndarray, outer: Rectangle) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-left corners (xs, ys) of the shelf packing of cubes with these
+    sides, in the order and float arithmetic of a loop over the cubes."""
+    n = len(sides)
+    xs = np.empty(n)
+    ys = np.empty(n)
     row_base = outer.y.lo
-    row_height = 0.0
-    for n in range(1, trunc + 1):
-        w = seq.w(n)
-        if row_height == 0.0:
-            row_height = w
-        elif x_cursor + w > outer.x.hi:
-            row_base += row_height
-            x_cursor = outer.x.lo
-            row_height = w
+    start, span = 0, 1
+    while start < n:
+        row_height = float(sides[start])
         if row_base + row_height > outer.y.hi:
             raise PackingInfeasible(
-                f"rows overflow the box at cube {n}: base {row_base:.6g} + height "
+                f"rows overflow the box at cube {start + 1}: base {row_base:.6g} + height "
                 f"{row_height:.6g} exceeds {outer.y.hi:.6g}"
             )
-        xs[n - 1] = x_cursor
-        ys[n - 1] = row_base
-        sides[n - 1] = w
-        x_cursor += w
-    return CompactSetModel(outer, seq, trunc, xs, ys, sides)
+        # The row's x-cursor before each cube and after it: one sequential
+        # accumulate from outer.x.lo, which adds in the loop's order.  Cube
+        # start + k, k >= 1, opens the next row when the cursor after it
+        # passes x.hi.  The window starts at twice the previous row (sides
+        # do not increase, so rows tend to lengthen) and doubles until it
+        # holds the break.
+        while True:
+            stop = min(n, start + 2 * span)
+            cursor = np.add.accumulate(np.concatenate(([outer.x.lo], sides[start:stop])))
+            over = np.flatnonzero(cursor[2:] > outer.x.hi)
+            if over.size or stop == n:
+                break
+            span *= 2
+        span = int(over[0]) + 1 if over.size else stop - start
+        xs[start : start + span] = cursor[:span]
+        ys[start : start + span] = row_base
+        row_base += row_height
+        start += span
+    return xs, ys
 
 
 @dataclass(frozen=True)

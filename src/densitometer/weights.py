@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     DegenerateIndex,
     GridTooCoarse,
@@ -58,6 +60,32 @@ __all__ = [
 
 # tail_lower_exponent tries mu = p - 1 + _MU_MARGIN for a power sequence.
 _MU_MARGIN = 0.1
+
+
+def _logs(values: Iterable[float], count: int) -> np.ndarray:
+    """``math.log`` of each of ``count`` values, as an array.
+
+    Sequence arrays must equal the scalar path bit for bit, so numpy's own
+    log is not used: it differs from ``math.log`` on some integers (on 2 of
+    1..46,655).  ``map`` streams the values, so no Python list is built.
+    """
+    return np.fromiter(map(math.log, values), np.float64, count)
+
+
+def _exps(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each element of ``x``, as an array.
+
+    numpy's own exp is not used: it differs from ``math.exp`` on thousands
+    of the log-areas of 1..46,655.  The elements go through Python floats
+    2^12 at a time, so the temporary lists and floats stay one small size
+    however long ``x`` is.
+    """
+    out = np.empty(len(x))
+    step = 1 << 12
+    for i in range(0, len(x), step):
+        chunk = x[i : i + step]
+        out[i : i + step] = np.fromiter(map(math.exp, chunk.tolist()), np.float64, len(chunk))
+    return out
 
 
 def default_probes(limit: int = 10**6) -> tuple[int, ...]:
@@ -165,6 +193,32 @@ class WeightSequence:
     def w(self, n: int) -> float:
         return math.exp(self.log_w(n))
 
+    def areas(self, trunc: int) -> tuple[np.ndarray, np.ndarray]:
+        """The areas w_n^2 and sides w_n of n = 1..trunc, as two arrays.
+
+        One pass over the sequence: the log-areas are formed once as an
+        array, by the scalar path's own arithmetic in numpy and
+        ``math.log``/``math.exp`` for the transcendental steps, so element
+        n - 1 equals ``w2(n)`` and ``w(n)`` bit for bit.
+        """
+        self._check_index(trunc)
+        # in place, one array: each step is the scalar operation with its
+        # operands commuted, which IEEE arithmetic rounds the same
+        if self.kind == "power":
+            log_w2 = _logs(range(1, trunc + 1), trunc)
+            log_w2 *= self.p
+            np.subtract(math.log(self.c), log_w2, out=log_w2)
+        elif self.kind == "geometric":
+            # n * log(rho) with n an exact float, as for a Python int n
+            log_w2 = np.arange(1, trunc + 1, dtype=np.float64)
+            log_w2 *= math.log(self.rho)
+            log_w2 += math.log(self.c)
+        else:
+            log_w2 = _logs(self.w2_values[:trunc], trunc)
+        w2 = _exps(log_w2)
+        log_w2 *= 0.5
+        return w2, _exps(log_w2)
+
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -196,9 +250,9 @@ class WeightSequence:
 
 # -- tail sums -----------------------------------------------------------------
 
-def _power_terms(p: float, start: int, stop: int) -> list[float]:
+def _power_terms(p: float, start: int, stop: int) -> np.ndarray:
     """The log terms -p * log m of the partial sum, for start <= m < stop."""
-    return [-p * math.log(m) for m in range(start, stop)]
+    return -p * _logs(range(start, stop), stop - start)
 
 
 def _log_mid(n: int, start: int, peak: float, weights: list[float]) -> float:
@@ -230,7 +284,9 @@ def _power_tail_brackets(c: float, p: float, ns: Iterable[int]) -> dict[int, Log
     log term of a sum; each index is then one ``math.fsum`` over a slice.
     Sharing is exact: the same float gives the same log and exp, and fsum is
     correctly rounded whatever the order of its terms, so each bracket equals
-    the one computed for its index alone, bit for bit.
+    the one computed for its index alone, bit for bit.  Both are formed
+    in numpy around ``math.log`` and ``math.exp`` mapped over the values,
+    never numpy's own log and exp, so each is the scalar float.
     """
     log_c = math.log(c)
     base = math.ceil(1500.0 * p)
@@ -247,7 +303,7 @@ def _power_tail_brackets(c: float, p: float, ns: Iterable[int]) -> dict[int, Log
         ]
         log_rem = math.log(p * (p + 1.0) * (p + 2.0) / 720.0) - (p + 3.0) * log_m
         lo = group[0]
-        terms = _power_terms(p, lo, m_cut) if lo < m_cut else []
+        terms = _power_terms(p, lo, m_cut) if lo < m_cut else np.empty(0)
         # peaks[i]: the largest log term of group[i]'s sum, from the maxima
         # of the stretches between consecutive indexes.
         bounds = [n - lo for n in group] + [len(terms)]
@@ -255,14 +311,15 @@ def _power_tail_brackets(c: float, p: float, ns: Iterable[int]) -> dict[int, Log
         peak = max(closure)
         for i in range(len(group) - 1, -1, -1):
             stretch = terms[bounds[i] : bounds[i + 1]]
-            if stretch:
-                peak = max(peak, max(stretch))
+            if stretch.size:
+                peak = max(peak, float(stretch.max()))
             peaks.append(peak)
         peaks.reverse()
         for i, n in enumerate(group):
             if i == 0 or peaks[i] != peaks[i - 1]:
                 start = n
-                weights = [math.exp(x - peaks[i]) for x in terms[n - lo :] + closure]
+                shifted = np.concatenate((terms[n - lo :], closure)) - peaks[i]
+                weights = list(map(math.exp, shifted.tolist()))
             log_mid = _log_mid(n, start, peaks[i], weights)
             out[n] = LogBracket(log_sub(log_mid, log_rem) + log_c, log_add(log_mid, log_rem) + log_c)
     return out

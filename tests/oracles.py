@@ -29,7 +29,11 @@ box themselves, so neither runs the location code it checks.
 and the disjoint random cube families use, and ``cube``/``cubes`` give a
 model's cubes as ``Rectangle`` objects.  ``power_tail_bracket_ref``
 is the per-index power-tail bracket that the shared tail table replaced; the
-table must equal it bit for bit.
+table must equal it bit for bit.  ``build_packing_ref`` is the shelf packing
+as a scalar loop with four sequence calls per cube, and
+``sides_check_ref`` the per-cube side check of ``CompactSetModel``, which
+one array pass over the sequence replaced; packings, areas, errors and
+their messages must be equal, floats bit for bit.
 """
 
 import functools
@@ -48,7 +52,7 @@ from densitometer.dilation import (
     _toggle,
     find_overlap,
 )
-from densitometer.errors import OutOfRange, OverlappingCubes
+from densitometer.errors import OutOfRange, OverlappingCubes, PackingInfeasible
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
 from densitometer.logdomain import LogBracket, log_add, log_sub, log_sum
 from densitometer.scan import PointSample, _substreams
@@ -77,6 +81,54 @@ def power_tail_bracket_ref(c: float, p: float, n: int) -> LogBracket:
             return LogBracket(log_sub(log_mid, log_rem) + log_c, log_add(log_mid, log_rem) + log_c)
         target *= 4
     return LogBracket(log_sub(log_mid, log_rem) + log_c, log_add(log_mid, log_rem) + log_c)
+
+
+def build_packing_ref(seq, trunc: int, outer: Rectangle):
+    """(xs, ys, sides, w2, total) of the shelf packing of cubes 1..trunc,
+    one cube at a time with the scalar ``seq.w`` and ``seq.w2``; raises
+    PackingInfeasible as ``build_packing`` does."""
+    total = math.fsum(seq.w2(n) for n in range(1, trunc + 1))
+    w1 = seq.w(1)
+    min_side = min(outer.x.length, outer.y.length)
+    if total > 0.5 * outer.area or w1 > min_side:
+        raise PackingInfeasible(
+            f"total area {total:.6g} (limit {0.5 * outer.area:.6g}) with first side "
+            f"{w1:.6g} (limit {min_side:.6g})"
+        )
+    xs = np.empty(trunc)
+    ys = np.empty(trunc)
+    sides = np.empty(trunc)
+    x_cursor = outer.x.lo
+    row_base = outer.y.lo
+    row_height = 0.0
+    for n in range(1, trunc + 1):
+        w = seq.w(n)
+        if row_height == 0.0:
+            row_height = w
+        elif x_cursor + w > outer.x.hi:
+            row_base += row_height
+            x_cursor = outer.x.lo
+            row_height = w
+        if row_base + row_height > outer.y.hi:
+            raise PackingInfeasible(
+                f"rows overflow the box at cube {n}: base {row_base:.6g} + height "
+                f"{row_height:.6g} exceeds {outer.y.hi:.6g}"
+            )
+        xs[n - 1] = x_cursor
+        ys[n - 1] = row_base
+        sides[n - 1] = w
+        x_cursor += w
+    w2 = np.array([seq.w2(n) for n in range(1, trunc + 1)])
+    return xs, ys, sides, w2, total
+
+
+def sides_check_ref(seq, sides) -> None:
+    """ValueError at the first cube whose side is not within 1e-12 of its
+    weight, as ``CompactSetModel`` raises it."""
+    for n in range(1, len(sides) + 1):
+        w = seq.w(n)
+        if not abs(sides[n - 1] - w) <= 1e-12 * w:  # NaN fails too
+            raise ValueError(f"cube {n} side {sides[n - 1]} differs from weight {w}")
 
 
 def _merge(segments):

@@ -330,6 +330,19 @@ def test_verify_all_small(tmp_path):
     assert all(line.split(",")[1] == "pass" for line in steps[1:])
 
 
+def test_verify_all_names_the_first_degenerate_cube(tmp_path, capsys):
+    """geometric rho = 1/2 has square sides that vanish against their
+    float64 corners from cube 108 on: verify-all stops at build-set, exit 2,
+    naming the cube by its global number."""
+    code = run(
+        ["verify-all", "--seq", "geometric:c=0.25,rho=0.5", "--level", "4", "--out-dir", str(tmp_path)]
+    )
+    assert code == 2
+    assert "error: cube 108 is degenerate in float64" in capsys.readouterr().err
+    assert (tmp_path / "littleo.csv").exists()
+    assert not (tmp_path / "set.json").exists()
+
+
 def test_verify_all_fails_on_diverging_littleo(tmp_path, monkeypatch):
     """A diverging little-o trace fails its verify-all step and the run."""
 

@@ -1,5 +1,6 @@
 """Shelf packing, density arithmetic, cover construction and point triage."""
 
+import io
 import json
 import math
 from itertools import accumulate
@@ -24,6 +25,7 @@ from densitometer.setmodel import (
     cover_measure_bound,
     density_ratio,
 )
+from densitometer import weights
 from densitometer.weights import WeightSequence
 
 import oracles
@@ -72,6 +74,135 @@ def test_packing_respects_trunc_bounds(canonical_seq):
     assert model.trunc == 10
     with pytest.raises(OutOfRange):
         oracles.cube(model, 11)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+# Truncations on both sides of row breaks: power p = 2 opens rows at cubes
+# 4, 26, 188, 1,385 and 10,230, p = 1.2 (c = 0.05) at 11, 39, ..., 2,310,
+# p = 4 keeps one row, and the geometric sequence opens rows at 5 and 12
+# (its sides vanish against their corners from cube 326 on).
+_PACKINGS = [
+    (WeightSequence.power(0.25, 2.0), (1, 3, 4, 5, 25, 26, 27, 187, 188, 1385, 10230, 46_655)),
+    (WeightSequence.power(0.05, 1.2), (10, 11, 12, 38, 39, 40, 2310, 46_655)),
+    (WeightSequence.power(0.25, 4.0), (1, 2, 46_655)),
+    (WeightSequence.geometric(0.1, 0.8), (4, 5, 6, 11, 12, 13, 300)),
+]
+
+
+@pytest.mark.parametrize("seq, truncs", _PACKINGS, ids=["p2", "p1.2", "p4", "geometric"])
+def test_packing_matches_scalar_loop_bit_for_bit(seq, truncs):
+    for trunc in truncs:
+        model = build_packing(seq, trunc, UNIT)
+        xs, ys, sides, w2, total = oracles.build_packing_ref(seq, trunc, UNIT)
+        for got, want in ((model.xs, xs), (model.ys, ys), (model.sides, sides), (model.w2, w2)):
+            assert np.array_equal(_bits(got), _bits(want)), trunc
+        assert _bits(model.removed_area) == _bits(total), trunc
+
+
+@pytest.mark.parametrize("nudge, rows", [(0, 1), (-1, 2)], ids=["on-edge", "one-ulp-over"])
+def test_packing_cursor_on_the_box_edge(nudge, rows):
+    """A cursor that lands exactly on x.hi keeps the row; one that lands one
+    ulp past it (x.hi one ulp lower) opens the next row."""
+    seq = WeightSequence.explicit([0.04, 0.02, 0.01, 0.01])
+    edge = ((0.1 + seq.w(1)) + seq.w(2)) + seq.w(3)  # the loop's cursor after cube 3
+    x_hi = np.nextafter(edge, -np.inf) if nudge else edge
+    outer = Rectangle.from_bounds(0.1, float(x_hi), 0.0, 1.0)
+    model = build_packing(seq, 4, outer)
+    xs, ys, _, _, _ = oracles.build_packing_ref(seq, 4, outer)
+    assert np.array_equal(_bits(model.xs), _bits(xs))
+    assert np.array_equal(_bits(model.ys), _bits(ys))
+    assert len(set(ys[:3].tolist())) == rows
+
+
+@pytest.mark.parametrize(
+    "seq, trunc, outer, named",
+    [
+        (
+            # half the area of a 10 x 1 box, but two rows of 0.6 and 0.45
+            WeightSequence.explicit([0.36] + [0.2025] * 21),
+            22,
+            Rectangle.from_bounds(0, 10, 0, 1),
+            "rows overflow the box at cube 22",
+        ),
+        (WeightSequence.explicit([0.3, 0.3]), 2, UNIT, "total area 0.6"),
+        (WeightSequence.explicit([0.25]), 1, Rectangle.from_bounds(0, 0.4, 0, 9), "first side 0.5"),
+    ],
+    ids=["row-overflow", "area", "first-side"],
+)
+def test_packing_errors_match_scalar_loop(seq, trunc, outer, named):
+    with pytest.raises(PackingInfeasible) as got:
+        build_packing(seq, trunc, outer)
+    with pytest.raises(PackingInfeasible) as want:
+        oracles.build_packing_ref(seq, trunc, outer)
+    assert str(got.value) == str(want.value)
+    assert named in str(got.value)
+
+
+@pytest.mark.parametrize("cube, factor", [(1, 0.8), (37, np.nan), (200, 1.0 + 2e-12)])
+def test_sides_check_matches_scalar_loop(canonical_seq, cube, factor):
+    model = build_packing(canonical_seq, 200, UNIT)
+    sides = model.sides.copy()
+    sides[cube - 1] *= factor
+    with pytest.raises(ValueError) as got:
+        CompactSetModel(UNIT, canonical_seq, 200, model.xs, model.ys, sides)
+    with pytest.raises(ValueError) as want:
+        oracles.sides_check_ref(canonical_seq, sides)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"cube {cube} side ")
+
+
+def test_set_up_makes_one_sequence_pass(canonical_seq, monkeypatch):
+    """build_packing and the model it builds share one array pass over the
+    sequence: one ``math.log`` map over the indexes, one ``areas`` call."""
+    logs, areas = [], []
+    log_map, areas_pass = weights._logs, WeightSequence.areas
+    monkeypatch.setattr(weights, "_logs", lambda values, count: logs.append(count) or log_map(values, count))
+    monkeypatch.setattr(
+        WeightSequence, "areas", lambda seq, trunc: areas.append(trunc) or areas_pass(seq, trunc)
+    )
+    model = build_packing(canonical_seq, 46_655, UNIT)
+    assert logs == [46_655] and areas == [46_655]
+    logs.clear(), areas.clear()
+    CompactSetModel.from_json(model.to_json())
+    assert logs == [46_655] and areas == [46_655]
+
+
+def test_degenerate_cubes_are_rejected():
+    """From cube 108 on, sides 2^-(n+2)/2 vanish against their float64
+    corners: x + w == x or y + w == y.  build_packing and set.json both
+    stop there, with the global cube number."""
+    seq = WeightSequence.geometric(0.25, 0.5)
+    model = build_packing(seq, 107, UNIT)
+    with pytest.raises(ValueError, match="cube 108 is degenerate in float64"):
+        build_packing(seq, 3124, UNIT)
+    payload = model.to_json()
+    xs, ys, sides, _, _ = oracles.build_packing_ref(seq, 3124, UNIT)
+    payload["cubes"] = np.column_stack((xs, ys, sides)).tolist()
+    payload["trunc"] = 3124
+    with pytest.raises(ValueError, match="cube 108 is degenerate in float64"):
+        CompactSetModel.from_json(payload)
+    assert np.count_nonzero((xs + sides == xs) | (ys + sides == ys)) == 3017
+    assert np.count_nonzero(sides == 0.0) == 976
+
+
+@pytest.mark.parametrize(
+    "seq, trunc, outer",
+    [
+        (WeightSequence.power(0.25, 2.0), 1, UNIT),
+        (WeightSequence.power(0.25, 2.0), 50, UNIT),
+        (WeightSequence.power(0.25, 2.0), 3124, UNIT),
+        (WeightSequence.explicit([0.01, 0.004, 1e-3, 3e-7]), 4, Rectangle.from_bounds(-2, 0.5, 1, 3)),
+    ],
+    ids=["1", "50", "3124", "explicit-box"],
+)
+def test_write_json_matches_json_dumps(seq, trunc, outer):
+    model = build_packing(seq, trunc, outer)
+    out = io.StringIO()
+    model.write_json(out)
+    assert out.getvalue() == json.dumps(model.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 def test_model_json_round_trip(canonical_seq):
