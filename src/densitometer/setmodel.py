@@ -331,10 +331,11 @@ class CompactSetModel:
         ys: np.ndarray,
         sides: np.ndarray,
         *,
-        _areas: tuple[np.ndarray, np.ndarray] | None = None,
+        _areas: tuple[np.ndarray, np.ndarray, float] | None = None,
     ) -> None:
-        # _areas: seq.areas(trunc) when the caller has computed it already
-        # (build_packing), so that one set-up makes one pass over the sequence
+        # _areas: seq.areas(trunc) and the fsum of its areas when the caller
+        # has computed them already (build_packing), so that one set-up makes
+        # one pass over the sequence and one sum of its areas
         if trunc < 1:
             raise ValueError(f"truncation must keep at least one cube, got {trunc}")
         if not (len(xs) == len(ys) == len(sides) == trunc):
@@ -345,7 +346,7 @@ class CompactSetModel:
         self.xs = np.asarray(xs, dtype=np.float64)
         self.ys = np.asarray(ys, dtype=np.float64)
         self.sides = np.asarray(sides, dtype=np.float64)
-        self.w2, w = seq.areas(trunc) if _areas is None else _areas
+        self.w2, w, total = (*seq.areas(trunc), None) if _areas is None else _areas
         bad = np.flatnonzero(~(np.abs(self.sides - w) <= 1e-12 * w))  # NaN fails too
         if bad.size:
             n = bad[0] + 1
@@ -369,7 +370,7 @@ class CompactSetModel:
                 f"cube {i + 1} is degenerate in float64: side {float(self.sides[i])!r} vanishes "
                 f"against its corner ({float(self.xs[i])!r}, {float(self.ys[i])!r})"
             )
-        self.removed_area = math.fsum(self.w2)
+        self.removed_area = math.fsum(self.w2) if total is None else total
         self.residual_tail = tail_sum(seq, trunc + 1)
         self.index = CubeTree(outer, self.xs, self.ys, self.sides)
 
@@ -601,7 +602,7 @@ def build_packing(seq: WeightSequence, trunc: int, outer: Rectangle) -> CompactS
             f"{w1:.6g} (limit {min_side:.6g})"
         )
     xs, ys = _shelves(sides, outer)
-    return CompactSetModel(outer, seq, trunc, xs, ys, sides, _areas=(w2, sides))
+    return CompactSetModel(outer, seq, trunc, xs, ys, sides, _areas=(w2, sides, total))
 
 
 def _shelves(sides: np.ndarray, outer: Rectangle) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,12 @@ per-point classifier that explicit scan points went through before they
 shared the sampler's batch test; both look points up in ``ColumnUnion``, the
 object-based union that ``RectUnion.classify`` must agree with, and test the
 box themselves, so neither runs the location code it checks.
+``scan_points_ref`` is the scan's per-run pass before family boxes: every
+rectangle of a run goes to the cube tree, and each scannable point gets its
+own distance pass; ``scan_density_bound`` must give the same rows with it.
+``separation_tallies_ref`` is the separation check drawing and testing the
+rectangles of every applicable pair; ``separation_check`` must count the
+same.
 ``overlap_area_ref`` is the pairwise rectangle overlap that the lemma test
 and the disjoint random cube families use, and ``cube``/``cubes`` give a
 model's cubes as ``Rectangle`` objects.  ``power_tail_bracket_ref``
@@ -45,6 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from densitometer import setmodel
 from densitometer.dilation import (
     Rectangle,
     RectUnion,
@@ -55,7 +62,14 @@ from densitometer.dilation import (
 from densitometer.errors import OutOfRange, OverlappingCubes, PackingInfeasible
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
 from densitometer.logdomain import LogBracket, log_add, log_sub, log_sum
-from densitometer.scan import PointSample, _substreams
+from densitometer.scan import (
+    PointSample,
+    _draw_rects,
+    _point_gaps,
+    _ratios,
+    _separation_hits,
+    _substreams,
+)
 
 
 def power_tail_bracket_ref(c: float, p: float, n: int) -> LogBracket:
@@ -465,6 +479,81 @@ def sample_points_ref(model, cover, config):
                     draws_here = draws + int(i) + 1
                     return PointSample(tuple(accepted), len(accepted) / draws_here, draws_here)
         draws += batch
+
+
+def scan_points_ref(model, config, plan):
+    """(min_ratio, violations, regime) of each point for each t, as the scan
+    measured them before family boxes: runs of points whose rectangles fill
+    one tree descent (``setmodel._CHUNK_RECTS``), every rectangle of a run
+    sent to the tree in one pass, and one ``_point_gaps`` pass per scannable
+    point, whose squared distances give its regimes."""
+    seeds = _substreams(config, 1, len(plan.points))
+    per_point = len(plan.t_sorted) * config.rects_per_point
+    run = max(1, setmodel._CHUNK_RECTS // per_point)
+    out = []
+    for start in range(0, len(plan.points), run):
+        ids = range(start, min(start + run, len(plan.points)))
+        rects = np.concatenate(
+            [
+                _draw_rects(
+                    np.random.Generator(np.random.PCG64(seeds[i])),
+                    plan.points[i],
+                    plan.t_sorted,
+                    config,
+                    model,
+                )
+                for i in ids
+            ]
+        )
+        ratios = _ratios(model, rects).reshape(len(ids), per_point)
+        for i, point_ratios in zip(ids, ratios):
+            scannable = plan.scannable[i]
+            d2 = None
+            if scannable and plan.cuts:
+                d2 = _point_gaps(model, plan.points[i], plan.cuts[-1])[1]
+            rows = []
+            for k, (t, prefix, branch) in enumerate(zip(plan.t_sorted, plan.prefixes, plan.branches)):
+                if not scannable:
+                    regime = "exceptional"
+                elif prefix is None:
+                    regime = "applicable"
+                elif prefix > model.trunc:
+                    regime = "deferred"
+                else:
+                    near = float(np.sqrt(d2[:prefix].min()))
+                    regime = "applicable" if t <= near else "deferred"
+                family = point_ratios[: (k + 1) * config.rects_per_point]
+                violations = int(np.count_nonzero(family < branch.floor))
+                rows.append((float(family.min()), violations, regime))
+            out.append(rows)
+    return out
+
+
+def separation_tallies_ref(model, config, plan):
+    """Per checkable t index: checked points, checked rectangles, violations
+    and deferred points, as the separation check counted them before it
+    skipped pairs whose box point +- t reaches no cube: every applicable
+    pair's rectangles drawn and tested, regimes from each point's squared
+    distances."""
+    seeds = _substreams(config, 2, len(plan.points))
+    rect_seeds = [s.spawn(len(plan.t_sorted)) for s in seeds]
+    tallies = {k: [0, 0, 0, 0] for k in plan.checkable}
+    for i, point in enumerate(plan.points):
+        if not (plan.scannable[i] and plan.cuts):
+            continue
+        gap, d2 = _point_gaps(model, point, plan.cuts[-1])
+        for k in plan.checkable:
+            prefix, tally, t = plan.prefixes[k], tallies[k], plan.t_sorted[k]
+            if t > float(np.sqrt(d2[:prefix].min())):
+                tally[3] += 1
+                continue
+            rng = np.random.Generator(np.random.PCG64(rect_seeds[i][k]))
+            rects = _draw_rects(rng, point, t, config, model)
+            hit = _separation_hits(model, point, rects, gap[:prefix])
+            tally[0] += 1
+            tally[1] += len(rects)
+            tally[2] += int(np.count_nonzero(hit))
+    return tallies
 
 
 # -- square dilation: per-interval objects ----------------------------------------

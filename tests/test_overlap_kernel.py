@@ -30,9 +30,11 @@ from densitometer.scan import (
     _draw_rects,
     _in_cubes,
     _point_gaps,
+    _prefix_d2,
     _ratios,
     _separation_hits,
     sample_points,
+    scan_density_bound,
 )
 from densitometer.setmodel import CompactSetModel, build_packing, density_ratio
 from densitometer.weights import WeightSequence
@@ -220,8 +222,8 @@ def _descent(model, rects):
 
 def test_scan_rects_match_density_ratio(canonical_model):
     """Rectangles drawn by the scan through points on cube edges and
-    corners share one tree descent; each row is still density_ratio and the
-    per-point kernel it replaced exactly.  Rows with whole nodes and boundary
+    corners, measured family box first as the scan measures them; each row
+    is still density_ratio and the per-point kernel it replaced exactly.  Rows with whole nodes and boundary
     pieces, with more than two pieces and no whole node (one fsum), and with
     one or two pieces (a plain sum) all occur."""
     config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=1, rects_per_point=200, seed=0)
@@ -230,7 +232,7 @@ def test_scan_rects_match_density_ratio(canonical_model):
     kinds = set()
     for point in points:
         rects = _draw_rects(rng, point, config.t_grid, config, canonical_model)
-        got = _ratios(canonical_model, rects)
+        got = _ratios(canonical_model, rects, config.rects_per_point)
         want = [density_ratio(canonical_model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
         assert got.tolist() == want
         assert oracles.point_ratios(canonical_model, point, rects).tolist() == want
@@ -354,6 +356,21 @@ def test_distance_matches_oracle(canonical_model):
         for upto in (1, 3, 26, 3124):
             got = float(np.sqrt(d2[:upto].min()))
             assert got == oracles.distance_to_cubes_ref(canonical_model, point, upto)
+
+
+@pytest.mark.parametrize("cuts", [(1, 3, 26, 3124), (26,), (1, 3)])
+def test_prefix_distances_match_point_passes(canonical_model, cuts):
+    """The scan's one kernel pass per run gives each point's squared
+    distance to every prefix of cuts, equal to the minimum over that prefix
+    of its own _point_gaps pass, whatever the rows per kernel block."""
+    rng = np.random.default_rng(12)
+    pts = np.concatenate([_edge_points(canonical_model, CUBES), rng.uniform(0.0, 1.0, (50, 2))])
+    got = _prefix_d2(canonical_model, pts, cuts)
+    assert got.shape == (len(pts), len(cuts))
+    for point, row in zip(pts.tolist(), got.tolist()):
+        d2 = _point_gaps(canonical_model, point, cuts[-1])[1]
+        assert row == [d2[:p].min() for p in cuts]
+        assert math.sqrt(row[0]) == oracles.distance_to_cubes_ref(canonical_model, point, cuts[0])
 
 
 def _tie_edges(p, e, u):
@@ -764,6 +781,26 @@ def test_ratio_memory_is_bounded_by_chunk(canonical_model):
     finally:
         tracemalloc.stop()
     assert peak < _CHUNK_PEAK, f"peak {peak / 2**20:.1f} MB"
+
+
+# A scan holds one run of drawn rectangles (_RUN_RECTS rows of 32 bytes, 1
+# MiB) while it measures the busy families of the run _GATHER_RECTS at a
+# time; a default scan of 100 points x 1,500 rectangles on the canonical
+# cubes peaks at about 3.1 MiB, sampling included.  4 MiB bounds it; the
+# scan's 150,000 rectangles alone, held at once, take 4.6 MiB.
+_SCAN_PEAK = 4 << 20
+
+
+def test_scan_memory_is_bounded_by_run(canonical_model, canonical_cover, canonical_ratefn):
+    config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=100, rects_per_point=500, seed=42)
+    assert _SCAN_PEAK < config.points * len(config.t_grid) * config.rects_per_point * 32
+    tracemalloc.start()
+    try:
+        scan_density_bound(canonical_model, canonical_cover, canonical_ratefn, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _SCAN_PEAK, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_sample_points_memory_is_bounded_by_block(canonical_model, canonical_cover):

@@ -366,6 +366,217 @@ def test_scan_csv_shape(small_report):
     assert first[8] in ("applicable", "deferred", "exceptional")
 
 
+# -- family boxes and undrawn separation pairs, against the passes they replaced --
+
+@pytest.fixture(scope="module")
+def packing_46k(canonical_seq):
+    model = build_packing(canonical_seq, 46_655, Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0))
+    return model, build_cover(model, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def layouts(canonical_model, canonical_cover, packing_46k, deposition_model, deposition_cover):
+    return {
+        "shelf-3124": (canonical_model, canonical_cover),
+        "shelf-46655": packing_46k,
+        "deposition": (deposition_model, deposition_cover),
+    }
+
+
+@pytest.mark.parametrize("layout", ["shelf-3124", "shelf-46655", "deposition"])
+def test_scan_matches_run_pass_before_family_boxes(layouts, layout, canonical_ratefn, monkeypatch):
+    """At three seeds per layout, the scan's report is the one that the
+    pass it replaced (every rectangle to the tree, one distance pass per
+    point) gives on the same sample, byte for byte.  24 points of 1,500
+    rectangles make one full run and one short one, and both kinds of
+    family (box meets a cube or not) occur."""
+    model, cover = layouts[layout]
+    minima = set()
+    for seed in (1, 2, 3):
+        config = small_config(points=24, rects_per_point=500, seed=seed)
+        report = scan_density_bound(model, cover, canonical_ratefn, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(scan, "_scan_points", oracles.scan_points_ref)
+            want = scan_density_bound(model, cover, canonical_ratefn, config, points=report.sample)
+        assert report.to_csv() == want.to_csv()
+        minima |= {r.min_ratio == 1.0 for r in report.rows}
+    assert minima == {True, False}
+
+
+@pytest.mark.parametrize("layout", ["shelf-3124", "shelf-46655", "deposition"])
+def test_separation_matches_check_drawing_every_pair(layouts, layout, canonical_ratefn):
+    """At three seeds per layout, the separation check's tallies are those of
+    drawing and testing every applicable pair's rectangles, although it
+    draws almost none of them."""
+    model, cover = layouts[layout]
+    for seed in (1, 2, 3):
+        config = small_config(points=24, rects_per_point=500, seed=seed)
+        plan = scan._scan_plan(model, cover, canonical_ratefn, config, None)
+        report = separation_check(model, cover, canonical_ratefn, config, points=plan.sample)
+        want = oracles.separation_tallies_ref(model, config, plan)
+        assert want
+        for k, tally in want.items():
+            row = report.rows[k]
+            got = [row.checked_points, row.checked_rects, row.violations, row.deferred_points]
+            assert got == tally, (seed, row.t)
+
+
+class _SeparatedFloor:
+    """Stand-in rate function: floor 0.5 at every t, separation index 2, so
+    at m = 1 rectangles must miss cubes 1..3."""
+
+    def branch_at(self, t):
+        return SimpleNamespace(floor=0.5, is_top=False, s_next=2)
+
+
+def test_separation_draws_only_pairs_whose_box_reaches_a_cube(monkeypatch):
+    """Cube 1 lies at Chebyshev gap 0.02 and distance 0.0283 from the point:
+    t = 0.05 is deferred, t = 0.025 applicable with cube 1 inside the box's
+    reach, so its rectangles are drawn and tested, and t = 0.01 applicable
+    with no cube in reach, so its rectangles are counted undrawn.  The
+    tallies are those of drawing every applicable pair."""
+    outer = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
+    sides = [_TINY.w(n) for n in (1, 2, 3)]
+    model = CompactSetModel(outer, _TINY, 3, [0.5, 0.1, 0.9], [0.5, 0.1, 0.9], sides)
+    config = small_config(t_grid=(0.05, 0.025, 0.01), points=1, rects_per_point=200, m=1, s_hi=1)
+    args = (model, ExceptionalCover.empty(), _SeparatedFloor(), config)
+    draws, draw = [], scan._draw_rects
+    monkeypatch.setattr(
+        scan, "_draw_rects", lambda rng, point, t, *rest: draws.append(t) or draw(rng, point, t, *rest)
+    )
+    report = separation_check(*args, points=[(0.53, 0.53)])
+    assert draws == [0.025]
+    rows = {r.t: (r.checked_points, r.checked_rects, r.violations, r.deferred_points) for r in report.rows}
+    assert rows == {0.01: (1, 200, 0, 0), 0.025: (1, 200, 0, 0), 0.05: (0, 0, 0, 1)}
+    plan = scan._scan_plan(*args, [(0.53, 0.53)])
+    want = oracles.separation_tallies_ref(model, config, plan)
+    assert {plan.t_sorted[k]: tuple(v) for k, v in want.items()} == rows
+
+
+@pytest.mark.parametrize(
+    "outer, point, t_grid, aspect_range",
+    [
+        ((0.0, 1.0, 0.0, 1.0), (0.3, 0.7), (0.25, 0.05, 0.01), (0.2, 5.0)),
+        ((0.0, 1.0, 0.0, 1.0), (0.5, 0.5), (0.3, 1e-9), (0.05, 20.0)),
+        ((1e6, 1e6 + 1.0, -3.0, -2.0), (1e6 + 0.5, -2.5), (1e-10, 3e-11, 1e-3), (0.05, 20.0)),
+        ((0.0, 1.0, 0.0, 1.0), (1e-3, 1.0 - 1e-3), (0.5,), (1.0, 1.0)),
+    ],
+)
+def test_drawn_rectangles_lie_in_the_box_point_plus_minus_t(outer, point, t_grid, aspect_range):
+    """Every drawn rectangle lies in [fl(p - t), fl(p + t)] on each axis, so
+    its reach from the point is at most that box's; this holds also where t
+    is a few ulps of the coordinates and at the extreme aspects."""
+    config = small_config(
+        t_grid=t_grid, points=1, rects_per_point=2000, aspect_range=aspect_range
+    )
+    model = SimpleNamespace(outer=Rectangle.from_bounds(*outer))
+    rng = np.random.Generator(np.random.PCG64(7))
+    rects = scan._draw_rects(rng, point, t_grid, config, model).reshape(len(t_grid), -1, 4)
+    px, py = point
+    for t, family in zip(t_grid, rects):
+        box = np.array([[px - t, px + t, py - t, py + t]])
+        assert (family[:, :2] >= box[0, 0]).all() and (family[:, :2] <= box[0, 1]).all()
+        assert (family[:, 2:] >= box[0, 2]).all() and (family[:, 2:] <= box[0, 3]).all()
+        assert scan._reach(point, family) <= scan._reach(point, box)
+
+
+def test_explicit_points_match_run_pass_before_family_boxes(
+    canonical_model, canonical_ratefn, monkeypatch
+):
+    """Applicable, deferred and exceptional explicit points (see
+    test_scan_and_separation_agree_on_explicit_points) get the rows of the
+    replaced pass."""
+    cover = build_cover(canonical_model, 4, 4)
+    points = [(0.9, 0.9), (0.77, 0.601), (0.5, 0.25)]
+    args = (canonical_model, cover, canonical_ratefn, small_config(points=3, m=4))
+    report = scan_density_bound(*args, points=points)
+    monkeypatch.setattr(scan, "_scan_points", oracles.scan_points_ref)
+    assert report.rows == scan_density_bound(*args, points=points).rows
+    assert {r.regime for r in report.rows} == {"applicable", "deferred", "exceptional"}
+
+
+_CUBE = 0.5  # the one cube of _one_cube_model is [0.5, 0.51]^2
+
+
+def _one_cube_model():
+    outer = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
+    return CompactSetModel(outer, _TINY, 1, [_CUBE], [_CUBE], [_TINY.w(1)])
+
+
+def _family_ratios(model, rects, family, monkeypatch):
+    """scan._ratios of the families, and the row count of each tree pass."""
+    passes = []
+    totals = CompactSetModel.total_overlaps
+
+    def recording(self, rects):
+        passes.append(len(rects))
+        return totals(self, rects)
+
+    monkeypatch.setattr(CompactSetModel, "total_overlaps", recording)
+    return scan._ratios(model, np.array(rects), family), passes
+
+
+@pytest.mark.parametrize(
+    "rects",
+    [
+        [[0.4, 0.5, 0.45, 0.5], [0.45, 0.5, 0.5, 0.55]],  # box on the cube's left edge
+        [[0.4, 0.45, 0.51, 0.6], [0.45, 0.5, 0.55, 0.6]],  # box on its top-left corner
+    ],
+)
+def test_family_box_touching_a_cube_is_skipped(rects, monkeypatch):
+    ratios, passes = _family_ratios(_one_cube_model(), rects, 2, monkeypatch)
+    assert passes == [1]
+    assert ratios.tolist() == [1.0, 1.0]
+
+
+def test_family_box_meeting_a_cube_is_kept(monkeypatch):
+    """The box [0.4, 0.6]^2 holds the cube; neither rectangle meets it."""
+    rects = [[0.4, 0.49, 0.4, 0.6], [0.4, 0.6, 0.52, 0.6]]
+    ratios, passes = _family_ratios(_one_cube_model(), rects, 2, monkeypatch)
+    assert passes == [1, 2]
+    assert ratios.tolist() == [1.0, 1.0]
+
+
+def test_one_ulp_sliver_is_kept(monkeypatch):
+    """A rectangle whose top-right corner lies one ulp inside the cube's
+    lower-left corner, an overlap of 2^-106, is kept with its family, whose
+    box overlaps the cube by that sliver alone, and both ratios are
+    density_ratio's; a second family far from the cube is skipped."""
+    model = _one_cube_model()
+    edge = math.nextafter(_CUBE, 1.0)
+    sliver = [0.4, edge, 0.4, edge]
+    rects = [sliver, [0.3, 0.4, 0.4, 0.45], [0.1, 0.2, 0.1, 0.2], [0.1, 0.3, 0.1, 0.3]]
+    ratios, passes = _family_ratios(model, rects, 2, monkeypatch)
+    assert passes == [2, 2]
+    want = [density_ratio(model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
+    assert ratios.tolist() == want
+    box = [0.3, edge, 0.4, edge]
+    assert model.total_overlaps(np.array([sliver, box])).tolist() == [2.0**-106] * 2
+
+
+def test_family_boxes_keep_nan_and_degenerate_rows():
+    """Rows with NaN coordinates or no width keep the bits of the pass
+    without family boxes, NaN ratios included, and a NaN row does not hide
+    its family's overlap."""
+    model = _one_cube_model()
+    nan = float("nan")
+    rects = np.array(
+        [
+            [0.45, 0.55, 0.45, 0.55],
+            [nan, 0.6, 0.4, 0.6],
+            [0.5, 0.5, 0.4, 0.6],
+            [0.45, 0.45, 0.4, 0.6],
+            [nan, nan, nan, nan],
+            [nan, nan, nan, nan],
+        ]
+    )
+    with np.errstate(invalid="ignore"):
+        got = scan._ratios(model, rects, 2)
+        want = scan._ratios(model, rects)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert got[0] < 1.0 and np.isnan(got[[1, 2, 3, 4]]).all()
+
+
 # -- separation ---------------------------------------------------------------------
 
 def test_separation_zero_violations(canonical_model, canonical_cover, canonical_ratefn):

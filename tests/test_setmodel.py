@@ -170,6 +170,25 @@ def test_set_up_makes_one_sequence_pass(canonical_seq, monkeypatch):
     assert logs == [46_655] and areas == [46_655]
 
 
+def test_set_up_sums_the_areas_once(canonical_seq, monkeypatch):
+    """build_packing's feasibility total is the model's removed_area: one
+    ``math.fsum`` of the area array per set-up, from either path."""
+    sums, fsum = [], math.fsum
+
+    def recording(values):
+        if isinstance(values, np.ndarray):
+            sums.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", recording)
+    model = build_packing(canonical_seq, 46_655, UNIT)
+    assert sums == [46_655]
+    sums.clear()
+    again = CompactSetModel.from_json(model.to_json())
+    assert sums == [46_655]
+    assert _bits(again.removed_area) == _bits(model.removed_area) == _bits(fsum(model.w2))
+
+
 def test_degenerate_cubes_are_rejected():
     """From cube 108 on, sides 2^-(n+2)/2 vanish against their float64
     corners: x + w == x or y + w == y.  build_packing and set.json both
