@@ -5,22 +5,31 @@ left-to-right order, by exactly ``gamma`` times its own length of previously
 unoccupied measure on each side, so the union of the enlarged family has
 measure exactly (2*gamma + 1) times the input measure.
 
-The 2-D operation sweeps the squares' y-endpoints and keeps the merged
-union of the active horizontal sections as one sorted list of x-boundaries:
-a square entering or leaving the sweep toggles its two x-endpoints (inserts
-a value that is absent, deletes one that is present).  The squares must be
+The 2-D operation sweeps the cells between consecutive distinct
+y-endpoints of the squares.  A square toggles its two x-endpoints at the
+cells where it starts and ends, and a value is present on a cell when an odd
+number of its toggles fall at or before that cell.  The squares must be
 pairwise disjoint, so the sections active on one y-cell are pairwise
-disjoint and every value ends at most two of them; it is a boundary of
-their merged union exactly when it ends one.  The list therefore is that
-union, and each distinct union is dilated once.  A second sweep over the
-dilated unions' x-endpoints toggles the y-bounds of the cells that enter or
-leave a column in the same way, and each distinct vertical union is dilated
-once.  The output is a finite disjoint rectangle union.  For N squares the
-cost is O(N log N) comparisons plus the total size of the distinct merged
-unions; no per-cell index set is ever built.
+disjoint and every value ends at most two of them; it is a boundary of their
+merged union exactly when it ends one.  A cell's present values therefore
+are that union, and each distinct union is dilated once.  A second sweep
+over the columns between the dilated unions' distinct x-endpoints toggles
+the y-bounds of the cells that enter or leave a column in the same way, and
+each distinct vertical union is dilated once.  The output is a finite
+disjoint rectangle union.
 
-Both sweeps run on floats and arrays, not on per-interval objects.  The
-squares come in as an (n, 4) array of rows [x0, x1, y0, y1].  Each sweep
+The sweeps are array passes (``_sweep_rows``).  Toggles of one value at one
+cell that cancel in pairs are dropped, and the rest pair up into ranges of
+cells over which the value is present.  Each cell's row length and Zobrist
+hash (the XOR of its values' 64-bit tokens) follow from the ranges by
+cumulative sums, so distinct rows are numbered in order of first appearance
+without building any row.  The rows are then expanded a slab of cells at a
+time, with one ``np.repeat`` over the ranges, and every row is compared
+value by value with the first row of its number; if two rows share a key
+but differ, the sweep is numbered again exactly.  For N squares the cost is
+O(N log N) plus the total size of the cells' merged unions.
+
+The squares come in as an (n, 4) array of rows [x0, x1, y0, y1].  Each sweep
 first collects its distinct unions and then dilates them together, in
 batches of at most ``_BATCH_MEMBERS`` members: ``_grow_batch`` grows member
 s of every union of a batch in one numpy step, with the float operations of
@@ -33,11 +42,9 @@ distinct vertical sections with their exact measures (see ``RectUnion``).
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -477,32 +484,209 @@ def find_overlap(
     return None
 
 
-def _toggle(bounds: list[float], values: Iterable[float]) -> None:
-    """Insert each value absent from the sorted list, delete each one present."""
-    for v in values:
-        i = bisect_left(bounds, v)
-        if i < len(bounds) and bounds[i] == v:
-            del bounds[i]
-        else:
-            bounds.insert(i, v)
+# -- the toggle sweeps ---------------------------------------------------------
+#
+# A sweep runs over cells: the y-cells between consecutive distinct y-ends,
+# then the columns between consecutive distinct dilated x-ends.  Boundary
+# values are toggled at the cells where they take effect, and a value is
+# present on a cell when an odd number of its toggles fall at or before it.
+# A cell's row is its present values in order; the sweep numbers the
+# distinct nonempty rows.
+
+# Presence values that ``_slabs`` expands at once (a cell whose row alone
+# holds more forms a slab of its own), so a sweep's working arrays stay a few
+# hundred kB whatever the family's size.
+_SLAB_VALUES = 1 << 14
 
 
-def _grow_sweep(keys: list[tuple[float, ...]], gamma: float) -> tuple[np.ndarray, ...]:
-    """Dilate every union of a sweep, each given as its boundary tuple (lo,
-    hi, lo, hi, ...), in batches of consecutive unions holding at most
-    ``_BATCH_MEMBERS`` members.  Returns ``_grow_batch``'s block counts and
-    ends, in key order.  Each batch's keys are released from ``keys`` as
-    soon as they are flattened."""
-    counts = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys)) // 2
+def _expand(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i] .. starts[i] + sizes[i] - 1."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(int(sizes.sum()))
+
+
+def _presence(cells: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ranges over which each toggled value is present, as arrays
+    (value, on, off) sorted by value and then by cell: the value is present
+    on the cells on <= c < off.
+
+    Toggles of one value at one cell cancel in pairs, so a (value, cell)
+    group toggles anything only when its count is odd.  Up to four toggles
+    meet there: three when two squares leave and one enters at a shared
+    x-end.  Every value is toggled an even number of times in all (a square
+    or a dilated block toggles its ends where it starts and again where it
+    ends), so the surviving toggles of each value alternate on, off from an
+    even index of the whole sorted list."""
+    order = np.lexsort((cells, values))
+    cells, values = cells[order], values[order]
+    del order
+    head = np.ones(cells.size + 1, dtype=bool)
+    head[1:-1] = (cells[1:] != cells[:-1]) | (values[1:] != values[:-1])
+    start = np.flatnonzero(head)
+    odd = start[:-1][np.diff(start) % 2 == 1]
+    cells, values = cells[odd], values[odd]
+    return values[0::2], cells[0::2], cells[1::2]
+
+
+def _tokens(values: np.ndarray) -> np.ndarray:
+    """A pseudo-random 64-bit token per value: the splitmix64 finaliser of
+    its bits, with -0.0 read as 0.0.  A row's hash is the XOR of its values'
+    tokens (Zobrist 1970)."""
+    z = (values + 0.0).view(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _row_keys(
+    v: np.ndarray, on: np.ndarray, off: np.ndarray, n_cells: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The length and the hash of every cell's row, from the ranges alone:
+    each changes at a cell by the values that turn on or off there."""
+    length = np.bincount(on, minlength=n_cells + 1) - np.bincount(off, minlength=n_cells + 1)
+    flip = np.zeros(n_cells + 1, dtype=np.uint64)
+    tokens = _tokens(v)
+    np.bitwise_xor.at(flip, on, tokens)
+    np.bitwise_xor.at(flip, off, tokens)
+    return np.cumsum(length[:n_cells]), np.bitwise_xor.accumulate(flip[:n_cells])
+
+
+def _first_appearance(length: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the nonempty rows by their (hash, length) key in order of
+    first appearance.  Returns every cell's number (-1 where its row is
+    empty) and the first cell of every number."""
+    live = np.flatnonzero(length)
+    order = np.lexsort((length[live], hashes[live]))  # stable: equal keys stay in cell order
+    h, n = hashes[live][order], length[live][order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (h[1:] != h[:-1]) | (n[1:] != n[:-1])
+    first = live[order[new]]
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    num = np.full(length.size, -1, dtype=np.intp)
+    num[live[order]] = rank[np.cumsum(new) - 1]
+    return num, np.sort(first)
+
+
+def _slabs(v: np.ndarray, on: np.ndarray, off: np.ndarray, length: np.ndarray):
+    """Every cell's row, one slab of consecutive cells at a time: yields the
+    slab's first cell and end cell, the offsets of its rows within the slab
+    and their values, each row sorted.  A slab holds at most
+    ``_SLAB_VALUES`` values unless its one cell holds more.
+
+    The ranges are expanded in order of their first cell, and those still
+    present at a slab's end carry into the next, so each slab expands only
+    its own cells: one ``np.repeat`` over the ranges, never over squares."""
+    rank = np.cumsum(v[1:] != v[:-1])  # v is sorted
+    rank = np.concatenate(([0], rank))
+    by_on = np.argsort(on, kind="stable")
+    v, on, off, rank = v[by_on], on[by_on], off[by_on], rank[by_on]
+    span = int(rank.max()) + 1 if rank.size else 1
+    total = np.cumsum(length)
+    carry = np.zeros(0, dtype=np.intp)
+    c0 = i0 = 0
+    while c0 < length.size:
+        done = int(total[c0 - 1]) if c0 else 0
+        c1 = max(int(np.searchsorted(total, done + _SLAB_VALUES, "right")), c0 + 1)
+        i1 = int(np.searchsorted(on, c1))
+        act = np.concatenate((carry, np.arange(i0, i1)))
+        lo = np.maximum(on[act], c0)
+        size = np.minimum(off[act], c1) - lo
+        key = (_expand(lo, size) - c0) * span + np.repeat(rank[act], size)
+        vals = np.repeat(v[act], size)[np.argsort(key)]
+        yield c0, c1, np.concatenate(([0], np.cumsum(length[c0:c1]))), vals
+        carry = act[off[act] > c1]
+        c0, i0 = c1, i1
+
+
+class _Collision(Exception):
+    """Two different rows share a (hash, length) key."""
+
+
+def _hashed_rows(
+    v: np.ndarray, on: np.ndarray, off: np.ndarray, length: np.ndarray, hashes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_sweep_rows`` numbered by (hash, length) key, each row checked
+    value by value against the first row of its number; _Collision when
+    one differs."""
+    num, first = _first_appearance(length, hashes)
+    row_off = np.concatenate(([0], np.cumsum(length[first])))
+    rows = np.empty(int(row_off[-1]))
+    for c0, c1, slab_off, vals in _slabs(v, on, off, length):
+        k, n = num[c0:c1], length[c0:c1]
+        is_first = k >= 0
+        is_first[is_first] = first[k[is_first]] == np.arange(c0, c1)[is_first]
+        mine = np.repeat(is_first, n)
+        new = k[is_first]
+        if new.size:  # their numbers are consecutive, in cell order
+            rows[row_off[new[0]] : row_off[new[-1] + 1]] = vals[mine]
+        seen = np.flatnonzero(~mine)
+        if seen.size:
+            again = ~is_first & (n > 0)
+            shift = np.repeat(row_off[k[again]] - slab_off[:-1][again], n[again])
+            if not np.array_equal(vals[seen], rows[seen + shift]):
+                raise _Collision
+    return num, row_off, rows
+
+
+def _exact_rows(
+    v: np.ndarray, on: np.ndarray, off: np.ndarray, length: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_sweep_rows`` numbered through a dict of row tuples, for when two
+    different rows share a key."""
+    num = np.full(length.size, -1, dtype=np.intp)
+    numbers: dict[tuple[float, ...], int] = {}
+    rows = []
+    for c0, _, slab_off, vals in _slabs(v, on, off, length):
+        bounds, flat = slab_off.tolist(), vals.tolist()
+        for c, (a, b) in enumerate(zip(bounds, bounds[1:]), c0):
+            if a < b:
+                num[c] = k = numbers.setdefault(tuple(flat[a:b]), len(numbers))
+                if k == len(rows):
+                    rows.append(vals[a:b])
+    row_off = np.concatenate(([0], np.cumsum([r.size for r in rows], dtype=np.intp)))
+    return num, row_off, np.concatenate(rows) if rows else np.zeros(0)
+
+
+def _sweep_rows(
+    cells: np.ndarray, values: np.ndarray, n_cells: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One toggle sweep: ``values[i]`` toggles at cell ``cells[i]`` (a cell
+    index of ``n_cells`` ends a value after the last cell).  Returns every
+    cell's row number (-1 where the row is empty), numbered in order of first
+    appearance, and the distinct rows in that order as CSR: row r is
+    ``rows[row_off[r]:row_off[r + 1]]``.
+
+    Rows are numbered by key, the XOR hash of their values' tokens plus
+    their length, both read off the toggles without expanding a row; the
+    rows are then expanded a slab at a time and compared with the first row
+    of their number value by value.  If two rows share a key but differ,
+    they are numbered again exactly, through a dict of row tuples."""
+    v, on, off = _presence(cells, values)
+    del cells, values
+    length, hashes = _row_keys(v, on, off, n_cells)
+    try:
+        return _hashed_rows(v, on, off, length, hashes)
+    except _Collision:
+        return _exact_rows(v, on, off, length)
+
+
+def _grow_sweep(
+    off: np.ndarray, bounds: np.ndarray, gamma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dilate every union of a sweep, union i given by its sorted boundary
+    values ``bounds[off[i]:off[i + 1]]`` (lo, hi, lo, hi, ...), in batches
+    of consecutive unions holding at most ``_BATCH_MEMBERS`` members.
+    Returns ``_grow_batch``'s block counts and ends, in union order."""
+    counts = np.diff(off) // 2
     ends = np.cumsum(counts)
     parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
     a = 0
-    while a < len(keys):
+    while a < counts.size:
         lo = int(ends[a] - counts[a])
         b = max(int(np.searchsorted(ends, lo + _BATCH_MEMBERS, "right")), a + 1)
-        size = 2 * (int(ends[b - 1]) - lo)
-        flat = np.fromiter(chain.from_iterable(keys[a:b]), dtype=np.float64, count=size)
-        keys[a:b] = [None] * (b - a)
+        flat = bounds[off[a] : off[b]]
         parts.append(_grow_batch(counts[a:b], flat[0::2], flat[1::2], gamma)[:3])
         a = b
     return tuple(np.concatenate(p) for p in zip(*parts))
@@ -545,21 +729,24 @@ def dilate_2d(
     ``cubes`` is an (n, 4) array-like of rows [x0, x1, y0, y1], the row
     layout of ``CompactSetModel.overlaps`` (see ``cube_rows``).  Steps:
     (1) reject overlapping inputs, the precondition of both toggle sweeps;
-    (2) sweep the y-endpoints, toggling the x-endpoints of each square that
-    enters or leaves, so the sorted boundary list is the merged union of the
-    x-sections on every y-cell, and group the cells by that union; (3)
-    dilate each distinct x-union once; (4) sweep the x-endpoints of those
-    dilations, toggling the y-bounds of each group's cells where the group's
-    dilation starts or ends, so the boundary list is the merged vertical
-    union of every column, and number the distinct ones as they appear;
-    (5) dilate the distinct vertical unions into the section pool.  Steps 3
-    and 5 each hand all their unions to ``_grow_sweep`` at once.
+    (2) sweep the y-cells between consecutive distinct y-ends: each square
+    toggles its x-ends at the cells of its y0 and y1, so a cell's present
+    x-values are the merged union of its x-sections, and the distinct
+    x-unions are numbered, each with its y-runs, the maximal stretches of
+    consecutive cells that carry its number; (3) dilate each distinct
+    x-union once; (4) sweep the columns between consecutive distinct ends of
+    those dilations: each dilated block toggles its x-union's run ends at
+    the columns where it starts and ends, so a column's present y-values are
+    its merged vertical union, and the distinct ones are numbered in column
+    order; (5) dilate the distinct vertical unions into the section pool.
+    Both sweeps are ``_sweep_rows``, and steps 3 and 5 each hand all their
+    unions to ``_grow_sweep`` at once.
 
     The result is deterministic, pairwise disjoint, and its measure equals
     (2*gamma + 1)**2 times the total input area up to float rounding.
     Rectangular (non-square) inputs are accepted; the identity holds for
-    squares.  For N squares the cost is O(N log N) comparisons plus the
-    total size of the distinct merged unions.
+    squares.  For N squares the cost is O(N log N) plus the total size of
+    the cells' merged unions, expanded a slab at a time.
     """
     gamma = _check_gamma(gamma, allow_gamma_one)
     rows = cube_rows(cubes)
@@ -569,63 +756,47 @@ def dilate_2d(
     if hit is not None:
         raise OverlappingCubes(f"cubes {hit[0]} and {hit[1]} overlap")
 
-    # 2. y-sweep; each x-union maps to the y-bounds of its cells, touching cells merged
-    y_events: dict[float, list[float]] = {}
-    for x0, x1, y0, y1 in rows.tolist():
-        y_events.setdefault(y0, []).extend((x0, x1))
-        y_events.setdefault(y1, []).extend((x0, x1))
-    x_bounds: list[float] = []
-    groups: dict[tuple[float, ...], list[float]] = {}
-    ys = sorted(y_events)
-    for y1, y2 in zip(ys, ys[1:]):
-        _toggle(x_bounds, y_events[y1])
-        if not x_bounds:
-            continue
-        runs = groups.setdefault(tuple(x_bounds), [])
-        if runs and runs[-1] == y1:
-            runs[-1] = y2
-        else:
-            runs += (y1, y2)
-    del y_events, ys, x_bounds
+    # 2. y-sweep: each square toggles x0 and x1 at the cells of y0 and y1
+    x0, x1, y0, y1 = rows.T
+    ys, at = np.unique(np.concatenate((y0, y1)), return_inverse=True)
+    num, off, bounds = _sweep_rows(
+        np.concatenate((at, at)), np.concatenate((x0, x0, x1, x1)), ys.size - 1
+    )
+    del at
+    # the y-runs of x-union u: the maximal stretches of consecutive cells numbered u
+    live = num >= 0
+    starts = np.flatnonzero(live & (num != np.concatenate(([-1], num[:-1]))))
+    stops = np.flatnonzero(live & (num != np.concatenate((num[1:], [-1])))) + 1
+    owner = num[starts]
+    order = np.argsort(owner, kind="stable")
+    run_ends = np.column_stack((ys[starts], ys[stops]))[order].ravel()
+    n_runs = np.bincount(owner, minlength=off.size - 1)
+    del num, live, starts, stops, owner, order
 
-    # 3. horizontal dilation of the distinct x-unions.  The column sweep
-    # reads only their runs, at the distinct ends xs of their dilations:
-    # owner[a:b], between consecutive cuts a and b, lists the unions whose
-    # dilation starts or ends at one of them
-    keys, runs_of = list(groups), list(groups.values())
-    del groups
-    counts, los, his = _grow_sweep(keys, gamma)
-    owner = np.repeat(np.arange(len(runs_of)), counts)
-    ends = np.concatenate((los, his))
-    order = np.argsort(ends, kind="stable")
-    ends = ends[order]
-    owner = np.concatenate((owner, owner))[order].tolist()
-    cut = np.flatnonzero(np.diff(ends)) + 1
-    xs = ends[np.concatenate(([0], cut))]
-    cut = cut.tolist()
-    del los, his, order, ends
+    # 3. horizontal dilation of the distinct x-unions
+    counts, los, his = _grow_sweep(off, bounds, gamma)
+    del off, bounds
 
-    # 4. column sweep over the cells between consecutive ends, numbering the
-    # distinct vertical unions; a cell whose union is empty is no column
-    y_bounds: list[float] = []
-    sections: dict[tuple[float, ...], int] = {}
-    is_col = bytearray(len(cut))
-    col_sec = array("q")
-    for c, (a, b) in enumerate(zip([0] + cut, cut)):
-        for u in owner[a:b]:
-            _toggle(y_bounds, runs_of[u])
-        if y_bounds:
-            is_col[c] = 1
-            col_sec.append(sections.setdefault(tuple(y_bounds), len(sections)))
-    del runs_of, owner, cut
-    is_col = np.frombuffer(is_col, dtype=bool)
-    x_lo, x_hi = xs[:-1][is_col], xs[1:][is_col]
-    col_sec = np.frombuffer(col_sec, dtype=np.int64).astype(np.intp)
+    # 4. column sweep: each dilated block of x-union u toggles u's run ends
+    # at the columns where it starts and ends; a column whose union is empty
+    # is no column
+    xs, at = np.unique(np.concatenate((los, his)), return_inverse=True)
+    owner = np.repeat(np.arange(counts.size), counts)
+    owner = np.concatenate((owner, owner))
+    size = 2 * n_runs[owner]
+    first = 2 * (np.cumsum(n_runs) - n_runs)[owner]
+    del los, his, owner, counts, n_runs
+    num, sec_off, bounds = _sweep_rows(
+        np.repeat(at, size), run_ends[_expand(first, size)], xs.size - 1
+    )
+    del at, size, first, run_ends
+    is_col = num >= 0
+    x_lo, x_hi, col_sec = xs[:-1][is_col], xs[1:][is_col], num[is_col]
+    del num, is_col
 
     # 5. vertical dilation of the distinct sections, in numbering order
-    keys = list(sections)
-    del sections
-    counts, y_lo, y_hi = _grow_sweep(keys, gamma)
+    counts, y_lo, y_hi = _grow_sweep(sec_off, bounds, gamma)
+    del bounds
     sec_off = np.concatenate(([0], np.cumsum(counts)))
     sec_measure = _section_measures(sec_off, y_hi - y_lo)
     return RectUnion(

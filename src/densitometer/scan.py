@@ -129,6 +129,15 @@ def _substreams(config: ScanConfig, lane: int, count: int) -> list[np.random.See
     return lanes[lane].spawn(count) if count else [lanes[lane]]
 
 
+def _child(seed: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
+    """Child k of ``seed``: for a sequence that has spawned no children yet,
+    the one ``seed.spawn(n)[k]`` would give for any n > k, built alone, so
+    that only the children drawn from are built."""
+    return np.random.SeedSequence(
+        seed.entropy, spawn_key=(*seed.spawn_key, k), pool_size=seed.pool_size
+    )
+
+
 def _strictly_inside(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
     """Which of the (n, 2) points lie strictly inside the outer box (NaN
     coordinates do not)."""
@@ -642,7 +651,6 @@ def separation_check(
     drawing them: none of them can reach a cube either."""
     plan = _scan_plan(model, cover, ratefn, config, points)
     seeds = _substreams(config, 2, len(plan.points))
-    rect_seeds = [s.spawn(len(plan.t_sorted)) for s in seeds]
     # per checkable t: checked points, checked rectangles, violations, deferred points
     tallies = {k: [0, 0, 0, 0] for k in plan.checkable}
     for i, point in enumerate(plan.points):
@@ -663,7 +671,7 @@ def separation_check(
             # when no cube is within the box's reach none is hit, or drawn
             if gap[:prefix].min() > _reach(point, np.array([[px - t, px + t, py - t, py + t]])):
                 continue
-            rng = np.random.Generator(np.random.PCG64(rect_seeds[i][k]))
+            rng = np.random.Generator(np.random.PCG64(_child(seeds[i], k)))
             rects = _draw_rects(rng, point, t, config, model)
             tally[2] += int(np.count_nonzero(_separation_hits(model, point, rects, gap[:prefix])))
     # a t without a checkable prefix defers every scannable point

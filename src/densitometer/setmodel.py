@@ -725,10 +725,17 @@ class ExceptionalCover:
         """Location code of each point (x[i], y[i]) in the closed cover: the
         largest of the blocks' ``RectUnion.classify`` codes, so 2 where a
         block holds the point inside, else 1 where one has it on its
-        boundary, else 0."""
-        code = np.zeros(len(x), dtype=np.int8)
+        boundary, else 0.  A point inside one block keeps code 2, so each
+        block after the first classifies only the points still below 2."""
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        code = np.zeros(x.shape, dtype=np.int8)
+        open_ = slice(None)
         for b in self.blocks:
-            np.maximum(code, b.union.classify(x, y), out=code)
+            code[open_] = np.maximum(code[open_], b.union.classify(x[open_], y[open_]))
+            open_ = np.flatnonzero(code < 2)
+            if not open_.size:
+                break
         return code
 
     def locate(self, point: tuple[float, float]) -> Location:

@@ -18,6 +18,9 @@ layout replaced; ``grow_ref`` is their growth loop, a sorted occupied set
 searched by bisection for every arm, and ``_grow`` the one-union loop that
 followed it, before the batched lockstep grower.  Columns, rectangle counts
 and measures must be equal, and both growth loops' output equal bit for bit.
+``dilate_2d_toggles`` is ``dilate_2d`` with the sweeps over Python lists and
+dicts that its array sweeps replaced; all seven ``RectUnion`` arrays must be
+equal byte for byte.
 ``sample_points_ref`` is the sampler with one cover lookup per drawn point,
 which the batch cover test replaced, and the dense ``in_cubes_ref`` in place
 of the indexed cube test, and ``is_exceptional_ref`` the
@@ -44,6 +47,7 @@ their messages must be equal, floats bit for bit.
 
 import functools
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +60,9 @@ from densitometer.dilation import (
     Rectangle,
     RectUnion,
     _check_gamma,
-    _toggle,
+    _grow_batch,
+    _section_measures,
+    cube_rows,
     find_overlap,
 )
 from densitometer.errors import OutOfRange, OverlappingCubes, PackingInfeasible
@@ -781,6 +787,86 @@ def _grown_set(los, his, gamma) -> DisjointIntervalSet:
     interval set that ``dilate_1d`` would return."""
     los, his, _, _ = grow_ref(los, his, gamma)
     return DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(los, his))
+
+
+def _toggle(bounds: list[float], values: Iterable[float]) -> None:
+    """Insert each value absent from the sorted list, delete each one present."""
+    for v in values:
+        i = bisect_left(bounds, v)
+        if i < len(bounds) and bounds[i] == v:
+            del bounds[i]
+        else:
+            bounds.insert(i, v)
+
+
+def _grow_keys(keys: list[tuple[float, ...]], gamma: float) -> tuple[np.ndarray, ...]:
+    """``_grow_batch`` of every union given as its boundary tuple (lo, hi,
+    lo, hi, ...), all in one batch."""
+    counts = np.array([len(k) // 2 for k in keys], dtype=np.intp)
+    flat = np.array([v for k in keys for v in k], dtype=np.float64)
+    return _grow_batch(counts, flat[0::2], flat[1::2], gamma)[:3]
+
+
+def dilate_2d_toggles(cubes, gamma: float, *, allow_gamma_one: bool = False) -> RectUnion:
+    """The toggle sweeps of ``dilate_2d`` over Python lists that its array
+    sweeps replaced: one sorted boundary list per sweep, toggled value by
+    value (``_toggle``), and a dict from each distinct union's tuple to its
+    y-runs or its section number.  The seven ``RectUnion`` arrays must be
+    equal byte for byte."""
+    gamma = _check_gamma(gamma, allow_gamma_one)
+    rows = cube_rows(cubes)
+    if not len(rows):
+        return RectUnion.empty()
+    hit = find_overlap(*rows.T)
+    if hit is not None:
+        raise OverlappingCubes(f"cubes {hit[0]} and {hit[1]} overlap")
+
+    y_events: dict[float, list[float]] = {}
+    for x0, x1, y0, y1 in rows.tolist():
+        y_events.setdefault(y0, []).extend((x0, x1))
+        y_events.setdefault(y1, []).extend((x0, x1))
+    x_bounds: list[float] = []
+    groups: dict[tuple[float, ...], list[float]] = {}
+    ys = sorted(y_events)
+    for y1, y2 in zip(ys, ys[1:]):
+        _toggle(x_bounds, y_events[y1])
+        if not x_bounds:
+            continue
+        runs = groups.setdefault(tuple(x_bounds), [])
+        if runs and runs[-1] == y1:
+            runs[-1] = y2
+        else:
+            runs += (y1, y2)
+
+    runs_of = list(groups.values())
+    counts, los, his = _grow_keys(list(groups), gamma)
+    owner = np.repeat(np.arange(len(runs_of)), counts)
+    ends = np.concatenate((los, his))
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    owner = np.concatenate((owner, owner))[order].tolist()
+    cut = np.flatnonzero(np.diff(ends)) + 1
+    xs = ends[np.concatenate(([0], cut))]
+    cut = cut.tolist()
+
+    y_bounds: list[float] = []
+    sections: dict[tuple[float, ...], int] = {}
+    is_col = bytearray(len(cut))
+    col_sec = array("q")
+    for c, (a, b) in enumerate(zip([0] + cut, cut)):
+        for u in owner[a:b]:
+            _toggle(y_bounds, runs_of[u])
+        if y_bounds:
+            is_col[c] = 1
+            col_sec.append(sections.setdefault(tuple(y_bounds), len(sections)))
+    is_col = np.frombuffer(is_col, dtype=bool)
+    col_sec = np.frombuffer(col_sec, dtype=np.int64).astype(np.intp)
+
+    counts, y_lo, y_hi = _grow_keys(list(sections), gamma)
+    sec_off = np.concatenate(([0], np.cumsum(counts)))
+    sec_measure = _section_measures(sec_off, y_hi - y_lo)
+    x_lo, x_hi = xs[:-1][is_col], xs[1:][is_col]
+    return RectUnion(x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure, gamma=gamma)
 
 
 def dilate_2d_objects(

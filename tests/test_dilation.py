@@ -6,7 +6,8 @@ arithmetic route, not against itself.  The batched lockstep grower is
 checked bit for bit against the one-union loop it replaced and the
 bisecting loop before that, and the 2D toggle sweeps over flat arrays
 column for column against the object-based sweeps and the label-based
-construction they replaced.
+construction they replaced, and byte for byte against the sweeps over
+Python lists and dicts that the array sweeps replaced.
 """
 
 import hashlib
@@ -33,6 +34,7 @@ from oracles import (
     dilate_1d_exact,
     dilate_2d_labels,
     dilate_2d_objects,
+    dilate_2d_toggles,
     grow_ref,
     measure_exact,
     overlap_area_ref,
@@ -241,6 +243,14 @@ def _assert_unions_match_references(unions, gamma, n_out, out_lo, out_hi, lefts=
                 assert _bits(a[u]) == _bits(b), (reference.__name__, u, name)
 
 
+def _csr(unions):
+    """Unions of (los, his) lists as ``_grow_sweep``'s offsets and
+    interleaved boundary values."""
+    counts, los, his = _flat(unions)
+    bounds = np.column_stack((los, his)).ravel()
+    return np.concatenate(([0], np.cumsum(2 * np.asarray(counts, dtype=np.intp)))), bounds
+
+
 def _drawn_union(drawn, scale, gamma):
     """Gaps of zero make touching members, and gaps counted in units of
     gamma make arms that end exactly on a neighbouring block's end; scales
@@ -294,12 +304,10 @@ def test_grow_sweep_batches_match_reference(drawn, scale, gamma, limit):
         batches.append(list(counts))
         return grow_batch(counts, los, his, gamma)
 
-    keys = [tuple(np.column_stack(union).ravel().tolist()) for union in unions]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dilation, "_BATCH_MEMBERS", limit)
         patch.setattr(dilation, "_grow_batch", recording)
-        out = dilation._grow_sweep(keys, gamma)
-    assert keys == [None] * len(unions)
+        out = dilation._grow_sweep(*_csr(unions), gamma)
     _assert_unions_match_references(unions, gamma, *out)
     assert [c for batch in batches for c in batch] == counts
     for batch in batches:
@@ -317,9 +325,11 @@ def test_empty_unions():
     out = dilation._grow_batch(*_flat(unions), 2.0)
     assert out[0].tolist() == [1, 0, 1, 0]
     _assert_unions_match_references(unions, 2.0, *out)
-    n_out, out_lo, out_hi = dilation._grow_sweep([(), (0.0, 1.0, 2.0, 3.0), ()], 2.0)
+    csr = np.array([0, 0, 4, 4]), np.array([0.0, 1.0, 2.0, 3.0])
+    n_out, out_lo, out_hi = dilation._grow_sweep(*csr, 2.0)
     assert n_out.tolist() == [0, 1, 0] and (out_lo.tolist(), out_hi.tolist()) == ([-4.0], [6.0])
-    assert [a.size for a in dilation._grow_sweep([], 2.0)] == [0, 0, 0]
+    empty = dilation._grow_sweep(np.zeros(1, dtype=np.intp), np.zeros(0), 2.0)
+    assert [a.size for a in empty] == [0, 0, 0]
 
 
 def test_grow_near_the_float_range():
@@ -350,9 +360,9 @@ def _recording_batches(monkeypatch):
     sweeps = []
     grow_sweep, grow_batch = dilation._grow_sweep, dilation._grow_batch
 
-    def sweep(keys, gamma):
-        sweeps.append((sum(map(len, keys)) // 2, len(keys), []))
-        return grow_sweep(keys, gamma)
+    def sweep(off, bounds, gamma):
+        sweeps.append((int(off[-1]) // 2, off.size - 1, []))
+        return grow_sweep(off, bounds, gamma)
 
     def batch(counts, los, his, gamma):
         sweeps[-1][2].append(len(counts))
@@ -409,13 +419,12 @@ def test_grow_sweep_memory_is_bounded_by_batch():
     members, per_union = 8 * dilation._BATCH_MEMBERS, 16
     gaps = np.random.default_rng(4).integers(0, 2, members)
     los = np.cumsum(gaps + 1.0) - 1.0
-    flat = np.column_stack((los, los + 1.0)).ravel().tolist()
-    keys = [tuple(flat[i : i + 2 * per_union]) for i in range(0, len(flat), 2 * per_union)]
-    del flat
+    bounds = np.column_stack((los, los + 1.0)).ravel()
+    off = np.arange(0, bounds.size + 1, 2 * per_union)
     assert _GROW_PEAK_BOUND < members * 8 * 4
     tracemalloc.start()
     try:
-        n_out, _, _ = dilation._grow_sweep(keys, 8.0)
+        n_out, _, _ = dilation._grow_sweep(off, bounds, 8.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -549,6 +558,93 @@ def test_random_square_families_match_label_oracle(drawn, gamma):
     _assert_matches_oracles(disjoint, gamma)
 
 
+# -- array sweeps against the list toggle sweeps they replaced -------------------
+
+def _assert_matches_toggles(rows, gamma, allow_gamma_one=False):
+    """The seven ``RectUnion`` arrays, dtype and bytes, against the toggle
+    oracle."""
+    got = dilate_2d(rows, gamma, allow_gamma_one=allow_gamma_one)
+    want = dilate_2d_toggles(rows, gamma, allow_gamma_one=allow_gamma_one)
+    for a, b in zip(_union_arrays(got), _union_arrays(want)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["canonical", "deposition"])
+@pytest.mark.parametrize("s", [3, 4])
+def test_sweeps_match_toggle_oracle(canonical_model, deposition_model, layout, s):
+    model = {"canonical": canonical_model, "deposition": deposition_model}[layout]
+    _assert_matches_toggles(_rows(_block(model, s)), 2.0**s)
+
+
+_TOGGLE_CASES = [
+    # two squares leave and one enters at the shared x-end 1: three toggles
+    # of 1 at the cell of y = 1, so 1 is a boundary above it
+    [(0, 1, 0, 1), (1, 2, 0, 1), (1, 3, 1, 2)],
+    # two leave and two enter there: four toggles, 1 stays merged away
+    [(0, 1, 0, 1), (1, 2, 0, 1), (0, 1, 1, 2), (1, 2, 1, 2)],
+    # stacked squares with equal x-ends: no toggle survives at y = 1
+    [(0, 1, 0, 1), (0, 1, 1, 2), (3, 4, 0.5, 1.5)],
+    # one row on many y-cells, left again and entered again (A B A)
+    [(0, 4, 0, 4), (5, 6, 1, 2), (5, 6, 3, 3.5), (7, 8, 1.5, 2.5)],
+]
+
+
+@pytest.mark.parametrize("bounds", _TOGGLE_CASES)
+@pytest.mark.parametrize("slab", [1, 3, dilation._SLAB_VALUES])
+def test_toggle_hand_cases_match_oracle(bounds, slab, monkeypatch):
+    """Hand cases, with slabs of one cell up to the default: a slab of one
+    value holds one cell, so every row is checked against rows of earlier
+    slabs."""
+    monkeypatch.setattr(dilation, "_SLAB_VALUES", slab)
+    for gamma in (1.0, 2.0, 8.0):
+        _assert_matches_toggles(bounds, gamma, allow_gamma_one=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(squares, st.sampled_from([1.5, 2.0, 8.0]), st.sampled_from([1, 4, 1 << 14]))
+def test_random_square_families_match_toggle_oracle(drawn, gamma, slab):
+    """Integer corners make touching edges and corners, shared x-ends and
+    shared y-ends common."""
+    disjoint = []
+    for x, y, w in drawn:
+        c = Rectangle.from_bounds(x, x + w, y, y + w)
+        if all(overlap_area_ref(c, d) == 0.0 for d in disjoint):
+            disjoint.append(c)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dilation, "_SLAB_VALUES", slab)
+        _assert_matches_toggles(_rows(disjoint), gamma)
+
+
+@pytest.mark.parametrize("slab", [64, dilation._SLAB_VALUES])
+def test_colliding_keys_fall_back_to_exact_numbering(deposition_model, slab, monkeypatch):
+    """Negative control: with every token 0, all rows of one length share a
+    key.  The value check finds rows that differ under one key in both
+    sweeps, and the exact numbering still gives the oracle's arrays."""
+    rows = _rows(_block(deposition_model, 3))
+    exact, exact_rows = [], dilation._exact_rows
+
+    def recording(*args):
+        exact.append(1)
+        return exact_rows(*args)
+
+    monkeypatch.setattr(dilation, "_SLAB_VALUES", slab)
+    monkeypatch.setattr(dilation, "_tokens", lambda v: np.zeros(v.size, dtype=np.uint64))
+    monkeypatch.setattr(dilation, "_exact_rows", recording)
+    _assert_matches_toggles(rows, 8.0)
+    assert len(exact) == 2
+
+
+def test_presence_keeps_odd_toggle_groups():
+    """Three toggles of one value at one cell count as one and four as none,
+    in any order; a value present over two stretches gives two ranges."""
+    cells = [0, 2, 2, 2, 0, 1, 1, 1, 1, 3, 1, 2, 4, 6]
+    values = [1.0] * 4 + [2.0] * 6 + [3.0] * 4
+    order = np.random.default_rng(1).permutation(len(cells))
+    v, on, off = dilation._presence(np.array(cells)[order], np.array(values)[order])
+    assert v.tolist() == [1.0, 2.0, 3.0, 3.0]
+    assert (on.tolist(), off.tolist()) == ([0, 0, 1, 4], [2, 3, 2, 6])
+
+
 @pytest.mark.parametrize("layout", ["canonical", "deposition"])
 def test_locate_matches_column_objects(canonical_cover, deposition_model, layout):
     """classify on the flat arrays against locate on the columns' interval
@@ -623,7 +719,7 @@ def test_overlapping_sections_raise_before_the_sweep():
 
 def test_block4_dilation_memory(canonical_model):
     """The label-based construction peaks at about 107 MB on this block; the
-    sweeps hold only merged unions (about 5 MB)."""
+    sweeps hold only merged unions (about 2 MB)."""
     cubes = _rows(_block(canonical_model, 4))
     tracemalloc.start()
     try:
@@ -632,3 +728,17 @@ def test_block4_dilation_memory(canonical_model):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_deposition_block4_sweep_memory(deposition_model):
+    """The sweeps expand rows a slab at a time: ``dilate_2d`` of this block
+    peaks at about 3.3 MB, the list toggle sweeps at about 3.4 MB, and
+    expanding every cell's row at once at about 9.4 MB."""
+    rows = _rows(_block(deposition_model, 4))
+    tracemalloc.start()
+    try:
+        dilate_2d(rows, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20, f"peak {peak / 2**20:.2f} MB"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from densitometer import scan
-from densitometer.dilation import Rectangle
+from densitometer.dilation import Rectangle, RectUnion
 from densitometer.errors import OutOfRange
 from densitometer.interval1d import Location
 from densitometer.scan import (
@@ -137,6 +137,22 @@ def test_cover_meets_matches_locate(canonical_cover, deposition_cover, layout):
     assert got.tolist() == want
     assert set(want) == {0, 1, 2}
     assert not ExceptionalCover.empty().classify(pts[:, 0], pts[:, 1]).any()
+
+
+def test_cover_classifies_later_blocks_only_where_not_inside(deposition_cover, monkeypatch):
+    """Each block after the first classifies only the points that no earlier
+    block holds inside, and the codes are still the largest of every
+    block's."""
+    pts = _cover_probes(deposition_cover)
+    codes = [b.union.classify(pts[:, 0], pts[:, 1]) for b in deposition_cover.blocks]
+    sizes, classify = [], RectUnion.classify
+    monkeypatch.setattr(
+        RectUnion, "classify", lambda self, x, y: sizes.append(len(x)) or classify(self, x, y)
+    )
+    got = deposition_cover.classify(pts[:, 0], pts[:, 1])
+    assert got.tolist() == np.max(codes, axis=0).tolist()
+    assert sizes == [len(pts), int(np.count_nonzero(codes[0] < 2))]
+    assert 0 < sizes[1] < sizes[0]
 
 
 # -- density scan -------------------------------------------------------------------
@@ -427,6 +443,19 @@ class _SeparatedFloor:
 
     def branch_at(self, t):
         return SimpleNamespace(floor=0.5, is_top=False, s_next=2)
+
+
+def test_lazy_child_seed_is_the_spawned_child():
+    """The child built alone for a drawn pair is the one ``spawn`` would give:
+    the same seed sequence and the same rectangles' stream."""
+    n = len(small_config().t_grid)
+    lazy = [[scan._child(s, k) for k in range(n)] for s in scan._substreams(small_config(), 2, 4)]
+    spawned = [s.spawn(n) for s in scan._substreams(small_config(), 2, 4)]
+    for mine, theirs in zip(sum(lazy, []), sum(spawned, [])):
+        assert mine.spawn_key == theirs.spawn_key and mine.entropy == theirs.entropy
+        assert mine.generate_state(8).tolist() == theirs.generate_state(8).tolist()
+        draws = [np.random.Generator(np.random.PCG64(q)).random(4) for q in (mine, theirs)]
+        assert draws[0].tolist() == draws[1].tolist()
 
 
 def test_separation_draws_only_pairs_whose_box_reaches_a_cube(monkeypatch):
