@@ -19,11 +19,14 @@ necessity of the exclusion rather than contradict the bound.
 Everything is deterministic given the seed: points and per-point rectangle
 streams derive from disjoint substreams of one root seed, and reports use
 shortest-round-trip float formatting so artifact bytes are reproducible.
-The rectangles of a run of points are measured together: the bounding box
-of each point's family at each t goes through one descent of the model's
-cube tree, and only the families whose box meets a cube go on to a second.
-Each ratio is exactly rounded, so it does not depend on the run it was
-measured in.
+Both checks share one plan, whose regimes come from one kernel pass over
+all scannable points.  Both then measure boxes before rectangles: the scan
+sends the bounding box of each point's family at each t through one descent
+of the model's cube tree, and only the families whose box meets a cube go
+on to a second; the separation check sends the box point +- t of each
+applicable pair through one pass over the prefix cubes, and draws only the
+pairs whose box meets one.  Each ratio is exactly rounded, so it does not
+depend on the run it was measured in.
 """
 
 from __future__ import annotations
@@ -209,7 +212,9 @@ def _draw_rects(
     Every coordinate lies in [fl(p - t), fl(p + t)] of its axis: d = fl(t u)
     <= t, height and width are at most d (an aspect of at most 20 keeps the
     width below 0.999 d), the offsets are at most the sides, and float
-    addition and subtraction are monotone in each operand."""
+    addition and subtraction are monotone in each operand.  So every
+    rectangle lies in the box point +- t, by which separation_check tests
+    the box in place of the rectangles it has not drawn."""
     n = config.rects_per_point
     px, py = point
     t = np.reshape(np.asarray(t, dtype=np.float64), (-1, 1))
@@ -243,48 +248,29 @@ def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _point_gaps(model: CompactSetModel, point: tuple[float, float], upto: int) -> np.ndarray:
-    """Chebyshev gaps and squared Euclidean distances from the point to
-    cubes 1..upto, as rows of a (2, upto) array, from one kernel pass.  A
-    cube's x-gap is max(-wx, 0) of the point as a rectangle, its y-gap
-    likewise, and its Chebyshev gap the larger of the two.
-    ``sqrt(min(d2[:p]))`` is the point's distance to the union of cubes
-    1..p for every p <= upto."""
-    x, y = point
-
-    def gaps(wx, wy):
-        dx, dy = np.maximum(-wx, 0.0), np.maximum(-wy, 0.0)
-        return np.stack([np.maximum(dx, dy), dx * dx + dy * dy], axis=1)
-
-    return model.overlaps([[x, x, y, y]], gaps, slice(upto))[0]
-
-
-def _ratios(model: CompactSetModel, rects: np.ndarray, family: int | None = None) -> np.ndarray:
+def _ratios(model: CompactSetModel, rects: np.ndarray, family: int) -> np.ndarray:
     """Truncated-set density of each rectangle, from its exactly rounded
-    overlap total.
+    overlap total; the rows form consecutive families of ``family``
+    rectangles.
 
-    With ``family`` = k, the rows form consecutive families of k
-    rectangles.  The bounding boxes of all families go through one descent
-    of the cube tree first, and only the rows of families whose box total is
-    positive go on to the tree, _GATHER_RECTS at a time; every other row's
-    total is 0.0.  This is exact: a rectangle lies in its family's box, so
-    each of its pieces is at most the box's piece for the same cube (float
-    subtraction and multiplication are monotone, see _separation_hits), and
-    a correctly rounded sum of pieces is 0.0 only when every piece is.  The
-    box ignores NaN coordinates; a NaN row's total is 0.0 anyway, since no
-    node passes a comparison with NaN.  The ratio formula then runs on every
-    row, in place in the totals."""
-    if family is None:
-        totals = model.total_overlaps(rects)
-    else:
-        members = rects.reshape(-1, family, 4)
-        folds = (np.fmin, np.fmax) * 2
-        boxes = np.stack([f.reduce(members[..., j], axis=1) for j, f in enumerate(folds)], axis=1)
-        busy = np.flatnonzero(np.repeat(model.total_overlaps(boxes) > 0.0, family))
-        totals = np.zeros(len(rects))
-        for i in range(0, len(busy), _GATHER_RECTS):
-            rows = busy[i : i + _GATHER_RECTS]
-            totals[rows] = model.total_overlaps(rects[rows])
+    The bounding boxes of all families go through one descent of the cube
+    tree first, and only the rows of families whose box total is positive go
+    on to the tree, _GATHER_RECTS at a time; every other row's total is 0.0.
+    This is exact: a rectangle lies in its family's box, so each of its
+    pieces is at most the box's piece for the same cube (float min, max,
+    subtraction and multiplication are monotone), and a correctly rounded
+    sum of pieces is 0.0 only when every piece is.  The box ignores NaN
+    coordinates; a NaN row's total is 0.0 anyway, since no node passes a
+    comparison with NaN.  The ratio formula then runs on every row, in place
+    in the totals."""
+    members = rects.reshape(-1, family, 4)
+    folds = (np.fmin, np.fmax) * 2
+    boxes = np.stack([f.reduce(members[..., j], axis=1) for j, f in enumerate(folds)], axis=1)
+    busy = np.flatnonzero(np.repeat(model.total_overlaps(boxes) > 0.0, family))
+    totals = np.zeros(len(rects))
+    for i in range(0, len(busy), _GATHER_RECTS):
+        rows = busy[i : i + _GATHER_RECTS]
+        totals[rows] = model.total_overlaps(rects[rows])
     x0, x1, y0, y1 = rects.T
     area = x1 - x0
     area *= y1 - y0
@@ -293,50 +279,47 @@ def _ratios(model: CompactSetModel, rects: np.ndarray, family: int | None = None
     return np.clip(totals, 0.0, 1.0, out=totals)
 
 
-def _prefix_mins(d2: np.ndarray, cuts: Sequence[int]) -> np.ndarray:
-    """Minimum of each row of the (n, cuts[-1]) array ``d2`` over its first
-    p entries, for each p of the ascending, distinct ``cuts``, as an (n,
-    len(cuts)) array."""
-    starts = [0, *cuts[:-1]]
-    return np.minimum.accumulate(np.minimum.reduceat(d2, starts, axis=1), axis=1)
-
-
 def _prefix_d2(model: CompactSetModel, points: np.ndarray, cuts: Sequence[int]) -> np.ndarray:
     """Squared Euclidean distance from each of the (n, 2) points to the
-    union of cubes 1..p, for each p of ``cuts`` (see _prefix_mins), from one
-    kernel pass over cubes 1..cuts[-1].  The squared distances are those of
-    _point_gaps, reduced block by block, so no (points, cubes) array outlives
-    a kernel block."""
+    union of cubes 1..p, for each p of the ascending, distinct ``cuts``, as
+    an (n, len(cuts)) array, from one kernel pass over cubes 1..cuts[-1].
+    A cube's squared distance is dx^2 + dy^2, with dx = max(-wx, 0) of the
+    point as a rectangle and dy likewise; each kernel block reduces them to
+    its rows' minima over the cuts' segments and then over the prefixes, so
+    no (points, cubes) array outlives a block."""
+    starts = [0, *cuts[:-1]]
 
     def mins(wx, wy):
         dx, dy = np.maximum(-wx, 0.0), np.maximum(-wy, 0.0)
-        return _prefix_mins(dx * dx + dy * dy, cuts)
+        segments = np.minimum.reduceat(dx * dx + dy * dy, starts, axis=1)
+        return np.minimum.accumulate(segments, axis=1)
 
     return model.overlaps(points[:, [0, 0, 1, 1]], mins, slice(cuts[-1]))
 
 
-def _reach(point: tuple[float, float], rects: np.ndarray) -> float:
-    """Largest distance fl(|c - p|) from the point to an edge coordinate c
-    of the rectangles on its axis."""
-    return float(np.abs(rects - np.repeat(point, 2)).max())
+def _interior(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Which (rectangle, cube) pairs meet in their interiors."""
+    return (wx > 0.0) & (wy > 0.0)
 
 
-def _separation_hits(
-    model: CompactSetModel, point: tuple[float, float], rects: np.ndarray, gap: np.ndarray
-) -> np.ndarray:
-    """Which rectangles meet the interior of one of cubes 1..len(gap), where
-    ``gap`` holds those cubes' Chebyshev gaps from the point.
+def _meets_any(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Which rectangles meet the interior of one of the cubes."""
+    return _interior(wx, wy).any(axis=1)
 
-    A rectangle holding the point whose edges are at most e from it meets
-    only cubes with gap <= e: a cube starting at cx right of the point has
-    x-gap fl(cx - px), and cx < x1 implies fl(cx - px) <= fl(x1 - px),
-    because rounding is monotone; the other sides are alike.  So only the
-    cubes within the largest extent of all the rectangles go to the kernel,
-    and none when no cube is that close."""
-    near = np.flatnonzero(gap <= _reach(point, rects))
-    if not near.size:
-        return np.zeros(len(rects), dtype=bool)
-    return model.overlaps(rects, lambda wx, wy: ((wx > 0.0) & (wy > 0.0)).any(axis=1), near)
+
+def _meets_prefix(model: CompactSetModel, rects: np.ndarray, prefix: int) -> np.ndarray:
+    """Which of the (n, 4) rectangles meet the interior of one of cubes
+    1..prefix, from one kernel pass reduced block by block."""
+    return model.overlaps(rects, _meets_any, slice(prefix))
+
+
+def _pair_hits(model: CompactSetModel, box: np.ndarray, rects: np.ndarray, prefix: int) -> int:
+    """How many of the rectangles, all lying in ``box``, meet the interior
+    of one of cubes 1..prefix: they are tested against only the prefix
+    cubes whose interior the box meets, since every other cube misses them
+    too (see separation_check)."""
+    near = np.flatnonzero(model.overlaps(box[None, :], _interior, slice(prefix))[0])
+    return int(np.count_nonzero(model.overlaps(rects, _meets_any, near)))
 
 
 def _separation_prefix(branch, m: int) -> int | None:
@@ -360,58 +343,13 @@ def _separation_prefix(branch, m: int) -> int | None:
     return max(branch.s_next**branch.s_next, m**m) - 1
 
 
-@dataclass(frozen=True)
-class _ScanPlan:
-    """Set-up shared by the scan and the separation check: the ascending t
-    grid with its branches and prefixes, which of them are checkable and
-    their distinct prefixes in ascending order, the points, their flags and
-    their sample."""
-
-    t_sorted: tuple[float, ...]
-    branches: tuple
-    prefixes: tuple[int | None, ...]
-    checkable: tuple[int, ...]
-    cuts: tuple[int, ...]
-    points: tuple[tuple[float, float], ...]
-    scannable: tuple[bool, ...]
-    sample: PointSample | None
-
-
-def _scan_plan(
-    model: CompactSetModel,
-    cover: ExceptionalCover,
-    ratefn: RateFunction,
-    config: ScanConfig,
-    points: Sequence[tuple[float, float]] | PointSample | None,
-) -> _ScanPlan:
-    """The plan for ``points`` in any of the forms scan_density_bound takes."""
-    t_sorted = tuple(sorted(config.t_grid))
-    branches = tuple(ratefn.branch_at(t) for t in t_sorted)
-    prefixes = tuple(_separation_prefix(b, config.m) for b in branches)
-    checkable = tuple(k for k, p in enumerate(prefixes) if p is not None and p <= model.trunc)
-    cuts = tuple(sorted({prefixes[k] for k in checkable}))
-    sample = sample_points(model, cover, config) if points is None else points
-    if isinstance(sample, PointSample):
-        pts, scannable = sample.points, (True,) * len(sample.points)
-    else:
-        pts, sample = tuple((float(x), float(y)) for x, y in points), None
-        arr = np.array(pts, dtype=np.float64).reshape(-1, 2)
-        outside = np.flatnonzero(~_strictly_inside(model, arr))
-        if outside.size:
-            raise OutOfRange(f"point {pts[outside[0]]} is not strictly inside the outer box")
-        keep = np.zeros(len(pts), dtype=bool)
-        keep[_scannable_rows(model, cover, arr)] = True
-        scannable = tuple(keep.tolist())
-    return _ScanPlan(t_sorted, branches, prefixes, checkable, cuts, pts, scannable, sample)
-
-
 def _regimes(
     t_sorted: tuple[float, ...],
     prefixes: tuple[int | None, ...],
     trunc: int,
     scannable: bool,
     dist2: dict[int, float] | None,
-) -> list[str]:
+) -> tuple[str, ...]:
     """A point's regime at each t: exceptional unless it is scannable,
     applicable when the floor needs no prefix missed, deferred when the
     prefix lies beyond the truncation, and otherwise applicable exactly when
@@ -427,7 +365,68 @@ def _regimes(
             out.append("deferred")
         else:
             out.append("applicable" if t <= math.sqrt(dist2[prefix]) else "deferred")
-    return out
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class _ScanPlan:
+    """Set-up shared by the scan and the separation check: the ascending t
+    grid with its branches and prefixes, which of them are checkable and
+    their distinct prefixes in ascending order, the points, their flags,
+    each point's regime at each t, and their sample."""
+
+    t_sorted: tuple[float, ...]
+    branches: tuple
+    prefixes: tuple[int | None, ...]
+    checkable: tuple[int, ...]
+    cuts: tuple[int, ...]
+    points: tuple[tuple[float, float], ...]
+    scannable: tuple[bool, ...]
+    regimes: tuple[tuple[str, ...], ...]
+    sample: PointSample | None
+
+
+def _scan_plan(
+    model: CompactSetModel,
+    cover: ExceptionalCover,
+    ratefn: RateFunction,
+    config: ScanConfig,
+    points: Sequence[tuple[float, float]] | PointSample | None,
+) -> _ScanPlan:
+    """The plan for ``points`` in any of the forms scan_density_bound takes.
+    The regimes of all scannable points come from one kernel pass over the
+    largest checkable prefix (_prefix_d2)."""
+    t_sorted = tuple(sorted(config.t_grid))
+    branches = tuple(ratefn.branch_at(t) for t in t_sorted)
+    prefixes = tuple(_separation_prefix(b, config.m) for b in branches)
+    checkable = tuple(k for k, p in enumerate(prefixes) if p is not None and p <= model.trunc)
+    cuts = tuple(sorted({prefixes[k] for k in checkable}))
+    sample = sample_points(model, cover, config) if points is None else points
+    if isinstance(sample, PointSample):
+        pts = sample.points
+    else:
+        pts, sample = tuple((float(x), float(y)) for x, y in points), None
+    if not pts:
+        raise ValueError("no points to scan: the point list is empty")
+    arr = np.array(pts, dtype=np.float64)
+    if sample is not None:
+        scannable = (True,) * len(pts)
+    else:
+        outside = np.flatnonzero(~_strictly_inside(model, arr))
+        if outside.size:
+            raise OutOfRange(f"point {pts[outside[0]]} is not strictly inside the outer box")
+        keep = np.zeros(len(pts), dtype=bool)
+        keep[_scannable_rows(model, cover, arr)] = True
+        scannable = tuple(keep.tolist())
+    rows = [i for i, s in enumerate(scannable) if s]
+    dist2 = {}
+    if cuts and rows:
+        mins = _prefix_d2(model, arr[rows], cuts).tolist()
+        dist2 = {i: dict(zip(cuts, row)) for i, row in zip(rows, mins)}
+    regimes = tuple(
+        _regimes(t_sorted, prefixes, model.trunc, s, dist2.get(i)) for i, s in enumerate(scannable)
+    )
+    return _ScanPlan(t_sorted, branches, prefixes, checkable, cuts, pts, scannable, regimes, sample)
 
 
 @dataclass(frozen=True)
@@ -500,8 +499,7 @@ def _scan_points(
     rectangles of one point at one t, are measured box first (see _ratios):
     on a scan-46k operation about 4%, 14% and 60% of the families at t =
     0.01, 0.05 and 0.25 have a box that meets a cube, so about three
-    rectangles in four never reach the tree.  The regimes of a run's
-    scannable points come from one kernel pass (_prefix_d2)."""
+    rectangles in four never reach the tree.  The regimes are the plan's."""
     seeds = _substreams(config, 1, len(plan.points))
     per_point = len(plan.t_sorted) * config.rects_per_point
     run = min(len(plan.points), max(1, _RUN_RECTS // per_point))
@@ -514,21 +512,12 @@ def _scan_points(
             rng = np.random.Generator(np.random.PCG64(seeds[i]))
             _draw_rects(rng, plan.points[i], plan.t_sorted, config, model, out=block)
         ratios = _ratios(model, rects, config.rects_per_point).reshape(len(ids), per_point)
-        scan_ids = [i for i in ids if plan.scannable[i]]
-        dist2 = {}
-        if plan.cuts and scan_ids:
-            pts = np.array([plan.points[i] for i in scan_ids])
-            mins = _prefix_d2(model, pts, plan.cuts).tolist()
-            dist2 = {i: dict(zip(plan.cuts, row)) for i, row in zip(scan_ids, mins)}
         for i, point_ratios in zip(ids, ratios):
-            regimes = _regimes(
-                plan.t_sorted, plan.prefixes, model.trunc, plan.scannable[i], dist2.get(i)
-            )
             rows = []
-            for k, branch in enumerate(plan.branches):
+            for k, (branch, regime) in enumerate(zip(plan.branches, plan.regimes[i])):
                 family = point_ratios[: (k + 1) * config.rects_per_point]
                 violations = int(np.count_nonzero(family < branch.floor))
-                rows.append((float(family.min()), violations, regimes[k]))
+                rows.append((float(family.min()), violations, regime))
             out.append(rows)
     return out
 
@@ -642,43 +631,39 @@ def separation_check(
 ) -> SeparationReport:
     """Count rectangle overlaps against the cubes a branch requires missed.
 
-    ``points`` is read as in :func:`scan_density_bound`.  Each scannable
-    point's own cube pass (_point_gaps) gives its regimes, by the same
-    squared distances and rule as there, and the Chebyshev gaps that pick,
-    for each applicable t, the cubes of its prefix that its rectangles can
-    reach; only those go to the kernel.  A pair whose box point +- t
-    reaches no cube of the prefix counts its rectangles as checked without
-    drawing them: none of them can reach a cube either."""
+    ``points`` is read as in :func:`scan_density_bound`, and the regimes are
+    the scan's, from the same plan.  At each checkable t, the box
+    [fl(p - t), fl(p + t)] on each axis of every applicable point goes
+    through one kernel pass over the prefix cubes (_meets_prefix).  Every
+    drawn rectangle lies in that box (see _draw_rects), and float min, max
+    and subtraction are monotone, so a cube whose interior a rectangle
+    meets is met by the box too.  A pair whose box meets no prefix cube
+    therefore counts its rectangles as checked without drawing them; the
+    others draw them and test them against only the prefix cubes their box
+    meets (_pair_hits)."""
     plan = _scan_plan(model, cover, ratefn, config, points)
     seeds = _substreams(config, 2, len(plan.points))
-    # per checkable t: checked points, checked rectangles, violations, deferred points
-    tallies = {k: [0, 0, 0, 0] for k in plan.checkable}
-    for i, point in enumerate(plan.points):
-        if not (plan.scannable[i] and plan.cuts):
-            continue
-        gap, d2 = _point_gaps(model, point, plan.cuts[-1])
-        dist2 = dict(zip(plan.cuts, _prefix_mins(d2[None, :], plan.cuts)[0].tolist()))
-        regimes = _regimes(plan.t_sorted, plan.prefixes, model.trunc, True, dist2)
-        px, py = point
-        for k in plan.checkable:
-            prefix, tally, t = plan.prefixes[k], tallies[k], plan.t_sorted[k]
-            if regimes[k] == "deferred":
-                tally[3] += 1
-                continue
-            tally[0] += 1
-            tally[1] += config.rects_per_point
-            # the rectangles lie in the box point +- t (see _draw_rects), so
-            # when no cube is within the box's reach none is hit, or drawn
-            if gap[:prefix].min() > _reach(point, np.array([[px - t, px + t, py - t, py + t]])):
-                continue
-            rng = np.random.Generator(np.random.PCG64(_child(seeds[i], k)))
-            rects = _draw_rects(rng, point, t, config, model)
-            tally[2] += int(np.count_nonzero(_separation_hits(model, point, rects, gap[:prefix])))
+    pts = np.array(plan.points)
+    # per t: checked points, checked rectangles, violations, deferred points;
     # a t without a checkable prefix defers every scannable point
-    unchecked = (0, 0, 0, plan.scannable.count(True))
+    tallies = {k: (0, 0, 0, plan.scannable.count(True)) for k in range(len(plan.t_sorted))}
+    for k in plan.checkable:
+        prefix, t = plan.prefixes[k], plan.t_sorted[k]
+        regimes = [r[k] for r in plan.regimes]
+        applicable = [i for i, regime in enumerate(regimes) if regime == "applicable"]
+        violations = 0
+        if applicable:
+            boxes = pts[applicable][:, [0, 0, 1, 1]] + np.array([-t, t, -t, t])
+            for j in np.flatnonzero(_meets_prefix(model, boxes, prefix)).tolist():
+                i = applicable[j]
+                rng = np.random.Generator(np.random.PCG64(_child(seeds[i], k)))
+                rects = _draw_rects(rng, plan.points[i], t, config, model)
+                violations += _pair_hits(model, boxes[j], rects, prefix)
+        checked = len(applicable)
+        tallies[k] = (checked, checked * config.rects_per_point, violations, regimes.count("deferred"))
     rows = []
     for k, t in enumerate(plan.t_sorted):
-        checked, rect_count, violations, deferred = tallies.get(k, unchecked)
+        checked, rect_count, violations, deferred = tallies[k]
         rows.append(
             SeparationRow(
                 t=t,

@@ -28,12 +28,20 @@ per-point classifier that explicit scan points went through before they
 shared the sampler's batch test; both look points up in ``ColumnUnion``, the
 object-based union that ``RectUnion.classify`` must agree with, and test the
 box themselves, so neither runs the location code it checks.
+``_point_gaps`` is the per-point cube pass that each scannable point went
+through, once in the scan and again in the separation check, before the
+scan plan made one regime pass over all points; ``regimes_ref`` gives each
+point's regimes from it, and the plan's regimes must equal them.
 ``scan_points_ref`` is the scan's per-run pass before family boxes: every
-rectangle of a run goes to the cube tree, and each scannable point gets its
-own distance pass; ``scan_density_bound`` must give the same rows with it.
+rectangle of a run goes to the cube tree (``plain_ratios``, the ratio pass
+without family boxes), with regimes from ``regimes_ref``;
+``scan_density_bound`` must give the same rows with it.
 ``separation_tallies_ref`` is the separation check drawing and testing the
-rectangles of every applicable pair; ``separation_check`` must count the
-same.
+rectangles of every applicable pair, each against the prefix cubes within
+the rectangles' Chebyshev reach of the point (``_reach`` and
+``_separation_hits``), where the library tests the box point +- t of each
+pair in one pass and draws only the pairs whose box meets a prefix cube;
+``separation_check`` must count the same.
 ``overlap_area_ref`` is the pairwise rectangle overlap that the lemma test
 and the disjoint random cube families use, and ``cube``/``cubes`` give a
 model's cubes as ``Rectangle`` objects.  ``power_tail_bracket_ref``
@@ -68,14 +76,7 @@ from densitometer.dilation import (
 from densitometer.errors import OutOfRange, OverlappingCubes, PackingInfeasible
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
 from densitometer.logdomain import LogBracket, log_add, log_sub, log_sum
-from densitometer.scan import (
-    PointSample,
-    _draw_rects,
-    _point_gaps,
-    _ratios,
-    _separation_hits,
-    _substreams,
-)
+from densitometer.scan import PointSample, _draw_rects, _substreams
 
 
 def power_tail_bracket_ref(c: float, p: float, n: int) -> LogBracket:
@@ -487,15 +488,86 @@ def sample_points_ref(model, cover, config):
         draws += batch
 
 
+def _point_gaps(model, point, upto):
+    """Chebyshev gaps and squared Euclidean distances from the point to
+    cubes 1..upto, as rows of a (2, upto) array, from one kernel pass: the
+    per-point cube pass of the scan and the separation check before the
+    plan's one pass over all points.  A cube's x-gap is max(-wx, 0) of the
+    point as a rectangle, its y-gap likewise, and its Chebyshev gap the
+    larger of the two.  ``sqrt(min(d2[:p]))`` is the point's distance to the
+    union of cubes 1..p for every p <= upto."""
+    x, y = point
+
+    def gaps(wx, wy):
+        dx, dy = np.maximum(-wx, 0.0), np.maximum(-wy, 0.0)
+        return np.stack([np.maximum(dx, dy), dx * dx + dy * dy], axis=1)
+
+    return model.overlaps([[x, x, y, y]], gaps, slice(upto))[0]
+
+
+def _reach(point, rects):
+    """Largest distance fl(|c - p|) from the point to an edge coordinate c
+    of the rectangles on its axis."""
+    return float(np.abs(rects - np.repeat(point, 2)).max())
+
+
+def _separation_hits(model, point, rects, gap):
+    """Which rectangles meet the interior of one of cubes 1..len(gap), where
+    ``gap`` holds those cubes' Chebyshev gaps from the point: the separation
+    test before the box pass.
+
+    A rectangle holding the point whose edges are at most e from it meets
+    only cubes with gap <= e: a cube starting at cx right of the point has
+    x-gap fl(cx - px), and cx < x1 implies fl(cx - px) <= fl(x1 - px),
+    because rounding is monotone; the other sides are alike.  So only the
+    cubes within the largest extent of all the rectangles go to the kernel,
+    and none when no cube is that close."""
+    near = np.flatnonzero(gap <= _reach(point, rects))
+    if not near.size:
+        return np.zeros(len(rects), dtype=bool)
+    return model.overlaps(rects, lambda wx, wy: ((wx > 0.0) & (wy > 0.0)).any(axis=1), near)
+
+
+def plain_ratios(model, rects):
+    """The scan's ratio pass without family boxes: every rectangle's exactly
+    rounded total from the cube tree, then the ratio formula of
+    ``scan._ratios``."""
+    x0, x1, y0, y1 = rects.T
+    return np.clip(1.0 - model.total_overlaps(rects) / ((x1 - x0) * (y1 - y0)), 0.0, 1.0)
+
+
+def regimes_ref(model, plan):
+    """Each point's regime at each t from its own ``_point_gaps`` pass, as
+    the scan and the separation check each worked them out before the plan
+    made one pass over all points."""
+    out = []
+    for point, scannable in zip(plan.points, plan.scannable):
+        d2 = _point_gaps(model, point, plan.cuts[-1])[1] if scannable and plan.cuts else None
+        regimes = []
+        for t, prefix in zip(plan.t_sorted, plan.prefixes):
+            if not scannable:
+                regimes.append("exceptional")
+            elif prefix is None:
+                regimes.append("applicable")
+            elif prefix > model.trunc:
+                regimes.append("deferred")
+            else:
+                near = float(np.sqrt(d2[:prefix].min()))
+                regimes.append("applicable" if t <= near else "deferred")
+        out.append(tuple(regimes))
+    return tuple(out)
+
+
 def scan_points_ref(model, config, plan):
     """(min_ratio, violations, regime) of each point for each t, as the scan
     measured them before family boxes: runs of points whose rectangles fill
     one tree descent (``setmodel._CHUNK_RECTS``), every rectangle of a run
-    sent to the tree in one pass, and one ``_point_gaps`` pass per scannable
-    point, whose squared distances give its regimes."""
+    sent to the tree in one pass (``plain_ratios``), and regimes from one
+    ``_point_gaps`` pass per scannable point (``regimes_ref``)."""
     seeds = _substreams(config, 1, len(plan.points))
     per_point = len(plan.t_sorted) * config.rects_per_point
     run = max(1, setmodel._CHUNK_RECTS // per_point)
+    regimes = regimes_ref(model, plan)
     out = []
     for start in range(0, len(plan.points), run):
         ids = range(start, min(start + run, len(plan.points)))
@@ -511,26 +583,13 @@ def scan_points_ref(model, config, plan):
                 for i in ids
             ]
         )
-        ratios = _ratios(model, rects).reshape(len(ids), per_point)
+        ratios = plain_ratios(model, rects).reshape(len(ids), per_point)
         for i, point_ratios in zip(ids, ratios):
-            scannable = plan.scannable[i]
-            d2 = None
-            if scannable and plan.cuts:
-                d2 = _point_gaps(model, plan.points[i], plan.cuts[-1])[1]
             rows = []
-            for k, (t, prefix, branch) in enumerate(zip(plan.t_sorted, plan.prefixes, plan.branches)):
-                if not scannable:
-                    regime = "exceptional"
-                elif prefix is None:
-                    regime = "applicable"
-                elif prefix > model.trunc:
-                    regime = "deferred"
-                else:
-                    near = float(np.sqrt(d2[:prefix].min()))
-                    regime = "applicable" if t <= near else "deferred"
+            for k, branch in enumerate(plan.branches):
                 family = point_ratios[: (k + 1) * config.rects_per_point]
                 violations = int(np.count_nonzero(family < branch.floor))
-                rows.append((float(family.min()), violations, regime))
+                rows.append((float(family.min()), violations, regimes[i][k]))
             out.append(rows)
     return out
 
@@ -538,19 +597,20 @@ def scan_points_ref(model, config, plan):
 def separation_tallies_ref(model, config, plan):
     """Per checkable t index: checked points, checked rectangles, violations
     and deferred points, as the separation check counted them before it
-    skipped pairs whose box point +- t reaches no cube: every applicable
-    pair's rectangles drawn and tested, regimes from each point's squared
-    distances."""
+    skipped pairs whose box point +- t meets no prefix cube: every
+    applicable pair's rectangles drawn and tested by ``_separation_hits``,
+    regimes from ``regimes_ref``."""
     seeds = _substreams(config, 2, len(plan.points))
     rect_seeds = [s.spawn(len(plan.t_sorted)) for s in seeds]
+    regimes = regimes_ref(model, plan)
     tallies = {k: [0, 0, 0, 0] for k in plan.checkable}
     for i, point in enumerate(plan.points):
         if not (plan.scannable[i] and plan.cuts):
             continue
-        gap, d2 = _point_gaps(model, point, plan.cuts[-1])
+        gap = _point_gaps(model, point, plan.cuts[-1])[0]
         for k in plan.checkable:
             prefix, tally, t = plan.prefixes[k], tallies[k], plan.t_sorted[k]
-            if t > float(np.sqrt(d2[:prefix].min())):
+            if regimes[i][k] == "deferred":
                 tally[3] += 1
                 continue
             rng = np.random.Generator(np.random.PCG64(rect_seeds[i][k]))

@@ -456,6 +456,24 @@ def test_cover_bytes_are_pinned(deposition_model, tmp_path):
     assert _digest(arrays) == "029d1635b11d9975beb6df6a5ee8dcf02a63f8d8c9802d3ba7239f29f1127db0"
 
 
+def test_scan_bytes_are_pinned(tmp_path):
+    """Golden digests of ``scan.csv`` and ``separation.csv`` from
+    ``verify-all --level 4 --seed 42`` at its default 100 points x 500
+    rectangles.  The cube sides, the rate function and the sampled points go
+    through ``math.log`` and ``math.exp``, so, as for the cover, these are
+    the digests of the libm they were recorded with (glibc on x86-64)."""
+    args = ["verify-all", "--seq", "power:c=0.25,p=2", "--level", "4", "--seed", "42"]
+    assert cli.main(args + ["--out-dir", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("scan.csv", "separation.csv")
+    }
+    assert digests == {
+        "scan.csv": "4934283915bd8c1a769c12306c3d292b3f311a7f0e86616bc6d50a9e4d999356",
+        "separation.csv": "53fa5be81f378112c2f775e639b3fb8cfe5007b01746a94a8472aae1e4e7c001",
+    }
+
+
 def _union_arrays(u):
     return (u.x_lo, u.x_hi, u.col_sec, u.sec_off, u.y_lo, u.y_hi, u.sec_measure)
 

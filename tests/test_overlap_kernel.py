@@ -29,10 +29,9 @@ from densitometer.scan import (
     ScanConfig,
     _draw_rects,
     _in_cubes,
-    _point_gaps,
+    _meets_prefix,
     _prefix_d2,
     _ratios,
-    _separation_hits,
     sample_points,
     scan_density_bound,
 )
@@ -191,7 +190,7 @@ def test_ratio_matches_density_ratio(canonical_model, rect_sets, kind):
     corner and the center of each rectangle."""
     model, rects = canonical_model, rect_sets[kind]
     assert _first_mismatch(model, rects) is None
-    for rect, got in zip(rects, _ratios(model, rects)):
+    for rect, got in zip(rects, oracles.plain_ratios(model, rects)):
         assert got == density_ratio(model, Rectangle.from_bounds(*rect)).ratio_n
         for point in _anchors(rect):
             assert oracles.point_ratios(model, point, rect[None, :])[0] == got
@@ -264,7 +263,7 @@ def test_ratio_matches_oracle(canonical_model, rect_sets, kind):
     every = np.arange(canonical_model.trunc)
     dense = oracles.rect_ratios_ref(canonical_model, rects, every)
     many = 0
-    for rect, got, want in zip(rects, _ratios(canonical_model, rects), dense):
+    for rect, got, want in zip(rects, oracles.plain_ratios(canonical_model, rects), dense):
         x0, x1, y0, y1 = rect
         hits = oracles.overlapping_cubes_ref(canonical_model, rect)
         m = hits.size
@@ -311,13 +310,14 @@ def test_density_ratio_matches_oracle(canonical_model, rect_sets, kind):
 
 @pytest.mark.parametrize("kind", ["seeded", "edges", "ulp"])
 def test_separation_hits_match_oracle(canonical_model, rect_sets, kind):
-    """The separation test, given only the cubes of the prefix within the
-    rectangle's reach from a corner or the center, finds exactly the
-    oracle's hits.  Besides fixed prefixes, each rectangle is tested against
-    the prefix that ends at the first cube it meets, which that cube alone
-    then decides, and against the prefix just before it; the ulp set reaches
-    one ulp into cubes across an edge or a corner, and from x = 0.99 its
-    reach equals a cube's gap."""
+    """The separation check's one pass over the prefix cubes finds exactly
+    the oracle's hits, and so does the test it replaced, given only the cubes
+    of the prefix within the rectangle's reach from a corner or the center.
+    Besides fixed prefixes, each rectangle is tested against the prefix that
+    ends at the first cube it meets, which that cube alone then decides, and
+    against the prefix just before it; the ulp set reaches one ulp into
+    cubes across an edge or a corner, and from x = 0.99 its reach equals a
+    cube's gap."""
     model = canonical_model
     decided = ties = 0
     for rect in rect_sets[kind]:
@@ -325,15 +325,16 @@ def test_separation_hits_match_oracle(canonical_model, rect_sets, kind):
         first = hits[:1].tolist()
         prefixes = {1, 26, 255, model.trunc, *(i + 1 for i in first), *(i for i in first if i)}
         want = {p: oracles.separation_hits_ref(model, rect[None, :], p)[0] for p in prefixes}
+        for prefix in prefixes:
+            assert _meets_prefix(model, rect[None, :], prefix)[0] == want[prefix], (rect, prefix)
         for point in _anchors(rect):
-            gap = _point_gaps(model, point, model.trunc)[0]
+            gap = oracles._point_gaps(model, point, model.trunc)[0]
             for prefix in prefixes:
-                got = _separation_hits(model, point, rect[None, :], gap[:prefix])[0]
+                got = oracles._separation_hits(model, point, rect[None, :], gap[:prefix])[0]
                 assert got == want[prefix], (rect, point, prefix)
             if first:
                 decided += 1
-                reach = np.abs(rect - np.repeat(point, 2)).max()
-                ties += bool(gap[first[0]] == reach)
+                ties += bool(gap[first[0]] == oracles._reach(point, rect[None, :]))
     assert decided > 0
     if kind == "ulp":
         assert ties > 0
@@ -352,7 +353,7 @@ def test_closed_hits_match_oracle(canonical_model):
 def test_distance_matches_oracle(canonical_model):
     """One cube pass gives the distance to every prefix of the cubes it covers."""
     for point in _edge_points(canonical_model, CUBES) + [(0.5, 0.95), (0.999, 0.001)]:
-        d2 = _point_gaps(canonical_model, point, 3124)[1]
+        d2 = oracles._point_gaps(canonical_model, point, 3124)[1]
         for upto in (1, 3, 26, 3124):
             got = float(np.sqrt(d2[:upto].min()))
             assert got == oracles.distance_to_cubes_ref(canonical_model, point, upto)
@@ -360,15 +361,15 @@ def test_distance_matches_oracle(canonical_model):
 
 @pytest.mark.parametrize("cuts", [(1, 3, 26, 3124), (26,), (1, 3)])
 def test_prefix_distances_match_point_passes(canonical_model, cuts):
-    """The scan's one kernel pass per run gives each point's squared
-    distance to every prefix of cuts, equal to the minimum over that prefix
-    of its own _point_gaps pass, whatever the rows per kernel block."""
+    """The scan plan's one kernel pass gives each point's squared distance
+    to every prefix of cuts, equal to the minimum over that prefix of its
+    own _point_gaps pass, whatever the rows per kernel block."""
     rng = np.random.default_rng(12)
     pts = np.concatenate([_edge_points(canonical_model, CUBES), rng.uniform(0.0, 1.0, (50, 2))])
     got = _prefix_d2(canonical_model, pts, cuts)
     assert got.shape == (len(pts), len(cuts))
     for point, row in zip(pts.tolist(), got.tolist()):
-        d2 = _point_gaps(canonical_model, point, cuts[-1])[1]
+        d2 = oracles._point_gaps(canonical_model, point, cuts[-1])[1]
         assert row == [d2[:p].min() for p in cuts]
         assert math.sqrt(row[0]) == oracles.distance_to_cubes_ref(canonical_model, point, cuts[0])
 
@@ -404,7 +405,7 @@ def test_planted_tie_cubes_are_measured(axis):
     model = CompactSetModel(outer, _TINY, 2, xs, ys, [w1, w2])
     want = [density_ratio(model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
     assert want[0] == 1.0 - u
-    assert _ratios(model, rects).tolist() == want
+    assert oracles.plain_ratios(model, rects).tolist() == want
     assert oracles.point_ratios(model, (p, p), rects).tolist() == want
 
 
@@ -433,7 +434,7 @@ def test_shelf_totals_match_oracles(shelf_46k):
         ]
     )
     assert _first_mismatch(model, rects) is None
-    for rect, got in zip(rects, _ratios(model, rects)):
+    for rect, got in zip(rects, oracles.plain_ratios(model, rects)):
         x0, x1, y0, y1 = rect
         center = ((x0 + x1) / 2, (y0 + y1) / 2)
         assert oracles.point_ratios(model, center, rect[None, :])[0] == got
@@ -745,10 +746,8 @@ def test_kernel_memory_is_bounded_by_block(canonical_model, query):
     rects = _seeded_rects(4000, 3)
     assert _PEAK_BOUND < rects.shape[0] * canonical_model.trunc * 8 / 10
     pts = np.ascontiguousarray(rects[:, [0, 2]])
-    center = (0.5, 0.5)
-    gap = _point_gaps(canonical_model, center, canonical_model.trunc)[0]
     run = {
-        "separation": lambda: _separation_hits(canonical_model, center, rects, gap),
+        "separation": lambda: _meets_prefix(canonical_model, rects, canonical_model.trunc),
         "closed": lambda: _in_cubes(canonical_model, pts),
     }[query]
     tracemalloc.start()
@@ -776,7 +775,7 @@ def test_ratio_memory_is_bounded_by_chunk(canonical_model):
     assert _CHUNK_PEAK < rects.shape[0] * canonical_model.trunc * 8 / 70
     tracemalloc.start()
     try:
-        _ratios(canonical_model, rects)
+        oracles.plain_ratios(canonical_model, rects)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -281,6 +282,14 @@ def test_explicit_point_outside_box_raises(
         )
 
 
+@pytest.mark.parametrize("check", [scan_density_bound, separation_check])
+def test_empty_point_list_raises(canonical_model, canonical_cover, canonical_ratefn, check):
+    """Both entry points reject an empty explicit point list in the plan,
+    with the same message."""
+    with pytest.raises(ValueError, match="no points to scan"):
+        check(canonical_model, canonical_cover, canonical_ratefn, small_config(), points=[])
+
+
 def test_ratio_kernel_work_bound(canonical_model, canonical_cover, canonical_ratefn, monkeypatch):
     """On a level-4 scan of 100 points the ratio kernel evaluates at most a
     tenth of the cells (rectangles x cubes) of the dense product of each
@@ -458,28 +467,162 @@ def test_lazy_child_seed_is_the_spawned_child():
         assert draws[0].tolist() == draws[1].tolist()
 
 
+def _three_cube_model():
+    """Cubes 1, 2 and 3 of _TINY at (0.5, 0.5), (0.1, 0.1) and (0.9, 0.9)."""
+    outer = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
+    sides = [_TINY.w(n) for n in (1, 2, 3)]
+    return CompactSetModel(outer, _TINY, 3, [0.5, 0.1, 0.9], [0.5, 0.1, 0.9], sides)
+
+
+def _separation_draws(model, config, point, monkeypatch):
+    """The separation check of one explicit point under _SeparatedFloor: its
+    rows' tallies, the reference's, and the t of every pair it drew."""
+    args = (model, ExceptionalCover.empty(), _SeparatedFloor(), config)
+    draws, draw = [], scan._draw_rects
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            scan, "_draw_rects", lambda rng, p, t, *rest: draws.append(t) or draw(rng, p, t, *rest)
+        )
+        report = separation_check(*args, points=[point])
+    got = {r.t: [r.checked_points, r.checked_rects, r.violations, r.deferred_points] for r in report.rows}
+    plan = scan._scan_plan(*args, [point])
+    want = {plan.t_sorted[k]: v for k, v in oracles.separation_tallies_ref(model, config, plan).items()}
+    return got, want, draws
+
+
 def test_separation_draws_only_pairs_whose_box_reaches_a_cube(monkeypatch):
     """Cube 1 lies at Chebyshev gap 0.02 and distance 0.0283 from the point:
     t = 0.05 is deferred, t = 0.025 applicable with cube 1 inside the box's
     reach, so its rectangles are drawn and tested, and t = 0.01 applicable
     with no cube in reach, so its rectangles are counted undrawn.  The
     tallies are those of drawing every applicable pair."""
-    outer = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
-    sides = [_TINY.w(n) for n in (1, 2, 3)]
-    model = CompactSetModel(outer, _TINY, 3, [0.5, 0.1, 0.9], [0.5, 0.1, 0.9], sides)
     config = small_config(t_grid=(0.05, 0.025, 0.01), points=1, rects_per_point=200, m=1, s_hi=1)
-    args = (model, ExceptionalCover.empty(), _SeparatedFloor(), config)
-    draws, draw = [], scan._draw_rects
-    monkeypatch.setattr(
-        scan, "_draw_rects", lambda rng, point, t, *rest: draws.append(t) or draw(rng, point, t, *rest)
-    )
-    report = separation_check(*args, points=[(0.53, 0.53)])
+    got, want, draws = _separation_draws(_three_cube_model(), config, (0.53, 0.53), monkeypatch)
     assert draws == [0.025]
-    rows = {r.t: (r.checked_points, r.checked_rects, r.violations, r.deferred_points) for r in report.rows}
-    assert rows == {0.01: (1, 200, 0, 0), 0.025: (1, 200, 0, 0), 0.05: (0, 0, 0, 1)}
-    plan = scan._scan_plan(*args, [(0.53, 0.53)])
-    want = oracles.separation_tallies_ref(model, config, plan)
-    assert {plan.t_sorted[k]: tuple(v) for k, v in want.items()} == rows
+    assert got == {0.01: [1, 200, 0, 0], 0.025: [1, 200, 0, 0], 0.05: [0, 0, 0, 1]}
+    assert got == want
+
+
+_T = 2.0**-6  # exact in every sum and difference below
+
+
+@pytest.mark.parametrize(
+    "offset, drawn",
+    [
+        ((_T, 0.005), False),  # the box's left edge lies on the cube's right edge
+        ((_T, _T), False),  # the box's lower-left corner is the cube's upper-right one
+        ((_T, -_T), False),  # the box's upper-left corner is the cube's lower-right one
+        ((_T - 2.0**-53, 0.005), None),  # one ulp nearer: the pair is deferred
+        ((_T - 2.0**-53, _T / 2), True),  # the box reaches one ulp into the cube in x
+        ((_T - 2.0**-53, _T - 2.0**-53), True),  # one ulp in x and y, across the corner
+    ],
+)
+def test_separation_box_touching_or_one_ulp_inside_a_cube(offset, drawn, monkeypatch):
+    """Cube 1 is [0.5, x1]^2 with x1 = fl(0.5 + 0.01); the point stands at
+    (x1, y) + offset, with y = x1 for offsets off the upper corner and 0.5
+    for the others, so fl(p - t) is exactly the box's edge.  A box that only
+    touches the cube along an edge or at a corner draws nothing, a box one
+    ulp inside draws the pair, and the tallies are those of drawing every
+    applicable pair."""
+    model = _three_cube_model()
+    x1 = 0.5 + model.sides[0]
+    dx, dy = offset
+    point = (x1 + dx, (x1 if dy >= _T / 2 else 0.5) + dy)
+    assert point[0] - _T == x1 - (_T - dx)
+    config = small_config(t_grid=(_T,), points=1, rects_per_point=200, m=1, s_hi=1)
+    got, want, draws = _separation_draws(model, config, point, monkeypatch)
+    assert got == want
+    assert draws == ([_T] if drawn else [])
+    assert got[_T] == ([0, 0, 0, 1] if drawn is None else [1, 200, 0, 0])
+
+
+# A kernel block holds one row of the 46,655-cube prefix: a handful of
+# 46,655-wide float64 temporaries alive at once (see _PEAK_BOUND in
+# test_overlap_kernel.py), eight of which plus 1 MiB bound the peak.  The
+# separation check below peaks at about 2.9 MiB; one (boxes x prefix) array
+# of its 100 boxes would alone take 37 MB as float64 and 4.7 MB as booleans.
+_SEPARATION_PEAK = 8 * 8 * 46_655 + (1 << 20)
+
+
+def test_separation_passes_on_46k_shelf(packing_46k, canonical_ratefn, monkeypatch):
+    """On the 46,655-cube shelf, with prefixes up to the whole model, the
+    separation check makes one regime pass (_prefix_d2), one box pass per
+    checkable t and one pass per drawn pair (_pair_hits: the prefix cubes
+    its box meets, then its rectangles against them), and holds no (points x
+    prefix) array."""
+    model, cover = packing_46k
+    config = small_config(t_grid=(0.25, 0.05, 0.01, 0.002, 1e-4), points=100, rects_per_point=500)
+    sample = sample_points(model, cover, config)
+    calls = {name: 0 for name in ("_prefix_d2", "_meets_prefix", "_pair_hits", "_draw_rects")}
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(scan, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(scan, name, counting)
+    kernel = CompactSetModel.overlaps
+    kernel_calls = []
+    monkeypatch.setattr(
+        CompactSetModel, "overlaps", lambda *a: kernel_calls.append(1) or kernel(*a)
+    )
+    tracemalloc.start()
+    try:
+        report = separation_check(model, cover, canonical_ratefn, config, points=sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.prefix for r in report.rows] == [46_655, 3124, 255, 26, 0]
+    checkable = [r for r in report.rows if r.prefix]
+    assert all(r.checked_points for r in checkable)
+    assert calls["_prefix_d2"] == 1
+    assert calls["_meets_prefix"] == len(checkable)
+    assert calls["_pair_hits"] == calls["_draw_rects"] >= 1
+    assert len(kernel_calls) == 1 + len(checkable) + 2 * calls["_pair_hits"]
+    assert peak < _SEPARATION_PEAK, f"peak {peak / 2**20:.2f} MB"
+
+
+@pytest.mark.parametrize("layout", ["shelf-3124", "shelf-46655", "deposition"])
+def test_plan_regimes_match_per_point_passes(layouts, layout, canonical_ratefn):
+    """At three seeds per layout, the plan's one regime pass gives every
+    point the regimes of its own _point_gaps pass, which the scan and the
+    separation check each made before (on the deposition layout every
+    sampled pair is applicable)."""
+    model, cover = layouts[layout]
+    for seed in (1, 2, 3):
+        config = small_config(points=24, seed=seed)
+        plan = scan._scan_plan(model, cover, canonical_ratefn, config, None)
+        assert plan.regimes == oracles.regimes_ref(model, plan)
+
+
+# Points at distance exactly t from a prefix cube of the canonical model:
+# right of cube 1's edge x = 0.5 at t = 3/64, and off cube 2's top-right
+# corner (0.75, 0.25) by (3, 4) * 2^-7 at t = 5/128.  Every difference,
+# square and square root on the way is exact (a 3-4-5 triangle for the
+# corner); the pair is applicable there and deferred one ulp nearer.
+_EDGE_TIE, _CORNER_TIE = (0.546875, 0.4), (0.7734375, 0.28125)
+_TIE_GRID = (0.25, 0.046875, 0.0390625, 0.01)
+
+
+def test_plan_regimes_match_per_point_passes_on_cube_probes(canonical_model, canonical_ratefn):
+    """Explicit points on cube edges and corners, one ulp off them, and at
+    distance exactly t from a prefix cube with their neighbours one ulp
+    nearer and farther get the regimes of their own _point_gaps passes; all
+    three regimes and both sides of each tie occur."""
+    cubes = sorted(set(range(30)) | set(range(0, canonical_model.trunc, 97)))
+    probes = _cube_probes(canonical_model, cubes).tolist()
+    pts = [(x, y) for x, y in probes if 0.0 < x < 1.0 and 0.0 < y < 1.0]
+    # each tie point with its neighbours one ulp nearer and one ulp farther
+    ties = [[(float(np.nextafter(x, d)), y) for d in (0.0, x, 1.0)] for x, y in (_EDGE_TIE, _CORNER_TIE)]
+    pts += sum(ties, [])
+    config = small_config(t_grid=_TIE_GRID, points=len(pts))
+    plan = scan._scan_plan(canonical_model, ExceptionalCover.empty(), canonical_ratefn, config, pts)
+    assert plan.regimes == oracles.regimes_ref(canonical_model, plan)
+    assert {r for row in plan.regimes for r in row} == {"applicable", "deferred", "exceptional"}
+    for (nearer, tie, farther), t in zip(ties, _TIE_GRID[1:3]):
+        assert oracles.distance_to_cubes_ref(canonical_model, tie, 26) == t
+        k = plan.t_sorted.index(t)
+        got = [plan.regimes[pts.index(q)][k] for q in (nearer, tie, farther)]
+        assert got == ["deferred", "applicable", "applicable"]
 
 
 @pytest.mark.parametrize(
@@ -506,7 +649,7 @@ def test_drawn_rectangles_lie_in_the_box_point_plus_minus_t(outer, point, t_grid
         box = np.array([[px - t, px + t, py - t, py + t]])
         assert (family[:, :2] >= box[0, 0]).all() and (family[:, :2] <= box[0, 1]).all()
         assert (family[:, 2:] >= box[0, 2]).all() and (family[:, 2:] <= box[0, 3]).all()
-        assert scan._reach(point, family) <= scan._reach(point, box)
+        assert oracles._reach(point, family) <= oracles._reach(point, box)
 
 
 def test_explicit_points_match_run_pass_before_family_boxes(
@@ -601,7 +744,7 @@ def test_family_boxes_keep_nan_and_degenerate_rows():
     )
     with np.errstate(invalid="ignore"):
         got = scan._ratios(model, rects, 2)
-        want = scan._ratios(model, rects)
+        want = oracles.plain_ratios(model, rects)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     assert got[0] < 1.0 and np.isnan(got[[1, 2, 3, 4]]).all()
 

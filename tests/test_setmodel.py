@@ -17,7 +17,7 @@ from densitometer.errors import (
     TruncationTooSmall,
 )
 from densitometer.interval1d import Location
-from densitometer.scan import _point_gaps
+from densitometer.scan import _prefix_d2
 from densitometer.setmodel import (
     CompactSetModel,
     build_cover,
@@ -256,9 +256,11 @@ def test_locate_in_cubes(canonical_model):
 
 
 def _distance_to_cubes(model, point, upto):
-    """Distance from the point to cubes 1..upto as the scan reads it from
-    its cube pass; it must equal the oracle's."""
-    d = float(np.sqrt(_point_gaps(model, point, upto)[1].min()))
+    """Distance from the point to cubes 1..upto as the scan plan reads it
+    from its regime pass; it must equal the per-point cube pass's and the
+    oracle's."""
+    d = float(np.sqrt(_prefix_d2(model, np.array([point]), (upto,))[0, 0]))
+    assert d == float(np.sqrt(oracles._point_gaps(model, point, upto)[1].min()))
     assert d == oracles.distance_to_cubes_ref(model, point, upto)
     return d
 
