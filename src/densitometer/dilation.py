@@ -693,9 +693,18 @@ def _grow_sweep(
 
 
 def _section_measures(sec_off: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ``fsum`` of each section's block lengths."""
-    off, pieces = sec_off.tolist(), lengths.tolist()
-    return np.array([math.fsum(pieces[a:b]) for a, b in zip(off, off[1:])], dtype=np.float64)
+    """The ``fsum`` of each section's block lengths.  The fsum of one float
+    is that float (+0.0 for -0.0, hence the added zero), so a section of one
+    block takes its length, and only longer sections call ``math.fsum``."""
+    counts = np.diff(sec_off)
+    out = np.zeros(len(counts))
+    one = counts == 1
+    out[one] = lengths[sec_off[:-1][one]] + 0.0
+    many = np.flatnonzero(counts > 1).tolist()
+    if many:
+        off, pieces = sec_off.tolist(), lengths.tolist()
+        out[many] = [math.fsum(pieces[off[i] : off[i + 1]]) for i in many]
+    return out
 
 
 def cube_rows(cubes) -> np.ndarray:

@@ -22,11 +22,13 @@ shortest-round-trip float formatting so artifact bytes are reproducible.
 Both checks share one plan, whose regimes come from one kernel pass over
 all scannable points.  Both then measure boxes before rectangles: the scan
 sends the bounding box of each point's family at each t through one descent
-of the model's cube tree, and only the families whose box meets a cube go
-on to a second; the separation check sends the box point +- t of each
-applicable pair through one pass over the prefix cubes, and draws only the
-pairs whose box meets one.  Each ratio is exactly rounded, so it does not
-depend on the run it was measured in.
+of the model's cube tree and one kernel pass over the large cubes kept out
+of it, and a family's rectangles descend the tree only when its box meets
+a tree cube, and meet only the large cubes its box meets; the separation
+check sends the box point +- t of each applicable pair through one pass
+over the prefix cubes, and draws only the pairs whose box meets one.  Each
+ratio is exactly rounded, so it does not depend on the run it was measured
+in.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .auxfn import RateFunction
 from .errors import AcceptanceTooLow, OutOfRange
-from .setmodel import CompactSetModel, ExceptionalCover
+from .setmodel import CompactSetModel, ExceptionalCover, _interior
 
 __all__ = [
     "ScanConfig",
@@ -63,8 +65,6 @@ _ASPECT_CEIL = 20.0
 # Rectangles per run of points: a run is drawn into one buffer of this many
 # rows (or one point's, when a point alone has more).
 _RUN_RECTS = 1 << 15
-# Rectangles of busy families gathered per descent of the cube tree.
-_GATHER_RECTS = 1 << 12
 
 
 def _csv(header: str, rows: Iterable[Sequence]) -> str:
@@ -251,26 +251,10 @@ def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
 def _ratios(model: CompactSetModel, rects: np.ndarray, family: int) -> np.ndarray:
     """Truncated-set density of each rectangle, from its exactly rounded
     overlap total; the rows form consecutive families of ``family``
-    rectangles.
-
-    The bounding boxes of all families go through one descent of the cube
-    tree first, and only the rows of families whose box total is positive go
-    on to the tree, _GATHER_RECTS at a time; every other row's total is 0.0.
-    This is exact: a rectangle lies in its family's box, so each of its
-    pieces is at most the box's piece for the same cube (float min, max,
-    subtraction and multiplication are monotone), and a correctly rounded
-    sum of pieces is 0.0 only when every piece is.  The box ignores NaN
-    coordinates; a NaN row's total is 0.0 anyway, since no node passes a
-    comparison with NaN.  The ratio formula then runs on every row, in place
-    in the totals."""
-    members = rects.reshape(-1, family, 4)
-    folds = (np.fmin, np.fmax) * 2
-    boxes = np.stack([f.reduce(members[..., j], axis=1) for j, f in enumerate(folds)], axis=1)
-    busy = np.flatnonzero(np.repeat(model.total_overlaps(boxes) > 0.0, family))
-    totals = np.zeros(len(rects))
-    for i in range(0, len(busy), _GATHER_RECTS):
-        rows = busy[i : i + _GATHER_RECTS]
-        totals[rows] = model.total_overlaps(rects[rows])
+    rectangles, measured box first by ``total_overlaps``.  A NaN row's
+    total is 0.0 and its ratio NaN.  The ratio formula runs on every row,
+    in place in the totals."""
+    totals = model.total_overlaps(rects, family)
     x0, x1, y0, y1 = rects.T
     area = x1 - x0
     area *= y1 - y0
@@ -295,11 +279,6 @@ def _prefix_d2(model: CompactSetModel, points: np.ndarray, cuts: Sequence[int]) 
         return np.minimum.accumulate(segments, axis=1)
 
     return model.overlaps(points[:, [0, 0, 1, 1]], mins, slice(cuts[-1]))
-
-
-def _interior(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """Which (rectangle, cube) pairs meet in their interiors."""
-    return (wx > 0.0) & (wy > 0.0)
 
 
 def _meets_any(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
@@ -496,10 +475,13 @@ def _scan_points(
     A point's rectangles of every t come from one draw of its own stream.
     Points go in runs of at most _RUN_RECTS rectangles (or one point, when a
     point alone has more), drawn into one buffer.  A run's families, the
-    rectangles of one point at one t, are measured box first (see _ratios):
-    on a scan-46k operation about 4%, 14% and 60% of the families at t =
-    0.01, 0.05 and 0.25 have a box that meets a cube, so about three
-    rectangles in four never reach the tree.  The regimes are the plan's."""
+    rectangles of one point at one t, are measured box first (see
+    ``CompactSetModel.total_overlaps``): on scan-46k operations about 3%,
+    14% and 60% of the families at t = 0.01, 0.05 and 0.25 have a box that
+    meets a cube, so about three rectangles in four are measured against
+    none; at t = 0.25 about 31% of the boxes meet a cube of the tree, and a
+    box that meets large cubes meets 11 of the 53 on average.  The regimes
+    are the plan's."""
     seeds = _substreams(config, 1, len(plan.points))
     per_point = len(plan.t_sorted) * config.rects_per_point
     run = min(len(plan.points), max(1, _RUN_RECTS // per_point))
@@ -640,7 +622,14 @@ def separation_check(
     meets is met by the box too.  A pair whose box meets no prefix cube
     therefore counts its rectangles as checked without drawing them; the
     others draw them and test them against only the prefix cubes their box
-    meets (_pair_hits)."""
+    meets (_pair_hits).
+
+    By construction an applicable pair's rectangles cannot reach the
+    prefix: a pair is applicable only when t is at most the point's
+    distance to cubes 1..prefix, and each rectangle holds the point with a
+    diagonal below t, so every point of it lies closer to the point than
+    any prefix cube does.  A violation can therefore be counted only
+    through float rounding, and the separation row fails only then."""
     plan = _scan_plan(model, cover, ratefn, config, points)
     seeds = _substreams(config, 2, len(plan.points))
     pts = np.array(plan.points)

@@ -6,9 +6,12 @@ rectangles are exact on the truncated set and carry a certified lower bound
 for the untruncated one.  Rectangle queries descend the model's cube tree,
 whose nodes carry their cubes' exact whole-cube area totals as integer
 limbs, so only the cubes on a rectangle's boundary reach the overlap
-kernel.  The exceptional cover unites, for blocks s = m..s_hi of the
-schedule, the 2^s-dilation of the block's cubes; its total measure is
-bounded analytically across all blocks s >= m.
+kernel; the few cubes too large for the tree are measured in one kernel
+pass against each family of rectangles' bounding box, and a family's
+rectangles only against the large cubes its box meets.  The exceptional
+cover unites, for blocks s = m..s_hi of the schedule, the 2^s-dilation of
+the block's cubes; its total measure is bounded analytically across all
+blocks s >= m.
 """
 
 from __future__ import annotations
@@ -107,6 +110,24 @@ def _node_inside(boxes: tuple, nodes: np.ndarray, rect: tuple, rows: np.ndarray)
     return inside
 
 
+def _interior(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Overlap reduction: True where a cube's interior meets the
+    rectangle's, for each (rectangle, cube) pair."""
+    return (wx > 0.0) & (wy > 0.0)
+
+
+_BOX_FOLDS = (np.fmin, np.fmax) * 2
+
+
+def _family_boxes(rects: np.ndarray, family: int) -> np.ndarray:
+    """Bounding boxes [x0, x1, y0, y1] of the consecutive families of
+    ``family`` rows; fmin and fmax ignore NaN coordinates."""
+    if family == 1:
+        return rects
+    members = rects.reshape(-1, family, 4)
+    return np.stack([f.reduce(members[..., j], axis=1) for j, f in enumerate(_BOX_FOLDS)], axis=1)
+
+
 def _limb_values(limbs: np.ndarray, shift: int, bits: int) -> np.ndarray:
     """Floats whose exact sum is the area held in integer limbs: limb k of a
     (K, n) array counts units of 2^(bits k - shift).  Each limb is an integer
@@ -195,7 +216,7 @@ class _PackedTree:
             )
 
     def walk(
-        self, rect: tuple, closed: bool
+        self, rect: tuple, closed: bool, settled: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Level-by-level descent of rectangles given as arrays (x0, x1, y0,
         y1).  A (rectangle, node) pair is dropped when the node cannot meet
@@ -203,7 +224,12 @@ class _PackedTree:
         it (unless ``closed``), and otherwise split into its children.
         Returns the rectangle rows and leaf indexes of the pairs that reach a
         leaf, and the rows and nodes of the whole pairs; rows ascend in
-        both."""
+        both.
+
+        With ``settled``, a boolean per rectangle, a rectangle settles at
+        its first whole node with a positive area total: it is marked in
+        ``settled`` and leaves the descent, and no whole pair is returned.
+        """
         rows = np.arange(len(rect[0]))
         nodes = np.zeros(len(rows), dtype=np.intp)
         whole_rows, whole_nodes = [], []
@@ -215,9 +241,17 @@ class _PackedTree:
             rows, nodes = rows[keep], nodes[keep]
             if not closed:
                 inside = _node_inside(self.boxes, nodes, rect, rows)
-                whole_rows.append(rows[inside])
-                whole_nodes.append(nodes[inside])
-                rows, nodes = rows[~inside], nodes[~inside]
+                if settled is None:
+                    whole_rows.append(rows[inside])
+                    whole_nodes.append(nodes[inside])
+                    keep = ~inside
+                else:
+                    positive = self.limbs[:, nodes[inside]].any(axis=0)
+                    settled[rows[inside][positive]] = True
+                    keep = ~inside & ~settled[rows]
+                rows, nodes = rows[keep], nodes[keep]
+            if not rows.size:
+                break
         return (
             rows,
             nodes - ((1 << self.depth) - 1),
@@ -259,14 +293,15 @@ def _morton(xs: np.ndarray, ys: np.ndarray, sides: np.ndarray, outer: Rectangle)
 
 
 class CubeTree:
-    """The model's cube index: packed bounding-box trees with exact subtree
-    areas.
+    """The model's cube index: a packed bounding-box tree with exact subtree
+    areas, and the few large cubes beside it.
 
     The cubes larger than the cell of a g x g grid over the outer box, g =
-    isqrt(N // 4), get a leaf each in a small tree of their own; the others
-    go eight to a leaf (_LEAF).  Kept apart, the few large cubes do not
-    stretch the leaf boxes of the many small ones over the voids between
-    them.
+    isqrt(N // 4), are listed in ``big`` (ascending); the tree holds the
+    others, eight to a leaf (_LEAF).  Kept out of the tree, the few large
+    cubes do not stretch its leaf boxes over the voids between the many
+    small ones, and a query meets them through one kernel pass instead of
+    a descent.  When every cube is large, the tree takes them all.
 
     Each node stores the exact total of its cubes' whole-cube areas
     fl(fl(cx1 - cx0) * fl(cy1 - cy0)), with cx1 = fl(cx0 + w) as in
@@ -277,7 +312,7 @@ class CubeTree:
     summation using small and large superaccumulators", arXiv:1505.05571).
     """
 
-    __slots__ = ("shift", "bits", "trees")
+    __slots__ = ("shift", "bits", "tree", "big")
 
     def __init__(
         self, outer: Rectangle, xs: np.ndarray, ys: np.ndarray, sides: np.ndarray
@@ -291,18 +326,17 @@ class CubeTree:
         del areas
         self.shift = min(53 - lo, 1074)
         count = max(1, -(-(hi + self.shift) // self.bits))
-        code = _morton(xs, ys, sides, outer)
         g = max(1, math.isqrt(len(xs) // 4))
         big = sides > min(outer.x.length, outer.y.length) / g
-        groups = []
-        for ids, leaf in ((np.flatnonzero(~big), _LEAF), (np.flatnonzero(big), 1)):
-            if ids.size:
-                groups.append((ids[np.argsort(code[ids], kind="stable")].astype(np.int32), leaf))
-        del code, big
-        self.trees = tuple(
-            _PackedTree(ids, leaf, (xs, ys, sides), (count, self.bits, self.shift))
-            for ids, leaf in groups
-        )
+        if big.all():
+            big[:] = False
+        self.big = np.flatnonzero(big)
+        small = np.flatnonzero(~big)
+        del big
+        code = _morton(xs, ys, sides, outer)
+        ids = small[np.argsort(code[small], kind="stable")].astype(np.int32)
+        del code, small
+        self.tree = _PackedTree(ids, _LEAF, (xs, ys, sides), (count, self.bits, self.shift))
 
 
 class CompactSetModel:
@@ -418,41 +452,142 @@ class CompactSetModel:
         cx0, cy0, w = self.xs[cubes], self.ys[cubes], self.sides[cubes]
         return cx0, cx0 + w, cy0, cy0 + w
 
-    def total_overlaps(self, rects: np.ndarray) -> np.ndarray:
+    def total_overlaps(self, rects: np.ndarray, family: int = 1) -> np.ndarray:
         """Each rectangle's total overlap area with the cubes, exactly
         rounded: the correctly rounded sum of its positive pieces
         ``max(wx, 0) * max(wy, 0)`` (see :meth:`overlaps`).
 
-        ``rects`` is an (n, 4) array of [x0, x1, y0, y1] with x0 < x1 and
-        y0 < y1.  It descends the cube tree _CHUNK_RECTS rows at a time.
-        A node inside a rectangle adds the exact limb total of its cubes,
-        whose pieces are their whole-cube areas; the cubes of the leaves on
-        a rectangle's boundary go to the kernel.  A row with no whole node
-        and at most two positive pieces is their float sum, rounded once;
-        every other row is one math.fsum of its limb values and pieces.
+        ``rects`` is an (n, 4) array of [x0, x1, y0, y1] whose rows form
+        consecutive families of ``family`` rectangles (n a multiple of
+        ``family``); a family's box is the bounding box of its rows, NaN
+        coordinates ignored, and with ``family`` = 1 each rectangle is its
+        own box.  Boxes are measured before rectangles:
+
+        - a family's rows descend the cube tree only if its box's total over
+          the tree's cubes is positive, _CHUNK_RECTS rows at a time; a node
+          inside a rectangle adds the exact limb total of its cubes, whose
+          pieces are their whole-cube areas, and the cubes of the leaves on
+          a rectangle's boundary go to the kernel;
+        - one kernel pass of the boxes against the large cubes (``index.big``)
+          lists each box's candidates, the large cubes whose interior it
+          meets, and a family's rows are measured against its kernel
+          block's candidates only (see _big_pieces); no rectangle descends
+          a tree of large cubes.
+
+        This is exact: a rectangle lies in its family's box, and float min,
+        max and subtraction are monotone, so a cube whose interior the box
+        misses gives each of the family's rectangles a zero piece, and a
+        box total of 0.0 means that every piece of the box is zero.  A NaN
+        row passes no comparison, so its total is 0.0.  A row with no whole
+        node and at most two positive pieces is their float sum, rounded
+        once; every other row is one math.fsum of its limb values and
+        pieces.
         """
         rects = np.asarray(rects, dtype=np.float64)
-        out = np.empty(len(rects))
-        for i in range(0, len(rects), _CHUNK_RECTS):
-            out[i : i + _CHUNK_RECTS] = self._chunk_totals(rects[i : i + _CHUNK_RECTS])
-        return out
+        n = len(rects)
+        totals = np.zeros(n)
+        if not n:
+            return totals
+        boxes = _family_boxes(rects, family)
+        big_rows, big_values = self._big_pieces(rects, boxes, family)
+        if family == 1:
+            descend = np.ones(n, dtype=bool)
+        else:
+            descend = np.repeat(self._tree_positive(boxes), family)
+        busy = descend.copy()
+        busy[big_rows] = True
+        busy = np.flatnonzero(busy)
+        for i in range(0, len(busy), _CHUNK_RECTS):
+            rows = busy[i : i + _CHUNK_RECTS]
+            tree_rows = np.flatnonzero(descend[rows])
+            a, b = np.searchsorted(big_rows, (rows[0], rows[-1] + 1))
+            totals[rows] = self._chunk_totals(
+                len(rows),
+                rects[rows[tree_rows]],
+                tree_rows,
+                np.searchsorted(rows, big_rows[a:b]),
+                big_values[a:b],
+            )
+        return totals
 
-    def _chunk_totals(self, rects: np.ndarray) -> np.ndarray:
-        n, index = len(rects), self.index
-        cols = tuple(np.ascontiguousarray(rects.T))
-        limbs = np.zeros((len(index.trees[0].limbs), n))
-        piece_rows, piece_values = [], []
-        for tree in index.trees:
-            rows, leaves, whole_rows, whole_nodes = tree.walk(cols, closed=False)
-            for total, limb in zip(limbs, tree.limbs):
-                total += np.bincount(whole_rows, limb[whole_nodes], n)
+    def _tree_pieces(self, rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One descent of the rectangles through the cube tree: the (K, n)
+        limb totals of each row's whole nodes, and the rows and values of
+        the positive pieces of its boundary leaves, rows ascending."""
+        tree, n = self.index.tree, len(rects)
+        rows, leaves, whole_rows, whole_nodes = tree.walk(
+            tuple(np.ascontiguousarray(rects.T)), closed=False
+        )
+        limbs = np.array([np.bincount(whole_rows, limb[whole_nodes], n) for limb in tree.limbs])
+        if not rows.size:
+            return limbs, rows, np.empty(0)
+        pieces = self.overlaps(rects[rows], _pieces, tree.ids[leaves])
+        positive = tree.drop_padding(pieces, leaves) > 0.0
+        return limbs, np.repeat(rows, np.count_nonzero(positive, axis=1)), pieces[positive]
+
+    def _tree_positive(self, boxes: np.ndarray) -> np.ndarray:
+        """Which boxes have a positive total over the tree's cubes: a whole
+        node with a positive area total, where the box's descent stops, or
+        a positive boundary piece."""
+        tree, hit = self.index.tree, np.zeros(len(boxes), dtype=bool)
+        for i in range(0, len(boxes), _CHUNK_RECTS):
+            chunk, settled = boxes[i : i + _CHUNK_RECTS], hit[i : i + _CHUNK_RECTS]
+            cols = tuple(np.ascontiguousarray(chunk.T))
+            rows, leaves, _, _ = tree.walk(cols, closed=False, settled=settled)
             if rows.size:
-                pieces = self.overlaps(rects[rows], _pieces, tree.ids[leaves])
-                positive = tree.drop_padding(pieces, leaves) > 0.0
-                piece_rows.append(np.repeat(rows, np.count_nonzero(positive, axis=1)))
-                piece_values.append(pieces[positive])
-        prow = np.concatenate(piece_rows or [np.empty(0, dtype=np.intp)])
-        pval = np.concatenate(piece_values or [np.empty(0)])
+                pieces = self.overlaps(chunk[rows], _pieces, tree.ids[leaves])
+                settled[rows[(tree.drop_padding(pieces, leaves) > 0.0).any(axis=1)]] = True
+        return hit
+
+    def _big_pieces(
+        self, rects: np.ndarray, boxes: np.ndarray, family: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and values of the positive pieces of the rectangles against
+        the large cubes, rows ascending.  One kernel pass lists each family
+        box's candidates, the large cubes whose interior it meets.  Then
+        the families go in runs of as many as fill _BLOCK_CELLS cells
+        against every large cube (one family when a family alone fills
+        more), and each run with a candidate measures its contiguous rows,
+        ungathered, against the union of its families' candidates.  A
+        family measured against a cube that only another family's box meets
+        gets zero pieces from it, as the box argument of total_overlaps
+        shows, so the union changes no total; for the scan's families of
+        hundreds of rectangles a run is one family or two."""
+        big = self.index.big
+        rows_out, values_out = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        if big.size:
+            near = self.overlaps(boxes, _interior, big)
+            step = max(1, _BLOCK_CELLS // (family * big.size))
+            starts = np.arange(0, len(boxes), step)
+            for f in starts[np.logical_or.reduceat(near.any(axis=1), starts)].tolist():
+                cubes = big[near[f : f + step].any(axis=0)]
+                first = f * family
+                pieces = self.overlaps(rects[first : first + step * family], _pieces, cubes)
+                r, k = np.nonzero(pieces > 0.0)
+                rows_out.append(r + first)
+                values_out.append(pieces[r, k])
+        return np.concatenate(rows_out), np.concatenate(values_out)
+
+    def _chunk_totals(
+        self,
+        n: int,
+        tree_rects: np.ndarray,
+        tree_rows: np.ndarray,
+        big_rows: np.ndarray,
+        big_values: np.ndarray,
+    ) -> np.ndarray:
+        """Exactly rounded totals of a chunk of n rows: the limbs and leaf
+        pieces of the rectangles ``tree_rects`` (rows ``tree_rows`` of the
+        chunk), which descend the tree, and the large-cube pieces of rows
+        ``big_rows``, added into one sum per row."""
+        index = self.index
+        limbs = np.zeros((len(index.tree.limbs), n))
+        prow, pval = big_rows, big_values
+        if tree_rows.size:
+            tree_limbs, rows, values = self._tree_pieces(tree_rects)
+            limbs[:, tree_rows] = tree_limbs
+            prow = np.concatenate([tree_rows[rows], prow])
+            pval = np.concatenate([values, pval])
         # bincount adds each row's pieces in order; with no pieces it counts in integers
         totals = np.bincount(prow, pval, n).astype(np.float64, copy=False)
         counts = np.bincount(prow, minlength=n)
@@ -474,21 +609,26 @@ class CompactSetModel:
         as rows and int32 cube indexes, sorted by row and then by cube.
 
         ``rects`` is an (n, 4) array of [x0, x1, y0, y1], points as [x, x,
-        y, y]; it descends the cube tree _CHUNK_RECTS rows at a time.
+        y, y].  The large cubes come from one kernel pass against
+        ``index.big``; the rectangles descend the cube tree for the others,
+        _CHUNK_RECTS rows at a time.
         """
         rects = np.asarray(rects, dtype=np.float64)
         rows_out, cubes_out = [], []
+        big, tree = self.index.big, self.index.tree
+        if big.size and len(rects):
+            rows, k = np.nonzero(self.overlaps(rects, closed_hits, big))
+            rows_out.append(rows)
+            cubes_out.append(big[k].astype(np.int32))
         for i in range(0, len(rects), _CHUNK_RECTS):
             chunk = rects[i : i + _CHUNK_RECTS]
-            cols = tuple(np.ascontiguousarray(chunk.T))
-            for tree in self.index.trees:
-                rows, leaves, _, _ = tree.walk(cols, closed=True)
-                if rows.size:
-                    hit = self.overlaps(chunk[rows], closed_hits, tree.ids[leaves])
-                    tree.drop_padding(hit, leaves)
-                    r, k = np.nonzero(hit)
-                    rows_out.append(rows[r] + i)
-                    cubes_out.append(tree.ids[leaves[r], k])
+            rows, leaves, _, _ = tree.walk(tuple(np.ascontiguousarray(chunk.T)), closed=True)
+            if rows.size:
+                hit = self.overlaps(chunk[rows], closed_hits, tree.ids[leaves])
+                tree.drop_padding(hit, leaves)
+                r, k = np.nonzero(hit)
+                rows_out.append(rows[r] + i)
+                cubes_out.append(tree.ids[leaves[r], k])
         rows = np.concatenate(rows_out or [np.empty(0, dtype=np.intp)])
         cubes = np.concatenate(cubes_out or [np.empty(0, dtype=np.int32)])
         order = np.lexsort((cubes, rows))

@@ -36,6 +36,11 @@ point's regimes from it, and the plan's regimes must equal them.
 rectangle of a run goes to the cube tree (``plain_ratios``, the ratio pass
 without family boxes), with regimes from ``regimes_ref``;
 ``scan_density_bound`` must give the same rows with it.
+``two_tree_totals`` and ``two_tree_ratios`` are the ratio pass before the
+large cubes were measured against family boxes: the large cubes had a tree
+of their own, one cube to a leaf (``big_tree``), that every busy rectangle
+descended beside the model's tree; ``total_overlaps`` and ``scan._ratios``
+must equal them bit for bit.
 ``separation_tallies_ref`` is the separation check drawing and testing the
 rectangles of every applicable pair, each against the prefix cubes within
 the rectangles' Chebyshev reach of the point (``_reach`` and
@@ -534,6 +539,96 @@ def plain_ratios(model, rects):
     ``scan._ratios``."""
     x0, x1, y0, y1 = rects.T
     return np.clip(1.0 - model.total_overlaps(rects) / ((x1 - x0) * (y1 - y0)), 0.0, 1.0)
+
+
+# -- the two-tree ratio pass: the large cubes in a tree of their own ------------------
+
+_BIG_TREES = {}
+
+
+def big_tree(model):
+    """The second tree of the cube index before the large cubes were measured
+    against family boxes: the cubes of ``index.big`` sorted by the Morton
+    code of their centres, one to a leaf, in the limb format of the model's
+    tree; None when the model has no large cube.  Built once per model."""
+    model_, tree = _BIG_TREES.get(id(model), (None, None))
+    if model_ is not model:
+        index = model.index
+        tree = None
+        if index.big.size:
+            code = setmodel._morton(model.xs, model.ys, model.sides, model.outer)
+            ids = index.big[np.argsort(code[index.big], kind="stable")].astype(np.int32)
+            limb_format = (len(index.tree.limbs), index.bits, index.shift)
+            cubes = (model.xs, model.ys, model.sides)
+            tree = setmodel._PackedTree(ids, 1, cubes, limb_format)
+        _BIG_TREES[id(model)] = (model, tree)
+    return tree
+
+
+def two_tree_totals(model, rects):
+    """``total_overlaps`` as it was with two trees: every rectangle descends
+    the model's tree and the large cubes' tree (``big_tree``),
+    ``setmodel._CHUNK_RECTS`` rows at a time, each tree adding its whole
+    nodes' limbs and its boundary leaves' positive pieces; a row with no
+    whole node and at most two pieces is their float sum, every other row
+    one math.fsum."""
+    rects = np.asarray(rects, dtype=np.float64)
+    trees = [t for t in (model.index.tree, big_tree(model)) if t is not None]
+    out = np.empty(len(rects))
+    step = setmodel._CHUNK_RECTS
+    for i in range(0, len(rects), step):
+        out[i : i + step] = _two_tree_chunk(model, trees, rects[i : i + step])
+    return out
+
+
+def _two_tree_chunk(model, trees, rects):
+    n, index = len(rects), model.index
+    cols = tuple(np.ascontiguousarray(rects.T))
+    limbs = np.zeros((len(index.tree.limbs), n))
+    piece_rows, piece_values = [], []
+    for tree in trees:
+        rows, leaves, whole_rows, whole_nodes = tree.walk(cols, closed=False)
+        for total, limb in zip(limbs, tree.limbs):
+            total += np.bincount(whole_rows, limb[whole_nodes], n)
+        if rows.size:
+            pieces = model.overlaps(rects[rows], setmodel._pieces, tree.ids[leaves])
+            positive = tree.drop_padding(pieces, leaves) > 0.0
+            piece_rows.append(np.repeat(rows, np.count_nonzero(positive, axis=1)))
+            piece_values.append(pieces[positive])
+    prow = np.concatenate(piece_rows or [np.empty(0, dtype=np.intp)])
+    pval = np.concatenate(piece_values or [np.empty(0)])
+    totals = np.bincount(prow, pval, n).astype(np.float64, copy=False)
+    counts = np.bincount(prow, minlength=n)
+    exact = (counts > 2) | limbs.any(axis=0)
+    rows = np.flatnonzero(exact)
+    if not rows.size:
+        return totals
+    terms = setmodel._limb_values(limbs[:, rows], index.shift, index.bits)
+    chosen = exact[prow]
+    keys = np.concatenate([np.tile(rows, len(terms)), prow[chosen]])
+    flat = np.concatenate([terms.ravel(), pval[chosen]])[np.argsort(keys, kind="stable")]
+    ends = np.cumsum(counts[rows] + len(terms)).tolist()
+    flat = flat.tolist()
+    totals[rows] = [math.fsum(flat[a:b]) for a, b in zip([0, *ends], ends)]
+    return totals
+
+
+def two_tree_ratios(model, rects, family):
+    """``scan._ratios`` as it was with two trees: the families' bounding
+    boxes (fmin and fmax, so NaN coordinates are ignored) go through
+    ``two_tree_totals`` first, and only the rows of families whose box total
+    is positive follow, 4,096 gathered rows at a time; every other row's
+    total is 0.0."""
+    members = rects.reshape(-1, family, 4)
+    folds = (np.fmin, np.fmax) * 2
+    boxes = np.stack([f.reduce(members[..., j], axis=1) for j, f in enumerate(folds)], axis=1)
+    busy = np.flatnonzero(np.repeat(two_tree_totals(model, boxes) > 0.0, family))
+    totals = np.zeros(len(rects))
+    for i in range(0, len(busy), 1 << 12):
+        rows = busy[i : i + (1 << 12)]
+        totals[rows] = two_tree_totals(model, rects[rows])
+    x0, x1, y0, y1 = rects.T
+    return np.clip(1.0 - totals / ((x1 - x0) * (y1 - y0)), 0.0, 1.0)
 
 
 def regimes_ref(model, plan):

@@ -345,13 +345,24 @@ def test_grow_near_the_float_range():
 
 
 def test_section_measures_are_fsums():
-    """Each section's measure is the ``fsum`` of its lengths:
-    1 + 2**-53 + 2**-53 is 1 from left to right but 1 + 2**-52 exactly."""
+    """Each section's measure is the ``fsum`` of its lengths, bit for bit:
+    1 + 2**-53 + 2**-53 is 1 from left to right but 1 + 2**-52 exactly.  A
+    section of one block skips ``math.fsum``; the case of every section one
+    block (with -0.0, whose fsum alone is +0.0, a subnormal and an empty
+    section among them) and a mix of one-block and longer sections keep
+    the bits too."""
     lengths = np.array([0.1, 1.0, 2.0**-53, 1.0, 2.0**-53, 2.0**-53, 0.3, 0.7])
     sec_off = np.array([0, 1, 3, 6, 8])
     want = [math.fsum(lengths[a:b].tolist()) for a, b in zip(sec_off, sec_off[1:])]
     assert want[2] != (1.0 + 2.0**-53) + 2.0**-53
     assert _bits(dilation._section_measures(sec_off, lengths)) == _bits(want)
+    for lengths, sec_off in (
+        ([0.1, -0.0, 5e-324, 0.7, 1.0 / 3.0], [0, 1, 2, 3, 3, 4, 5]),
+        ([0.25, 1.0, 2.0**-53, 2.0**-53, 0.3, 0.1, 0.2, 1e-300], [0, 1, 4, 5, 7, 8]),
+    ):
+        want = [math.fsum(lengths[a:b]) for a, b in zip(sec_off, sec_off[1:])]
+        got = dilation._section_measures(np.array(sec_off), np.array(lengths))
+        assert _bits(got) == _bits(want)
 
 
 def _recording_batches(monkeypatch):

@@ -13,7 +13,11 @@ to node boxes and on a model whose areas need many limbs, and the dense
 pairwise-sum oracle within that sum's rounding error.  Variants that admit
 a node one ulp too wide, drop a node overlapping by one ulp, or add node
 totals as rounded floats must each fail.  The tree's box query must return
-exactly the cubes whose closed square meets the box.
+exactly the cubes whose closed square meets the box.  The large cubes kept
+out of the tree are measured against each family box's candidates; the
+totals and ratios must equal the pass that gave them a tree of their own
+(``oracles.two_tree_totals``) bit for bit on three layouts, within a
+memory bound set by the kernel block.
 """
 
 import math
@@ -136,11 +140,14 @@ def _ulp_rects(model, cubes):
 
 def _node_boxes(model, sample=200):
     """Closed boxes (x0, x1, y0, y1) of cube-tree nodes with positive area:
-    every node of the top six levels of each tree and a seeded sample of the
-    others."""
+    every node of the top six levels of the model's tree and of the large
+    cubes' tree it had beside it (``oracles.big_tree``), and a seeded sample
+    of the others."""
     rng = np.random.default_rng(0)
     out = []
-    for tree in model.index.trees:
+    for tree in (model.index.tree, oracles.big_tree(model)):
+        if tree is None:
+            continue
         x0, x1, y0, y1 = tree.boxes
         nodes = np.flatnonzero((x0 < x1) & (y0 < y1))
         if nodes.size > sample:
@@ -197,26 +204,30 @@ def test_ratio_matches_density_ratio(canonical_model, rect_sets, kind):
 
 
 def _descent(model, rects):
-    """Per rectangle of the tree's ratio descent: the cubes of its whole
-    nodes and the cubes of its boundary leaves, as two lists of index
-    arrays."""
+    """Per rectangle of the ratio pass: the cubes of its whole nodes and of
+    its boundary leaves in the tree's descent, and its large-cube
+    candidates (the cubes of ``index.big`` whose interior it meets), as
+    three lists of index arrays."""
     cols = tuple(np.ascontiguousarray(rects.T))
     whole = [[] for _ in rects]
     boundary = [[] for _ in rects]
-    for tree in model.index.trees:
-        rows, leaves, whole_rows, whole_nodes = tree.walk(cols, closed=False)
-        slots = tree.ids.ravel()
-        real = tree.ids.shape[1] * tree.last + tree.fill
-        level = np.frexp(whole_nodes + 1)[1] - 1
-        span = tree.ids.shape[1] << (tree.depth - level)
-        first = (whole_nodes + 1 - (1 << level)) * span
-        for r, a, n in zip(whole_rows, first, span):
-            whole[r].append(slots[a : min(a + n, real)])
-        for r, leaf in zip(rows, leaves):
-            cells = np.arange(leaf * tree.ids.shape[1], (leaf + 1) * tree.ids.shape[1])
-            boundary[r].append(slots[cells[cells < real]])
+    tree = model.index.tree
+    rows, leaves, whole_rows, whole_nodes = tree.walk(cols, closed=False)
+    slots = tree.ids.ravel()
+    real = tree.ids.shape[1] * tree.last + tree.fill
+    level = np.frexp(whole_nodes + 1)[1] - 1
+    span = tree.ids.shape[1] << (tree.depth - level)
+    first = (whole_nodes + 1 - (1 << level)) * span
+    for r, a, n in zip(whole_rows, first, span):
+        whole[r].append(slots[a : min(a + n, real)])
+    for r, leaf in zip(rows, leaves):
+        cells = np.arange(leaf * tree.ids.shape[1], (leaf + 1) * tree.ids.shape[1])
+        boundary[r].append(slots[cells[cells < real]])
+    big = model.index.big
+    near = model.overlaps(rects, setmodel._interior, big) if big.size else np.zeros((len(rects), 0))
     join = lambda parts: np.concatenate([np.empty(0, dtype=np.int32), *parts])  # noqa: E731
-    return [join(p) for p in whole], [join(p) for p in boundary]
+    candidates = [big[row].astype(np.int32) for row in near.astype(bool)]
+    return [join(p) for p in whole], [join(p) for p in boundary], candidates
 
 
 def test_scan_rects_match_density_ratio(canonical_model):
@@ -235,9 +246,9 @@ def test_scan_rects_match_density_ratio(canonical_model):
         want = [density_ratio(canonical_model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
         assert got.tolist() == want
         assert oracles.point_ratios(canonical_model, point, rects).tolist() == want
-        for rect, whole, boundary in zip(rects, *_descent(canonical_model, rects)):
+        for rect, whole, boundary, big in zip(rects, *_descent(canonical_model, rects)):
             hits = oracles.overlapping_cubes_ref(canonical_model, rect)
-            pieces = np.count_nonzero(np.isin(boundary, hits))
+            pieces = np.count_nonzero(np.isin(np.concatenate([boundary, big]), hits))
             kinds.add((whole.size > 0, "none" if not pieces else "few" if pieces <= 2 else "many"))
     assert {(True, "many"), (False, "many"), (False, "few")} <= kinds
 
@@ -279,26 +290,29 @@ def test_ratio_matches_oracle(canonical_model, rect_sets, kind):
 
 def test_descent_holds_every_overlap(canonical_model, rect_sets):
     """Every cube whose interior meets a rectangle is in one of its whole
-    nodes or boundary leaves, and every cube of a whole node lies in the
-    closed rectangle, including rectangles that reach one ulp into a cube
-    across an edge or a corner, share an edge with a node box, or are one
-    ulp narrower than one.  Some rectangles take whole nodes alone, with no
-    boundary piece."""
+    nodes or boundary leaves or is one of its large-cube candidates, and
+    every cube of a whole node lies in the closed rectangle, including
+    rectangles that reach one ulp into a cube across an edge or a corner,
+    share an edge with a node box, or are one ulp narrower than one.  Some
+    rectangles take whole nodes alone, with no boundary piece, and some
+    meet large cubes."""
     rects = np.concatenate([rect_sets[k] for k in ("seeded", "edges", "ulp", "nodes")])
     model = canonical_model
     x1s, y1s = model.xs + model.sides, model.ys + model.sides
-    wholes = flush = alone = 0
-    for rect, whole, boundary in zip(rects, *_descent(model, rects)):
+    wholes = flush = alone = bigs = 0
+    for rect, whole, boundary, big in zip(rects, *_descent(model, rects)):
         x0, x1, y0, y1 = rect
         hits = oracles.overlapping_cubes_ref(model, rect)
-        assert np.isin(hits, np.concatenate([whole, boundary])).all(), rect
+        assert np.isin(hits, np.concatenate([whole, boundary, big])).all(), rect
+        assert np.isin(big, hits).all(), rect
         assert not np.intersect1d(whole, boundary).size
+        bigs += big.size > 0
         assert np.all((model.xs[whole] >= x0) & (x1s[whole] <= x1)), rect
         assert np.all((model.ys[whole] >= y0) & (y1s[whole] <= y1)), rect
         wholes += whole.size > 0
         alone += whole.size > 0 and not np.isin(boundary, hits).any()
         flush += bool(np.any((x1s[whole] == x1) | (model.xs[whole] == x0)))
-    assert wholes > alone > 0 and flush > 0
+    assert wholes > alone > 0 and flush > 0 and bigs > 0
 
 
 @pytest.mark.parametrize("kind", ["seeded", "edges"])
@@ -458,7 +472,7 @@ def test_many_limbs_match_oracles():
     pieces, rounded once, on rectangles around the diagonal at every scale
     and on node-box rectangles."""
     model = _diagonal_model()
-    assert len(model.index.trees[0].limbs) >= 15
+    assert len(model.index.tree.limbs) >= 15
     rng = np.random.default_rng(6)
     scale = 2.0 ** -rng.uniform(1.0, 390.0, 400)
     center = scale * rng.uniform(1.0, 3.0, 400)
@@ -549,8 +563,8 @@ def test_planted_whole_node_adds_as_limbs():
     """The planted rectangle takes leaf 1 whole and two boundary pieces, and
     its total is the exact sum rounded once: 2^-4 + 2^-56."""
     model, rect = _planted_rounding_model()
-    whole, boundary = (v[0] for v in _descent(model, rect))
-    assert sorted(whole.tolist()) == list(range(8)) and boundary.size == 8
+    whole, boundary, big = (v[0] for v in _descent(model, rect))
+    assert sorted(whole.tolist()) == list(range(8)) and boundary.size == 8 and not big.size
     assert _planted_total_is_exact(model, rect)
     assert model.total_overlaps(rect)[0] == 2.0**-4 + 2.0**-56
 
@@ -626,13 +640,29 @@ def test_index_query_holds_closed_meet_set(request, fixture, cubes, big):
     meets the box, including boxes that touch a cube at an edge or a
     corner, reach one ulp into it, equal a node box, lie partly or wholly
     outside the outer box, or are points.  The cubes larger than the cell of
-    an isqrt(N / 4) grid, cubes 1..big, have a leaf each in the second
-    tree."""
+    an isqrt(N / 4) grid, cubes 1..big, are listed in ``index.big`` and the
+    tree holds none of them."""
     model = request.getfixturevalue(fixture)
-    small, large = model.index.trees
-    assert sorted(large.ids[: large.last + 1, 0].tolist()) == list(range(big))
-    assert not np.isin(small.ids, np.arange(big)).any()
+    assert model.index.big.tolist() == list(range(big))
+    assert np.array_equal(np.unique(model.index.tree.ids), np.arange(big, model.trunc))
     assert _missed(model, cubes) is None
+
+
+def test_every_cube_large_goes_to_the_tree():
+    """Sixteen cubes of side 0.6 in one shelf row of a 100 x 1 box are all
+    larger than the cell of the 2 x 2 grid (side 0.5); the tree then holds
+    them all, and totals and box queries stay exact."""
+    equal = WeightSequence.explicit([0.36] * 16)
+    model = build_packing(equal, 16, Rectangle.from_bounds(0.0, 100.0, 0.0, 1.0))
+    assert bool(np.all(model.sides > 0.5)) and not model.index.big.size
+    assert np.array_equal(np.unique(model.index.tree.ids), np.arange(16))
+    rects = np.array([[0.3, 2.0, 0.1, 0.9], [0.6, 1.2, 0.0, 1.0], [5.0, 9.7, 0.5, 0.6]])
+    want = [oracles.density_overlap_ref(model, *rect) for rect in rects]
+    assert model.total_overlaps(rects).tolist() == want
+    assert model.total_overlaps(rects[:2], 2).tolist() == want[:2]
+    rows, cubes = model.meets(rects)
+    for i, rect in enumerate(rects):
+        assert cubes[rows == i].tolist() == oracles.closed_meet_ref(model, rect).tolist()
 
 
 def test_index_query_needs_low_side_reach(canonical_model, monkeypatch):
@@ -783,8 +813,8 @@ def test_ratio_memory_is_bounded_by_chunk(canonical_model):
 
 
 # A scan holds one run of drawn rectangles (_RUN_RECTS rows of 32 bytes, 1
-# MiB) while it measures the busy families of the run _GATHER_RECTS at a
-# time; a default scan of 100 points x 1,500 rectangles on the canonical
+# MiB) while it measures the busy families of the run, _CHUNK_RECTS rows
+# per descent of the cube tree; a default scan of 100 points x 1,500 rectangles on the canonical
 # cubes peaks at about 3.1 MiB, sampling included.  4 MiB bounds it; the
 # scan's 150,000 rectangles alone, held at once, take 4.6 MiB.
 _SCAN_PEAK = 4 << 20
@@ -816,3 +846,97 @@ def test_sample_points_memory_is_bounded_by_block(canonical_model, canonical_cov
         tracemalloc.stop()
     assert len(sample.points) == config.points
     assert peak < _PEAK_BOUND, f"peak {peak / 2**20:.1f} MB"
+
+
+# -- the large cubes against family boxes: bit for bit the two-tree pass ----------------
+
+_LAYOUT_CUBES = {
+    "canonical_model": CUBES,
+    "shelf_46k": SHELF_CUBES,
+    "deposition_model": CUBES,
+}
+
+
+def _scan_families(model, seed, points=12, per=150):
+    """Families the scan draws, ``per`` rectangles each at t = 0.25, 0.05
+    and 0.01, through cube corners and edge midpoints (large cubes among
+    them) and seeded points, with a NaN row, a row with one NaN coordinate,
+    a zero-width and a zero-height row planted in some families and one
+    family all NaN; all of these have NaN ratios."""
+    config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=1, rects_per_point=per, seed=0)
+    rng = np.random.default_rng(seed)
+    anchors = _edge_points(model, (0, 1, 2, 3, 26))[:: 3][:points]
+    anchors += [tuple(p) for p in rng.uniform(0.02, 0.98, (points, 2)).tolist()]
+    rects = np.concatenate([_draw_rects(rng, p, config.t_grid, config, model) for p in anchors])
+    nan = float("nan")
+    rects[per * 2 + 5] = nan
+    rects[per * 4 + 1, 2] = nan
+    rects[per * 5 + 3, 1] = rects[per * 5 + 3, 0]
+    rects[per * 7 + 8, 3] = rects[per * 7 + 8, 2]
+    rects[per * 9 : per * 10] = nan
+    return rects, per
+
+
+def _same_bits(got, want):
+    return got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUT_CUBES))
+def test_totals_match_two_tree_pass(request, layout):
+    """On the canonical, 46k shelf and deposition layouts the totals equal
+    the two-tree pass (``oracles.two_tree_totals``) bit for bit, on the
+    seeded, edge, ulp and node-box rectangles taken as families of one and
+    of seven, and the edge and ulp ones also one call each; the scan's
+    families give ``two_tree_ratios``' ratios, NaN rows included."""
+    model = request.getfixturevalue(layout)
+    cubes = _LAYOUT_CUBES[layout]
+    sets = [_seeded_rects(300, 5), _edge_rects(model, cubes), _ulp_rects(model, cubes)]
+    rects = np.concatenate(sets + [_node_rects(model)])
+    want = oracles.two_tree_totals(model, rects)
+    assert _same_bits(model.total_overlaps(rects), want)
+    sevens = rects[: len(rects) // 7 * 7]
+    assert _same_bits(model.total_overlaps(sevens, 7), want[: len(sevens)])
+    # one rectangle per call: a kernel block then holds its own candidates only
+    edges = np.concatenate(sets[1:])
+    alone = np.array([model.total_overlaps(rect[None, :])[0] for rect in edges])
+    assert _same_bits(alone, oracles.two_tree_totals(model, edges))
+    drawn, per = _scan_families(model, 8)
+    with np.errstate(invalid="ignore"):
+        got = _ratios(model, drawn.copy(), per)
+        want = oracles.two_tree_ratios(model, drawn, per)
+        assert _same_bits(model.total_overlaps(drawn, per), oracles.two_tree_totals(model, drawn))
+    assert _same_bits(got, want)
+    assert np.isnan(got).sum() == per + 4 and (got < 1.0).sum() > 0
+
+
+# The large-cube pass holds the families' boxes, one boolean per (box, large
+# cube), and one kernel block at a time: a handful of float64 temporaries of
+# _BLOCK_CELLS widths.  Its output is a row index and a value per positive
+# piece, 16 bytes, held once per block and once joined.
+_CANDIDATE_PEAK = 8 * 8 * setmodel._BLOCK_CELLS
+
+
+def test_candidate_pass_memory_is_bounded_by_block(shelf_46k):
+    """On the 46k shelf, the large-cube pass over one run of the scan's
+    families (500 rectangles each) through points on the large cubes'
+    edges peaks under eight blocks' temporaries plus twice its output,
+    although its rectangles meet 2.5 large cubes each on average; one
+    (rectangles x large cubes) float64 array would take over three times
+    that."""
+    model = shelf_46k
+    config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=1, rects_per_point=500, seed=0)
+    rng = np.random.default_rng(2)
+    anchors = _edge_points(model, range(53))[::9][:21]
+    rects = np.concatenate([_draw_rects(rng, p, config.t_grid, config, model) for p in anchors])
+    boxes = setmodel._family_boxes(rects, 500)
+    dense = len(rects) * model.index.big.size * 8
+    tracemalloc.start()
+    try:
+        rows, values = model._big_pieces(rects, boxes, 500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = _CANDIDATE_PEAK + 32 * len(rows)
+    assert len(rows) > 2 * len(rects)
+    assert 3 * bound < dense
+    assert peak < bound, f"peak {peak / 2**20:.2f} MB, {len(rows)} pieces"

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from densitometer import scan
+from densitometer import scan, setmodel
 from densitometer.dilation import Rectangle, RectUnion
 from densitometer.errors import OutOfRange
 from densitometer.interval1d import Location
@@ -295,14 +295,16 @@ def test_ratio_kernel_work_bound(canonical_model, canonical_cover, canonical_rat
     tenth of the cells (rectangles x cubes) of the dense product of each
     rectangle with every cube whose closure meets the box point +- t: it
     gets only the cubes of the boundary leaves of each rectangle's cube-tree
-    descent, one cell per (rectangle, cube)."""
+    descent and its family's large-cube candidates, one cell per
+    (rectangle, cube), besides the family boxes' own cells."""
     config = small_config(points=100, rects_per_point=100)
     kernel = CompactSetModel.overlaps
     cells = []
 
     def recording(self, rects, reduce, cubes):
-        if sys._getframe(1).f_code.co_name == "_chunk_totals":
-            cells.append(self.xs[cubes].size)
+        if sys._getframe(1).f_code.co_name in ("_tree_pieces", "_big_pieces"):
+            size = self.xs[cubes].size
+            cells.append(size if np.ndim(cubes) == 2 else len(rects) * size)
         return kernel(self, rects, reduce, cubes)
 
     monkeypatch.setattr(CompactSetModel, "overlaps", recording)
@@ -676,15 +678,16 @@ def _one_cube_model():
 
 
 def _family_ratios(model, rects, family, monkeypatch):
-    """scan._ratios of the families, and the row count of each tree pass."""
+    """scan._ratios of the families, and the row count of each descent of
+    the cube tree: first the families' boxes, then the rows measured."""
     passes = []
-    totals = CompactSetModel.total_overlaps
+    walk = setmodel._PackedTree.walk
 
-    def recording(self, rects):
-        passes.append(len(rects))
-        return totals(self, rects)
+    def recording(self, rect, closed, settled=None):
+        passes.append(len(rect[0]))
+        return walk(self, rect, closed, settled)
 
-    monkeypatch.setattr(CompactSetModel, "total_overlaps", recording)
+    monkeypatch.setattr(setmodel._PackedTree, "walk", recording)
     return scan._ratios(model, np.array(rects), family), passes
 
 
