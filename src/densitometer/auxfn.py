@@ -208,6 +208,8 @@ class RateFunction:
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "RateFunction":
         branches = []
         for t_lo, t_hi, floor, deficit in rows:
+            if not (math.isfinite(floor) and math.isfinite(deficit)):
+                raise ValueError(f"floor and deficit must be finite, got {floor}, {deficit}")
             if math.isinf(t_hi):
                 s_next = None
                 if (floor, deficit) != (-1.0, 2.0):

@@ -16,19 +16,19 @@ as violations of the claim; pairs at flagged (exceptional) points are
 labeled and tallied separately, since violations there demonstrate the
 necessity of the exclusion rather than contradict the bound.
 
-Everything is deterministic given the seed: points and per-point rectangle
-streams derive from disjoint substreams of one root seed, and reports use
-shortest-round-trip float formatting so artifact bytes are reproducible.
-Both checks share one plan, whose regimes come from one kernel pass over
-all scannable points.  Both then measure boxes before rectangles: the scan
-sends the bounding box of each point's family at each t through one descent
-of the model's cube tree and one kernel pass over the large cubes kept out
-of it, and a family's rectangles descend the tree only when its box meets
-a tree cube, and meet only the large cubes its box meets; the separation
-check sends the box point +- t of each applicable pair through one pass
-over the prefix cubes, and draws only the pairs whose box meets one.  Each
-ratio is exactly rounded, so it does not depend on the run it was measured
-in.
+Everything is deterministic given the seed: the points and each point's
+one rectangle stream derive from disjoint substreams of one root seed, and
+reports use shortest-round-trip float formatting so artifact bytes are
+reproducible.  Both checks build the same plan, whose regimes come from one
+kernel pass over all scannable points, and both read the same rectangles
+(_point_rects).  Both measure boxes before rectangles: the scan sends the
+bounding box of each point's family at each t through one descent of the
+model's cube tree and one kernel pass over the large cubes kept out of it,
+and a family's rectangles descend the tree only when its box meets a tree
+cube, and meet only the large cubes its box meets; the separation check
+sends the box point +- t of each applicable pair through one pass over the
+prefix cubes, and draws only the pairs whose box meets one.  Each ratio is
+exactly rounded, so it does not depend on the run it was measured in.
 """
 
 from __future__ import annotations
@@ -126,19 +126,9 @@ class PointSample:
 
 
 def _substreams(config: ScanConfig, lane: int, count: int) -> list[np.random.SeedSequence]:
-    # lane 0: point sampling; lane 1: density rects; lane 2: separation rects
-    root = np.random.SeedSequence(config.seed)
-    lanes = root.spawn(3)
+    # lane 0: point sampling; lane 1: each point's rectangles
+    lanes = np.random.SeedSequence(config.seed).spawn(2)
     return lanes[lane].spawn(count) if count else [lanes[lane]]
-
-
-def _child(seed: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
-    """Child k of ``seed``: for a sequence that has spawned no children yet,
-    the one ``seed.spawn(n)[k]`` would give for any n > k, built alone, so
-    that only the children drawn from are built."""
-    return np.random.SeedSequence(
-        seed.entropy, spawn_key=(*seed.spawn_key, k), pool_size=seed.pool_size
-    )
 
 
 def _strictly_inside(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
@@ -199,7 +189,7 @@ def sample_points(
 def _draw_rects(
     rng: np.random.Generator,
     point: tuple[float, float],
-    t: float | Sequence[float],
+    t: Sequence[float],
     config: ScanConfig,
     model: CompactSetModel,
     out: np.ndarray | None = None,
@@ -217,7 +207,7 @@ def _draw_rects(
     the box in place of the rectangles it has not drawn."""
     n = config.rects_per_point
     px, py = point
-    t = np.reshape(np.asarray(t, dtype=np.float64), (-1, 1))
+    t = np.asarray(t, dtype=np.float64)[:, None]
     # uniform(lo, hi) is lo + (hi - lo) * d, so one draw serves all four rows;
     # a (k, 4, n) draw gives the same doubles as k draws of (4, n)
     u, aspect, vx, vy = rng.random((len(t), 4, n)).swapaxes(0, 1)
@@ -238,6 +228,13 @@ def _draw_rects(
     np.maximum(y0, outer.y.lo, out=rects[..., 2])
     np.minimum(y0 + height, outer.y.hi, out=rects[..., 3])
     return rects.reshape(-1, 4)
+
+
+def _point_rects(model: CompactSetModel, config: ScanConfig, plan: _ScanPlan, seeds, i, out=None):
+    """Point i's rectangles at every t of the plan's ascending grid, from one
+    draw of its lane-1 seed: the family at t_sorted[k] is rows k n..(k+1) n."""
+    rng = np.random.Generator(np.random.PCG64(seeds[i]))
+    return _draw_rects(rng, plan.points[i], plan.t_sorted, config, model, out)
 
 
 def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
@@ -491,8 +488,7 @@ def _scan_points(
         ids = range(start, min(start + run, len(plan.points)))
         rects = buffer[: len(ids) * per_point]
         for i, block in zip(ids, np.split(rects, len(ids))):
-            rng = np.random.Generator(np.random.PCG64(seeds[i]))
-            _draw_rects(rng, plan.points[i], plan.t_sorted, config, model, out=block)
+            _point_rects(model, config, plan, seeds, i, block)
         ratios = _ratios(model, rects, config.rects_per_point).reshape(len(ids), per_point)
         for i, point_ratios in zip(ids, ratios):
             rows = []
@@ -622,7 +618,7 @@ def separation_check(
     meets is met by the box too.  A pair whose box meets no prefix cube
     therefore counts its rectangles as checked without drawing them; the
     others draw them and test them against only the prefix cubes their box
-    meets (_pair_hits).
+    meets (_pair_hits): the scan's own family at t_sorted[k] (_point_rects).
 
     By construction an applicable pair's rectangles cannot reach the
     prefix: a pair is applicable only when t is at most the point's
@@ -631,7 +627,8 @@ def separation_check(
     any prefix cube does.  A violation can therefore be counted only
     through float rounding, and the separation row fails only then."""
     plan = _scan_plan(model, cover, ratefn, config, points)
-    seeds = _substreams(config, 2, len(plan.points))
+    seeds = _substreams(config, 1, len(plan.points))
+    n = config.rects_per_point
     pts = np.array(plan.points)
     # per t: checked points, checked rectangles, violations, deferred points;
     # a t without a checkable prefix defers every scannable point
@@ -644,12 +641,10 @@ def separation_check(
         if applicable:
             boxes = pts[applicable][:, [0, 0, 1, 1]] + np.array([-t, t, -t, t])
             for j in np.flatnonzero(_meets_prefix(model, boxes, prefix)).tolist():
-                i = applicable[j]
-                rng = np.random.Generator(np.random.PCG64(_child(seeds[i], k)))
-                rects = _draw_rects(rng, plan.points[i], t, config, model)
-                violations += _pair_hits(model, boxes[j], rects, prefix)
+                rects = _point_rects(model, config, plan, seeds, applicable[j])
+                violations += _pair_hits(model, boxes[j], rects[k * n : (k + 1) * n], prefix)
         checked = len(applicable)
-        tallies[k] = (checked, checked * config.rects_per_point, violations, regimes.count("deferred"))
+        tallies[k] = (checked, checked * n, violations, regimes.count("deferred"))
     rows = []
     for k, t in enumerate(plan.t_sorted):
         checked, rect_count, violations, deferred = tallies[k]

@@ -163,6 +163,8 @@ _FOLDS = (np.minimum, np.maximum) * 2
 _CHILDREN = np.array([1, 2])
 # Morton cells per axis.
 _MORTON_SCALE = 2.0**30
+# The largest truncation: CubeTree keeps cube ids as int32.
+_MAX_CUBES = 2**31 - 1
 
 
 class _PackedTree:
@@ -732,6 +734,10 @@ def build_packing(seq: WeightSequence, trunc: int, outer: Rectangle) -> CompactS
         raise ValueError(f"truncation must keep at least one cube, got {trunc}")
     if seq.n_max is not None and trunc > seq.n_max:
         raise OutOfRange(f"sequence defines {seq.n_max} areas, cannot materialize {trunc}")
+    if trunc > _MAX_CUBES:
+        raise OutOfRange(
+            f"truncation {trunc} exceeds {_MAX_CUBES}, the largest cube id the cube index holds"
+        )
     w2, sides = seq.areas(trunc)
     total = math.fsum(w2)
     w1 = float(sides[0])

@@ -42,11 +42,12 @@ of their own, one cube to a leaf (``big_tree``), that every busy rectangle
 descended beside the model's tree; ``total_overlaps`` and ``scan._ratios``
 must equal them bit for bit.
 ``separation_tallies_ref`` is the separation check drawing and testing the
-rectangles of every applicable pair, each against the prefix cubes within
-the rectangles' Chebyshev reach of the point (``_reach`` and
-``_separation_hits``), where the library tests the box point +- t of each
-pair in one pass and draws only the pairs whose box meets a prefix cube;
-``separation_check`` must count the same.
+rectangles of every applicable pair, the scan's own (each point's one draw
+over the t grid), each against the prefix cubes within the rectangles'
+Chebyshev reach of the point (``_reach`` and ``_separation_hits``), where
+the library tests the box point +- t of each pair in one pass and draws
+only the pairs whose box meets a prefix cube; ``separation_check`` must
+count the same.
 ``overlap_area_ref`` is the pairwise rectangle overlap that the lemma test
 and the disjoint random cube families use, and ``cube``/``cubes`` give a
 model's cubes as ``Rectangle`` objects.  ``power_tail_bracket_ref``
@@ -694,22 +695,23 @@ def separation_tallies_ref(model, config, plan):
     and deferred points, as the separation check counted them before it
     skipped pairs whose box point +- t meets no prefix cube: every
     applicable pair's rectangles drawn and tested by ``_separation_hits``,
-    regimes from ``regimes_ref``."""
-    seeds = _substreams(config, 2, len(plan.points))
-    rect_seeds = [s.spawn(len(plan.t_sorted)) for s in seeds]
+    regimes from ``regimes_ref``.  The rectangles at the k-th smallest t are
+    family k of the point's scan draw, as ``scan_points_ref`` draws them."""
+    seeds = _substreams(config, 1, len(plan.points))
     regimes = regimes_ref(model, plan)
     tallies = {k: [0, 0, 0, 0] for k in plan.checkable}
     for i, point in enumerate(plan.points):
         if not (plan.scannable[i] and plan.cuts):
             continue
         gap = _point_gaps(model, point, plan.cuts[-1])[0]
+        rng = np.random.Generator(np.random.PCG64(seeds[i]))
+        families = _draw_rects(rng, point, plan.t_sorted, config, model)
+        families = families.reshape(len(plan.t_sorted), config.rects_per_point, 4)
         for k in plan.checkable:
-            prefix, tally, t = plan.prefixes[k], tallies[k], plan.t_sorted[k]
+            prefix, tally, rects = plan.prefixes[k], tallies[k], families[k]
             if regimes[i][k] == "deferred":
                 tally[3] += 1
                 continue
-            rng = np.random.Generator(np.random.PCG64(rect_seeds[i][k]))
-            rects = _draw_rects(rng, point, t, config, model)
             hit = _separation_hits(model, point, rects, gap[:prefix])
             tally[0] += 1
             tally[1] += len(rects)

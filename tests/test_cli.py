@@ -156,6 +156,37 @@ def test_malformed_input_is_exit_two(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("values", ["-inf,inf", "0.5,inf", "nan,nan"])
+def test_non_finite_rate_row_is_exit_two(tmp_path, capsys, values):
+    """A rate CSV row whose floor or deficit is not finite is a usage error
+    (exit 2), not a crash."""
+    out = ["--out-dir", str(tmp_path)]
+    assert run(out + ["build-set", "--seq", "power:c=0.25,p=2", "--n", "30", "--out", "set.json"]) == 0
+    rate = tmp_path / "rate.csv"
+    rate.write_text(f"{cli.RATE_HEADER}\n-2.0,-1.0,{values}\n")
+    capsys.readouterr()
+    scan_args = ["scan", "--set", str(tmp_path / "set.json"), "--auxfn", str(rate), "--m", "2", "--s-hi", "2"]
+    assert run(out + scan_args) == 2
+    assert capsys.readouterr().err.startswith("error: floor and deficit must be finite")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["build-set", "--n", str(10**29)],
+        ["build-set", "--n", str(2**31)],
+        ["verify-all", "--level", "100"],
+    ],
+    ids=["build-set-1e29", "build-set-2^31", "verify-all-level-100"],
+)
+def test_truncation_beyond_cube_ids_is_exit_two(tmp_path, capsys, command):
+    """Truncations past the largest int32 cube id stop before any area is
+    computed, with exit 2 and a message that names the limit."""
+    assert run(["--out-dir", str(tmp_path), *command, "--seq", "power:c=0.25,p=2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncation ") and "exceeds 2147483647" in err
+
+
 def test_finding_is_exit_one():
     # terms of the quadrupling series rise for many blocks when p is barely > 1
     assert run(["diag", "series", "--seq", "power:c=1,p=1.05"]) == 1

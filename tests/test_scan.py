@@ -344,9 +344,7 @@ def _planted_model(config):
     w1, w2 = _TINY.w(1), _TINY.w(2)
     probe = CompactSetModel(outer, _TINY, 2, [0.9, 0.5], [0.9, 0.5], [w1, w2])
     rng = np.random.Generator(np.random.PCG64(scan._substreams(config, 1, 1)[0]))
-    rects = np.concatenate(
-        [scan._draw_rects(rng, _POINT, t, config, probe) for t in sorted(config.t_grid)]
-    )
+    rects = scan._draw_rects(rng, _POINT, sorted(config.t_grid), config, probe)
     extent = np.abs(rects - np.repeat(_POINT, 2))
     row, side = np.unravel_index(np.argmax(extent), extent.shape)
     gap = 0.999 * extent[row, side]
@@ -456,19 +454,6 @@ class _SeparatedFloor:
         return SimpleNamespace(floor=0.5, is_top=False, s_next=2)
 
 
-def test_lazy_child_seed_is_the_spawned_child():
-    """The child built alone for a drawn pair is the one ``spawn`` would give:
-    the same seed sequence and the same rectangles' stream."""
-    n = len(small_config().t_grid)
-    lazy = [[scan._child(s, k) for k in range(n)] for s in scan._substreams(small_config(), 2, 4)]
-    spawned = [s.spawn(n) for s in scan._substreams(small_config(), 2, 4)]
-    for mine, theirs in zip(sum(lazy, []), sum(spawned, [])):
-        assert mine.spawn_key == theirs.spawn_key and mine.entropy == theirs.entropy
-        assert mine.generate_state(8).tolist() == theirs.generate_state(8).tolist()
-        draws = [np.random.Generator(np.random.PCG64(q)).random(4) for q in (mine, theirs)]
-        assert draws[0].tolist() == draws[1].tolist()
-
-
 def _three_cube_model():
     """Cubes 1, 2 and 3 of _TINY at (0.5, 0.5), (0.1, 0.1) and (0.9, 0.9)."""
     outer = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
@@ -476,20 +461,30 @@ def _three_cube_model():
     return CompactSetModel(outer, _TINY, 3, [0.5, 0.1, 0.9], [0.5, 0.1, 0.9], sides)
 
 
+def _recorded(name, at, monkeypatch, fn):
+    """Run fn() with scan.<name> patched to record a copy of its argument
+    ``at``, the rectangles, on every call; returns fn's result and the
+    copies."""
+    calls, original = [], getattr(scan, name)
+    with monkeypatch.context() as patch:
+        patch.setattr(scan, name, lambda *a: calls.append(a[at].copy()) or original(*a))
+        return fn(), calls
+
+
 def _separation_draws(model, config, point, monkeypatch):
     """The separation check of one explicit point under _SeparatedFloor: its
-    rows' tallies, the reference's, and the t of every pair it drew."""
+    rows' tallies, the reference's, the t of every pair it drew, read from
+    the rectangles _pair_hits received (None for rectangles that are no
+    family the scan measured), and those rectangles."""
     args = (model, ExceptionalCover.empty(), _SeparatedFloor(), config)
-    draws, draw = [], scan._draw_rects
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            scan, "_draw_rects", lambda rng, p, t, *rest: draws.append(t) or draw(rng, p, t, *rest)
-        )
-        report = separation_check(*args, points=[point])
+    report, tested = _recorded("_pair_hits", 2, monkeypatch, lambda: separation_check(*args, points=[point]))
     got = {r.t: [r.checked_points, r.checked_rects, r.violations, r.deferred_points] for r in report.rows}
     plan = scan._scan_plan(*args, [point])
     want = {plan.t_sorted[k]: v for k, v in oracles.separation_tallies_ref(model, config, plan).items()}
-    return got, want, draws
+    _, (measured,) = _recorded("_ratios", 1, monkeypatch, lambda: scan_density_bound(*args, points=[point]))
+    families = measured.reshape(len(plan.t_sorted), config.rects_per_point, 4)
+    by_bytes = {f.tobytes(): t for t, f in zip(plan.t_sorted, families)}
+    return got, want, [by_bytes.get(rects.tobytes()) for rects in tested], tested
 
 
 def test_separation_draws_only_pairs_whose_box_reaches_a_cube(monkeypatch):
@@ -499,10 +494,23 @@ def test_separation_draws_only_pairs_whose_box_reaches_a_cube(monkeypatch):
     with no cube in reach, so its rectangles are counted undrawn.  The
     tallies are those of drawing every applicable pair."""
     config = small_config(t_grid=(0.05, 0.025, 0.01), points=1, rects_per_point=200, m=1, s_hi=1)
-    got, want, draws = _separation_draws(_three_cube_model(), config, (0.53, 0.53), monkeypatch)
+    got, want, draws, _ = _separation_draws(_three_cube_model(), config, (0.53, 0.53), monkeypatch)
     assert draws == [0.025]
     assert got == {0.01: [1, 200, 0, 0], 0.025: [1, 200, 0, 0], 0.05: [0, 0, 0, 1]}
     assert got == want
+
+
+def test_separation_tests_the_scans_own_rectangles(monkeypatch):
+    """The one pair that draws at (0.53, 0.53), at t = 0.025, tests the
+    rectangles the scan measured there, bit for bit: rows k n..(k+1) n of
+    the point's lane-1 draw over the ascending t grid, k = 1."""
+    config = small_config(t_grid=(0.05, 0.025, 0.01), points=1, rects_per_point=200, m=1, s_hi=1)
+    model, point = _three_cube_model(), (0.53, 0.53)
+    _, _, draws, tested = _separation_draws(model, config, point, monkeypatch)
+    rng = np.random.Generator(np.random.PCG64(scan._substreams(config, 1, 1)[0]))
+    lane = scan._draw_rects(rng, point, (0.01, 0.025, 0.05), config, model)
+    assert draws == [0.025]
+    assert tested[0].tobytes() == lane[200:400].tobytes()
 
 
 _T = 2.0**-6  # exact in every sum and difference below
@@ -532,7 +540,7 @@ def test_separation_box_touching_or_one_ulp_inside_a_cube(offset, drawn, monkeyp
     point = (x1 + dx, (x1 if dy >= _T / 2 else 0.5) + dy)
     assert point[0] - _T == x1 - (_T - dx)
     config = small_config(t_grid=(_T,), points=1, rects_per_point=200, m=1, s_hi=1)
-    got, want, draws = _separation_draws(model, config, point, monkeypatch)
+    got, want, draws, _ = _separation_draws(model, config, point, monkeypatch)
     assert got == want
     assert draws == ([_T] if drawn else [])
     assert got[_T] == ([0, 0, 0, 1] if drawn is None else [1, 200, 0, 0])
