@@ -23,6 +23,7 @@ from .weights import WeightSequence, tail_sum
 
 __all__ = [
     "Schedule",
+    "block_start",
     "SubsequenceSelection",
     "Branch",
     "RateFunction",
@@ -52,11 +53,17 @@ class Schedule:
         return iter(range(1, self.s_max + 1))
 
 
+def block_start(s: int) -> int:
+    """n(s) = s^s, the first cube of block s; block s holds cubes
+    n(s)..n(s+1) - 1."""
+    return s**s
+
+
 def log_block_scale(seq: WeightSequence, s: int) -> float:
     """Natural log of the block scale 2^s * w(n(s+1) - 1)."""
     if s < 1:
         raise OutOfRange(f"schedule index must be >= 1, got {s}")
-    n_hi = (s + 1) ** (s + 1) - 1
+    n_hi = block_start(s + 1) - 1
     return s * _LOG2 + 0.5 * seq.log_w2(n_hi)
 
 
@@ -292,7 +299,7 @@ def series_diagnostics(
     for s in schedule:
         if all(stop is not None for stop in stops):
             break
-        tail = tail_sum(seq, s**s)
+        tail = tail_sum(seq, block_start(s))
         root = tail.sqrt()
         for k, (label, scale, use_root) in enumerate(specs):
             if stops[k] is not None:

@@ -3,9 +3,9 @@
 Commands: indices, dilate1d, dilate2d, auxfn, diag, build-set, cover, scan,
 verify-all.  Artifacts are JSON or CSV with fixed column order; log-domain
 columns carry the suffix ``_log`` (natural log).  Exit codes: 0 success or
-zero findings, 1 findings present, 2 malformed input or usage.  With a fixed
-seed every artifact is byte-reproducible; wall-clock timings go to stderr
-only.
+zero findings, 1 findings present, 2 malformed input, usage, or out of
+memory (one ``error: out of memory`` line).  With a fixed seed every
+artifact is byte-reproducible; wall-clock timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 from .auxfn import (
     RateFunction,
     Schedule,
+    block_start,
     build_rate_function,
     choose_subsequence,
     little_o_check,
@@ -343,8 +344,8 @@ def _run_scan(model, cover, ratefn, config, points=None):
     """Scan, separation check and envelope on one set of points, timed on stderr."""
     start = time.perf_counter()
     report = scan_density_bound(model, cover, ratefn, config, points=points)
-    sample = report.sample if points is None else points
-    separation = separation_check(model, cover, ratefn, config, points=sample)
+    scanned = report.sample.points if points is None else points
+    separation = separation_check(model, cover, ratefn, config, points=scanned)
     envelope = scan_deficit_envelope(report, ratefn)
     print(f"scan runtime {time.perf_counter() - start:.2f} s", file=sys.stderr)
     return report, separation, envelope
@@ -426,7 +427,7 @@ def cmd_verify_all(args) -> int:
     (out_dir / "littleo.csv").write_text(_littleo_csv(selection, littleo))
     steps.append(("diag-littleo", littleo.is_decaying, f"verdict={littleo.verdict}"))
 
-    trunc = (args.level + 1) ** (args.level + 1) - 1
+    trunc = block_start(args.level + 1) - 1
     outer = Rectangle.from_bounds(*_parse_floats(args.outer, 4))
     model = build_packing(seq, trunc, outer)
     with (out_dir / "set.json").open("w") as fh:
@@ -597,6 +598,11 @@ def main(argv=None) -> int:
         return 1
     except (DensitometerError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the line keeps the exception's name, by which bench/run.py labels the run oom
+        detail = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+        print(f"error: out of memory ({detail})", file=sys.stderr)
         return 2
 
 

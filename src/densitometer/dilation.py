@@ -304,7 +304,7 @@ class RectUnion:
     arrays; ``columns`` builds interval objects on first use, one
     DisjointIntervalSet per section, and ``rects`` derives from it.
     ``block`` optionally records which cube block the union dilates (block
-    index s, factor, 1-based cube index range).
+    index s and 1-based cube index range).
     """
 
     __slots__ = (
@@ -315,7 +315,6 @@ class RectUnion:
         "y_lo",
         "y_hi",
         "sec_measure",
-        "gamma",
         "block",
         "_keys",
         "_columns",
@@ -330,7 +329,6 @@ class RectUnion:
         y_lo: np.ndarray,
         y_hi: np.ndarray,
         sec_measure: np.ndarray,
-        gamma: float | None = None,
         block: tuple[int, int, int] | None = None,
     ):
         self.x_lo = np.asarray(x_lo, dtype=np.float64)
@@ -344,7 +342,6 @@ class RectUnion:
         self.col_sec = np.asarray(col_sec, dtype=np.intp)
         self.sec_off = np.asarray(sec_off, dtype=np.intp)
         self.sec_measure = np.asarray(sec_measure, dtype=np.float64)
-        self.gamma = gamma
         self.block = block
         self._keys: tuple[np.ndarray, ...] | None = None
         self._columns: tuple[tuple[Interval, DisjointIntervalSet], ...] | None = None
@@ -808,6 +805,4 @@ def dilate_2d(
     del bounds
     sec_off = np.concatenate(([0], np.cumsum(counts)))
     sec_measure = _section_measures(sec_off, y_hi - y_lo)
-    return RectUnion(
-        x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure, gamma=gamma, block=block
-    )
+    return RectUnion(x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure, block=block)

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .auxfn import RateFunction
+from .auxfn import RateFunction, block_start
 from .errors import AcceptanceTooLow, OutOfRange
 from .setmodel import CompactSetModel, ExceptionalCover, _interior
 
@@ -128,7 +128,7 @@ class PointSample:
 def _substreams(config: ScanConfig, lane: int, count: int) -> list[np.random.SeedSequence]:
     # lane 0: point sampling; lane 1: each point's rectangles
     lanes = np.random.SeedSequence(config.seed).spawn(2)
-    return lanes[lane].spawn(count) if count else [lanes[lane]]
+    return lanes[lane].spawn(count)
 
 
 def _strictly_inside(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
@@ -316,7 +316,7 @@ def _separation_prefix(branch, m: int) -> int | None:
     cannot be checked, so its pairs can only be deferred."""
     if branch.is_top or branch.floor <= 0.0 or branch.s_next is None:
         return None
-    return max(branch.s_next**branch.s_next, m**m) - 1
+    return max(block_start(branch.s_next), block_start(m)) - 1
 
 
 def _regimes(
@@ -367,9 +367,9 @@ def _scan_plan(
     cover: ExceptionalCover,
     ratefn: RateFunction,
     config: ScanConfig,
-    points: Sequence[tuple[float, float]] | PointSample | None,
+    points: Sequence[tuple[float, float]] | None,
 ) -> _ScanPlan:
-    """The plan for ``points`` in any of the forms scan_density_bound takes.
+    """The plan for ``points`` in either form scan_density_bound takes.
     The regimes of all scannable points come from one kernel pass over the
     largest checkable prefix (_prefix_d2)."""
     t_sorted = tuple(sorted(config.t_grid))
@@ -377,11 +377,8 @@ def _scan_plan(
     prefixes = tuple(_separation_prefix(b, config.m) for b in branches)
     checkable = tuple(k for k, p in enumerate(prefixes) if p is not None and p <= model.trunc)
     cuts = tuple(sorted({prefixes[k] for k in checkable}))
-    sample = sample_points(model, cover, config) if points is None else points
-    if isinstance(sample, PointSample):
-        pts = sample.points
-    else:
-        pts, sample = tuple((float(x), float(y)) for x, y in points), None
+    sample = sample_points(model, cover, config) if points is None else None
+    pts = sample.points if sample is not None else tuple((float(x), float(y)) for x, y in points)
     if not pts:
         raise ValueError("no points to scan: the point list is empty")
     arr = np.array(pts, dtype=np.float64)
@@ -506,13 +503,13 @@ def scan_density_bound(
     ratefn: RateFunction,
     config: ScanConfig,
     *,
-    points: Sequence[tuple[float, float]] | PointSample | None = None,
+    points: Sequence[tuple[float, float]] | None = None,
 ) -> ScanReport:
     """Certify sampled density ratios against the floor at every grid t.
 
-    ``points`` is None (sample them), a PointSample (already sampled, so
-    every point is scannable), or explicit points, which are classified,
-    exceptional ones flagged rather than rejected.
+    ``points`` is None (sample them, so every point is scannable) or a
+    sequence of explicit (x, y) points, which are classified, exceptional
+    ones flagged rather than rejected.
     Per point, rectangle families are nested across the ascending t grid,
     so the reported minima are non-increasing in t.
     """
@@ -605,20 +602,26 @@ def separation_check(
     ratefn: RateFunction,
     config: ScanConfig,
     *,
-    points: Sequence[tuple[float, float]] | PointSample | None = None,
+    points: Sequence[tuple[float, float]] | None = None,
 ) -> SeparationReport:
     """Count rectangle overlaps against the cubes a branch requires missed.
 
     ``points`` is read as in :func:`scan_density_bound`, and the regimes are
-    the scan's, from the same plan.  At each checkable t, the box
-    [fl(p - t), fl(p + t)] on each axis of every applicable point goes
-    through one kernel pass over the prefix cubes (_meets_prefix).  Every
-    drawn rectangle lies in that box (see _draw_rects), and float min, max
-    and subtraction are monotone, so a cube whose interior a rectangle
-    meets is met by the box too.  A pair whose box meets no prefix cube
-    therefore counts its rectangles as checked without drawing them; the
-    others draw them and test them against only the prefix cubes their box
-    meets (_pair_hits): the scan's own family at t_sorted[k] (_point_rects).
+    the scan's, from the same plan.  One pass over the ascending t grid
+    reads the plan's regime column at each t.  At the k-th smallest t, when
+    its prefix is checkable, an applicable pair's rectangles are the scan's
+    cumulative family there, families 0..k of the point's draw (rows 0..(k
+    + 1) n of _point_rects), so ``checked_rects`` is checked_points (k + 1)
+    rects_per_point.  The box [fl(p - t), fl(p + t)] on each axis of every
+    applicable point goes through one kernel pass over the prefix cubes
+    (_meets_prefix).  Every rectangle of the family lies in that box (see
+    _draw_rects; a family at a smaller t lies in its own box, inside this
+    one), and float min, max and subtraction are monotone, so a cube whose
+    interior a rectangle meets is met by the box too.  A pair whose box
+    meets no prefix cube therefore counts its rectangles as checked without
+    drawing them; the others draw them and test them against only the
+    prefix cubes their box meets (_pair_hits).  At a t with no checkable
+    prefix every scannable point counts as deferred.
 
     By construction an applicable pair's rectangles cannot reach the
     prefix: a pair is applicable only when t is at most the point's
@@ -630,31 +633,25 @@ def separation_check(
     seeds = _substreams(config, 1, len(plan.points))
     n = config.rects_per_point
     pts = np.array(plan.points)
-    # per t: checked points, checked rectangles, violations, deferred points;
-    # a t without a checkable prefix defers every scannable point
-    tallies = {k: (0, 0, 0, plan.scannable.count(True)) for k in range(len(plan.t_sorted))}
-    for k in plan.checkable:
-        prefix, t = plan.prefixes[k], plan.t_sorted[k]
-        regimes = [r[k] for r in plan.regimes]
-        applicable = [i for i, regime in enumerate(regimes) if regime == "applicable"]
-        violations = 0
-        if applicable:
-            boxes = pts[applicable][:, [0, 0, 1, 1]] + np.array([-t, t, -t, t])
-            for j in np.flatnonzero(_meets_prefix(model, boxes, prefix)).tolist():
-                rects = _point_rects(model, config, plan, seeds, applicable[j])
-                violations += _pair_hits(model, boxes[j], rects[k * n : (k + 1) * n], prefix)
-        checked = len(applicable)
-        tallies[k] = (checked, checked * n, violations, regimes.count("deferred"))
     rows = []
-    for k, t in enumerate(plan.t_sorted):
-        checked, rect_count, violations, deferred = tallies[k]
+    for k, (t, branch, prefix) in enumerate(zip(plan.t_sorted, plan.branches, plan.prefixes)):
+        checked, violations, deferred = 0, 0, plan.scannable.count(True)
+        if k in plan.checkable:
+            regimes = [r[k] for r in plan.regimes]
+            applicable = [i for i, regime in enumerate(regimes) if regime == "applicable"]
+            checked, deferred = len(applicable), regimes.count("deferred")
+            if applicable:
+                boxes = pts[applicable][:, [0, 0, 1, 1]] + np.array([-t, t, -t, t])
+                for j in np.flatnonzero(_meets_prefix(model, boxes, prefix)).tolist():
+                    rects = _point_rects(model, config, plan, seeds, applicable[j])
+                    violations += _pair_hits(model, boxes[j], rects[: (k + 1) * n], prefix)
         rows.append(
             SeparationRow(
                 t=t,
-                s_next=plan.branches[k].s_next,
-                prefix=0 if plan.prefixes[k] is None else plan.prefixes[k],
+                s_next=branch.s_next,
+                prefix=0 if prefix is None else prefix,
                 checked_points=checked,
-                checked_rects=rect_count,
+                checked_rects=checked * (k + 1) * n,
                 violations=violations,
                 deferred_points=deferred,
                 exceptional_points=plan.scannable.count(False),

@@ -23,6 +23,7 @@ from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
+from .auxfn import block_start
 from .dilation import LOCATIONS, Rectangle, RectUnion, dilate_2d, find_overlap
 from .errors import (
     EmptyRect,
@@ -902,7 +903,7 @@ def cover_measure_bound(seq: WeightSequence, m: int) -> LogBracket:
     his: list[float] = []
     for s in range(m, _COVER_S_CAP + 1):
         factor = 2.0 * math.log(2 ** (s + 1) + 1)
-        tail = tail_sum(seq, s**s)
+        tail = tail_sum(seq, block_start(s))
         term = tail.scaled(factor)
         los.append(term.lo)
         his.append(term.hi)
@@ -925,14 +926,14 @@ def build_cover(model: CompactSetModel, m: int, s_hi: int) -> ExceptionalCover:
     """
     if not 1 <= m <= s_hi:
         raise OutOfRange(f"need 1 <= m <= s_hi, got m = {m}, s_hi = {s_hi}")
-    needed = (s_hi + 1) ** (s_hi + 1) - 1
+    needed = block_start(s_hi + 1) - 1
     if needed > model.trunc:
         raise TruncationTooSmall(
             f"cover horizon s_hi = {s_hi} needs cubes through {needed}, model holds {model.trunc}"
         )
     blocks = []
     for s in range(m, s_hi + 1):
-        n_lo, n_hi = s**s, (s + 1) ** (s + 1) - 1
+        n_lo, n_hi = block_start(s), block_start(s + 1) - 1
         gamma = float(2**s)
         x, y, w = model.xs[n_lo - 1 : n_hi], model.ys[n_lo - 1 : n_hi], model.sides[n_lo - 1 : n_hi]
         rows = np.column_stack((x, x + w, y, y + w))

@@ -696,7 +696,8 @@ def separation_tallies_ref(model, config, plan):
     skipped pairs whose box point +- t meets no prefix cube: every
     applicable pair's rectangles drawn and tested by ``_separation_hits``,
     regimes from ``regimes_ref``.  The rectangles at the k-th smallest t are
-    family k of the point's scan draw, as ``scan_points_ref`` draws them."""
+    the scan's cumulative family there, families 0..k of the point's scan
+    draw, as ``scan_points_ref`` draws them."""
     seeds = _substreams(config, 1, len(plan.points))
     regimes = regimes_ref(model, plan)
     tallies = {k: [0, 0, 0, 0] for k in plan.checkable}
@@ -705,10 +706,10 @@ def separation_tallies_ref(model, config, plan):
             continue
         gap = _point_gaps(model, point, plan.cuts[-1])[0]
         rng = np.random.Generator(np.random.PCG64(seeds[i]))
-        families = _draw_rects(rng, point, plan.t_sorted, config, model)
-        families = families.reshape(len(plan.t_sorted), config.rects_per_point, 4)
+        draw = _draw_rects(rng, point, plan.t_sorted, config, model)
         for k in plan.checkable:
-            prefix, tally, rects = plan.prefixes[k], tallies[k], families[k]
+            prefix, tally = plan.prefixes[k], tallies[k]
+            rects = draw[: (k + 1) * config.rects_per_point]
             if regimes[i][k] == "deferred":
                 tally[3] += 1
                 continue
@@ -1023,7 +1024,7 @@ def dilate_2d_toggles(cubes, gamma: float, *, allow_gamma_one: bool = False) -> 
     sec_off = np.concatenate(([0], np.cumsum(counts)))
     sec_measure = _section_measures(sec_off, y_hi - y_lo)
     x_lo, x_hi = xs[:-1][is_col], xs[1:][is_col]
-    return RectUnion(x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure, gamma=gamma)
+    return RectUnion(x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure)
 
 
 def dilate_2d_objects(

@@ -187,6 +187,25 @@ def test_truncation_beyond_cube_ids_is_exit_two(tmp_path, capsys, command):
     assert err.startswith("error: truncation ") and "exceeds 2147483647" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["build-set", "--n", "30"], ["verify-all", "--level", "2"]],
+    ids=["build-set", "verify-all"],
+)
+def test_out_of_memory_is_exit_two(tmp_path, capsys, monkeypatch, command):
+    """A packing that cannot be allocated ends with exit 2 and one error
+    line, not a traceback and the findings code."""
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_packing", exhausted)
+    assert run(["--out-dir", str(tmp_path), *command, "--seq", "power:c=0.25,p=2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: out of memory (MemoryError: Unable to allocate 16.0 GiB for an array)"
+    assert not any(line.startswith("Traceback") for line in err)
+
+
 def test_finding_is_exit_one():
     # terms of the quadrupling series rise for many blocks when p is barely > 1
     assert run(["diag", "series", "--seq", "power:c=1,p=1.05"]) == 1
@@ -388,8 +407,8 @@ def test_verify_all_fails_on_diverging_littleo(tmp_path, monkeypatch):
 
 
 def test_verify_all_samples_once(tmp_path, monkeypatch):
-    """The scan's sample is handed to the separation check, so a verify-all
-    run draws its points once."""
+    """The scan's sampled points are handed to the separation check, so a
+    verify-all run draws its points once."""
     calls = []
 
     def recording(*args, **kwargs):

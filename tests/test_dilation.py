@@ -481,7 +481,7 @@ def test_scan_bytes_are_pinned(tmp_path):
     }
     assert digests == {
         "scan.csv": "4934283915bd8c1a769c12306c3d292b3f311a7f0e86616bc6d50a9e4d999356",
-        "separation.csv": "53fa5be81f378112c2f775e639b3fb8cfe5007b01746a94a8472aae1e4e7c001",
+        "separation.csv": "c7de7125655ecfca1576a6e031dc99e0b6c9c706f8e8da7bde1254bdd3832fc4",
     }
 
 

@@ -422,7 +422,7 @@ def test_scan_matches_run_pass_before_family_boxes(layouts, layout, canonical_ra
         report = scan_density_bound(model, cover, canonical_ratefn, config)
         with monkeypatch.context() as patch:
             patch.setattr(scan, "_scan_points", oracles.scan_points_ref)
-            want = scan_density_bound(model, cover, canonical_ratefn, config, points=report.sample)
+            want = scan_density_bound(model, cover, canonical_ratefn, config, points=report.sample.points)
         assert report.to_csv() == want.to_csv()
         minima |= {r.min_ratio == 1.0 for r in report.rows}
     assert minima == {True, False}
@@ -437,7 +437,7 @@ def test_separation_matches_check_drawing_every_pair(layouts, layout, canonical_
     for seed in (1, 2, 3):
         config = small_config(points=24, rects_per_point=500, seed=seed)
         plan = scan._scan_plan(model, cover, canonical_ratefn, config, None)
-        report = separation_check(model, cover, canonical_ratefn, config, points=plan.sample)
+        report = separation_check(model, cover, canonical_ratefn, config, points=plan.sample.points)
         want = oracles.separation_tallies_ref(model, config, plan)
         assert want
         for k, tally in want.items():
@@ -475,15 +475,15 @@ def _separation_draws(model, config, point, monkeypatch):
     """The separation check of one explicit point under _SeparatedFloor: its
     rows' tallies, the reference's, the t of every pair it drew, read from
     the rectangles _pair_hits received (None for rectangles that are no
-    family the scan measured), and those rectangles."""
+    cumulative family the scan measured), and those rectangles."""
     args = (model, ExceptionalCover.empty(), _SeparatedFloor(), config)
     report, tested = _recorded("_pair_hits", 2, monkeypatch, lambda: separation_check(*args, points=[point]))
     got = {r.t: [r.checked_points, r.checked_rects, r.violations, r.deferred_points] for r in report.rows}
     plan = scan._scan_plan(*args, [point])
     want = {plan.t_sorted[k]: v for k, v in oracles.separation_tallies_ref(model, config, plan).items()}
     _, (measured,) = _recorded("_ratios", 1, monkeypatch, lambda: scan_density_bound(*args, points=[point]))
-    families = measured.reshape(len(plan.t_sorted), config.rects_per_point, 4)
-    by_bytes = {f.tobytes(): t for t, f in zip(plan.t_sorted, families)}
+    n = config.rects_per_point
+    by_bytes = {measured[: (k + 1) * n].tobytes(): t for k, t in enumerate(plan.t_sorted)}
     return got, want, [by_bytes.get(rects.tobytes()) for rects in tested], tested
 
 
@@ -491,26 +491,29 @@ def test_separation_draws_only_pairs_whose_box_reaches_a_cube(monkeypatch):
     """Cube 1 lies at Chebyshev gap 0.02 and distance 0.0283 from the point:
     t = 0.05 is deferred, t = 0.025 applicable with cube 1 inside the box's
     reach, so its rectangles are drawn and tested, and t = 0.01 applicable
-    with no cube in reach, so its rectangles are counted undrawn.  The
-    tallies are those of drawing every applicable pair."""
+    with no cube in reach, so its rectangles are counted undrawn.  Each
+    checked pair counts the scan's cumulative family at its t, 200 rectangles
+    per smaller or equal t.  The tallies are those of drawing every
+    applicable pair."""
     config = small_config(t_grid=(0.05, 0.025, 0.01), points=1, rects_per_point=200, m=1, s_hi=1)
     got, want, draws, _ = _separation_draws(_three_cube_model(), config, (0.53, 0.53), monkeypatch)
     assert draws == [0.025]
-    assert got == {0.01: [1, 200, 0, 0], 0.025: [1, 200, 0, 0], 0.05: [0, 0, 0, 1]}
+    assert got == {0.01: [1, 200, 0, 0], 0.025: [1, 400, 0, 0], 0.05: [0, 0, 0, 1]}
     assert got == want
 
 
 def test_separation_tests_the_scans_own_rectangles(monkeypatch):
     """The one pair that draws at (0.53, 0.53), at t = 0.025, tests the
-    rectangles the scan measured there, bit for bit: rows k n..(k+1) n of
-    the point's lane-1 draw over the ascending t grid, k = 1."""
+    rectangles the scan's minimum there is taken over, bit for bit: rows
+    0..(k+1) n of the point's lane-1 draw over the ascending t grid, k = 1,
+    the families at t = 0.01 and t = 0.025."""
     config = small_config(t_grid=(0.05, 0.025, 0.01), points=1, rects_per_point=200, m=1, s_hi=1)
     model, point = _three_cube_model(), (0.53, 0.53)
     _, _, draws, tested = _separation_draws(model, config, point, monkeypatch)
     rng = np.random.Generator(np.random.PCG64(scan._substreams(config, 1, 1)[0]))
     lane = scan._draw_rects(rng, point, (0.01, 0.025, 0.05), config, model)
     assert draws == [0.025]
-    assert tested[0].tobytes() == lane[200:400].tobytes()
+    assert tested[0].tobytes() == lane[:400].tobytes()
 
 
 _T = 2.0**-6  # exact in every sum and difference below
@@ -556,7 +559,8 @@ _SEPARATION_PEAK = 8 * 8 * 46_655 + (1 << 20)
 
 def test_separation_passes_on_46k_shelf(packing_46k, canonical_ratefn, monkeypatch):
     """On the 46,655-cube shelf, with prefixes up to the whole model, the
-    separation check makes one regime pass (_prefix_d2), one box pass per
+    separation check classifies the sample's points once (_scannable_rows),
+    and beyond that makes one regime pass (_prefix_d2), one box pass per
     checkable t and one pass per drawn pair (_pair_hits: the prefix cubes
     its box meets, then its rectangles against them), and holds no (points x
     prefix) array."""
@@ -575,9 +579,18 @@ def test_separation_passes_on_46k_shelf(packing_46k, canonical_ratefn, monkeypat
     monkeypatch.setattr(
         CompactSetModel, "overlaps", lambda *a: kernel_calls.append(1) or kernel(*a)
     )
+    classify, classify_calls = scan._scannable_rows, []
+
+    def classifying(*args):
+        before = len(kernel_calls)
+        rows = classify(*args)
+        classify_calls.append(len(kernel_calls) - before)
+        return rows
+
+    monkeypatch.setattr(scan, "_scannable_rows", classifying)
     tracemalloc.start()
     try:
-        report = separation_check(model, cover, canonical_ratefn, config, points=sample)
+        report = separation_check(model, cover, canonical_ratefn, config, points=sample.points)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -587,7 +600,8 @@ def test_separation_passes_on_46k_shelf(packing_46k, canonical_ratefn, monkeypat
     assert calls["_prefix_d2"] == 1
     assert calls["_meets_prefix"] == len(checkable)
     assert calls["_pair_hits"] == calls["_draw_rects"] >= 1
-    assert len(kernel_calls) == 1 + len(checkable) + 2 * calls["_pair_hits"]
+    assert len(classify_calls) == 1
+    assert len(kernel_calls) == classify_calls[0] + 1 + len(checkable) + 2 * calls["_pair_hits"]
     assert peak < _SEPARATION_PEAK, f"peak {peak / 2**20:.2f} MB"
 
 
@@ -917,9 +931,10 @@ def _assert_reports_agree(model, report, separation):
 
 def test_scan_and_separation_agree_on_sample(canonical_model, canonical_cover, canonical_ratefn):
     """The canonical level-4 scan (100 points x 500 rectangles, seed 42) and
-    the separation check given its sample agree on every pair's regime, and
-    the sample stands for resampling: scanning it again, or checking
-    without it, gives the same reports."""
+    the separation check given its sampled points agree on every pair's
+    regime, and the points stand for resampling: every one classifies as
+    scannable, so scanning them again gives the same rows (and no sample),
+    and checking without them the same separation report."""
     config = small_config(points=100, rects_per_point=500)
     args = (canonical_model, canonical_cover, canonical_ratefn, config)
     report = scan_density_bound(*args)
@@ -928,12 +943,12 @@ def test_scan_and_separation_agree_on_sample(canonical_model, canonical_cover, c
         report.sample.acceptance_rate,
         report.sample.draws,
     )
-    separation = separation_check(*args, points=report.sample)
+    separation = separation_check(*args, points=report.sample.points)
     _assert_reports_agree(canonical_model, report, separation)
     assert sum(s.deferred for s in report.summaries if s.floor > 0.0) > 0
     assert separation.rows == separation_check(*args).rows
-    again = scan_density_bound(*args, points=report.sample)
-    assert (again.rows, again.sample) == (report.rows, report.sample)
+    again = scan_density_bound(*args, points=report.sample.points)
+    assert (again.rows, again.sample) == (report.rows, None)
 
 
 def test_scan_and_separation_agree_on_explicit_points(canonical_model, canonical_ratefn):
