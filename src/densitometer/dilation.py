@@ -303,8 +303,6 @@ class RectUnion:
     measure.  ``measure``, ``classify``, ``locate`` and ``len`` read these
     arrays; ``columns`` builds interval objects on first use, one
     DisjointIntervalSet per section, and ``rects`` derives from it.
-    ``block`` optionally records which cube block the union dilates (block
-    index s and 1-based cube index range).
     """
 
     __slots__ = (
@@ -315,7 +313,6 @@ class RectUnion:
         "y_lo",
         "y_hi",
         "sec_measure",
-        "block",
         "_keys",
         "_columns",
     )
@@ -329,7 +326,6 @@ class RectUnion:
         y_lo: np.ndarray,
         y_hi: np.ndarray,
         sec_measure: np.ndarray,
-        block: tuple[int, int, int] | None = None,
     ):
         self.x_lo = np.asarray(x_lo, dtype=np.float64)
         self.x_hi = np.asarray(x_hi, dtype=np.float64)
@@ -342,7 +338,6 @@ class RectUnion:
         self.col_sec = np.asarray(col_sec, dtype=np.intp)
         self.sec_off = np.asarray(sec_off, dtype=np.intp)
         self.sec_measure = np.asarray(sec_measure, dtype=np.float64)
-        self.block = block
         self._keys: tuple[np.ndarray, ...] | None = None
         self._columns: tuple[tuple[Interval, DisjointIntervalSet], ...] | None = None
 
@@ -728,6 +723,7 @@ def dilate_2d(
     gamma: float,
     *,
     allow_gamma_one: bool = False,
+    # (s, first cube, last cube): unused here, read from the call by bench/tracing.py
     block: tuple[int, int, int] | None = None,
 ) -> RectUnion:
     """Simultaneously dilate a pairwise disjoint family of open squares.
@@ -805,4 +801,4 @@ def dilate_2d(
     del bounds
     sec_off = np.concatenate(([0], np.cumsum(counts)))
     sec_measure = _section_measures(sec_off, y_hi - y_lo)
-    return RectUnion(x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure, block=block)
+    return RectUnion(x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure)

@@ -513,6 +513,20 @@ class CompactSetModel:
             )
         return totals
 
+    def positive_totals(self, rects: np.ndarray) -> np.ndarray:
+        """Which of the (n, 4) rectangles have a positive total overlap,
+        ``total_overlaps(rects) > 0.0``, without forming the totals: a
+        nonempty sum of non-negative pieces rounds to a positive float
+        exactly when one piece is positive, so a rectangle's descent of the
+        cube tree stops at its first whole node with a positive area total
+        or its first positive piece, and the large cubes take one kernel
+        pass."""
+        rects = np.asarray(rects, dtype=np.float64)
+        hit = self._tree_positive(rects)
+        if self.index.big.size and len(rects):
+            hit |= (self.overlaps(rects, _pieces, self.index.big) > 0.0).any(axis=1)
+        return hit
+
     def _tree_pieces(self, rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One descent of the rectangles through the cube tree: the (K, n)
         limb totals of each row's whole nodes, and the rows and values of

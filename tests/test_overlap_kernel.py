@@ -489,6 +489,27 @@ def test_many_limbs_match_oracles():
         assert got == float(sum(map(Fraction, pieces[pieces > 0.0].tolist()), Fraction(0)))
 
 
+def test_positive_totals_are_the_positive_totals(canonical_model, rect_sets):
+    """positive_totals reads total_overlaps > 0.0 on the seeded, edge,
+    one-ulp and node-box rectangles, on rectangles around the diagonal
+    model's cubes at every scale and seeded ones, and on corner slivers at the origin of
+    cube 1 (a large cube) whose one piece underflows to 0.0 (1e-200 square)
+    or not (1e-150 square)."""
+    slivers = np.array([[0.0, 1e-200, 0.0, 1e-200], [0.0, 1e-150, 0.0, 1e-150]])
+    diagonal = _diagonal_model()
+    scale = 2.0 ** -np.random.default_rng(6).uniform(1.0, 390.0, 400)
+    around = np.stack([scale, 3 * scale, scale / 2, 2 * scale], axis=1)
+    away = np.concatenate([_node_rects(diagonal), _seeded_rects(200, 8)])
+    for model, rects in (
+        (canonical_model, np.concatenate([*rect_sets.values(), slivers])),
+        (diagonal, np.concatenate([np.clip(around, 0.0, 1.0), away])),
+    ):
+        want = model.total_overlaps(rects) > 0.0
+        assert model.positive_totals(rects).tolist() == want.tolist()
+        assert want.any() and not want.all()
+    assert canonical_model.positive_totals(slivers).tolist() == [False, True]
+
+
 # -- negative controls: each mis-stepped descent fails a check above ------------------
 
 
@@ -812,10 +833,10 @@ def test_ratio_memory_is_bounded_by_chunk(canonical_model):
     assert peak < _CHUNK_PEAK, f"peak {peak / 2**20:.1f} MB"
 
 
-# A scan holds one run of drawn rectangles (_RUN_RECTS rows of 32 bytes, 1
-# MiB) while it measures the busy families of the run, _CHUNK_RECTS rows
+# A scan holds one run of drawn rectangles (_RUN_RECTS rows of 32 bytes, 512
+# KiB) while it measures the busy families of the run, _CHUNK_RECTS rows
 # per descent of the cube tree; a default scan of 100 points x 1,500 rectangles on the canonical
-# cubes peaks at about 3.1 MiB, sampling included.  4 MiB bounds it; the
+# cubes peaks at about 2.7 MiB, sampling included.  4 MiB bounds it; the
 # scan's 150,000 rectangles alone, held at once, take 4.6 MiB.
 _SCAN_PEAK = 4 << 20
 

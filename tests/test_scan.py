@@ -7,8 +7,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from densitometer import scan, setmodel
+from densitometer import RateFunction, scan, setmodel
 from densitometer.dilation import Rectangle, RectUnion
 from densitometer.errors import OutOfRange
 from densitometer.interval1d import Location
@@ -475,15 +477,18 @@ def _separation_draws(model, config, point, monkeypatch):
     """The separation check of one explicit point under _SeparatedFloor: its
     rows' tallies, the reference's, the t of every pair it drew, read from
     the rectangles _pair_hits received (None for rectangles that are no
-    cumulative family the scan measured), and those rectangles."""
+    cumulative family of the scan's draw), and those rectangles."""
     args = (model, ExceptionalCover.empty(), _SeparatedFloor(), config)
     report, tested = _recorded("_pair_hits", 2, monkeypatch, lambda: separation_check(*args, points=[point]))
     got = {r.t: [r.checked_points, r.checked_rects, r.violations, r.deferred_points] for r in report.rows}
     plan = scan._scan_plan(*args, [point])
     want = {plan.t_sorted[k]: v for k, v in oracles.separation_tallies_ref(model, config, plan).items()}
-    _, (measured,) = _recorded("_ratios", 1, monkeypatch, lambda: scan_density_bound(*args, points=[point]))
+    _, measured = _recorded("_ratios", 1, monkeypatch, lambda: scan_density_bound(*args, points=[point]))
+    lane = scan._point_rects(model, config, plan, scan._substreams(config, 1, 1), 0)
+    # the scan builds a suffix of the point's lane-1 families, bit for bit
+    assert all(m.tobytes() == lane[len(lane) - len(m) :].tobytes() for m in measured)
     n = config.rects_per_point
-    by_bytes = {measured[: (k + 1) * n].tobytes(): t for k, t in enumerate(plan.t_sorted)}
+    by_bytes = {lane[: (k + 1) * n].tobytes(): t for k, t in enumerate(plan.t_sorted)}
     return got, want, [by_bytes.get(rects.tobytes()) for rects in tested], tested
 
 
@@ -772,6 +777,190 @@ def test_family_boxes_keep_nan_and_degenerate_rows():
         want = oracles.plain_ratios(model, rects)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     assert got[0] < 1.0 and np.isnan(got[[1, 2, 3, 4]]).all()
+
+
+# -- skipped families: the busy test and the area guard -----------------------------
+
+# One positive floor, 0.75 below t = 1, and the top branch.  At t = 1e-14 the
+# rectangles' sides are a few ulps of the coordinates, and about half of the
+# sampled points have a rectangle of zero area, whose ratio is NaN.
+_NAN_RATEFN = RateFunction.from_rows([(-800.0, 0.0, 0.75, 0.25), (0.0, math.inf, -1.0, 2.0)])
+_NAN_CONFIG = dict(t_grid=(1e-14,), points=60, rects_per_point=50, seed=3)
+
+
+def _skip_cases(canonical_model, canonical_cover, canonical_ratefn):
+    """(model, cover, rate function, config, points) of the three cases."""
+    far = [(0.2, 0.2), (0.3, 0.8), (0.9, 0.1), (0.05, 0.95)]
+    return {
+        "nan": (canonical_model, canonical_cover, _NAN_RATEFN, small_config(**_NAN_CONFIG), None),
+        "all-busy": (
+            canonical_model,
+            canonical_cover,
+            canonical_ratefn,
+            small_config(t_grid=(1.0, 0.75, 0.6), points=24, rects_per_point=200, seed=5),
+            None,
+        ),
+        "none-busy": (
+            _one_cube_model(),
+            ExceptionalCover.empty(),
+            _FlatFloor(0.5),
+            small_config(t_grid=(0.05, 0.01, 0.002), points=len(far), rects_per_point=300),
+            far,
+        ),
+        "floor-above-one": (
+            _one_cube_model(),
+            ExceptionalCover.empty(),
+            _FlatFloor(1.5),
+            small_config(t_grid=(0.05, 0.01, 0.002), points=len(far), rects_per_point=300),
+            far,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["nan", "all-busy", "none-busy", "floor-above-one"])
+def test_skipped_families_match_drawing_every_rectangle(
+    canonical_model, canonical_cover, canonical_ratefn, case, monkeypatch
+):
+    """The scan's rows are those of the pass that draws and measures every
+    rectangle (oracles.scan_points_ref), byte for byte: where the guard
+    builds every family because some of them read NaN, where every box
+    meets a cube, where none does and nothing is measured, and where none
+    does but a floor above 1.0 counts every ratio 1.0 as a violation."""
+    model, cover, ratefn, config, points = _skip_cases(
+        canonical_model, canonical_cover, canonical_ratefn
+    )[case]
+    plan = scan._scan_plan(model, cover, ratefn, config, points)
+    least_u = scan._skip_bounds(model, config, plan)
+
+    def scanned():
+        return scan_density_bound(model, cover, ratefn, config, points=points)
+
+    with np.errstate(invalid="ignore"):
+        report, measured = _recorded("_ratios", 1, monkeypatch, scanned)
+        monkeypatch.setattr(scan, "_scan_points", oracles.scan_points_ref)
+        want = scan_density_bound(model, cover, ratefn, config, points=plan.points)
+    assert report.to_csv() == want.to_csv()
+    built = sum(map(len, measured))
+    everything = len(plan.points) * len(plan.t_sorted) * config.rects_per_point
+    if case == "nan":
+        # no box meets a cube, but no u in [0, 1) clears the guard
+        assert (least_u >= 1.0).all() and np.isfinite(least_u).all() and built == everything
+        assert sum(math.isnan(r.min_ratio) for r in report.rows) == 31
+    elif case == "all-busy":
+        assert np.isinf(least_u).all() and built == everything
+        assert all(r.min_ratio < 1.0 for r in report.rows)
+    elif case == "none-busy":
+        assert np.isfinite(least_u).all() and built == 0
+        assert {r.min_ratio for r in report.rows} == {1.0}
+    else:
+        assert np.isinf(least_u).all() and built == everything
+        assert [r.violations for r in report.rows[-len(plan.points) :]] == [900] * len(plan.points)
+
+
+def test_nan_minimum_decides_the_summaries_in_either_order(canonical_model, canonical_cover):
+    """A NaN min_ratio among the applicable rows makes the least margin and
+    the worst deficit NaN and fails the envelope row, whether the first
+    applicable row is a number (the sample's order) or NaN (the sample
+    rotated by one); without the NaN rows the envelope passes."""
+    config = small_config(**_NAN_CONFIG)
+    sample = sample_points(canonical_model, canonical_cover, config).points
+    args = (canonical_model, canonical_cover, _NAN_RATEFN, config)
+    firsts = []
+    with np.errstate(invalid="ignore"):
+        for points in (sample, sample[1:] + sample[:1]):
+            report = scan_density_bound(*args, points=points)
+            firsts.append(math.isnan(report.rows[0].min_ratio))
+            (summary,) = report.summaries
+            assert summary.applicable == 60 and math.isnan(summary.min_margin_applicable)
+            (row,) = scan_deficit_envelope(report, _NAN_RATEFN).rows
+            assert math.isnan(row.worst_deficit) and row.passed is False
+            flipped = scan_deficit_envelope(
+                scan.ScanReport(config, report.rows[::-1], report.summaries, None), _NAN_RATEFN
+            )
+            assert flipped.rows[0].passed is False
+    assert firsts == [False, True]
+    finite = tuple(r for r in report.rows if not math.isnan(r.min_ratio))
+    clean = scan.ScanReport(config, finite, report.summaries, None)
+    clean = scan_deficit_envelope(clean, _NAN_RATEFN)
+    assert clean.rows[0].worst_deficit == 0.0 and clean.passed
+
+
+_UNIT = st.one_of(
+    st.sampled_from([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)
+)
+
+
+@st.composite
+def _guard_cases(draw):
+    """An outer square, a point inside it (anywhere, or one or two ulps from
+    an edge on either axis), a diameter from 2^-64 to twice the largest
+    magnitude L of the coordinates, an aspect range with both of its ends,
+    and one family of uniform draws."""
+    lo, side = draw(st.sampled_from([(0.0, 1.0), (-3.0, 1.0), (1e6, 1.0), (-0.5, 1e-3)]))
+    hi = lo + side
+
+    def coord():
+        ulps = draw(st.sampled_from([0, 1, 2]))
+        if not ulps:
+            return lo + side * draw(st.floats(0.01, 0.99))
+        edge, toward = draw(st.sampled_from([(lo, hi), (hi, lo)]))
+        for _ in range(ulps):
+            edge = math.nextafter(edge, toward)
+        return edge
+
+    point = (coord(), coord())
+    # half of the diameters lie where a side is a few ulps of the coordinates
+    scale = st.one_of(st.floats(-64.0, -40.0), st.floats(-40.0, 1.0))
+    t = max(abs(lo), abs(hi)) * 2.0 ** draw(scale)
+    ends = [(0.05, 0.05), (0.05, 20.0), (20.0, 20.0), (0.2, 5.0), (1.0, 1.0)]
+    aspect = draw(st.sampled_from(ends))
+    rows = draw(st.lists(st.tuples(_UNIT, _UNIT, _UNIT, _UNIT), min_size=1, max_size=16))
+    return (lo, hi, lo, hi), point, t, aspect, np.array(rows).T[None]
+
+
+# One ulp above the edge x = -0.5, a rectangle reaching left by all but the
+# last ulp of its width, fl(w (1 - 2^-53)), ends on the edge after rounding:
+# its clipped width is 0.0 although its side is about 0.01.
+_EDGE_CASE = (
+    (-0.5, -0.499, -0.5, -0.499),
+    (math.nextafter(-0.5, 0.0), -0.4995),
+    0.1,
+    (0.2, 5.0),
+    np.array([[[0.16056634810796433], [0.4941822712537657], [1.0 - 2.0**-53], [0.5]]]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(_EDGE_CASE)
+@given(_guard_cases())
+def test_guard_clears_only_families_of_positive_area(case):
+    """Whenever the guard clears a family, every rectangle _shape_rects
+    makes from its draw (as _draw_rects does from a random one) has x1 >
+    x0, y1 > y0 and a positive area as _ratios forms it.  _EDGE_CASE is a
+    family of zero width that only the point's distance to the edges
+    keeps out."""
+    bounds, point, t, aspect, family = case
+    outer = Rectangle.from_bounds(*bounds)
+    least = scan._guard_bounds(outer, aspect, np.array([point]), np.array([t]))[0, 0]
+    if family[0, 0].min() < least:
+        return
+    config = small_config(rects_per_point=family.shape[2], aspect_range=aspect)
+    rects = scan._shape_rects(family, point, np.array([t]), config, SimpleNamespace(outer=outer))
+    x0, x1, y0, y1 = rects.T
+    assert (x1 > x0).all() and (y1 > y0).all()
+    area = x1 - x0
+    area *= y1 - y0
+    assert (area > 0.0).all()
+
+
+def test_guard_needs_the_point_off_the_edges():
+    """A point one ulp inside an edge never clears the guard, however large
+    its rectangles; the same point a tenth of the box inside clears it."""
+    outer = Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0)
+    low, high = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)
+    points = np.array([[low, 0.5], [0.5, high], [0.1, 0.9]])
+    least = scan._guard_bounds(outer, (0.2, 5.0), points, np.array([0.01, 0.25]))
+    assert np.isinf(least[:2]).all() and (least[2] < 1e-10).all()
 
 
 # -- separation ---------------------------------------------------------------------
