@@ -78,8 +78,12 @@ def _check_gamma(gamma: float, allow_gamma_one: bool) -> float:
 # step costs the same few dozen numpy calls however many unions it advances,
 # so a batch must be large to amortise them, and small to keep its working
 # arrays (about six floats per member) well below the sweep's own keys.  A
-# union longer than this forms a batch of its own.
-_BATCH_MEMBERS = 16384
+# union longer than this forms a batch of its own.  The deposition layout's
+# block-4 column sweep (5,729 unions, 108,353 members) dilated in 45-57 ms
+# at 32,768 against 52-64 ms at 16,384 (six alternating rounds of ten on a
+# 2-CPU x86-64 machine); 65,536 raised the scatter-l4 benchmark's peak
+# resident set by about 1.7 MB.
+_BATCH_MEMBERS = 32768
 
 
 @np.errstate(over="ignore")  # an overflowing arm raises ValueError below
@@ -297,9 +301,9 @@ class RectUnion:
     Column c is the open x-interval (``x_lo[c]``, ``x_hi[c]``); the columns
     are sorted and pairwise disjoint.  Its vertical section is entry
     ``col_sec[c]`` of a pool of distinct sections, which columns with equal
-    vertical unions share: section s is the sorted, pairwise separated open
-    y-intervals (``y_lo[i]``, ``y_hi[i]``) for ``sec_off[s] <= i <
-    sec_off[s + 1]``, and ``sec_measure[s]`` is their exact ``fsum``
+    vertical unions share: section s is the one or more sorted, pairwise
+    separated open y-intervals (``y_lo[i]``, ``y_hi[i]``) for ``sec_off[s]
+    <= i < sec_off[s + 1]``, and ``sec_measure[s]`` is their exact ``fsum``
     measure.  ``measure``, ``classify``, ``locate`` and ``len`` read these
     arrays; ``columns`` builds interval objects on first use, one
     DisjointIntervalSet per section, and ``rects`` derives from it.
@@ -313,7 +317,6 @@ class RectUnion:
         "y_lo",
         "y_hi",
         "sec_measure",
-        "_keys",
         "_columns",
     )
 
@@ -337,8 +340,9 @@ class RectUnion:
             raise ValueError("columns must be sorted and x-disjoint")
         self.col_sec = np.asarray(col_sec, dtype=np.intp)
         self.sec_off = np.asarray(sec_off, dtype=np.intp)
+        if np.any(self.sec_off[1:] <= self.sec_off[:-1]):
+            raise ValueError("every section must hold an interval")
         self.sec_measure = np.asarray(sec_measure, dtype=np.float64)
-        self._keys: tuple[np.ndarray, ...] | None = None
         self._columns: tuple[tuple[Interval, DisjointIntervalSet], ...] | None = None
 
     @classmethod
@@ -372,67 +376,58 @@ class RectUnion:
         widths = self.x_hi - self.x_lo
         return math.fsum((widths * self.sec_measure[self.col_sec]).tolist())
 
-    def _section_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted pooled lower ends, and the sort key and section of every
-        pooled interval (see ``_interval``), built on first use."""
-        if self._keys is None:
-            sec = np.repeat(np.arange(self.sec_off.size - 1), np.diff(self.sec_off))
-            starts = np.sort(self.y_lo)
-            key = sec * (starts.size + 1) + np.searchsorted(starts, self.y_lo) + 1
-            self._keys = (starts, key, sec)
-        return self._keys
-
-    def _interval(
-        self, c: np.ndarray, rank: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _interval(self, c: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper ends of the last interval of column c's section
-        that starts at or below y, where ``rank`` is the number of pooled
-        lower ends at or below y, and whether the interval found belongs to
-        c's section.
+        whose lower end is at or below y.
 
-        Each of the k pooled section intervals gets the key section * (k + 1)
-        + 1 + the number of pooled lower ends below its own.  That key is at
-        most section * (k + 1) + rank exactly when its own lower end is at or
-        below y, so one bisection of the sorted keys finds the interval.  When
-        none qualifies, the bisection lands on an interval of an earlier
-        section, or before index 0, which is clipped to interval 0, and that
-        interval starts above y: callers test both the section and the lower
-        end.
+        A branch-free bisection of all points at once (Khuong and Morin
+        2017): each point keeps the first index ``base`` of its open range of
+        ``n`` intervals, and every step moves ``base`` up by half the range
+        where the interval there starts at or below y, until no range holds
+        more than one interval.  A section of k intervals takes ceil(log2 k)
+        steps; the shelf sections hold one.  When no interval qualifies
+        (also for NaN), the section's first one is returned, which starts
+        above y: callers test the lower end.
         """
-        starts, key, sec = self._section_keys()
         s = self.col_sec[c]
-        i = np.maximum(np.searchsorted(key, s * (starts.size + 1) + rank, "right") - 1, 0)
-        return self.y_lo[i], self.y_hi[i], sec[i] == s
+        base = self.sec_off[s]
+        n = self.sec_off[s + 1] - base
+        y_lo = self.y_lo
+        for _ in range(int(n.max(initial=1) - 1).bit_length()):
+            half = n >> 1
+            probe = base + half
+            base = np.where(y_lo[probe] <= y, probe, base)
+            n -= half
+        return y_lo[base], self.y_hi[base]
 
     def classify(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Location code of each point (x[i], y[i]): 0 outside the closed
         union, 1 on the boundary, 2 inside; the int8 form of ``locate``.
 
         A point is inside only strictly inside one column rectangle: a
-        shared column edge or section end counts as boundary.  Bisecting the
-        column x-starts gives the last column c starting at or left of x,
-        and ``_interval`` the candidate y-interval of c's section; the point
-        is in that closed rectangle when it lies within both bounds, inside
-        when strictly so.  The column before c also holds it when x is both
-        c's start and that column's end.
+        shared column edge or section end counts as boundary.  One search of
+        the column x-starts gives the last column c starting at or left of
+        x, and ``_interval`` the candidate y-interval of c's section; the
+        point is in that closed rectangle when it lies within both bounds,
+        inside when strictly so.  The column before c also holds it when x
+        is both c's start and that column's end.
         """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         code = np.zeros(x.shape, dtype=np.int8)
         if not self.x_lo.size:
             return code
-        rank = np.searchsorted(self._section_keys()[0], y, "right")
         c = np.maximum(np.searchsorted(self.x_lo, x, "right") - 1, 0)
         xl, xh = self.x_lo[c], self.x_hi[c]
-        yl, yh, same = self._interval(c, rank)
-        closed = same & (xl <= x) & (x <= xh) & (yl <= y) & (y <= yh)
+        yl, yh = self._interval(c, y)
+        closed = (xl <= x) & (x <= xh) & (yl <= y) & (y <= yh)
         code += closed
         code += closed & (xl < x) & (x < xh) & (yl < y) & (y < yh)
         edge = np.flatnonzero((x == xl) & (c > 0))
         if edge.size:
             p, ye = c[edge] - 1, y[edge]
-            yl, yh, same = self._interval(p, rank[edge])
-            code[edge] |= same & (self.x_hi[p] == x[edge]) & (yl <= ye) & (ye <= yh)
+            yl, yh = self._interval(p, ye)
+            code[edge] |= (self.x_hi[p] == x[edge]) & (yl <= ye) & (ye <= yh)
         return code
 
     def locate(self, point: tuple[float, float]) -> Location:

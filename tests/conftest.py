@@ -50,6 +50,12 @@ def canonical_cover(canonical_model):
 
 
 @pytest.fixture(scope="session")
+def shelf_46k(canonical_seq):
+    """Blocks through s = 5 on the shelf: trunc = 6^6 - 1."""
+    return build_packing(canonical_seq, 46_655, UNIT_BOX)
+
+
+@pytest.fixture(scope="session")
 def deposition_model(canonical_seq):
     """Random sequential deposition of cubes 1..3124 (seed 0): in index order
     each cube gets a uniform x and falls until it rests on the floor or on a
@@ -69,6 +75,16 @@ def deposition_model(canonical_seq):
             raise RuntimeError(f"cube {i + 1} found no resting place")
         xs[i], ys[i], ws[i] = x, y, w
     return CompactSetModel(UNIT_BOX, canonical_seq, trunc, xs, ys, ws)
+
+
+@pytest.fixture(scope="session")
+def shelf_46k_cover(shelf_46k):
+    return build_cover(shelf_46k, 3, 4)
+
+
+@pytest.fixture(scope="session")
+def deposition_cover(deposition_model):
+    return build_cover(deposition_model, 3, 4)
 
 
 # One outcome line per acceptance criterion at the end of the run.

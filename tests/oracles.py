@@ -28,6 +28,10 @@ per-point classifier that explicit scan points went through before they
 shared the sampler's batch test; both look points up in ``ColumnUnion``, the
 object-based union that ``RectUnion.classify`` must agree with, and test the
 box themselves, so neither runs the location code it checks.
+``sample_points_ref`` draws fixed batches of max(1024, 4 * points), where
+``sample_points`` doubles its batches.  ``keyed_classify`` is
+``RectUnion.classify`` with the keyed search of the pooled sections that
+the section bisection replaced; its codes must be equal.
 ``_point_gaps`` is the per-point cube pass that each scannable point went
 through, once in the scan and again in the separation check, before the
 scan plan made one regime pass over all points; ``regimes_ref`` gives each
@@ -758,6 +762,48 @@ class ColumnUnion:
 def column_union(union: RectUnion) -> ColumnUnion:
     """The ColumnUnion over a RectUnion's columns, built once per union."""
     return ColumnUnion(union.columns)
+
+
+def keyed_classify(union: RectUnion, x, y) -> np.ndarray:
+    """``RectUnion.classify`` by the keyed search that the section bisection
+    replaced: one search of the sorted pooled lower ends gives the rank of
+    each y, and one search of per-interval keys finds the interval.
+
+    Each of the k pooled section intervals gets the key section * (k + 1) +
+    1 + the number of pooled lower ends below its own.  That key is at most
+    section * (k + 1) + rank exactly when its own lower end is at or below
+    y, so one bisection of the sorted keys finds the last interval of the
+    column's section that starts at or below y.  When none qualifies, the
+    bisection lands on an interval of an earlier section, or before index 0,
+    which is clipped to interval 0, and that interval starts above y: both
+    the section and the lower end are tested."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    code = np.zeros(x.shape, dtype=np.int8)
+    if not union.x_lo.size:
+        return code
+    sec = np.repeat(np.arange(union.sec_off.size - 1), np.diff(union.sec_off))
+    starts = np.sort(union.y_lo)
+    key = sec * (starts.size + 1) + np.searchsorted(starts, union.y_lo) + 1
+
+    def interval(c, rank):
+        s = union.col_sec[c]
+        i = np.maximum(np.searchsorted(key, s * (starts.size + 1) + rank, "right") - 1, 0)
+        return union.y_lo[i], union.y_hi[i], sec[i] == s
+
+    rank = np.searchsorted(starts, y, "right")
+    c = np.maximum(np.searchsorted(union.x_lo, x, "right") - 1, 0)
+    xl, xh = union.x_lo[c], union.x_hi[c]
+    yl, yh, same = interval(c, rank)
+    closed = same & (xl <= x) & (x <= xh) & (yl <= y) & (y <= yh)
+    code += closed
+    code += closed & (xl < x) & (x < xh) & (yl < y) & (y < yh)
+    edge = np.flatnonzero((x == xl) & (c > 0))
+    if edge.size:
+        p, ye = c[edge] - 1, y[edge]
+        yl, yh, same = interval(p, rank[edge])
+        code[edge] |= same & (union.x_hi[p] == x[edge]) & (yl <= ye) & (ye <= yh)
+    return code
 
 
 def overlap_area_ref(a: Rectangle, b: Rectangle) -> float:

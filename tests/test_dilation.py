@@ -27,6 +27,7 @@ from densitometer.errors import InvalidGamma, OverlappingCubes, OverlappingInput
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location
 from densitometer.setmodel import build_cover
 
+import oracles
 from oracles import (
     ColumnUnion,
     _grow,
@@ -36,6 +37,7 @@ from oracles import (
     dilate_2d_objects,
     dilate_2d_toggles,
     grow_ref,
+    keyed_classify,
     measure_exact,
     overlap_area_ref,
     raster_area_bracket,
@@ -675,11 +677,11 @@ def test_presence_keeps_odd_toggle_groups():
 
 
 @pytest.mark.parametrize("layout", ["canonical", "deposition"])
-def test_locate_matches_column_objects(canonical_cover, deposition_model, layout):
+def test_locate_matches_column_objects(canonical_cover, deposition_cover, layout):
     """classify on the flat arrays against locate on the columns' interval
     objects, at rectangle corners, edge midpoints and centers, one ulp
     outside corners, and seeded points; locate is classify of one point."""
-    cover = canonical_cover if layout == "canonical" else build_cover(deposition_model, 3, 4)
+    cover = canonical_cover if layout == "canonical" else deposition_cover
     rng = np.random.default_rng(8)
     for block in cover.blocks:
         union = block.union
@@ -708,6 +710,88 @@ def test_classify_hand_cases():
     assert union.classify(x, y).tolist() == [1, 1, 2, 0, 1, 1, 1, 0]
     assert union.classify([np.nan, 0.5], [0.5, np.nan]).tolist() == [0, 0]
     assert RectUnion.empty().classify([0.5], [0.5]).tolist() == [0]
+
+
+def _multi_interval_union():
+    """Five columns over sections of 100, 33, 2 and 1 intervals; the second
+    column starts at the first one's end and the fifth reuses section 0.
+    The one-interval section starts at 0.0 and the two-interval one ends its
+    first interval there."""
+    rng = np.random.default_rng(21)
+    sections = [np.sort(rng.uniform(-2.0, 2.0, 2 * k)) for k in (100, 33)]
+    sections += [np.array([-1.0, 0.0, 0.5, 1.0]), np.array([0.0, 1.0])]
+    assert all((np.diff(ends) > 0).all() for ends in sections)
+    ends = np.concatenate(sections)
+    y_lo, y_hi = ends[0::2], ends[1::2]
+    sec_off = np.cumsum([0] + [e.size // 2 for e in sections])
+    measure = [math.fsum((e[1::2] - e[0::2]).tolist()) for e in sections]
+    x_lo, x_hi = [0.0, 1.0, 2.5, 3.0, 4.0], [1.0, 2.0, 3.0, 3.25, 5.0]
+    return RectUnion(x_lo, x_hi, [0, 1, 2, 3, 0], sec_off, y_lo, y_hi, measure)
+
+
+def _ulps(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate((values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)))
+
+
+def test_section_bisection_matches_keyed_search_and_column_objects():
+    """Every column x-end and section end, one ulp either side, NaN and -0.0,
+    in every combination: the bisection's codes equal the keyed search's
+    and the column objects'.  The 100-interval section takes 7 steps, and
+    x = 1.0 is the edge shared by the first two columns."""
+    union = _multi_interval_union()
+    assert (int(np.diff(union.sec_off).max()) - 1).bit_length() == 7
+    extra = [np.nan, -0.0, 0.0]
+    xs = np.concatenate((_ulps(np.concatenate((union.x_lo, union.x_hi))), [0.5, 4.5], extra))
+    ys = np.concatenate((_ulps(np.concatenate((union.y_lo, union.y_hi))), extra))
+    x, y = (a.ravel() for a in np.meshgrid(np.unique(xs), ys))
+    code = union.classify(x, y)
+    assert code.tolist() == keyed_classify(union, x, y).tolist()
+    reference = ColumnUnion(union.columns)
+    want = [LOCATIONS.index(reference.locate(p)) for p in zip(x.tolist(), y.tolist())]
+    assert code.tolist() == want
+    assert set(want) == {0, 1, 2}
+    # the shared edge is boundary also where only the first column's section holds it
+    second = ColumnUnion(union.columns[1:2])
+    edge = [p for p, c in zip(zip(x.tolist(), y.tolist()), code.tolist()) if p[0] == 1.0 and c]
+    assert any(second.locate(p) is Location.OUTSIDE for p in edge)
+
+
+def test_rect_union_rejects_empty_sections():
+    with pytest.raises(ValueError, match="section"):
+        RectUnion([0.0], [1.0], [0], [0, 0, 1], [0.0], [1.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("layout", ["canonical", "shelf-46655", "deposition"])
+def test_classify_matches_keyed_search_on_covers(
+    canonical_cover, shelf_46k_cover, deposition_cover, layout
+):
+    """On every block of the three covers, at corners and edge midpoints of
+    rectangles, one ulp either side, and seeded points, the bisection's
+    codes equal the keyed search's and the column objects'."""
+    cover = {
+        "canonical": canonical_cover,
+        "shelf-46655": shelf_46k_cover,
+        "deposition": deposition_cover,
+    }[layout]
+    rng = np.random.default_rng(13)
+    for block in cover.blocks:
+        union = block.union
+        step = max(1, len(union) // 300)
+        bounds = np.array([r.bounds for r in union.rects[::step]])
+        x0, x1, y0, y1 = bounds.T
+        xs = _ulps(np.concatenate((x0, x1, (x0 + x1) / 2)))
+        ys = _ulps(np.concatenate((y0, y1, (y0 + y1) / 2)))
+        pick = rng.integers(0, xs.size, (2, 20_000))
+        seeded = rng.uniform(-0.1, 1.1, (2, 5000))
+        x = np.concatenate((xs[pick[0]], np.tile(xs, 3), seeded[0]))
+        y = np.concatenate((ys[pick[1]], rng.permutation(np.tile(ys, 3)), seeded[1]))
+        code = union.classify(x, y)
+        assert code.tolist() == keyed_classify(union, x, y).tolist()
+        reference = oracles.column_union(union)
+        want = [LOCATIONS.index(reference.locate(p)) for p in zip(x.tolist(), y.tolist())]
+        assert code.tolist() == want
+        assert set(want) == {0, 1, 2}
 
 
 def test_cover_builds_no_interval_objects(deposition_model, monkeypatch):

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from densitometer import setmodel
+from densitometer import scan, setmodel
 from densitometer.dilation import Rectangle
 from densitometer.scan import (
     ScanConfig,
@@ -428,12 +428,6 @@ def test_planted_tie_cubes_are_measured(axis):
 SHELF_CUBES = CUBES + (20_000, 46_654)
 
 
-@pytest.fixture(scope="module")
-def shelf_46k(canonical_seq):
-    """Blocks through s = 5 on the shelf: trunc = 6^6 - 1."""
-    return build_packing(canonical_seq, 46_655, Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0))
-
-
 def test_shelf_totals_match_oracles(shelf_46k):
     """On 46,655 cubes the tree's totals are the dense fsum bit for bit on
     seeded, edge, ulp and node-box rectangles, and its ratios the per-point
@@ -706,7 +700,7 @@ def test_index_query_needs_low_side_reach(canonical_model, monkeypatch):
     assert _missed(canonical_model, CUBES) is not None
 
 
-def test_near_cubes_measures_only_nearby_cubes(shelf_46k, monkeypatch):
+def test_near_cubes_measures_only_nearby_cubes(shelf_46k, shelf_46k_cover, monkeypatch):
     """On 46,655 cubes, the box query of a point +- 0.01 returns exactly the
     cubes whose dense per-axis gaps are both within 0.01, and hands the
     kernel under 1% of the cubes: at each point the scan samples, and on
@@ -719,7 +713,7 @@ def test_near_cubes_measures_only_nearby_cubes(shelf_46k, monkeypatch):
         given.append(self.xs[cubes].size)
         return kernel(self, rects, reduce, cubes)
 
-    cover = setmodel.build_cover(shelf_46k, 3, 4)
+    cover = shelf_46k_cover
     config = ScanConfig(t_grid=(0.01,), points=50, rects_per_point=1, seed=42)
     sampled = sample_points(shelf_46k, cover, config).points
     seeded = tuple(map(tuple, np.random.default_rng(3).uniform(0.0, 1.0, (300, 2)).tolist()))
@@ -853,20 +847,35 @@ def test_scan_memory_is_bounded_by_run(canonical_model, canonical_cover, canonic
     assert peak < _SCAN_PEAK, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_sample_points_memory_is_bounded_by_block(canonical_model, canonical_cover):
-    """Sampling 1,000 points draws batches of 4,000; one (batch x cubes)
-    boolean array would alone be 12.5 MB on the canonical cubes."""
+@pytest.mark.parametrize("layout", ["canonical", "deposition"])
+def test_sample_points_memory_is_bounded_by_block(
+    canonical_model, canonical_cover, deposition_model, deposition_cover, monkeypatch, layout
+):
+    """Sampling 1,000 points draws batches of 4,000 draws and more; one
+    (batch x cubes) boolean array would alone be 12.5 MB on either layout.
+    On the deposition layout, where the cover holds 99.5% of the box, the
+    batches double up to the cap."""
+    model, cover = {
+        "canonical": (canonical_model, canonical_cover),
+        "deposition": (deposition_model, deposition_cover),
+    }[layout]
     config = ScanConfig(t_grid=(0.01,), points=1000, rects_per_point=1, seed=42)
-    dense = 4 * config.points * canonical_model.trunc  # one boolean per (draw, cube)
+    dense = 4 * config.points * model.trunc  # one boolean per (draw, cube)
     assert _PEAK_BOUND < dense / 2
+    sizes, scannable = [], scan._scannable_rows
+    monkeypatch.setattr(
+        scan, "_scannable_rows", lambda m, c, pts: sizes.append(len(pts)) or scannable(m, c, pts)
+    )
     tracemalloc.start()
     try:
-        sample = sample_points(canonical_model, canonical_cover, config)
+        sample = sample_points(model, cover, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(sample.points) == config.points
     assert peak < _PEAK_BOUND, f"peak {peak / 2**20:.1f} MB"
+    if layout == "deposition":
+        assert max(sizes) == scan._SAMPLE_BATCH
 
 
 # -- the large cubes against family boxes: bit for bit the two-tree pass ----------------

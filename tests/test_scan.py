@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from densitometer import RateFunction, scan, setmodel
 from densitometer.dilation import Rectangle, RectUnion
-from densitometer.errors import OutOfRange
+from densitometer.errors import AcceptanceTooLow, OutOfRange
 from densitometer.interval1d import Location
 from densitometer.scan import (
     ScanConfig,
@@ -92,23 +92,64 @@ def test_sample_points_seed_changes_stream(canonical_model, canonical_cover):
     assert a.points != b.points
 
 
-@pytest.fixture(scope="module")
-def deposition_cover(deposition_model):
-    return build_cover(deposition_model, 3, 4)
-
-
-@pytest.mark.parametrize("layout, seed", [("shelf", 1), ("shelf", 2), ("deposition", 1)])
+@pytest.mark.parametrize(
+    "layout, seed", [("shelf", 1), ("shelf", 2)] + [("deposition", k) for k in range(1, 6)]
+)
 def test_sample_points_match_per_point_sampler(
     canonical_model, canonical_cover, deposition_model, deposition_cover, layout, seed
 ):
-    """The batch cover test accepts the same points after the same draws as
-    one lookup per drawn point in the blocks' ColumnUnion oracles."""
+    """The batch cover test, over doubling batches, accepts the same points
+    after the same draws as one lookup per drawn point in the blocks'
+    ColumnUnion oracles over fixed batches."""
     model, cover = {
         "shelf": (canonical_model, canonical_cover),
         "deposition": (deposition_model, deposition_cover),
     }[layout]
     config = small_config(points=100, seed=seed)
     assert sample_points(model, cover, config) == oracles.sample_points_ref(model, cover, config)
+
+
+def _recording_batches(monkeypatch, accept):
+    """Record the size of every batch that sample_points tests, and accept
+    the rows ``accept`` gives for it."""
+    sizes = []
+
+    def recording(model, cover, pts):
+        sizes.append(len(pts))
+        return accept(model, cover, pts)
+
+    monkeypatch.setattr(scan, "_scannable_rows", recording)
+    return sizes
+
+
+def test_sample_points_batches_double_up_to_the_cap(
+    deposition_model, deposition_cover, monkeypatch
+):
+    """On the deposition layout, where the cover holds 99.5% of the box,
+    each batch that does not finish the sample doubles the next, up to
+    _SAMPLE_BATCH draws."""
+    sizes = _recording_batches(monkeypatch, scan._scannable_rows)
+    config = small_config(points=100, seed=3)
+    sample = sample_points(deposition_model, deposition_cover, config)
+    cap = scan._SAMPLE_BATCH
+    assert sizes[:5] == [1024, 2048, 4096, 8192, 8192] and set(sizes[3:]) == {cap}
+    assert sum(sizes[:-1]) < sample.draws <= sum(sizes)
+
+
+@pytest.mark.parametrize("points, draws", [(100, 1_000_448), (300, 1_000_800)])
+def test_acceptance_check_sees_the_fixed_batch_draw_counts(
+    canonical_model, canonical_cover, monkeypatch, points, draws
+):
+    """With nothing accepted, AcceptanceTooLow names the draw count at which
+    fixed batches of max(1024, 4 * points) first pass a million draws: the
+    batches land on it exactly, also where the unit (1,200 draws for 300
+    points) does not divide the cap."""
+    sizes = _recording_batches(monkeypatch, lambda model, cover, pts: np.zeros(0, dtype=np.intp))
+    with pytest.raises(AcceptanceTooLow, match=f"^0 of {draws} draws accepted"):
+        sample_points(canonical_model, canonical_cover, small_config(points=points))
+    unit = max(1024, 4 * points)
+    assert draws == -(-(10**6) // unit) * unit == sum(sizes)
+    assert max(sizes) <= max(unit, scan._SAMPLE_BATCH)
 
 
 def _cover_probes(cover, every=4):
@@ -396,16 +437,12 @@ def test_scan_csv_shape(small_report):
 # -- family boxes and undrawn separation pairs, against the passes they replaced --
 
 @pytest.fixture(scope="module")
-def packing_46k(canonical_seq):
-    model = build_packing(canonical_seq, 46_655, Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0))
-    return model, build_cover(model, 3, 4)
-
-
-@pytest.fixture(scope="module")
-def layouts(canonical_model, canonical_cover, packing_46k, deposition_model, deposition_cover):
+def layouts(
+    canonical_model, canonical_cover, shelf_46k, shelf_46k_cover, deposition_model, deposition_cover
+):
     return {
         "shelf-3124": (canonical_model, canonical_cover),
-        "shelf-46655": packing_46k,
+        "shelf-46655": (shelf_46k, shelf_46k_cover),
         "deposition": (deposition_model, deposition_cover),
     }
 
@@ -562,14 +599,14 @@ def test_separation_box_touching_or_one_ulp_inside_a_cube(offset, drawn, monkeyp
 _SEPARATION_PEAK = 8 * 8 * 46_655 + (1 << 20)
 
 
-def test_separation_passes_on_46k_shelf(packing_46k, canonical_ratefn, monkeypatch):
+def test_separation_passes_on_46k_shelf(shelf_46k, shelf_46k_cover, canonical_ratefn, monkeypatch):
     """On the 46,655-cube shelf, with prefixes up to the whole model, the
     separation check classifies the sample's points once (_scannable_rows),
     and beyond that makes one regime pass (_prefix_d2), one box pass per
     checkable t and one pass per drawn pair (_pair_hits: the prefix cubes
     its box meets, then its rectangles against them), and holds no (points x
     prefix) array."""
-    model, cover = packing_46k
+    model, cover = shelf_46k, shelf_46k_cover
     config = small_config(t_grid=(0.25, 0.05, 0.01, 0.002, 1e-4), points=100, rects_per_point=500)
     sample = sample_points(model, cover, config)
     calls = {name: 0 for name in ("_prefix_d2", "_meets_prefix", "_pair_hits", "_draw_rects")}
