@@ -434,23 +434,80 @@ class RectUnion:
         return LOCATIONS[self.classify([point[0]], [point[1]])[0]]
 
 
+# Rows per step of ``_shelf_disjoint``: its temporaries are a few arrays of
+# this many entries, 512 kB per float array, whatever the family's size.
+_SHELF_ROWS = 1 << 16
+
+
+def _shelf_disjoint(
+    x_lo: np.ndarray, x_hi: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
+) -> bool:
+    """Whether the rows are certified pairwise disjoint as shelves.
+
+    The certificate: every row has x_lo < x_hi and y_lo < y_hi; in index
+    order the rows form runs of equal y_lo (shelves); within a run x_hi[i]
+    <= x_lo[i + 1]; and each run's top, its largest y_hi, is at most the
+    next run's y_lo.  Then a run's rows are x-disjoint, and the runs' open
+    y-ranges (y_lo, top) follow one another upward, so any two rows are
+    disjoint.  False refutes nothing: it only means the certificate does
+    not apply (NaN fails every comparison).  The rows go ``_SHELF_ROWS`` at
+    a time, carrying the top of the run left open at a step's end.
+    """
+    n = len(x_lo)
+    top = -math.inf
+    for a in range(0, n, _SHELF_ROWS):
+        b = min(n, a + _SHELF_ROWS)
+        xl, xh, yl, yh = x_lo[a:b], x_hi[a:b], y_lo[a:b], y_hi[a:b]
+        if not ((xl < xh).all() and (yl < yh).all()):
+            return False
+        # the pairs (i, i + 1) that start in this step
+        next_xl, next_yl = x_lo[a + 1 : b + 1], y_lo[a + 1 : b + 1]
+        m = len(next_yl)
+        same = yl[:m] == next_yl
+        if not (xh[:m][same] <= next_xl[same]).all():
+            return False
+        # run k of this step ends at ends[k] unless it is the last and open
+        ends = np.flatnonzero(~same)
+        tops = np.maximum.reduceat(yh, np.concatenate(([0], ends[ends < b - a - 1] + 1)))
+        tops[0] = max(tops[0], top)
+        if not (tops[: ends.size] <= next_yl[ends]).all():
+            return False
+        top = tops[-1] if ends.size < tops.size else -math.inf
+    return True
+
+
 def find_overlap(
     x_lo: Sequence[float], x_hi: Sequence[float], y_lo: Sequence[float], y_hi: Sequence[float]
 ) -> tuple[int, int] | None:
     """First index pair of open rectangles whose interiors meet, else None.
 
+    Rows that pass the shelf certificate (``_shelf_disjoint``), as every
+    ``build_packing`` layout does, are disjoint without a sweep; any others
+    go to ``_sweep_overlap``, which names the pair.
+    """
+    x_lo, x_hi, y_lo, y_hi = (np.asarray(v, dtype=np.float64) for v in (x_lo, x_hi, y_lo, y_hi))
+    if _shelf_disjoint(x_lo, x_hi, y_lo, y_hi):
+        return None
+    return _sweep_overlap(x_lo, x_hi, y_lo, y_hi)
+
+
+def _sweep_overlap(
+    x_lo: np.ndarray, x_hi: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
+) -> tuple[int, int] | None:
+    """``find_overlap`` by an endpoint sweep (Shamos and Hoey, FOCS 1976).
+
     Sweeps the x-endpoints, leaving before entering at equal x so that
     rectangles touching along an edge stay disjoint, and keeps the active
     y-intervals sorted.  While those are pairwise disjoint, an entering
     interval meets one of them exactly when it meets its neighbour below or
-    above, so the check takes O(N log N) comparisons.
+    above, so the check takes O(N log N) comparisons; it returns the first
+    (active, entering) pair that meets.
     """
     n = len(x_lo)
-    ends = np.concatenate((np.asarray(x_hi, dtype=np.float64), np.asarray(x_lo, dtype=np.float64)))
+    ends = np.concatenate((x_hi, x_lo))
     entering = np.arange(2 * n) >= n
     order = np.lexsort((entering, ends)).tolist()
-    y_lo = np.asarray(y_lo, dtype=np.float64).tolist()
-    y_hi = np.asarray(y_hi, dtype=np.float64).tolist()
+    y_lo, y_hi = y_lo.tolist(), y_hi.tolist()
     act_lo: list[float] = []
     act_hi: list[float] = []
     act_id: list[int] = []
@@ -681,13 +738,18 @@ def _grow_sweep(
 
 def _section_measures(sec_off: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The ``fsum`` of each section's block lengths.  The fsum of one float
-    is that float (+0.0 for -0.0, hence the added zero), so a section of one
-    block takes its length, and only longer sections call ``math.fsum``."""
+    is that float (+0.0 for -0.0, hence the added zero), and the fsum of two
+    is their float sum, which is correctly rounded (again with -0.0 read as
+    +0.0), so sections of one or two blocks take them in one array pass,
+    and only longer sections call ``math.fsum``."""
     counts = np.diff(sec_off)
     out = np.zeros(len(counts))
+    first = sec_off[:-1]
     one = counts == 1
-    out[one] = lengths[sec_off[:-1][one]] + 0.0
-    many = np.flatnonzero(counts > 1).tolist()
+    out[one] = lengths[first[one]] + 0.0
+    two = counts == 2
+    out[two] = lengths[first[two]] + lengths[first[two] + 1] + 0.0
+    many = np.flatnonzero(counts > 2).tolist()
     if many:
         off, pieces = sec_off.tolist(), lengths.tolist()
         out[many] = [math.fsum(pieces[off[i] : off[i + 1]]) for i in many]

@@ -342,6 +342,12 @@ class CubeTree:
         self.tree = _PackedTree(ids, _LEAF, (xs, ys, sides), (count, self.bits, self.shift))
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each float of a nonempty 1-D array: a list's repr joins
+    its items' reprs with ", ", which no float repr holds."""
+    return repr(values.tolist())[1:-1].split(", ")
+
+
 class CompactSetModel:
     """Open outer box minus open squares 1..N with sides from a weight sequence.
 
@@ -668,13 +674,20 @@ class CompactSetModel:
         ``json.dumps(self.to_json(), indent=2, sort_keys=True) + "\\n"``,
         without building either.  "cubes" sorts first; its rows go out 2^14
         at a time, each float formatted by ``repr`` as ``json`` formats a
-        finite float (the box check keeps every coordinate finite)."""
-        row = "\n    [\n      %r,\n      %r,\n      %r\n    ]"
+        finite float (the box check keeps every coordinate finite).  A
+        shelf's cubes share one y, so each distinct y of a slice, told apart
+        by its bits (0.0 from -0.0), is formatted once; the x and side
+        columns are formatted by the ``repr`` of their lists, whose items
+        are the ``repr`` of each float, with no Python call per cube."""
         out.write('{\n  "cubes": [')
         step = 1 << 14
         for i in range(0, self.trunc, step):
-            rows = zip(*(v[i : i + step].tolist() for v in (self.xs, self.ys, self.sides)))
-            out.write(("," if i else "") + ",".join(row % r for r in rows))
+            xs, ys, sides = (v[i : i + step] for v in (self.xs, self.ys, self.sides))
+            bits, at = np.unique(ys.view(np.int64), return_inverse=True)
+            ys = np.array([repr(y) for y in bits.view(np.float64).tolist()], dtype=object)
+            rows = map(",\n      ".join, zip(_reprs(xs), ys[at].tolist(), _reprs(sides)))
+            rows = "\n    ],\n    [\n      ".join(rows)
+            out.write(("," if i else "") + "\n    [\n      " + rows + "\n    ]")
         rest = json.dumps(self._header(), indent=2, sort_keys=True)
         out.write("\n  ],\n" + rest[2:] + "\n")
 
@@ -887,17 +900,23 @@ class ExceptionalCover:
         largest of the blocks' ``RectUnion.classify`` codes, so 2 where a
         block holds the point inside, else 1 where one has it on its
         boundary, else 0.  A point inside one block keeps code 2, so each
-        block after the first classifies only the points still below 2."""
+        block after the first classifies only the points still below 2.
+        The points are sorted by x once, so every block's column search
+        takes ascending keys, and the codes return in input order."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        code = np.zeros(x.shape, dtype=np.int8)
+        order = np.argsort(x, axis=None)
+        xs, ys = x.ravel()[order], y.ravel()[order]
+        code = np.zeros(xs.shape, dtype=np.int8)
         open_ = slice(None)
         for b in self.blocks:
-            code[open_] = np.maximum(code[open_], b.union.classify(x[open_], y[open_]))
+            code[open_] = np.maximum(code[open_], b.union.classify(xs[open_], ys[open_]))
             open_ = np.flatnonzero(code < 2)
             if not open_.size:
                 break
-        return code
+        out = np.empty_like(code)
+        out[order] = code
+        return out.reshape(x.shape)
 
     def locate(self, point: tuple[float, float]) -> Location:
         return LOCATIONS[self.classify([point[0]], [point[1]])[0]]

@@ -806,6 +806,22 @@ def keyed_classify(union: RectUnion, x, y) -> np.ndarray:
     return code
 
 
+def cover_classify_unsorted(cover, x, y) -> np.ndarray:
+    """``ExceptionalCover.classify`` over the points in their input order,
+    as it ran before it sorted them by x: each block classifies the points
+    that no earlier block holds inside."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    code = np.zeros(x.shape, dtype=np.int8)
+    open_ = slice(None)
+    for b in cover.blocks:
+        code[open_] = np.maximum(code[open_], b.union.classify(x[open_], y[open_]))
+        open_ = np.flatnonzero(code < 2)
+        if not open_.size:
+            break
+    return code
+
+
 def overlap_area_ref(a: Rectangle, b: Rectangle) -> float:
     """Area of the intersection of two open rectangles."""
     wx = min(a.x.hi, b.x.hi) - max(a.x.lo, b.x.lo)

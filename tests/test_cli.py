@@ -52,6 +52,26 @@ def test_overlapping_set_is_exit_two(tmp_path):
     assert run(out + ["cover", "--set", str(path), "--m", "2", "--s-hi", "2", "--out", "c.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "cubes",
+    [
+        # one shelf row whose second cube overlaps the first
+        [[0.0, 0.0, 0.25], [0.125, 0.0, 0.25]],
+        # the second cube starts a shelf below the first's top
+        [[0.25, 0.5, 0.25], [0.375, 0.375, 0.25]],
+    ],
+    ids=["shelf-row", "lower-shelf"],
+)
+def test_overlapping_set_names_the_pair(tmp_path, capsys, cubes):
+    """The hand-written set.json files of the CI's overlapping-set job."""
+    seq = {"kind": "explicit", "w2": [0.0625, 0.0625]}
+    path = tmp_path / "set.json"
+    payload = {"outer": [0.0, 1.0, 0.0, 1.0], "trunc": 2, "seq": seq, "cubes": cubes}
+    path.write_text(json.dumps(payload))
+    assert run(["scan", "--set", str(path), "--m", "1", "--s-hi", "1"]) == 2
+    assert capsys.readouterr().err == "error: cubes 1 and 2 overlap\n"
+
+
 def _short_row(payload):
     payload["cubes"][0] = [0.0, 0.0]
     return payload

@@ -794,6 +794,66 @@ def test_classify_matches_keyed_search_on_covers(
         assert set(want) == {0, 1, 2}
 
 
+COVERS = ["canonical", "shelf-46655", "deposition"]
+
+
+def _cover(request, layout):
+    name = {"canonical": "canonical_cover", "shelf-46655": "shelf_46k_cover"}
+    return request.getfixturevalue(name.get(layout, "deposition_cover"))
+
+
+@pytest.mark.parametrize("layout", COVERS)
+def test_cover_classify_matches_unsorted_path(request, layout):
+    """The cover's codes, found over points sorted by x, equal those of the
+    blocks classifying the points in input order: shuffled rectangle
+    corners one ulp either side, repeated points, seeded points, NaN,
+    +-inf and +-0.0 in either coordinate."""
+    cover = _cover(request, layout)
+    rng = np.random.default_rng(29)
+    corners = []
+    for block in cover.blocks:
+        union = block.union
+        pick = rng.integers(0, union.x_lo.size, 200)
+        first = union.sec_off[union.col_sec[pick]]
+        corners.append(np.column_stack((union.x_lo[pick], union.y_lo[first])))
+    corners = np.concatenate(corners)
+    xs, ys = _ulps(corners[:, 0]), _ulps(corners[:, 1])
+    extra = [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5]
+    ex, ey = (a.ravel() for a in np.meshgrid(extra, extra))
+    seeded = rng.uniform(-0.1, 1.1, (2, 4000))
+    x = np.concatenate((xs, ex, ex[:3], seeded[0], seeded[0][:100]))
+    y = np.concatenate((ys, ey, ey[:3], seeded[1], seeded[1][:100]))
+    order = rng.permutation(x.size)
+    x, y = x[order], y[order]
+    code = cover.classify(x, y)
+    assert code.dtype == np.int8
+    assert code.tolist() == oracles.cover_classify_unsorted(cover, x, y).tolist()
+    assert set(code.tolist()) == {0, 1, 2}
+    n = x.size // 2 * 2
+    grid = cover.classify(x[:n].reshape(2, -1), y[:n].reshape(2, -1))
+    assert grid.tolist() == code[:n].reshape(2, -1).tolist()
+    assert cover.classify([], []).shape == (0,)
+
+
+@pytest.mark.parametrize("layout", COVERS)
+def test_section_measures_match_fsum_on_covers(request, layout):
+    """Every block's section measures equal a per-section ``math.fsum`` bit
+    for bit; the deposition cover holds sections of one, two and more
+    blocks."""
+    cover = _cover(request, layout)
+    sizes = set()
+    for block in cover.blocks:
+        union = block.union
+        lengths = union.y_hi - union.y_lo
+        off = union.sec_off.tolist()
+        want = [math.fsum(lengths[a:b].tolist()) for a, b in zip(off, off[1:])]
+        assert _bits(dilation._section_measures(union.sec_off, lengths)) == _bits(want)
+        assert _bits(union.sec_measure) == _bits(want)
+        sizes |= set(np.diff(union.sec_off).tolist())
+    if layout == "deposition":
+        assert {1, 2, 3} <= sizes
+
+
 def test_cover_builds_no_interval_objects(deposition_model, monkeypatch):
     """The cover reads the model's arrays and classifies points from flat
     arrays: building it and one batch location query construct no
@@ -828,6 +888,157 @@ def test_overlapping_sections_raise_before_the_sweep():
     # toggling (0, 2) and (1, 3) on one y-cell would give (0, 1) u (2, 3)
     with pytest.raises(OverlappingCubes):
         dilate_2d([(0, 2, 0, 2), (1, 3, 0, 2)], 2.0)
+
+
+# -- the overlap check: shelf certificate, then the sweep ------------------------
+
+def _columns(rows):
+    return tuple(np.ascontiguousarray(np.asarray(rows, dtype=np.float64).T))
+
+
+def _model_rows(model, lo=1, hi=None):
+    """Rows [x0, x1, y0, y1] of cubes lo..hi, as ``build_cover`` forms them."""
+    sl = slice(lo - 1, model.trunc if hi is None else hi)
+    x, y, w = model.xs[sl], model.ys[sl], model.sides[sl]
+    return np.column_stack((x, x + w, y, y + w))
+
+
+# Planted overlaps, each refused by the certificate, with the pair that the
+# sweep named before the certificate existed.
+PLANTED = {
+    # one shelf of unit squares, the third pushed into the second
+    "inside-run": ([(0, 1, 0, 1), (1, 2, 0, 1), (1.5, 2.5, 0, 1), (3, 4, 0, 1)], (1, 2)),
+    # the first shelf's tall first cube reaches above the next shelf's floor
+    "run-top": (
+        [(0, 2, 0, 2), (2, 3, 0, 1), (3, 4, 0, 1), (0.5, 1.5, 1, 2), (2, 3, 1, 2)],
+        (0, 3),
+    ),
+    # the third shelf starts below the second's top
+    "restart-lower": (
+        [(0, 1, 0, 1), (1, 2, 0, 1), (0, 1, 1, 2), (1, 2, 1, 2), (1.5, 2.5, 1.5, 2.5)],
+        (3, 4),
+    ),
+    # rows 0 and 2 overlap, and the row of negative width between them
+    # chains their x-ends; the sweep presumes positive extents, as every
+    # caller checks first, and misses the pair
+    "negative-width": ([(0, 2, 0, 1), (2, 1, 0, 1), (1, 3, 0, 1)], None),
+}
+
+# Disjoint families that the certificate proves: edges and corners touch,
+# shelves of mixed heights, one row, no row.
+CERTIFIED = {
+    "touching": [(0, 1, 0, 1), (1, 2, 0, 1), (2, 3, 0, 0.5), (0, 2, 1, 3), (2, 3, 1, 2)],
+    "one-row": [(0.25, 0.5, 0.0, 0.25)],
+    "gaps": [(0, 1, 0, 1), (2, 3, 0, 0.5), (0, 5, 4, 5), (-1, 0, 6, 7), (0, 1, 6, 6.5)],
+    "empty": np.zeros((0, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED))
+@pytest.mark.parametrize("step", [1, 2, 3, 1 << 16])
+def test_certificate_refuses_planted_overlaps(name, step, monkeypatch):
+    """Every planted overlap fails the certificate, at every step size (so
+    each run boundary also falls at a step's edge), and ``find_overlap``
+    then names the sweep's pair, the one it named before the certificate."""
+    monkeypatch.setattr(dilation, "_SHELF_ROWS", step)
+    rows, pair = PLANTED[name]
+    cols = _columns(rows)
+    assert not dilation._shelf_disjoint(*cols)
+    assert dilation.find_overlap(*cols) == dilation._sweep_overlap(*cols) == pair
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED))
+@pytest.mark.parametrize("step", [1, 2, 3, 1 << 16])
+def test_certificate_proves_touching_shelves(name, step, monkeypatch):
+    monkeypatch.setattr(dilation, "_SHELF_ROWS", step)
+    cols = _columns(CERTIFIED[name])
+    assert dilation._shelf_disjoint(*cols)
+    assert dilation.find_overlap(*cols) is None
+    assert dilation._sweep_overlap(*cols) is None
+
+
+def test_certificate_refuses_rows_without_interior():
+    """Zero or negative extent in either axis, and NaN, fail the certificate
+    although the rows would chain as shelves."""
+    for bad in ((1, 1, 0, 1), (2, 1, 0, 1), (1, 2, 0, 0), (1, 2, 0, -1), (np.nan, 2, 0, 1)):
+        assert not dilation._shelf_disjoint(*_columns([(0, 1, 0, 1), bad, (2, 3, 0, 1)]))
+
+
+@pytest.mark.parametrize("step", [1 << 16, 1000])
+def test_certificate_matches_sweep_on_packings(canonical_model, shelf_46k, step, monkeypatch):
+    """Both shelf packings and each of their cover blocks pass the
+    certificate, and the sweep finds them disjoint too; a step of 1,000
+    rows cuts shelves across steps."""
+    monkeypatch.setattr(dilation, "_SHELF_ROWS", step)
+    families = [_model_rows(canonical_model), _model_rows(shelf_46k)]
+    families += [_model_rows(canonical_model, s**s, (s + 1) ** (s + 1) - 1) for s in (3, 4)]
+    families += [_model_rows(shelf_46k, s**s, (s + 1) ** (s + 1) - 1) for s in (3, 4, 5)]
+    for rows in families:
+        assert dilation._shelf_disjoint(*rows.T)
+        assert dilation._sweep_overlap(*rows.T) is None
+        assert dilation.find_overlap(*rows.T) is None
+
+
+@pytest.mark.parametrize(
+    "moved, onto, pair",
+    [(2, 1, (0, 1)), (100, 99, (98, 99)), (3000, 2000, (1999, 2999)), (30_000, 3, (2, 29999))],
+)
+def test_certificate_refuses_planted_overlap_in_packing(shelf_46k, moved, onto, pair):
+    """A cube moved onto another's corner, inside its shelf or onto the
+    first shelf (a later run restarting lower): the sweep names the pair it
+    named before the certificate."""
+    rows = _model_rows(shelf_46k).copy()
+    x0, x1, y0, y1 = rows[moved - 1]
+    cx, cy = rows[onto - 1, 0], rows[onto - 1, 2]
+    rows[moved - 1] = cx, cx + (x1 - x0), cy, cy + (y1 - y0)
+    assert not dilation._shelf_disjoint(*rows.T)
+    assert dilation.find_overlap(*rows.T) == dilation._sweep_overlap(*rows.T) == pair
+
+
+def test_deposition_layout_sweeps(deposition_model):
+    """The deposition layout is not shelf-ordered: the certificate does not
+    apply and the sweep proves it disjoint."""
+    rows = _model_rows(deposition_model)
+    assert not dilation._shelf_disjoint(*rows.T)
+    assert dilation.find_overlap(*rows.T) is None
+    for s in (3, 4):
+        block = _model_rows(deposition_model, s**s, (s + 1) ** (s + 1) - 1)
+        assert dilation.find_overlap(*block.T) == dilation._sweep_overlap(*block.T) is None
+
+
+shelf_rows = st.lists(
+    st.tuples(
+        st.integers(0, 3),  # shelf: rows in index order climb or repeat a shelf
+        st.integers(-1, 6),  # x0
+        st.integers(-1, 3),  # width, 0 and -1 included
+        st.integers(0, 2),  # y0 above the shelf floor
+        st.integers(-1, 3),  # height, 0 and -1 included
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shelf_rows, st.sampled_from([1, 2, 3, 5, 1 << 16]))
+def test_certificate_is_sound_on_drawn_shelves(drawn, step):
+    """On drawn near-shelf families, a certificate implies that no two open
+    rows meet (checked pair by pair), and ``find_overlap`` answers as the
+    sweep does, whatever the step."""
+    rows = [(x, x + w, 2 * f + y, 2 * f + y + h) for f, x, w, y, h in drawn]
+    cols = _columns(rows) if rows else _columns(np.zeros((0, 4)))
+    old = dilation._SHELF_ROWS
+    dilation._SHELF_ROWS = step
+    try:
+        certified = dilation._shelf_disjoint(*cols)
+    finally:
+        dilation._SHELF_ROWS = old
+    if certified:
+        for i, a in enumerate(rows):
+            assert a[0] < a[1] and a[2] < a[3]
+            for b in rows[i + 1 :]:
+                assert not (max(a[0], b[0]) < min(a[1], b[1]) and max(a[2], b[2]) < min(a[3], b[3]))
+    if all(a[0] < a[1] and a[2] < a[3] for a in rows):
+        assert dilation.find_overlap(*cols) == dilation._sweep_overlap(*cols)
 
 
 def test_block4_dilation_memory(canonical_model):

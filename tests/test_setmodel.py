@@ -214,14 +214,42 @@ def test_degenerate_cubes_are_rejected():
         (WeightSequence.power(0.25, 2.0), 50, UNIT),
         (WeightSequence.power(0.25, 2.0), 3124, UNIT),
         (WeightSequence.explicit([0.01, 0.004, 1e-3, 3e-7]), 4, Rectangle.from_bounds(-2, 0.5, 1, 3)),
+        (WeightSequence.power(0.25, 2.0), 46_655, UNIT),
     ],
-    ids=["1", "50", "3124", "explicit-box"],
+    ids=["1", "50", "3124", "explicit-box", "46655"],
 )
 def test_write_json_matches_json_dumps(seq, trunc, outer):
     model = build_packing(seq, trunc, outer)
     out = io.StringIO()
     model.write_json(out)
     assert out.getvalue() == json.dumps(model.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def _signed_zero_model():
+    """Cubes resting on y = -0.0 and on y = 0.0, which compare equal but
+    format differently, in one slice of the writer."""
+    seq = WeightSequence.explicit([0.0625, 0.0625, 0.0625])
+    cubes = [[0.0, -0.0, 0.25], [0.25, 0.0, 0.25], [-0.0, 0.25, 0.25]]
+    return CompactSetModel.from_json(
+        {"outer": [-0.0, 1.0, -0.0, 1.0], "trunc": 3, "seq": seq.to_json(), "cubes": cubes}
+    )
+
+
+@pytest.mark.parametrize("layout", ["deposition", "signed-zero"])
+def test_write_json_matches_json_dumps_beyond_the_packing(request, layout):
+    """Each slice formats its distinct y values once: the bytes stay those
+    of ``json.dumps`` on the deposition layout (a y per cube) and with -0.0
+    beside 0.0."""
+    if layout == "signed-zero":
+        model = _signed_zero_model()
+        assert np.signbit(model.ys).tolist() == [True, False, False]
+    else:
+        model = request.getfixturevalue("deposition_model")
+    out = io.StringIO()
+    model.write_json(out)
+    text = out.getvalue()
+    assert text == json.dumps(model.to_json(), indent=2, sort_keys=True) + "\n"
+    assert CompactSetModel.from_json(json.loads(text)) == model
 
 
 def test_model_json_round_trip(canonical_seq):
