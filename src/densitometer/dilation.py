@@ -12,31 +12,27 @@ number of its toggles fall at or before that cell.  The squares must be
 pairwise disjoint, so the sections active on one y-cell are pairwise
 disjoint and every value ends at most two of them; it is a boundary of their
 merged union exactly when it ends one.  A cell's present values therefore
-are that union, and each distinct union is dilated once.  A second sweep
-over the columns between the dilated unions' distinct x-endpoints toggles
-the y-bounds of the cells that enter or leave a column in the same way, and
-each distinct vertical union is dilated once.  The output is a finite
+are that union, and each cell's union is dilated.  A second sweep over the
+columns between the dilated unions' distinct x-endpoints toggles the
+y-bounds of each cell at the columns where its dilated blocks start and
+end, and each column's vertical union is dilated.  The output is a finite
 disjoint rectangle union.
 
 The sweeps are array passes (``_sweep_rows``).  Toggles of one value at one
 cell that cancel in pairs are dropped, and the rest pair up into ranges of
-cells over which the value is present.  Each cell's row length and Zobrist
-hash (the XOR of its values' 64-bit tokens) follow from the ranges by
-cumulative sums, so distinct rows are numbered in order of first appearance
-without building any row.  The rows are then expanded a slab of cells at a
-time, with one ``np.repeat`` over the ranges, and every row is compared
-value by value with the first row of its number; if two rows share a key
-but differ, the sweep is numbered again exactly.  For N squares the cost is
-O(N log N) plus the total size of the cells' merged unions.
+cells over which the value is present.  Each cell's row length follows from
+the ranges by one cumulative sum, and the rows are expanded a slab of cells
+at a time, with one ``np.repeat`` over the ranges.  For N squares the cost
+is O(N log N) plus the total size of the cells' merged unions.
 
 The squares come in as an (n, 4) array of rows [x0, x1, y0, y1].  Each sweep
-first collects its distinct unions and then dilates them together, in
-batches of at most ``_BATCH_MEMBERS`` members: ``_grow_batch`` grows member
-s of every union of a batch in one numpy step, with the float operations of
-the one-union loop in the same order, so every union comes out the same bit
-for bit.  ``dilate_1d`` is a batch of one union.  The result keeps flat
-arrays: column x-bounds, a section index per column, and a pool of the
-distinct vertical sections with their exact measures (see ``RectUnion``).
+first collects its cells' unions and then dilates them together, in batches
+of at most ``_BATCH_MEMBERS`` members: ``_grow_batch`` grows member s of
+every union of a batch in one numpy step, with the float operations of the
+one-union loop in the same order, so every union comes out the same bit for
+bit.  ``dilate_1d`` is a batch of one union.  The result keeps flat arrays:
+column x-bounds and each column's vertical section with its exact measure
+(see ``RectUnion``).
 """
 
 from __future__ import annotations
@@ -89,15 +85,14 @@ _BATCH_MEMBERS = 32768
 @np.errstate(over="ignore")  # an overflowing arm raises ValueError below
 def _grow_batch(
     counts: Sequence[int] | np.ndarray, los: np.ndarray, his: np.ndarray, gamma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grow a batch of unions at once, each left to right.
 
     Union u is the next ``counts[u]`` members (``los[i]``, ``his[i]``),
     sorted and pairwise disjoint.  Returns the number of blocks of every
     dilated union and their lower and upper ends, concatenated in union
-    order, and the left and right hull ends of every member.  An arm that
-    leaves the float range raises ValueError, as the non-finite interval it
-    would end does.
+    order.  An arm that leaves the float range raises ValueError, as the
+    non-finite interval it would end does.
 
     Each union's occupied set is two sorted runs of closed blocks, each
     merged across touching ends: the grown blocks (a stack whose top holds
@@ -149,8 +144,6 @@ def _grow_batch(
     start, base, end = start[rank], g_base[rank], w_end[rank]
     top = base - 1
     w = end - n_blocks[rank]
-    lefts = np.empty(total)
-    rights = np.empty(total)
 
     for s, a in enumerate(active.tolist()):
         member = start[:a] + s
@@ -208,7 +201,6 @@ def _grow_batch(
         glo[i] = np.where(first_lo < left, first_lo, left)
         ghi[i] = np.where(last_hi > right, last_hi, right)
         top[:a], w[:a] = i, k
-        lefts[member], rights[member] = left, right
 
     # every waiting block has been reached: each union's result is its grown
     # blocks, the slots from its base to its top
@@ -221,7 +213,7 @@ def _grow_batch(
     n_out[rank] = top - base + 1
     out_lo = glo[kept]
     del glo
-    return n_out, out_lo, ghi[kept], lefts, rights
+    return n_out, out_lo, ghi[kept]
 
 
 @dataclass(frozen=True)
@@ -265,7 +257,7 @@ def dilate_1d(
         if not a.hi <= b.lo:
             raise OverlappingInputs(f"inputs overlap: {a} and {b}")
     los, his = [m.lo for m in members], [m.hi for m in members]
-    _, los, his, _, _ = _grow_batch([len(members)], los, his, gamma)
+    _, los, his = _grow_batch([len(members)], los, his, gamma)
     return DilationResult1D(
         gamma=gamma,
         union=DisjointIntervalSet(Interval(lo, hi) for lo, hi in zip(los.tolist(), his.tolist())),
@@ -299,20 +291,18 @@ class RectUnion:
     """Disjoint rectangle union organized as x-disjoint columns, in flat arrays.
 
     Column c is the open x-interval (``x_lo[c]``, ``x_hi[c]``); the columns
-    are sorted and pairwise disjoint.  Its vertical section is entry
-    ``col_sec[c]`` of a pool of distinct sections, which columns with equal
-    vertical unions share: section s is the one or more sorted, pairwise
-    separated open y-intervals (``y_lo[i]``, ``y_hi[i]``) for ``sec_off[s]
-    <= i < sec_off[s + 1]``, and ``sec_measure[s]`` is their exact ``fsum``
-    measure.  ``measure``, ``classify``, ``locate`` and ``len`` read these
-    arrays; ``columns`` builds interval objects on first use, one
-    DisjointIntervalSet per section, and ``rects`` derives from it.
+    are sorted and pairwise disjoint.  Its vertical section is the one or
+    more sorted, pairwise separated open y-intervals (``y_lo[i]``,
+    ``y_hi[i]``) for ``sec_off[c] <= i < sec_off[c + 1]``, and
+    ``sec_measure[c]`` is their exact ``fsum`` measure.  ``measure``,
+    ``classify``, ``locate`` and ``len`` read these arrays; ``columns``
+    builds interval objects on first use, one DisjointIntervalSet per
+    column, and ``rects`` derives from it.
     """
 
     __slots__ = (
         "x_lo",
         "x_hi",
-        "col_sec",
         "sec_off",
         "y_lo",
         "y_hi",
@@ -324,7 +314,6 @@ class RectUnion:
         self,
         x_lo: np.ndarray,
         x_hi: np.ndarray,
-        col_sec: np.ndarray,
         sec_off: np.ndarray,
         y_lo: np.ndarray,
         y_hi: np.ndarray,
@@ -338,8 +327,9 @@ class RectUnion:
             raise ValueError("rectangle union bounds must be finite")
         if np.any(self.x_hi[:-1] > self.x_lo[1:]):
             raise ValueError("columns must be sorted and x-disjoint")
-        self.col_sec = np.asarray(col_sec, dtype=np.intp)
         self.sec_off = np.asarray(sec_off, dtype=np.intp)
+        if self.sec_off.size != self.x_lo.size + 1:
+            raise ValueError("every column must have one section")
         if np.any(self.sec_off[1:] <= self.sec_off[:-1]):
             raise ValueError("every section must hold an interval")
         self.sec_measure = np.asarray(sec_measure, dtype=np.float64)
@@ -347,23 +337,22 @@ class RectUnion:
 
     @classmethod
     def empty(cls) -> "RectUnion":
-        return cls((), (), (), (0,), (), (), ())
+        return cls((), (), (0,), (), (), ())
 
     def __len__(self) -> int:
-        return int(np.diff(self.sec_off)[self.col_sec].sum())
+        return self.y_lo.size
 
     @property
     def columns(self) -> tuple[tuple[Interval, DisjointIntervalSet], ...]:
         if self._columns is None:
             off = self.sec_off.tolist()
             y_lo, y_hi = self.y_lo.tolist(), self.y_hi.tolist()
-            sections = [
-                DisjointIntervalSet(Interval(y_lo[i], y_hi[i]) for i in range(a, b))
-                for a, b in zip(off, off[1:])
-            ]
             self._columns = tuple(
-                (Interval(x0, x1), sections[s])
-                for x0, x1, s in zip(self.x_lo.tolist(), self.x_hi.tolist(), self.col_sec.tolist())
+                (
+                    Interval(x0, x1),
+                    DisjointIntervalSet(Interval(y_lo[i], y_hi[i]) for i in range(a, b)),
+                )
+                for x0, x1, a, b in zip(self.x_lo.tolist(), self.x_hi.tolist(), off, off[1:])
             )
         return self._columns
 
@@ -374,7 +363,7 @@ class RectUnion:
     @property
     def measure(self) -> float:
         widths = self.x_hi - self.x_lo
-        return math.fsum((widths * self.sec_measure[self.col_sec]).tolist())
+        return math.fsum((widths * self.sec_measure).tolist())
 
     def _interval(self, c: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper ends of the last interval of column c's section
@@ -389,9 +378,8 @@ class RectUnion:
         (also for NaN), the section's first one is returned, which starts
         above y: callers test the lower end.
         """
-        s = self.col_sec[c]
-        base = self.sec_off[s]
-        n = self.sec_off[s + 1] - base
+        base = self.sec_off[c]
+        n = self.sec_off[c + 1] - base
         y_lo = self.y_lo
         for _ in range(int(n.max(initial=1) - 1).bit_length()):
             half = n >> 1
@@ -501,13 +489,15 @@ def _sweep_overlap(
     y-intervals sorted.  While those are pairwise disjoint, an entering
     interval meets one of them exactly when it meets its neighbour below or
     above, so the check takes O(N log N) comparisons; it returns the first
-    (active, entering) pair that meets.
+    (active, entering) pair that meets.  Rows without interior (x_lo < x_hi
+    and y_lo < y_hi fail, also for NaN) meet nothing and are skipped.
     """
-    n = len(x_lo)
-    ends = np.concatenate((x_hi, x_lo))
+    ids = np.flatnonzero((x_lo < x_hi) & (y_lo < y_hi))
+    n = ids.size
+    ends = np.concatenate((x_hi[ids], x_lo[ids]))
     entering = np.arange(2 * n) >= n
     order = np.lexsort((entering, ends)).tolist()
-    y_lo, y_hi = y_lo.tolist(), y_hi.tolist()
+    y_lo, y_hi, ids = y_lo[ids].tolist(), y_hi[ids].tolist(), ids.tolist()
     act_lo: list[float] = []
     act_hi: list[float] = []
     act_id: list[int] = []
@@ -519,12 +509,12 @@ def _sweep_overlap(
         i = e - n
         k = bisect_right(act_lo, y_lo[i])
         if k > 0 and act_hi[k - 1] > y_lo[i]:
-            return act_id[k - 1], i
+            return act_id[k - 1], ids[i]
         if k < len(act_lo) and act_lo[k] < y_hi[i]:
-            return act_id[k], i
+            return act_id[k], ids[i]
         act_lo.insert(k, y_lo[i])
         act_hi.insert(k, y_hi[i])
-        act_id.insert(k, i)
+        act_id.insert(k, ids[i])
     return None
 
 
@@ -534,8 +524,7 @@ def _sweep_overlap(
 # then the columns between consecutive distinct dilated x-ends.  Boundary
 # values are toggled at the cells where they take effect, and a value is
 # present on a cell when an odd number of its toggles fall at or before it.
-# A cell's row is its present values in order; the sweep numbers the
-# distinct nonempty rows.
+# A cell's row is its present values in order.
 
 # Presence values that ``_slabs`` expands at once (a cell whose row alone
 # holds more forms a slab of its own), so a sweep's working arrays stay a few
@@ -554,12 +543,13 @@ def _presence(cells: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
     on the cells on <= c < off.
 
     Toggles of one value at one cell cancel in pairs, so a (value, cell)
-    group toggles anything only when its count is odd.  Up to four toggles
-    meet there: three when two squares leave and one enters at a shared
-    x-end.  Every value is toggled an even number of times in all (a square
-    or a dilated block toggles its ends where it starts and again where it
-    ends), so the surviving toggles of each value alternate on, off from an
-    even index of the whole sorted list."""
+    group toggles anything only when its count is odd: three toggles meet
+    there when two squares leave and one enters at a shared x-end, and two
+    when adjacent y-cells hold the same union and so toggle their shared
+    y-end at the same columns.  Every value is toggled an even number of
+    times in all (a square or a dilated block toggles its ends where it
+    starts and again where it ends), so the surviving toggles of each value
+    alternate on, off from an even index of the whole sorted list."""
     order = np.lexsort((cells, values))
     cells, values = cells[order], values[order]
     del order
@@ -571,53 +561,10 @@ def _presence(cells: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
     return values[0::2], cells[0::2], cells[1::2]
 
 
-def _tokens(values: np.ndarray) -> np.ndarray:
-    """A pseudo-random 64-bit token per value: the splitmix64 finaliser of
-    its bits, with -0.0 read as 0.0.  A row's hash is the XOR of its values'
-    tokens (Zobrist 1970)."""
-    z = (values + 0.0).view(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _row_keys(
-    v: np.ndarray, on: np.ndarray, off: np.ndarray, n_cells: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The length and the hash of every cell's row, from the ranges alone:
-    each changes at a cell by the values that turn on or off there."""
-    length = np.bincount(on, minlength=n_cells + 1) - np.bincount(off, minlength=n_cells + 1)
-    flip = np.zeros(n_cells + 1, dtype=np.uint64)
-    tokens = _tokens(v)
-    np.bitwise_xor.at(flip, on, tokens)
-    np.bitwise_xor.at(flip, off, tokens)
-    return np.cumsum(length[:n_cells]), np.bitwise_xor.accumulate(flip[:n_cells])
-
-
-def _first_appearance(length: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the nonempty rows by their (hash, length) key in order of
-    first appearance.  Returns every cell's number (-1 where its row is
-    empty) and the first cell of every number."""
-    live = np.flatnonzero(length)
-    order = np.lexsort((length[live], hashes[live]))  # stable: equal keys stay in cell order
-    h, n = hashes[live][order], length[live][order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (h[1:] != h[:-1]) | (n[1:] != n[:-1])
-    first = live[order[new]]
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    num = np.full(length.size, -1, dtype=np.intp)
-    num[live[order]] = rank[np.cumsum(new) - 1]
-    return num, np.sort(first)
-
-
 def _slabs(v: np.ndarray, on: np.ndarray, off: np.ndarray, length: np.ndarray):
-    """Every cell's row, one slab of consecutive cells at a time: yields the
-    slab's first cell and end cell, the offsets of its rows within the slab
-    and their values, each row sorted.  A slab holds at most
-    ``_SLAB_VALUES`` values unless its one cell holds more.
+    """Every cell's row, in cell order, one slab of consecutive cells at a
+    time: yields the values of the slab's rows, each row sorted.  A slab
+    holds at most ``_SLAB_VALUES`` values unless its one cell holds more.
 
     The ranges are expanded in order of their first cell, and those still
     present at a slab's end carry into the next, so each slab expands only
@@ -638,82 +585,34 @@ def _slabs(v: np.ndarray, on: np.ndarray, off: np.ndarray, length: np.ndarray):
         lo = np.maximum(on[act], c0)
         size = np.minimum(off[act], c1) - lo
         key = (_expand(lo, size) - c0) * span + np.repeat(rank[act], size)
-        vals = np.repeat(v[act], size)[np.argsort(key)]
-        yield c0, c1, np.concatenate(([0], np.cumsum(length[c0:c1]))), vals
+        yield np.repeat(v[act], size)[np.argsort(key)]
         carry = act[off[act] > c1]
         c0, i0 = c1, i1
-
-
-class _Collision(Exception):
-    """Two different rows share a (hash, length) key."""
-
-
-def _hashed_rows(
-    v: np.ndarray, on: np.ndarray, off: np.ndarray, length: np.ndarray, hashes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_sweep_rows`` numbered by (hash, length) key, each row checked
-    value by value against the first row of its number; _Collision when
-    one differs."""
-    num, first = _first_appearance(length, hashes)
-    row_off = np.concatenate(([0], np.cumsum(length[first])))
-    rows = np.empty(int(row_off[-1]))
-    for c0, c1, slab_off, vals in _slabs(v, on, off, length):
-        k, n = num[c0:c1], length[c0:c1]
-        is_first = k >= 0
-        is_first[is_first] = first[k[is_first]] == np.arange(c0, c1)[is_first]
-        mine = np.repeat(is_first, n)
-        new = k[is_first]
-        if new.size:  # their numbers are consecutive, in cell order
-            rows[row_off[new[0]] : row_off[new[-1] + 1]] = vals[mine]
-        seen = np.flatnonzero(~mine)
-        if seen.size:
-            again = ~is_first & (n > 0)
-            shift = np.repeat(row_off[k[again]] - slab_off[:-1][again], n[again])
-            if not np.array_equal(vals[seen], rows[seen + shift]):
-                raise _Collision
-    return num, row_off, rows
-
-
-def _exact_rows(
-    v: np.ndarray, on: np.ndarray, off: np.ndarray, length: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_sweep_rows`` numbered through a dict of row tuples, for when two
-    different rows share a key."""
-    num = np.full(length.size, -1, dtype=np.intp)
-    numbers: dict[tuple[float, ...], int] = {}
-    rows = []
-    for c0, _, slab_off, vals in _slabs(v, on, off, length):
-        bounds, flat = slab_off.tolist(), vals.tolist()
-        for c, (a, b) in enumerate(zip(bounds, bounds[1:]), c0):
-            if a < b:
-                num[c] = k = numbers.setdefault(tuple(flat[a:b]), len(numbers))
-                if k == len(rows):
-                    rows.append(vals[a:b])
-    row_off = np.concatenate(([0], np.cumsum([r.size for r in rows], dtype=np.intp)))
-    return num, row_off, np.concatenate(rows) if rows else np.zeros(0)
 
 
 def _sweep_rows(
     cells: np.ndarray, values: np.ndarray, n_cells: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One toggle sweep: ``values[i]`` toggles at cell ``cells[i]`` (a cell
-    index of ``n_cells`` ends a value after the last cell).  Returns every
-    cell's row number (-1 where the row is empty), numbered in order of first
-    appearance, and the distinct rows in that order as CSR: row r is
-    ``rows[row_off[r]:row_off[r + 1]]``.
+    index of ``n_cells`` ends a value after the last cell).  Returns the
+    cells whose row is not empty, in order, and their rows as CSR: the row
+    of cell ``live[r]`` is ``rows[row_off[r]:row_off[r + 1]]``.
 
-    Rows are numbered by key, the XOR hash of their values' tokens plus
-    their length, both read off the toggles without expanding a row; the
-    rows are then expanded a slab at a time and compared with the first row
-    of their number value by value.  If two rows share a key but differ,
-    they are numbered again exactly, through a dict of row tuples."""
+    A row's length changes at a cell by the values that turn on or off
+    there, so the lengths follow from the ranges by one cumulative sum; the
+    rows are then expanded a slab at a time."""
     v, on, off = _presence(cells, values)
     del cells, values
-    length, hashes = _row_keys(v, on, off, n_cells)
-    try:
-        return _hashed_rows(v, on, off, length, hashes)
-    except _Collision:
-        return _exact_rows(v, on, off, length)
+    step = np.bincount(on, minlength=n_cells + 1) - np.bincount(off, minlength=n_cells + 1)
+    length = np.cumsum(step[:n_cells])
+    live = np.flatnonzero(length)
+    row_off = np.concatenate(([0], np.cumsum(length[live])))
+    rows = np.empty(int(row_off[-1]))
+    at = 0
+    for vals in _slabs(v, on, off, length):
+        rows[at : at + vals.size] = vals
+        at += vals.size
+    return live, row_off, rows
 
 
 def _grow_sweep(
@@ -731,7 +630,7 @@ def _grow_sweep(
         lo = int(ends[a] - counts[a])
         b = max(int(np.searchsorted(ends, lo + _BATCH_MEMBERS, "right")), a + 1)
         flat = bounds[off[a] : off[b]]
-        parts.append(_grow_batch(counts[a:b], flat[0::2], flat[1::2], gamma)[:3])
+        parts.append(_grow_batch(counts[a:b], flat[0::2], flat[1::2], gamma))
         a = b
     return tuple(np.concatenate(p) for p in zip(*parts))
 
@@ -790,16 +689,15 @@ def dilate_2d(
     (1) reject overlapping inputs, the precondition of both toggle sweeps;
     (2) sweep the y-cells between consecutive distinct y-ends: each square
     toggles its x-ends at the cells of its y0 and y1, so a cell's present
-    x-values are the merged union of its x-sections, and the distinct
-    x-unions are numbered, each with its y-runs, the maximal stretches of
-    consecutive cells that carry its number; (3) dilate each distinct
-    x-union once; (4) sweep the columns between consecutive distinct ends of
-    those dilations: each dilated block toggles its x-union's run ends at
-    the columns where it starts and ends, so a column's present y-values are
-    its merged vertical union, and the distinct ones are numbered in column
-    order; (5) dilate the distinct vertical unions into the section pool.
-    Both sweeps are ``_sweep_rows``, and steps 3 and 5 each hand all their
-    unions to ``_grow_sweep`` at once.
+    x-values are the merged union of its x-sections; (3) dilate each live
+    cell's x-union; (4) sweep the columns between consecutive distinct ends
+    of those dilations: each dilated block toggles its cell's two y-ends at
+    the columns where it starts and ends, so a column's present y-values
+    are its merged vertical union (two adjacent cells with the same union
+    toggle their shared end twice at the same columns, which cancels);
+    (5) dilate each column's vertical union into its section.  Both sweeps
+    are ``_sweep_rows``, and steps 3 and 5 each hand all their unions to
+    ``_grow_sweep`` at once.
 
     The result is deterministic, pairwise disjoint, and its measure equals
     (2*gamma + 1)**2 times the total input area up to float rounding.
@@ -818,44 +716,30 @@ def dilate_2d(
     # 2. y-sweep: each square toggles x0 and x1 at the cells of y0 and y1
     x0, x1, y0, y1 = rows.T
     ys, at = np.unique(np.concatenate((y0, y1)), return_inverse=True)
-    num, off, bounds = _sweep_rows(
+    cell, off, bounds = _sweep_rows(
         np.concatenate((at, at)), np.concatenate((x0, x0, x1, x1)), ys.size - 1
     )
     del at
-    # the y-runs of x-union u: the maximal stretches of consecutive cells numbered u
-    live = num >= 0
-    starts = np.flatnonzero(live & (num != np.concatenate(([-1], num[:-1]))))
-    stops = np.flatnonzero(live & (num != np.concatenate((num[1:], [-1])))) + 1
-    owner = num[starts]
-    order = np.argsort(owner, kind="stable")
-    run_ends = np.column_stack((ys[starts], ys[stops]))[order].ravel()
-    n_runs = np.bincount(owner, minlength=off.size - 1)
-    del num, live, starts, stops, owner, order
 
-    # 3. horizontal dilation of the distinct x-unions
+    # 3. horizontal dilation of every live y-cell's x-union
     counts, los, his = _grow_sweep(off, bounds, gamma)
     del off, bounds
 
-    # 4. column sweep: each dilated block of x-union u toggles u's run ends
-    # at the columns where it starts and ends; a column whose union is empty
-    # is no column
+    # 4. column sweep: each dilated block of y-cell c toggles the cell's
+    # y-ends ys[c] and ys[c + 1] at the columns where it starts and ends; a
+    # column whose union is empty is no column
     xs, at = np.unique(np.concatenate((los, his)), return_inverse=True)
-    owner = np.repeat(np.arange(counts.size), counts)
-    owner = np.concatenate((owner, owner))
-    size = 2 * n_runs[owner]
-    first = 2 * (np.cumsum(n_runs) - n_runs)[owner]
-    del los, his, owner, counts, n_runs
-    num, sec_off, bounds = _sweep_rows(
-        np.repeat(at, size), run_ends[_expand(first, size)], xs.size - 1
+    del los, his
+    cell = np.tile(np.repeat(cell, counts), 2)
+    col, sec_off, bounds = _sweep_rows(
+        np.repeat(at, 2), np.column_stack((ys[cell], ys[cell + 1])).ravel(), xs.size - 1
     )
-    del at, size, first, run_ends
-    is_col = num >= 0
-    x_lo, x_hi, col_sec = xs[:-1][is_col], xs[1:][is_col], num[is_col]
-    del num, is_col
+    del at, cell
+    x_lo, x_hi = xs[col], xs[col + 1]
 
-    # 5. vertical dilation of the distinct sections, in numbering order
+    # 5. vertical dilation of every column's section
     counts, y_lo, y_hi = _grow_sweep(sec_off, bounds, gamma)
     del bounds
     sec_off = np.concatenate(([0], np.cumsum(counts)))
     sec_measure = _section_measures(sec_off, y_hi - y_lo)
-    return RectUnion(x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure)
+    return RectUnion(x_lo, x_hi, sec_off, y_lo, y_hi, sec_measure)

@@ -19,8 +19,9 @@ searched by bisection for every arm, and ``_grow`` the one-union loop that
 followed it, before the batched lockstep grower.  Columns, rectangle counts
 and measures must be equal, and both growth loops' output equal bit for bit.
 ``dilate_2d_toggles`` is ``dilate_2d`` with the sweeps over Python lists and
-dicts that its array sweeps replaced; all seven ``RectUnion`` arrays must be
-equal byte for byte.
+dicts that its array sweeps replaced, which dilate each distinct union once
+and give every column its own copy of its section at the end; all six
+``RectUnion`` arrays must be equal byte for byte.
 ``sample_points_ref`` is the sampler with one cover lookup per drawn point,
 which the batch cover test replaced, and the dense ``in_cubes_ref`` in place
 of the indexed cube test, and ``is_exceptional_ref`` the
@@ -30,8 +31,8 @@ object-based union that ``RectUnion.classify`` must agree with, and test the
 box themselves, so neither runs the location code it checks.
 ``sample_points_ref`` draws fixed batches of max(1024, 4 * points), where
 ``sample_points`` doubles its batches.  ``keyed_classify`` is
-``RectUnion.classify`` with the keyed search of the pooled sections that
-the section bisection replaced; its codes must be equal.
+``RectUnion.classify`` with the keyed search of all sections' intervals
+that the section bisection replaced; its codes must be equal.
 ``_point_gaps`` is the per-point cube pass that each scannable point went
 through, once in the scan and again in the separation check, before the
 scan plan made one regime pass over all points; ``regimes_ref`` gives each
@@ -766,17 +767,17 @@ def column_union(union: RectUnion) -> ColumnUnion:
 
 def keyed_classify(union: RectUnion, x, y) -> np.ndarray:
     """``RectUnion.classify`` by the keyed search that the section bisection
-    replaced: one search of the sorted pooled lower ends gives the rank of
-    each y, and one search of per-interval keys finds the interval.
+    replaced: one search of all sections' sorted lower ends gives the rank
+    of each y, and one search of per-interval keys finds the interval.
 
-    Each of the k pooled section intervals gets the key section * (k + 1) +
-    1 + the number of pooled lower ends below its own.  That key is at most
-    section * (k + 1) + rank exactly when its own lower end is at or below
-    y, so one bisection of the sorted keys finds the last interval of the
-    column's section that starts at or below y.  When none qualifies, the
-    bisection lands on an interval of an earlier section, or before index 0,
+    Each of the k intervals gets the key column * (k + 1) + 1 + the number
+    of lower ends below its own.  That key is at most column * (k + 1) +
+    rank exactly when its own lower end is at or below y, so one bisection
+    of the sorted keys finds the last interval of the column's section that
+    starts at or below y.  When none qualifies, the bisection lands on an
+    interval of an earlier column, before ``sec_off[c]``, or before index 0,
     which is clipped to interval 0, and that interval starts above y: both
-    the section and the lower end are tested."""
+    the column and the lower end are tested."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     code = np.zeros(x.shape, dtype=np.int8)
@@ -787,9 +788,8 @@ def keyed_classify(union: RectUnion, x, y) -> np.ndarray:
     key = sec * (starts.size + 1) + np.searchsorted(starts, union.y_lo) + 1
 
     def interval(c, rank):
-        s = union.col_sec[c]
-        i = np.maximum(np.searchsorted(key, s * (starts.size + 1) + rank, "right") - 1, 0)
-        return union.y_lo[i], union.y_hi[i], sec[i] == s
+        i = np.maximum(np.searchsorted(key, c * (starts.size + 1) + rank, "right") - 1, 0)
+        return union.y_lo[i], union.y_hi[i], i >= union.sec_off[c]
 
     rank = np.searchsorted(starts, y, "right")
     c = np.maximum(np.searchsorted(union.x_lo, x, "right") - 1, 0)
@@ -1024,15 +1024,16 @@ def _grow_keys(keys: list[tuple[float, ...]], gamma: float) -> tuple[np.ndarray,
     lo, hi, ...), all in one batch."""
     counts = np.array([len(k) // 2 for k in keys], dtype=np.intp)
     flat = np.array([v for k in keys for v in k], dtype=np.float64)
-    return _grow_batch(counts, flat[0::2], flat[1::2], gamma)[:3]
+    return _grow_batch(counts, flat[0::2], flat[1::2], gamma)
 
 
 def dilate_2d_toggles(cubes, gamma: float, *, allow_gamma_one: bool = False) -> RectUnion:
     """The toggle sweeps of ``dilate_2d`` over Python lists that its array
     sweeps replaced: one sorted boundary list per sweep, toggled value by
     value (``_toggle``), and a dict from each distinct union's tuple to its
-    y-runs or its section number.  The seven ``RectUnion`` arrays must be
-    equal byte for byte."""
+    y-runs or its section number.  Each distinct section is dilated once and
+    copied to every column that holds it at the end.  The six ``RectUnion``
+    arrays must be equal byte for byte."""
     gamma = _check_gamma(gamma, allow_gamma_one)
     rows = cube_rows(cubes)
     if not len(rows):
@@ -1083,10 +1084,14 @@ def dilate_2d_toggles(cubes, gamma: float, *, allow_gamma_one: bool = False) -> 
     col_sec = np.frombuffer(col_sec, dtype=np.int64).astype(np.intp)
 
     counts, y_lo, y_hi = _grow_keys(list(sections), gamma)
-    sec_off = np.concatenate(([0], np.cumsum(counts)))
-    sec_measure = _section_measures(sec_off, y_hi - y_lo)
+    pool_off = np.concatenate(([0], np.cumsum(counts)))
+    sec_measure = _section_measures(pool_off, y_hi - y_lo)[col_sec]
+    # every column's own copy of its pooled section
+    sizes = counts[col_sec]
+    sec_off = np.concatenate(([0], np.cumsum(sizes)))
+    at = np.repeat(pool_off[col_sec] - sec_off[:-1], sizes) + np.arange(sec_off[-1])
     x_lo, x_hi = xs[:-1][is_col], xs[1:][is_col]
-    return RectUnion(x_lo, x_hi, col_sec, sec_off, y_lo, y_hi, sec_measure)
+    return RectUnion(x_lo, x_hi, sec_off, y_lo[at], y_hi[at], sec_measure)
 
 
 def dilate_2d_objects(

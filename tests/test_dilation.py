@@ -25,9 +25,11 @@ from densitometer import cli, dilation
 from densitometer.dilation import LOCATIONS, Rectangle, RectUnion, dilate_1d, dilate_2d
 from densitometer.errors import InvalidGamma, OverlappingCubes, OverlappingInputs
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location
-from densitometer.setmodel import build_cover
+from densitometer.auxfn import block_start
+from densitometer.setmodel import build_cover, build_packing
 
 import oracles
+from conftest import UNIT_BOX
 from oracles import (
     ColumnUnion,
     _grow,
@@ -98,7 +100,7 @@ def test_crowding_pushes_arms_outward():
     # the middle interval's arms must skip both neighbours entirely
     result = dilate_1d([Interval(0, 1), Interval(1.5, 2.5), Interval(3, 4)], 2.0)
     assert result.union.measure == pytest.approx(15.0, rel=1e-12)
-    _, _, _, lefts, rights = dilation._grow_batch([3], [0.0, 1.5, 3.0], [1.0, 2.5, 4.0], 2.0)
+    _, _, lefts, rights = _grow([0.0, 1.5, 3.0], [1.0, 2.5, 4.0], 2.0)
     assert lefts[1] < 0.0 or rights[1] > 4.0
 
 
@@ -108,7 +110,7 @@ def test_pieces_cover_sources():
     intervals = [Interval(0, 1), Interval(4, 4.5), Interval(10, 12)]
     result = dilate_1d(intervals, 3.0)
     los, his = [iv.lo for iv in intervals], [iv.hi for iv in intervals]
-    _, _, _, lefts, rights = dilation._grow_batch([len(intervals)], los, his, 3.0)
+    _, _, lefts, rights = _grow(los, his, 3.0)
     for source, left, right in zip(intervals, lefts, rights):
         assert left <= source.lo < source.hi <= right
         assert result.union.locate((source.lo + source.hi) / 2) is Location.INSIDE
@@ -231,17 +233,14 @@ def _split(counts, values):
     return [values[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _assert_unions_match_references(unions, gamma, n_out, out_lo, out_hi, lefts=None, rights=None):
-    """Each union's dilation, and its members' hull ends when given, equal
-    bit for bit those of both one-union growth loops."""
-    counts = [len(los) for los, _ in unions]
+def _assert_unions_match_references(unions, gamma, n_out, out_lo, out_hi):
+    """Each union's dilation equals bit for bit those of both one-union
+    growth loops."""
     got = [_split(n_out, out_lo), _split(n_out, out_hi)]
-    if lefts is not None:
-        got += [_split(counts, lefts), _split(counts, rights)]
     for u, (los, his) in enumerate(unions):
         for reference in (grow_ref, _grow):
             want = reference(los, his, gamma)
-            for name, a, b in zip(("union lo", "union hi", "lefts", "rights"), got, want):
+            for name, a, b in zip(("union lo", "union hi"), got, want):
                 assert _bits(a[u]) == _bits(b), (reference.__name__, u, name)
 
 
@@ -490,9 +489,7 @@ def test_scan_bytes_are_pinned(tmp_path):
 def _union_arrays(u):
     """Column x-ends, the interval count of each column's section, the
     sections' y-ends in column order and each column's section measure."""
-    counts = np.diff(u.sec_off)[u.col_sec]
-    at = dilation._expand(u.sec_off[u.col_sec], counts)
-    return (u.x_lo, u.x_hi, counts, u.y_lo[at], u.y_hi[at], u.sec_measure[u.col_sec])
+    return (u.x_lo, u.x_hi, np.diff(u.sec_off), u.y_lo, u.y_hi, u.sec_measure)
 
 
 def _dyadic_deposition(trunc, seed):
@@ -596,12 +593,13 @@ def test_random_square_families_match_label_oracle(drawn, gamma):
 # -- array sweeps against the list toggle sweeps they replaced -------------------
 
 def _assert_matches_toggles(rows, gamma, allow_gamma_one=False):
-    """The seven ``RectUnion`` arrays, dtype and bytes, against the toggle
+    """The six ``RectUnion`` arrays, dtype and bytes, against the toggle
     oracle."""
     got = dilate_2d(rows, gamma, allow_gamma_one=allow_gamma_one)
     want = dilate_2d_toggles(rows, gamma, allow_gamma_one=allow_gamma_one)
-    for a, b in zip(_union_arrays(got), _union_arrays(want)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for name in ("x_lo", "x_hi", "sec_off", "y_lo", "y_hi", "sec_measure"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("layout", ["canonical", "deposition"])
@@ -628,8 +626,7 @@ _TOGGLE_CASES = [
 @pytest.mark.parametrize("slab", [1, 3, dilation._SLAB_VALUES])
 def test_toggle_hand_cases_match_oracle(bounds, slab, monkeypatch):
     """Hand cases, with slabs of one cell up to the default: a slab of one
-    value holds one cell, so every row is checked against rows of earlier
-    slabs."""
+    value holds one cell, so every row is expanded in a slab of its own."""
     monkeypatch.setattr(dilation, "_SLAB_VALUES", slab)
     for gamma in (1.0, 2.0, 8.0):
         _assert_matches_toggles(bounds, gamma, allow_gamma_one=True)
@@ -648,25 +645,6 @@ def test_random_square_families_match_toggle_oracle(drawn, gamma, slab):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dilation, "_SLAB_VALUES", slab)
         _assert_matches_toggles(_rows(disjoint), gamma)
-
-
-@pytest.mark.parametrize("slab", [64, dilation._SLAB_VALUES])
-def test_colliding_keys_fall_back_to_exact_numbering(deposition_model, slab, monkeypatch):
-    """Negative control: with every token 0, all rows of one length share a
-    key.  The value check finds rows that differ under one key in both
-    sweeps, and the exact numbering still gives the oracle's arrays."""
-    rows = _rows(_block(deposition_model, 3))
-    exact, exact_rows = [], dilation._exact_rows
-
-    def recording(*args):
-        exact.append(1)
-        return exact_rows(*args)
-
-    monkeypatch.setattr(dilation, "_SLAB_VALUES", slab)
-    monkeypatch.setattr(dilation, "_tokens", lambda v: np.zeros(v.size, dtype=np.uint64))
-    monkeypatch.setattr(dilation, "_exact_rows", recording)
-    _assert_matches_toggles(rows, 8.0)
-    assert len(exact) == 2
 
 
 def test_presence_keeps_odd_toggle_groups():
@@ -708,7 +686,7 @@ def test_locate_matches_column_objects(canonical_cover, deposition_cover, layout
 def test_classify_hand_cases():
     """Two touching columns, the left one taller: their shared edge is
     boundary wherever either section holds it, even above the right one."""
-    union = RectUnion([0, 1], [1, 2], [0, 1], [0, 1, 2], [0, 0], [2, 1], [2, 1])
+    union = RectUnion([0, 1], [1, 2], [0, 1, 2], [0, 0], [2, 1], [2, 1])
     pts = [(1, 1.5), (1, 0.5), (0.5, 1.5), (1.5, 1.5), (1.5, 1), (2, 0.5), (0, 2), (-1, 1)]
     x, y = np.array(pts, dtype=float).T
     assert union.classify(x, y).tolist() == [1, 1, 2, 0, 1, 1, 1, 0]
@@ -717,20 +695,21 @@ def test_classify_hand_cases():
 
 
 def _multi_interval_union():
-    """Five columns over sections of 100, 33, 2 and 1 intervals; the second
-    column starts at the first one's end and the fifth reuses section 0.
-    The one-interval section starts at 0.0 and the two-interval one ends its
-    first interval there."""
+    """Five columns over sections of 100, 33, 2, 1 and 100 intervals; the
+    second column starts at the first one's end and the fifth holds its own
+    copy of the first one's section.  The one-interval section starts at 0.0
+    and the two-interval one ends its first interval there."""
     rng = np.random.default_rng(21)
     sections = [np.sort(rng.uniform(-2.0, 2.0, 2 * k)) for k in (100, 33)]
     sections += [np.array([-1.0, 0.0, 0.5, 1.0]), np.array([0.0, 1.0])]
+    sections.append(sections[0].copy())
     assert all((np.diff(ends) > 0).all() for ends in sections)
     ends = np.concatenate(sections)
     y_lo, y_hi = ends[0::2], ends[1::2]
     sec_off = np.cumsum([0] + [e.size // 2 for e in sections])
     measure = [math.fsum((e[1::2] - e[0::2]).tolist()) for e in sections]
     x_lo, x_hi = [0.0, 1.0, 2.5, 3.0, 4.0], [1.0, 2.0, 3.0, 3.25, 5.0]
-    return RectUnion(x_lo, x_hi, [0, 1, 2, 3, 0], sec_off, y_lo, y_hi, measure)
+    return RectUnion(x_lo, x_hi, sec_off, y_lo, y_hi, measure)
 
 
 def _ulps(values):
@@ -762,8 +741,10 @@ def test_section_bisection_matches_keyed_search_and_column_objects():
 
 
 def test_rect_union_rejects_empty_sections():
-    with pytest.raises(ValueError, match="section"):
-        RectUnion([0.0], [1.0], [0], [0, 0, 1], [0.0], [1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="every section must hold"):
+        RectUnion([0.0, 2.0], [1.0, 3.0], [0, 0, 1], [0.0], [1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="one section"):
+        RectUnion([0.0], [1.0], [0, 1, 2], [0.0, 2.0], [1.0, 3.0], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("layout", ["canonical", "shelf-46655", "deposition"])
@@ -818,7 +799,7 @@ def test_cover_classify_matches_unsorted_path(request, layout):
     for block in cover.blocks:
         union = block.union
         pick = rng.integers(0, union.x_lo.size, 200)
-        first = union.sec_off[union.col_sec[pick]]
+        first = union.sec_off[pick]
         corners.append(np.column_stack((union.x_lo[pick], union.y_lo[first])))
     corners = np.concatenate(corners)
     xs, ys = _ulps(corners[:, 0]), _ulps(corners[:, 1])
@@ -908,7 +889,8 @@ def _model_rows(model, lo=1, hi=None):
 
 
 # Planted overlaps, each refused by the certificate, with the pair that the
-# sweep named before the certificate existed.
+# sweep names: for the first three, the pair it named before the certificate
+# existed.
 PLANTED = {
     # one shelf of unit squares, the third pushed into the second
     "inside-run": ([(0, 1, 0, 1), (1, 2, 0, 1), (1.5, 2.5, 0, 1), (3, 4, 0, 1)], (1, 2)),
@@ -922,10 +904,12 @@ PLANTED = {
         [(0, 1, 0, 1), (1, 2, 0, 1), (0, 1, 1, 2), (1, 2, 1, 2), (1.5, 2.5, 1.5, 2.5)],
         (3, 4),
     ),
-    # rows 0 and 2 overlap, and the row of negative width between them
-    # chains their x-ends; the sweep presumes positive extents, as every
-    # caller checks first, and misses the pair
-    "negative-width": ([(0, 2, 0, 1), (2, 1, 0, 1), (1, 3, 0, 1)], None),
+    # rows 0 and 2 overlap, and a row without interior lies between them:
+    # the sweep skips it, as it would otherwise chain their x-ends and miss
+    # the pair, or leave before it enters and fail
+    "negative-width": ([(0, 2, 0, 1), (2, 1, 0, 1), (1, 3, 0, 1)], (0, 2)),
+    "reversed-width": ([(0, 2, 0, 1), (3, 0.5, 0, 1), (1, 3, 0, 1)], (0, 2)),
+    "nan-row": ([(0, 2, 0, 1), (np.nan, 2, 0, 1), (1, 3, 0, 1)], (0, 2)),
 }
 
 # Disjoint families that the certificate proves: edges and corners touch,
@@ -943,7 +927,7 @@ CERTIFIED = {
 def test_certificate_refuses_planted_overlaps(name, step, monkeypatch):
     """Every planted overlap fails the certificate, at every step size (so
     each run boundary also falls at a step's edge), and ``find_overlap``
-    then names the sweep's pair, the one it named before the certificate."""
+    then names the sweep's pair."""
     monkeypatch.setattr(dilation, "_SHELF_ROWS", step)
     rows, pair = PLANTED[name]
     cols = _columns(rows)
@@ -963,9 +947,12 @@ def test_certificate_proves_touching_shelves(name, step, monkeypatch):
 
 def test_certificate_refuses_rows_without_interior():
     """Zero or negative extent in either axis, and NaN, fail the certificate
-    although the rows would chain as shelves."""
+    although the rows would chain as shelves; the sweep then skips the row
+    and finds the others disjoint."""
     for bad in ((1, 1, 0, 1), (2, 1, 0, 1), (1, 2, 0, 0), (1, 2, 0, -1), (np.nan, 2, 0, 1)):
-        assert not dilation._shelf_disjoint(*_columns([(0, 1, 0, 1), bad, (2, 3, 0, 1)]))
+        cols = _columns([(0, 1, 0, 1), bad, (2, 3, 0, 1)])
+        assert not dilation._shelf_disjoint(*cols)
+        assert dilation.find_overlap(*cols) is None
 
 
 @pytest.mark.parametrize("step", [1 << 16, 1000])
@@ -1070,3 +1057,32 @@ def test_deposition_block4_sweep_memory(deposition_model):
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+# tracemalloc peak of ``build_cover`` per block cube on the shelf packing:
+# 394 B at block 5 (16.4 MB) and 381 B at block 6 (282 MB) with numpy 2.4 on
+# x86-64; the bounds leave about 4% and 5% of headroom.
+_COVER_PEAK_PER_CUBE = {5: 410, 6: 400}
+# Bytes the union's arrays hold per rectangle: 40 per column (its x-ends,
+# section offset and measure) and 16 per interval, so 48 on these blocks,
+# whose columns hold one interval each; the bound leaves about 4%.
+_UNION_BYTES_PER_RECT = 50
+
+
+@pytest.mark.parametrize("s", [5, 6])
+def test_cover_memory_per_cube(canonical_seq, s):
+    """The cover of one shelf block, level 5's (43,531 cubes) or level 6's
+    (776,887), stays within a fixed working memory per cube, and its union
+    within a fixed number of bytes per rectangle."""
+    model = build_packing(canonical_seq, block_start(s + 1) - 1, UNIT_BOX)
+    cubes = block_start(s + 1) - block_start(s)
+    tracemalloc.start()
+    try:
+        union = build_cover(model, s, s).blocks[0].union
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _COVER_PEAK_PER_CUBE[s] * cubes, f"{peak / cubes:.1f} B per cube"
+    arrays = [getattr(union, name) for name in union.__slots__]
+    held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert held < _UNION_BYTES_PER_RECT * len(union), f"{held / len(union):.2f} B per rectangle"
