@@ -222,8 +222,13 @@ class RateFunction:
                 if (floor, deficit) != (-1.0, 2.0):
                     raise ValueError("top row must carry floor -1 and deficit 2")
             else:
-                s_next = round(2.0 - math.log2(deficit))
-                if math.ldexp(1.0, 2 - s_next) != deficit or 1.0 - deficit != floor:
+                # log2 takes positive deficits only; any other is no 2^(2 - s)
+                s_next = round(2.0 - math.log2(deficit)) if deficit > 0.0 else None
+                if (
+                    s_next is None
+                    or math.ldexp(1.0, 2 - s_next) != deficit
+                    or 1.0 - deficit != floor
+                ):
                     raise ValueError(f"row values are not an exact dyadic pair: {floor}, {deficit}")
             branches.append(Branch(float(t_lo), float(t_hi), float(floor), float(deficit), s_next))
         branches.sort(key=lambda b: b.t_lo_log)

@@ -94,15 +94,19 @@ def _grow_batch(
     order.  An arm that leaves the float range raises ValueError, as the
     non-finite interval it would end does.
 
-    Each union's occupied set is two sorted runs of closed blocks, each
-    merged across touching ends: the grown blocks (a stack whose top holds
-    the last hull) and the waiting blocks, the members not yet reached.  A
-    member lies in the top grown block or in the first waiting one, so no
+    Each union's occupied set is two sorted runs of closed blocks: the
+    grown blocks (a stack whose top holds the last hull), merged across
+    touching ends, and the waiting blocks, the members not yet reached.  A
+    member lies in the top grown block or is the first waiting one, so no
     search is needed.  Its left arm sweeps down the grown blocks and its
     right arm up the waiting ones, each past exactly gamma times its length
     of unoccupied measure; the hull then replaces every block it meets.
     Sentinels at -inf below every union's grown blocks and at +inf above
-    its waiting ones end both sweeps.
+    its waiting ones end both sweeps.  Members that touch (only
+    ``dilate_1d`` passes them; a sweep's unions have none) are crossed by
+    an arm at gap 0.0, which leaves its rest unchanged, and absorbed by the
+    closed hull, so the one-union loop's merged waiting blocks give the
+    same bits.
 
     Step s grows member s of every union at once.  The unions are ranked
     longest first, so the ones with a member s are a prefix of the ranks
@@ -122,28 +126,16 @@ def _grow_batch(
     ghi = np.empty(total + n_u)
     g_base = np.cumsum(counts + 1) - counts
     glo[g_base - 1] = ghi[g_base - 1] = -math.inf
-    # waiting blocks, union after union, each union's followed by a +inf slot
-    head = np.ones(total, dtype=bool)  # the first member of a waiting block
-    head[1:] = los[1:] != his[:-1]
-    head[start[counts > 0]] = True
-    owner = np.repeat(np.arange(n_u), counts)[head]
-    n_blocks = np.bincount(owner, minlength=n_u)
-    w_end = np.cumsum(n_blocks + 1) - 1
-    slot = np.arange(owner.size) + owner
-    del owner
-    wlo = np.full(total + n_u, math.inf)
-    whi = np.full(total + n_u, math.inf)
-    wlo[slot] = los[head]
-    head[:-1] = head[1:]  # now the last member of a waiting block
-    head[-1:] = True
-    whi[slot] = his[head]
-    del head, slot
+    # waiting blocks: the members, union after union, each union's followed by a +inf slot
+    wlo = np.insert(los, start + counts, math.inf)
+    whi = np.insert(his, start + counts, math.inf)
 
     rank = np.argsort(-counts, kind="stable")
     active = np.bincount(counts, minlength=1)[::-1].cumsum()[::-1][1:]  # unions with > s members
-    start, base, end = start[rank], g_base[rank], w_end[rank]
+    start, base = start[rank], g_base[rank]
     top = base - 1
-    w = end - n_blocks[rank]
+    w = base - 1  # a union's waiting slots start one below its grown ones
+    end = w + counts[rank]
 
     for s, a in enumerate(active.tolist()):
         member = start[:a] + s
@@ -154,7 +146,7 @@ def _grow_batch(
         inside = lo <= top_hi
         j = t - inside
         k = wt + ~inside
-        cur = np.where(inside, glo[t], wlo[wt])
+        cur = np.where(inside, glo[t], lo)
         gap = cur - ghi[j]
         left = cur - need
         walk = np.flatnonzero(gap < need)
@@ -169,7 +161,7 @@ def _grow_batch(
             j[walk[done]] = jw[done]
             more = ~done
             walk, rest, jw, gap = walk[more], rest[more], jw[more], gap[more]
-        cur = np.where(inside, top_hi, whi[wt])
+        cur = np.where(inside, top_hi, hi)
         gap = wlo[k] - cur
         right = cur + need
         walk = np.flatnonzero(gap < need)
@@ -196,7 +188,7 @@ def _grow_batch(
         while meets.any():
             k += meets
             meets &= (k < end[:a]) & (wlo[k] <= right)
-        first_lo = np.where(i <= t, glo[i], wlo[wt])
+        first_lo = np.where(i <= t, glo[i], lo)
         last_hi = np.where(k > wt, whi[k - 1], top_hi)
         glo[i] = np.where(first_lo < left, first_lo, left)
         ghi[i] = np.where(last_hi > right, last_hi, right)

@@ -20,8 +20,9 @@ Everything is deterministic given the seed: the points and each point's
 one rectangle stream derive from disjoint substreams of one root seed, and
 reports use shortest-round-trip float formatting so artifact bytes are
 reproducible.  Both checks build the same plan, whose regimes come from one
-kernel pass over all scannable points, and both read the same rectangles
-(_point_rects).  Both measure boxes before rectangles.  The scan sends the
+kernel pass over all scannable points, and both read the same rectangles:
+each point's one draw of its stream (_point_draw), shaped by _shape_rects.
+Both measure boxes before rectangles.  The scan sends the
 box point +- t of every (point, t) pair through one positivity pass and
 builds only the families whose box meets a cube or whose areas the guard
 of _guard_bounds cannot vouch for: every other family reads the ratio 1.0
@@ -31,7 +32,8 @@ one kernel pass over the large cubes kept out of it, and a family's
 rectangles descend the tree only when its box meets a tree cube, and meet
 only the large cubes its box meets.  The separation check sends the box
 point +- t of each applicable pair through one pass over the prefix
-cubes, and draws only the pairs whose box meets one.  Each ratio is
+cubes, and draws and shapes families 0..k of only the pairs whose box
+meets one, k the index of t in the ascending grid.  Each ratio is
 exactly rounded, so it does not depend on the run it was measured in.
 """
 
@@ -225,26 +227,12 @@ def sample_points(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _draw_rects(
-    rng: np.random.Generator,
-    point: tuple[float, float],
-    t: Sequence[float],
-    config: ScanConfig,
-    model: CompactSetModel,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """(k n, 4) array of [x0, x1, y0, y1]: for each of the k values of ``t``
-    in turn, n rectangles strictly containing the point with Euclidean
-    diagonal < t, log-uniform aspect, clipped to the box.  It is written
-    into ``out``, a C-contiguous array of that shape, when given.  One
-    (k, 4, n) draw from ``rng`` is shaped by _shape_rects; a (k, 4, n) draw
-    gives the same doubles as k draws of (4, n).  The separation check and
-    the test oracles take every family from here; the scan makes the same
-    draw but shapes only the families it builds, about 31% of the bench's
-    shelf families (see _scan_points)."""
-    t = np.asarray(t, dtype=np.float64)
-    draw = rng.random((len(t), 4, config.rects_per_point))
-    return _shape_rects(draw, point, t, config, model, out)
+def _point_draw(seeds: Sequence[np.random.SeedSequence], i: int, k: int, n: int) -> np.ndarray:
+    """Point i's (k, 4, n) draw of uniform doubles in [0, 1) from its lane-1
+    stream: its first k families in the ascending t grid, n rectangles
+    each.  The draw fills the array in order, so a smaller k gives a prefix
+    of the same doubles."""
+    return np.random.Generator(np.random.PCG64(seeds[i])).random((k, 4, n))
 
 
 def _shape_rects(
@@ -255,10 +243,16 @@ def _shape_rects(
     model: CompactSetModel,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The rectangles of _draw_rects from its (k, 4, n) draw of uniform
-    doubles in [0, 1): family j takes rows u, aspect, vx and vy of draw[j]
-    and the diameter t[j].  Every step is elementwise, so the families of a
-    slice draw[j0:] with t[j0:] are bit for bit those rows of the whole.
+    """(k n, 4) array of [x0, x1, y0, y1]: for each of the k values of ``t``
+    in turn, n rectangles strictly containing the point with Euclidean
+    diagonal < t, log-uniform aspect, clipped to the box, shaped from a
+    (k, 4, n) draw of uniform doubles in [0, 1) (_point_draw).  Family j
+    takes rows u, aspect, vx and vy of draw[j] and the diameter t[j].  It
+    is written into ``out``, a C-contiguous array of that shape, when
+    given.  Every step is elementwise, so the families of a slice
+    draw[j0:] with t[j0:] are bit for bit those rows of the whole: the
+    scan shapes the suffix of families it builds, the separation check
+    families 0..k.
 
     Every coordinate lies in [fl(p - t), fl(p + t)] of its axis: d = fl(t u)
     <= t, height and width are at most d (an aspect of at most 20 keeps the
@@ -289,13 +283,6 @@ def _shape_rects(
     np.maximum(y0, outer.y.lo, out=rects[..., 2])
     np.minimum(y0 + height, outer.y.hi, out=rects[..., 3])
     return rects.reshape(-1, 4)
-
-
-def _point_rects(model: CompactSetModel, config: ScanConfig, plan: _ScanPlan, seeds, i, out=None):
-    """Point i's rectangles at every t of the plan's ascending grid, from one
-    draw of its lane-1 seed: the family at t_sorted[k] is rows k n..(k+1) n."""
-    rng = np.random.Generator(np.random.PCG64(seeds[i]))
-    return _draw_rects(rng, plan.points[i], plan.t_sorted, config, model, out)
 
 
 def _in_cubes(model: CompactSetModel, pts: np.ndarray) -> np.ndarray:
@@ -603,17 +590,17 @@ def _scan_points(
     """(min_ratio, violations, regime) of each point for each t, cumulatively.
 
     A point's rectangles of every t come from one (K, 4, n) draw of its own
-    stream, but only the families that can read below 1.0 are built and
-    measured: _skip_bounds skips a family whose box point +- t has no
-    positive overlap with a cube and whose least u clears the guard that
-    keeps every area positive, and each of its rectangles reads exactly
-    1.0.  A point builds the suffix of its ascending grid from its first
-    family that is not skipped (its busy families are such a suffix),
-    shaped from the same draw (_shape_rects), so every built rectangle has
-    the bits _draw_rects gives it.  With the bench's grid about 3%, 18% and
-    71% of the families at t = 0.01, 0.05 and 0.25 are busy on the shelves
-    of 3,124 and 46,655 cubes, and 0%, 0% and 60% on the deposition layout,
-    so about 69% of the shelf families are never built.  A scan-46k scan
+    stream (_point_draw), but only the families that can read below 1.0 are
+    built and measured: _skip_bounds skips a family whose box point +- t
+    has no positive overlap with a cube and whose least u clears the guard
+    that keeps every area positive, and each of its rectangles reads
+    exactly 1.0.  A point builds the suffix of its ascending grid from its
+    first family that is not skipped (its busy families are such a suffix),
+    shaped from that draw (_shape_rects), so every built rectangle has the
+    bits it has among all the grid's families.  With the bench's grid about
+    3%, 18% and 71% of the families at t = 0.01, 0.05 and 0.25 are busy on
+    the shelves of 3,124 and 46,655 cubes, and 0%, 0% and 60% on the
+    deposition layout, so about 69% of the shelf families are never built.  A scan-46k scan
     took 34.5 ms in place of 42.9 ms when every family was built (medians
     of 20 scans in one process), and the bench's scan-46k verdict_s read
     0.0355 s in place of 0.0415 s.
@@ -649,7 +636,7 @@ def _scan_points(
         families.clear()
 
     for i, point in enumerate(plan.points):
-        draw = np.random.Generator(np.random.PCG64(seeds[i])).random((grid, 4, n))
+        draw = _point_draw(seeds, i, grid, n)
         built = np.flatnonzero(draw[:, 0].min(axis=1) < least_u[i])
         if not built.size:
             continue
@@ -783,18 +770,19 @@ def separation_check(
     the scan's, from the same plan.  One pass over the ascending t grid
     reads the plan's regime column at each t.  At the k-th smallest t, when
     its prefix is checkable, an applicable pair's rectangles are the scan's
-    cumulative family there, families 0..k of the point's draw (rows 0..(k
-    + 1) n of _point_rects), so ``checked_rects`` is checked_points (k + 1)
-    rects_per_point.  The box [fl(p - t), fl(p + t)] on each axis of every
-    applicable point goes through one kernel pass over the prefix cubes
-    (_meets_prefix).  Every rectangle of the family lies in that box (see
-    _draw_rects; a family at a smaller t lies in its own box, inside this
-    one), and float min, max and subtraction are monotone, so a cube whose
-    interior a rectangle meets is met by the box too.  A pair whose box
-    meets no prefix cube therefore counts its rectangles as checked without
-    drawing them; the others draw them and test them against only the
-    prefix cubes their box meets (_pair_hits).  At a t with no checkable
-    prefix every scannable point counts as deferred.
+    cumulative family there, families 0..k of the point's draw, so
+    ``checked_rects`` is checked_points (k + 1) rects_per_point.  The box
+    [fl(p - t), fl(p + t)] on each axis of every applicable point goes
+    through one kernel pass over the prefix cubes (_meets_prefix).  Every
+    rectangle of the family lies in that box (see _shape_rects; a family at
+    a smaller t lies in its own box, inside this one), and float min, max
+    and subtraction are monotone, so a cube whose interior a rectangle meets
+    is met by the box too.  A pair whose box meets no prefix cube therefore
+    counts its rectangles as checked without drawing them; the others draw
+    and shape families 0..k only (_point_draw, _shape_rects), the same bits
+    as the scan's, and test them against only the prefix cubes their box
+    meets (_pair_hits).  At a t with no checkable prefix every scannable
+    point counts as deferred.
 
     By construction an applicable pair's rectangles cannot reach the
     prefix: a pair is applicable only when t is at most the point's
@@ -806,6 +794,7 @@ def separation_check(
     seeds = _substreams(config, 1, len(plan.points))
     n = config.rects_per_point
     pts = np.array(plan.points)
+    t_sorted = np.array(plan.t_sorted)
     rows = []
     for k, (t, branch, prefix) in enumerate(zip(plan.t_sorted, plan.branches, plan.prefixes)):
         checked, violations, deferred = 0, 0, plan.scannable.count(True)
@@ -816,8 +805,10 @@ def separation_check(
             if applicable:
                 boxes = pts[applicable][:, [0, 0, 1, 1]] + np.array([-t, t, -t, t])
                 for j in np.flatnonzero(_meets_prefix(model, boxes, prefix)).tolist():
-                    rects = _point_rects(model, config, plan, seeds, applicable[j])
-                    violations += _pair_hits(model, boxes[j], rects[: (k + 1) * n], prefix)
+                    i = applicable[j]
+                    draw = _point_draw(seeds, i, k + 1, n)
+                    rects = _shape_rects(draw, plan.points[i], t_sorted[: k + 1], config, model)
+                    violations += _pair_hits(model, boxes[j], rects, prefix)
         rows.append(
             SeparationRow(
                 t=t,

@@ -74,6 +74,12 @@ def _pieces(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     return pieces
 
 
+def _any_positive(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Overlap reduction: which rectangles have a positive piece.  Not
+    ``_interior``: a product of two positive widths can round to 0.0."""
+    return (_pieces(wx, wy) > 0.0).any(axis=1)
+
+
 def _node_meets(
     boxes: tuple, nodes: np.ndarray, rect: tuple, rows: np.ndarray, closed: bool
 ) -> np.ndarray:
@@ -526,11 +532,11 @@ class CompactSetModel:
         exactly when one piece is positive, so a rectangle's descent of the
         cube tree stops at its first whole node with a positive area total
         or its first positive piece, and the large cubes take one kernel
-        pass."""
+        pass, which reduces each block to one flag per row."""
         rects = np.asarray(rects, dtype=np.float64)
         hit = self._tree_positive(rects)
         if self.index.big.size and len(rects):
-            hit |= (self.overlaps(rects, _pieces, self.index.big) > 0.0).any(axis=1)
+            hit |= self.overlaps(rects, _any_positive, self.index.big)
         return hit
 
     def _tree_pieces(self, rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -46,6 +46,9 @@ large cubes were measured against family boxes: the large cubes had a tree
 of their own, one cube to a leaf (``big_tree``), that every busy rectangle
 descended beside the model's tree; ``total_overlaps`` and ``scan._ratios``
 must equal them bit for bit.
+``_draw_rects`` draws and shapes every family of a point from a generator
+in one (k, 4, n) draw, as the separation check did before it drew and
+shaped families 0..k only; the oracles and kernel tests draw from it.
 ``separation_tallies_ref`` is the separation check drawing and testing the
 rectangles of every applicable pair, the scan's own (each point's one draw
 over the t grid), each against the prefix cubes within the rectangles'
@@ -87,7 +90,7 @@ from densitometer.dilation import (
 from densitometer.errors import OutOfRange, OverlappingCubes, PackingInfeasible
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
 from densitometer.logdomain import LogBracket, log_add, log_sub, log_sum
-from densitometer.scan import PointSample, _draw_rects, _substreams
+from densitometer.scan import PointSample, _shape_rects, _substreams
 
 
 def power_tail_bracket_ref(c: float, p: float, n: int) -> LogBracket:
@@ -635,6 +638,16 @@ def two_tree_ratios(model, rects, family):
         totals[rows] = two_tree_totals(model, rects[rows])
     x0, x1, y0, y1 = rects.T
     return np.clip(1.0 - totals / ((x1 - x0) * (y1 - y0)), 0.0, 1.0)
+
+
+def _draw_rects(rng, point, t, config, model):
+    """(k n, 4) array of every family of the point, one for each of the k
+    values of ``t`` in turn, shaped by ``scan._shape_rects`` from one (k, 4,
+    n) draw from ``rng``, which gives the same doubles as k draws of (4,
+    n)."""
+    t = np.asarray(t, dtype=np.float64)
+    draw = rng.random((len(t), 4, config.rects_per_point))
+    return _shape_rects(draw, point, t, config, model)
 
 
 def regimes_ref(model, plan):

@@ -190,6 +190,26 @@ def test_non_finite_rate_row_is_exit_two(tmp_path, capsys, values):
     assert capsys.readouterr().err.startswith("error: floor and deficit must be finite")
 
 
+@pytest.mark.parametrize("floor, deficit", [(1.0, 0.0), (1.5, -0.5)])
+def test_rate_row_without_positive_deficit_is_refused(floor, deficit):
+    """A deficit of 0 or below is no power of two 2^(2 - s): the row is
+    refused as not dyadic, naming its values, not by log2's domain error."""
+    text = f"{cli.RATE_HEADER}\n-2.0,-1.0,{floor},{deficit}\n"
+    with pytest.raises(ValueError, match=f"not an exact dyadic pair: {floor}, {deficit}"):
+        cli.rate_from_csv(text)
+
+
+def test_zero_deficit_rate_row_is_exit_two(tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path)]
+    assert run(out + ["build-set", "--seq", "power:c=0.25,p=2", "--n", "30", "--out", "set.json"]) == 0
+    rate = tmp_path / "rate.csv"
+    rate.write_text(f"{cli.RATE_HEADER}\n-2.0,-1.0,1.0,0.0\n")
+    capsys.readouterr()
+    scan_args = ["scan", "--set", str(tmp_path / "set.json"), "--auxfn", str(rate), "--m", "2", "--s-hi", "2"]
+    assert run(out + scan_args) == 2
+    assert capsys.readouterr().err.startswith("error: row values are not an exact dyadic pair: 1.0, 0.0")
+
+
 @pytest.mark.parametrize(
     "command",
     [

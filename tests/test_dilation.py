@@ -278,16 +278,17 @@ gammas = st.sampled_from([1.0, 1.5, 8.0, 16.0])
 @given(union_lists, scales, gammas)
 def test_grow_matches_reference_bit_for_bit(drawn, scale, gamma):
     """One batch of 1-40 unions of 1-24 members, grown in lockstep, against
-    the one-union loop and the bisecting loop, union by union.  gamma = 1
-    is the boundary factor that ``allow_gamma_one`` admits."""
+    the one-union loop and the bisecting loop, union by union; the first
+    union also through ``dilate_1d``, the one public path that can pass
+    touching members, at every gamma.  gamma = 1 is the boundary factor
+    that ``allow_gamma_one`` admits."""
     unions = [_drawn_union(d, scale, gamma) for d in drawn]
     out = dilation._grow_batch(*_flat(unions), gamma)
     _assert_unions_match_references(unions, gamma, *out)
-    if gamma == 1.0:
-        los, his = unions[0]
-        union = dilate_1d([Interval(a, b) for a, b in zip(los, his)], 1.0, allow_gamma_one=True)
-        ref_lo, ref_hi, _, _ = grow_ref(los, his, 1.0)
-        assert union.union.pairs() == tuple(zip(ref_lo, ref_hi))
+    los, his = unions[0]
+    union = dilate_1d([Interval(a, b) for a, b in zip(los, his)], gamma, allow_gamma_one=True)
+    ref_lo, ref_hi, _, _ = grow_ref(los, his, gamma)
+    assert union.union.pairs() == tuple(zip(ref_lo, ref_hi))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -405,6 +406,29 @@ def test_grow_matches_reference_on_cover_calls(
     assert sum(len(unions) for _, unions, *_ in calls) > 5000
     for gamma, unions, *out in calls:
         _assert_unions_match_references(unions, gamma, *out)
+
+
+@pytest.mark.parametrize("layout", ["canonical_model", "shelf_46k", "deposition_model"])
+def test_cover_unions_have_no_touching_members(layout, request, monkeypatch):
+    """No member of a union the grower receives while building blocks 3-4
+    starts where the previous member ends: a sweep row lists each present
+    value once, so the members are separated and ``_grow_batch`` takes
+    them as its waiting blocks with no merge across touching ends."""
+    model = request.getfixturevalue(layout)
+    batches = []
+    grow_batch = dilation._grow_batch
+
+    def recording(counts, los, his, gamma):
+        batches.append((np.asarray(counts), np.array(los), np.array(his)))
+        return grow_batch(counts, los, his, gamma)
+
+    monkeypatch.setattr(dilation, "_grow_batch", recording)
+    build_cover(model, 3, 4)
+    for counts, los, his in batches:
+        union = np.repeat(np.arange(counts.size), counts)
+        same = union[1:] == union[:-1]
+        assert not (los[1:] == his[:-1])[same].any()
+    assert sum(los.size for _, los, _ in batches) > 10_000
 
 
 def test_cover_grows_in_few_batches(deposition_model, monkeypatch):

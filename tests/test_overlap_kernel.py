@@ -31,7 +31,6 @@ from densitometer import scan, setmodel
 from densitometer.dilation import Rectangle
 from densitometer.scan import (
     ScanConfig,
-    _draw_rects,
     _in_cubes,
     _meets_prefix,
     _prefix_d2,
@@ -241,7 +240,7 @@ def test_scan_rects_match_density_ratio(canonical_model):
     points = _edge_points(canonical_model, CUBES)[::3] + [(0.5, 0.95), (0.123, 0.987)]
     kinds = set()
     for point in points:
-        rects = _draw_rects(rng, point, config.t_grid, config, canonical_model)
+        rects = oracles._draw_rects(rng, point, config.t_grid, config, canonical_model)
         got = _ratios(canonical_model, rects, config.rects_per_point)
         want = [density_ratio(canonical_model, Rectangle.from_bounds(*r)).ratio_n for r in rects]
         assert got.tolist() == want
@@ -804,6 +803,23 @@ def test_kernel_memory_is_bounded_by_block(canonical_model, query):
     assert peak < _PEAK_BOUND, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_positive_totals_memory_is_bounded_by_block(shelf_46k):
+    """The positivity pass over the 46,655-cube shelf's 53 large cubes keeps
+    one flag per row of each kernel block: a (boxes x large cubes) float64
+    array of these 40,000 boxes would alone take about 17 MB.  The tree
+    descent stays within the bound too (about 1.6 MB in all)."""
+    rects = _seeded_rects(40_000, 3)
+    big = shelf_46k.index.big.size
+    assert big == 53 and rects.shape[0] * big * 8 > 8 * _PEAK_BOUND
+    tracemalloc.start()
+    try:
+        shelf_46k.positive_totals(rects)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _PEAK_BOUND, f"peak {peak / 2**20:.1f} MB"
+
+
 # A ratio pass descends the cube tree _CHUNK_RECTS rectangles at a time.  Per
 # rectangle of a chunk it holds its coordinates, a few 8-byte values for each
 # of its (rectangle, node) pairs alive at one level, and some more for each
@@ -897,7 +913,9 @@ def _scan_families(model, seed, points=12, per=150):
     rng = np.random.default_rng(seed)
     anchors = _edge_points(model, (0, 1, 2, 3, 26))[:: 3][:points]
     anchors += [tuple(p) for p in rng.uniform(0.02, 0.98, (points, 2)).tolist()]
-    rects = np.concatenate([_draw_rects(rng, p, config.t_grid, config, model) for p in anchors])
+    rects = np.concatenate(
+        [oracles._draw_rects(rng, p, config.t_grid, config, model) for p in anchors]
+    )
     nan = float("nan")
     rects[per * 2 + 5] = nan
     rects[per * 4 + 1, 2] = nan
@@ -957,7 +975,9 @@ def test_candidate_pass_memory_is_bounded_by_block(shelf_46k):
     config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=1, rects_per_point=500, seed=0)
     rng = np.random.default_rng(2)
     anchors = _edge_points(model, range(53))[::9][:21]
-    rects = np.concatenate([_draw_rects(rng, p, config.t_grid, config, model) for p in anchors])
+    rects = np.concatenate(
+        [oracles._draw_rects(rng, p, config.t_grid, config, model) for p in anchors]
+    )
     boxes = setmodel._family_boxes(rects, 500)
     dense = len(rects) * model.index.big.size * 8
     tracemalloc.start()

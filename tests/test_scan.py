@@ -387,7 +387,7 @@ def _planted_model(config):
     w1, w2 = _TINY.w(1), _TINY.w(2)
     probe = CompactSetModel(outer, _TINY, 2, [0.9, 0.5], [0.9, 0.5], [w1, w2])
     rng = np.random.Generator(np.random.PCG64(scan._substreams(config, 1, 1)[0]))
-    rects = scan._draw_rects(rng, _POINT, sorted(config.t_grid), config, probe)
+    rects = oracles._draw_rects(rng, _POINT, sorted(config.t_grid), config, probe)
     extent = np.abs(rects - np.repeat(_POINT, 2))
     row, side = np.unravel_index(np.argmax(extent), extent.shape)
     gap = 0.999 * extent[row, side]
@@ -521,7 +521,8 @@ def _separation_draws(model, config, point, monkeypatch):
     plan = scan._scan_plan(*args, [point])
     want = {plan.t_sorted[k]: v for k, v in oracles.separation_tallies_ref(model, config, plan).items()}
     _, measured = _recorded("_ratios", 1, monkeypatch, lambda: scan_density_bound(*args, points=[point]))
-    lane = scan._point_rects(model, config, plan, scan._substreams(config, 1, 1), 0)
+    rng = np.random.Generator(np.random.PCG64(scan._substreams(config, 1, 1)[0]))
+    lane = oracles._draw_rects(rng, point, plan.t_sorted, config, model)
     # the scan builds a suffix of the point's lane-1 families, bit for bit
     assert all(m.tobytes() == lane[len(lane) - len(m) :].tobytes() for m in measured)
     n = config.rects_per_point
@@ -553,7 +554,7 @@ def test_separation_tests_the_scans_own_rectangles(monkeypatch):
     model, point = _three_cube_model(), (0.53, 0.53)
     _, _, draws, tested = _separation_draws(model, config, point, monkeypatch)
     rng = np.random.Generator(np.random.PCG64(scan._substreams(config, 1, 1)[0]))
-    lane = scan._draw_rects(rng, point, (0.01, 0.025, 0.05), config, model)
+    lane = oracles._draw_rects(rng, point, (0.01, 0.025, 0.05), config, model)
     assert draws == [0.025]
     assert tested[0].tobytes() == lane[:400].tobytes()
 
@@ -609,7 +610,7 @@ def test_separation_passes_on_46k_shelf(shelf_46k, shelf_46k_cover, canonical_ra
     model, cover = shelf_46k, shelf_46k_cover
     config = small_config(t_grid=(0.25, 0.05, 0.01, 0.002, 1e-4), points=100, rects_per_point=500)
     sample = sample_points(model, cover, config)
-    calls = {name: 0 for name in ("_prefix_d2", "_meets_prefix", "_pair_hits", "_draw_rects")}
+    calls = {name: 0 for name in ("_prefix_d2", "_meets_prefix", "_pair_hits", "_point_draw")}
     for name in calls:
         def counting(*args, _name=name, _f=getattr(scan, name)):
             calls[_name] += 1
@@ -641,7 +642,7 @@ def test_separation_passes_on_46k_shelf(shelf_46k, shelf_46k_cover, canonical_ra
     assert all(r.checked_points for r in checkable)
     assert calls["_prefix_d2"] == 1
     assert calls["_meets_prefix"] == len(checkable)
-    assert calls["_pair_hits"] == calls["_draw_rects"] >= 1
+    assert calls["_pair_hits"] == calls["_point_draw"] >= 1
     assert len(classify_calls) == 1
     assert len(kernel_calls) == classify_calls[0] + 1 + len(checkable) + 2 * calls["_pair_hits"]
     assert peak < _SEPARATION_PEAK, f"peak {peak / 2**20:.2f} MB"
@@ -709,7 +710,7 @@ def test_drawn_rectangles_lie_in_the_box_point_plus_minus_t(outer, point, t_grid
     )
     model = SimpleNamespace(outer=Rectangle.from_bounds(*outer))
     rng = np.random.Generator(np.random.PCG64(7))
-    rects = scan._draw_rects(rng, point, t_grid, config, model).reshape(len(t_grid), -1, 4)
+    rects = oracles._draw_rects(rng, point, t_grid, config, model).reshape(len(t_grid), -1, 4)
     px, py = point
     for t, family in zip(t_grid, rects):
         box = np.array([[px - t, px + t, py - t, py + t]])
@@ -972,7 +973,7 @@ _EDGE_CASE = (
 @given(_guard_cases())
 def test_guard_clears_only_families_of_positive_area(case):
     """Whenever the guard clears a family, every rectangle _shape_rects
-    makes from its draw (as _draw_rects does from a random one) has x1 >
+    makes from its draw (as the scan does from a random one) has x1 >
     x0, y1 > y0 and a positive area as _ratios forms it.  _EDGE_CASE is a
     family of zero width that only the point's distance to the edges
     keeps out."""
