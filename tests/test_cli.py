@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -466,3 +468,155 @@ def test_rate_csv_top_row_infinity(canonical_ratefn):
     top = text.splitlines()[1]
     assert top.split(",")[1] == "inf"
     assert math.isinf(cli.rate_from_csv(text).branches[-1].t_hi_log)
+
+
+# -- pinned command bytes -------------------------------------------------------------
+
+_SEQ = ["--seq", "power:c=0.25,p=2"]
+_BUILD_SET = ["build-set", *_SEQ, "--n", "3124", "--out", "set.json"]
+_SMALL_SCAN = ["scan", "--set", "out/set.json", "--points", "10", "--rects", "40", "--seed", "7"]
+
+# Each run is a list of command lines, run in order with --out-dir out.
+_COMMAND_RUNS = {
+    "indices": [["indices", *_SEQ, "--out", "idx.json"]],
+    "indices-onsets": [["indices", *_SEQ, "--theta", "0.9", "--delta", "0.9", "--out", "idx.json"]],
+    "dilate1d": [["dilate1d", "--in", "[[0,1],[1,2],[3,3.5]]", "--gamma", "1.5", "--out", "d.json"]],
+    "dilate2d": [
+        ["dilate2d", "--in", "[[0,1,0,1],[1,2,0,1],[0,0.5,1,1.5]]", "--gamma", "2", "--out", "d.json"]
+    ],
+    "auxfn": [["auxfn", *_SEQ, "--out", "rate.csv"]],
+    "auxfn-stdout": [["auxfn", *_SEQ]],
+    "diag-series": [["diag", "series", *_SEQ, "--out", "series.csv"]],
+    "diag-series-stdout": [["diag", "series", *_SEQ]],
+    "diag-littleo": [["diag", "littleo", *_SEQ, "--out", "littleo.csv"]],
+    "diag-littleo-stdout": [["diag", "littleo", *_SEQ]],
+    "build-set": [_BUILD_SET],
+    "cover": [_BUILD_SET, ["cover", "--set", "out/set.json", "--out", "cover.json"]],
+    "scan": [
+        _BUILD_SET,
+        [
+            *_SMALL_SCAN,
+            "--out", "scan.csv",
+            "--separation-out", "separation.csv",
+            "--envelope-out", "envelope.csv",
+            "--summary-out", "scan_summary.json",
+        ],
+    ],
+    "scan-points-at": [
+        _BUILD_SET,
+        ["auxfn", *_SEQ, "--out", "rate.csv"],
+        [
+            *_SMALL_SCAN,
+            "--auxfn", "out/rate.csv",
+            "--points-at", "0.77,0.601;0.25,0.25;0.5,0.95",
+            "--out", "scan.csv",
+            "--separation-out", "separation.csv",
+            "--envelope-out", "envelope.csv",
+            "--summary-out", "scan_summary.json",
+        ],
+    ],
+}
+
+
+def _command_digests(argvs, capsys) -> dict:
+    """Exit codes of the command lines, run in the current directory with
+    the relative --out-dir out, and the sha256 of their joined stdout and
+    of every file they write.  Stderr holds the scan's run time and is
+    not read."""
+    codes = [cli.main(["--out-dir", "out", *argv]) for argv in argvs]
+    digests = {"codes": codes, "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in sorted(p for p in Path("out").rglob("*") if p.is_file()):
+        digests[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+_PINNED_DIGESTS = {
+    "auxfn": {
+        "codes": [0],
+        "stdout": "4f77237caab1a44b5b9763593976be643ca46da64648d0abfbefae2c2e19dbd5",
+        "out/rate.csv": "5938b9d7368eafecd78186b396c0772b1afa3623aedea06d22c8ded5c0c66d1e",
+    },
+    "auxfn-stdout": {
+        "codes": [0],
+        "stdout": "5938b9d7368eafecd78186b396c0772b1afa3623aedea06d22c8ded5c0c66d1e",
+    },
+    "build-set": {
+        "codes": [0],
+        "stdout": "1a336db1725a7d0cf27c64bd99df6c0f6e9bfd5e76287eeed8ea81eeea707a30",
+        "out/set.json": "9e400e3589bba6a265818fdcd1a1d59ee535fc10fa2ee2e84662406ea9f061b6",
+    },
+    "cover": {
+        "codes": [0, 0],
+        "stdout": "2a43c0b383beceaa5a658401340ba492211e7861f7982cb802b3ae1462f1944f",
+        "out/cover.json": "8dfb5b0cbe93222d66f46ee493ed3d56edb2b466872e48d18cb559ef0e1e5365",
+        "out/set.json": "9e400e3589bba6a265818fdcd1a1d59ee535fc10fa2ee2e84662406ea9f061b6",
+    },
+    "diag-littleo": {
+        "codes": [0],
+        "stdout": "1b8005b7659f83b2db5a18b08a303fbc21be3bb4c2be16fe3fa08e74a22107fa",
+        "out/littleo.csv": "91594361ea204869a7346b26262dfff99245a0295eb1f9f417ccc0efe8879824",
+    },
+    "diag-littleo-stdout": {
+        "codes": [0],
+        "stdout": "1c615cab08a4150f04cf1d2a2c3331d8d16e59506bc34a53c094c013f6637374",
+    },
+    "diag-series": {
+        "codes": [0],
+        "stdout": "8488cb8a99cb4a0ab6b726034adb343604d5939c4495f47b2b54a0e8eca20310",
+        "out/series.csv": "a690a9af9242f5a1fda828d9ff8965052287d3d9d88c3d136acc007f699f1fcd",
+    },
+    "diag-series-stdout": {
+        "codes": [0],
+        "stdout": "f4f73550b205f2a8c18a5dda6df847233d3e018cf076f2944d55ef497d51fdcc",
+    },
+    "dilate1d": {
+        "codes": [0],
+        "stdout": "cd4421332083a24df21ac65c0e4f3c98efa622b10734726e7cbcb1da75519c7a",
+        "out/d.json": "0b06847ca69eeb5d55918d747b839389c56778f720c4dd8df830d1dc14b6c0c0",
+    },
+    "dilate2d": {
+        "codes": [0],
+        "stdout": "eaa607350ef22ea45fff29fd665592948773566b4fd127d86fe98eebbce17028",
+        "out/d.json": "f3e996c633dab2ced9f21313c7778dc52c3431a512c56225ae55e4f9dc6f29d1",
+    },
+    "indices": {
+        "codes": [0],
+        "stdout": "2804830cc78673a616b72accc90df9cdb5f158da775bb683c252472c88e1d1c2",
+        "out/idx.json": "32c9caa8b15d60e1569b94a4f38301ae12d6670f7d2c8954b0955c37b06ffc5e",
+    },
+    "indices-onsets": {
+        "codes": [0],
+        "stdout": "0e907b3933318203b24cc9ced465ab641a2c9e368b50dd2a23f308f5d2582875",
+        "out/idx.json": "a856b617dd4e4920017325a13129cc902aabbca25b790abcb5e5ffad3e677e05",
+    },
+    "scan": {
+        "codes": [0, 0],
+        "stdout": "a7fce9d227cb31b2dffa27f230cb44b88af7ca3550030a92ae9b7f9eedabbc83",
+        "out/envelope.csv": "e25c043f28ede2b87f10b76e5bd92d60ecda2eb124a43e1c3fd66072d9427e2c",
+        "out/scan.csv": "ad0ad724c426485be8dca3f1633f42323e7acedbe2d6dcb46cc6957ad4ef966e",
+        "out/scan_summary.json": "65f14735234454416a140a3e7df9ced4bc0233763509310ff3452eca3205d859",
+        "out/separation.csv": "c76644e50f030974226916f9654a5529a06b544cda3c0d3a32611e8012f8cf37",
+        "out/set.json": "9e400e3589bba6a265818fdcd1a1d59ee535fc10fa2ee2e84662406ea9f061b6",
+    },
+    "scan-points-at": {
+        "codes": [0, 0, 0],
+        "stdout": "7ec4c814e4f7852e971bb56a5ae3744618998cbe2b0e14d2a1f257b7a46dfeee",
+        "out/envelope.csv": "24b06c1e5263539d2da4775dfff7fdf03e6cecf21246391aa632a32f9ee0acf0",
+        "out/rate.csv": "5938b9d7368eafecd78186b396c0772b1afa3623aedea06d22c8ded5c0c66d1e",
+        "out/scan.csv": "d09ea5c3be15636b8506efe465b43ff039cbfe9d63571d525618118b62fd4ee2",
+        "out/scan_summary.json": "e86ac56560a58c55b0821428b22bee97ae3a9ee8a6d2f93f43c4202cda238488",
+        "out/separation.csv": "21951eac4580b680d357f1bc94bf7e4379d796a43f2392b88c4588a0338b3373",
+        "out/set.json": "9e400e3589bba6a265818fdcd1a1d59ee535fc10fa2ee2e84662406ea9f061b6",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMAND_RUNS))
+def test_command_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    """Golden digests of each single-purpose command's stdout and
+    artifacts.  The cube sides, the rate function and the sampled points go
+    through ``math.log`` and ``math.exp``, so, as for the verify-all
+    digests, these are those of the libm they were recorded with (glibc on
+    x86-64)."""
+    monkeypatch.chdir(tmp_path)
+    assert _command_digests(_COMMAND_RUNS[name], capsys) == _PINNED_DIGESTS[name]
