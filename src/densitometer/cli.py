@@ -90,9 +90,8 @@ def _parse_points(text: str) -> list[tuple[float, float]]:
     return points
 
 
-def _out_path(args, name: str | None) -> Path | None:
-    if name is None:
-        return None
+def _out_path(args, name: str) -> Path:
+    """``name`` under --out-dir unless it is absolute; its directory is made."""
     path = Path(name)
     if not path.is_absolute():
         path = Path(getattr(args, "out_dir", ".")) / path
@@ -100,8 +99,17 @@ def _out_path(args, name: str | None) -> Path | None:
     return path
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write(args, name: str | None, text: str, note: str = "") -> None:
+    """Write ``text`` to the artifact path ``name`` (see _out_path) and print
+    ``wrote <path>`` and ``note``; nothing when ``name`` is None."""
+    if name is not None:
+        path = _out_path(args, name)
+        path.write_text(text)
+        print(f"wrote {path}{note}")
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # -- rate-function CSV -----------------------------------------------------------
@@ -148,7 +156,6 @@ def _littleo_csv(selection, report) -> str:
 def cmd_indices(args) -> int:
     seq = parse_seq(args.seq)
     report = analyze(seq, theta=args.theta, delta=args.delta)
-    payload = report.to_json()
     print(
         f"a = {report.a_est:.6g} (converged: {report.a_converged}), "
         f"e_bt = {report.e_bt_est:.6g} (converged: {report.e_bt_converged}), "
@@ -161,10 +168,7 @@ def cmd_indices(args) -> int:
             f"tail_power at n = {report.onsets.onset_tail_power} "
             f"(epsilon = {report.epsilon:.6g})"
         )
-    out = _out_path(args, args.out)
-    if out:
-        _write_json(out, payload)
-        print(f"wrote {out}")
+    _write(args, args.out, _json_text(report.to_json()))
     return 0
 
 
@@ -177,20 +181,15 @@ def cmd_dilate1d(args) -> int:
     union = [[iv.lo, iv.hi] for iv in result.union]
     print(f"union: {union}")
     print(f"measure: {result.union.measure!r} (identity rhs {result.identity_rhs!r})")
-    out = _out_path(args, args.out)
-    if out:
-        _write_json(
-            out,
-            {
-                "gamma": result.gamma,
-                "input": [[iv.lo, iv.hi] for iv in intervals],
-                "union": union,
-                "input_measure": result.input_measure,
-                "union_measure": result.union.measure,
-                "identity_rhs": result.identity_rhs,
-            },
-        )
-        print(f"wrote {out}")
+    payload = {
+        "gamma": result.gamma,
+        "input": [[iv.lo, iv.hi] for iv in intervals],
+        "union": union,
+        "input_measure": result.input_measure,
+        "union_measure": result.union.measure,
+        "identity_rhs": result.identity_rhs,
+    }
+    _write(args, args.out, _json_text(payload))
     return 0
 
 
@@ -201,19 +200,14 @@ def cmd_dilate2d(args) -> int:
     identity = (2.0 * args.gamma + 1.0) ** 2 * math.fsum(areas.tolist())
     print(f"rectangles: {len(result)} in {len(result.columns)} columns")
     print(f"measure: {result.measure!r} (identity rhs {identity!r})")
-    out = _out_path(args, args.out)
-    if out:
-        _write_json(
-            out,
-            {
-                "gamma": float(args.gamma),
-                "input": rows.tolist(),
-                "rects": [list(r.bounds) for r in result.rects],
-                "measure": result.measure,
-                "identity_rhs": identity,
-            },
-        )
-        print(f"wrote {out}")
+    payload = {
+        "gamma": float(args.gamma),
+        "input": rows.tolist(),
+        "rects": [list(r.bounds) for r in result.rects],
+        "measure": result.measure,
+        "identity_rhs": identity,
+    }
+    _write(args, args.out, _json_text(payload))
     return 0
 
 
@@ -226,10 +220,8 @@ def cmd_auxfn(args) -> int:
     seq = parse_seq(args.seq)
     ratefn = _build_ratefn(seq, args.ell_max, args.s_max)
     text = rate_to_csv(ratefn)
-    out = _out_path(args, args.out)
-    if out:
-        out.write_text(text)
-        print(f"wrote {out} ({len(ratefn.branches)} branches)")
+    if args.out is not None:
+        _write(args, args.out, text, f" ({len(ratefn.branches)} branches)")
     else:
         print(text, end="")
     return 0
@@ -251,10 +243,8 @@ def cmd_diag(args) -> int:
         report = little_o_check(selection)
         text = _littleo_csv(selection, report)
         print(f"verdict: {report.verdict}")
-    out = _out_path(args, args.out)
-    if out:
-        out.write_text(text)
-        print(f"wrote {out}")
+    if args.out is not None:
+        _write(args, args.out, text)
     else:
         print(text, end="")
     return 0
@@ -268,8 +258,9 @@ def cmd_build_set(args) -> int:
         f"packed {model.trunc} cubes; removed area {model.removed_area!r}; "
         f"remaining measure {model.measure_remaining!r}"
     )
-    out = _out_path(args, args.out)
-    if out:
+    if args.out is not None:
+        # streamed: the level-7 set.json is 1.5 GB
+        out = _out_path(args, args.out)
         with out.open("w") as fh:
             model.write_json(fh)
         print(f"wrote {out}")
@@ -307,10 +298,7 @@ def cmd_cover(args) -> int:
             f"  block s = {b.s}: cubes {b.n_lo}..{b.n_hi}, {len(b.union)} rectangles, "
             f"measure {b.exact_measure!r}"
         )
-    out = _out_path(args, args.out)
-    if out:
-        _write_json(out, _cover_payload(cover))
-        print(f"wrote {out}")
+    _write(args, args.out, _json_text(_cover_payload(cover)))
     return 0
 
 
@@ -372,22 +360,10 @@ def cmd_scan(args) -> int:
     print(f"separation violations: {sum(r.violations for r in separation.rows)}")
     print("result: " + ("pass" if passed else "FINDINGS"))
 
-    out = _out_path(args, args.out)
-    if out:
-        out.write_text(report.to_csv())
-        print(f"wrote {out}")
-    sep_out = _out_path(args, args.separation_out)
-    if sep_out:
-        sep_out.write_text(separation.to_csv())
-        print(f"wrote {sep_out}")
-    env_out = _out_path(args, args.envelope_out)
-    if env_out:
-        env_out.write_text(envelope.to_csv())
-        print(f"wrote {env_out}")
-    sum_out = _out_path(args, args.summary_out)
-    if sum_out:
-        _write_json(sum_out, _scan_summary_payload(report, separation, envelope))
-        print(f"wrote {sum_out}")
+    _write(args, args.out, report.to_csv())
+    _write(args, args.separation_out, separation.to_csv())
+    _write(args, args.envelope_out, envelope.to_csv())
+    _write(args, args.summary_out, _json_text(_scan_summary_payload(report, separation, envelope)))
     return 0 if passed else 1
 
 
@@ -398,7 +374,7 @@ def cmd_verify_all(args) -> int:
     steps: list[tuple[str, bool, str]] = []
 
     report = analyze(seq)
-    _write_json(out_dir / "indices.json", report.to_json())
+    (out_dir / "indices.json").write_text(_json_text(report.to_json()))
     steps.append(
         (
             "indices",
@@ -435,7 +411,7 @@ def cmd_verify_all(args) -> int:
     steps.append(("build-set", True, f"trunc={trunc} remaining={model.measure_remaining!r}"))
 
     cover = build_cover(model, args.m, args.level)
-    _write_json(out_dir / "cover.json", _cover_payload(cover))
+    (out_dir / "cover.json").write_text(_json_text(_cover_payload(cover)))
     steps.append(("cover", True, f"bound={cover.measure_bound!r}"))
 
     config = _scan_config(args, args.level)
@@ -443,9 +419,8 @@ def cmd_verify_all(args) -> int:
     (out_dir / "scan.csv").write_text(scan_report.to_csv())
     (out_dir / "separation.csv").write_text(separation.to_csv())
     (out_dir / "envelope.csv").write_text(envelope.to_csv())
-    _write_json(
-        out_dir / "scan_summary.json", _scan_summary_payload(scan_report, separation, envelope)
-    )
+    summary = _scan_summary_payload(scan_report, separation, envelope)
+    (out_dir / "scan_summary.json").write_text(_json_text(summary))
     steps.append(
         (
             "scan",
@@ -478,9 +453,18 @@ def _add_seq(parser) -> None:
     parser.add_argument("--seq", required=True, help="sequence descriptor (JSON, @file, or compact)")
 
 
-def _add_out_dir(parser) -> None:
+def _add_outs(parser, *flags: str) -> None:
+    """Artifact path flags, each off by default, and --out-dir."""
+    for flag in flags:
+        parser.add_argument(flag, default=None)
     # SUPPRESS keeps the top-level --out-dir value when the subcommand flag is absent
     parser.add_argument("--out-dir", dest="out_dir", default=argparse.SUPPRESS)
+
+
+def _add_rate_args(parser) -> None:
+    """The subsequence and schedule horizons of the rate function."""
+    parser.add_argument("--ell-max", type=int, default=9)
+    parser.add_argument("--s-max", type=int, default=40)
 
 
 def _add_scan_args(parser) -> None:
@@ -491,8 +475,7 @@ def _add_scan_args(parser) -> None:
     parser.add_argument("--rects", type=int, default=500)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--aspect", default="0.2,5")
-    parser.add_argument("--ell-max", type=int, default=9)
-    parser.add_argument("--s-max", type=int, default=40)
+    _add_rate_args(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,58 +490,49 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seq(p)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--out", default=None, help="JSON artifact path")
-    _add_out_dir(p)
+    _add_outs(p, "--out")
     p.set_defaults(func=cmd_indices)
 
     p = sub.add_parser("dilate1d", help="simultaneous interval dilation")
     p.add_argument("--in", dest="intervals", required=True, help='JSON [[lo,hi],...]')
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--allow-gamma-one", action="store_true")
-    p.add_argument("--out", default=None)
-    _add_out_dir(p)
+    _add_outs(p, "--out")
     p.set_defaults(func=cmd_dilate1d)
 
     p = sub.add_parser("dilate2d", help="simultaneous square dilation")
     p.add_argument("--in", dest="cubes", required=True, help='JSON [[x0,x1,y0,y1],...]')
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--allow-gamma-one", action="store_true")
-    p.add_argument("--out", default=None)
-    _add_out_dir(p)
+    _add_outs(p, "--out")
     p.set_defaults(func=cmd_dilate2d)
 
     p = sub.add_parser("auxfn", help="build the density floor / deficit table")
     _add_seq(p)
-    p.add_argument("--ell-max", type=int, default=9)
-    p.add_argument("--s-max", type=int, default=40)
-    p.add_argument("--out", default=None)
-    _add_out_dir(p)
+    _add_rate_args(p)
+    _add_outs(p, "--out")
     p.set_defaults(func=cmd_auxfn)
 
     p = sub.add_parser("diag", help="series and decay diagnostics")
     p.add_argument("which", choices=["series", "littleo"])
     _add_seq(p)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--ell-max", type=int, default=9)
-    p.add_argument("--s-max", type=int, default=40)
-    p.add_argument("--out", default=None)
-    _add_out_dir(p)
+    _add_rate_args(p)
+    _add_outs(p, "--out")
     p.set_defaults(func=cmd_diag)
 
     p = sub.add_parser("build-set", help="shelf-pack a truncated set model")
     _add_seq(p)
     p.add_argument("--n", type=int, required=True, help="number of cubes to materialize")
     p.add_argument("--outer", default="0,1,0,1", help="outer box x0,x1,y0,y1")
-    p.add_argument("--out", default=None)
-    _add_out_dir(p)
+    _add_outs(p, "--out")
     p.set_defaults(func=cmd_build_set)
 
     p = sub.add_parser("cover", help="build the exceptional cover of a set model")
     p.add_argument("--set", required=True, help="set JSON path")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--s-hi", type=int, default=4)
-    p.add_argument("--out", default=None)
-    _add_out_dir(p)
+    _add_outs(p, "--out")
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("scan", help="density-bound scan of a set model")
@@ -567,11 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_args(p)
     p.add_argument("--s-hi", type=int, default=4)
     p.add_argument("--points-at", default=None, help='explicit points "x,y;x,y" (flagged, not sampled)')
-    p.add_argument("--out", default=None)
-    p.add_argument("--separation-out", default=None)
-    p.add_argument("--envelope-out", default=None)
-    p.add_argument("--summary-out", default=None)
-    _add_out_dir(p)
+    _add_outs(p, "--out", "--separation-out", "--envelope-out", "--summary-out")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify-all", help="chained end-to-end verification")
@@ -579,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=4, help="cover horizon; trunc = (level+1)^(level+1)-1")
     _add_scan_args(p)
     p.add_argument("--outer", default="0,1,0,1")
-    _add_out_dir(p)
+    _add_outs(p)
     p.set_defaults(func=cmd_verify_all)
 
     return parser

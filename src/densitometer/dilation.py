@@ -135,7 +135,6 @@ def _grow_batch(
     start, base = start[rank], g_base[rank]
     top = base - 1
     w = base - 1  # a union's waiting slots start one below its grown ones
-    end = w + counts[rank]
 
     for s, a in enumerate(active.tolist()):
         member = start[:a] + s
@@ -178,16 +177,17 @@ def _grow_batch(
             walk, rest, kw, gap = walk[more], rest[more], kw[more], gap[more]
         if not (left.min() > -math.inf and right.max() < math.inf):
             raise ValueError("a dilation arm overflows the float range")
-        # the closed hull [left, right] absorbs grown blocks i..top and waiting ones up to k
+        # the closed hull [left, right] absorbs grown blocks i..top and waiting
+        # ones up to k; both ends are finite, so the -inf and +inf slots stop it
         i = j + 1
-        meets = (i > base[:a]) & (ghi[j] >= left)
+        meets = ghi[j] >= left
         while meets.any():
             i -= meets
-            meets &= (i > base[:a]) & (ghi[i - 1] >= left)
-        meets = (k < end[:a]) & (wlo[k] <= right)
+            meets &= ghi[i - 1] >= left
+        meets = wlo[k] <= right
         while meets.any():
             k += meets
-            meets &= (k < end[:a]) & (wlo[k] <= right)
+            meets &= wlo[k] <= right
         first_lo = np.where(i <= t, glo[i], lo)
         last_hi = np.where(k > wt, whi[k - 1], top_hi)
         glo[i] = np.where(first_lo < left, first_lo, left)

@@ -77,28 +77,28 @@ _RUN_RECTS = 1 << 14
 
 
 def _csv(header: str, rows: Iterable[Sequence]) -> str:
-    """CSV text with "\n" line ends and no quoting: floats by repr (shortest
-    round trip), None as an empty cell, everything else by str."""
+    """CSV text with "\n" line ends and no quoting: None as an empty cell and
+    every other value by str, which for a Python float is repr, the
+    shortest string that reads back as the same float."""
 
     def cell(value) -> str:
-        if value is None:
-            return ""
-        return repr(value) if isinstance(value, float) else str(value)
+        return "" if value is None else str(value)
 
     lines = [header, *(",".join(map(cell, row)) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def _rows_csv(cls: type, rows: Iterable) -> str:
+    """CSV of rows of the dataclass ``cls``: the header lists its field
+    names, and each line a row's values in that order."""
+    names = [f.name for f in fields(cls)]
+    return _csv(",".join(names), map(attrgetter(*names), rows))
 
 
 def _least(values: Sequence[float]) -> float:
     """The least of the floats, NaN when any of them is NaN: Python's min
     returns the NaN or passes over it depending on where it stands."""
     return math.nan if any(map(math.isnan, values)) else min(values)
-
-
-def _values(cls: type) -> attrgetter:
-    """Map a row of the dataclass ``cls`` to the tuple of its field values;
-    unlike dataclasses.astuple it copies nothing."""
-    return attrgetter(*(f.name for f in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -433,6 +433,12 @@ def _scan_plan(
     if sample is not None:
         scannable = (True,) * len(pts)
     else:
+        # sample_points refuses any other cover; the regime rule reads blocks
+        # config.m..cover.m - 1 as covered, which no block of this one does
+        if cover.blocks and cover.m > config.m:
+            raise ValueError(
+                f"cover starts at block m = {cover.m}, above the config's m = {config.m}"
+            )
         outside = np.flatnonzero(~_strictly_inside(model, arr))
         if outside.size:
             raise OutOfRange(f"point {pts[outside[0]]} is not strictly inside the outer box")
@@ -503,10 +509,7 @@ class ScanReport:
         return self.violations_applicable == 0
 
     def to_csv(self) -> str:
-        return _csv(
-            "t,point_id,x,y,min_ratio,floor,margin,violations,regime",
-            map(_values(ScanRow), self.rows),
-        )
+        return _rows_csv(ScanRow, self.rows)
 
 
 # The guard's slack E = _GUARD_REL (L + 2 t) + _GUARD_ABS (see _guard_bounds).
@@ -749,11 +752,7 @@ class SeparationReport:
         return all(r.violations == 0 for r in self.rows)
 
     def to_csv(self) -> str:
-        return _csv(
-            "t,s_next,prefix,checked_points,checked_rects,violations,"
-            "deferred_points,exceptional_points",
-            map(_values(SeparationRow), self.rows),
-        )
+        return _rows_csv(SeparationRow, self.rows)
 
 
 def separation_check(
@@ -846,10 +845,7 @@ class EnvelopeReport:
         return all(r.passed is not False for r in self.rows)
 
     def to_csv(self) -> str:
-        return _csv(
-            "t,worst_deficit,envelope,passed,deficit_product,envelope_product",
-            map(_values(EnvelopeRow), self.rows),
-        )
+        return _rows_csv(EnvelopeRow, self.rows)
 
 
 def scan_deficit_envelope(report: ScanReport, ratefn: RateFunction) -> EnvelopeReport:

@@ -128,9 +128,8 @@ _BOX_FOLDS = (np.fmin, np.fmax) * 2
 
 def _family_boxes(rects: np.ndarray, family: int) -> np.ndarray:
     """Bounding boxes [x0, x1, y0, y1] of the consecutive families of
-    ``family`` rows; fmin and fmax ignore NaN coordinates."""
-    if family == 1:
-        return rects
+    ``family`` rows; fmin and fmax ignore NaN coordinates, and a one-row
+    family's box is its row, NaN and -0.0 included."""
     members = rects.reshape(-1, family, 4)
     return np.stack([f.reduce(members[..., j], axis=1) for j, f in enumerate(_BOX_FOLDS)], axis=1)
 
@@ -505,10 +504,7 @@ class CompactSetModel:
             return totals
         boxes = _family_boxes(rects, family)
         big_rows, big_values = self._big_pieces(rects, boxes, family)
-        if family == 1:
-            descend = np.ones(n, dtype=bool)
-        else:
-            descend = np.repeat(self._tree_positive(boxes), family)
+        descend = np.repeat(self._tree_positive(boxes), family)
         busy = descend.copy()
         busy[big_rows] = True
         busy = np.flatnonzero(busy)

@@ -1109,6 +1109,25 @@ def test_point_near_uncovered_block_is_deferred(canonical_model, canonical_ratef
     assert (row.prefix, row.checked_points, row.deferred_points) == (255, 0, 1)
 
 
+@pytest.mark.parametrize("check", [scan_density_bound, separation_check])
+def test_explicit_points_refuse_a_cover_above_config_m(canonical_model, canonical_ratefn, check):
+    """The point of test_point_near_uncovered_block_is_deferred with its
+    cover starting at block 4 but a config at m = 3: the regime rule would
+    read block 3 as covered and the t = 0.05 pair as applicable against
+    prefix 26, so explicit points refuse the pair, naming both m."""
+    cover = build_cover(canonical_model, 4, 4)
+    config = small_config(points=1, m=3)
+    with pytest.raises(ValueError, match="m = 4, above the config's m = 3"):
+        check(canonical_model, cover, canonical_ratefn, config, points=[(0.77, 0.601)])
+
+
+def test_sampled_points_refuse_a_cover_above_config_m(canonical_model, canonical_ratefn):
+    """Sampling keeps its own check, which refuses any other (m, s_hi)."""
+    cover = build_cover(canonical_model, 4, 4)
+    with pytest.raises(ValueError, match=r"built for \(m, s_hi\) = \(4, 4\), config says \(3, 4\)"):
+        scan_density_bound(canonical_model, cover, canonical_ratefn, small_config(points=1, m=3))
+
+
 # The t = 0.05 findings of verify-all --level 5 --m 5 before the prefix rule
 # max(s_next^s_next, m^m) - 1: (seed, point id) -> point, from each run's scan.csv.
 _OLD_LEVEL5_FINDINGS = {
