@@ -25,7 +25,7 @@ limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -110,6 +110,12 @@ class WeightSequence:
     p: float = 0.0
     rho: float = 0.0
     w2_values: tuple[float, ...] = ()
+    # Certified brackets r_n already computed for this object, by index; only
+    # _tail_table reads or fills it.  It takes no part in equality, hashing,
+    # repr or to_json, so a sequence keeps its value semantics.
+    _tails: dict[int, LogBracket] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind == "power":
@@ -303,7 +309,14 @@ def _power_tail_brackets(c: float, p: float, ns: Iterable[int]) -> dict[int, Log
         ]
         log_rem = math.log(p * (p + 1.0) * (p + 2.0) / 720.0) - (p + 3.0) * log_m
         lo = group[0]
-        terms = _power_terms(p, lo, m_cut) if lo < m_cut else np.empty(0)
+        if lo == m_cut:
+            # past the cutoff the sum is the closure alone: the same float
+            # operations as below, on three Python floats instead of arrays
+            peak = max(closure)
+            log_mid = _log_mid(lo, lo, peak, [math.exp(x - peak) for x in closure])
+            out[lo] = LogBracket(log_sub(log_mid, log_rem) + log_c, log_add(log_mid, log_rem) + log_c)
+            continue
+        terms = _power_terms(p, lo, m_cut)
         # peaks[i]: the largest log term of group[i]'s sum, from the maxima
         # of the stretches between consecutive indexes.
         bounds = [n - lo for n in group] + [len(terms)]
@@ -326,31 +339,45 @@ def _power_tail_brackets(c: float, p: float, ns: Iterable[int]) -> dict[int, Log
 
 
 def _tail_table(seq: WeightSequence, ns: Iterable[int]) -> dict[int, LogBracket]:
-    """Certified brackets r_n for every n in ``ns``, each computed once."""
+    """Certified brackets r_n = sum_{m >= n} w_m^2 for every n in ``ns``.
+
+    This is the only place a bracket is computed.  Each one is kept in the
+    sequence object's own memo, so an index is bracketed once per object,
+    whichever caller asks first; an equal but distinct object starts empty.
+    The missing indexes of a power sequence are served together, in one
+    :func:`_power_tail_brackets` batch, whose brackets equal the per-index
+    ones bit for bit.  Closed forms are served at any index inside the float
+    log-domain horizon; an explicit list has r_n = 0 exactly for every n past
+    its end.
+    """
+    ns = list(ns)
+    if any(n < 1 for n in ns):
+        raise OutOfRange(f"tail sums start at n = 1, got {min(ns)}")
+    memo = seq._tails
+    missing = {n for n in ns if n not in memo}
     if seq.kind == "power":
-        return _power_tail_brackets(seq.c, seq.p, ns)
-    return {n: tail_sum(seq, n) for n in ns}
+        if missing:
+            memo.update(_power_tail_brackets(seq.c, seq.p, missing))
+    elif seq.kind == "geometric":
+        log_head = math.log(seq.c) - math.log1p(-seq.rho)
+        for n in sorted(missing):
+            try:
+                memo[n] = LogBracket.exact(log_head + n * math.log(seq.rho))
+            except OverflowError as exc:
+                raise OutOfRange(f"index {n} exceeds the float log-domain horizon") from exc
+    else:
+        for n in missing:
+            memo[n] = LogBracket.from_linear(math.fsum(seq.w2_values[n - 1 :]))
+    return {n: memo[n] for n in ns}
 
 
 def tail_sum(seq: WeightSequence, n: int) -> LogBracket:
     """Certified log-domain bracket for r_n = sum_{m >= n} w_m^2.
 
-    Closed forms are served at any index inside the float log-domain horizon;
-    an explicit list has r_n = 0 exactly for every n past its end.  A power
-    tail goes through the same table code as :func:`analyze`, for one index.
+    A lookup through the sequence's tail table (:func:`_tail_table`), which
+    computes r_n on the first request and serves it from memory after.
     """
-    if n < 1:
-        raise OutOfRange(f"tail sums start at n = 1, got {n}")
-    if seq.kind == "power":
-        return _power_tail_brackets(seq.c, seq.p, (n,))[n]
-    if seq.kind == "geometric":
-        log_r = math.log(seq.c) - math.log1p(-seq.rho)
-        try:
-            log_r += n * math.log(seq.rho)
-        except OverflowError as exc:
-            raise OutOfRange(f"index {n} exceeds the float log-domain horizon") from exc
-        return LogBracket.exact(log_r)
-    return LogBracket.from_linear(math.fsum(seq.w2_values[n - 1 :]))
+    return _tail_table(seq, (n,))[n]
 
 
 # -- index estimators ----------------------------------------------------------
@@ -386,23 +413,15 @@ class IndexEstimate:
     converged: bool
 
 
-def index_a(
-    seq: WeightSequence,
-    probes: Sequence[int] | None = None,
-    *,
-    tails: Mapping[int, LogBracket] | None = None,
-) -> IndexEstimate:
+def index_a(seq: WeightSequence, probes: Sequence[int] | None = None) -> IndexEstimate:
     """liminf proxy for the solutions a_n of n * (r_n / n)**a_n = 1.
 
     Solving the defining equation in logs gives
     a_n = log n / (log n - log r_n); the estimate is the minimum over the
-    tail of the probe grid.  ``tails`` holds r_n at every probe when the
-    caller shares one table between estimators (see :func:`analyze`);
-    otherwise it is built here for this grid.
+    tail of the probe grid.
     """
     grid = _closed_form_probes(seq, probes)
-    if tails is None:
-        tails = _tail_table(seq, grid)
+    tails = _tail_table(seq, grid)
     values = []
     for n in grid:
         log_n = math.log(n)
@@ -453,12 +472,7 @@ class ExponentScan:
     decay_drop: Mapping[float, float]
 
 
-def index_e_bm(
-    seq: WeightSequence,
-    a_grid: Sequence[float] | None = None,
-    *,
-    tails: Mapping[int, LogBracket] | None = None,
-) -> ExponentScan:
+def index_e_bm(seq: WeightSequence, a_grid: Sequence[float] | None = None) -> ExponentScan:
     """Smallest grid exponent a with (w_n^2)**(a-1) * r_n decreasing over the probe tail.
 
     Membership is monotone decrease of g_n = (a-1) log w_n^2 + log r_n along
@@ -467,11 +481,10 @@ def index_e_bm(
     tail w_n^2 = c n^-p, g_n changes like (1 - a p) log n, so just above the
     true index a = 1/p the drop over the probes is arbitrarily small, and a
     quota of the kind "final < 1e-3 * initial" would place the transition
-    above 1/p.  ``tails`` is shared as in :func:`index_a`.
+    above 1/p.
     """
     grid = _closed_form_probes(seq)
-    if tails is None:
-        tails = _tail_table(seq, grid)
+    tails = _tail_table(seq, grid)
     if a_grid is None:
         a_grid = [round(0.01 * k, 10) for k in range(1, 100)]
     a_values = list(a_grid)
@@ -520,13 +533,7 @@ class OnsetReport:
     onset_tail_power: int       # r_n   <  (1/n)**epsilon
 
 
-def verify_finally_inequalities(
-    seq: WeightSequence,
-    theta: float,
-    delta: float,
-    *,
-    tails: Mapping[int, LogBracket] | None = None,
-) -> OnsetReport:
+def verify_finally_inequalities(seq: WeightSequence, theta: float, delta: float) -> OnsetReport:
     """Find probe onsets past which the three tail inequalities hold.
 
     Admissibility requires e_bt < theta < 1 and e_bt < delta < 1, where e_bt
@@ -534,7 +541,6 @@ def verify_finally_inequalities(
     The onset is the smallest probe from which an inequality holds at every
     later probe up to the horizon.  Comparisons against tail sums use the
     certified upper end of the bracket, so "holds" is bracketing-robust.
-    ``tails`` is shared as in :func:`index_a`.
     """
     grid = _closed_form_probes(seq, start=1)
     e_bt = index_e_bt(seq).estimate
@@ -544,8 +550,7 @@ def verify_finally_inequalities(
                 f"{name} = {value} outside the admissible window ({e_bt:.6g}, 1)"
             )
     epsilon = (1.0 / theta) * (1.0 - delta)
-    if tails is None:
-        tails = _tail_table(seq, grid)
+    tails = _tail_table(seq, grid)
 
     def onset(pred) -> int:
         flags = [pred(n) for n in grid]
@@ -612,19 +617,15 @@ def log_comparability(seq: WeightSequence) -> ComparabilityReport:
     )
 
 
-def tail_lower_exponent(
-    seq: WeightSequence, *, tails: Mapping[int, LogBracket] | None = None
-) -> float | None:
+def tail_lower_exponent(seq: WeightSequence) -> float | None:
     """Exponent mu with r_n >= n**(-mu) at every probe >= 2, if one exists.
 
     For a power sequence mu = p - 1 + _MU_MARGIN is returned once verified
     against the certified lower bracket end; None when verification fails
-    (geometric tails sink below every power).  ``tails`` is shared as in
-    :func:`index_a`.
+    (geometric tails sink below every power).
     """
     grid = _closed_form_probes(seq)
-    if tails is None:
-        tails = _tail_table(seq, grid)
+    tails = _tail_table(seq, grid)
     if seq.kind == "power":
         mu = seq.p - 1.0 + _MU_MARGIN
     else:
@@ -689,19 +690,19 @@ def analyze(
 ) -> IndexReport:
     """Estimate all indexes; include onsets when (theta, delta) are supplied.
 
-    The tail sums r_n are computed once, in one table over the probe grid
-    (from n = 1 when the onsets need it, else from n = 2), and that table is
-    handed to every estimator that reads them.  It lives for this call only.
+    Every estimator reads the tail sums r_n through the sequence's tail
+    table (:func:`_tail_table`), so each probe is bracketed once for the life
+    of ``seq`` and later callers (the block series, the cover bound, the
+    packing's residual tail) find the shared indexes already there.
     """
     with_onsets = theta is not None and delta is not None
-    tails = _tail_table(seq, _closed_form_probes(seq, start=1 if with_onsets else 2))
-    a = index_a(seq, tails=tails)
+    a = index_a(seq)
     e_bt = index_e_bt(seq)
-    e_bm = index_e_bm(seq, tails=tails)
+    e_bm = index_e_bm(seq)
     onsets = None
     epsilon = None
     if with_onsets:
-        onsets = verify_finally_inequalities(seq, theta, delta, tails=tails)
+        onsets = verify_finally_inequalities(seq, theta, delta)
         epsilon = onsets.epsilon
     return IndexReport(
         seq=seq,
@@ -713,7 +714,7 @@ def analyze(
         theta=theta,
         delta=delta,
         epsilon=epsilon,
-        mu=tail_lower_exponent(seq, tails=tails),
+        mu=tail_lower_exponent(seq),
         onsets=onsets,
         comparability=log_comparability(seq),
     )

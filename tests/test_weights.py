@@ -9,9 +9,11 @@ import math
 
 import mpmath
 import pytest
+from conftest import UNIT_BOX
 from oracles import power_tail_bracket_ref
 
 from densitometer import weights
+from densitometer.auxfn import Schedule, block_start, series_diagnostics
 from densitometer.errors import (
     DegenerateIndex,
     DensitometerError,
@@ -19,6 +21,8 @@ from densitometer.errors import (
     NotClosedForm,
     OutOfRange,
 )
+from densitometer.logdomain import LogBracket
+from densitometer.setmodel import build_cover, build_packing
 from densitometer.weights import (
     WeightSequence,
     analyze,
@@ -116,21 +120,33 @@ def test_explicit_tail_fsum_and_zero_past_end():
 
 # -- the shared tail table ---------------------------------------------------------
 
-SHARED_CASES = [(0.25, 2.0), (1.0, 1.5), (3.0, 4.0), (1.0, 1.01)]
+SHARED_CASES = [(0.25, 2.0), (1.0, 1.5), (3.0, 4.0), (1.0, 1.01), (0.05, 1.75)]
 
 
 @pytest.mark.parametrize("c,p", SHARED_CASES)
 def test_tail_table_matches_reference_bit_for_bit(c, p):
-    seq = WeightSequence.power(c, p)
+    # whatever the order or split of the requests, every memoised bracket
+    # equals the one computed for its index alone
     m_cut = math.ceil(1500.0 * p)
     ns = sorted(set(default_probes()) | {1, m_cut - 1, m_cut, m_cut + 1, 4 * m_cut, 20**20})
-    table = weights._tail_table(seq, ns)
-    assert sorted(table) == ns
-    for n in ns:
-        ref = power_tail_bracket_ref(c, p, n)
-        assert (table[n].lo, table[n].hi) == (ref.lo, ref.hi), n
-        single = tail_sum(seq, n)
-        assert (single.lo, single.hi) == (ref.lo, ref.hi), n
+    ref = {n: power_tail_bracket_ref(c, p, n) for n in ns}
+    half = len(ns) // 2
+    requests = {
+        "all at once": [ns],
+        "ascending one by one": [[n] for n in ns],
+        "descending one by one": [[n] for n in reversed(ns)],
+        "overlapping batches": [ns[: half + 5], ns[half - 5 :], ns[::3], ns],
+    }
+    for label, batches in requests.items():
+        seq = WeightSequence.power(c, p)
+        for batch in batches:
+            table = weights._tail_table(seq, batch)
+            assert list(table) == batch, label
+            for n in batch:
+                assert (table[n].lo, table[n].hi) == (ref[n].lo, ref[n].hi), (label, n)
+        assert sorted(seq._tails) == ns, label
+        for n in ns:
+            assert tail_sum(seq, n) == ref[n], (label, n)
 
 
 def _estimator_outcomes(seq, theta):
@@ -152,15 +168,53 @@ def _estimator_outcomes(seq, theta):
 
 @pytest.mark.parametrize("c,p", SHARED_CASES)
 def test_estimators_match_per_index_reference(c, p, monkeypatch):
-    seq = WeightSequence.power(c, p)
     theta = 0.5 * (1.0 / p + 1.0)  # inside the admissible window (1/p, 1)
-    shared = _estimator_outcomes(seq, theta)
-    monkeypatch.setattr(
-        weights,
-        "_power_tail_brackets",
-        lambda c, p, ns: {n: power_tail_bracket_ref(c, p, n) for n in ns},
-    )
+    shared = _estimator_outcomes(WeightSequence.power(c, p), theta)
+    served = []
+
+    def reference(c, p, ns):
+        served.extend(ns)
+        return {n: power_tail_bracket_ref(c, p, n) for n in ns}
+
+    monkeypatch.setattr(weights, "_power_tail_brackets", reference)
+    # a new object: its memo is empty, so every bracket comes from the reference
+    seq = WeightSequence.power(c, p)
     assert _estimator_outcomes(seq, theta) == shared
+    assert sorted(served) == sorted(seq._tails)
+    assert set(served) >= {n for n in default_probes() if n >= 2}
+
+
+def test_memo_matches_direct_formulas_for_geometric_and_explicit():
+    c, rho = 2.0, 0.25
+    w2 = [0.4, 0.2, 0.1, 0.1, 0.05]
+    for order in ([1, 2, 3, 10, 100, 2000], [2000, 100, 10, 3, 2, 1], [3, 1, 3, 2000, 1]):
+        geo = WeightSequence.geometric(c, rho)
+        for n in order:
+            direct = LogBracket.exact(math.log(c) - math.log1p(-rho) + n * math.log(rho))
+            assert tail_sum(geo, n) == direct, n
+        explicit = WeightSequence.explicit(w2)
+        for n in order:
+            direct = LogBracket.from_linear(math.fsum(w2[n - 1 :]))
+            assert tail_sum(explicit, n) == direct, n
+        assert sorted(geo._tails) == sorted(explicit._tails) == sorted(set(order))
+
+
+def test_filled_memo_keeps_value_semantics():
+    for make in (
+        lambda: WeightSequence.power(0.25, 2.0),
+        lambda: WeightSequence.geometric(2.0, 0.25),
+        lambda: WeightSequence.explicit([0.5, 0.25]),
+    ):
+        fresh, used = make(), make()
+        weights._tail_table(used, [1, 2, 3, 10**6])
+        assert used._tails and not fresh._tails
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert used.to_json() == fresh.to_json()
+        back = WeightSequence.from_json(used.to_json())
+        assert back == used and hash(back) == hash(used) and not back._tails
+        assert {used: "x"}[fresh] == "x"
+        assert len({used, fresh, back}) == 1
 
 
 def test_first_cutoff_meets_the_tolerance():
@@ -173,33 +227,53 @@ def test_first_cutoff_meets_the_tolerance():
         assert log_rem <= log_integral + math.log(5e-16), p
 
 
-def test_analysis_computes_each_index_once(monkeypatch, canonical_seq):
-    calls = []
-    core = weights._log_mid
+def _record(monkeypatch, name, into):
+    core = getattr(weights, name)
 
-    def recording(n, *rest):
-        calls.append(n)
-        return core(n, *rest)
+    def recording(*args):
+        into.append(args)
+        return core(*args)
 
-    monkeypatch.setattr(weights, "_log_mid", recording)
-    expected = [n for n in default_probes() if n >= 2]
-    assert len(expected) == 46
-    analyze(canonical_seq)
-    assert sorted(calls) == expected
+    monkeypatch.setattr(weights, name, recording)
+
+
+def test_analysis_computes_each_index_once(monkeypatch):
+    # fresh objects throughout: the session fixtures' memos are filled by other tests
+    calls, term_lists = [], []
+    _record(monkeypatch, "_log_mid", calls)
+    _record(monkeypatch, "_power_terms", term_lists)
+    seq = WeightSequence.power(0.25, 2.0)
+
+    # verify-all's order: every caller after analyze finds its shared indexes
+    # in the memo, and no index is bracketed twice
+    analyze(seq)
+    series_diagnostics(seq, Schedule(40))
+    build_cover(build_packing(seq, 3124, UNIT_BOX), 3, 4)
+    indexes = [args[0] for args in calls]
+    assert len(indexes) == len(set(indexes)) == len(seq._tails)
+    probes = {n for n in default_probes() if n >= 2}
+    series_starts = {block_start(s) for s in range(1, 29)}  # the last series stops at s = 28
+    assert set(indexes) == probes | series_starts
+    assert block_start(5) in series_starts  # the packing's residual tail r_3125
+
+    # nothing is memoised at module level: an equal object recomputes everything
     calls.clear()
-    analyze(canonical_seq)  # a second analysis redoes the work: no state survives a call
-    assert sorted(calls) == expected
-
+    twin = WeightSequence.power(0.25, 2.0)
+    assert twin == seq
+    analyze(twin)
+    assert sorted(args[0] for args in calls) == sorted(probes)
     calls.clear()
-    term_lists = []
-    terms = weights._power_terms
-    monkeypatch.setattr(
-        weights, "_power_terms", lambda p, start, stop: term_lists.append((start, stop)) or terms(p, start, stop)
-    )
-    tail_sum(canonical_seq, 10**6)  # past the cutoff: closure terms only
-    assert calls == [10**6] and term_lists == []
-    tail_sum(canonical_seq, 27)
-    assert term_lists == [(27, 3000)]
+    analyze(seq)
+    assert calls == []
+
+    # past the cutoff a bracket is the closure terms alone
+    calls.clear()
+    term_lists.clear()
+    fresh = WeightSequence.power(0.25, 2.0)
+    tail_sum(fresh, 10**6)
+    assert [args[0] for args in calls] == [10**6] and term_lists == []
+    tail_sum(fresh, 27)
+    assert [args[1:] for args in term_lists] == [(27, 3000)]
 
 
 # -- indexes -------------------------------------------------------------------
