@@ -627,24 +627,22 @@ def _grow_sweep(
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _section_measures(sec_off: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ``fsum`` of each section's block lengths.  The fsum of one float
-    is that float (+0.0 for -0.0, hence the added zero), and the fsum of two
-    is their float sum, which is correctly rounded (again with -0.0 read as
-    +0.0), so sections of one or two blocks take them in one array pass,
-    and only longer sections call ``math.fsum``."""
-    counts = np.diff(sec_off)
-    out = np.zeros(len(counts))
-    first = sec_off[:-1]
-    one = counts == 1
-    out[one] = lengths[first[one]] + 0.0
-    two = counts == 2
-    out[two] = lengths[first[two]] + lengths[first[two] + 1] + 0.0
-    many = np.flatnonzero(counts > 2).tolist()
-    if many:
-        off, pieces = sec_off.tolist(), lengths.tolist()
-        out[many] = [math.fsum(pieces[off[i] : off[i + 1]]) for i in many]
-    return out
+def _row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The ``math.fsum`` of each of n rows, bit for bit, from (row, value)
+    pairs in any order.  The fsum of at most two floats is their float sum
+    from +0.0 (so -0.0 alone reads +0.0), which ``np.bincount`` forms, and
+    only rows of more values call ``math.fsum``, whose correctly rounded
+    sum depends neither on the order of its terms nor on zero terms."""
+    # with no values bincount counts in integers
+    sums = np.bincount(rows, values, n).astype(np.float64, copy=False)
+    counts = np.bincount(rows, minlength=n)
+    many = counts > 2
+    if many.any():
+        chosen = np.flatnonzero(many[rows])
+        flat = values[chosen[np.argsort(rows[chosen], kind="stable")]].tolist()
+        ends = np.cumsum(counts[many]).tolist()
+        sums[many] = [math.fsum(flat[a:b]) for a, b in zip([0, *ends], ends)]
+    return sums
 
 
 def cube_rows(cubes) -> np.ndarray:
@@ -733,5 +731,5 @@ def dilate_2d(
     counts, y_lo, y_hi = _grow_sweep(sec_off, bounds, gamma)
     del bounds
     sec_off = np.concatenate(([0], np.cumsum(counts)))
-    sec_measure = _section_measures(sec_off, y_hi - y_lo)
+    sec_measure = _row_sums(np.repeat(np.arange(len(counts)), counts), y_hi - y_lo, len(counts))
     return RectUnion(x_lo, x_hi, sec_off, y_lo, y_hi, sec_measure)

@@ -49,7 +49,7 @@ import numpy as np
 from .auxfn import RateFunction, block_start
 from .dilation import Rectangle
 from .errors import AcceptanceTooLow, OutOfRange
-from .setmodel import CompactSetModel, ExceptionalCover, _interior
+from .setmodel import _TOTALS_ROWS, CompactSetModel, ExceptionalCover, _interior
 
 __all__ = [
     "ScanConfig",
@@ -69,11 +69,6 @@ __all__ = [
 
 _ASPECT_FLOOR = 0.05
 _ASPECT_CEIL = 20.0
-# Rectangles per run of points: a run is drawn into one buffer of this many
-# rows (or one point's, when a point alone has more).  A run holds only the
-# families the scan builds, nearly all of them busy, and the ratio pass's
-# temporaries grow with the busy rows it measures at once.
-_RUN_RECTS = 1 << 14
 
 
 def _csv(header: str, rows: Iterable[Sequence]) -> str:
@@ -603,18 +598,16 @@ def _scan_points(
     bits it has among all the grid's families.  With the bench's grid about
     3%, 18% and 71% of the families at t = 0.01, 0.05 and 0.25 are busy on
     the shelves of 3,124 and 46,655 cubes, and 0%, 0% and 60% on the
-    deposition layout, so about 69% of the shelf families are never built.  A scan-46k scan
-    took 34.5 ms in place of 42.9 ms when every family was built (medians
-    of 20 scans in one process), and the bench's scan-46k verdict_s read
-    0.0355 s in place of 0.0415 s.
+    deposition layout, so about 69% of the shelf families are never built.
 
-    Built families fill a buffer of _RUN_RECTS rows (or one point's, when a
-    point alone has more), which is measured box first (see _ratios and
+    Built families fill a buffer of _TOTALS_ROWS rows (or one point's, when
+    a point alone has more), which is measured box first (see _ratios and
     ``CompactSetModel.total_overlaps``) when the next point's families do
-    not fit.  Each family's least ratio and its count below the floor are
-    taken per run, the counts by one comparison of the run per floor: the
-    row at t_sorted[k] counts the ratios of families 0..k below the floor
-    at t_sorted[k].  A skipped family keeps the least ratio 1.0 and counts
+    not fit; a run that fits the buffer is one chunk of ``total_overlaps``.
+    Each family's least ratio and its count below the floor are taken per
+    run, the counts by one comparison of the run per floor: the row at
+    t_sorted[k] counts the ratios of families 0..k below the floor at
+    t_sorted[k].  A skipped family keeps the least ratio 1.0 and counts
     no violation.  The cumulative minima are np.minimum.accumulate over the
     grid, NaN propagating as the minimum over each cumulative family did.
     The regimes are the plan's."""
@@ -625,7 +618,7 @@ def _scan_points(
     floors = np.array([b.floor for b in plan.branches])
     minima = np.ones((count, grid))
     below = np.zeros((count, grid), dtype=np.int64)
-    buffer = np.empty((max(_RUN_RECTS, grid * n), 4))
+    buffer = np.empty((max(_TOTALS_ROWS, grid * n), 4))
     used, families = 0, []
 
     def measure() -> None:

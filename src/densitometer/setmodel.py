@@ -24,7 +24,7 @@ from typing import Callable, Iterator, TextIO
 import numpy as np
 
 from .auxfn import block_start
-from .dilation import LOCATIONS, Rectangle, RectUnion, dilate_2d, find_overlap
+from .dilation import LOCATIONS, Rectangle, RectUnion, _row_sums, dilate_2d, find_overlap
 from .errors import (
     EmptyRect,
     HorizonExhausted,
@@ -53,9 +53,15 @@ __all__ = [
 _BLOCK_CELLS = 1 << 14
 # Cubes per leaf of the cube tree.
 _LEAF = 8
-# Rectangles per descent of the cube tree: its (rectangle, node) pairs and
-# boundary cells are the largest temporaries of a ratio pass.
+# Rectangles per descent of the cube tree in the positivity and closed-meet
+# queries: its (rectangle, node) pairs and boundary cells are their largest
+# temporaries.
 _CHUNK_RECTS = 1 << 13
+# Rows per chunk of total_overlaps, rounded down to whole families (one
+# family at least): each chunk is measured on its own, in one descent of the
+# cube tree, so a ratio pass holds one chunk's pairs, pieces and limbs.  The
+# scan fills its runs to this size.
+_TOTALS_ROWS = 1 << 14
 # Stopping rule of cover_measure_bound.
 _COVER_REL_TOL = 1e-15
 _COVER_S_CAP = 400
@@ -473,52 +479,21 @@ class CompactSetModel:
 
         ``rects`` is an (n, 4) array of [x0, x1, y0, y1] whose rows form
         consecutive families of ``family`` rectangles (n a multiple of
-        ``family``); a family's box is the bounding box of its rows, NaN
-        coordinates ignored, and with ``family`` = 1 each rectangle is its
-        own box.  Boxes are measured before rectangles:
-
-        - a family's rows descend the cube tree only if its box's total over
-          the tree's cubes is positive, _CHUNK_RECTS rows at a time; a node
-          inside a rectangle adds the exact limb total of its cubes, whose
-          pieces are their whole-cube areas, and the cubes of the leaves on
-          a rectangle's boundary go to the kernel;
-        - one kernel pass of the boxes against the large cubes (``index.big``)
-          lists each box's candidates, the large cubes whose interior it
-          meets, and a family's rows are measured against its kernel
-          block's candidates only (see _big_pieces); no rectangle descends
-          a tree of large cubes.
-
-        This is exact: a rectangle lies in its family's box, and float min,
-        max and subtraction are monotone, so a cube whose interior the box
-        misses gives each of the family's rectangles a zero piece, and a
-        box total of 0.0 means that every piece of the box is zero.  A NaN
-        row passes no comparison, so its total is 0.0.  A row with no whole
-        node and at most two positive pieces is their float sum, rounded
-        once; every other row is one math.fsum of its limb values and
-        pieces.
+        ``family``, else ValueError before any chunk is measured); a
+        family's box is the bounding box of its rows, NaN coordinates
+        ignored, and with ``family`` = 1 each rectangle is its own box.  The
+        rows are measured in chunks of whole families, as many as fill
+        _TOTALS_ROWS rows (one family when a family alone holds more), each
+        chunk on its own by :meth:`_chunk_totals`.
         """
         rects = np.asarray(rects, dtype=np.float64)
         n = len(rects)
-        totals = np.zeros(n)
-        if not n:
-            return totals
-        boxes = _family_boxes(rects, family)
-        big_rows, big_values = self._big_pieces(rects, boxes, family)
-        descend = np.repeat(self._tree_positive(boxes), family)
-        busy = descend.copy()
-        busy[big_rows] = True
-        busy = np.flatnonzero(busy)
-        for i in range(0, len(busy), _CHUNK_RECTS):
-            rows = busy[i : i + _CHUNK_RECTS]
-            tree_rows = np.flatnonzero(descend[rows])
-            a, b = np.searchsorted(big_rows, (rows[0], rows[-1] + 1))
-            totals[rows] = self._chunk_totals(
-                len(rows),
-                rects[rows[tree_rows]],
-                tree_rows,
-                np.searchsorted(rows, big_rows[a:b]),
-                big_values[a:b],
-            )
+        if family < 1 or n % family:
+            raise ValueError(f"total_overlaps: {n} rows do not form families of family={family}")
+        totals = np.empty(n)
+        step = family * max(1, _TOTALS_ROWS // family)
+        for i in range(0, n, step):
+            totals[i : i + step] = self._chunk_totals(rects[i : i + step], family)
         return totals
 
     def positive_totals(self, rects: np.ndarray) -> np.ndarray:
@@ -575,7 +550,7 @@ class CompactSetModel:
         more), and each run with a candidate measures its contiguous rows,
         ungathered, against the union of its families' candidates.  A
         family measured against a cube that only another family's box meets
-        gets zero pieces from it, as the box argument of total_overlaps
+        gets zero pieces from it, as the box argument of _chunk_totals
         shows, so the union changes no total; for the scan's families of
         hundreds of rectangles a run is one family or two."""
         big = self.index.big
@@ -593,41 +568,39 @@ class CompactSetModel:
                 values_out.append(pieces[r, k])
         return np.concatenate(rows_out), np.concatenate(values_out)
 
-    def _chunk_totals(
-        self,
-        n: int,
-        tree_rects: np.ndarray,
-        tree_rows: np.ndarray,
-        big_rows: np.ndarray,
-        big_values: np.ndarray,
-    ) -> np.ndarray:
-        """Exactly rounded totals of a chunk of n rows: the limbs and leaf
-        pieces of the rectangles ``tree_rects`` (rows ``tree_rows`` of the
-        chunk), which descend the tree, and the large-cube pieces of rows
-        ``big_rows``, added into one sum per row."""
+    def _chunk_totals(self, rects: np.ndarray, family: int) -> np.ndarray:
+        """Exactly rounded totals of a chunk of whole families.  Boxes are
+        measured before rectangles:
+
+        - one kernel pass of the boxes against the large cubes (``index.big``)
+          lists each box's candidates, the large cubes whose interior it
+          meets, and a family's rows are measured against its kernel
+          block's candidates only (see _big_pieces); no rectangle descends
+          a tree of large cubes;
+        - a family's rows descend the cube tree only if its box's total over
+          the tree's cubes is positive; a node inside a rectangle adds the
+          exact limb total of its cubes, whose pieces are their whole-cube
+          areas, and the cubes of the leaves on a rectangle's boundary go to
+          the kernel.
+
+        This is exact: a rectangle lies in its family's box, and float min,
+        max and subtraction are monotone, so a cube whose interior the box
+        misses gives each of the family's rectangles a zero piece, and a
+        box total of 0.0 means that every piece of the box is zero.  A NaN
+        row passes no comparison, so its total is 0.0.  Each row's pieces
+        and nonzero limb values are then added by one exact row sum
+        (``_row_sums``)."""
         index = self.index
-        limbs = np.zeros((len(index.tree.limbs), n))
-        prow, pval = big_rows, big_values
-        if tree_rows.size:
-            tree_limbs, rows, values = self._tree_pieces(tree_rects)
-            limbs[:, tree_rows] = tree_limbs
-            prow = np.concatenate([tree_rows[rows], prow])
-            pval = np.concatenate([values, pval])
-        # bincount adds each row's pieces in order; with no pieces it counts in integers
-        totals = np.bincount(prow, pval, n).astype(np.float64, copy=False)
-        counts = np.bincount(prow, minlength=n)
-        exact = (counts > 2) | limbs.any(axis=0)
-        rows = np.flatnonzero(exact)
-        if not rows.size:
-            return totals
-        terms = _limb_values(limbs[:, rows], index.shift, index.bits)
-        chosen = exact[prow]
-        keys = np.concatenate([np.tile(rows, len(terms)), prow[chosen]])
-        flat = np.concatenate([terms.ravel(), pval[chosen]])[np.argsort(keys, kind="stable")]
-        ends = np.cumsum(counts[rows] + len(terms)).tolist()
-        flat = flat.tolist()
-        totals[rows] = [math.fsum(flat[a:b]) for a, b in zip([0, *ends], ends)]
-        return totals
+        boxes = _family_boxes(rects, family)
+        rows, values = self._big_pieces(rects, boxes, family)
+        descend = np.flatnonzero(np.repeat(self._tree_positive(boxes), family))
+        if descend.size:
+            limbs, tree_rows, tree_values = self._tree_pieces(rects[descend])
+            terms = _limb_values(limbs, index.shift, index.bits)
+            k, whole = np.nonzero(terms)
+            rows = np.concatenate([rows, descend[tree_rows], descend[whole]])
+            values = np.concatenate([values, tree_values, terms[k, whole]])
+        return _row_sums(rows, values, len(rects))
 
     def meets(self, rects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every (row, cube) of rectangles and cubes whose closed sets meet,

@@ -83,7 +83,7 @@ from densitometer.dilation import (
     RectUnion,
     _check_gamma,
     _grow_batch,
-    _section_measures,
+    _row_sums,
     cube_rows,
     find_overlap,
 )
@@ -1098,7 +1098,8 @@ def dilate_2d_toggles(cubes, gamma: float, *, allow_gamma_one: bool = False) -> 
 
     counts, y_lo, y_hi = _grow_keys(list(sections), gamma)
     pool_off = np.concatenate(([0], np.cumsum(counts)))
-    sec_measure = _section_measures(pool_off, y_hi - y_lo)[col_sec]
+    pooled = np.repeat(np.arange(len(counts)), counts)
+    sec_measure = _row_sums(pooled, y_hi - y_lo, len(counts))[col_sec]
     # every column's own copy of its pooled section
     sizes = counts[col_sec]
     sec_off = np.concatenate(([0], np.cumsum(sizes)))

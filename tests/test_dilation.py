@@ -346,25 +346,35 @@ def test_grow_near_the_float_range():
         dilate_2d([(0.0, 1e308, 0.0, 1.0)], 16.0)
 
 
-def test_section_measures_are_fsums():
-    """Each section's measure is the ``fsum`` of its lengths, bit for bit:
-    1 + 2**-53 + 2**-53 is 1 from left to right but 1 + 2**-52 exactly.  A
-    section of one block skips ``math.fsum``; the case of every section one
-    block (with -0.0, whose fsum alone is +0.0, a subnormal and an empty
-    section among them) and a mix of one-block and longer sections keep
-    the bits too."""
-    lengths = np.array([0.1, 1.0, 2.0**-53, 1.0, 2.0**-53, 2.0**-53, 0.3, 0.7])
-    sec_off = np.array([0, 1, 3, 6, 8])
-    want = [math.fsum(lengths[a:b].tolist()) for a, b in zip(sec_off, sec_off[1:])]
-    assert want[2] != (1.0 + 2.0**-53) + 2.0**-53
-    assert _bits(dilation._section_measures(sec_off, lengths)) == _bits(want)
-    for lengths, sec_off in (
-        ([0.1, -0.0, 5e-324, 0.7, 1.0 / 3.0], [0, 1, 2, 3, 3, 4, 5]),
-        ([0.25, 1.0, 2.0**-53, 2.0**-53, 0.3, 0.1, 0.2, 1e-300], [0, 1, 4, 5, 7, 8]),
-    ):
-        want = [math.fsum(lengths[a:b]) for a, b in zip(sec_off, sec_off[1:])]
-        got = dilation._section_measures(np.array(sec_off), np.array(lengths))
+def test_row_sums_are_fsums():
+    """Each row's sum is the ``fsum`` of its values, bit for bit, whatever
+    the order of the (row, value) pairs: 1 + 2**-53 + 2**-53 is 1 from left
+    to right but 1 + 2**-52 exactly.  Rows of 0, 1, 2, 3 and many values
+    and -0.0 values (whose fsum alone, or with another -0.0, is +0.0) keep
+    the bits, with the pairs in row order, reversed and shuffled."""
+    many = [1.0, 2.0**-53] + [2.0**-53, 0.1, 1e-300, 1e16] * 5
+    groups = [
+        [],
+        [0.1],
+        [-0.0],
+        [-0.0, -0.0],
+        [1.0, 2.0**-53],
+        [1.0, 2.0**-53, 2.0**-53],
+        [5e-324, -0.0, 0.3],
+        [],
+        many,
+        [1.0 / 3.0],
+    ]
+    rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    values = np.array([v for g in groups for v in g])
+    want = [math.fsum(g) for g in groups]
+    assert want[5] != (1.0 + 2.0**-53) + 2.0**-53
+    assert _bits(want[2:4]) == _bits([0.0, 0.0])
+    rng = np.random.default_rng(3)
+    for order in (np.arange(len(rows)), np.arange(len(rows))[::-1], rng.permutation(len(rows))):
+        got = dilation._row_sums(rows[order], values[order], len(groups))
         assert _bits(got) == _bits(want)
+    assert dilation._row_sums(np.zeros(0, dtype=np.intp), np.zeros(0), 3).tolist() == [0.0] * 3
 
 
 def _recording_batches(monkeypatch):
@@ -856,7 +866,6 @@ def test_section_measures_match_fsum_on_covers(request, layout):
         lengths = union.y_hi - union.y_lo
         off = union.sec_off.tolist()
         want = [math.fsum(lengths[a:b].tolist()) for a, b in zip(off, off[1:])]
-        assert _bits(dilation._section_measures(union.sec_off, lengths)) == _bits(want)
         assert _bits(union.sec_measure) == _bits(want)
         sizes |= set(np.diff(union.sec_off).tolist())
     if layout == "deposition":

@@ -17,7 +17,9 @@ exactly the cubes whose closed square meets the box.  The large cubes kept
 out of the tree are measured against each family box's candidates; the
 totals and ratios must equal the pass that gave them a tree of their own
 (``oracles.two_tree_totals``) bit for bit on three layouts, within a
-memory bound set by the kernel block.
+memory bound set by the kernel block, and so must the totals of calls cut
+into several chunks of whole families, whose memory does not grow with the
+chunks.
 """
 
 import math
@@ -820,19 +822,21 @@ def test_positive_totals_memory_is_bounded_by_block(shelf_46k):
     assert peak < _PEAK_BOUND, f"peak {peak / 2**20:.1f} MB"
 
 
-# A ratio pass descends the cube tree _CHUNK_RECTS rectangles at a time.  Per
-# rectangle of a chunk it holds its coordinates, a few 8-byte values for each
-# of its (rectangle, node) pairs alive at one level, and some more for each
-# of its boundary cells; seeded rectangles spanning four decades take about
-# 400 bytes per rectangle of a chunk on the canonical cubes.  1 KiB per
-# rectangle of a chunk bounds the peak.
+# A ratio pass measures its rows in chunks of _TOTALS_ROWS rectangles, each
+# on its own, and descends the cube tree once per chunk.  Per rectangle of a
+# chunk it holds its coordinates, a few 8-byte values for each of its
+# (rectangle, node) pairs alive at one level, some more for each of its
+# boundary cells, and its pieces and limb values; seeded rectangles spanning
+# four decades take about 330 bytes per rectangle of a chunk on the
+# canonical cubes.  1 KiB per rectangle of _CHUNK_RECTS, half a KiB per
+# rectangle of a chunk, bounds the peak.
 _CHUNK_PEAK = 1024 * setmodel._CHUNK_RECTS
 
 
 def test_ratio_memory_is_bounded_by_chunk(canonical_model):
     """Three chunks of seeded rectangles cost one chunk's memory; measuring
     them against every cube at once would take over 70 times the bound."""
-    rects = _seeded_rects(3 * setmodel._CHUNK_RECTS, 3)
+    rects = _seeded_rects(3 * setmodel._TOTALS_ROWS, 3)
     assert _CHUNK_PEAK < rects.shape[0] * canonical_model.trunc * 8 / 70
     tracemalloc.start()
     try:
@@ -843,10 +847,10 @@ def test_ratio_memory_is_bounded_by_chunk(canonical_model):
     assert peak < _CHUNK_PEAK, f"peak {peak / 2**20:.1f} MB"
 
 
-# A scan holds one run of drawn rectangles (_RUN_RECTS rows of 32 bytes, 512
-# KiB) while it measures the busy families of the run, _CHUNK_RECTS rows
-# per descent of the cube tree; a default scan of 100 points x 1,500 rectangles on the canonical
-# cubes peaks at about 2.7 MiB, sampling included.  4 MiB bounds it; the
+# A scan holds one run of drawn rectangles (_TOTALS_ROWS rows of 32 bytes,
+# 512 KiB) while it measures the run's families as one chunk of
+# total_overlaps; a default scan of 100 points x 1,500 rectangles on the
+# canonical cubes peaks at about 2.3 MiB, sampling included.  4 MiB bounds it; the
 # scan's 150,000 rectangles alone, held at once, take 4.6 MiB.
 _SCAN_PEAK = 4 << 20
 
@@ -990,3 +994,63 @@ def test_candidate_pass_memory_is_bounded_by_block(shelf_46k):
     assert len(rows) > 2 * len(rects)
     assert 3 * bound < dense
     assert peak < bound, f"peak {peak / 2**20:.2f} MB, {len(rows)} pieces"
+
+
+# -- chunks of whole families: each measured on its own ---------------------------------
+
+
+def test_totals_across_chunks_match_two_tree_pass(canonical_model):
+    """Chunks of whole families change no total: the scan's families of 500
+    around 24 points, taken as families of 300 and 1,500 (neither divides
+    _TOTALS_ROWS), as two families each larger than a chunk, and as 2^14 +
+    1 single rows, give the two-tree totals bit for bit in every chunk."""
+    model = canonical_model
+    rects, _ = _scan_families(model, 4, points=16, per=500)
+    want = oracles.two_tree_totals(model, rects)
+    assert len(rects) == 36_000 and (want[-3 * 500 :] > 0.0).any()
+    for family in (300, 1500, 18_000):
+        step = family * max(1, setmodel._TOTALS_ROWS // family)
+        assert step < len(rects) and setmodel._TOTALS_ROWS % family
+        assert _same_bits(model.total_overlaps(rects, family), want)
+    ones = rects[: setmodel._TOTALS_ROWS + 1]
+    assert _same_bits(model.total_overlaps(ones), want[: len(ones)])
+
+
+def test_total_overlaps_refuses_a_partial_family(canonical_model, monkeypatch):
+    """A row count that is not a whole number of families is refused, with
+    the family size and the row count named, before any chunk is measured."""
+    measured = []
+    monkeypatch.setattr(CompactSetModel, "_chunk_totals", lambda self, *a: measured.append(a))
+    rects = _seeded_rects(setmodel._TOTALS_ROWS + 7, 1)
+    for family in (2, 0):
+        with pytest.raises(ValueError, match=rf"\b16391 rows .*family={family}\b"):
+            canonical_model.total_overlaps(rects, family)
+    assert not measured
+
+
+def test_totals_memory_is_bounded_by_chunk(shelf_46k):
+    """On the 46k shelf, families of 500 rectangles around points in the
+    strip y <= 0.35 of its 53 large cubes, nearly all busy: a call of eight
+    chunks peaks, beside its output, within 1.5 times a call of one.  A
+    pass that held every row's large-cube pieces for the whole call would
+    grow with the chunks (about five times the one-chunk peak at eight)."""
+    model = shelf_46k
+    config = ScanConfig(t_grid=(0.25, 0.05, 0.01), points=1, rects_per_point=500, seed=0)
+    rng = np.random.default_rng(5)
+    anchors = rng.uniform((0.01, 0.01), (0.99, 0.35), (86, 2)).tolist()
+    rects = np.concatenate(
+        [oracles._draw_rects(rng, p, config.t_grid, config, model) for p in anchors]
+    )
+    chunk = 500 * (setmodel._TOTALS_ROWS // 500)
+    peaks = []
+    for rows in (chunk, 8 * chunk):
+        part = np.ascontiguousarray(rects[:rows])
+        tracemalloc.start()
+        try:
+            totals = model.total_overlaps(part, 500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (totals > 0.0).mean() > 0.7
+        peaks.append(peak - totals.nbytes)
+    assert peaks[1] <= 1.5 * peaks[0], [f"{p / 2**20:.2f} MiB" for p in peaks]
