@@ -8,22 +8,32 @@ measure exactly (2*gamma + 1) times the input measure.
 The 2-D operation sweeps the cells between consecutive distinct
 y-endpoints of the squares.  A square toggles its two x-endpoints at the
 cells where it starts and ends, and a value is present on a cell when an odd
-number of its toggles fall at or before that cell.  The squares must be
-pairwise disjoint, so the sections active on one y-cell are pairwise
-disjoint and every value ends at most two of them; it is a boundary of their
-merged union exactly when it ends one.  A cell's present values therefore
-are that union, and each cell's union is dilated.  A second sweep over the
-columns between the dilated unions' distinct x-endpoints toggles the
-y-bounds of each cell at the columns where its dilated blocks start and
-end, and each column's vertical union is dilated.  The output is a finite
-disjoint rectangle union.
+number of its toggles fall at or before that cell.  When the squares are
+pairwise disjoint, the sections active on one y-cell are pairwise disjoint
+and every value ends at most two of them; it is a boundary of their merged
+union exactly when it ends one.  A cell's present values therefore are that
+union, and each cell's union is dilated.  The same sweep checks that the
+squares are disjoint: on every y-cell, the widths of the active sections,
+counted in ranks of the x-endpoints, add up to the width of the cell's row
+exactly when no two of them overlap (see ``dilate_2d``).  A second
+sweep over the columns between the dilated unions' distinct x-endpoints
+toggles the y-bounds of each cell at the columns where its dilated blocks
+start and end, and each column's vertical union is dilated.  The output is
+a finite disjoint rectangle union.
 
-The sweeps are array passes (``_sweep_rows``).  Toggles of one value at one
-cell that cancel in pairs are dropped, and the rest pair up into ranges of
-cells over which the value is present.  Each cell's row length follows from
-the ranges by one cumulative sum, and the rows are expanded a slab of cells
-at a time, with one ``np.repeat`` over the ranges.  For N squares the cost
-is O(N log N) plus the total size of the cells' merged unions.
+The sweeps are array passes (``_sweep_rows``) over integer ranks: each value
+is its index in the sorted table of distinct values, and each toggle one
+int64 key, value rank * span + cell.  One sort of the keys groups the
+toggles of one value at one cell; the groups that cancel in pairs are
+dropped, and the rest pair up into ranges of cells over which the value is
+present.  Each cell's row length follows from the ranges by one cumulative
+sum, and the rows are expanded a slab of cells at a time, with one
+``np.repeat`` over the ranges and one stable radix sort of 16-bit cell
+offsets, and written through the table.  Ranks keep the order of the values
+and the ties between them, so the rows are the float sweep's, bit for bit
+(a zero of either sign reads as the table's one zero).
+For N squares the cost is O(N log N) plus the total size of the cells'
+merged unions.
 
 The squares come in as an (n, 4) array of rows [x0, x1, y0, y1].  Each sweep
 first collects its cells' unions and then dilates them together, in batches
@@ -486,9 +496,9 @@ def _sweep_overlap(
     """
     ids = np.flatnonzero((x_lo < x_hi) & (y_lo < y_hi))
     n = ids.size
+    # leaving ends first, so a stable sort leaves before it enters at equal x
     ends = np.concatenate((x_hi[ids], x_lo[ids]))
-    entering = np.arange(2 * n) >= n
-    order = np.lexsort((entering, ends)).tolist()
+    order = np.argsort(ends, kind="stable").tolist()
     y_lo, y_hi, ids = y_lo[ids].tolist(), y_hi[ids].tolist(), ids.tolist()
     act_lo: list[float] = []
     act_hi: list[float] = []
@@ -516,12 +526,21 @@ def _sweep_overlap(
 # then the columns between consecutive distinct dilated x-ends.  Boundary
 # values are toggled at the cells where they take effect, and a value is
 # present on a cell when an odd number of its toggles fall at or before it.
-# A cell's row is its present values in order.
+# A cell's row is its present values in order.  The sweeps work on ranks:
+# value v is entry v of a sorted table of distinct values, so ranks keep the
+# order of the values and the ties between them, and a toggle is the one
+# integer key v * span + cell, span being one more than the number of cells.
 
 # Presence values that ``_slabs`` expands at once (a cell whose row alone
 # holds more forms a slab of its own), so a sweep's working arrays stay a few
 # hundred kB whatever the family's size.
 _SLAB_VALUES = 1 << 14
+# Cells per slab at most, so that a slab's cell offsets fit in 16 bits, which
+# numpy's stable sort orders by radix sort.  No two adjacent cells are empty
+# (the end between them would start or end a square or block on one of
+# them), so ``_SLAB_VALUES`` alone keeps a slab well below this; the cap
+# makes the fit hold whatever that limit is.
+_SLAB_CELLS = 1 << 16
 
 
 def _expand(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -529,10 +548,11 @@ def _expand(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(int(sizes.sum()))
 
 
-def _presence(cells: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+def _presence(keys: np.ndarray, span: int) -> tuple[np.ndarray, ...]:
     """The ranges over which each toggled value is present, as arrays
     (value, on, off) sorted by value and then by cell: the value is present
-    on the cells on <= c < off.
+    on the cells on <= c < off.  ``keys`` holds a toggle's value * span +
+    cell, and is sorted in place.
 
     Toggles of one value at one cell cancel in pairs, so a (value, cell)
     group toggles anything only when its count is odd: three toggles meet
@@ -542,69 +562,76 @@ def _presence(cells: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
     times in all (a square or a dilated block toggles its ends where it
     starts and again where it ends), so the surviving toggles of each value
     alternate on, off from an even index of the whole sorted list."""
-    order = np.lexsort((cells, values))
-    cells, values = cells[order], values[order]
-    del order
-    head = np.ones(cells.size + 1, dtype=bool)
-    head[1:-1] = (cells[1:] != cells[:-1]) | (values[1:] != values[:-1])
+    keys.sort()
+    head = np.ones(keys.size + 1, dtype=bool)
+    head[1:-1] = keys[1:] != keys[:-1]
     start = np.flatnonzero(head)
-    odd = start[:-1][np.diff(start) % 2 == 1]
-    cells, values = cells[odd], values[odd]
-    return values[0::2], cells[0::2], cells[1::2]
+    del head
+    keys = keys[start[:-1][np.diff(start) % 2 == 1]]
+    del start
+    value, on = np.divmod(keys[0::2], span)
+    return value, on, keys[1::2] % span
 
 
 def _slabs(v: np.ndarray, on: np.ndarray, off: np.ndarray, length: np.ndarray):
     """Every cell's row, in cell order, one slab of consecutive cells at a
-    time: yields the values of the slab's rows, each row sorted.  A slab
-    holds at most ``_SLAB_VALUES`` values unless its one cell holds more.
+    time: yields the slab's end cell and the ranks of its rows, each row
+    sorted.  A slab holds at most ``_SLAB_CELLS`` cells, and at most
+    ``_SLAB_VALUES`` values unless its one cell holds more.
 
     The ranges are expanded in order of their first cell, and those still
     present at a slab's end carry into the next, so each slab expands only
-    its own cells: one ``np.repeat`` over the ranges, never over squares."""
-    rank = np.cumsum(v[1:] != v[:-1])  # v is sorted
-    rank = np.concatenate(([0], rank))
+    its own cells: one ``np.repeat`` over the ranges, never over squares.
+    A slab's ranges are taken in value order (their order in v), and the
+    ranges of one value never share a cell, so a stable radix sort of the
+    expanded values by their cell offsets sorts every row."""
     by_on = np.argsort(on, kind="stable")
-    v, on, off, rank = v[by_on], on[by_on], off[by_on], rank[by_on]
-    span = int(rank.max()) + 1 if rank.size else 1
     total = np.cumsum(length)
     carry = np.zeros(0, dtype=np.intp)
     c0 = i0 = 0
     while c0 < length.size:
         done = int(total[c0 - 1]) if c0 else 0
         c1 = max(int(np.searchsorted(total, done + _SLAB_VALUES, "right")), c0 + 1)
-        i1 = int(np.searchsorted(on, c1))
-        act = np.concatenate((carry, np.arange(i0, i1)))
+        c1 = min(c1, c0 + _SLAB_CELLS)
+        i1 = int(np.searchsorted(on, c1, sorter=by_on))
+        act = np.sort(np.concatenate((carry, by_on[i0:i1])))
         lo = np.maximum(on[act], c0)
         size = np.minimum(off[act], c1) - lo
-        key = (_expand(lo, size) - c0) * span + np.repeat(rank[act], size)
-        yield np.repeat(v[act], size)[np.argsort(key)]
+        offset = _expand(lo - c0, size).astype(np.uint16)
+        yield c1, np.repeat(v[act], size)[np.argsort(offset, kind="stable")]
         carry = act[off[act] > c1]
         c0, i0 = c1, i1
 
 
 def _sweep_rows(
-    cells: np.ndarray, values: np.ndarray, n_cells: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One toggle sweep: ``values[i]`` toggles at cell ``cells[i]`` (a cell
-    index of ``n_cells`` ends a value after the last cell).  Returns the
-    cells whose row is not empty, in order, and their rows as CSR: the row
-    of cell ``live[r]`` is ``rows[row_off[r]:row_off[r + 1]]``.
+    v: np.ndarray, on: np.ndarray, off: np.ndarray, table: np.ndarray, n_cells: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One toggle sweep over ``n_cells`` cells, from ``_presence``'s ranges
+    of value ranks: rank v stands for ``table[v]``.  Returns the cells whose
+    row is not empty, in order, their rows of values as CSR (the row of cell
+    ``live[r]`` is ``rows[row_off[r]:row_off[r + 1]]``), and every cell's
+    width: the sum of v1 - v0 over its row's rank pairs (v0, v1).
 
     A row's length changes at a cell by the values that turn on or off
-    there, so the lengths follow from the ranges by one cumulative sum; the
-    rows are then expanded a slab at a time."""
-    v, on, off = _presence(cells, values)
-    del cells, values
+    there, so the lengths follow from the ranges by one cumulative sum.  The
+    rows are then expanded a slab at a time, and each slab's ranks are
+    written through the table at once, so the ranks of all rows are never
+    held beside their values."""
     step = np.bincount(on, minlength=n_cells + 1) - np.bincount(off, minlength=n_cells + 1)
     length = np.cumsum(step[:n_cells])
     live = np.flatnonzero(length)
     row_off = np.concatenate(([0], np.cumsum(length[live])))
     rows = np.empty(int(row_off[-1]))
-    at = 0
-    for vals in _slabs(v, on, off, length):
-        rows[at : at + vals.size] = vals
-        at += vals.size
-    return live, row_off, rows
+    width = np.empty(n_cells, dtype=np.int64)
+    at = c0 = 0
+    for c1, ranks in _slabs(v, on, off, length):
+        np.take(table, ranks, out=rows[at : at + ranks.size])
+        at += ranks.size
+        # every row holds whole pairs, so a slab starts at an even index
+        pairs = np.concatenate(([0], np.cumsum(ranks[1::2] - ranks[0::2])))
+        width[c0:c1] = np.diff(pairs[np.cumsum(length[c0:c1] // 2)], prepend=0)
+        c0 = c1
+    return live, row_off, rows, width
 
 
 def _grow_sweep(
@@ -676,18 +703,36 @@ def dilate_2d(
 
     ``cubes`` is an (n, 4) array-like of rows [x0, x1, y0, y1], the row
     layout of ``CompactSetModel.overlaps`` (see ``cube_rows``).  Steps:
-    (1) reject overlapping inputs, the precondition of both toggle sweeps;
-    (2) sweep the y-cells between consecutive distinct y-ends: each square
-    toggles its x-ends at the cells of its y0 and y1, so a cell's present
-    x-values are the merged union of its x-sections; (3) dilate each live
-    cell's x-union; (4) sweep the columns between consecutive distinct ends
-    of those dilations: each dilated block toggles its cell's two y-ends at
-    the columns where it starts and ends, so a column's present y-values
-    are its merged vertical union (two adjacent cells with the same union
-    toggle their shared end twice at the same columns, which cancels);
-    (5) dilate each column's vertical union into its section.  Both sweeps
-    are ``_sweep_rows``, and steps 3 and 5 each hand all their unions to
+    (1) sweep the y-cells between consecutive distinct y-ends: each square
+    toggles the ranks of its x-ends at the cells of its y0 and y1, so a
+    cell's present ranks bound the merged union of its x-sections, provided
+    the squares are pairwise disjoint, which this step checks (below);
+    (2) dilate each live cell's x-union; (3) sweep the columns between
+    consecutive distinct ends of those dilations: each dilated block of
+    y-cell c toggles the ranks c and c + 1 of the cell's y-ends at the
+    columns where it starts and ends, so a column's present ranks bound its
+    merged vertical union (two adjacent cells with the same union toggle
+    their shared end twice at the same columns, which cancels); (4) dilate
+    each column's vertical union into its section.  Both sweeps are
+    ``_sweep_rows``, and steps 2 and 4 each hand all their unions to
     ``_grow_sweep`` at once.
+
+    The check in step 1 compares two integer sums on every y-cell: the
+    widths r1 - r0 of the squares active there, in ranks of the x-ends, and
+    the width of the cell's row.  A unit [k, k + 1] of ranks lies between a
+    pair of the row exactly when an odd number of the row's ranks are at or
+    below k.  The row holds the ranks toggled an odd number of times, so
+    that number has the parity of all the cell's toggles at or below k: two
+    for each square that ends at or below k, one for each square that covers
+    the unit.  So a unit lies in the row exactly when an odd number of the
+    cell's squares cover it, the row's width is at most the number of units
+    covered at all, which is at most the squares' sum, and the two are equal
+    exactly when no unit of the cell is covered twice.  Two open squares
+    meet exactly when their y-ranges share a cell (they meet in an open
+    interval between y-ends, which holds a cell) and their rank intervals
+    share a unit (ranks keep the order and the ties of the x-ends).  So the
+    sums differ on some cell exactly when two squares overlap; only then is
+    ``find_overlap`` called, to name the pair in ``OverlappingCubes``.
 
     The result is deterministic, pairwise disjoint, and its measure equals
     (2*gamma + 1)**2 times the total input area up to float rounding.
@@ -697,37 +742,49 @@ def dilate_2d(
     """
     gamma = _check_gamma(gamma, allow_gamma_one)
     rows = cube_rows(cubes)
-    if not len(rows):
+    n = len(rows)
+    if not n:
         return RectUnion.empty()
-    hit = find_overlap(*rows.T)
-    if hit is not None:
-        raise OverlappingCubes(f"cubes {hit[0]} and {hit[1]} overlap")
 
-    # 2. y-sweep: each square toggles x0 and x1 at the cells of y0 and y1
+    # 1. y-sweep: each square toggles the ranks of x0 and x1 at the cells of
+    # y0 and y1, and adds r1 - r0 to the cells it spans (a difference array)
     x0, x1, y0, y1 = rows.T
     ys, at = np.unique(np.concatenate((y0, y1)), return_inverse=True)
-    cell, off, bounds = _sweep_rows(
-        np.concatenate((at, at)), np.concatenate((x0, x0, x1, x1)), ys.size - 1
-    )
-    del at
+    xs, rx = np.unique(np.concatenate((x0, x1)), return_inverse=True)
+    extent = rx[n:] - rx[:n]
+    active = np.zeros(ys.size, dtype=np.int64)
+    np.add.at(active, at[:n], extent)
+    np.subtract.at(active, at[n:], extent)
+    np.cumsum(active, out=active)
+    keys = rx.reshape(2, 1, n) * ys.size + at.reshape(1, 2, n)
+    del at, rx, extent
+    ranges = _presence(keys.reshape(-1), ys.size)
+    del keys
+    cell, off, bounds, width = _sweep_rows(*ranges, xs, ys.size - 1)
+    del ranges
+    if not np.array_equal(width, active[:-1]):
+        raise OverlappingCubes("cubes {} and {} overlap".format(*find_overlap(*rows.T)))
+    del active, width
 
-    # 3. horizontal dilation of every live y-cell's x-union
+    # 2. horizontal dilation of every live y-cell's x-union
     counts, los, his = _grow_sweep(off, bounds, gamma)
     del off, bounds
 
-    # 4. column sweep: each dilated block of y-cell c toggles the cell's
-    # y-ends ys[c] and ys[c + 1] at the columns where it starts and ends; a
-    # column whose union is empty is no column
+    # 3. column sweep: each dilated block of y-cell c toggles the ranks c
+    # and c + 1 of the cell's y-ends at the columns where it starts and
+    # ends; a column whose union is empty is no column
     xs, at = np.unique(np.concatenate((los, his)), return_inverse=True)
     del los, his
-    cell = np.tile(np.repeat(cell, counts), 2)
-    col, sec_off, bounds = _sweep_rows(
-        np.repeat(at, 2), np.column_stack((ys[cell], ys[cell + 1])).ravel(), xs.size - 1
-    )
+    keys = np.repeat(cell, counts) * xs.size + at.reshape(2, -1)
     del at, cell
+    ranges = _presence(np.concatenate((keys, keys + xs.size), axis=None), xs.size)
+    del keys
+    col, sec_off, bounds, _ = _sweep_rows(*ranges, ys, xs.size - 1)
+    del ranges
     x_lo, x_hi = xs[col], xs[col + 1]
+    del xs, ys, col
 
-    # 5. vertical dilation of every column's section
+    # 4. vertical dilation of every column's section
     counts, y_lo, y_hi = _grow_sweep(sec_off, bounds, gamma)
     del bounds
     sec_off = np.concatenate(([0], np.cumsum(counts)))

@@ -22,6 +22,11 @@ and measures must be equal, and both growth loops' output equal bit for bit.
 dicts that its array sweeps replaced, which dilate each distinct union once
 and give every column its own copy of its section at the end; all six
 ``RectUnion`` arrays must be equal byte for byte.
+``float_sweep_rows`` is one toggle sweep over float values, with its
+``np.lexsort`` of (cell, value) toggles and a compound-key argsort per slab,
+as ``dilate_2d`` ran both sweeps before it sorted integer ranks; the rank
+sweep, mapped through its table of values, must give the same rows bit for
+bit.
 ``sample_points_ref`` is the sampler with one cover lookup per drawn point,
 which the batch cover test replaced, and the dense ``in_cubes_ref`` in place
 of the indexed cube test, and ``is_exceptional_ref`` the
@@ -82,6 +87,7 @@ from densitometer.dilation import (
     Rectangle,
     RectUnion,
     _check_gamma,
+    _expand,
     _grow_batch,
     _row_sums,
     cube_rows,
@@ -1038,6 +1044,58 @@ def _grow_keys(keys: list[tuple[float, ...]], gamma: float) -> tuple[np.ndarray,
     counts = np.array([len(k) // 2 for k in keys], dtype=np.intp)
     flat = np.array([v for k in keys for v in k], dtype=np.float64)
     return _grow_batch(counts, flat[0::2], flat[1::2], gamma)
+
+
+def _float_presence(cells: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ranges (value, on, off) over which each toggled float value is
+    present, sorted by value and then by cell, from one ``np.lexsort`` of
+    the (cell, value) toggles; groups of even count cancel."""
+    order = np.lexsort((cells, values))
+    cells, values = cells[order], values[order]
+    head = np.ones(cells.size + 1, dtype=bool)
+    head[1:-1] = (cells[1:] != cells[:-1]) | (values[1:] != values[:-1])
+    start = np.flatnonzero(head)
+    odd = start[:-1][np.diff(start) % 2 == 1]
+    cells, values = cells[odd], values[odd]
+    return values[0::2], cells[0::2], cells[1::2]
+
+
+def _float_slabs(v, on, off, length):
+    """Every cell's float row, a slab of at most 16,384 values (or one cell)
+    at a time, each slab sorted by one argsort of the compound int64 key
+    (cell offset, value rank)."""
+    rank = np.concatenate(([0], np.cumsum(v[1:] != v[:-1])))  # v is sorted
+    by_on = np.argsort(on, kind="stable")
+    v, on, off, rank = v[by_on], on[by_on], off[by_on], rank[by_on]
+    span = int(rank.max()) + 1 if rank.size else 1
+    total = np.cumsum(length)
+    carry = np.zeros(0, dtype=np.intp)
+    c0 = i0 = 0
+    while c0 < length.size:
+        done = int(total[c0 - 1]) if c0 else 0
+        c1 = max(int(np.searchsorted(total, done + (1 << 14), "right")), c0 + 1)
+        i1 = int(np.searchsorted(on, c1))
+        act = np.concatenate((carry, np.arange(i0, i1)))
+        lo = np.maximum(on[act], c0)
+        size = np.minimum(off[act], c1) - lo
+        key = (_expand(lo, size) - c0) * span + np.repeat(rank[act], size)
+        yield np.repeat(v[act], size)[np.argsort(key)]
+        carry = act[off[act] > c1]
+        c0, i0 = c1, i1
+
+
+def float_sweep_rows(cells, values, n_cells: int):
+    """The toggle sweep over float values that ``dilation._sweep_rows``'s
+    rank sweep replaced: ``values[i]`` toggles at cell ``cells[i]``.
+    Returns the live cells, their row offsets and their float rows, which
+    the rank sweep must equal bit for bit."""
+    v, on, off = _float_presence(np.asarray(cells), np.asarray(values, dtype=np.float64))
+    step = np.bincount(on, minlength=n_cells + 1) - np.bincount(off, minlength=n_cells + 1)
+    length = np.cumsum(step[:n_cells])
+    live = np.flatnonzero(length)
+    row_off = np.concatenate(([0], np.cumsum(length[live])))
+    rows = np.concatenate([np.zeros(0), *_float_slabs(v, on, off, length)])
+    return live, row_off, rows
 
 
 def dilate_2d_toggles(cubes, gamma: float, *, allow_gamma_one: bool = False) -> RectUnion:

@@ -685,11 +685,80 @@ def test_presence_keeps_odd_toggle_groups():
     """Three toggles of one value at one cell count as one and four as none,
     in any order; a value present over two stretches gives two ranges."""
     cells = [0, 2, 2, 2, 0, 1, 1, 1, 1, 3, 1, 2, 4, 6]
-    values = [1.0] * 4 + [2.0] * 6 + [3.0] * 4
-    order = np.random.default_rng(1).permutation(len(cells))
-    v, on, off = dilation._presence(np.array(cells)[order], np.array(values)[order])
-    assert v.tolist() == [1.0, 2.0, 3.0, 3.0]
+    values = [0] * 4 + [1] * 6 + [2] * 4
+    keys = np.array(values) * 7 + np.array(cells)
+    v, on, off = dilation._presence(np.random.default_rng(1).permutation(keys), 7)
+    assert v.tolist() == [0, 1, 2, 2]
     assert (on.tolist(), off.tolist()) == ([0, 0, 1, 4], [2, 3, 2, 6])
+
+
+def _captured_sweeps(rows, gamma, monkeypatch):
+    """Both sweeps of ``dilate_2d(rows, gamma)``, as tuples (keys, span,
+    table, cuts, out): the toggle keys as ``_presence`` got them, the rank
+    span, the table of values, the end cell of every slab and what
+    ``_sweep_rows`` returned."""
+    keys, cuts, sweeps = [], [], []
+    presence, slabs, sweep = dilation._presence, dilation._slabs, dilation._sweep_rows
+
+    def spy_presence(k, span):
+        keys.append((k.copy(), span))
+        return presence(k, span)
+
+    def spy_slabs(*args):
+        cuts.append([])
+        for c1, ranks in slabs(*args):
+            cuts[-1].append(c1)
+            yield c1, ranks
+
+    def spy_sweep(v, on, off, table, n_cells):
+        out = sweep(v, on, off, table, n_cells)
+        sweeps.append((table, out))
+        return out
+
+    monkeypatch.setattr(dilation, "_presence", spy_presence)
+    monkeypatch.setattr(dilation, "_slabs", spy_slabs)
+    monkeypatch.setattr(dilation, "_sweep_rows", spy_sweep)
+    dilate_2d(rows, gamma)
+    assert len(keys) == len(cuts) == len(sweeps) == 2
+    return [(k, span, table, c, out) for (k, span), c, (table, out) in zip(keys, cuts, sweeps)]
+
+
+def _assert_sweep_matches_float_oracle(keys, span, table, out):
+    """The rank sweep's live cells, offsets and rows (mapped through its
+    table) equal the float sweep's bit for bit, and each cell's width is
+    the sum of the rank differences over its row's pairs."""
+    rank, cell = np.divmod(keys, span)
+    live, row_off, rows = oracles.float_sweep_rows(cell, table[rank], span - 1)
+    got_live, got_off, got_rows, width = out
+    assert got_live.tolist() == live.tolist() and got_off.tolist() == row_off.tolist()
+    assert got_rows.dtype == rows.dtype and got_rows.tobytes() == rows.tobytes()
+    ranks = np.searchsorted(table, rows)
+    want = np.zeros(span - 1, dtype=np.int64)
+    np.add.at(want, np.repeat(live, np.diff(row_off) // 2), ranks[1::2] - ranks[0::2])
+    assert width.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "layout, s",
+    [("canonical", 3), ("canonical", 4), ("shelf_46k", 5), ("deposition", 3), ("deposition", 4)],
+)
+def test_rank_sweeps_match_float_oracle(request, layout, s, monkeypatch):
+    """Both sweeps of shelf and deposition blocks, ranks against floats."""
+    model = request.getfixturevalue(f"{layout}_model" if layout != "shelf_46k" else layout)
+    rows = _model_rows(model, s**s, (s + 1) ** (s + 1) - 1)
+    for keys, span, table, _, out in _captured_sweeps(rows, 2.0**s, monkeypatch):
+        _assert_sweep_matches_float_oracle(keys, span, table, out)
+
+
+def test_rank_sweep_cuts_slabs_at_the_cell_cap(shelf_46k, monkeypatch):
+    """With the value limit lifted, only the 2**16-cell cap cuts block 5's
+    column sweep (87,061 columns), and the rows still match the floats."""
+    monkeypatch.setattr(dilation, "_SLAB_VALUES", 1 << 40)
+    rows = _model_rows(shelf_46k, 5**5, 6**6 - 1)
+    (_, _, _, y_cuts, _), (keys, span, table, cuts, out) = _captured_sweeps(rows, 32.0, monkeypatch)
+    assert y_cuts == [43_532]
+    assert cuts == [dilation._SLAB_CELLS, span - 1] and span - 1 == 87_061
+    _assert_sweep_matches_float_oracle(keys, span, table, out)
 
 
 @pytest.mark.parametrize("layout", ["canonical", "deposition"])
@@ -902,10 +971,80 @@ def test_cover_builds_no_interval_objects(deposition_model, monkeypatch):
     assert built == {"Interval": 0, "Rectangle": 0, "DisjointIntervalSet": 0}
 
 
-def test_overlapping_sections_raise_before_the_sweep():
+def _refuse(*args, **kwargs):
+    raise AssertionError("not to be called")
+
+
+def test_overlapping_sections_raise_after_the_y_sweep_before_any_growth(monkeypatch):
     # toggling (0, 2) and (1, 3) on one y-cell would give (0, 1) u (2, 3)
-    with pytest.raises(OverlappingCubes):
+    sweeps = []
+    sweep = dilation._sweep_rows
+    monkeypatch.setattr(dilation, "_sweep_rows", lambda *a: sweeps.append(a) or sweep(*a))
+    monkeypatch.setattr(dilation, "_grow_sweep", _refuse)
+    with pytest.raises(OverlappingCubes, match="^cubes 0 and 1 overlap$"):
         dilate_2d([(0, 2, 0, 2), (1, 3, 0, 2)], 2.0)
+    assert len(sweeps) == 1
+
+
+# Overlapping hand families, each refused by the y-sweep's check with the
+# pair that ``find_overlap`` names.
+OVERLAPPING = {
+    # toggles of equal x-ends cancel: the cell's row is empty
+    "identical": [(0, 1, 0, 1), (0, 1, 0, 1)],
+    "nested": [(0, 4, 0, 4), (1, 2, 1, 2)],
+    # the squares share only the y-cell (1.5, 2), and meet on it
+    "one-shared-cell": [(5, 6, 0, 1), (0, 2, 0, 2), (1, 3, 1.5, 3.5)],
+    # the last y-cell (1.5, 2) is the only one where two squares meet
+    "last-cell": [(0, 1, 0, 1), (5, 6, 0, 2), (5.5, 6.5, 1.5, 2)],
+    # three squares on one cell, the outer two touching the middle one
+    # while the third overlaps the first
+    "among-touching": [(0, 1, 0, 1), (1, 2, 0, 1), (0.5, 0.75, 0.25, 0.5)],
+}
+
+
+@pytest.mark.parametrize("name", list(OVERLAPPING))
+def test_folded_check_names_the_overlapping_pair(name, monkeypatch):
+    rows = OVERLAPPING[name]
+    hit = dilation.find_overlap(*_columns(rows))
+    assert hit is not None
+    monkeypatch.setattr(dilation, "_grow_sweep", _refuse)
+    with pytest.raises(OverlappingCubes, match=f"^cubes {hit[0]} and {hit[1]} overlap$"):
+        dilate_2d(rows, 2.0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 1, 0, 1), (1, 2, 0, 1)],  # edges touch, side by side
+        [(0, 1, 0, 1), (0, 1, 1, 2)],  # edges touch, stacked
+        [(0, 1, 0, 1), (1, 2, 1, 2)],  # corners touch
+        [(0, 1, 0, 1), (1, 2, 1, 2), (1, 2, 0, 1), (0, 1, 1, 2)],  # four round one corner
+    ],
+)
+def test_touching_squares_pass_without_find_overlap(rows, monkeypatch):
+    monkeypatch.setattr(dilation, "find_overlap", _refuse)
+    assert dilate_2d(rows, 2.0).measure == pytest.approx(25.0 * len(rows), rel=1e-12)
+
+
+def test_successful_dilation_calls_no_find_overlap(deposition_model, monkeypatch):
+    """The deposition block 4 fails the shelf certificate, so ``find_overlap``
+    would sweep it; the y-sweep's check replaces that call."""
+    monkeypatch.setattr(dilation, "find_overlap", _refuse)
+    assert len(dilate_2d(_model_rows(deposition_model, 4**4, 5**5 - 1), 16.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(squares)
+def test_folded_check_raises_exactly_on_overlap(drawn):
+    """Integer corners, overlapping or not: ``dilate_2d`` raises exactly
+    when ``find_overlap`` finds a pair, with that pair's message."""
+    rows = [(x, x + w, y, y + w) for x, y, w in drawn]
+    hit = dilation.find_overlap(*_columns(rows))
+    if hit is None:
+        dilate_2d(rows, 2.0)
+    else:
+        with pytest.raises(OverlappingCubes, match=f"^cubes {hit[0]} and {hit[1]} overlap$"):
+            dilate_2d(rows, 2.0)
 
 
 # -- the overlap check: shelf certificate, then the sweep ------------------------
@@ -1093,9 +1232,10 @@ def test_deposition_block4_sweep_memory(deposition_model):
 
 
 # tracemalloc peak of ``build_cover`` per block cube on the shelf packing:
-# 394 B at block 5 (16.4 MB) and 381 B at block 6 (282 MB) with numpy 2.4 on
-# x86-64; the bounds leave about 4% and 5% of headroom.
-_COVER_PEAK_PER_CUBE = {5: 410, 6: 400}
+# 328 B at block 5 (14.3 MB) and 291 B at block 6 (226 MB) with numpy 2.4 on
+# x86-64; the bounds keep the 16 and 19.5 B of headroom they had over the
+# float sweeps' 394 and 381 B, about 5% and 7%.
+_COVER_PEAK_PER_CUBE = {5: 344, 6: 311}
 # Bytes the union's arrays hold per rectangle: 40 per column (its x-ends,
 # section offset and measure) and 16 per interval, so 48 on these blocks,
 # whose columns hold one interval each; the bound leaves about 4%.
