@@ -15,7 +15,8 @@ union exactly when it ends one.  A cell's present values therefore are that
 union, and each cell's union is dilated.  The same sweep checks that the
 squares are disjoint: on every y-cell, the widths of the active sections,
 counted in ranks of the x-endpoints, add up to the width of the cell's row
-exactly when no two of them overlap (see ``dilate_2d``).  A second
+exactly when no two of them overlap; this is the one general overlap check,
+and it names an overlapping pair (see ``_y_sweep``).  A second
 sweep over the columns between the dilated unions' distinct x-endpoints
 toggles the y-bounds of each cell at the columns where its dilated blocks
 start and end, and each column's vertical union is dilated.  The output is
@@ -48,7 +49,6 @@ column x-bounds and each column's vertical section with its exact measure
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -429,29 +429,27 @@ class RectUnion:
 _SHELF_ROWS = 1 << 16
 
 
-def _shelf_disjoint(
-    x_lo: np.ndarray, x_hi: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
-) -> bool:
-    """Whether the rows are certified pairwise disjoint as shelves.
+def _shelf_disjoint(rows: np.ndarray) -> bool:
+    """Whether the rows [x0, x1, y0, y1] are certified disjoint as shelves.
 
-    The certificate: every row has x_lo < x_hi and y_lo < y_hi; in index
-    order the rows form runs of equal y_lo (shelves); within a run x_hi[i]
-    <= x_lo[i + 1]; and each run's top, its largest y_hi, is at most the
-    next run's y_lo.  Then a run's rows are x-disjoint, and the runs' open
-    y-ranges (y_lo, top) follow one another upward, so any two rows are
-    disjoint.  False refutes nothing: it only means the certificate does
-    not apply (NaN fails every comparison).  The rows go ``_SHELF_ROWS`` at
-    a time, carrying the top of the run left open at a step's end.
+    The certificate: every row has x0 < x1 and y0 < y1; in index order the
+    rows form runs of equal y0 (shelves); within a run x1[i] <= x0[i + 1];
+    and each run's top, its largest y1, is at most the next run's y0.  Then
+    a run's rows are x-disjoint, and the runs' open y-ranges (y0, top)
+    follow one another upward, so any two rows are disjoint.  False refutes
+    nothing: it only means the certificate does not apply (NaN fails every
+    comparison).  The rows go ``_SHELF_ROWS`` at a time, carrying the top of
+    the run left open at a step's end.
     """
-    n = len(x_lo)
+    n = len(rows)
     top = -math.inf
     for a in range(0, n, _SHELF_ROWS):
         b = min(n, a + _SHELF_ROWS)
-        xl, xh, yl, yh = x_lo[a:b], x_hi[a:b], y_lo[a:b], y_hi[a:b]
+        xl, xh, yl, yh = rows[a:b].T
         if not ((xl < xh).all() and (yl < yh).all()):
             return False
         # the pairs (i, i + 1) that start in this step
-        next_xl, next_yl = x_lo[a + 1 : b + 1], y_lo[a + 1 : b + 1]
+        next_xl, next_yl = rows[a + 1 : b + 1, 0], rows[a + 1 : b + 1, 2]
         m = len(next_yl)
         same = yl[:m] == next_yl
         if not (xh[:m][same] <= next_xl[same]).all():
@@ -466,58 +464,22 @@ def _shelf_disjoint(
     return True
 
 
-def find_overlap(
-    x_lo: Sequence[float], x_hi: Sequence[float], y_lo: Sequence[float], y_hi: Sequence[float]
-) -> tuple[int, int] | None:
-    """First index pair of open rectangles whose interiors meet, else None.
+def find_overlap(rows: np.ndarray | Sequence[Sequence[float]]) -> tuple[int, int] | None:
+    """An index pair i < j of rows [x0, x1, y0, y1], open rectangles, whose
+    interiors meet, else None.
 
     Rows that pass the shelf certificate (``_shelf_disjoint``), as every
-    ``build_packing`` layout does, are disjoint without a sweep; any others
-    go to ``_sweep_overlap``, which names the pair.
+    ``build_packing`` layout does, are disjoint without a sweep.  Of any
+    others, rows without interior (not x0 < x1 and y0 < y1, also for NaN)
+    meet nothing and are skipped, and ``_y_sweep`` checks the rest.
     """
-    x_lo, x_hi, y_lo, y_hi = (np.asarray(v, dtype=np.float64) for v in (x_lo, x_hi, y_lo, y_hi))
-    if _shelf_disjoint(x_lo, x_hi, y_lo, y_hi):
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+    if _shelf_disjoint(rows):
         return None
-    return _sweep_overlap(x_lo, x_hi, y_lo, y_hi)
-
-
-def _sweep_overlap(
-    x_lo: np.ndarray, x_hi: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
-) -> tuple[int, int] | None:
-    """``find_overlap`` by an endpoint sweep (Shamos and Hoey, FOCS 1976).
-
-    Sweeps the x-endpoints, leaving before entering at equal x so that
-    rectangles touching along an edge stay disjoint, and keeps the active
-    y-intervals sorted.  While those are pairwise disjoint, an entering
-    interval meets one of them exactly when it meets its neighbour below or
-    above, so the check takes O(N log N) comparisons; it returns the first
-    (active, entering) pair that meets.  Rows without interior (x_lo < x_hi
-    and y_lo < y_hi fail, also for NaN) meet nothing and are skipped.
-    """
-    ids = np.flatnonzero((x_lo < x_hi) & (y_lo < y_hi))
-    n = ids.size
-    # leaving ends first, so a stable sort leaves before it enters at equal x
-    ends = np.concatenate((x_hi[ids], x_lo[ids]))
-    order = np.argsort(ends, kind="stable").tolist()
-    y_lo, y_hi, ids = y_lo[ids].tolist(), y_hi[ids].tolist(), ids.tolist()
-    act_lo: list[float] = []
-    act_hi: list[float] = []
-    act_id: list[int] = []
-    for e in order:
-        if e < n:
-            k = bisect_left(act_lo, y_lo[e])
-            del act_lo[k], act_hi[k], act_id[k]
-            continue
-        i = e - n
-        k = bisect_right(act_lo, y_lo[i])
-        if k > 0 and act_hi[k - 1] > y_lo[i]:
-            return act_id[k - 1], ids[i]
-        if k < len(act_lo) and act_lo[k] < y_hi[i]:
-            return act_id[k], ids[i]
-        act_lo.insert(k, y_lo[i])
-        act_hi.insert(k, y_hi[i])
-        act_id.insert(k, ids[i])
-    return None
+    x0, x1, y0, y1 = rows.T
+    ids = np.flatnonzero((x0 < x1) & (y0 < y1))
+    pair = _y_sweep(rows[ids])[0] if ids.size else None
+    return None if pair is None else (int(ids[pair[0]]), int(ids[pair[1]]))
 
 
 # -- the toggle sweeps ---------------------------------------------------------
@@ -634,24 +596,83 @@ def _sweep_rows(
     return live, row_off, rows, width
 
 
+def _y_sweep(rows: np.ndarray) -> tuple:
+    """Step 1 of ``dilate_2d`` on rows [x0, x1, y0, y1] with x0 < x1 and
+    y0 < y1, which also checks that they are pairwise disjoint.  Returns an
+    overlapping pair i < j or None, the table ``ys`` of distinct y-ends,
+    and ``_sweep_rows``'s live y-cells with their rows of x-ends as CSR.
+
+    The check compares two integer sums on every y-cell: the widths r1 - r0
+    of the rows active there, in ranks of the x-ends (a difference array
+    over the rows' first and last cells), and the width of the cell's row.
+    A unit [k, k + 1] of ranks lies between a pair of the row exactly when
+    an odd number of the row's ranks are at or below k.  The row holds the
+    ranks toggled an odd number of times, so that number has the parity of
+    all the cell's toggles at or below k: two for each row that ends at or
+    below k, one for each row that covers the unit.  So the row's width
+    counts the units covered an odd number of times, and equals the sum
+    exactly when no unit is covered twice.  Two open rectangles meet
+    exactly when their y-ranges share a cell (they meet in an open interval
+    between y-ends, which holds one) and their rank intervals share a unit
+    (ranks keep the order and the ties of the x-ends, so comparing values
+    compares ranks).  So the sums differ on some cell exactly when two rows
+    overlap.
+
+    The pair is named on the lowest cell whose sums differ: of the rows
+    active there, ordered by (x0, index), the first row k + 1 that starts
+    before row k ends, with row k.  Such a pair exists, or the rows' rank
+    intervals would follow one another and cover no unit twice (so row k
+    also ends last of rows 0..k); and x0[k] <= x0[k + 1] < x1[k], with
+    x0[k + 1] < x1[k + 1], so the unit just right of x0[k + 1] is in both.
+    """
+    n = len(rows)
+    x0, x1, y0, y1 = rows.T
+    ys, at = np.unique(np.concatenate((y0, y1)), return_inverse=True)
+    xs, rx = np.unique(np.concatenate((x0, x1)), return_inverse=True)
+    extent = rx[n:] - rx[:n]
+    active = np.zeros(ys.size, dtype=np.int64)
+    np.add.at(active, at[:n], extent)
+    np.subtract.at(active, at[n:], extent)
+    np.cumsum(active, out=active)
+    keys = rx.reshape(2, 1, n) * ys.size + at.reshape(1, 2, n)
+    del at, rx, extent
+    ranges = _presence(keys.reshape(-1), ys.size)
+    del keys
+    cell, off, bounds, width = _sweep_rows(*ranges, xs, ys.size - 1)
+    del ranges
+    bad = np.flatnonzero(width != active[:-1])
+    if not bad.size:
+        return None, ys, cell, off, bounds
+    c = int(bad[0])
+    on = np.flatnonzero((y0 <= ys[c]) & (y1 >= ys[c + 1]))
+    on = on[np.argsort(x0[on], kind="stable")]
+    k = int(np.flatnonzero(x0[on[1:]] < x1[on[:-1]])[0])
+    return tuple(sorted((int(on[k]), int(on[k + 1])))), ys, cell, off, bounds
+
+
 def _grow_sweep(
     off: np.ndarray, bounds: np.ndarray, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dilate every union of a sweep, union i given by its sorted boundary
     values ``bounds[off[i]:off[i + 1]]`` (lo, hi, lo, hi, ...), in batches
     of consecutive unions holding at most ``_BATCH_MEMBERS`` members.
-    Returns ``_grow_batch``'s block counts and ends, in union order."""
+    Returns ``_grow_batch``'s block counts and ends, in union order, each
+    batch's appended in place (by ``realloc``), so they are held once."""
     counts = np.diff(off) // 2
     ends = np.cumsum(counts)
-    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
+    out = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))
     a = 0
     while a < counts.size:
         lo = int(ends[a] - counts[a])
         b = max(int(np.searchsorted(ends, lo + _BATCH_MEMBERS, "right")), a + 1)
         flat = bounds[off[a] : off[b]]
-        parts.append(_grow_batch(counts[a:b], flat[0::2], flat[1::2], gamma))
+        for held, part in zip(out, _grow_batch(counts[a:b], flat[0::2], flat[1::2], gamma)):
+            at = held.size
+            held.resize(at + part.size, refcheck=False)  # no view of it exists
+            held[at:] = part
+        del part
         a = b
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    return out
 
 
 def _row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -706,33 +727,16 @@ def dilate_2d(
     (1) sweep the y-cells between consecutive distinct y-ends: each square
     toggles the ranks of its x-ends at the cells of its y0 and y1, so a
     cell's present ranks bound the merged union of its x-sections, provided
-    the squares are pairwise disjoint, which this step checks (below);
-    (2) dilate each live cell's x-union; (3) sweep the columns between
-    consecutive distinct ends of those dilations: each dilated block of
-    y-cell c toggles the ranks c and c + 1 of the cell's y-ends at the
-    columns where it starts and ends, so a column's present ranks bound its
-    merged vertical union (two adjacent cells with the same union toggle
-    their shared end twice at the same columns, which cancels); (4) dilate
-    each column's vertical union into its section.  Both sweeps are
-    ``_sweep_rows``, and steps 2 and 4 each hand all their unions to
-    ``_grow_sweep`` at once.
-
-    The check in step 1 compares two integer sums on every y-cell: the
-    widths r1 - r0 of the squares active there, in ranks of the x-ends, and
-    the width of the cell's row.  A unit [k, k + 1] of ranks lies between a
-    pair of the row exactly when an odd number of the row's ranks are at or
-    below k.  The row holds the ranks toggled an odd number of times, so
-    that number has the parity of all the cell's toggles at or below k: two
-    for each square that ends at or below k, one for each square that covers
-    the unit.  So a unit lies in the row exactly when an odd number of the
-    cell's squares cover it, the row's width is at most the number of units
-    covered at all, which is at most the squares' sum, and the two are equal
-    exactly when no unit of the cell is covered twice.  Two open squares
-    meet exactly when their y-ranges share a cell (they meet in an open
-    interval between y-ends, which holds a cell) and their rank intervals
-    share a unit (ranks keep the order and the ties of the x-ends).  So the
-    sums differ on some cell exactly when two squares overlap; only then is
-    ``find_overlap`` called, to name the pair in ``OverlappingCubes``.
+    the squares are pairwise disjoint, which this step checks
+    (``_y_sweep``) before anything grows; (2) dilate each live cell's
+    x-union; (3) sweep the columns between consecutive distinct ends of
+    those dilations: each dilated block of y-cell c toggles the ranks c and
+    c + 1 of the cell's y-ends at the columns where it starts and ends, so
+    a column's present ranks bound its merged vertical union (two adjacent
+    cells with the same union toggle their shared end twice at the same
+    columns, which cancels); (4) dilate each column's vertical union into
+    its section.  Both sweeps are ``_sweep_rows``, and steps 2 and 4 each
+    hand all their unions to ``_grow_sweep`` at once.
 
     The result is deterministic, pairwise disjoint, and its measure equals
     (2*gamma + 1)**2 times the total input area up to float rounding.
@@ -742,29 +746,13 @@ def dilate_2d(
     """
     gamma = _check_gamma(gamma, allow_gamma_one)
     rows = cube_rows(cubes)
-    n = len(rows)
-    if not n:
+    if not len(rows):
         return RectUnion.empty()
 
-    # 1. y-sweep: each square toggles the ranks of x0 and x1 at the cells of
-    # y0 and y1, and adds r1 - r0 to the cells it spans (a difference array)
-    x0, x1, y0, y1 = rows.T
-    ys, at = np.unique(np.concatenate((y0, y1)), return_inverse=True)
-    xs, rx = np.unique(np.concatenate((x0, x1)), return_inverse=True)
-    extent = rx[n:] - rx[:n]
-    active = np.zeros(ys.size, dtype=np.int64)
-    np.add.at(active, at[:n], extent)
-    np.subtract.at(active, at[n:], extent)
-    np.cumsum(active, out=active)
-    keys = rx.reshape(2, 1, n) * ys.size + at.reshape(1, 2, n)
-    del at, rx, extent
-    ranges = _presence(keys.reshape(-1), ys.size)
-    del keys
-    cell, off, bounds, width = _sweep_rows(*ranges, xs, ys.size - 1)
-    del ranges
-    if not np.array_equal(width, active[:-1]):
-        raise OverlappingCubes("cubes {} and {} overlap".format(*find_overlap(*rows.T)))
-    del active, width
+    # 1. y-sweep, which checks that the squares are disjoint
+    pair, ys, cell, off, bounds = _y_sweep(rows)
+    if pair is not None:
+        raise OverlappingCubes("cubes {} and {} overlap".format(*pair))
 
     # 2. horizontal dilation of every live y-cell's x-union
     counts, los, his = _grow_sweep(off, bounds, gamma)

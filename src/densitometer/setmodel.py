@@ -671,8 +671,8 @@ class CompactSetModel:
         """Model from a set.json object.
 
         ValueError names the field when the object does not have the shape
-        that :meth:`to_json` writes; OverlappingCubes when two cubes'
-        interiors meet.
+        that :meth:`to_json` writes; OverlappingCubes, naming 1-based cube
+        numbers, when two cubes' interiors meet (``find_overlap``).
         """
         if not isinstance(obj, dict):
             raise ValueError(f"set.json must hold an object, got {type(obj).__name__}")
@@ -704,7 +704,7 @@ class CompactSetModel:
             ys,
             sides,
         )
-        hit = find_overlap(model.xs, model.xs + model.sides, model.ys, model.ys + model.sides)
+        hit = find_overlap(np.column_stack((xs, xs + sides, ys, ys + sides)))
         if hit is not None:
             raise OverlappingCubes(f"cubes {hit[0] + 1} and {hit[1] + 1} overlap")
         return model

@@ -70,6 +70,11 @@ as a scalar loop with four sequence calls per cube, and
 ``sides_check_ref`` the per-cube side check of ``CompactSetModel``, which
 one array pass over the sequence replaced; packings, areas, errors and
 their messages must be equal, floats bit for bit.
+``sweep_overlap_ref`` is the endpoint sweep (Shamos and Hoey, FOCS 1976)
+that named the overlapping pair before the y-sweep of ``dilate_2d`` became
+the one general overlap check: ``find_overlap`` must name a pair exactly
+when it finds one, and ``dilate_2d_toggles`` and ``dilate_2d_objects``
+check their inputs with it.
 """
 
 import functools
@@ -91,7 +96,6 @@ from densitometer.dilation import (
     _grow_batch,
     _row_sums,
     cube_rows,
-    find_overlap,
 )
 from densitometer.errors import OutOfRange, OverlappingCubes, PackingInfeasible
 from densitometer.interval1d import DisjointIntervalSet, Interval, Location, atoms
@@ -1098,6 +1102,43 @@ def float_sweep_rows(cells, values, n_cells: int):
     return live, row_off, rows
 
 
+def sweep_overlap_ref(rows) -> tuple[int, int] | None:
+    """The first (active, entering) index pair of open rectangles, rows
+    [x0, x1, y0, y1], whose interiors meet, else None, by an endpoint sweep.
+
+    Sweeps the x-endpoints, leaving before entering at equal x so that
+    rectangles touching along an edge stay disjoint, and keeps the active
+    y-intervals sorted.  While those are pairwise disjoint, an entering
+    interval meets one of them exactly when it meets its neighbour below or
+    above.  Rows without interior (x0 < x1 and y0 < y1 fail, also for NaN)
+    meet nothing and are skipped."""
+    x_lo, x_hi, y_lo, y_hi = np.asarray(rows, dtype=np.float64).reshape(-1, 4).T
+    ids = np.flatnonzero((x_lo < x_hi) & (y_lo < y_hi))
+    n = ids.size
+    # leaving ends first, so a stable sort leaves before it enters at equal x
+    ends = np.concatenate((x_hi[ids], x_lo[ids]))
+    order = np.argsort(ends, kind="stable").tolist()
+    y_lo, y_hi, ids = y_lo[ids].tolist(), y_hi[ids].tolist(), ids.tolist()
+    act_lo: list[float] = []
+    act_hi: list[float] = []
+    act_id: list[int] = []
+    for e in order:
+        if e < n:
+            k = bisect_left(act_lo, y_lo[e])
+            del act_lo[k], act_hi[k], act_id[k]
+            continue
+        i = e - n
+        k = bisect_right(act_lo, y_lo[i])
+        if k > 0 and act_hi[k - 1] > y_lo[i]:
+            return act_id[k - 1], ids[i]
+        if k < len(act_lo) and act_lo[k] < y_hi[i]:
+            return act_id[k], ids[i]
+        act_lo.insert(k, y_lo[i])
+        act_hi.insert(k, y_hi[i])
+        act_id.insert(k, ids[i])
+    return None
+
+
 def dilate_2d_toggles(cubes, gamma: float, *, allow_gamma_one: bool = False) -> RectUnion:
     """The toggle sweeps of ``dilate_2d`` over Python lists that its array
     sweeps replaced: one sorted boundary list per sweep, toggled value by
@@ -1109,7 +1150,7 @@ def dilate_2d_toggles(cubes, gamma: float, *, allow_gamma_one: bool = False) -> 
     rows = cube_rows(cubes)
     if not len(rows):
         return RectUnion.empty()
-    hit = find_overlap(*rows.T)
+    hit = sweep_overlap_ref(rows)
     if hit is not None:
         raise OverlappingCubes(f"cubes {hit[0]} and {hit[1]} overlap")
 
@@ -1175,7 +1216,7 @@ def dilate_2d_objects(
     cubes = list(cubes)
     if not cubes:
         return ColumnUnion(())
-    hit = find_overlap(*zip(*(c.x.as_pair() + c.y.as_pair() for c in cubes)))
+    hit = sweep_overlap_ref([c.bounds for c in cubes])
     if hit is not None:
         raise OverlappingCubes(f"cubes {hit[0]} and {hit[1]} overlap")
 

@@ -55,23 +55,27 @@ def test_overlapping_set_is_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "cubes",
+    "cubes, message",
     [
         # one shelf row whose second cube overlaps the first
-        [[0.0, 0.0, 0.25], [0.125, 0.0, 0.25]],
+        ([[0.0, 0.0, 0.25], [0.125, 0.0, 0.25]], "cubes 1 and 2"),
         # the second cube starts a shelf below the first's top
-        [[0.25, 0.5, 0.25], [0.375, 0.375, 0.25]],
+        ([[0.25, 0.5, 0.25], [0.375, 0.375, 0.25]], "cubes 1 and 2"),
+        # not in shelf order (cube 2 lies left of cube 1 on its shelf), and
+        # cube 3 meets cube 1 on the last y-cell (0.125, 0.25) only
+        ([[0.5, 0.0, 0.25], [0.0, 0.0, 0.25], [0.625, 0.125, 0.125]], "cubes 1 and 3"),
     ],
-    ids=["shelf-row", "lower-shelf"],
+    ids=["shelf-row", "lower-shelf", "last-cell"],
 )
-def test_overlapping_set_names_the_pair(tmp_path, capsys, cubes):
+def test_overlapping_set_names_the_pair(tmp_path, capsys, cubes, message):
     """The hand-written set.json files of the CI's overlapping-set job."""
-    seq = {"kind": "explicit", "w2": [0.0625, 0.0625]}
+    w2 = [0.0625, 0.0625, 0.015625][: len(cubes)]
+    seq = {"kind": "explicit", "w2": w2}
     path = tmp_path / "set.json"
-    payload = {"outer": [0.0, 1.0, 0.0, 1.0], "trunc": 2, "seq": seq, "cubes": cubes}
+    payload = {"outer": [0.0, 1.0, 0.0, 1.0], "trunc": len(cubes), "seq": seq, "cubes": cubes}
     path.write_text(json.dumps(payload))
     assert run(["scan", "--set", str(path), "--m", "1", "--s-hi", "1"]) == 2
-    assert capsys.readouterr().err == "error: cubes 1 and 2 overlap\n"
+    assert capsys.readouterr().err == f"error: {message} overlap\n"
 
 
 def _short_row(payload):

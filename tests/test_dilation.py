@@ -13,6 +13,7 @@ Python lists and dicts that the array sweeps replaced.
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -986,29 +987,61 @@ def test_overlapping_sections_raise_after_the_y_sweep_before_any_growth(monkeypa
     assert len(sweeps) == 1
 
 
-# Overlapping hand families, each refused by the y-sweep's check with the
-# pair that ``find_overlap`` names.
+def _meet(a, b):
+    """Whether the open rectangles a and b, rows [x0, x1, y0, y1], meet,
+    by comparing their open intervals."""
+    return max(a[0], b[0]) < min(a[1], b[1]) and max(a[2], b[2]) < min(a[3], b[3])
+
+
+def _check_named_pair(rows, hit):
+    """``hit`` names a pair exactly when the endpoint-sweep oracle finds
+    one, and a pair i < j whose rectangles meet."""
+    assert (hit is None) == (oracles.sweep_overlap_ref(rows) is None)
+    if hit is not None:
+        i, j = hit
+        assert 0 <= i < j < len(rows)
+        assert _meet(rows[i], rows[j])
+
+
+def _raised_pair(rows):
+    """The 0-based pair that ``dilate_2d`` names, or None when it dilates."""
+    try:
+        dilate_2d(rows, 2.0)
+    except OverlappingCubes as exc:
+        i, j = re.fullmatch(r"cubes (\d+) and (\d+) overlap", str(exc)).groups()
+        return int(i), int(j)
+    return None
+
+
+# Overlapping hand families, each refused by the y-sweep's check, with the
+# pair it names on the lowest y-cell where two squares meet.
 OVERLAPPING = {
     # toggles of equal x-ends cancel: the cell's row is empty
-    "identical": [(0, 1, 0, 1), (0, 1, 0, 1)],
-    "nested": [(0, 4, 0, 4), (1, 2, 1, 2)],
+    "identical": ([(0, 1, 0, 1), (0, 1, 0, 1)], (0, 1)),
+    "nested": ([(0, 4, 0, 4), (1, 2, 1, 2)], (0, 1)),
     # the squares share only the y-cell (1.5, 2), and meet on it
-    "one-shared-cell": [(5, 6, 0, 1), (0, 2, 0, 2), (1, 3, 1.5, 3.5)],
+    "one-shared-cell": ([(5, 6, 0, 1), (0, 2, 0, 2), (1, 3, 1.5, 3.5)], (1, 2)),
     # the last y-cell (1.5, 2) is the only one where two squares meet
-    "last-cell": [(0, 1, 0, 1), (5, 6, 0, 2), (5.5, 6.5, 1.5, 2)],
+    "last-cell": ([(0, 1, 0, 1), (5, 6, 0, 2), (5.5, 6.5, 1.5, 2)], (1, 2)),
     # three squares on one cell, the outer two touching the middle one
     # while the third overlaps the first
-    "among-touching": [(0, 1, 0, 1), (1, 2, 0, 1), (0.5, 0.75, 0.25, 0.5)],
+    "among-touching": ([(0, 1, 0, 1), (1, 2, 0, 1), (0.5, 0.75, 0.25, 0.5)], (0, 2)),
+    # the later square in index order starts further left: the pair is
+    # still reported smaller index first
+    "reversed": ([(2, 4, 0, 2), (1, 3, 1, 3)], (0, 1)),
+    # squares 1 and 2 meet on the lowest y-cell (0, 1), and squares 1 and
+    # 3 on the higher cell (2, 3)
+    "lowest-cell": ([(9, 10, 0, 1), (0, 4, 0, 4), (1, 2, 0, 1), (3, 5, 2, 3)], (1, 2)),
 }
 
 
 @pytest.mark.parametrize("name", list(OVERLAPPING))
 def test_folded_check_names_the_overlapping_pair(name, monkeypatch):
-    rows = OVERLAPPING[name]
-    hit = dilation.find_overlap(*_columns(rows))
-    assert hit is not None
+    rows, pair = OVERLAPPING[name]
+    _check_named_pair(rows, pair)
+    assert dilation.find_overlap(rows) == pair
     monkeypatch.setattr(dilation, "_grow_sweep", _refuse)
-    with pytest.raises(OverlappingCubes, match=f"^cubes {hit[0]} and {hit[1]} overlap$"):
+    with pytest.raises(OverlappingCubes, match=f"^cubes {pair[0]} and {pair[1]} overlap$"):
         dilate_2d(rows, 2.0)
 
 
@@ -1027,8 +1060,8 @@ def test_touching_squares_pass_without_find_overlap(rows, monkeypatch):
 
 
 def test_successful_dilation_calls_no_find_overlap(deposition_model, monkeypatch):
-    """The deposition block 4 fails the shelf certificate, so ``find_overlap``
-    would sweep it; the y-sweep's check replaces that call."""
+    """The deposition block 4 fails the shelf certificate; ``dilate_2d``
+    checks it in its own y-sweep and never calls ``find_overlap``."""
     monkeypatch.setattr(dilation, "find_overlap", _refuse)
     assert len(dilate_2d(_model_rows(deposition_model, 4**4, 5**5 - 1), 16.0))
 
@@ -1037,21 +1070,50 @@ def test_successful_dilation_calls_no_find_overlap(deposition_model, monkeypatch
 @given(squares)
 def test_folded_check_raises_exactly_on_overlap(drawn):
     """Integer corners, overlapping or not: ``dilate_2d`` raises exactly
-    when ``find_overlap`` finds a pair, with that pair's message."""
+    when the endpoint-sweep oracle finds a pair, naming a pair that meets,
+    the one ``find_overlap`` names."""
     rows = [(x, x + w, y, y + w) for x, y, w in drawn]
-    hit = dilation.find_overlap(*_columns(rows))
-    if hit is None:
-        dilate_2d(rows, 2.0)
-    else:
-        with pytest.raises(OverlappingCubes, match=f"^cubes {hit[0]} and {hit[1]} overlap$"):
-            dilate_2d(rows, 2.0)
+    hit = _raised_pair(rows)
+    _check_named_pair(rows, hit)
+    assert dilation.find_overlap(rows) == hit
 
 
-# -- the overlap check: shelf certificate, then the sweep ------------------------
+def _shelf_rows(shelves):
+    """Integer squares packed in shelves, left to right and bottom up."""
+    rows, y = [], 0
+    for sides in shelves:
+        x = 0
+        for w in sides:
+            rows.append((x, x + w, y, y + w))
+            x += w
+        y += max(sides)
+    return rows
 
-def _columns(rows):
-    return tuple(np.ascontiguousarray(np.asarray(rows, dtype=np.float64).T))
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=5), min_size=1, max_size=4),
+    st.one_of(st.none(), st.tuples(st.integers(0, 19), st.integers(0, 19))),
+    st.randoms(use_true_random=False),
+)
+def test_shuffled_integer_shelves_match_sweep_oracle(shelves, plant, rnd):
+    """Integer shelves shuffled out of index order, so the certificate
+    rarely applies and the y-sweep decides, some with one square moved onto
+    another's lower-left corner: ``find_overlap`` and ``dilate_2d`` name
+    the same pair, a pair that meets, exactly when the oracle finds one."""
+    rows = _shelf_rows(shelves)
+    if plant is not None:
+        moved, onto = (k % len(rows) for k in plant)
+        x0, x1, y0, y1 = rows[moved]
+        cx, cy = rows[onto][0], rows[onto][2]
+        rows[moved] = (cx, cx + x1 - x0, cy, cy + y1 - y0)
+    rnd.shuffle(rows)
+    hit = dilation.find_overlap(rows)
+    _check_named_pair(rows, hit)
+    assert _raised_pair(rows) == hit
+
+
+# -- the overlap check: shelf certificate, then the y-sweep ----------------------
 
 def _model_rows(model, lo=1, hi=None):
     """Rows [x0, x1, y0, y1] of cubes lo..hi, as ``build_cover`` forms them."""
@@ -1060,9 +1122,8 @@ def _model_rows(model, lo=1, hi=None):
     return np.column_stack((x, x + w, y, y + w))
 
 
-# Planted overlaps, each refused by the certificate, with the pair that the
-# sweep names: for the first three, the pair it named before the certificate
-# existed.
+# Planted overlaps, each refused by the certificate, with the one pair that
+# meets.
 PLANTED = {
     # one shelf of unit squares, the third pushed into the second
     "inside-run": ([(0, 1, 0, 1), (1, 2, 0, 1), (1.5, 2.5, 0, 1), (3, 4, 0, 1)], (1, 2)),
@@ -1077,8 +1138,7 @@ PLANTED = {
         (3, 4),
     ),
     # rows 0 and 2 overlap, and a row without interior lies between them:
-    # the sweep skips it, as it would otherwise chain their x-ends and miss
-    # the pair, or leave before it enters and fail
+    # it is skipped, as it meets nothing
     "negative-width": ([(0, 2, 0, 1), (2, 1, 0, 1), (1, 3, 0, 1)], (0, 2)),
     "reversed-width": ([(0, 2, 0, 1), (3, 0.5, 0, 1), (1, 3, 0, 1)], (0, 2)),
     "nan-row": ([(0, 2, 0, 1), (np.nan, 2, 0, 1), (1, 3, 0, 1)], (0, 2)),
@@ -1099,47 +1159,52 @@ CERTIFIED = {
 def test_certificate_refuses_planted_overlaps(name, step, monkeypatch):
     """Every planted overlap fails the certificate, at every step size (so
     each run boundary also falls at a step's edge), and ``find_overlap``
-    then names the sweep's pair."""
+    names the one pair that meets, as the oracle does."""
     monkeypatch.setattr(dilation, "_SHELF_ROWS", step)
     rows, pair = PLANTED[name]
-    cols = _columns(rows)
-    assert not dilation._shelf_disjoint(*cols)
-    assert dilation.find_overlap(*cols) == dilation._sweep_overlap(*cols) == pair
+    assert not dilation._shelf_disjoint(np.array(rows, dtype=np.float64))
+    hit = dilation.find_overlap(rows)
+    _check_named_pair(rows, hit)
+    assert hit == oracles.sweep_overlap_ref(rows) == pair
 
 
 @pytest.mark.parametrize("name", list(CERTIFIED))
 @pytest.mark.parametrize("step", [1, 2, 3, 1 << 16])
 def test_certificate_proves_touching_shelves(name, step, monkeypatch):
     monkeypatch.setattr(dilation, "_SHELF_ROWS", step)
-    cols = _columns(CERTIFIED[name])
-    assert dilation._shelf_disjoint(*cols)
-    assert dilation.find_overlap(*cols) is None
-    assert dilation._sweep_overlap(*cols) is None
+    rows = np.array(CERTIFIED[name], dtype=np.float64).reshape(-1, 4)
+    assert dilation._shelf_disjoint(rows)
+    assert dilation.find_overlap(rows) is None
+    assert oracles.sweep_overlap_ref(rows) is None
 
 
-def test_certificate_refuses_rows_without_interior():
+def test_certificate_refuses_rows_without_interior(monkeypatch):
     """Zero or negative extent in either axis, and NaN, fail the certificate
-    although the rows would chain as shelves; the sweep then skips the row
-    and finds the others disjoint."""
+    although the rows would chain as shelves; the row is then skipped
+    before the y-sweep, which finds the others disjoint."""
+    sweeps = []
+    y_sweep = dilation._y_sweep
+    monkeypatch.setattr(dilation, "_y_sweep", lambda rows: sweeps.append(rows) or y_sweep(rows))
     for bad in ((1, 1, 0, 1), (2, 1, 0, 1), (1, 2, 0, 0), (1, 2, 0, -1), (np.nan, 2, 0, 1)):
-        cols = _columns([(0, 1, 0, 1), bad, (2, 3, 0, 1)])
-        assert not dilation._shelf_disjoint(*cols)
-        assert dilation.find_overlap(*cols) is None
+        rows = np.array([(0, 1, 0, 1), bad, (2, 3, 0, 1)], dtype=np.float64)
+        assert not dilation._shelf_disjoint(rows)
+        assert dilation.find_overlap(rows) is None
+        assert sweeps.pop().tolist() == [[0, 1, 0, 1], [2, 3, 0, 1]]
 
 
 @pytest.mark.parametrize("step", [1 << 16, 1000])
 def test_certificate_matches_sweep_on_packings(canonical_model, shelf_46k, step, monkeypatch):
     """Both shelf packings and each of their cover blocks pass the
-    certificate, and the sweep finds them disjoint too; a step of 1,000
+    certificate, and the oracle finds them disjoint too; a step of 1,000
     rows cuts shelves across steps."""
     monkeypatch.setattr(dilation, "_SHELF_ROWS", step)
     families = [_model_rows(canonical_model), _model_rows(shelf_46k)]
     families += [_model_rows(canonical_model, s**s, (s + 1) ** (s + 1) - 1) for s in (3, 4)]
     families += [_model_rows(shelf_46k, s**s, (s + 1) ** (s + 1) - 1) for s in (3, 4, 5)]
     for rows in families:
-        assert dilation._shelf_disjoint(*rows.T)
-        assert dilation._sweep_overlap(*rows.T) is None
-        assert dilation.find_overlap(*rows.T) is None
+        assert dilation._shelf_disjoint(rows)
+        assert oracles.sweep_overlap_ref(rows) is None
+        assert dilation.find_overlap(rows) is None
 
 
 @pytest.mark.parametrize(
@@ -1148,25 +1213,32 @@ def test_certificate_matches_sweep_on_packings(canonical_model, shelf_46k, step,
 )
 def test_certificate_refuses_planted_overlap_in_packing(shelf_46k, moved, onto, pair):
     """A cube moved onto another's corner, inside its shelf or onto the
-    first shelf (a later run restarting lower): the sweep names the pair it
-    named before the certificate."""
+    first shelf (a later run restarting lower), in shelf order and with the
+    rows shuffled out of it: ``find_overlap`` names the one pair that
+    meets, as the oracle does."""
     rows = _model_rows(shelf_46k).copy()
     x0, x1, y0, y1 = rows[moved - 1]
     cx, cy = rows[onto - 1, 0], rows[onto - 1, 2]
     rows[moved - 1] = cx, cx + (x1 - x0), cy, cy + (y1 - y0)
-    assert not dilation._shelf_disjoint(*rows.T)
-    assert dilation.find_overlap(*rows.T) == dilation._sweep_overlap(*rows.T) == pair
+    order = np.random.default_rng(5).permutation(len(rows))
+    place = np.argsort(order)
+    for family, named in ((rows, pair), (rows[order], tuple(sorted(place[list(pair)].tolist())))):
+        assert not dilation._shelf_disjoint(family)
+        hit = dilation.find_overlap(family)
+        _check_named_pair(family, hit)
+        assert hit == named
 
 
 def test_deposition_layout_sweeps(deposition_model):
     """The deposition layout is not shelf-ordered: the certificate does not
-    apply and the sweep proves it disjoint."""
+    apply and the y-sweep proves it disjoint, as the oracle does."""
     rows = _model_rows(deposition_model)
-    assert not dilation._shelf_disjoint(*rows.T)
-    assert dilation.find_overlap(*rows.T) is None
+    assert not dilation._shelf_disjoint(rows)
+    assert dilation.find_overlap(rows) is None
+    assert oracles.sweep_overlap_ref(rows) is None
     for s in (3, 4):
         block = _model_rows(deposition_model, s**s, (s + 1) ** (s + 1) - 1)
-        assert dilation.find_overlap(*block.T) == dilation._sweep_overlap(*block.T) is None
+        assert dilation.find_overlap(block) is None
 
 
 shelf_rows = st.lists(
@@ -1185,23 +1257,23 @@ shelf_rows = st.lists(
 @given(shelf_rows, st.sampled_from([1, 2, 3, 5, 1 << 16]))
 def test_certificate_is_sound_on_drawn_shelves(drawn, step):
     """On drawn near-shelf families, a certificate implies that no two open
-    rows meet (checked pair by pair), and ``find_overlap`` answers as the
-    sweep does, whatever the step."""
+    rows meet (checked pair by pair), and ``find_overlap``, whatever the
+    step, names a pair that meets exactly when the oracle finds one."""
     rows = [(x, x + w, 2 * f + y, 2 * f + y + h) for f, x, w, y, h in drawn]
-    cols = _columns(rows) if rows else _columns(np.zeros((0, 4)))
+    arr = np.array(rows, dtype=np.float64).reshape(-1, 4)
     old = dilation._SHELF_ROWS
     dilation._SHELF_ROWS = step
     try:
-        certified = dilation._shelf_disjoint(*cols)
+        certified = dilation._shelf_disjoint(arr)
+        hit = dilation.find_overlap(arr)
     finally:
         dilation._SHELF_ROWS = old
     if certified:
         for i, a in enumerate(rows):
             assert a[0] < a[1] and a[2] < a[3]
             for b in rows[i + 1 :]:
-                assert not (max(a[0], b[0]) < min(a[1], b[1]) and max(a[2], b[2]) < min(a[3], b[3]))
-    if all(a[0] < a[1] and a[2] < a[3] for a in rows):
-        assert dilation.find_overlap(*cols) == dilation._sweep_overlap(*cols)
+                assert not _meet(a, b)
+    _check_named_pair(rows, hit)
 
 
 def test_block4_dilation_memory(canonical_model):

@@ -3,11 +3,13 @@
 import io
 import json
 import math
+import re
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
+from densitometer import dilation
 from densitometer.dilation import Rectangle
 from densitometer.errors import (
     EmptyRect,
@@ -262,12 +264,80 @@ def test_model_json_round_trip(canonical_seq):
     assert clone == model
 
 
-@pytest.mark.parametrize("moved, onto", [(2, 1), (50, 3)])
-def test_model_json_rejects_overlapping_cubes(canonical_seq, moved, onto):
+def _open_rows(payload):
+    """Rows [x0, x1, y0, y1] of a set.json object's cubes."""
+    return np.array([(x, x + w, y, y + w) for x, y, w in payload["cubes"]])
+
+
+def _raised_pair(payload):
+    """The 1-based pair that ``from_json`` names; it must meet, by
+    comparing the two cubes' open intervals."""
+    with pytest.raises(OverlappingCubes) as info:
+        CompactSetModel.from_json(payload)
+    i, j = map(int, re.fullmatch(r"cubes (\d+) and (\d+) overlap", str(info.value)).groups())
+    assert 1 <= i < j <= len(payload["cubes"])
+    a, b = _open_rows(payload)[[i - 1, j - 1]]
+    assert max(a[0], b[0]) < min(a[1], b[1]) and max(a[2], b[2]) < min(a[3], b[3])
+    return i, j
+
+
+def _mirrored(payload):
+    """The set.json object with every cube reflected in the box's middle
+    line y = 1/2: its shelves descend in index order, so the certificate
+    refuses it and the y-sweep decides."""
+    payload["cubes"] = [[x, 1.0 - y - w, w] for x, y, w in payload["cubes"]]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "moved, onto, mirrored",
+    [(2, 1, False), (50, 3, False), (50, 3, True)],
+    ids=["2-1", "50-3", "mirrored-50-3"],
+)
+def test_model_json_rejects_overlapping_cubes(canonical_seq, moved, onto, mirrored):
     payload = build_packing(canonical_seq, 50, UNIT).to_json()
+    if mirrored:
+        CompactSetModel.from_json(_mirrored(payload))
+        assert not dilation._shelf_disjoint(_open_rows(payload))
     payload["cubes"][moved - 1][:2] = payload["cubes"][onto - 1][:2]
+    assert not dilation._shelf_disjoint(_open_rows(payload))
     with pytest.raises(OverlappingCubes, match=f"cubes {min(moved, onto)} and {max(moved, onto)}"):
         CompactSetModel.from_json(payload)
+
+
+@pytest.mark.parametrize("moved, onto", [(3124, 1), (2000, 1500), (5, 2000)])
+def test_deposition_json_rejects_planted_overlap(deposition_model, moved, onto):
+    """A cube of the deposition layout moved onto another's lower-left
+    corner: a smaller cube lies inside the one it is moved onto, a larger
+    one may meet several, and the pair named always meets."""
+    payload = deposition_model.to_json()
+    rows = _open_rows(payload)
+    assert oracles.sweep_overlap_ref(rows) is None
+    payload["cubes"][moved - 1][:2] = payload["cubes"][onto - 1][:2]
+    pair = _raised_pair(payload)
+    assert moved in pair
+    if moved > onto:
+        assert pair == (onto, moved)
+
+
+def test_shuffled_shelf_packing_loads_as_equal_model(canonical_seq):
+    """The 3,124-cube shelf packing with its shelves stacked in a shuffled
+    order, so that index order climbs and falls between shelves: the
+    certificate refuses it, and the y-sweep loads it as an equal model."""
+    model = build_packing(canonical_seq, 3124, UNIT)
+    shelf = np.cumsum(np.r_[True, model.ys[1:] != model.ys[:-1]]) - 1
+    heights = model.sides[np.flatnonzero(np.r_[True, shelf[1:] != shelf[:-1]])]
+    order = np.random.default_rng(11).permutation(heights.size)
+    floors = np.empty(heights.size)
+    floors[order] = np.r_[0.0, np.cumsum(heights[order])[:-1]]
+    shuffled = CompactSetModel(
+        UNIT, canonical_seq, 3124, model.xs, floors[shelf], model.sides
+    )
+    payload = json.loads(json.dumps(shuffled.to_json()))
+    rows = _open_rows(payload)
+    assert not dilation._shelf_disjoint(rows)
+    assert oracles.sweep_overlap_ref(rows) is None
+    assert CompactSetModel.from_json(payload) == shuffled
 
 
 def test_locate_in_cubes(canonical_model):
