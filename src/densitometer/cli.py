@@ -329,11 +329,11 @@ def _scan_config(args, s_hi: int, points=None) -> ScanConfig:
 
 
 def _run_scan(model, cover, ratefn, config, points=None):
-    """Scan, separation check and envelope on one set of points, timed on stderr."""
+    """Scan, separation check and envelope on one set of points, timed on
+    stderr; the separation check reads the scan's plan from its report."""
     start = time.perf_counter()
     report = scan_density_bound(model, cover, ratefn, config, points=points)
-    scanned = report.sample.points if points is None else points
-    separation = separation_check(model, cover, ratefn, config, points=scanned)
+    separation = separation_check(model, cover, ratefn, config, report=report)
     envelope = scan_deficit_envelope(report, ratefn)
     print(f"scan runtime {time.perf_counter() - start:.2f} s", file=sys.stderr)
     return report, separation, envelope

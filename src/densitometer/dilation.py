@@ -478,7 +478,7 @@ def find_overlap(rows: np.ndarray | Sequence[Sequence[float]]) -> tuple[int, int
         return None
     x0, x1, y0, y1 = rows.T
     ids = np.flatnonzero((x0 < x1) & (y0 < y1))
-    pair = _y_sweep(rows[ids])[0] if ids.size else None
+    pair = _y_sweep(rows[ids], bounds=False)[0] if ids.size else None
     return None if pair is None else (int(ids[pair[0]]), int(ids[pair[1]]))
 
 
@@ -566,41 +566,58 @@ def _slabs(v: np.ndarray, on: np.ndarray, off: np.ndarray, length: np.ndarray):
 
 
 def _sweep_rows(
-    v: np.ndarray, on: np.ndarray, off: np.ndarray, table: np.ndarray, n_cells: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    v: np.ndarray,
+    on: np.ndarray,
+    off: np.ndarray,
+    table: np.ndarray | None,
+    n_cells: int,
+    *,
+    widths: bool,
+) -> tuple[np.ndarray | None, ...]:
     """One toggle sweep over ``n_cells`` cells, from ``_presence``'s ranges
     of value ranks: rank v stands for ``table[v]``.  Returns the cells whose
-    row is not empty, in order, their rows of values as CSR (the row of cell
-    ``live[r]`` is ``rows[row_off[r]:row_off[r + 1]]``), and every cell's
-    width: the sum of v1 - v0 over its row's rank pairs (v0, v1).
+    row is not empty, in order, and their rows of values as CSR (the row of
+    cell ``live[r]`` is ``rows[row_off[r]:row_off[r + 1]]``), or three Nones
+    when ``table`` is None; and, when ``widths`` is set, every cell's width,
+    the sum of v1 - v0 over its row's rank pairs (v0, v1), else None.  So
+    each caller gets only what it reads: the overlap check the widths, the
+    column sweep the rows.
 
     A row's length changes at a cell by the values that turn on or off
     there, so the lengths follow from the ranges by one cumulative sum.  The
     rows are then expanded a slab at a time, and each slab's ranks are
     written through the table at once, so the ranks of all rows are never
     held beside their values."""
-    step = np.bincount(on, minlength=n_cells + 1) - np.bincount(off, minlength=n_cells + 1)
-    length = np.cumsum(step[:n_cells])
-    live = np.flatnonzero(length)
-    row_off = np.concatenate(([0], np.cumsum(length[live])))
-    rows = np.empty(int(row_off[-1]))
-    width = np.empty(n_cells, dtype=np.int64)
+    length = np.bincount(on, minlength=n_cells + 1)
+    length -= np.bincount(off, minlength=n_cells + 1)
+    length = np.cumsum(length[:n_cells])
+    live = row_off = rows = width = None
+    if table is not None:
+        live = np.flatnonzero(length)
+        row_off = np.concatenate(([0], np.cumsum(length[live])))
+        rows = np.empty(int(row_off[-1]))
+    if widths:
+        width = np.empty(n_cells, dtype=np.int64)
     at = c0 = 0
     for c1, ranks in _slabs(v, on, off, length):
-        np.take(table, ranks, out=rows[at : at + ranks.size])
-        at += ranks.size
-        # every row holds whole pairs, so a slab starts at an even index
-        pairs = np.concatenate(([0], np.cumsum(ranks[1::2] - ranks[0::2])))
-        width[c0:c1] = np.diff(pairs[np.cumsum(length[c0:c1] // 2)], prepend=0)
+        if table is not None:
+            np.take(table, ranks, out=rows[at : at + ranks.size])
+            at += ranks.size
+        if widths:
+            # every row holds whole pairs, so a slab starts at an even index
+            pairs = np.concatenate(([0], np.cumsum(ranks[1::2] - ranks[0::2])))
+            width[c0:c1] = np.diff(pairs[np.cumsum(length[c0:c1] // 2)], prepend=0)
         c0 = c1
     return live, row_off, rows, width
 
 
-def _y_sweep(rows: np.ndarray) -> tuple:
+def _y_sweep(rows: np.ndarray, *, bounds: bool = True) -> tuple:
     """Step 1 of ``dilate_2d`` on rows [x0, x1, y0, y1] with x0 < x1 and
     y0 < y1, which also checks that they are pairwise disjoint.  Returns an
     overlapping pair i < j or None, the table ``ys`` of distinct y-ends,
-    and ``_sweep_rows``'s live y-cells with their rows of x-ends as CSR.
+    and ``_sweep_rows``'s live y-cells with their rows of x-ends as CSR;
+    without ``bounds`` (``find_overlap``, which reads only the pair) the
+    rows of x-ends are not written and those three are None.
 
     The check compares two integer sums on every y-cell: the widths r1 - r0
     of the rows active there, in ranks of the x-ends (a difference array
@@ -638,16 +655,16 @@ def _y_sweep(rows: np.ndarray) -> tuple:
     del at, rx, extent
     ranges = _presence(keys.reshape(-1), ys.size)
     del keys
-    cell, off, bounds, width = _sweep_rows(*ranges, xs, ys.size - 1)
+    cell, off, ends, width = _sweep_rows(*ranges, xs if bounds else None, ys.size - 1, widths=True)
     del ranges
     bad = np.flatnonzero(width != active[:-1])
     if not bad.size:
-        return None, ys, cell, off, bounds
+        return None, ys, cell, off, ends
     c = int(bad[0])
     on = np.flatnonzero((y0 <= ys[c]) & (y1 >= ys[c + 1]))
     on = on[np.argsort(x0[on], kind="stable")]
     k = int(np.flatnonzero(x0[on[1:]] < x1[on[:-1]])[0])
-    return tuple(sorted((int(on[k]), int(on[k + 1])))), ys, cell, off, bounds
+    return tuple(sorted((int(on[k]), int(on[k + 1])))), ys, cell, off, ends
 
 
 def _grow_sweep(
@@ -767,7 +784,7 @@ def dilate_2d(
     del at, cell
     ranges = _presence(np.concatenate((keys, keys + xs.size), axis=None), xs.size)
     del keys
-    col, sec_off, bounds, _ = _sweep_rows(*ranges, ys, xs.size - 1)
+    col, sec_off, bounds, _ = _sweep_rows(*ranges, ys, xs.size - 1, widths=False)
     del ranges
     x_lo, x_hi = xs[col], xs[col + 1]
     del xs, ys, col

@@ -19,18 +19,21 @@ necessity of the exclusion rather than contradict the bound.
 Everything is deterministic given the seed: the points and each point's
 one rectangle stream derive from disjoint substreams of one root seed, and
 reports use shortest-round-trip float formatting so artifact bytes are
-reproducible.  Both checks build the same plan, whose regimes come from one
-kernel pass over all scannable points, and both read the same rectangles:
-each point's one draw of its stream (_point_draw), shaped by _shape_rects.
-Both measure boxes before rectangles.  The scan sends the
-box point +- t of every (point, t) pair through one positivity pass and
-builds only the families whose box meets a cube or whose areas the guard
-of _guard_bounds cannot vouch for: every other family reads the ratio 1.0
-(about 69% of the bench's shelf families).  It then sends the bounding
-box of each built family through one descent of the model's cube tree and
-one kernel pass over the large cubes kept out of it, and a family's
-rectangles descend the tree only when its box meets a tree cube, and meet
-only the large cubes its box meets.  The separation check sends the box
+reproducible.  Both checks read one plan: the points, their regimes, from
+one kernel pass over all scannable points, and each point's seed of its
+rectangle stream.  The scan builds it and keeps it in its report, and the
+separation check given that report reads it in place of building its own.
+Both read the same rectangles: each point's one draw of its stream
+(_point_draw), shaped by _shape_rects, and both measure boxes before
+rectangles.  The scan sends the box point +- t of every (point, t) pair
+through one positivity pass and builds only the families whose box meets a
+cube or whose areas the guard of _guard_bounds cannot vouch for: every
+other family reads the ratio 1.0 (about 69% of the bench's shelf
+families), and the families of a run are shaped in one pass.  It then
+sends the bounding box of each built family through one descent of the
+model's cube tree and one kernel pass over the large cubes kept out of
+it, and a family's rectangles descend the tree only when its box meets a
+tree cube, and meet only the large cubes its box meets.  The separation check sends the box
 point +- t of each applicable pair through one pass over the prefix
 cubes, and draws and shapes families 0..k of only the pairs whose box
 meets one, k the index of t in the ascending grid.  Each ratio is
@@ -40,7 +43,7 @@ exactly rounded, so it does not depend on the run it was measured in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -136,7 +139,9 @@ class PointSample:
 
 
 def _substreams(config: ScanConfig, lane: int, count: int) -> list[np.random.SeedSequence]:
-    # lane 0: point sampling; lane 1: each point's rectangles
+    # lane 0: point sampling; lane 1: each point's rectangles.  A seed
+    # sequence keeps no state that a generator seeded by it moves, so one
+    # seed serves every generator of its point.
     lanes = np.random.SeedSequence(config.seed).spawn(2)
     return lanes[lane].spawn(count)
 
@@ -232,7 +237,7 @@ def _point_draw(seeds: Sequence[np.random.SeedSequence], i: int, k: int, n: int)
 
 def _shape_rects(
     draw: np.ndarray,
-    point: tuple[float, float],
+    point: tuple[float | np.ndarray, float | np.ndarray],
     t: np.ndarray,
     config: ScanConfig,
     model: CompactSetModel,
@@ -242,12 +247,14 @@ def _shape_rects(
     in turn, n rectangles strictly containing the point with Euclidean
     diagonal < t, log-uniform aspect, clipped to the box, shaped from a
     (k, 4, n) draw of uniform doubles in [0, 1) (_point_draw).  Family j
-    takes rows u, aspect, vx and vy of draw[j] and the diameter t[j].  It
-    is written into ``out``, a C-contiguous array of that shape, when
-    given.  Every step is elementwise, so the families of a slice
-    draw[j0:] with t[j0:] are bit for bit those rows of the whole: the
-    scan shapes the suffix of families it builds, the separation check
-    families 0..k.
+    takes rows u, aspect, vx and vy of draw[j] and the diameter t[j].  The
+    point (px, py) is one point for every family or two arrays of k
+    coordinates, family j's point being (px[j], py[j]).  The rectangles are
+    written into ``out``, a C-contiguous array of that shape, when given.
+    Every step is elementwise, so each family's rows have the same bits
+    whatever families are shaped beside it: the separation check shapes
+    families 0..k of one point, and the scan the built suffixes of a whole
+    run of points in one call.
 
     Every coordinate lies in [fl(p - t), fl(p + t)] of its axis: d = fl(t u)
     <= t, height and width are at most d (an aspect of at most 20 keeps the
@@ -257,7 +264,7 @@ def _shape_rects(
     the box in place of the rectangles it has not drawn, and _scan_points
     skips the families whose box meets no cube."""
     n = draw.shape[2]
-    px, py = point
+    px, py = (np.reshape(c, (-1, 1)) for c in point)
     t = t[:, None]
     # uniform(lo, hi) is lo + (hi - lo) * d, so one draw serves all four rows
     u, aspect, vx, vy = draw.swapaxes(0, 1)
@@ -392,7 +399,9 @@ class _ScanPlan:
     """Set-up shared by the scan and the separation check: the ascending t
     grid with its branches and prefixes, which of them are checkable and
     their distinct prefixes in ascending order, the points, their flags,
-    each point's regime at each t, and their sample."""
+    each point's regime at each t, each point's lane-1 seed of its
+    rectangle stream, and their sample.  ``scan_density_bound`` builds it
+    and keeps it in its report, from which ``separation_check`` reads it."""
 
     t_sorted: tuple[float, ...]
     branches: tuple
@@ -402,6 +411,7 @@ class _ScanPlan:
     points: tuple[tuple[float, float], ...]
     scannable: tuple[bool, ...]
     regimes: tuple[tuple[str, ...], ...]
+    seeds: tuple[np.random.SeedSequence, ...]
     sample: PointSample | None
 
 
@@ -414,7 +424,8 @@ def _scan_plan(
 ) -> _ScanPlan:
     """The plan for ``points`` in either form scan_density_bound takes.
     The regimes of all scannable points come from one kernel pass over the
-    largest checkable prefix (_prefix_d2)."""
+    largest checkable prefix (_prefix_d2), and the points' seeds from one
+    spawn of lane 1."""
     t_sorted = tuple(sorted(config.t_grid))
     branches = tuple(ratefn.branch_at(t) for t in t_sorted)
     prefixes = tuple(_separation_prefix(b, config.m) for b in branches)
@@ -448,7 +459,10 @@ def _scan_plan(
     regimes = tuple(
         _regimes(t_sorted, prefixes, model.trunc, s, dist2.get(i)) for i, s in enumerate(scannable)
     )
-    return _ScanPlan(t_sorted, branches, prefixes, checkable, cuts, pts, scannable, regimes, sample)
+    seeds = tuple(_substreams(config, 1, len(pts)))
+    return _ScanPlan(
+        t_sorted, branches, prefixes, checkable, cuts, pts, scannable, regimes, seeds, sample
+    )
 
 
 @dataclass(frozen=True)
@@ -481,10 +495,15 @@ class TSummary:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """The scan's rows and per-t summaries.  ``_plan`` is the plan they were
+    measured on, kept for ``separation_check``; it is no part of the
+    report's value, so ``==``, ``repr`` and ``to_csv`` pass over it."""
+
     config: ScanConfig
     rows: tuple[ScanRow, ...]
     summaries: tuple[TSummary, ...]
     sample: PointSample | None
+    _plan: _ScanPlan | None = field(default=None, compare=False, repr=False)
 
     @property
     def acceptance_rate(self) -> float | None:
@@ -588,22 +607,27 @@ def _scan_points(
     """(min_ratio, violations, regime) of each point for each t, cumulatively.
 
     A point's rectangles of every t come from one (K, 4, n) draw of its own
-    stream (_point_draw), but only the families that can read below 1.0 are
-    built and measured: _skip_bounds skips a family whose box point +- t
-    has no positive overlap with a cube and whose least u clears the guard
-    that keeps every area positive, and each of its rectangles reads
-    exactly 1.0.  A point builds the suffix of its ascending grid from its
-    first family that is not skipped (its busy families are such a suffix),
-    shaped from that draw (_shape_rects), so every built rectangle has the
-    bits it has among all the grid's families.  With the bench's grid about
+    stream (_point_draw, from the plan's seed), but only the families that
+    can read below 1.0 are built and measured: _skip_bounds skips a family
+    whose box point +- t has no positive overlap with a cube and whose least
+    u clears the guard that keeps every area positive, and each of its
+    rectangles reads exactly 1.0.  A point builds the suffix of its
+    ascending grid from its first family that is not skipped (its busy
+    families are such a suffix): that suffix of its draw is copied into a
+    run buffer of draws, and the run's families are shaped from it in one
+    _shape_rects call, each with its own point and t, so every built
+    rectangle has the bits it has among all the grid's families of its
+    point alone.  With the bench's grid about
     3%, 18% and 71% of the families at t = 0.01, 0.05 and 0.25 are busy on
     the shelves of 3,124 and 46,655 cubes, and 0%, 0% and 60% on the
     deposition layout, so about 69% of the shelf families are never built.
 
     Built families fill a buffer of _TOTALS_ROWS rows (or one point's, when
-    a point alone has more), which is measured box first (see _ratios and
+    a point alone has more), and their draws a buffer of as many doubles;
+    the run is shaped and measured box first (see _ratios and
     ``CompactSetModel.total_overlaps``) when the next point's families do
-    not fit; a run that fits the buffer is one chunk of ``total_overlaps``.
+    not fit, and a run that fits the buffer is one chunk of
+    ``total_overlaps``.
     Each family's least ratio and its count below the floor are taken per
     run, the counts by one comparison of the run per floor: the row at
     t_sorted[k] counts the ratios of families 0..k below the floor at
@@ -612,18 +636,21 @@ def _scan_points(
     grid, NaN propagating as the minimum over each cumulative family did.
     The regimes are the plan's."""
     n, grid, count = config.rects_per_point, len(plan.t_sorted), len(plan.points)
-    seeds = _substreams(config, 1, count)
     least_u = _skip_bounds(model, config, plan)
+    pts = np.array(plan.points)
     t = np.array(plan.t_sorted)
     floors = np.array([b.floor for b in plan.branches])
     minima = np.ones((count, grid))
     below = np.zeros((count, grid), dtype=np.int64)
     buffer = np.empty((max(_TOTALS_ROWS, grid * n), 4))
-    used, families = 0, []
+    draws = np.empty((len(buffer) // n, 4, n))
+    families = []
 
     def measure() -> None:
-        ratios = _ratios(model, buffer[:used], n).reshape(-1, n)
         i, j = np.array(families).T
+        point = pts[i, 0], pts[i, 1]
+        rects = _shape_rects(draws[: len(j)], point, t[j], config, model, buffer[: len(j) * n])
+        ratios = _ratios(model, rects, n).reshape(-1, n)
         minima[i, j] = ratios.min(axis=1)
         counts = np.stack([np.count_nonzero(ratios < f, axis=1) for f in floors], axis=1)
         # family j joins the cumulative family at t_sorted[k] for k >= j
@@ -631,20 +658,18 @@ def _scan_points(
         np.add.at(below, i, counts)
         families.clear()
 
-    for i, point in enumerate(plan.points):
-        draw = _point_draw(seeds, i, grid, n)
+    for i in range(count):
+        draw = _point_draw(plan.seeds, i, grid, n)
         built = np.flatnonzero(draw[:, 0].min(axis=1) < least_u[i])
         if not built.size:
             continue
         k0 = int(built[0])
-        rows = (grid - k0) * n
-        if used + rows > len(buffer):
+        if len(families) + grid - k0 > len(draws):
             measure()
-            used = 0
-        _shape_rects(draw[k0:], point, t[k0:], config, model, buffer[used : used + rows])
+        f = len(families)
+        draws[f : f + grid - k0] = draw[k0:]
         families += [(i, k) for k in range(k0, grid)]
-        used += rows
-    if used:
+    if families:
         measure()
     minima = np.minimum.accumulate(minima, axis=1).tolist()
     return [list(zip(*row)) for row in zip(minima, below.tolist(), plan.regimes)]
@@ -712,7 +737,11 @@ def scan_density_bound(
             )
         )
     return ScanReport(
-        config=config, rows=tuple(rows), summaries=tuple(summaries), sample=plan.sample
+        config=config,
+        rows=tuple(rows),
+        summaries=tuple(summaries),
+        sample=plan.sample,
+        _plan=plan,
     )
 
 
@@ -755,11 +784,18 @@ def separation_check(
     config: ScanConfig,
     *,
     points: Sequence[tuple[float, float]] | None = None,
+    report: ScanReport | None = None,
 ) -> SeparationReport:
     """Count rectangle overlaps against the cubes a branch requires missed.
 
-    ``points`` is read as in :func:`scan_density_bound`, and the regimes are
-    the scan's, from the same plan.  One pass over the ascending t grid
+    The check reads the scan's plan: given ``report``, a report of
+    :func:`scan_density_bound` on the same model, cover, rate function and
+    ``config``, it reads the plan kept there and samples and classifies
+    nothing; otherwise it builds the plan of ``points``, read as in
+    :func:`scan_density_bound`, which is the plan that scan builds, so
+    both give the same report.  ValueError when both ``points`` and
+    ``report`` are given, or when ``report`` was made with another config
+    or carries no plan.  One pass over the ascending t grid
     reads the plan's regime column at each t.  At the k-th smallest t, when
     its prefix is checkable, an applicable pair's rectangles are the scan's
     cumulative family there, families 0..k of the point's draw, so
@@ -782,8 +818,16 @@ def separation_check(
     diagonal below t, so every point of it lies closer to the point than
     any prefix cube does.  A violation can therefore be counted only
     through float rounding, and the separation row fails only then."""
-    plan = _scan_plan(model, cover, ratefn, config, points)
-    seeds = _substreams(config, 1, len(plan.points))
+    if report is None:
+        plan = _scan_plan(model, cover, ratefn, config, points)
+    elif points is not None:
+        raise ValueError("pass the points or the scan's report, not both")
+    elif report.config != config:
+        raise ValueError(f"the scan report was made with {report.config}, not {config}")
+    elif report._plan is None:
+        raise ValueError("the scan report carries no plan")
+    else:
+        plan = report._plan
     n = config.rects_per_point
     pts = np.array(plan.points)
     t_sorted = np.array(plan.t_sorted)
@@ -798,7 +842,7 @@ def separation_check(
                 boxes = pts[applicable][:, [0, 0, 1, 1]] + np.array([-t, t, -t, t])
                 for j in np.flatnonzero(_meets_prefix(model, boxes, prefix)).tolist():
                     i = applicable[j]
-                    draw = _point_draw(seeds, i, k + 1, n)
+                    draw = _point_draw(plan.seeds, i, k + 1, n)
                     rects = _shape_rects(draw, plan.points[i], t_sorted[: k + 1], config, model)
                     violations += _pair_hits(model, boxes[j], rects, prefix)
         rows.append(

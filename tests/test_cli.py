@@ -7,7 +7,6 @@ import pytest
 
 from densitometer import cli, scan
 from densitometer.auxfn import LittleOReport, little_o_check
-from densitometer.scan import sample_points
 from densitometer.weights import WeightSequence
 
 
@@ -452,19 +451,44 @@ def test_verify_all_fails_on_diverging_littleo(tmp_path, monkeypatch):
     assert "diag-littleo,fail,verdict=diverging" in steps
 
 
+def _scan_setups(monkeypatch) -> dict[str, list]:
+    """The arguments of every call to the scan's set-up steps, recorded."""
+    calls = {"sample_points": [], "_scan_plan": [], "_substreams": []}
+    for name, record in calls.items():
+
+        def recording(*args, _f=getattr(scan, name), _record=record, **kwargs):
+            _record.append(args)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(scan, name, recording)
+    return calls
+
+
+def _assert_set_up_once(calls):
+    """One sample, one plan, and each random lane spawned once: lane 0 for
+    the sample, lane 1 for the 10 points' rectangle streams."""
+    assert len(calls["sample_points"]) == len(calls["_scan_plan"]) == 1
+    assert [args[1:] for args in calls["_substreams"]] == [(0, 1), (1, 10)]
+
+
 def test_verify_all_samples_once(tmp_path, monkeypatch):
-    """The scan's sampled points are handed to the separation check, so a
-    verify-all run draws its points once."""
-    calls = []
-
-    def recording(*args, **kwargs):
-        calls.append(args)
-        return sample_points(*args, **kwargs)
-
-    monkeypatch.setattr(scan, "sample_points", recording)
+    """The scan's report carries its plan to the separation check, so a
+    verify-all run draws its points once, builds one plan and spawns each
+    random lane once."""
+    calls = _scan_setups(monkeypatch)
     args = ["verify-all", "--seq", "power:c=0.25,p=2", "--level", "4", "--seed", "42"]
     assert run(args, "--points", "10", "--rects", "40", "--out-dir", str(tmp_path)) == 0
-    assert len(calls) == 1
+    _assert_set_up_once(calls)
+
+
+def test_scan_samples_once(tmp_path, monkeypatch):
+    """So does a scan run."""
+    out = ["--out-dir", str(tmp_path)]
+    assert run(out + ["build-set", "--seq", "power:c=0.25,p=2", "--n", "3124", "--out", "set.json"]) == 0
+    calls = _scan_setups(monkeypatch)
+    args = ["scan", "--set", str(tmp_path / "set.json"), "--seed", "42"]
+    assert run(args, "--points", "10", "--rects", "40", *out) == 0
+    _assert_set_up_once(calls)
 
 
 def test_rate_csv_top_row_infinity(canonical_ratefn):

@@ -697,7 +697,8 @@ def _captured_sweeps(rows, gamma, monkeypatch):
     """Both sweeps of ``dilate_2d(rows, gamma)``, as tuples (keys, span,
     table, cuts, out): the toggle keys as ``_presence`` got them, the rank
     span, the table of values, the end cell of every slab and what
-    ``_sweep_rows`` returned."""
+    ``_sweep_rows`` returns with widths.  The y-sweep asks for the widths
+    and the column sweep does not, and what each got equals that."""
     keys, cuts, sweeps = [], [], []
     presence, slabs, sweep = dilation._presence, dilation._slabs, dilation._sweep_rows
 
@@ -711,10 +712,15 @@ def _captured_sweeps(rows, gamma, monkeypatch):
             cuts[-1].append(c1)
             yield c1, ranks
 
-    def spy_sweep(v, on, off, table, n_cells):
-        out = sweep(v, on, off, table, n_cells)
+    def spy_sweep(v, on, off, table, n_cells, *, widths):
+        assert widths == (not sweeps)
+        out = sweep(v, on, off, table, n_cells, widths=True)
+        got = sweep(v, on, off, table, n_cells, widths=widths)
+        assert cuts.pop() == cuts[-1] and (got[3] is None) != widths
+        for part, full in zip(got[:3], out):
+            assert part.tobytes() == full.tobytes()
         sweeps.append((table, out))
-        return out
+        return got
 
     monkeypatch.setattr(dilation, "_presence", spy_presence)
     monkeypatch.setattr(dilation, "_slabs", spy_slabs)
@@ -980,7 +986,7 @@ def test_overlapping_sections_raise_after_the_y_sweep_before_any_growth(monkeypa
     # toggling (0, 2) and (1, 3) on one y-cell would give (0, 1) u (2, 3)
     sweeps = []
     sweep = dilation._sweep_rows
-    monkeypatch.setattr(dilation, "_sweep_rows", lambda *a: sweeps.append(a) or sweep(*a))
+    monkeypatch.setattr(dilation, "_sweep_rows", lambda *a, **k: sweeps.append(a) or sweep(*a, **k))
     monkeypatch.setattr(dilation, "_grow_sweep", _refuse)
     with pytest.raises(OverlappingCubes, match="^cubes 0 and 1 overlap$"):
         dilate_2d([(0, 2, 0, 2), (1, 3, 0, 2)], 2.0)
@@ -1181,10 +1187,18 @@ def test_certificate_proves_touching_shelves(name, step, monkeypatch):
 def test_certificate_refuses_rows_without_interior(monkeypatch):
     """Zero or negative extent in either axis, and NaN, fail the certificate
     although the rows would chain as shelves; the row is then skipped
-    before the y-sweep, which finds the others disjoint."""
+    before the y-sweep, which finds the others disjoint and writes no rows
+    of x-ends."""
     sweeps = []
     y_sweep = dilation._y_sweep
-    monkeypatch.setattr(dilation, "_y_sweep", lambda rows: sweeps.append(rows) or y_sweep(rows))
+
+    def spy(rows, **kwargs):
+        sweeps.append(rows)
+        out = y_sweep(rows, **kwargs)
+        assert kwargs == {"bounds": False} and out[2:] == (None, None, None)
+        return out
+
+    monkeypatch.setattr(dilation, "_y_sweep", spy)
     for bad in ((1, 1, 0, 1), (2, 1, 0, 1), (1, 2, 0, 0), (1, 2, 0, -1), (np.nan, 2, 0, 1)):
         rows = np.array([(0, 1, 0, 1), bad, (2, 3, 0, 1)], dtype=np.float64)
         assert not dilation._shelf_disjoint(rows)

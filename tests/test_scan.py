@@ -467,6 +467,39 @@ def test_scan_matches_run_pass_before_family_boxes(layouts, layout, canonical_ra
     assert minima == {True, False}
 
 
+@pytest.mark.parametrize("layout", ["shelf-3124", "deposition"])
+@pytest.mark.parametrize("grids", [1, 2])
+def test_short_runs_match_run_pass(layouts, layout, grids, canonical_ratefn, monkeypatch):
+    """With the run buffer cut to one or two points' whole grids of
+    families, the scan makes many short runs, each shaped in one call that
+    holds the built families of one or more points, and at three seeds the
+    rows are byte for byte those of the replaced pass: every family keeps
+    the bits of its own point and t whatever run it falls in.
+    (_TOTALS_ROWS = 1 gives the least buffer, one point's grid.)"""
+    model, cover = layouts[layout]
+    grid = len(small_config().t_grid)
+    monkeypatch.setattr(scan, "_TOTALS_ROWS", 1 if grids == 1 else grids * grid * 500)
+    shaped, minima = [], set()
+    shape = scan._shape_rects
+
+    def recording(draw, point, t, *rest):
+        shaped.append((len(draw), len(set(zip(np.ravel(point[0]), np.ravel(point[1]))))))
+        return shape(draw, point, t, *rest)
+
+    for seed in (1, 2, 3):
+        config = small_config(points=24, rects_per_point=500, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(scan, "_shape_rects", recording)
+            report = scan_density_bound(model, cover, canonical_ratefn, config)
+            patch.setattr(scan, "_scan_points", oracles.scan_points_ref)
+            want = scan_density_bound(model, cover, canonical_ratefn, config, points=report.sample.points)
+        assert report.to_csv() == want.to_csv()
+        minima |= {r.min_ratio == 1.0 for r in report.rows}
+    families, points = zip(*shaped)
+    assert len(shaped) > 6 and max(families) <= grids * grid and max(points) >= 2
+    assert minima == {True, False}
+
+
 @pytest.mark.parametrize("layout", ["shelf-3124", "shelf-46655", "deposition"])
 def test_separation_matches_check_drawing_every_pair(layouts, layout, canonical_ratefn):
     """At three seeds per layout, the separation check's tallies are those of
@@ -1210,6 +1243,119 @@ def test_scan_and_separation_agree_on_explicit_points(canonical_model, canonical
     _assert_reports_agree(canonical_model, report, separation)
     summary = [s for s in report.summaries if s.t == 0.05][0]
     assert (summary.applicable, summary.deferred, summary.exceptional) == (1, 1, 1)
+
+
+
+# -- the plan shared through the scan's report -------------------------------------
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("not to be called")
+
+
+def _shared_plan_cases(canonical_model, canonical_ratefn, shelf_46k, shelf_46k_cover):
+    """(model, cover, rate function, config, points) of four plans: a sample
+    on the 46,655-cube shelf whose separation check draws some pairs,
+    explicit applicable, deferred and exceptional points, a grid whose
+    t = 0.01 prefix lies beyond a 100-cube model, so every pair there is
+    deferred, and the NaN config."""
+    explicit = [(0.9, 0.9), (0.77, 0.601), (0.5, 0.25)]
+    beyond = [(0.9, 0.9), (0.95, 0.95), (0.5, 0.99), (0.7, 0.97)]
+    small = build_packing(canonical_model.seq, 100, Rectangle.from_bounds(0.0, 1.0, 0.0, 1.0))
+    grid = (0.25, 0.05, 0.01, 0.002, 1e-4)
+    return {
+        "sampled": (
+            shelf_46k,
+            shelf_46k_cover,
+            canonical_ratefn,
+            small_config(t_grid=grid, points=100, rects_per_point=500),
+            None,
+        ),
+        "explicit": (
+            canonical_model,
+            build_cover(canonical_model, 4, 4),
+            canonical_ratefn,
+            small_config(points=3, m=4),
+            explicit,
+        ),
+        "deferred": (
+            small,
+            ExceptionalCover.empty(),
+            canonical_ratefn,
+            small_config(points=len(beyond)),
+            beyond,
+        ),
+        "nan": (
+            canonical_model,
+            build_cover(canonical_model, 3, 4),
+            _NAN_RATEFN,
+            small_config(**_NAN_CONFIG),
+            None,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["sampled", "explicit", "deferred", "nan"])
+def test_separation_reads_the_scans_plan(
+    canonical_model, canonical_ratefn, shelf_46k, shelf_46k_cover, case, monkeypatch
+):
+    """Given the scan's report, the separation check builds no plan: it
+    samples, classifies, measures prefix distances and spawns seeds not at
+    all, and its CSV is byte for byte that of the check that builds its own
+    plan from the same points, or from its own sample."""
+    model, cover, ratefn, config, points = _shared_plan_cases(
+        canonical_model, canonical_ratefn, shelf_46k, shelf_46k_cover
+    )[case]
+    args = (model, cover, ratefn, config)
+    with np.errstate(invalid="ignore"):
+        report = scan_density_bound(*args, points=points)
+        alone = separation_check(*args, points=points)
+        draws = []
+        with monkeypatch.context() as patch:
+            for name in ("_scan_plan", "sample_points", "_scannable_rows", "_prefix_d2", "_substreams"):
+                patch.setattr(scan, name, _refuse)
+            draw = scan._point_draw
+            patch.setattr(scan, "_point_draw", lambda *a: draws.append(1) or draw(*a))
+            shared = separation_check(*args, report=report)
+    assert shared.to_csv() == alone.to_csv()
+    regimes = {r.regime for r in report.rows}
+    if case == "sampled":
+        assert draws and report.sample is not None
+    elif case == "explicit":
+        assert regimes == {"applicable", "deferred", "exceptional"}
+    elif case == "deferred":
+        assert shared.rows[0].prefix > model.trunc and shared.rows[0].deferred_points == 4
+    else:
+        assert any(math.isnan(r.min_ratio) for r in report.rows)
+
+
+def test_separation_refuses_a_report_it_cannot_read(canonical_model, canonical_cover, canonical_ratefn):
+    """The points and the report are two sources of one plan, so the check
+    takes one of them; a report of another config, or one built without a
+    plan, is refused."""
+    config = small_config(points=5, rects_per_point=20)
+    args = (canonical_model, canonical_cover, canonical_ratefn)
+    report = scan_density_bound(*args, config)
+    with pytest.raises(ValueError, match="not both"):
+        separation_check(*args, config, points=report.sample.points, report=report)
+    with pytest.raises(ValueError, match="made with"):
+        separation_check(*args, small_config(points=5, rects_per_point=20, seed=43), report=report)
+    bare = scan.ScanReport(report.config, report.rows, report.summaries, report.sample)
+    with pytest.raises(ValueError, match="no plan"):
+        separation_check(*args, config, report=bare)
+
+
+def test_scan_report_value_ignores_its_plan(canonical_model, canonical_cover, canonical_ratefn):
+    """The plan rides along in the report outside its value: two scans of
+    one config, each with its own plan, are equal, and so are a report and
+    its copy without a plan, with the same repr, hash and CSV."""
+    args = (canonical_model, canonical_cover, canonical_ratefn, small_config(points=5, rects_per_point=20))
+    report, again = scan_density_bound(*args), scan_density_bound(*args)
+    assert report._plan is not again._plan and report._plan.seeds != again._plan.seeds
+    bare = scan.ScanReport(report.config, report.rows, report.summaries, report.sample)
+    for other in (again, bare):
+        assert other == report and hash(other) == hash(report)
+        assert repr(other) == repr(report) and other.to_csv() == report.to_csv()
+    assert "_plan" not in repr(report)
 
 
 # -- envelope -----------------------------------------------------------------------
